@@ -40,9 +40,12 @@ fmt:
 # appends one line to BENCH_history.jsonl (git rev + every benchmark), the
 # trajectory scripts/check.sh warns against. Set BENCH_BEFORE=<prior
 # report.json> to embed before/after comparisons (speedup, alloc reduction)
-# against an earlier run. For real measurements run with -count=10 and
-# compare with benchstat (see README "Observability & profiling").
-BENCH_OUT ?= BENCH_pr10.json
+# against an earlier run. The default report is untracked (.gitignore), so a
+# plain `make bench` never overwrites a committed BENCH_*.json. For real
+# before/after measurements use the benchmark's own comparison,
+# `bash perfbench/run.sh --compare parent.out change.out` (see README
+# "Observability & profiling").
+BENCH_OUT ?= bench-report.json
 bench:
 	go test -bench . -benchmem -benchtime 3x -run '^$$' ./... | \
 		go run ./cmd/shadowbench -o $(BENCH_OUT) $(if $(BENCH_BEFORE),-before $(BENCH_BEFORE))

@@ -25,7 +25,7 @@
 // analyzers work over the module-wide call graph
 // (internal/analysis/callgraph): allocflow proves everything reachable
 // from the hot-path roots (the scheduler tick, the controller step, the
-// minq/flight/span recording paths) allocation-free, and detflow flags
+// flight/span recording paths) allocation-free, and detflow flags
 // calls from the simulation packages that transitively reach a
 // nondeterminism source in unrestricted code. A finding can be waived with
 // a "//shadowvet:ignore <analyzer> -- reason" comment on or above the

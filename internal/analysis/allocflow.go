@@ -33,14 +33,6 @@ var allocRoots = map[string]string{
 	"dram.Device.NextDeadline":         "the device deadline scan",
 	"dram.Bank.NextDeadline":           "the bank deadline probe",
 	"mitigate.BlockHammer.NextEventAt": "the BlockHammer epoch-boundary bound",
-	// The indexed min-heap fronting the per-bank readiness cache; every op
-	// runs inside Step's selection pass.
-	"minq.Queue.Set":      "the readiness-cache heap update",
-	"minq.Queue.Remove":   "the readiness-cache heap removal",
-	"minq.Queue.Min":      "the readiness-cache minimum probe",
-	"minq.Queue.Pop":      "the readiness-cache pop",
-	"minq.Queue.Key":      "the readiness-cache key lookup",
-	"minq.Queue.Contains": "the readiness-cache membership probe",
 	// The flight recorder's ring write, teed from Recorder.emit on every
 	// DRAM command in the always-on telemetry configuration.
 	"flight.Ring.Record": "the flight-ring event write",
@@ -97,7 +89,7 @@ type allocFacts struct {
 var AllocFlow = &Analyzer{
 	Name: "allocflow",
 	Doc: "require the call trees of the hot-path roots (sim.runner.tick, memctrl.Controller.Step, " +
-		"minq.Queue ops, flight.Ring.Record, span.Tracker hot calls) to be allocation-free: " +
+		"flight.Ring.Record, span.Tracker hot calls) to be allocation-free: " +
 		"flags make/new, append, map writes, string concatenation/conversion, escaping composite " +
 		"literals, interface boxing, closure captures, variadic and fmt calls, go statements, and " +
 		"calls the interprocedural analysis cannot see through; constructs inside panic(...) " +

@@ -96,8 +96,9 @@ func (k EdgeKind) String() string {
 // synthetic Unknown.
 type Node struct {
 	// ID is the node's stable identity: types.Func.FullName() for named
-	// functions ("(*shadow/internal/minq.Queue).Set"), "<encloser>$litN"
-	// for function literals, "<unknown>" for the Unknown node.
+	// functions ("(*shadow/internal/memctrl.Controller).Step"),
+	// "<encloser>$litN" for function literals, "<unknown>" for the Unknown
+	// node.
 	ID string
 	// Func is the type-checker's object for named functions; nil for
 	// literals and Unknown.

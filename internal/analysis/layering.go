@@ -32,9 +32,6 @@ var layerImports = map[string][]string{
 	// The analyzer framework sits on its own CFG core and call graph.
 	"analysis": {"analysis/cfg", "analysis/callgraph"},
 
-	// Containers over timing ticks.
-	"minq": {"timing"},
-
 	// Leaf instrumentation and reporting.
 	"circuit":    {"timing"},
 	"obs":        {"timing"},
@@ -50,13 +47,13 @@ var layerImports = map[string][]string{
 	"shadow":   {"dram", "hammer", "obs", "obs/span", "rng", "timing"},
 
 	// The controller and its observers.
-	"memctrl":  {"dram", "hammer", "minq", "mitigate", "obs", "obs/span", "rng", "shadow", "timing"},
+	"memctrl":  {"dram", "hammer", "mitigate", "obs", "obs/span", "rng", "shadow", "timing"},
 	"memsys":   {"dram", "hammer", "memctrl", "obs", "obs/span", "timing"},
 	"cmdtrace": {"dram", "hammer", "memctrl", "obs", "timing"},
 	"power":    {"dram", "memctrl", "timing"},
 
 	// The simulator and the experiment layers on top.
-	"sim": {"circuit", "dram", "hammer", "memctrl", "memsys", "minq", "mitigate",
+	"sim": {"circuit", "dram", "hammer", "memctrl", "memsys", "mitigate",
 		"obs", "obs/span", "rng", "shadow", "timing", "trace"},
 	"security": {"dram", "hammer", "mitigate", "rng", "shadow", "sim", "timing", "trace"},
 	"exp": {"circuit", "dram", "hammer", "memctrl", "mitigate", "obs", "obs/flight",

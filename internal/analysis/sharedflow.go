@@ -12,13 +12,12 @@ import (
 // sharedHotTypes registers the simulator's hot-path types whose state is
 // single-writer by design: the event-driven scheduler (PR 5) holds its
 // zero-alloc invariants only because exactly one goroutine mutates the
-// controller, the indexed min-queue, and the per-run simulation state.
+// controller (with its readiness cache) and the per-run simulation state.
 // Matching is by declaring package name plus type name, restricted to
 // module-local packages, so fixtures can masquerade with a package
 // clause the way determinism fixtures masquerade with a path override.
 var sharedHotTypes = map[string]bool{
 	"memctrl.Controller": true,
-	"minq.Queue":         true,
 	"sim.runner":         true,
 	"sim.core":           true,
 	// The flight recorder's ring is written on the command hot path and
@@ -44,7 +43,7 @@ var sharedHotTypes = map[string]bool{
 // instead of a silent race.
 var SharedFlow = &Analyzer{
 	Name: "sharedflow",
-	Doc: "require writes to hot-path simulator types (memctrl.Controller, minq.Queue, sim runner state) " +
+	Doc: "require writes to hot-path simulator types (memctrl.Controller, sim runner state) " +
 		"inside goroutines or callbacks to hold a lock",
 	Run: runSharedFlow,
 }

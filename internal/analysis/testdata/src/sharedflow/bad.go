@@ -1,39 +1,39 @@
-// Package minq masquerades as the real indexed min-queue: sharedflow
+// Package memctrl masquerades as the real memory controller: sharedflow
 // matches hot-path types by declaring-package name plus type name, so
-// this fixture's Queue stands in for shadow/internal/minq.Queue.
-package minq
+// this fixture's Controller stands in for shadow/internal/memctrl.Controller.
+package memctrl
 
 import "sync"
 
-type Queue struct {
+type Controller struct {
 	mu    sync.Mutex
 	items []int
 	dirty bool
 }
 
-func goroutineWrite(q *Queue) {
+func goroutineWrite(c *Controller) {
 	go func() {
-		q.dirty = true // want:sharedflow
+		c.dirty = true // want:sharedflow
 	}()
 }
 
-func callbackWrite(q *Queue, each func(fn func())) {
+func callbackWrite(c *Controller, each func(fn func())) {
 	each(func() {
-		q.items = append(q.items, 1) // want:sharedflow
+		c.items = append(c.items, 1) // want:sharedflow
 	})
 }
 
-func incDecThroughIndex(q *Queue) {
+func incDecThroughIndex(c *Controller) {
 	go func() {
-		q.items[0]++ // want:sharedflow
+		c.items[0]++ // want:sharedflow
 	}()
 }
 
-func lockReleasedTooEarly(q *Queue) {
+func lockReleasedTooEarly(c *Controller) {
 	go func() {
-		q.mu.Lock()
-		q.items = q.items[:0]
-		q.mu.Unlock()
-		q.dirty = false // want:sharedflow
+		c.mu.Lock()
+		c.items = c.items[:0]
+		c.mu.Unlock()
+		c.dirty = false // want:sharedflow
 	}()
 }

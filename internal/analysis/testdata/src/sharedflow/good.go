@@ -1,33 +1,33 @@
-package minq
+package memctrl
 
 // Synchronous writes are the simulator hot path; only asynchronous
 // contexts are checked.
-func synchronousWrite(q *Queue) {
-	q.dirty = true
-	q.items = append(q.items, 7)
+func synchronousWrite(c *Controller) {
+	c.dirty = true
+	c.items = append(c.items, 7)
 }
 
-func guardedGoroutineWrite(q *Queue) {
+func guardedGoroutineWrite(c *Controller) {
 	go func() {
-		q.mu.Lock()
-		q.dirty = true
-		q.items = q.items[:0]
-		q.mu.Unlock()
+		c.mu.Lock()
+		c.dirty = true
+		c.items = c.items[:0]
+		c.mu.Unlock()
 	}()
 }
 
-func guardedCallbackWrite(q *Queue, each func(fn func())) {
+func guardedCallbackWrite(c *Controller, each func(fn func())) {
 	each(func() {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		q.items = append(q.items, 1)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.items = append(c.items, 1)
 	})
 }
 
 // Reads are not writes: publishing a snapshot needs no guard here.
-func readInGoroutine(q *Queue, out chan int) {
+func readInGoroutine(c *Controller, out chan int) {
 	go func() {
-		out <- len(q.items)
+		out <- len(c.items)
 	}()
 }
 
@@ -41,8 +41,8 @@ func unregisteredType(s *scratch) {
 }
 
 // A waiver records the synchronization the analyzer cannot see.
-func externallySerialized(q *Queue) {
+func externallySerialized(c *Controller) {
 	go func() {
-		q.dirty = true //shadowvet:ignore sharedflow -- the spawner joins this goroutine before any other access
+		c.dirty = true //shadowvet:ignore sharedflow -- the spawner joins this goroutine before any other access
 	}()
 }

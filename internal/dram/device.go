@@ -271,7 +271,7 @@ func (d *Device) Refresh(now timing.Tick) error {
 			return err
 		}
 		if d.busyNotify != nil {
-			d.busyNotify(b.id, now+d.p.RFC) //shadowvet:ignore allocflow -- wired to the controller's readiness-cache update, itself covered by the minq zero-alloc roots
+			d.busyNotify(b.id, now+d.p.RFC) //shadowvet:ignore allocflow -- wired to the controller's readiness-cache lift, a plain array write on the memctrl.Controller.Step command path
 		}
 	}
 	d.Refs++
@@ -295,7 +295,7 @@ func (d *Device) RefreshBank(bank int, now timing.Tick) error {
 	}
 	d.Refs++
 	if d.busyNotify != nil {
-		d.busyNotify(bank, now+d.p.RFCsb) //shadowvet:ignore allocflow -- wired to the controller's readiness-cache update, itself covered by the minq zero-alloc roots
+		d.busyNotify(bank, now+d.p.RFCsb) //shadowvet:ignore allocflow -- wired to the controller's readiness-cache lift, a plain array write on the memctrl.Controller.Step command path
 	}
 	d.spans.NoteBusy(bank, now, now+d.p.RFCsb, span.CauseRefresh)
 	return nil
@@ -325,7 +325,7 @@ func (d *Device) RFM(bank int, now timing.Tick) error {
 	d.mit.OnRFM(b, now)
 	b.setBusy(now + d.p.RFM)
 	if d.busyNotify != nil {
-		d.busyNotify(bank, now+d.p.RFM) //shadowvet:ignore allocflow -- wired to the controller's readiness-cache update, itself covered by the minq zero-alloc roots
+		d.busyNotify(bank, now+d.p.RFM) //shadowvet:ignore allocflow -- wired to the controller's readiness-cache lift, a plain array write on the memctrl.Controller.Step command path
 	}
 	d.spans.NoteBusy(bank, now, now+d.p.RFM, d.rfmCause)
 	return nil

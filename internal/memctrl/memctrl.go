@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"shadow/internal/dram"
-	"shadow/internal/minq"
 	"shadow/internal/mitigate"
 	"shadow/internal/obs"
 	"shadow/internal/obs/span"
@@ -170,18 +169,18 @@ type Controller struct {
 	busFreeAt    timing.Tick // data bus
 	blockedUntil timing.Tick // RRS swap channel blocking
 
-	// Event-driven scheduling state (nil ready == FullRescan). ready caches
+	// Event-driven scheduling state (nil ready == FullRescan). ready holds
 	// each non-volatile bank's earliest possibly-actionable tick — always a
 	// lower bound on the bank's true next-action time, so stale entries cost
 	// an extra (behavior-neutral) wakeup, never a missed command. Volatile
-	// banks are kept out of the cache and re-evaluated every Step: banks
+	// banks hold Forever in ready and are re-evaluated every Step: banks
 	// whose binding ACT constraint is the MC-side throttle (BlockHammer's
 	// allowed-at can move EARLIER at an epoch rotation, with no bank event
 	// to invalidate on) and, when spans are attached, every non-idle bank
 	// (a global event can change a waiting bank's blame cause, and the
 	// cause timeline must move at the same Step the full rescan would move
 	// it). scan/bankNext are per-Step scratch.
-	ready     *minq.Queue
+	ready     []timing.Tick
 	scan      []int
 	bankNext  []timing.Tick
 	vol       []bool
@@ -237,14 +236,11 @@ func New(dev *dram.Device, opt Options) *Controller {
 	}
 	if !opt.FullRescan {
 		n := dev.Banks()
-		c.ready = minq.New(n)
+		c.ready = make([]timing.Tick, n) // all 0: the first Step classifies every bank
 		c.scan = make([]int, 0, n)
 		c.bankNext = make([]timing.Tick, n)
 		c.vol = make([]bool, n)
 		c.throttled = make([]bool, n)
-		for i := 0; i < n; i++ {
-			c.ready.Set(i, 0) // first Step classifies every bank
-		}
 		dev.SetBusyNotifier(c.liftBusy)
 	}
 	if opt.SameBankRefresh {
@@ -390,38 +386,22 @@ func (c *Controller) stepRescan(now, next timing.Tick) timing.Tick {
 }
 
 // stepEvent runs phases 2-4 over only the banks that could act: the volatile
-// set plus every bank whose cached readiness has arrived. The scan set is
-// sorted ascending so the (phase, bank) consultation order — and therefore
-// which command issues when several are legal at the same tick — matches
-// stepRescan exactly.
+// set plus every bank whose cached readiness has arrived. One ascending pass
+// collects them while folding the other banks' cached minimum, so the
+// (phase, bank) consultation order — and therefore which command issues when
+// several are legal at the same tick — matches stepRescan by construction.
 func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
-	// Fast path: with no volatile banks and no cached readiness due, the scan
-	// set below would be empty and every phase loop a no-op — return the
-	// cached minimum directly. This is exactly what the slow path computes for
-	// an empty scan, at O(1) instead of O(banks).
-	if c.volCount == 0 {
-		if _, key, ok := c.ready.Min(); !ok || key > now {
-			if ok {
-				next = minTick(next, key)
-			}
-			return next
-		}
-	}
-	// Select the scan set in one index-order pass: volatile banks plus every
-	// bank whose cached readiness has arrived (Key is O(1)). Selected banks
-	// stay in the queue while they are evaluated — re-keying in place costs
-	// one heap sift instead of the two a pop/re-insert pair would — and the
-	// index order matches stepRescan's consultation order by construction,
-	// with no sort.
 	scan := c.scan[:0]
-	for i := range c.banks {
-		if c.vol[i] {
+	rest := timing.Forever
+	for i, t := range c.ready {
+		if t <= now || c.vol[i] {
 			scan = append(scan, i) //shadowvet:ignore allocflow -- c.scan is reused via [:0]; capacity tops out at the bank count
-		} else if key, ok := c.ready.Key(i); ok && key <= now {
-			scan = append(scan, i) //shadowvet:ignore allocflow -- c.scan is reused via [:0]; capacity tops out at the bank count
+		} else if t < rest {
+			rest = t
 		}
 	}
 	c.scan = scan
+	next = minTick(next, rest)
 	for _, i := range scan {
 		c.bankNext[i] = timing.Forever
 		c.throttled[i] = false
@@ -452,25 +432,21 @@ func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
 	// Nothing issued: re-cache each scanned bank (every non-issue time from
 	// the phases is strictly greater than now, so the Step loop cannot spin)
 	// or keep it in the volatile set if it must be re-evaluated every Step.
+	// Either way its computed time joins the bound.
 	for _, i := range scan {
 		c.recacheBank(i)
-		if c.vol[i] {
-			next = minTick(next, c.bankNext[i])
-		}
-	}
-	if _, key, ok := c.ready.Min(); ok {
-		next = minTick(next, key)
+		next = minTick(next, c.bankNext[i])
 	}
 	return next
 }
 
 // recacheBank files bank i after a full (all-phase, non-issuing) evaluation:
 // into the volatile set if it must be re-evaluated every Step, else into the
-// readiness queue under its computed next-action time.
+// readiness cache under its computed next-action time.
 func (c *Controller) recacheBank(i int) {
 	c.updateVolatility(i)
 	if !c.vol[i] {
-		c.ready.Set(i, c.bankNext[i])
+		c.ready[i] = c.bankNext[i]
 	}
 }
 
@@ -481,9 +457,8 @@ func (c *Controller) recacheBank(i int) {
 // next-action time — so they re-cache at their computed readiness. Banks the
 // evaluation never completed for (everything from keep on, plus every bank
 // when the issue happened in the RFM or TRR phase) need no re-arming at all:
-// they still sit in the queue under their collected keys (<= now), so the
-// next Step collects and re-evaluates them — their partial minima are never
-// trusted.
+// they still hold their collected keys (<= now), so the next Step collects
+// and re-evaluates them — their partial minima are never trusted.
 func (c *Controller) issuedDuringScan(now timing.Tick, keep int) timing.Tick {
 	for _, i := range c.scan[:keep] {
 		if !c.vol[i] {
@@ -518,8 +493,8 @@ func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
 		return now
 	}
 	next := c.nextRefreshAt
-	if _, key, ok := c.ready.Min(); ok {
-		next = minTick(next, key)
+	for _, t := range c.ready {
+		next = minTick(next, t)
 	}
 	next = minTick(next, c.dev.NextDeadline(now))
 	next = minTick(next, c.mc.NextEventAt(now))
@@ -535,29 +510,25 @@ func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
 // need no invalidation: the cached lower bound stays valid and costs at most
 // one extra behavior-neutral wakeup.
 //
-// The key is set to the event time rather than zero: every future Step runs
-// at now >= at, so the bank is still collected on the very next evaluation,
-// and the shorter sift distance keeps the heap cheap under bursts.
+// The key is lowered to the event time, never raised: every future Step runs
+// at now >= at, so the bank is collected on the very next evaluation either
+// way. Volatile banks are skipped — they are evaluated every Step already.
 func (c *Controller) dirty(bank int, at timing.Tick) {
 	if c.ready == nil || bank < 0 || c.vol[bank] {
 		return
 	}
-	// Lower-only: a key already at or below the event time stays put (it is
-	// collected at the next Step either way), skipping the sift entirely.
-	if key, ok := c.ready.Key(bank); !ok || key > at {
-		c.ready.Set(bank, at)
+	if c.ready[bank] > at {
+		c.ready[bank] = at
 	}
 }
 
 // liftBusy raises a bank's cached readiness to the end of a device-side
 // busy window (REF/REFsb/RFM): the bank is closed for the whole window, so
 // no command on it can be legal earlier and the lift cannot skip work.
+// Volatile banks hold Forever, so they are never lifted.
 func (c *Controller) liftBusy(bank int, until timing.Tick) {
-	if c.ready == nil || c.vol[bank] {
-		return
-	}
-	if key, ok := c.ready.Key(bank); ok && key < until {
-		c.ready.Set(bank, until)
+	if c.ready != nil && c.ready[bank] < until {
+		c.ready[bank] = until
 	}
 }
 
@@ -575,7 +546,7 @@ func (c *Controller) updateVolatility(i int) {
 	c.vol[i] = wantVol
 	if wantVol {
 		c.volCount++
-		c.ready.Remove(i)
+		c.ready[i] = timing.Forever
 	} else {
 		c.volCount--
 	}

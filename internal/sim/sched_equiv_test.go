@@ -21,18 +21,19 @@ import (
 // The simulator's two scheduler optimizations must be behaviorally
 // invisible, separately and combined:
 //
-//   - the event-driven controller scheduler (per-bank readiness cache +
-//     min-queue, toggled off by Config.FullRescan), and
+//   - the event-driven controller scheduler (per-bank readiness cache,
+//     toggled off by Config.FullRescan), and
 //   - the tick-skipping event wheel (simulated time jumps straight to the
 //     next actionable instant, toggled off by Config.NoTimeSkip).
 //
-// For every mitigation scheme, every seed, and every observation mode, each
-// of the four {event-cache, full-rescan} x {event-wheel, per-tick} variants
-// must produce bit-identical statistics, DRAM command streams, flip records,
-// and span blame tables against the double-oracle (full-rescan + per-tick,
-// both pre-optimization paths kept compiled exactly for this test). Any
-// divergence means a cache-invalidation rule or a readiness lower bound is
-// wrong and an optimization changed simulated behavior, not just speed.
+// For every mitigation scheme, every seed, every input, and every
+// observation mode, each of the four {event-cache, full-rescan} x
+// {event-wheel, per-tick} variants must produce bit-identical statistics,
+// DRAM command streams, flip records, and span blame tables against the
+// double-oracle (full-rescan + per-tick, both pre-optimization paths kept
+// compiled exactly for this test). Any divergence means a cache-invalidation
+// rule or a readiness lower bound is wrong and an optimization changed
+// simulated behavior, not just speed.
 
 // equivScheme builds one protection configuration. Constructors are funcs so
 // each run gets fresh mitigation state (trackers, CSPRNGs, Bloom filters).
@@ -121,9 +122,43 @@ func equivSchemes() []equivScheme {
 	}
 }
 
+// equivInput is one workload shape of the matrix. Every scheme runs the
+// 2-core single-channel mix. The 16-core two-channel mix puts the wheel's two
+// load-bearing orderings (DESIGN.md §10) — the index-order core replay and
+// the ascending-channel step rounds — under enough contention that a wrong
+// order shows; it runs a subset of schemes to keep the suite fast.
+type equivInput struct {
+	// name prefixes the subtest names; the base input has none, so its
+	// subtests are named by scheme alone.
+	name     string
+	cores    int
+	channels int
+	// schemes restricts the input to the named schemes (nil = all).
+	schemes []string
+}
+
+var equivInputs = []equivInput{
+	{cores: 2, channels: 1},
+	{name: "16c-2ch", cores: 16, channels: 2, schemes: []string{"none", "shadow", "blockhammer"}},
+}
+
+// covers reports whether the input runs scheme name.
+func (in equivInput) covers(name string) bool {
+	if in.schemes == nil {
+		return true
+	}
+	for _, s := range in.schemes {
+		if s == name {
+			return true
+		}
+	}
+	return false
+}
+
 // equivView is the full observable surface of one run: the determinism-test
-// statsView plus a hash of every DRAM command the controller issued (kind,
-// bank, row, tick) and the rendered blame table when spans are attached.
+// statsView plus every channel's flip records and scrub report, a hash of
+// every DRAM command the controllers issued (channel, kind, bank, row,
+// tick), and the rendered blame table when spans are attached.
 type equivView struct {
 	Duration timing.Tick
 	Insts    []int64
@@ -131,8 +166,8 @@ type equivView struct {
 	MC       memctrl.Stats
 	Dev      dram.BankStats
 	Flips    int
-	Records  []dram.FlipRecord
-	Scrub    dram.ScrubReport
+	Records  [][]dram.FlipRecord
+	Scrub    []dram.ScrubReport
 	CmdHash  uint64
 	Blame    string
 }
@@ -150,21 +185,25 @@ var equivVariants = []struct {
 	{"event+wheel", false, false},
 }
 
-func runEquiv(t *testing.T, sc equivScheme, seed uint64, spans, fullRescan, noTimeSkip bool) equivView {
+func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans, fullRescan, noTimeSkip bool) equivView {
 	t.Helper()
 	p := sc.params()
 	g := smallGeo()
-	profiles := trace.MixHigh(2)
+	wlGeo := g
+	wlGeo.Banks = g.Banks * in.channels // generators span the global bank space
+	profiles := trace.MixHigh(in.cores)
 	for i := range profiles {
 		profiles[i].WorkingSetRows = 1 << 10
 	}
-	var dev dram.Mitigator
+	// Each channel gets its own mitigation state; channel ch's seed is offset
+	// so the channels do not mirror each other.
+	var devFor func(ch int) dram.Mitigator
 	if sc.dev != nil {
-		dev = sc.dev(seed)
+		devFor = func(ch int) dram.Mitigator { return sc.dev(seed + uint64(ch)*101) }
 	}
-	var mcside mitigate.MCSide
+	var mcFor func(ch int) mitigate.MCSide
 	if sc.mc != nil {
-		mcside = sc.mc(p, seed)
+		mcFor = func(ch int) mitigate.MCSide { return sc.mc(p, seed+uint64(ch)*101) }
 	}
 	var filter *mitigate.RFMFilter
 	if sc.filter != nil {
@@ -176,15 +215,16 @@ func runEquiv(t *testing.T, sc equivScheme, seed uint64, spans, fullRescan, noTi
 	}
 	cmdHash := fnv.New64a()
 	res, err := Run(Config{
-		Params:    p,
-		Geometry:  g,
-		Hammer:    hammer.Config{HCnt: 4096, BlastRadius: 3},
-		DeviceMit: dev,
-		MCSide:    mcside,
-		RFMFilter: filter,
-		Workload:  trace.Generators(profiles, g, seed),
-		Duration:  60 * timing.Microsecond,
-		Spans:     col,
+		Params:       p,
+		Geometry:     g,
+		Hammer:       hammer.Config{HCnt: 4096, BlastRadius: 3},
+		Channels:     in.channels,
+		DeviceMitFor: devFor,
+		MCSideFor:    mcFor,
+		RFMFilter:    filter,
+		Workload:     trace.Generators(profiles, wlGeo, seed),
+		Duration:     60 * timing.Microsecond,
+		Spans:        col,
 		OnCommand: func(ch int, cmd memctrl.Cmd) {
 			fmt.Fprintf(cmdHash, "%d %d %d %d %d\n", ch, cmd.Kind, cmd.Bank, cmd.Row, cmd.At)
 		},
@@ -201,9 +241,11 @@ func runEquiv(t *testing.T, sc equivScheme, seed uint64, spans, fullRescan, noTi
 		MC:       res.MC,
 		Dev:      res.Dev,
 		Flips:    res.Flips,
-		Records:  res.Device.Flips(),
-		Scrub:    res.Device.Scrub(),
 		CmdHash:  cmdHash.Sum64(),
+	}
+	for _, d := range res.Devices {
+		v.Records = append(v.Records, d.Flips())
+		v.Scrub = append(v.Scrub, d.Scrub())
 	}
 	if col != nil {
 		v.Blame = string(report.BlameJSON([]report.BlameRow{{Label: sc.name, Agg: col.Aggregate()}}))
@@ -211,25 +253,40 @@ func runEquiv(t *testing.T, sc equivScheme, seed uint64, spans, fullRescan, noTi
 	return v
 }
 
+// forEachEquivCase runs fn as a subtest for every (input, scheme) pair the
+// matrix covers.
+func forEachEquivCase(t *testing.T, fn func(t *testing.T, sc equivScheme, in equivInput)) {
+	for _, in := range equivInputs {
+		for _, sc := range equivSchemes() {
+			if !in.covers(sc.name) {
+				continue
+			}
+			sc, in := sc, in
+			name := sc.name
+			if in.name != "" {
+				name = in.name + "/" + sc.name
+			}
+			t.Run(name, func(t *testing.T) { fn(t, sc, in) })
+		}
+	}
+}
+
 // TestSchedulerEquivalence is the bit-identity gate for the scheduler
-// matrix: every scheme, three seeds, all four scheduler variants,
+// matrix: every scheme and input, three seeds, all four scheduler variants,
 // statistics + command stream against the double-oracle.
 func TestSchedulerEquivalence(t *testing.T) {
-	for _, sc := range equivSchemes() {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			for _, seed := range []uint64{42, 7, 1234} {
-				oracle := runEquiv(t, sc, seed, false, equivVariants[0].fullRescan, equivVariants[0].noTimeSkip)
-				for _, v := range equivVariants[1:] {
-					got := runEquiv(t, sc, seed, false, v.fullRescan, v.noTimeSkip)
-					if !reflect.DeepEqual(oracle, got) {
-						t.Errorf("seed %d: %s diverged from %s:\n oracle: %+v\n got:    %+v",
-							seed, v.name, equivVariants[0].name, oracle, got)
-					}
+	forEachEquivCase(t, func(t *testing.T, sc equivScheme, in equivInput) {
+		for _, seed := range []uint64{42, 7, 1234} {
+			oracle := runEquiv(t, sc, in, seed, false, equivVariants[0].fullRescan, equivVariants[0].noTimeSkip)
+			for _, v := range equivVariants[1:] {
+				got := runEquiv(t, sc, in, seed, false, v.fullRescan, v.noTimeSkip)
+				if !reflect.DeepEqual(oracle, got) {
+					t.Errorf("seed %d: %s diverged from %s:\n oracle: %+v\n got:    %+v",
+						seed, v.name, equivVariants[0].name, oracle, got)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSchedulerEquivalenceWithSpans repeats the check with shadowtap span
@@ -238,28 +295,25 @@ func TestSchedulerEquivalence(t *testing.T) {
 // banks to stay volatile in the readiness cache — a cached bank could
 // otherwise miss a blame-cause transition driven by another bank's command).
 func TestSchedulerEquivalenceWithSpans(t *testing.T) {
-	for _, sc := range equivSchemes() {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			oracle := runEquiv(t, sc, 42, true, equivVariants[0].fullRescan, equivVariants[0].noTimeSkip)
-			if oracle.Blame == "" {
+	forEachEquivCase(t, func(t *testing.T, sc equivScheme, in equivInput) {
+		oracle := runEquiv(t, sc, in, 42, true, equivVariants[0].fullRescan, equivVariants[0].noTimeSkip)
+		if oracle.Blame == "" {
+			t.Fatal("span run produced no blame table")
+		}
+		for _, v := range equivVariants[1:] {
+			got := runEquiv(t, sc, in, 42, true, v.fullRescan, v.noTimeSkip)
+			if got.Blame == "" {
 				t.Fatal("span run produced no blame table")
 			}
-			for _, v := range equivVariants[1:] {
-				got := runEquiv(t, sc, 42, true, v.fullRescan, v.noTimeSkip)
-				if got.Blame == "" {
-					t.Fatal("span run produced no blame table")
+			if !reflect.DeepEqual(oracle, got) {
+				diff := ""
+				if oracle.Blame != got.Blame {
+					diff = fmt.Sprintf("\n blame oracle: %s\n blame %s: %s", oracle.Blame, v.name, got.Blame)
 				}
-				if !reflect.DeepEqual(oracle, got) {
-					diff := ""
-					if oracle.Blame != got.Blame {
-						diff = fmt.Sprintf("\n blame oracle: %s\n blame %s: %s", oracle.Blame, v.name, got.Blame)
-					}
-					t.Errorf("span-tracked %s diverged:\n oracle: %+v\n got:    %+v%s", v.name, oracle, got, diff)
-				}
+				t.Errorf("span-tracked %s diverged:\n oracle: %+v\n got:    %+v%s", v.name, oracle, got, diff)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSchedulerEquivalenceAttack covers the attack runner: a single-request

@@ -20,7 +20,6 @@ import (
 	"shadow/internal/hammer"
 	"shadow/internal/memctrl"
 	"shadow/internal/memsys"
-	"shadow/internal/minq"
 	"shadow/internal/mitigate"
 	"shadow/internal/obs"
 	"shadow/internal/obs/span"
@@ -154,18 +153,19 @@ type runner struct {
 
 	// Event-wheel state (see tickWheel; unused under Config.NoTimeSkip).
 	// ctls caches the per-channel controllers so the wheel can step a single
-	// channel. coreq holds every unstalled core keyed by its next issue time;
-	// stalled cores leave the queue and re-enter on retire. ctlNext caches
-	// each channel's advance bound (Controller.NextReadyAt) so quiescent
-	// channels are not stepped at all; chDirty marks channels that received a
-	// request this tick; chPend/chSel/dueCores are per-tick scratch.
-	ctls     []*memctrl.Controller
-	coreq    *minq.Queue
-	dueCores []int
-	ctlNext  []timing.Tick
-	chPend   []timing.Tick
-	chSel    []bool
-	chDirty  []bool
+	// channel. coreAt holds each core's next issue time, Forever while the
+	// core is stalled (retire restores it when the core unstalls); it sits
+	// in one contiguous array so the wheel's per-wakeup scan never touches a
+	// core that is not due. ctlNext caches each channel's advance bound
+	// (Controller.NextReadyAt) so quiescent channels are not stepped at all;
+	// chDirty marks channels that received a request this tick; chPend/chSel
+	// are per-tick scratch.
+	ctls    []*memctrl.Controller
+	coreAt  []timing.Tick
+	ctlNext []timing.Tick
+	chPend  []timing.Tick
+	chSel   []bool
+	chDirty []bool
 
 	inflight []completion
 	// nextDone is the earliest completion time in inflight (Forever when
@@ -307,11 +307,10 @@ func newRunner(cfg Config) (*runner, error) {
 	r.mc = mc
 	r.devices = devices
 	r.ctls = ctls
-	r.coreq = minq.New(len(cores))
+	r.coreAt = make([]timing.Tick, len(cores))
 	for i, c := range cores {
-		r.coreq.Set(i, c.nextIssueAt)
+		r.coreAt[i] = c.nextIssueAt
 	}
-	r.dueCores = make([]int, 0, len(cores))
 	r.ctlNext = make([]timing.Tick, channels)
 	r.chPend = make([]timing.Tick, channels)
 	r.chSel = make([]bool, channels)
@@ -399,31 +398,8 @@ func (r *runner) tickStep() {
 	cfg := r.cfg
 	now := r.now
 
-	// 1. Retire completions due by now, recomputing the earliest surviving
-	// completion in the same pass (onComplete keeps it current for inserts).
-	if r.nextDone <= now {
-		nextDone := timing.Forever
-		for i := 0; i < len(r.inflight); {
-			if r.inflight[i].at <= now {
-				c := r.cores[r.inflight[i].core]
-				c.outstanding--
-				if c.stalled {
-					c.stalled = false
-					if c.nextIssueAt < r.inflight[i].at {
-						c.nextIssueAt = r.inflight[i].at
-					}
-				}
-				r.inflight[i] = r.inflight[len(r.inflight)-1]
-				r.inflight = r.inflight[:len(r.inflight)-1]
-			} else {
-				if r.inflight[i].at < nextDone {
-					nextDone = r.inflight[i].at
-				}
-				i++
-			}
-		}
-		r.nextDone = nextDone
-	}
+	// 1. Retire completions due by now.
+	r.retire(now)
 
 	// 2. Cores issue due requests, recycling Request objects off the free
 	// list (whole-struct reset: a recycled request must not leak its old
@@ -497,8 +473,8 @@ func (r *runner) tickStep() {
 // tickWheel is the event-wheel scheduler. It performs the same three phases
 // as tickStep but touches only the state that can act at this instant:
 //
-//   - cores come off an indexed min-queue keyed by next issue time, so a
-//     wakeup costs O(due cores) instead of O(cores);
+//   - cores are walked through their dense next-issue-time array, so only
+//     due cores touch their replay state;
 //   - a channel is stepped only when it received a request this tick, its
 //     cached bound (Controller.NextReadyAt) has arrived, or it is volatile —
 //     a skipped Step is provably a pure no-op (DESIGN.md §10);
@@ -512,53 +488,20 @@ func (r *runner) tickWheel() {
 	cfg := r.cfg
 	now := r.now
 
-	// 1. Retire completions due by now (same pass as tickStep); a core that
-	// unstalls re-enters the issue queue at its adjusted issue time.
-	if r.nextDone <= now {
-		nextDone := timing.Forever
-		for i := 0; i < len(r.inflight); {
-			if r.inflight[i].at <= now {
-				c := r.cores[r.inflight[i].core]
-				c.outstanding--
-				if c.stalled {
-					c.stalled = false
-					if c.nextIssueAt < r.inflight[i].at {
-						c.nextIssueAt = r.inflight[i].at
-					}
-					r.coreq.Set(r.inflight[i].core, c.nextIssueAt)
-				}
-				r.inflight[i] = r.inflight[len(r.inflight)-1]
-				r.inflight = r.inflight[:len(r.inflight)-1]
-			} else {
-				if r.inflight[i].at < nextDone {
-					nextDone = r.inflight[i].at
-				}
-				i++
-			}
-		}
-		r.nextDone = nextDone
-	}
+	// 1. Retire completions due by now (shared with tickStep).
+	r.retire(now)
 
-	// 2. Pop the due cores and replay them in core-index order — tickStep
-	// scans cores ascending, and bank-queue insertion order (FR-FCFS
-	// tie-break) must match it exactly. The pop loop yields key order, so the
-	// scratch list is insertion-sorted by index (due sets are tiny).
-	due := r.dueCores[:0]
-	for {
-		id, key, ok := r.coreq.Min()
-		if !ok || key > now {
-			break
+	// 2. Walk the cores in index order — tickStep's order, which bank-queue
+	// insertion (the FR-FCFS tie-break) must match — replaying every due core
+	// and folding each core's next issue time into coreNext in the same pass.
+	coreNext := timing.Forever
+	for id, at := range r.coreAt {
+		if at > now {
+			if at < coreNext {
+				coreNext = at
+			}
+			continue
 		}
-		r.coreq.Remove(id)
-		due = append(due, id) //shadowvet:ignore allocflow -- scratch reused via [:0]; capacity fixed at the core count by newRunner
-	}
-	r.dueCores = due
-	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && due[j] < due[j-1]; j-- {
-			due[j], due[j-1] = due[j-1], due[j]
-		}
-	}
-	for _, id := range due {
 		c := r.cores[id]
 		for !c.stalled && c.nextIssueAt <= now {
 			if c.outstanding >= cfg.MSHR {
@@ -594,8 +537,13 @@ func (r *runner) tickWheel() {
 			c.fetch(cfg.InstPerNS, now)
 			r.instSeries.Add(now, float64(c.pending.Gap))
 		}
+		at = timing.Forever
 		if !c.stalled {
-			r.coreq.Set(id, c.nextIssueAt)
+			at = c.nextIssueAt
+		}
+		r.coreAt[id] = at
+		if at < coreNext {
+			coreNext = at
 		}
 	}
 
@@ -660,7 +608,7 @@ func (r *runner) tickWheel() {
 	}
 
 	// 4. Jump to the wheel's bound.
-	r.advance(now)
+	r.advance(now, coreNext)
 }
 
 // stepSelected drains every selected channel to quiescence at now, one
@@ -685,18 +633,16 @@ func (r *runner) stepSelected(now timing.Tick) {
 
 // advance moves simulated time to the wheel's sound lower bound on the next
 // actionable event: the minimum over per-channel bounds, the earliest
-// unstalled core's issue time, and the earliest outstanding completion. A
-// bound at or before now (volatile channels, refresh drains) clamps the jump
-// to +1 tCK — the wheel degrades to the per-tick cadence, never skips.
-func (r *runner) advance(now timing.Tick) {
-	next := timing.Forever
+// unstalled core's issue time (coreNext), and the earliest outstanding
+// completion. A bound at or before now (volatile channels, refresh drains)
+// clamps the jump to +1 tCK — the wheel degrades to the per-tick cadence,
+// never skips.
+func (r *runner) advance(now, coreNext timing.Tick) {
+	next := coreNext
 	for _, b := range r.ctlNext {
 		if b < next {
 			next = b
 		}
-	}
-	if _, key, ok := r.coreq.Min(); ok && key < next {
-		next = key
 	}
 	if r.nextDone > now && r.nextDone < next {
 		next = r.nextDone
@@ -706,6 +652,39 @@ func (r *runner) advance(now timing.Tick) {
 	}
 	r.now = next
 	r.noteProgress()
+}
+
+// retire retires the completions due by now, recomputing the earliest
+// surviving completion in the same pass (onComplete keeps it current for
+// inserts). A core that unstalls resumes at the later of its issue time and
+// the completion that freed it, which also becomes its wheel key in coreAt.
+func (r *runner) retire(now timing.Tick) {
+	if r.nextDone > now {
+		return
+	}
+	nextDone := timing.Forever
+	for i := 0; i < len(r.inflight); {
+		if r.inflight[i].at <= now {
+			id := r.inflight[i].core
+			c := r.cores[id]
+			c.outstanding--
+			if c.stalled {
+				c.stalled = false
+				if c.nextIssueAt < r.inflight[i].at {
+					c.nextIssueAt = r.inflight[i].at
+				}
+				r.coreAt[id] = c.nextIssueAt
+			}
+			r.inflight[i] = r.inflight[len(r.inflight)-1]
+			r.inflight = r.inflight[:len(r.inflight)-1]
+		} else {
+			if r.inflight[i].at < nextDone {
+				nextDone = r.inflight[i].at
+			}
+			i++
+		}
+	}
+	r.nextDone = nextDone
 }
 
 // noteProgress fires the optional Progress heartbeat and re-arms it with the

@@ -92,6 +92,12 @@ go run ./cmd/shadowvet ./examples/...
 echo "==> scheduler equivalence (2x2 matrix)"
 go test -run 'TestSchedulerEquivalence' ./internal/sim/
 
+# perfbench is a nested module (its own go.mod), so no `./...` above reaches
+# it. Its unit tests drive the memctrl and sim entry points and check the
+# recorded outputs in perfbench/expected.json; gate them by name.
+echo "==> perfbench unit tests (nested module)"
+(cd perfbench && go test ./...)
+
 echo "==> go test -race"
 go test -race ./...
 
