@@ -71,10 +71,11 @@ func BenchmarkSim(b *testing.B) {
 	// The idle-heavy lane: no telemetry variants, just the scheduler axis.
 	// 64 sub-1-MPKI cores on a long horizon is the wheel's headline shape —
 	// the per-tick loop pays an O(cores) issue scan at every wakeup, the
-	// wheel pops only the cores that are actually due. The horizon is 1 ms
-	// (17x the mix-high lane) so the loop dominates construction cost. Past
-	// ~64 cores even this mix saturates the bank queues and enqueue-backoff
-	// polling erases the wheel's edge, so the lane stays at 64.
+	// wheel replays only the cores that are actually due. The horizon is
+	// 1 ms (17x the mix-high lane) so the loop dominates construction cost.
+	// At 64 cores this mix never fills a bank queue, so the lane measures
+	// the per-wakeup constant alone; queue-full parking (DESIGN.md §10,
+	// part 5) shows on saturated mixes instead.
 	for _, mode := range modes {
 		mode := mode
 		if mode.flight || mode.probed {

@@ -59,6 +59,11 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	pertick := flag.Bool("pertick", false, "use the per-tick scheduler instead of the event wheel (bit-identical results, differential baseline)")
 	flag.Parse()
+	if *cores < 0 {
+		fmt.Fprintf(os.Stderr, "shadowexp: -cores must be non-negative (0 = 4), got %d\n", *cores)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -66,6 +66,11 @@ func main() {
 	pertick := flag.Bool("pertick", false, "use the per-tick scheduler instead of the event wheel (bit-identical results, differential baseline)")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	flag.Parse()
+	if *cores < 0 {
+		fmt.Fprintf(os.Stderr, "shadowsim: -cores must be non-negative, got %d\n", *cores)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("schemes: baseline", strings.Join(schemeNames(), " "))

@@ -29,6 +29,9 @@ var allocRoots = map[string]string{
 	// tick dispatch.
 	"sim.runner.advance":               "the event-wheel time advance",
 	"sim.runner.stepSelected":          "the event-wheel channel step round",
+	"sim.runner.park":                  "the event-wheel queue-full park",
+	"sim.runner.rearmSlot":             "the event-wheel re-arm on a bank dequeue",
+	"sim.runner.rearmAll":              "the event-wheel re-arm on a clamped wakeup",
 	"memctrl.Controller.NextReadyAt":   "the channel readiness lower bound",
 	"dram.Device.NextDeadline":         "the device deadline scan",
 	"dram.Bank.NextDeadline":           "the bank deadline probe",

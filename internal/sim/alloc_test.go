@@ -58,9 +58,15 @@ func steadyStepRunner(t *testing.T, p *timing.Params, mit dram.Mitigator) *runne
 // steadyProbedRunner is steadyRunner with an optional probe attached, for
 // pinning the instrumented hot path.
 func steadyProbedRunner(t *testing.T, p *timing.Params, mit dram.Mitigator, probe *obs.Probe) *runner {
+	return steadyCoresRunner(t, p, mit, probe, 2)
+}
+
+// steadyCoresRunner is steadyProbedRunner over a given number of MixHigh
+// cores on one channel.
+func steadyCoresRunner(t *testing.T, p *timing.Params, mit dram.Mitigator, probe *obs.Probe, cores int) *runner {
 	t.Helper()
 	g := smallGeo()
-	profiles := trace.MixHigh(2)
+	profiles := trace.MixHigh(cores)
 	for i := range profiles {
 		profiles[i].WorkingSetRows = 1 << 10
 	}
@@ -111,6 +117,27 @@ func TestTickDoesNotAllocate(t *testing.T) {
 				t.Errorf("runner.tick (per-tick) allocates %.3f objects/op in steady state; want 0", avg)
 			}
 		})
+	}
+}
+
+// TestSaturatedTickDoesNotAllocate pins the wheel's queue-full parking:
+// 16 memory-bound cores on one channel keep bank queues full, so cores park
+// and OnComplete re-arms them on every dequeue from their bank, all at
+// 0 allocs/op.
+func TestSaturatedTickDoesNotAllocate(t *testing.T) {
+	r := steadyCoresRunner(t, shadowParams(64), shadow.New(shadow.Options{Seed: 99}), nil, 16)
+	sawParked := false
+	tick := func() {
+		r.tick()
+		if r.parked > 0 {
+			sawParked = true
+		}
+	}
+	if avg := testing.AllocsPerRun(2000, tick); avg != 0 {
+		t.Errorf("runner.tick (wheel, saturated) allocates %.3f objects/op in steady state; want 0", avg)
+	}
+	if !sawParked {
+		t.Fatal("no core parked on a full queue; the 0-alloc result is vacuous")
 	}
 }
 

@@ -31,7 +31,8 @@ import (
 // {event-wheel, per-tick} variants must produce bit-identical statistics,
 // DRAM command streams, flip records, and span blame tables against the
 // double-oracle (full-rescan + per-tick, both pre-optimization paths kept
-// compiled exactly for this test). Any divergence means a cache-invalidation
+// compiled exactly for this test; one input is held to the wheel axis alone,
+// see equivInput.wheelOnly). Any divergence means a cache-invalidation
 // rule or a readiness lower bound is wrong and an optimization changed
 // simulated behavior, not just speed.
 
@@ -92,6 +93,22 @@ func equivSchemes() []equivScheme {
 			},
 		},
 		{
+			// BlockHammer with a 2 us filter epoch and H_cnt 64: rows
+			// blacklist, throttle and are released by epoch rotations within
+			// the horizon. A release is seen by the first Step after
+			// the epoch boundary, so the set of clamped wakeup instants
+			// decides when a throttled ACT issues.
+			name:   "blockhammer-epoch",
+			params: baseParams,
+			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
+				return mitigate.NewBlockHammer(mitigate.BlockHammerConfig{
+					Hammer: hammer.Config{HCnt: 64, BlastRadius: 3},
+					REFW:   4 * timing.Microsecond,
+					Seed:   seed + 3,
+				})
+			},
+		},
+		{
 			name:   "rrs",
 			params: baseParams,
 			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
@@ -126,13 +143,26 @@ func equivSchemes() []equivScheme {
 // 2-core single-channel mix. The 16-core two-channel mix puts the wheel's two
 // load-bearing orderings (DESIGN.md §10) — the index-order core replay and
 // the ascending-channel step rounds — under enough contention that a wrong
-// order shows; it runs a subset of schemes to keep the suite fast.
+// order shows. The 16-core single-channel mix saturates the bank queues, so
+// cores park on full queues and every enqueue instant rests on the wheel's
+// re-arm rule; its conflict variant (four rows per bank, no row locality)
+// adds blacklisted rows whose epoch release makes clamped wakeups matter.
+// The 16-core inputs run a subset of schemes to keep the suite fast.
 type equivInput struct {
 	// name prefixes the subtest names; the base input has none, so its
 	// subtests are named by scheme alone.
 	name     string
 	cores    int
 	channels int
+	// conflict shrinks every core's working set to four rows per bank with
+	// no row locality, so nearly every access is a row conflict.
+	conflict bool
+	// wheelOnly checks, without spans, only the wheel axis: each wheel run
+	// against the per-tick run of the same controller mode. The
+	// event-driven controller's Step return omits the MC-side epoch boundary
+	// that releases a throttled ACT, so its per-tick Step instants, and with
+	// them the release instant, differ from the full rescan's (ROADMAP).
+	wheelOnly bool
 	// schemes restricts the input to the named schemes (nil = all).
 	schemes []string
 }
@@ -140,6 +170,8 @@ type equivInput struct {
 var equivInputs = []equivInput{
 	{cores: 2, channels: 1},
 	{name: "16c-2ch", cores: 16, channels: 2, schemes: []string{"none", "shadow", "blockhammer"}},
+	{name: "16c-1ch", cores: 16, channels: 1, schemes: []string{"none", "shadow", "blockhammer"}},
+	{name: "16c-1ch-conflict", cores: 16, channels: 1, conflict: true, wheelOnly: true, schemes: []string{"blockhammer-epoch"}},
 }
 
 // covers reports whether the input runs scheme name.
@@ -170,6 +202,8 @@ type equivView struct {
 	Scrub    []dram.ScrubReport
 	CmdHash  uint64
 	Blame    string
+	// QueueFull is the queue-full backpressure summed over all spans.
+	QueueFull timing.Tick
 }
 
 // equivVariants is the scheduler matrix: the double-oracle first, then the
@@ -194,6 +228,10 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans, f
 	profiles := trace.MixHigh(in.cores)
 	for i := range profiles {
 		profiles[i].WorkingSetRows = 1 << 10
+		if in.conflict {
+			profiles[i].WorkingSetRows = 4
+			profiles[i].RowLocality = 0
+		}
 	}
 	// Each channel gets its own mitigation state; channel ch's seed is offset
 	// so the channels do not mirror each other.
@@ -248,7 +286,9 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans, f
 		v.Scrub = append(v.Scrub, d.Scrub())
 	}
 	if col != nil {
-		v.Blame = string(report.BlameJSON([]report.BlameRow{{Label: sc.name, Agg: col.Aggregate()}}))
+		agg := col.Aggregate()
+		v.Blame = string(report.BlameJSON([]report.BlameRow{{Label: sc.name, Agg: agg}}))
+		v.QueueFull = agg.Stall[span.CauseQueueFull]
 	}
 	return v
 }
@@ -279,10 +319,18 @@ func TestSchedulerEquivalence(t *testing.T) {
 		for _, seed := range []uint64{42, 7, 1234} {
 			oracle := runEquiv(t, sc, in, seed, false, equivVariants[0].fullRescan, equivVariants[0].noTimeSkip)
 			for _, v := range equivVariants[1:] {
+				ref, refName := oracle, equivVariants[0].name
+				if in.wheelOnly {
+					if v.noTimeSkip {
+						continue
+					}
+					ref = runEquiv(t, sc, in, seed, false, v.fullRescan, true)
+					refName = v.name + " per tick"
+				}
 				got := runEquiv(t, sc, in, seed, false, v.fullRescan, v.noTimeSkip)
-				if !reflect.DeepEqual(oracle, got) {
+				if !reflect.DeepEqual(ref, got) {
 					t.Errorf("seed %d: %s diverged from %s:\n oracle: %+v\n got:    %+v",
-						seed, v.name, equivVariants[0].name, oracle, got)
+						seed, v.name, refName, ref, got)
 				}
 			}
 		}
@@ -299,6 +347,9 @@ func TestSchedulerEquivalenceWithSpans(t *testing.T) {
 		oracle := runEquiv(t, sc, in, 42, true, equivVariants[0].fullRescan, equivVariants[0].noTimeSkip)
 		if oracle.Blame == "" {
 			t.Fatal("span run produced no blame table")
+		}
+		if in.cores >= 16 && oracle.QueueFull == 0 {
+			t.Fatal("no queue-full stall: no core parked on a full queue, so the wheel's re-arm rule went unchecked")
 		}
 		for _, v := range equivVariants[1:] {
 			got := runEquiv(t, sc, in, 42, true, v.fullRescan, v.noTimeSkip)

@@ -154,7 +154,8 @@ type runner struct {
 	// Event-wheel state (see tickWheel; unused under Config.NoTimeSkip).
 	// ctls caches the per-channel controllers so the wheel can step a single
 	// channel. coreAt holds each core's next issue time, Forever while the
-	// core is stalled (retire restores it when the core unstalls); it sits
+	// core is stalled (retire restores it when the core unstalls) or parked
+	// on a full queue (rearmSlot and rearmAll restore it); it sits
 	// in one contiguous array so the wheel's per-wakeup scan never touches a
 	// core that is not due. ctlNext caches each channel's advance bound
 	// (Controller.NextReadyAt) so quiescent channels are not stepped at all;
@@ -166,6 +167,17 @@ type runner struct {
 	chPend  []timing.Tick
 	chSel   []bool
 	chDirty []bool
+
+	// Queue-full parking (see tickWheel): a core whose request found its
+	// bank queue full waits with coreAt Forever on that bank's list instead
+	// of polling. parkHead[ch*banks+bank] heads the list of cores parked on
+	// the bank, threaded through parkLink (-1 ends a list); parked counts
+	// them. rearmNext is the earliest retry a re-arm scheduled during this
+	// wakeup, folded into the advance bound.
+	parkHead  []int
+	parkLink  []int
+	parked    int
+	rearmNext timing.Tick
 
 	inflight []completion
 	// nextDone is the earliest completion time in inflight (Forever when
@@ -242,15 +254,12 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	r.inflight = make([]completion, 0, len(r.reqSlab))
 	r.nextDone = timing.Forever
-	// Completion queue: (coreID, doneAt) pairs, unsorted (small). The
-	// completed request goes straight back on the free list.
-	onComplete := func(req *memctrl.Request) {
-		r.inflight = append(r.inflight, completion{core: req.Core, at: req.Done})
-		if req.Done < r.nextDone {
-			r.nextDone = req.Done
-		}
-		r.freeReqs = append(r.freeReqs, req)
+	r.parkHead = make([]int, channels*cfg.Geometry.Banks)
+	for i := range r.parkHead {
+		r.parkHead[i] = -1
 	}
+	r.parkLink = make([]int, len(cores))
+	r.rearmNext = timing.Forever
 
 	ctls := make([]*memctrl.Controller, channels)
 	devices := make([]*dram.Device, channels)
@@ -289,6 +298,18 @@ func newRunner(cfg Config) (*runner, error) {
 		if cfg.OnCommand != nil {
 			chID := ch
 			onCmd = func(c memctrl.Cmd) { cfg.OnCommand(chID, c) }
+		}
+		// Completion queue: (coreID, doneAt) pairs, unsorted (small). The
+		// completed request goes straight back on the free list, and its
+		// dequeue frees a slot for the cores parked on its bank.
+		slot0 := ch * cfg.Geometry.Banks
+		onComplete := func(req *memctrl.Request) {
+			r.inflight = append(r.inflight, completion{core: req.Core, at: req.Done})
+			if req.Done < r.nextDone {
+				r.nextDone = req.Done
+			}
+			r.freeReqs = append(r.freeReqs, req)
+			r.rearmSlot(slot0+req.Bank, r.now)
 		}
 		ctls[ch] = memctrl.New(dev, memctrl.Options{
 			MCSide:     mcside,
@@ -475,6 +496,9 @@ func (r *runner) tickStep() {
 //
 //   - cores are walked through their dense next-issue-time array, so only
 //     due cores touch their replay state;
+//   - a core whose request met a full bank queue parks until a dequeue from
+//     that bank (or a clamped wakeup) re-arms it on tickStep's retry grid,
+//     instead of waking to poll every 4 tCK (DESIGN.md §10, part 5);
 //   - a channel is stepped only when it received a request this tick, its
 //     cached bound (Controller.NextReadyAt) has arrived, or it is volatile —
 //     a skipped Step is provably a pure no-op (DESIGN.md §10);
@@ -503,6 +527,7 @@ func (r *runner) tickWheel() {
 			continue
 		}
 		c := r.cores[id]
+		parked := false
 		for !c.stalled && c.nextIssueAt <= now {
 			if c.outstanding >= cfg.MSHR {
 				c.stalled = true
@@ -519,13 +544,17 @@ func (r *runner) tickWheel() {
 			}
 			ok, ch := r.mc.EnqueueCh(req)
 			if !ok {
-				// Bank queue full: retry after a short backoff. A failed
-				// enqueue mutates nothing, so the channel stays clean.
+				// Bank queue full: the retry grid stays tickStep's backoff,
+				// but the core parks on the bank until a dequeue (or a
+				// clamp) re-arms it. A failed enqueue mutates nothing, so
+				// the channel stays clean.
 				r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
 				if !c.backoff {
 					c.backoff, c.backoffAt = true, now
 				}
 				c.nextIssueAt = now + cfg.Params.TCK*4
+				r.park(id, ch*cfg.Geometry.Banks+req.Bank)
+				parked = true
 				break
 			}
 			r.chDirty[ch] = true
@@ -538,7 +567,7 @@ func (r *runner) tickWheel() {
 			r.instSeries.Add(now, float64(c.pending.Gap))
 		}
 		at = timing.Forever
-		if !c.stalled {
+		if !c.stalled && !parked {
 			at = c.nextIssueAt
 		}
 		r.coreAt[id] = at
@@ -586,6 +615,9 @@ func (r *runner) tickWheel() {
 		for ch := range r.ctls {
 			r.ctlNext[ch] = r.chPend[ch]
 		}
+		// The clamped wakeup set includes tickStep's retry instants, so
+		// every parked core resumes polling its grid.
+		r.rearmAll(now)
 	} else {
 		for ch, ctl := range r.ctls {
 			if !r.chSel[ch] {
@@ -607,8 +639,53 @@ func (r *runner) tickWheel() {
 		}
 	}
 
-	// 4. Jump to the wheel's bound.
+	// 4. Jump to the wheel's bound, which includes the retries re-armed by
+	// this wakeup's dequeues.
+	if r.rearmNext < coreNext {
+		coreNext = r.rearmNext
+	}
+	r.rearmNext = timing.Forever
 	r.advance(now, coreNext)
+}
+
+// park holds core id on bank slot's full queue: the core stays out of the
+// wheel (coreAt Forever) until rearmSlot or rearmAll puts it back on its
+// retry grid.
+func (r *runner) park(id, slot int) {
+	r.parkLink[id] = r.parkHead[slot]
+	r.parkHead[slot] = id
+	r.parked++
+}
+
+// rearmSlot returns every core parked on bank slot to the wheel, at the
+// first point of its retry grid strictly after now. It runs from OnComplete,
+// whose column command just dequeued a request from the bank. tickStep's
+// retry at now runs in the core phase, before this Step, and meets the full
+// queue, as every earlier grid point did, since only a dequeue shrinks a
+// queue. So the first retry that can succeed is the first one after now.
+func (r *runner) rearmSlot(slot int, now timing.Tick) {
+	backoff := r.cfg.Params.TCK * 4
+	for id := r.parkHead[slot]; id >= 0; id = r.parkLink[id] {
+		c := r.cores[id]
+		if c.nextIssueAt <= now {
+			c.nextIssueAt += ((now-c.nextIssueAt)/backoff + 1) * backoff
+		}
+		r.coreAt[id] = c.nextIssueAt
+		if c.nextIssueAt < r.rearmNext {
+			r.rearmNext = c.nextIssueAt
+		}
+		r.parked--
+	}
+	r.parkHead[slot] = -1
+}
+
+// rearmAll re-arms every parked core as rearmSlot does: a clamped wakeup
+// must be followed by tickStep's next wakeup, and that includes the retry
+// instants of the cores parked on full queues.
+func (r *runner) rearmAll(now timing.Tick) {
+	for slot := 0; r.parked > 0 && slot < len(r.parkHead); slot++ {
+		r.rearmSlot(slot, now)
+	}
 }
 
 // stepSelected drains every selected channel to quiescence at now, one
