@@ -30,25 +30,14 @@ lint:
 fmt:
 	gofmt -w cmd internal examples ./*.go
 
-# Three passes over every benchmark as a smoke test, plus a machine-readable
-# report ($(BENCH_OUT)): shadowbench echoes the benchmark output through
-# and appends headline per-scheme simulation stats with the shadowtap blame
-# split. -benchmem feeds allocs/op into the report so the zero-alloc hot
-# path is pinned by data, not just by the regression tests. -benchtime 3x keeps the
-# single-iteration noise of the heavyweight BenchmarkSim lanes out of the
-# trajectory (ns/op is still the per-iteration average). Each run also
-# appends one line to BENCH_history.jsonl (git rev + every benchmark), the
-# trajectory scripts/check.sh warns against. Set BENCH_BEFORE=<prior
-# report.json> to embed before/after comparisons (speedup, alloc reduction)
-# against an earlier run. The default report is untracked (.gitignore), so a
-# plain `make bench` never overwrites a committed BENCH_*.json. For real
+# Three passes over every benchmark as a smoke test, with allocs/op;
+# -benchtime 3x keeps the single-iteration noise of the heavyweight
+# BenchmarkSim lanes down (ns/op is still the per-iteration average). For
 # before/after measurements use the benchmark's own comparison,
 # `bash perfbench/run.sh --compare parent.out change.out` (see README
 # "Observability & profiling").
-BENCH_OUT ?= bench-report.json
 bench:
-	go test -bench . -benchmem -benchtime 3x -run '^$$' ./... | \
-		go run ./cmd/shadowbench -o $(BENCH_OUT) $(if $(BENCH_BEFORE),-before $(BENCH_BEFORE))
+	go test -bench . -benchmem -benchtime 3x -run '^$$' ./...
 
 verify:
 	./scripts/check.sh

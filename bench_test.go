@@ -32,69 +32,55 @@ func benchOpts() exp.RunOpts {
 	return exp.RunOpts{Duration: 60 * timing.Microsecond, Cores: 4, Subarrays: 8, Seed: 5}
 }
 
-// BenchmarkSim measures raw simulator throughput — the perf gate of the
-// scheduler optimizations. Four headline schemes (DDR4-2666, 4 cores,
-// mix-high), each in five modes: the tick-skipping event wheel as shipped
-// (timeskip), the PR 5 event-driven scheduler on the per-tick loop (event —
-// the name keeps its historical meaning so BENCH comparisons across PRs stay
-// apples-to-apples), the shipped configuration with the always-on telemetry
-// lane (flight: metrics probe + flight ring), with full observation attached
-// (probed: shadowscope probe + shadowtap spans, which force non-idle banks
-// volatile and so collapse the wheel toward per-tick behavior), and the
-// legacy full-rescan per-tick scheduler kept compiled for the equivalence
-// matrix (rescan — the double-oracle). A fifth scheme lane, mix-low, runs
-// the idle-heavy sub-1-MPKI workload where the wheel's jumps dominate: its
-// timeskip-vs-event ratio is the wheel's headline speedup. Run with
-// -benchmem; shadowbench records ns/op, allocs/op, and sims/sec into the
-// BENCH report and derives the telemetry-overhead section from event vs
-// flight vs probed.
+// BenchmarkSim measures raw simulator throughput. Four headline schemes
+// (DDR4-2666, 4 cores, mix-high), each in three modes: the tick-skipping
+// event wheel as shipped (timeskip), the shipped configuration with the
+// always-on telemetry lane (flight: metrics probe + flight ring), and full
+// observation attached (probed: shadowscope probe + shadowtap spans, which
+// force non-idle banks volatile and so collapse the wheel toward per-tick
+// behavior). A fifth scheme lane, mix-low, runs the idle-heavy sub-1-MPKI
+// workload where the wheel's jumps dominate. Run with -benchmem; the
+// per-tick and full-rescan schedulers are test oracles
+// (TestSchedulerEquivalence) and are not timed here.
 func BenchmarkSim(b *testing.B) {
 	schemes := []exp.Scheme{exp.Baseline, exp.Shadow, exp.MithrilPerf, exp.BlockHammer}
 	modes := []struct {
-		name                            string
-		flight, probed, rescan, pertick bool
+		name           string
+		flight, probed bool
 	}{
 		{name: "timeskip"},
-		{name: "event", pertick: true},
 		{name: "flight", flight: true},
 		{name: "probed", probed: true},
-		{name: "rescan", rescan: true, pertick: true},
 	}
 	for _, scheme := range schemes {
 		for _, mode := range modes {
 			mode := mode
 			b.Run(string(scheme)+"/"+mode.name, func(b *testing.B) {
-				benchSim(b, scheme, trace.MixHigh(benchOpts().Cores), mode.flight, mode.probed, mode.rescan, mode.pertick)
+				benchSim(b, scheme, trace.MixHigh(benchOpts().Cores), mode.flight, mode.probed)
 			})
 		}
 	}
-	// The idle-heavy lane: no telemetry variants, just the scheduler axis.
+	// The idle-heavy lane: the shipped scheduler only, no telemetry.
 	// 64 sub-1-MPKI cores on a long horizon is the wheel's headline shape —
-	// the per-tick loop pays an O(cores) issue scan at every wakeup, the
-	// wheel replays only the cores that are actually due. The horizon is
-	// 1 ms (17x the mix-high lane) so the loop dominates construction cost.
-	// At 64 cores this mix never fills a bank queue, so the lane measures
-	// the per-wakeup constant alone; queue-full parking (DESIGN.md §10,
-	// part 5) shows on saturated mixes instead.
-	for _, mode := range modes {
-		mode := mode
-		if mode.flight || mode.probed {
-			continue
-		}
-		b.Run("mix-low/"+mode.name, func(b *testing.B) {
-			o := benchOpts()
-			o.Cores = 64
-			o.Duration = timing.Millisecond
-			benchSimOpts(b, o, exp.Shadow, trace.MixLow(o.Cores), false, false, mode.rescan, mode.pertick)
-		})
-	}
+	// the wheel replays only the cores that are actually due rather than
+	// scanning all of them at every wakeup. The horizon is 1 ms (17x the
+	// mix-high lane) so the loop dominates construction cost. At 64 cores
+	// this mix never fills a bank queue, so the lane measures the
+	// per-wakeup constant alone; queue-full parking (DESIGN.md §10, part 5)
+	// shows on saturated mixes instead.
+	b.Run("mix-low/timeskip", func(b *testing.B) {
+		o := benchOpts()
+		o.Cores = 64
+		o.Duration = timing.Millisecond
+		benchSimOpts(b, o, exp.Shadow, trace.MixLow(o.Cores), false, false)
+	})
 }
 
-func benchSim(b *testing.B, scheme exp.Scheme, profiles []trace.Profile, flighted, probed, rescan, pertick bool) {
-	benchSimOpts(b, benchOpts(), scheme, profiles, flighted, probed, rescan, pertick)
+func benchSim(b *testing.B, scheme exp.Scheme, profiles []trace.Profile, flighted, probed bool) {
+	benchSimOpts(b, benchOpts(), scheme, profiles, flighted, probed)
 }
 
-func benchSimOpts(b *testing.B, o exp.RunOpts, scheme exp.Scheme, profiles []trace.Profile, flighted, probed, rescan, pertick bool) {
+func benchSimOpts(b *testing.B, o exp.RunOpts, scheme exp.Scheme, profiles []trace.Profile, flighted, probed bool) {
 	geo := o.Geometry(timing.DDR4_2666)
 	for i := range profiles {
 		if profiles[i].WorkingSetRows > geo.PARowsPerBank() {
@@ -113,11 +99,9 @@ func benchSimOpts(b *testing.B, o exp.RunOpts, scheme exp.Scheme, profiles []tra
 		p, dm, mc := pt.Build(geo, o.Duration)
 		cfg := sim.Config{
 			Params: p, Geometry: geo, DeviceMit: dm, MCSide: mc,
-			Hammer:     hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
-			Workload:   trace.Generators(profiles, geo, o.Seed),
-			Duration:   o.Duration,
-			FullRescan: rescan,
-			NoTimeSkip: pertick,
+			Hammer:   hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
+			Workload: trace.Generators(profiles, geo, o.Seed),
+			Duration: o.Duration,
 		}
 		if flighted {
 			// The always-on config: metrics plus a flight ring, no spans

@@ -10,11 +10,13 @@ import (
 	"testing"
 )
 
-// TestCLIRejectsNegativeCores pins the CLIs' flag validation: a negative
-// -cores is a usage error (exit 2, a message naming the flag), not a
-// makeslice panic from the mix constructors. shadowexp's -cores 0 still
-// means "default 4", so it passes validation and reaches the next check.
-func TestCLIRejectsNegativeCores(t *testing.T) {
+// TestCLIRejectsBadFlags pins the CLIs' flag validation: a negative -cores,
+// an unknown -scheme or an unknown -grade is a usage error (exit 2, a
+// message naming the flag's valid values), not a panic from the scheme
+// builder or the mix constructors and not a silent fallback to a default.
+// shadowexp's -cores 0 still means "default 4", so it passes validation and
+// reaches the next check.
+func TestCLIRejectsBadFlags(t *testing.T) {
 	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
 	dir := t.TempDir()
 	for _, cmd := range []string{"shadowsim", "shadowexp"} {
@@ -29,6 +31,8 @@ func TestCLIRejectsNegativeCores(t *testing.T) {
 		want string // substring of stderr
 	}{
 		{"shadowsim", []string{"-cores", "-3"}, "-cores must be non-negative"},
+		{"shadowsim", []string{"-scheme", "bogus"}, `unknown scheme "bogus" (have: baseline shadow`},
+		{"shadowsim", []string{"-grade", "bogus"}, `unknown grade "bogus" (have: ddr4 ddr5)`},
 		{"shadowexp", []string{"-experiment", "fig8", "-cores", "-2"}, "-cores must be non-negative"},
 		{"shadowexp", []string{"-experiment", "no-such", "-cores", "0"}, "unknown experiment"},
 	}
@@ -44,6 +48,9 @@ func TestCLIRejectsNegativeCores(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%s %v: stderr lacks %q:\n%s", tc.cmd, tc.args, tc.want, stderr.String())
+		}
+		if strings.Contains(stderr.String(), "panic:") {
+			t.Errorf("%s %v: panicked instead of a usage error:\n%s", tc.cmd, tc.args, stderr.String())
 		}
 	}
 }

@@ -57,7 +57,6 @@ func main() {
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump to this JSON file at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the harness")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
-	pertick := flag.Bool("pertick", false, "use the per-tick scheduler instead of the event wheel (bit-identical results, differential baseline)")
 	flag.Parse()
 	if *cores < 0 {
 		fmt.Fprintf(os.Stderr, "shadowexp: -cores must be non-negative (0 = 4), got %d\n", *cores)
@@ -85,12 +84,11 @@ func main() {
 	}
 
 	o := exp.RunOpts{
-		Duration:   timing.Tick(*durationUS) * timing.Microsecond,
-		Warmup:     timing.Tick(*warmupUS) * timing.Microsecond,
-		Cores:      *cores,
-		Seed:       *seed,
-		Workers:    *workers,
-		NoTimeSkip: *pertick,
+		Duration: timing.Tick(*durationUS) * timing.Microsecond,
+		Warmup:   timing.Tick(*warmupUS) * timing.Microsecond,
+		Cores:    *cores,
+		Seed:     *seed,
+		Workers:  *workers,
 	}
 	// Flight recording is opt-in here (unlike shadowsim): attaching probes
 	// forces the point sweep sequential, so the default stays parallel.

@@ -19,6 +19,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,6 +39,9 @@ import (
 
 // attackNames lists the -attack patterns, in -list order.
 var attackNames = []string{"single-sided", "double-sided", "blast", "half-double"}
+
+// grades maps the -grade names to speed grades.
+var grades = map[string]timing.Grade{"ddr4": timing.DDR4_2666, "ddr5": timing.DDR5_4800}
 
 func main() {
 	scheme := flag.String("scheme", "shadow", "mitigation scheme")
@@ -63,13 +67,22 @@ func main() {
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump (event window + watchdog trip) to this JSON file at exit")
 	stallP99US := flag.Int64("stall-p99-us", 0, "arm the stall-spike watchdog: trip when the p99 request stall over the trailing window exceeds this many simulated microseconds (0 disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator")
-	pertick := flag.Bool("pertick", false, "use the per-tick scheduler instead of the event wheel (bit-identical results, differential baseline)")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	flag.Parse()
-	if *cores < 0 {
-		fmt.Fprintf(os.Stderr, "shadowsim: -cores must be non-negative, got %d\n", *cores)
+	usageErr := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "shadowsim: "+format+"\n", args...)
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *cores < 0 {
+		usageErr("-cores must be non-negative, got %d", *cores)
+	}
+	if *scheme != string(exp.Baseline) && !slices.Contains(exp.AllSchemes, exp.Scheme(*scheme)) {
+		usageErr("unknown scheme %q (have: baseline %s)", *scheme, strings.Join(schemeNames(), " "))
+	}
+	g, ok := grades[*grade]
+	if !ok {
+		usageErr("unknown grade %q (have: ddr4 ddr5)", *grade)
 	}
 
 	if *list {
@@ -82,10 +95,6 @@ func main() {
 	startProfiles(*cpuprofile, *memprofile)
 	defer stopProfiles()
 
-	g := timing.DDR4_2666
-	if *grade == "ddr5" {
-		g = timing.DDR5_4800
-	}
 	o := exp.RunOpts{Duration: timing.Tick(*durationUS) * timing.Microsecond, Cores: *cores, Seed: *seed}
 	geo := o.Geometry(g)
 
@@ -124,7 +133,7 @@ func main() {
 	}
 
 	if *attack != "" {
-		runAttack(*attack, exp.Scheme(*scheme), g, geo, *hcnt, *blast, *acts, *seed, o.Duration, probe, *pertick)
+		runAttack(*attack, exp.Scheme(*scheme), g, geo, *hcnt, *blast, *acts, *seed, o.Duration, probe)
 		writeObs(rec, *traceOut, *metricsOut)
 		if *timeline {
 			printTimeline(rec, 0)
@@ -230,14 +239,13 @@ func main() {
 
 	res, err := sim.Run(sim.Config{
 		Params: p, Geometry: geo, DeviceMit: dm, MCSide: mc,
-		Hammer:     hammer.Config{HCnt: *hcnt, BlastRadius: *blast},
-		Workload:   workloads,
-		Duration:   o.Duration,
-		OnCommand:  onCmd,
-		Probe:      probe,
-		Spans:      spans,
-		Progress:   progressFn,
-		NoTimeSkip: *pertick,
+		Hammer:    hammer.Config{HCnt: *hcnt, BlastRadius: *blast},
+		Workload:  workloads,
+		Duration:  o.Duration,
+		OnCommand: onCmd,
+		Probe:     probe,
+		Spans:     spans,
+		Progress:  progressFn,
 	})
 	hb.Done()
 	ins.Done()
@@ -489,21 +497,20 @@ func attackPattern(name string, geo dram.Geometry) (trace.Pattern, error) {
 
 // runAttack mounts a Row Hammer pattern against the configured device and
 // reports flips plus a full integrity scrub.
-func runAttack(pattern string, scheme exp.Scheme, g timing.Grade, geo dram.Geometry, hcnt, blast int, acts int64, seed uint64, duration timing.Tick, probe *obs.Probe, pertick bool) {
+func runAttack(pattern string, scheme exp.Scheme, g timing.Grade, geo dram.Geometry, hcnt, blast int, acts int64, seed uint64, duration timing.Tick, probe *obs.Probe) {
 	pat, err := attackPattern(pattern, geo)
 	exitOn(err)
 	pt := exp.Point{Scheme: scheme, HCnt: hcnt, Blast: blast, Grade: g, Seed: seed}
 	p, dm, mcside := pt.Build(geo, duration)
 	res, err := sim.RunAttack(sim.AttackConfig{
-		Params:     p,
-		Geometry:   geo,
-		Hammer:     hammer.Config{HCnt: hcnt, BlastRadius: blast},
-		DeviceMit:  dm,
-		MCSide:     mcside,
-		MaxActs:    acts,
-		Duration:   timing.Forever / 2,
-		Probe:      probe,
-		NoTimeSkip: pertick,
+		Params:    p,
+		Geometry:  geo,
+		Hammer:    hammer.Config{HCnt: hcnt, BlastRadius: blast},
+		DeviceMit: dm,
+		MCSide:    mcside,
+		MaxActs:   acts,
+		Duration:  timing.Forever / 2,
+		Probe:     probe,
 	}, pat)
 	exitOn(err)
 	fmt.Printf("attack=%s scheme=%s hcnt=%d blast=%d\n", pat.Name(), scheme, hcnt, blast)

@@ -235,14 +235,6 @@ type RunOpts struct {
 	// label, its current simulated time, and its total horizon (drives the
 	// live -inspect endpoint). Setting it forces Workers=1.
 	Progress func(label string, now, total timing.Tick)
-	// FullRescan runs every simulation with the pre-event-driven full-rescan
-	// scheduler (see sim.Config.FullRescan): the scheduler-overhead baseline
-	// for BenchmarkSim and the equivalence tests.
-	FullRescan bool
-	// NoTimeSkip runs every simulation with the per-tick scheduler loop
-	// instead of the tick-skipping event wheel (see sim.Config.NoTimeSkip):
-	// the wall-clock baseline for BenchmarkSim and the equivalence tests.
-	NoTimeSkip bool
 
 	// Fleet hooks (shadowfleet, internal/obs/fleet). Unlike ProbeFor /
 	// SpansFor / Progress these do NOT force Workers=1: the fleet collector
@@ -360,9 +352,6 @@ func runPoint(pt Point, profiles []trace.Profile, o RunOpts) (float64, *sim.Resu
 		Spans:     spans,
 		Progress:  progress,
 		OnCommand: onCommand,
-
-		FullRescan: o.FullRescan,
-		NoTimeSkip: o.NoTimeSkip,
 	})
 	if err != nil {
 		return 0, nil, err
@@ -427,7 +416,7 @@ var (
 )
 
 func baselineRun(grade timing.Grade, profiles []trace.Profile, geo dram.Geometry, o RunOpts) (*sim.Result, error) {
-	key := fmt.Sprintf("%v/%d/%d/%d/%d/%d/%v/%v", grade, o.Duration, o.Warmup, o.Cores, o.Seed, o.Subarrays, o.FullRescan, o.NoTimeSkip)
+	key := fmt.Sprintf("%v/%d/%d/%d/%d/%d", grade, o.Duration, o.Warmup, o.Cores, o.Seed, o.Subarrays)
 	for _, p := range profiles {
 		key += "," + p.Name
 	}
@@ -443,9 +432,6 @@ func baselineRun(grade timing.Grade, profiles []trace.Profile, geo dram.Geometry
 		Workload: trace.Generators(profiles, geo, o.Seed),
 		Duration: o.Duration + o.Warmup,
 		Warmup:   o.Warmup,
-
-		FullRescan: o.FullRescan,
-		NoTimeSkip: o.NoTimeSkip,
 	})
 	if err != nil {
 		return nil, err

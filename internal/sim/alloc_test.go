@@ -28,7 +28,7 @@ func steadyRunner(t *testing.T, p *timing.Params, mit dram.Mitigator) *runner {
 }
 
 // steadyStepRunner is steadyRunner on the retained per-tick scheduler loop
-// (Config.NoTimeSkip): the equivalence matrix keeps that path compiled as
+// (Config.noTimeSkip): the equivalence matrix keeps that path compiled as
 // the event wheel's oracle, and the oracle must stay allocation-free too.
 func steadyStepRunner(t *testing.T, p *timing.Params, mit dram.Mitigator) *runner {
 	t.Helper()
@@ -44,7 +44,7 @@ func steadyStepRunner(t *testing.T, p *timing.Params, mit dram.Mitigator) *runne
 		DeviceMit:  mit,
 		Workload:   trace.Generators(profiles, g, 42),
 		Duration:   timing.Second,
-		NoTimeSkip: true,
+		noTimeSkip: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestTickDoesNotAllocate(t *testing.T) {
 			}
 		})
 		t.Run(tc.name+"-pertick", func(t *testing.T) {
-			// Oracle path: the per-tick loop behind Config.NoTimeSkip.
+			// Oracle path: the per-tick loop behind Config.noTimeSkip.
 			r := steadyStepRunner(t, tc.p, tc.mit())
 			if avg := testing.AllocsPerRun(2000, r.tick); avg != 0 {
 				t.Errorf("runner.tick (per-tick) allocates %.3f objects/op in steady state; want 0", avg)

@@ -31,13 +31,14 @@ type AttackConfig struct {
 	// Probe, when set, threads shadowscope instrumentation through the
 	// controller, device, and mitigation schemes.
 	Probe *obs.Probe
-	// FullRescan runs the controller with the pre-event-driven full-rescan
-	// scheduler (see memctrl.Options.FullRescan); equivalence testing only.
-	FullRescan bool
-	// NoTimeSkip disables the event-wheel fast path that skips controller
+	// fullRescan runs the controller with the pre-event-driven full-rescan
+	// scheduler (see memctrl.Options.FullRescan); equivalence testing only,
+	// hence unexported like its sibling.
+	fullRescan bool
+	// noTimeSkip disables the event-wheel fast path that skips controller
 	// Steps at instants where the cached readiness bound proves the channel
 	// cannot act; equivalence testing only.
-	NoTimeSkip bool
+	noTimeSkip bool
 }
 
 // AttackResult reports the outcome.
@@ -89,7 +90,7 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 	var cur *memctrl.Request
 	mc := memctrl.New(dev, memctrl.Options{
 		MCSide: cfg.MCSide, ClosedPage: true, Probe: cfg.Probe,
-		FullRescan: cfg.FullRescan,
+		FullRescan: cfg.fullRescan,
 	})
 
 	res := &AttackResult{Device: dev}
@@ -120,14 +121,14 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 			res.Acts++
 			dirty = true
 		}
-		if cfg.NoTimeSkip || dirty || ctlNext <= now || mc.Volatile() {
+		if cfg.noTimeSkip || dirty || ctlNext <= now || mc.Volatile() {
 			pend := mc.Step(now)
 			dirty = false
 			if pend <= now {
 				continue
 			}
 			ctlNext = pend
-			if !cfg.NoTimeSkip && !mc.Volatile() {
+			if !cfg.noTimeSkip && !mc.Volatile() {
 				// As in the trace runner, fold the raw Step return with the
 				// cached-state bound: their max is still sound and skips
 				// post-command bus-echo wakeups the raw return would force.

@@ -147,7 +147,7 @@ func TestFlightDivergenceWatchdogSchedulers(t *testing.T) {
 	runHash := func(fullRescan bool) *flight.CmdHash {
 		h := flight.NewCmdHash()
 		cfg := flightConfig(t)
-		cfg.FullRescan = fullRescan
+		cfg.fullRescan = fullRescan
 		cfg.OnCommand = func(ch int, cmd memctrl.Cmd) {
 			h.Note(int(cmd.Kind), cmd.Bank, cmd.Row, cmd.At)
 		}

@@ -22,9 +22,9 @@ import (
 // invisible, separately and combined:
 //
 //   - the event-driven controller scheduler (per-bank readiness cache,
-//     toggled off by Config.FullRescan), and
+//     toggled off by Config.fullRescan), and
 //   - the tick-skipping event wheel (simulated time jumps straight to the
-//     next actionable instant, toggled off by Config.NoTimeSkip).
+//     next actionable instant, toggled off by Config.noTimeSkip).
 //
 // For every mitigation scheme, every seed, every input, and every
 // observation mode, each of the four {event-cache, full-rescan} x
@@ -266,8 +266,8 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans, f
 		OnCommand: func(ch int, cmd memctrl.Cmd) {
 			fmt.Fprintf(cmdHash, "%d %d %d %d %d\n", ch, cmd.Kind, cmd.Bank, cmd.Row, cmd.At)
 		},
-		FullRescan: fullRescan,
-		NoTimeSkip: noTimeSkip,
+		fullRescan: fullRescan,
+		noTimeSkip: noTimeSkip,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -401,8 +401,8 @@ func TestSchedulerEquivalenceAttack(t *testing.T) {
 					Hammer:     hammer.Config{HCnt: 512, BlastRadius: 3},
 					DeviceMit:  tc.dev(),
 					MaxActs:    8192,
-					FullRescan: fullRescan,
-					NoTimeSkip: noTimeSkip,
+					fullRescan: fullRescan,
+					noTimeSkip: noTimeSkip,
 				}, tc.pat())
 				if err != nil {
 					t.Fatal(err)

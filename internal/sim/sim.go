@@ -91,17 +91,21 @@ type Config struct {
 	Progress func(now timing.Tick)
 	// ProgressEvery is the Progress callback period (default Duration/100).
 	ProgressEvery timing.Tick
-	// FullRescan runs every channel's controller with the pre-event-driven
+	// The two scheduler oracles below are unexported so that only this
+	// package's tests can select them; every other caller runs the event
+	// wheel over the readiness cache.
+	//
+	// fullRescan runs every channel's controller with the pre-event-driven
 	// full-rescan scheduler (see memctrl.Options.FullRescan). Exists for the
 	// scheduler-equivalence regression test.
-	FullRescan bool
-	// NoTimeSkip runs the per-tick runner loop — every wakeup steps every
+	fullRescan bool
+	// noTimeSkip runs the per-tick runner loop — every wakeup steps every
 	// channel and scans every core — instead of the event wheel that skips
 	// quiescent channels and cores and jumps time straight to the next
 	// actionable bound. The per-tick loop is the oracle the wheel is proven
 	// bit-identical against (see TestSchedulerEquivalence and DESIGN.md §10),
-	// exactly as FullRescan preserves the pre-event-driven controller.
-	NoTimeSkip bool
+	// exactly as fullRescan preserves the pre-event-driven controller.
+	noTimeSkip bool
 }
 
 // Result summarizes a run.
@@ -151,7 +155,7 @@ type runner struct {
 	mc      *memsys.System
 	devices []*dram.Device
 
-	// Event-wheel state (see tickWheel; unused under Config.NoTimeSkip).
+	// Event-wheel state (see tickWheel; unused under Config.noTimeSkip).
 	// ctls caches the per-channel controllers so the wheel can step a single
 	// channel. coreAt holds each core's next issue time, Forever while the
 	// core is stalled (retire restores it when the core unstalls) or parked
@@ -318,7 +322,7 @@ func newRunner(cfg Config) (*runner, error) {
 			OnCommand:  onCmd,
 			Probe:      chProbe,
 			Spans:      spanTr,
-			FullRescan: cfg.FullRescan,
+			FullRescan: cfg.fullRescan,
 		})
 	}
 	mc, err := memsys.New(ctls)
@@ -400,10 +404,10 @@ func Run(cfg Config) (*Result, error) {
 // tick runs one iteration of the event loop: retire due completions, let
 // cores issue, drain the controllers at the current instant, and advance to
 // the earliest future event. Allocation-free in steady state. The default
-// path is the event wheel (tickWheel); Config.NoTimeSkip selects the
+// path is the event wheel (tickWheel); Config.noTimeSkip selects the
 // per-tick oracle loop (tickStep) the wheel is proven bit-identical against.
 func (r *runner) tick() {
-	if r.cfg.NoTimeSkip {
+	if r.cfg.noTimeSkip {
 		r.tickStep()
 		return
 	}

@@ -20,8 +20,8 @@ import (
 )
 
 // overheadBudgetPct is the gate: flight-config time over bare time, minus
-// one, as percent. shadowbench's telemetry_overhead section reports the same
-// quantity per scheme from the BenchmarkSim matrix.
+// one, as percent. BenchmarkSim's timeskip and flight lanes time the same
+// pair per scheme.
 const overheadBudgetPct = 25.0
 
 // runShadowOnce runs the headline SHADOW point once, optionally with the
