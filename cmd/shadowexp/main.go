@@ -12,20 +12,21 @@
 // With -trace-out or -metrics-out, every scheme run of the selected
 // experiments records into one shadowscope recorder (one Perfetto track per
 // operating point); probing forces the point sweep to run sequentially.
+// These outputs, -flight-out, the -inspect live inspector and the profiles
+// go through internal/cli, the output path shadowsim shares, and print
+// their status lines on stderr so stdout carries only the tables.
 package main
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
+	"shadow/internal/cli"
 	"shadow/internal/exp"
 	"shadow/internal/obs"
 	"shadow/internal/obs/fleet"
@@ -44,7 +45,7 @@ func main() {
 	format := flag.String("format", "text", "output format: text or csv")
 	chart := flag.Bool("chart", false, "also render performance figures as ASCII bar charts")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON covering every scheme run (forces sequential points)")
-	metricsOut := flag.String("metrics-out", "", "write the metrics dump (.csv suffix selects CSV, else JSON; forces sequential points)")
+	metricsOut := flag.String("metrics-out", "", "write the metrics dump as JSON (forces sequential points)")
 	progress := flag.Bool("progress", false, "print per-experiment progress lines to stderr")
 	blame := flag.Bool("blame", false, "print a shadowtap stall-blame table covering every scheme run (forces sequential points)")
 	inspect := flag.String("inspect", "", "serve a live run inspector on this address (forces sequential points)")
@@ -59,29 +60,14 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	flag.Parse()
 	if *cores < 0 {
-		fmt.Fprintf(os.Stderr, "shadowexp: -cores must be non-negative (0 = 4), got %d\n", *cores)
-		flag.Usage()
-		os.Exit(2)
+		cli.Usagef("-cores must be non-negative (0 = 4), got %d", *cores)
+	}
+	if *format != "text" && *format != "csv" {
+		cli.Usagef("unknown format %q (have: text csv)", *format)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		exitOn(err)
-		exitOn(pprof.StartCPUProfile(f))
-		defer func() { pprof.StopCPUProfile(); f.Close() }()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			runtime.GC()
-			pprof.WriteHeapProfile(f)
-			f.Close()
-		}()
-	}
+	cli.StartProfiles(*cpuprofile, *memprofile)
+	defer cli.StopProfiles()
 
 	o := exp.RunOpts{
 		Duration: timing.Tick(*durationUS) * timing.Microsecond,
@@ -92,28 +78,12 @@ func main() {
 	}
 	// Flight recording is opt-in here (unlike shadowsim): attaching probes
 	// forces the point sweep sequential, so the default stays parallel.
-	var ring *flight.Ring
-	if *flightCap > 0 {
-		ring = flight.NewRing(*flightCap)
-	}
-	watch := flight.NewWatch(ring)
-	defer func() {
-		// Deferred dump on panic: preserve the event window leading up to
-		// the failure.
-		if r := recover(); r != nil {
-			watch.Ring().Freeze()
-			dumpFlightOnPanic(watch, *flightOut)
-			panic(r) //shadowvet:ignore panicmsg -- re-raising the original panic value after the flight dump
-		}
-	}()
+	watch := cli.NewWatch(*flightCap)
+	defer cli.RecoverFlight(watch, *flightOut)
+	ring := watch.Ring()
 
-	var rec *obs.Recorder
-	if *traceOut != "" || *metricsOut != "" || ring != nil {
-		rec = obs.NewRecorder(obs.Options{
-			Metrics: *metricsOut != "",
-			Events:  *traceOut != "",
-			Flight:  ring,
-		})
+	rec := cli.NewRecorder(*traceOut != "", *metricsOut != "", watch)
+	if rec != nil {
 		o.ProbeFor = rec.NewTrack
 	}
 
@@ -144,51 +114,9 @@ func main() {
 		return rows
 	}
 	var ins *obs.Inspector
-	var insShutdown func()
+	stopInspector := func() {}
 	if *inspect != "" {
-		ins = obs.NewInspector(time.Now)
-		src := obs.InspectorSources{
-			Blame: func() []byte { return report.BlameJSON(blameRows()) },
-		}
-		if rec != nil {
-			src.Events = rec.EventCount
-			if m := rec.Metrics(); m != nil {
-				src.Prom = func() []byte {
-					var b bytes.Buffer
-					if err := m.WritePrometheus(&b); err != nil {
-						return nil
-					}
-					return b.Bytes()
-				}
-			}
-		}
-		if ring != nil {
-			src.Flight = func() []byte {
-				var b bytes.Buffer
-				if err := watch.WriteDump(&b); err != nil {
-					return nil
-				}
-				return b.Bytes()
-			}
-		}
-		ins.SetSources(src)
-		srv := &http.Server{Addr: *inspect, Handler: ins.Handler()}
-		errc := make(chan error, 1)
-		go func() {
-			errc <- srv.ListenAndServe()
-		}()
-		fmt.Fprintf(os.Stderr, "inspector: serving on %s\n", *inspect)
-		insShutdown = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "inspector: shutdown: %v\n", err)
-			}
-			if err := <-errc; err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "inspector: %v\n", err)
-			}
-			fmt.Fprintf(os.Stderr, "inspector: shut down after final snapshot\n")
-		}
+		ins, stopInspector = cli.StartInspector(*inspect, rec, watch, blameRows)
 		o.Progress = ins.Observe
 	}
 
@@ -197,10 +125,6 @@ func main() {
 	// Flips are deliberately NOT watched here: several experiments measure
 	// corruption on purpose, so a flip is data, not an anomaly.
 	if ring != nil {
-		watch.OnTrip(func(tr flight.Trip) {
-			fmt.Fprintf(os.Stderr, "watchdog %s tripped at %d ps: %s (flight ring frozen)\n",
-				tr.Watchdog, tr.AtPS, tr.Detail)
-		})
 		prev := o.Progress
 		o.Progress = func(label string, now, total timing.Tick) {
 			if prev != nil {
@@ -217,7 +141,7 @@ func main() {
 	// internally-locked collector; remote workers arrive through the same
 	// parser via the scrape poller.
 	var fleetCol *fleet.Collector
-	var fleetShutdown func()
+	stopFleet := func() {}
 	var poller *fleet.Poller
 	if *fleetInspect != "" || *fleetScrape != "" || *fleetOut != "" {
 		fleetCol = fleet.NewCollector(fleet.Options{Clock: time.Now})
@@ -278,30 +202,16 @@ func main() {
 			var targets []fleet.Target
 			for _, s := range strings.Split(*fleetScrape, ",") {
 				t, err := fleet.ParseTarget(strings.TrimSpace(s))
-				exitOn(err)
+				cli.ExitOn(err)
 				targets = append(targets, t)
 			}
 			poller = fleet.NewPoller(fleetCol, targets, nil)
 			poller.Start(*fleetScrapeInterval)
 		}
 		if *fleetInspect != "" {
-			srv := &http.Server{Addr: *fleetInspect, Handler: fleetCol.Handler()}
-			errc := make(chan error, 1)
-			go func() {
-				errc <- srv.ListenAndServe()
-			}()
-			fmt.Fprintf(os.Stderr, "fleet: serving dashboard on %s\n", *fleetInspect)
-			fleetShutdown = func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				if err := srv.Shutdown(ctx); err != nil {
-					fmt.Fprintf(os.Stderr, "fleet: shutdown: %v\n", err)
-				}
-				if err := <-errc; err != nil && err != http.ErrServerClosed {
-					fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-				}
-				fmt.Fprintf(os.Stderr, "fleet: dashboard shut down\n")
-			}
+			var err error
+			stopFleet, err = cli.Serve("fleet", *fleetInspect, fleetCol.Handler())
+			cli.ExitOn(err)
 		}
 	}
 
@@ -343,8 +253,7 @@ func main() {
 	} else {
 		for _, n := range strings.Split(*experiment, ",") {
 			if _, ok := runners[n]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (choose from %s)\n", n, strings.Join(order, ", "))
-				os.Exit(2)
+				cli.Usagef("unknown experiment %q (choose from %s)", n, strings.Join(order, ", "))
 			}
 			names = append(names, n)
 		}
@@ -356,8 +265,7 @@ func main() {
 		}
 		r, err := runners[n]()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", n, err)
-			os.Exit(1)
+			cli.ExitOn(fmt.Errorf("%s: %w", n, err))
 		}
 		if *progress {
 			line := fmt.Sprintf("[%d/%d] %s done in %v", i+1, len(names), n, time.Since(start).Round(time.Millisecond))
@@ -382,91 +290,26 @@ func main() {
 		fmt.Println()
 		fmt.Print(report.BlameTable("stall blame by scheme run (percent of resident time per cause)", blameRows()))
 	}
-	if rec != nil {
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			exitOn(err)
-			exitOn(rec.WriteChromeTrace(f))
-			exitOn(f.Close())
-			fmt.Fprintf(os.Stderr, "trace: %d events over %d tracks -> %s (open in ui.perfetto.dev)\n",
-				rec.EventCount(), len(rec.Tracks()), *traceOut)
-			if d := rec.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "warning: %d events dropped; narrow -experiment or shorten -duration-us\n", d)
-			}
-		}
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			exitOn(err)
-			if strings.HasSuffix(*metricsOut, ".csv") {
-				exitOn(rec.Metrics().WriteCSV(f))
-			} else {
-				exitOn(rec.Metrics().WriteJSON(f))
-			}
-			exitOn(f.Close())
-			fmt.Fprintf(os.Stderr, "metrics: %s\n", *metricsOut)
-		}
-	}
-	if *flightOut != "" && ring != nil {
-		f, err := os.Create(*flightOut)
-		exitOn(err)
-		exitOn(watch.WriteDump(f))
-		exitOn(f.Close())
-		fmt.Fprintf(os.Stderr, "flight: %d of %d events preserved -> %s\n",
-			ring.Len(), ring.Total(), *flightOut)
-	}
-	if insShutdown != nil {
-		insShutdown()
-	}
-	if poller != nil {
-		poller.Stop()
-	}
+	cli.ExitOn(cli.WriteObs(rec, *traceOut, *metricsOut))
+	cli.ExitOn(cli.WriteFlightFile(watch, *flightOut))
+	stopInspector()
+	poller.Stop()
 	if fleetCol != nil {
 		fleetCol.Tick() // final trends + watchdog pass before the last snapshot
 		if *fleetOut != "" {
-			f, err := os.Create(*fleetOut)
-			exitOn(err)
-			_, werr := f.Write(fleetCol.MarshalFleet())
-			exitOn(werr)
-			exitOn(f.Close())
+			cli.ExitOn(os.WriteFile(*fleetOut, fleetCol.MarshalFleet(), 0o644))
 			fmt.Fprintf(os.Stderr, "fleet: roll-up -> %s\n", *fleetOut)
 		}
 	}
-	if fleetShutdown != nil {
-		fleetShutdown()
-	}
-	if tr := watch.Tripped(); tr != nil {
-		os.Exit(1)
+	stopFleet()
+	if watch.Tripped() != nil {
+		cli.Exit(1)
 	}
 	// A fleet divergence trip is a correctness violation (same point+seed
 	// hashed differently on two workers) and fails the run; straggler and
 	// stalled-worker trips are performance anomalies — reported on stderr,
 	// the dashboard, and fleet.json, but not fatal.
 	if tr := fleetCol.Watch().Tripped(); tr != nil && tr.Watchdog == "fleet-divergence" {
-		os.Exit(1)
-	}
-}
-
-// dumpFlightOnPanic best-effort writes the frozen ring during a panic unwind:
-// to -flight-out when given, else to stderr so the window is not lost.
-func dumpFlightOnPanic(watch *flight.Watch, path string) {
-	if watch.Ring() == nil {
-		return
-	}
-	if path != "" {
-		if f, err := os.Create(path); err == nil {
-			watch.WriteDump(f)
-			f.Close()
-			fmt.Fprintf(os.Stderr, "panic: flight dump written to %s\n", path)
-			return
-		}
-	}
-	fmt.Fprintln(os.Stderr, "panic: flight dump follows")
-	watch.WriteDump(os.Stderr)
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Exit(1)
 	}
 }

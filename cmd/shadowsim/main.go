@@ -8,21 +8,22 @@
 //	shadowsim -scheme baseline -workload mcf -grade ddr5
 //	shadowsim -scheme shadow -trace-out t.json -metrics-out m.json -timeline
 //	shadowsim -list   # show available workloads, schemes, and attacks
+//
+// The observability outputs (-trace-out, -metrics-out, -flight-out, the
+// -inspect live inspector, -cpuprofile/-memprofile) go through
+// internal/cli, the output path shadowexp shares; their status lines print
+// on stderr.
 package main
 
 import (
-	"bytes"
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
 
+	"shadow/internal/cli"
 	"shadow/internal/cmdtrace"
 	"shadow/internal/dram"
 	"shadow/internal/exp"
@@ -57,7 +58,7 @@ func main() {
 	acts := flag.Int64("acts", 1<<16, "attack activation budget")
 	list := flag.Bool("list", false, "list workloads, schemes, and attacks")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (open in ui.perfetto.dev)")
-	metricsOut := flag.String("metrics-out", "", "write the metrics dump (.csv suffix selects CSV, else JSON)")
+	metricsOut := flag.String("metrics-out", "", "write the metrics dump as JSON")
 	timeline := flag.Bool("timeline", false, "print time-series strip charts after the run")
 	progress := flag.Bool("progress", false, "print a stderr progress heartbeat")
 	blame := flag.Bool("blame", false, "print the shadowtap stall-blame breakdown after the run")
@@ -69,20 +70,21 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	flag.Parse()
-	usageErr := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "shadowsim: "+format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
-	}
 	if *cores < 0 {
-		usageErr("-cores must be non-negative, got %d", *cores)
+		cli.Usagef("-cores must be non-negative, got %d", *cores)
+	}
+	if *hcnt <= 0 {
+		cli.Usagef("-hcnt must be positive, got %d", *hcnt)
+	}
+	if *acts <= 0 {
+		cli.Usagef("-acts must be positive, got %d", *acts)
 	}
 	if *scheme != string(exp.Baseline) && !slices.Contains(exp.AllSchemes, exp.Scheme(*scheme)) {
-		usageErr("unknown scheme %q (have: baseline %s)", *scheme, strings.Join(schemeNames(), " "))
+		cli.Usagef("unknown scheme %q (have: baseline %s)", *scheme, strings.Join(schemeNames(), " "))
 	}
 	g, ok := grades[*grade]
 	if !ok {
-		usageErr("unknown grade %q (have: ddr4 ddr5)", *grade)
+		cli.Usagef("unknown grade %q (have: ddr4 ddr5)", *grade)
 	}
 
 	if *list {
@@ -92,8 +94,8 @@ func main() {
 		return
 	}
 
-	startProfiles(*cpuprofile, *memprofile)
-	defer stopProfiles()
+	cli.StartProfiles(*cpuprofile, *memprofile)
+	defer cli.StopProfiles()
 
 	o := exp.RunOpts{Duration: timing.Tick(*durationUS) * timing.Microsecond, Cores: *cores, Seed: *seed}
 	geo := o.Geometry(g)
@@ -101,46 +103,29 @@ func main() {
 	// The flight recorder is the always-on telemetry lane: a fixed ring of
 	// the last -flight hot-path events, recorded at zero allocations, dumped
 	// when a watchdog trips, the process panics, or -flight-out asks for it.
-	var ring *flight.Ring
-	if *flightCap > 0 {
-		ring = flight.NewRing(*flightCap)
-	}
-	watch := flight.NewWatch(ring)
-	defer func() {
-		// Deferred dump on panic: the ring holds the events leading up to
-		// the failure even when no watchdog fired.
-		if r := recover(); r != nil {
-			watch.Ring().Freeze()
-			dumpFlightOnPanic(watch, *flightOut)
-			panic(r) //shadowvet:ignore panicmsg -- re-raising the original panic value after the flight dump
-		}
-	}()
+	watch := cli.NewWatch(*flightCap)
+	defer cli.RecoverFlight(watch, *flightOut)
+	ring := watch.Ring()
 
-	var rec *obs.Recorder
+	rec := cli.NewRecorder(*traceOut != "", *metricsOut != "" || *timeline || *inspect != "", watch)
 	var probe *obs.Probe
-	needMetrics := *metricsOut != "" || *timeline || *inspect != ""
-	if *traceOut != "" || needMetrics || ring != nil {
-		rec = obs.NewRecorder(obs.Options{
-			Metrics: needMetrics,
-			Events:  *traceOut != "",
-			Flight:  ring,
-		})
-		label := *scheme + "/" + *workload
-		if *attack != "" {
-			label = *scheme + "/attack:" + *attack
-		}
+	label := *scheme + "/" + *workload
+	if *attack != "" {
+		label = *scheme + "/attack:" + *attack
+	}
+	if rec != nil {
 		probe = rec.NewTrack(label)
 	}
 
 	if *attack != "" {
 		runAttack(*attack, exp.Scheme(*scheme), g, geo, *hcnt, *blast, *acts, *seed, o.Duration, probe)
-		writeObs(rec, *traceOut, *metricsOut)
+		cli.ExitOn(cli.WriteObs(rec, *traceOut, *metricsOut))
 		if *timeline {
 			printTimeline(rec, 0)
 		}
 		// Attack runs dump the window on request but arm no watchdogs:
 		// bit flips are the experiment, not an anomaly.
-		writeFlightFile(watch, *flightOut)
+		cli.ExitOn(cli.WriteFlightFile(watch, *flightOut))
 		return
 	}
 
@@ -148,7 +133,7 @@ func main() {
 	if !strings.HasPrefix(*workload, "replay:") {
 		var err error
 		profiles, err = resolveWorkload(*workload, *cores, geo)
-		exitOn(err)
+		cli.ExitOn(err)
 	}
 
 	var workloads []trace.Generator
@@ -156,15 +141,15 @@ func main() {
 	if strings.HasPrefix(*workload, "replay:") {
 		path := strings.TrimPrefix(*workload, "replay:")
 		f, err := os.Open(path)
-		exitOn(err)
+		cli.ExitOn(err)
 		events, err := trace.ReadEvents(f)
-		exitOn(err)
-		exitOn(f.Close())
+		cli.ExitOn(err)
+		cli.ExitOn(f.Close())
 		if n := trace.ClampEvents(events, geo.Banks, geo.PARowsPerBank()); n > 0 {
 			fmt.Printf("note: folded %d events into the %d-bank/%d-row geometry\n", n, geo.Banks, geo.PARowsPerBank())
 		}
 		r, err := trace.NewReplay(path, events)
-		exitOn(err)
+		cli.ExitOn(err)
 		workloads = []trace.Generator{r}
 		names = []string{path}
 	} else {
@@ -185,7 +170,7 @@ func main() {
 	var hb *obs.Heartbeat
 	var progressFn func(timing.Tick)
 	if *progress {
-		hb = obs.NewHeartbeat(os.Stderr, *scheme+"/"+*workload, o.Duration, time.Now)
+		hb = obs.NewHeartbeat(os.Stderr, label, o.Duration, time.Now)
 		if rec != nil {
 			hb = hb.WithEvents(rec.EventCount)
 		}
@@ -196,6 +181,7 @@ func main() {
 	if *blame || *inspect != "" {
 		spans = span.NewCollector(0)
 	}
+	blameRows := func() []report.BlameRow { return []report.BlameRow{{Label: label, Agg: spans.Aggregate()}} }
 
 	// Arm the anomaly watchdogs. A trip freezes the ring at that moment so
 	// the dump shows the events leading up to the anomaly, not its aftermath.
@@ -208,10 +194,6 @@ func main() {
 			watch.Add(flight.StallSpike(ring, 10*timing.Microsecond,
 				timing.Tick(*stallP99US)*timing.Microsecond))
 		}
-		watch.OnTrip(func(tr flight.Trip) {
-			fmt.Fprintf(os.Stderr, "watchdog %s tripped at %d ps: %s (flight ring frozen)\n",
-				tr.Watchdog, tr.AtPS, tr.Detail)
-		})
 		tick := progressFn
 		progressFn = func(now timing.Tick) {
 			if tick != nil {
@@ -222,10 +204,9 @@ func main() {
 	}
 
 	var ins *obs.Inspector
-	var insShutdown func()
+	stopInspector := func() {}
 	if *inspect != "" {
-		label := *scheme + "/" + *workload
-		ins, insShutdown = startInspector(*inspect, label, rec, spans, watch)
+		ins, stopInspector = cli.StartInspector(*inspect, rec, watch, blameRows)
 		ins.SetWorker(*workerID)
 		tick := progressFn
 		total := o.Duration
@@ -249,7 +230,7 @@ func main() {
 	})
 	hb.Done()
 	ins.Done()
-	exitOn(err)
+	cli.ExitOn(err)
 	// Final watchdog pass at run end: conservation over the complete span
 	// aggregate, flips from the last progress interval.
 	watch.Check(o.Duration)
@@ -272,151 +253,25 @@ func main() {
 	if checker != nil {
 		if err := checker.Err(); err != nil {
 			fmt.Printf("protocol: %v\n", err)
-			stopProfiles()
-			os.Exit(1)
+			cli.Exit(1)
 		}
 		fmt.Printf("protocol: %d commands verified, 0 violations\n", checker.Commands())
 	}
 	if *blame {
-		agg := spans.Aggregate()
-		label := *scheme + "/" + *workload
+		rows := blameRows()
 		fmt.Println()
-		fmt.Print(report.BlameTable("stall blame (percent of resident time per cause)",
-			[]report.BlameRow{{Label: label, Agg: agg}}))
+		fmt.Print(report.BlameTable("stall blame (percent of resident time per cause)", rows))
 		fmt.Println()
-		fmt.Print(report.CriticalPath(label, agg))
+		fmt.Print(report.CriticalPath(label, rows[0].Agg))
 	}
-	writeObs(rec, *traceOut, *metricsOut)
+	cli.ExitOn(cli.WriteObs(rec, *traceOut, *metricsOut))
 	if *timeline {
 		printTimeline(rec, o.Duration)
 	}
-	writeFlightFile(watch, *flightOut)
-	if insShutdown != nil {
-		insShutdown()
-	}
-	if tr := watch.Tripped(); tr != nil {
-		stopProfiles()
-		os.Exit(1)
-	}
-}
-
-// startInspector wires an obs.Inspector to the recorder, span collector, and
-// flight watch, and serves it in the background. Sources run only on the
-// simulation goroutine (inside Observe); handlers serve cached snapshots.
-// The returned shutdown func drains the server gracefully once the run (and
-// its final snapshot) is complete.
-func startInspector(addr, label string, rec *obs.Recorder, spans *span.Collector, watch *flight.Watch) (*obs.Inspector, func()) {
-	ins := obs.NewInspector(time.Now)
-	src := obs.InspectorSources{
-		Blame: func() []byte {
-			return report.BlameJSON([]report.BlameRow{{Label: label, Agg: spans.Aggregate()}})
-		},
-	}
-	if rec != nil {
-		src.Events = rec.EventCount
-		if m := rec.Metrics(); m != nil {
-			src.Metrics = func() []byte {
-				var b strings.Builder
-				if err := m.WriteJSON(&b); err != nil {
-					return nil
-				}
-				return []byte(b.String())
-			}
-			src.Prom = func() []byte {
-				var b bytes.Buffer
-				if err := m.WritePrometheus(&b); err != nil {
-					return nil
-				}
-				return b.Bytes()
-			}
-		}
-	}
-	if watch.Ring() != nil {
-		src.Flight = func() []byte {
-			var b bytes.Buffer
-			if err := watch.WriteDump(&b); err != nil {
-				return nil
-			}
-			return b.Bytes()
-		}
-	}
-	ins.SetSources(src)
-	srv := &http.Server{Addr: addr, Handler: ins.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		errc <- srv.ListenAndServe()
-	}()
-	fmt.Fprintf(os.Stderr, "inspector: serving on %s\n", addr)
-	shutdown := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "inspector: shutdown: %v\n", err)
-		}
-		if err := <-errc; err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "inspector: %v\n", err)
-		}
-		fmt.Fprintf(os.Stderr, "inspector: shut down after final snapshot\n")
-	}
-	return ins, shutdown
-}
-
-// writeFlightFile writes the flight dump to path, if one was requested.
-func writeFlightFile(watch *flight.Watch, path string) {
-	if path == "" || watch.Ring() == nil {
-		return
-	}
-	f, err := os.Create(path)
-	exitOn(err)
-	exitOn(watch.WriteDump(f))
-	exitOn(f.Close())
-	fmt.Printf("flight: %d of %d events preserved -> %s\n",
-		watch.Ring().Len(), watch.Ring().Total(), path)
-}
-
-// dumpFlightOnPanic best-effort writes the frozen ring during a panic unwind:
-// to -flight-out when given, else to stderr so the window is not lost.
-func dumpFlightOnPanic(watch *flight.Watch, path string) {
-	if watch.Ring() == nil {
-		return
-	}
-	if path != "" {
-		if f, err := os.Create(path); err == nil {
-			watch.WriteDump(f)
-			f.Close()
-			fmt.Fprintf(os.Stderr, "panic: flight dump written to %s\n", path)
-			return
-		}
-	}
-	fmt.Fprintln(os.Stderr, "panic: flight dump follows")
-	watch.WriteDump(os.Stderr)
-}
-
-// writeObs dumps the recorder's trace and metrics to the requested files.
-func writeObs(rec *obs.Recorder, traceOut, metricsOut string) {
-	if rec == nil {
-		return
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		exitOn(err)
-		exitOn(rec.WriteChromeTrace(f))
-		exitOn(f.Close())
-		fmt.Printf("trace: %d events -> %s (open in ui.perfetto.dev)\n", rec.EventCount(), traceOut)
-		if n := rec.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "warning: %d events dropped past the %d-event cap; raise obs.Options.MaxEvents or shorten the run\n", n, len(rec.Events()))
-		}
-	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		exitOn(err)
-		if strings.HasSuffix(metricsOut, ".csv") {
-			exitOn(rec.Metrics().WriteCSV(f))
-		} else {
-			exitOn(rec.Metrics().WriteJSON(f))
-		}
-		exitOn(f.Close())
-		fmt.Printf("metrics: %s\n", metricsOut)
+	cli.ExitOn(cli.WriteFlightFile(watch, *flightOut))
+	stopInspector()
+	if watch.Tripped() != nil {
+		cli.Exit(1)
 	}
 }
 
@@ -442,43 +297,6 @@ func printTimeline(rec *obs.Recorder, duration timing.Tick) {
 	fmt.Print(c.String())
 }
 
-// Profiling hooks. stopProfiles is idempotent and must run before any
-// os.Exit so the pprof files are complete.
-var profileState struct {
-	cpu     *os.File
-	memPath string
-	stopped bool
-}
-
-func startProfiles(cpuPath, memPath string) {
-	profileState.memPath = memPath
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		exitOn(err)
-		exitOn(pprof.StartCPUProfile(f))
-		profileState.cpu = f
-	}
-}
-
-func stopProfiles() {
-	if profileState.stopped {
-		return
-	}
-	profileState.stopped = true
-	if profileState.cpu != nil {
-		pprof.StopCPUProfile()
-		profileState.cpu.Close()
-	}
-	if profileState.memPath != "" {
-		f, err := os.Create(profileState.memPath)
-		if err == nil {
-			runtime.GC()
-			pprof.WriteHeapProfile(f)
-			f.Close()
-		}
-	}
-}
-
 // attackPattern builds a named attack pattern over the geometry.
 func attackPattern(name string, geo dram.Geometry) (trace.Pattern, error) {
 	victim := geo.RowsPerSubarray / 2
@@ -499,7 +317,7 @@ func attackPattern(name string, geo dram.Geometry) (trace.Pattern, error) {
 // reports flips plus a full integrity scrub.
 func runAttack(pattern string, scheme exp.Scheme, g timing.Grade, geo dram.Geometry, hcnt, blast int, acts int64, seed uint64, duration timing.Tick, probe *obs.Probe) {
 	pat, err := attackPattern(pattern, geo)
-	exitOn(err)
+	cli.ExitOn(err)
 	pt := exp.Point{Scheme: scheme, HCnt: hcnt, Blast: blast, Grade: g, Seed: seed}
 	p, dm, mcside := pt.Build(geo, duration)
 	res, err := sim.RunAttack(sim.AttackConfig{
@@ -512,7 +330,7 @@ func runAttack(pattern string, scheme exp.Scheme, g timing.Grade, geo dram.Geome
 		Duration:  timing.Forever / 2,
 		Probe:     probe,
 	}, pat)
-	exitOn(err)
+	cli.ExitOn(err)
 	fmt.Printf("attack=%s scheme=%s hcnt=%d blast=%d\n", pat.Name(), scheme, hcnt, blast)
 	fmt.Printf("activations: %d over %v (%d RFMs)\n", res.Acts, res.Elapsed, res.MC.RFMs)
 	rep := res.Device.Scrub()
@@ -550,12 +368,4 @@ func schemeNames() []string {
 		out[i] = string(s)
 	}
 	return out
-}
-
-func exitOn(err error) {
-	if err != nil {
-		stopProfiles()
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -6,8 +6,7 @@
 //
 //	go run ./cmd/shadowvet ./...
 //	go run ./cmd/shadowvet ./internal/... ./cmd/...
-//	go run ./cmd/shadowvet -json ./... > shadowvet-report.json
-//	go run ./cmd/shadowvet -sarif ./... > shadowvet.sarif
+//	go run ./cmd/shadowvet -json-out shadowvet-report.json -sarif-out shadowvet.sarif ./...
 //	go run ./cmd/shadowvet -list
 //
 // The suite enforces simulator determinism (no wall-clock reads, no global
@@ -32,34 +31,33 @@
 // offending line; the driver checks the waivers themselves (a reason is
 // mandatory and a waiver that suppresses nothing is itself a finding).
 //
-// -json emits the findings as a JSON array (empty when clean) on stdout
-// for CI annotation; -sarif emits a SARIF 2.1.0 log instead, the format
-// code forges ingest for inline review annotations. The two are mutually
-// exclusive. The human-readable summary stays on stderr. Packages are
-// analyzed in parallel; output order is deterministic either way.
+// Findings print one per line on stdout, with a count on stderr. One
+// analysis also writes the machine-readable reports: -json-out FILE writes
+// the findings as a JSON array (empty when clean) for CI annotation, and
+// -sarif-out FILE writes a SARIF 2.1.0 log, the format code forges ingest
+// for inline review annotations. Packages are analyzed in parallel; output
+// order is deterministic either way.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"shadow/internal/analysis"
+	"shadow/internal/cli"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout (for CI annotation)")
-	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout (for forge annotation)")
+	jsonOut := flag.String("json-out", "", "also write the findings as a JSON array to this file (for CI annotation)")
+	sarifOut := flag.String("sarif-out", "", "also write the findings as a SARIF 2.1.0 log to this file (for forge annotation)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: shadowvet [-list] [-json|-sarif] [packages]\n\npackages are go-style patterns (default ./...)\n\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: shadowvet [-list] [-json-out FILE] [-sarif-out FILE] [packages]\n\npackages are go-style patterns (default ./...)\n\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "shadowvet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	analyzers := analysis.All()
 	if *list {
@@ -105,23 +103,25 @@ func main() {
 		CheckWaivers: true,
 		Parallel:     true,
 	})
-	if *jsonOut {
-		if err := analysis.WriteJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "shadowvet: %v\n", err)
-			os.Exit(2)
-		}
-	} else if *sarifOut {
-		if err := analysis.WriteSARIF(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "shadowvet: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
+	writeReport(*jsonOut, analysis.WriteJSON, diags)
+	writeReport(*sarifOut, analysis.WriteSARIF, diags)
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "shadowvet: %d finding(s)\n", len(diags))
 		os.Exit(1)
+	}
+}
+
+// writeReport writes diags to path in one report format; an empty path
+// writes nothing. A failed write exits 2, like a load error.
+func writeReport(path string, write func(io.Writer, []analysis.Diagnostic) error, diags []analysis.Diagnostic) {
+	if path == "" {
+		return
+	}
+	if err := cli.WriteFile(path, func(w io.Writer) error { return write(w, diags) }); err != nil {
+		fmt.Fprintf(os.Stderr, "shadowvet: %v\n", err)
+		os.Exit(2)
 	}
 }

@@ -96,30 +96,6 @@ func (m *Module) CallGraph() *callgraph.Graph {
 	return m.cg
 }
 
-// waiverAliases lets a directive written against a deprecated analyzer
-// name keep working after the check moved: a //shadowvet:ignore locks
-// waiver also suppresses lockflow findings, because lockflow is the
-// flow-sensitive successor of the old locks pairing rule. The alias is
-// one-directional — an explicit lockflow waiver does not touch locks
-// findings.
-var waiverAliases = map[string][]string{
-	"locks": {"lockflow"},
-}
-
-// waiverCovers reports whether a directive naming `directive` suppresses
-// findings of `analyzer`, directly or through an alias.
-func waiverCovers(directive, analyzer string) bool {
-	if directive == analyzer {
-		return true
-	}
-	for _, aliased := range waiverAliases[directive] {
-		if aliased == analyzer {
-			return true
-		}
-	}
-	return false
-}
-
 // WaiverAnalyzerName labels the waiver-hygiene findings produced when
 // Options.CheckWaivers is set. It is not a real analyzer and cannot itself
 // be waived — a circular waiver would defeat the check.
@@ -182,7 +158,7 @@ func (p *Pass) suppressedAt(pos token.Position) bool {
 	for _, line := range [2]int{pos.Line, pos.Line - 1} {
 		for _, w := range lines[line] {
 			for _, name := range w.nameOrder {
-				if waiverCovers(name, p.Analyzer.Name) {
+				if name == p.Analyzer.Name {
 					w.used[name] = true
 					return true
 				}

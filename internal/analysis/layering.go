@@ -58,6 +58,10 @@ var layerImports = map[string][]string{
 	"security": {"dram", "hammer", "mitigate", "rng", "shadow", "sim", "timing", "trace"},
 	"exp": {"circuit", "dram", "hammer", "memctrl", "mitigate", "obs", "obs/flight",
 		"obs/span", "power", "report", "rng", "security", "shadow", "sim", "timing", "trace"},
+
+	// The command-line tools' shared output path: profiles, exits, HTTP
+	// serving, and the recorder, inspector, and flight-file wiring.
+	"cli": {"obs", "obs/flight", "report"},
 }
 
 // Layering enforces the internal import DAG: a package under internal/ may

@@ -21,12 +21,9 @@ var lockTypeNames = map[string]bool{
 // value, not assigned from an existing value, not ranged over by value — a
 // copied lock guards nothing.
 //
-// Its original second rule (every Lock has a same-function Unlock) is
-// deprecated in favor of the flow-sensitive lockflow analyzer, which
-// proves release on every path instead of anywhere in the body. The
-// locks name survives as a waiver alias: a //shadowvet:ignore locks
-// directive also suppresses lockflow findings, so waivers written
-// against the old check migrate without edits.
+// Its original second rule (every Lock has a same-function Unlock) moved
+// to the flow-sensitive lockflow analyzer, which proves release on every
+// path instead of anywhere in the body; waive those findings as lockflow.
 var Locks = &Analyzer{
 	Name: "locks",
 	Doc:  "forbid by-value copies of sync.Mutex/WaitGroup/... (Lock/Unlock pairing is flow-checked by lockflow)",

@@ -99,3 +99,31 @@ func TestEveryAnalyzerHasFixture(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistriesNameLivePackages: every package a registry names by path
+// (the determinism-restricted set, the nil-guard table, the layering DAG)
+// is a package directory in the tree, so moving or renaming a package
+// fails here instead of silently dropping it from the analyzers' scope.
+func TestRegistriesNameLivePackages(t *testing.T) {
+	var paths []string
+	for path := range restrictedPkgs {
+		paths = append(paths, path)
+	}
+	for path := range nilGuarded {
+		paths = append(paths, path)
+	}
+	for rel := range layerImports {
+		paths = append(paths, internalPrefix+rel)
+	}
+	for _, path := range paths {
+		dir := filepath.Join("..", "..", strings.TrimPrefix(path, "shadow/"))
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		live := false
+		for _, f := range files {
+			live = live || !strings.HasSuffix(f, "_test.go")
+		}
+		if !live {
+			t.Errorf("registry names %s, but %s holds no package source", path, dir)
+		}
+	}
+}

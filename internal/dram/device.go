@@ -77,7 +77,7 @@ type Device struct {
 	flipSeries *obs.Series
 	// flipCount mirrors the flip series as a plain counter so the Inspector's
 	// Prometheus exposition (counters/gauges/histograms only) can alert on
-	// flips; series stay in the JSON/CSV dumps.
+	// flips; series stay in the JSON dump.
 	flipCount *obs.Counter
 	cmdAt     timing.Tick
 

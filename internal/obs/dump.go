@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -87,69 +85,4 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m.dump())
-}
-
-// WriteCSV dumps every instrument as flat `kind,name,field,value` rows,
-// sorted by kind then name, for spreadsheet or awk consumption. The output
-// is RFC 4180 (encoding/csv): instrument names containing commas, quotes,
-// or newlines are quoted, not mangled. Histogram quantile rows (p50/p95/p99)
-// follow the upper-bound-of-bucket convention of Histogram.Quantile. Safe on
-// a nil registry (writes only the header).
-func (m *Metrics) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "name", "field", "value"}); err != nil {
-		return err
-	}
-	if m == nil {
-		cw.Flush()
-		return cw.Error()
-	}
-	row := func(kind, name, field string, value any) error {
-		return cw.Write([]string{kind, name, field, fmt.Sprint(value)})
-	}
-	for _, k := range sortedKeysCounter(m.counters) {
-		if err := row("counter", k, "value", m.counters[k].Value()); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeysGauge(m.gauges) {
-		if err := row("gauge", k, "value", m.gauges[k].Value()); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeysHistogram(m.hists) {
-		h := m.hists[k]
-		fields := []struct {
-			name  string
-			value any
-		}{
-			{"count", h.Count()},
-			{"sum", h.Sum()},
-			{"min", h.Min()},
-			{"max", h.Max()},
-			{"mean", fmt.Sprintf("%.3f", h.Mean())},
-			{"p50", h.Quantile(0.50)},
-			{"p95", h.Quantile(0.95)},
-			{"p99", h.Quantile(0.99)},
-		}
-		for _, f := range fields {
-			if err := row("histogram", k, f.name, f.value); err != nil {
-				return err
-			}
-		}
-		for _, b := range h.Buckets() {
-			if err := row("histogram", k, fmt.Sprintf("bucket[%d-%d]", b.Lo, b.Hi), b.Count); err != nil {
-				return err
-			}
-		}
-	}
-	for _, k := range sortedKeysSeries(m.series) {
-		for i, v := range m.series[k].Values() {
-			if err := row("series", k, fmt.Sprintf("t%d", i), fmt.Sprintf("%g", v)); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,55 +1,9 @@
 package obs
 
 import (
-	"encoding/csv"
 	"strings"
 	"testing"
-
-	"shadow/internal/timing"
 )
-
-// TestWriteCSVHostileNames round-trips instrument names containing commas,
-// quotes, and spaces through the RFC 4180 writer: a reader must recover
-// every field byte for byte (hand-rolled joining would shear these rows).
-func TestWriteCSVHostileNames(t *testing.T) {
-	rec := NewRecorder(Options{Metrics: true, SampleInterval: timing.Microsecond})
-	hostile := []string{
-		`acts,per,bank`,
-		`lat "p99" spike`,
-		`mix, of "both"`,
-	}
-	p := rec.NewTrack(`track,with"quirks`)
-	p.Counter(hostile[0]).Add(7)
-	p.Histogram(hostile[1]).Observe(42)
-	p.Series(hostile[2]).Add(0, 3)
-
-	var out strings.Builder
-	if err := rec.Metrics().WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-
-	r := csv.NewReader(strings.NewReader(out.String()))
-	records, err := r.ReadAll()
-	if err != nil {
-		t.Fatalf("CSV output does not re-parse: %v\n%s", err, out.String())
-	}
-	if len(records) == 0 || strings.Join(records[0], "|") != "kind|name|field|value" {
-		t.Fatalf("bad header: %v", records)
-	}
-	seen := map[string]bool{}
-	for _, rec := range records[1:] {
-		if len(rec) != 4 {
-			t.Fatalf("row has %d fields, want 4: %v", len(rec), rec)
-		}
-		seen[rec[1]] = true
-	}
-	for _, name := range hostile {
-		full := `track,with"quirks/` + name
-		if !seen[full] {
-			t.Errorf("hostile name %q did not round-trip; rows: %v", full, records)
-		}
-	}
-}
 
 // TestHistogramQuantiles pins the upper-bound-of-bucket convention: each
 // quantile reports the inclusive upper edge of the power-of-two bucket
@@ -100,8 +54,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestDumpIncludesQuantiles checks the JSON and CSV dumps carry the
-// documented p50/p95/p99 fields.
+// TestDumpIncludesQuantiles checks the JSON dump carries the documented
+// p50/p95/p99 fields.
 func TestDumpIncludesQuantiles(t *testing.T) {
 	rec := NewRecorder(Options{Metrics: true})
 	p := rec.NewTrack("run")
@@ -115,15 +69,6 @@ func TestDumpIncludesQuantiles(t *testing.T) {
 	for _, want := range []string{`"p50": 63`, `"p95": 100`, `"p99": 100`} {
 		if !strings.Contains(js.String(), want) {
 			t.Errorf("JSON dump missing %s:\n%s", want, js.String())
-		}
-	}
-	var out strings.Builder
-	if err := rec.Metrics().WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"histogram,run/lat,p50,63", "histogram,run/lat,p95,100", "histogram,run/lat,p99,100"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("CSV dump missing %s:\n%s", want, out.String())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,24 +13,19 @@ import (
 )
 
 // InspectorSources supplies the data the live inspector serves. Every source
-// is invoked only from the simulation goroutine (inside Observe), never from
+// is read only from the simulation goroutine (inside Observe), never from
 // HTTP handlers, so sources may read live simulation state without locking.
 type InspectorSources struct {
-	// Metrics returns the current metrics dump as JSON (e.g. a closure over
-	// Metrics.WriteJSON). Nil omits the endpoint's payload.
-	Metrics func() []byte
+	// Recorder supplies the trace-event count on /status.json and the
+	// instrument registry /metrics appends to the run-status metrics. Nil
+	// omits both.
+	Recorder *Recorder
+	// Flight writes the flight-recorder dump served on /flight.json (a
+	// flight.Watch). Nil serves an empty document.
+	Flight interface{ WriteDump(io.Writer) error }
 	// Blame returns the current rolling blame breakdown as JSON (e.g.
 	// report.BlameJSON over the span collector's aggregate so far).
 	Blame func() []byte
-	// Events returns the number of recorded trace events (Recorder.EventCount).
-	Events func() int64
-	// Prom returns the instrument registry rendered in Prometheus text
-	// exposition format (e.g. a closure over Metrics.WritePrometheus); the
-	// /metrics endpoint appends it to the run-status metrics.
-	Prom func() []byte
-	// Flight returns the flight-recorder dump as JSON (e.g. a closure over
-	// flight.Watch.WriteDump), served on /flight.json.
-	Flight func() []byte
 }
 
 // Inspector is the live run inspector behind the -inspect flag: an opt-in
@@ -64,7 +60,6 @@ type Inspector struct {
 	rate        float64
 	events      int64
 	done        bool
-	metricsJSON []byte
 	blameJSON   []byte
 	promText    []byte
 	flightJSON  []byte
@@ -167,21 +162,25 @@ func (ins *Inspector) Observe(label string, now, total timing.Tick) {
 // refreshLocked re-runs the sources into the cached snapshots. Caller holds
 // mu; runs on the simulation goroutine.
 func (ins *Inspector) refreshLocked() {
-	if ins.src.Metrics != nil {
-		ins.metricsJSON = ins.src.Metrics()
+	if rec := ins.src.Recorder; rec != nil {
+		ins.events = rec.EventCount()
+		ins.promText = render(rec.Metrics().WritePrometheus)
+	}
+	if ins.src.Flight != nil {
+		ins.flightJSON = render(ins.src.Flight.WriteDump)
 	}
 	if ins.src.Blame != nil {
 		ins.blameJSON = ins.src.Blame()
 	}
-	if ins.src.Events != nil {
-		ins.events = ins.src.Events()
+}
+
+// render captures a writer's output; a failed render serves as empty.
+func render(write func(io.Writer) error) []byte {
+	var b bytes.Buffer
+	if write(&b) != nil {
+		return nil
 	}
-	if ins.src.Prom != nil {
-		ins.promText = ins.src.Prom()
-	}
-	if ins.src.Flight != nil {
-		ins.flightJSON = ins.src.Flight()
-	}
+	return b.Bytes()
 }
 
 // Done marks the run finished and takes a final snapshot. Safe on a nil
@@ -216,12 +215,11 @@ type status struct {
 
 // snap is one consistent copy of the cached state, taken under the lock.
 type snap struct {
-	st      status
-	points  []pointState
-	metrics []byte
-	blame   []byte
-	prom    []byte
-	flight  []byte
+	st     status
+	points []pointState
+	blame  []byte
+	prom   []byte
+	flight []byte
 }
 
 // snapshot copies the current state under the lock.
@@ -244,12 +242,11 @@ func (ins *Inspector) snapshot() snap {
 		st.ElapsedSec = ins.clock().Sub(ins.started).Seconds()
 	}
 	return snap{
-		st:      st,
-		points:  append([]pointState(nil), ins.points...),
-		metrics: ins.metricsJSON,
-		blame:   ins.blameJSON,
-		prom:    ins.promText,
-		flight:  ins.flightJSON,
+		st:     st,
+		points: append([]pointState(nil), ins.points...),
+		blame:  ins.blameJSON,
+		prom:   ins.promText,
+		flight: ins.flightJSON,
 	}
 }
 
@@ -301,7 +298,6 @@ func writeRunMetrics(w io.Writer, st status, points []pointState) {
 //
 //	/             HTML overview (auto-refreshing)
 //	/status.json  heartbeat state (progress, rate, event count)
-//	/metrics.json latest metrics snapshot
 //	/blame.json   rolling blame breakdown
 //	/flight.json  flight-recorder dump (event window + watchdog trip)
 //	/metrics      Prometheus text exposition (run status + instruments)
@@ -316,15 +312,6 @@ func (ins *Inspector) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Cache-Control", "no-store")
 		json.NewEncoder(w).Encode(s.st)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		metrics := ins.snapshot().metrics
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Cache-Control", "no-store")
-		if len(metrics) == 0 {
-			metrics = []byte("{}\n")
-		}
-		w.Write(metrics)
 	})
 	mux.HandleFunc("/blame.json", func(w http.ResponseWriter, r *http.Request) {
 		blame := ins.snapshot().blame
@@ -374,7 +361,7 @@ func (ins *Inspector) Handler() http.Handler {
 			htmlEscape(st.Label), state, st.Percent,
 			float64(st.SimNowPS)/1e6, float64(st.SimTotalPS)/1e6,
 			st.SimUSPerSec, st.Events, st.ElapsedSec)
-		fmt.Fprintf(w, `<p><a href="/status.json">status.json</a> · <a href="/metrics.json">metrics.json</a> · <a href="/blame.json">blame.json</a> · <a href="/flight.json">flight.json</a> · <a href="/metrics">metrics (Prometheus)</a> · <a href="/healthz">healthz</a></p>`)
+		fmt.Fprintf(w, `<p><a href="/status.json">status.json</a> · <a href="/blame.json">blame.json</a> · <a href="/flight.json">flight.json</a> · <a href="/metrics">metrics (Prometheus)</a> · <a href="/healthz">healthz</a></p>`)
 		if len(blame) > 0 {
 			fmt.Fprintf(w, "<h3>rolling blame</h3><pre>%s</pre>", htmlEscape(string(blame)))
 		}

@@ -12,17 +12,21 @@ import (
 )
 
 // TestInspectorEndpoints drives an inspector with a stepped fake clock and
-// checks all four endpoints serve coherent snapshots.
+// checks the JSON endpoints and the overview serve coherent snapshots.
 func TestInspectorEndpoints(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
 	ins := NewInspector(clock)
 
-	metricsCalls, blameCalls := 0, 0
+	rec := NewRecorder(Options{Events: true})
+	probe := rec.NewTrack("run")
+	for i := 0; i < 42; i++ {
+		probe.Emit(Event{Kind: KindACT})
+	}
+	blameCalls := 0
 	ins.SetSources(InspectorSources{
-		Metrics: func() []byte { metricsCalls++; return []byte(`{"m":1}`) },
-		Blame:   func() []byte { blameCalls++; return []byte(`[{"label":"run<1>"}]`) },
-		Events:  func() int64 { return 42 },
+		Recorder: rec,
+		Blame:    func() []byte { blameCalls++; return []byte(`[{"label":"run<1>"}]`) },
 	})
 
 	srv := httptest.NewServer(ins.Handler())
@@ -43,9 +47,6 @@ func TestInspectorEndpoints(t *testing.T) {
 	}
 
 	// Before any observation: valid empty documents, not errors.
-	if code, body := get("/metrics.json"); code != 200 || body != "{}\n" {
-		t.Errorf("pre-run /metrics.json = %d %q", code, body)
-	}
 	if code, body := get("/blame.json"); code != 200 || body != "[]\n" {
 		t.Errorf("pre-run /blame.json = %d %q", code, body)
 	}
@@ -71,9 +72,6 @@ func TestInspectorEndpoints(t *testing.T) {
 		t.Errorf("sim times = %d/%d", st.SimNowPS, st.SimTotalPS)
 	}
 
-	if _, body := get("/metrics.json"); body != `{"m":1}` {
-		t.Errorf("/metrics.json = %q", body)
-	}
 	if _, body := get("/blame.json"); !strings.Contains(body, "run<1>") {
 		t.Errorf("/blame.json = %q", body)
 	}
@@ -91,11 +89,11 @@ func TestInspectorEndpoints(t *testing.T) {
 
 	// Observations inside the 1s refresh window update progress but do not
 	// re-run the sources.
-	calls := metricsCalls
+	calls := blameCalls
 	now = now.Add(300 * time.Millisecond)
 	ins.Observe("fig8/mix/h4096", 50*timing.Microsecond, 100*timing.Microsecond)
-	if metricsCalls != calls {
-		t.Errorf("sources re-ran inside the refresh window (%d -> %d)", calls, metricsCalls)
+	if blameCalls != calls {
+		t.Errorf("sources re-ran inside the refresh window (%d -> %d)", calls, blameCalls)
 	}
 	_, body = get("/status.json")
 	if !strings.Contains(body, `"percent":50`) {
@@ -105,7 +103,7 @@ func TestInspectorEndpoints(t *testing.T) {
 	// Past the window: sources refresh.
 	now = now.Add(time.Second)
 	ins.Observe("fig8/mix/h4096", 75*timing.Microsecond, 100*timing.Microsecond)
-	if metricsCalls == calls {
+	if blameCalls == calls {
 		t.Error("sources did not refresh after the window elapsed")
 	}
 
@@ -117,9 +115,6 @@ func TestInspectorEndpoints(t *testing.T) {
 	}
 	if _, html := get("/"); !strings.Contains(html, "done") {
 		t.Errorf("overview after Done missing state:\n%s", html)
-	}
-	if blameCalls == 0 {
-		t.Error("blame source never ran")
 	}
 
 	// Nil receiver: observation entry points are inert.
@@ -136,18 +131,15 @@ func TestInspectorScrapeEndpoints(t *testing.T) {
 	now := time.Unix(0, 0)
 	ins := NewInspector(func() time.Time { return now })
 
-	m := newMetrics(timing.Microsecond)
-	m.Counter("run/dram/flips_total").Add(2)
-	var promBuf []byte
+	rec := NewRecorder(Options{Metrics: true, Events: true})
+	probe := rec.NewTrack("run")
+	probe.Counter("dram/flips_total").Add(2)
+	for i := 0; i < 7; i++ {
+		probe.Emit(Event{Kind: KindACT})
+	}
 	ins.SetSources(InspectorSources{
-		Prom: func() []byte {
-			var b strings.Builder
-			m.WritePrometheus(&b)
-			promBuf = []byte(b.String())
-			return promBuf
-		},
-		Flight: func() []byte { return []byte(`{"capacity":8,"events":[]}` + "\n") },
-		Events: func() int64 { return 7 },
+		Recorder: rec,
+		Flight:   fakeFlight(`{"capacity":8,"events":[]}` + "\n"),
 	})
 
 	srv := httptest.NewServer(ins.Handler())
@@ -209,7 +201,7 @@ func TestInspectorScrapeEndpoints(t *testing.T) {
 		t.Errorf("/flight.json = %q", body)
 	}
 
-	for _, path := range []string{"/status.json", "/metrics.json", "/blame.json", "/flight.json", "/metrics", "/healthz"} {
+	for _, path := range []string{"/status.json", "/blame.json", "/flight.json", "/metrics", "/healthz"} {
 		if _, _, hdr := get(path); len(hdr["Cache-Control"]) == 0 || hdr["Cache-Control"][0] != "no-store" {
 			t.Errorf("%s lacks Cache-Control: no-store (%v)", path, hdr["Cache-Control"])
 		}
@@ -219,6 +211,14 @@ func TestInspectorScrapeEndpoints(t *testing.T) {
 	if _, body, _ := get("/metrics"); !strings.Contains(body, "shadow_run_done 1") {
 		t.Errorf("/metrics after Done:\n%s", body)
 	}
+}
+
+// fakeFlight is a flight-dump writer serving a fixed document.
+type fakeFlight string
+
+func (f fakeFlight) WriteDump(w io.Writer) error {
+	_, err := io.WriteString(w, string(f))
+	return err
 }
 
 // TestInspectorLabelChangeResetsRate checks a new run label restarts the

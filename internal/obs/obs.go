@@ -21,7 +21,7 @@
 // A Recorder owns the collected data for one run and renders it through
 // WriteChromeTrace (Perfetto-viewable trace-event JSON, one process track
 // per channel, one thread track per bank) and the Metrics dump
-// (WriteJSON/WriteCSV). Probes are handed out per track (NewTrack) and per
+// (WriteJSON). Probes are handed out per track (NewTrack) and per
 // channel (ForChannel); the simulator threads them through the memory
 // controller, the DRAM device, and the mitigation schemes.
 //

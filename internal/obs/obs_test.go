@@ -154,7 +154,7 @@ func TestRecorderDropsAfterMaxEvents(t *testing.T) {
 	}
 }
 
-func TestMetricsDumpJSONAndCSV(t *testing.T) {
+func TestMetricsDumpJSON(t *testing.T) {
 	rec := NewRecorder(Options{Metrics: true, SampleInterval: timing.Microsecond})
 	p := rec.NewTrack("run")
 	p.Counter("acts").Add(12)
@@ -181,33 +181,11 @@ func TestMetricsDumpJSONAndCSV(t *testing.T) {
 		}
 	}
 
-	var csv strings.Builder
-	if err := rec.Metrics().WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"kind,name,field,value\n",
-		"counter,run/acts,value,12\n",
-		"gauge,run/depth,value,4\n",
-		"histogram,run/lat,count,2\n",
-		"histogram,run/lat,mean,150.000\n",
-		"series,run/rfm,t0,1\n",
-		"series,run/rfm,t2,3\n",
-	} {
-		if !strings.Contains(csv.String(), want) {
-			t.Errorf("CSV dump missing %q:\n%s", want, csv.String())
-		}
-	}
-
-	// Nil registry: valid empty documents.
+	// Nil registry: a valid empty document.
 	var nilM *Metrics
 	js.Reset()
 	if err := nilM.WriteJSON(&js); err != nil || js.String() != "{}\n" {
 		t.Fatalf("nil WriteJSON = %q, %v", js.String(), err)
-	}
-	csv.Reset()
-	if err := nilM.WriteCSV(&csv); err != nil || csv.String() != "kind,name,field,value\n" {
-		t.Fatalf("nil WriteCSV = %q, %v", csv.String(), err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // the count of samples ≤ le, the le values are the inclusive upper edges of
 // the registry's power-of-two buckets (0, 1, 3, 7, ..., 2^i-1), and the
 // series ends with le="+Inf" equal to _count. Time series (simulated-time
-// sums) have no exposition analogue and stay in the JSON/CSV dumps.
+// sums) have no exposition analogue and stay in the JSON dump.
 
 // ContentTypePrometheus is the Content-Type of the /metrics endpoint.
 const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"
