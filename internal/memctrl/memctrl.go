@@ -120,12 +120,6 @@ type Options struct {
 	// request gets a Span with conservation-exact stall-cause attribution.
 	// Nil costs one check per scheduling decision.
 	Spans *span.Tracker
-	// FullRescan reverts Step to the pre-event-driven scheduler that
-	// re-evaluates every bank on every call instead of consulting the
-	// per-bank readiness cache. It exists so the scheduler-equivalence
-	// regression test can prove the cached path bit-identical; simulation
-	// entry points expose it for the same purpose only.
-	FullRescan bool
 }
 
 type bankCtl struct {
@@ -169,17 +163,17 @@ type Controller struct {
 	busFreeAt    timing.Tick // data bus
 	blockedUntil timing.Tick // RRS swap channel blocking
 
-	// Event-driven scheduling state (nil ready == FullRescan). ready holds
-	// each non-volatile bank's earliest possibly-actionable tick — always a
-	// lower bound on the bank's true next-action time, so stale entries cost
-	// an extra (behavior-neutral) wakeup, never a missed command. Volatile
-	// banks hold Forever in ready and are re-evaluated every Step: banks
-	// whose binding ACT constraint is the MC-side throttle (BlockHammer's
-	// allowed-at can move EARLIER at an epoch rotation, with no bank event
-	// to invalidate on) and, when spans are attached, every non-idle bank
-	// (a global event can change a waiting bank's blame cause, and the
-	// cause timeline must move at the same Step the full rescan would move
-	// it). scan/bankNext are per-Step scratch.
+	// Event-driven scheduling state. ready holds each non-volatile bank's
+	// earliest possibly-actionable tick — always a lower bound on the bank's
+	// true next-action time, so stale entries cost an extra
+	// (behavior-neutral) wakeup, never a missed command. Volatile banks hold
+	// Forever in ready and are re-evaluated every Step: banks whose binding
+	// ACT constraint is the MC-side throttle (BlockHammer's allowed-at can
+	// move EARLIER at an epoch rotation, with no bank event to invalidate
+	// on) and, when spans are attached, every non-idle bank (a global event
+	// can change a waiting bank's blame cause, and the cause timeline must
+	// move at the first Step after that event, not at the bank's next
+	// cached instant). scan/bankNext are per-Step scratch.
 	ready     []timing.Tick
 	scan      []int
 	bankNext  []timing.Tick
@@ -234,15 +228,13 @@ func New(dev *dram.Device, opt Options) *Controller {
 		rrdGroupAt:    make([]timing.Tick, groups),
 		nextRefreshAt: dev.Params().REFI,
 	}
-	if !opt.FullRescan {
-		n := dev.Banks()
-		c.ready = make([]timing.Tick, n) // all 0: the first Step classifies every bank
-		c.scan = make([]int, 0, n)
-		c.bankNext = make([]timing.Tick, n)
-		c.vol = make([]bool, n)
-		c.throttled = make([]bool, n)
-		dev.SetBusyNotifier(c.liftBusy)
-	}
+	n := dev.Banks()
+	c.ready = make([]timing.Tick, n) // all 0: the first Step classifies every bank
+	c.scan = make([]int, 0, n)
+	c.bankNext = make([]timing.Tick, n)
+	c.vol = make([]bool, n)
+	c.throttled = make([]bool, n)
+	dev.SetBusyNotifier(c.liftBusy)
 	if opt.SameBankRefresh {
 		if dev.Params().RFCsb <= 0 {
 			panic("memctrl: SameBankRefresh requires a parameter set with tRFCsb")
@@ -346,50 +338,20 @@ func (c *Controller) Step(now timing.Tick) timing.Tick {
 		}
 	}
 
-	if c.ready == nil {
-		return c.stepRescan(now, next)
-	}
+	// The MC-side policy's own timer (BlockHammer's filter-epoch rotation,
+	// which releases throttled rows) bounds the next Step, so a release is
+	// seen at its epoch boundary rather than at whichever Step follows it.
+	next = minTick(next, c.mc.NextEventAt(now))
+
 	return c.stepEvent(now, next)
-}
-
-// stepRescan is the pre-event-driven scheduler: phases 2-4 re-evaluate every
-// bank on every Step. Kept verbatim behind Options.FullRescan as the
-// reference the equivalence test measures the cached path against.
-func (c *Controller) stepRescan(now, next timing.Tick) timing.Tick {
-	// 2. Per-bank RFM when the RAA counter demands it.
-	for i := range c.banks {
-		t, issued := c.tryRFM(now, i)
-		if issued {
-			return c.afterCmd(now)
-		}
-		next = minTick(next, t)
-	}
-
-	// 3. MC-side target-row-refreshes (Graphene, PARA).
-	for i := range c.banks {
-		t, issued := c.tryTRR(now, i)
-		if issued {
-			return c.afterCmd(now)
-		}
-		next = minTick(next, t)
-	}
-
-	// 4. Demand traffic, FR-FCFS.
-	for i := range c.banks {
-		t, issued := c.tryDemand(now, i)
-		if issued {
-			return c.afterCmd(now)
-		}
-		next = minTick(next, t)
-	}
-	return next
 }
 
 // stepEvent runs phases 2-4 over only the banks that could act: the volatile
 // set plus every bank whose cached readiness has arrived. One ascending pass
-// collects them while folding the other banks' cached minimum, so the
-// (phase, bank) consultation order — and therefore which command issues when
-// several are legal at the same tick — matches stepRescan by construction.
+// collects them while folding the other banks' cached minimum. The scan set
+// comes out in ascending bank order and each phase walks all of it before
+// the next phase starts, which decides which command issues when several are
+// legal at the same tick: RFM before TRR before demand, lower bank first.
 func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
 	scan := c.scan[:0]
 	rest := timing.Forever
@@ -469,13 +431,13 @@ func (c *Controller) issuedDuringScan(now timing.Tick, keep int) timing.Tick {
 }
 
 // Volatile reports whether this channel must be stepped at every runner
-// wakeup: full-rescan mode (the per-Step evaluation itself is the oracle) or
-// any bank in the volatile set (throttle-bound ACTs and span-tracked non-idle
-// banks are re-evaluated every Step, so the set of Step instants is
-// observable). The event wheel clamps its jump to the per-tick cadence while
-// any channel is volatile — see sim's wheel scheduler and DESIGN.md §10.
+// wakeup: some bank is in the volatile set (throttle-bound ACTs and
+// span-tracked non-idle banks are re-evaluated every Step, so the set of Step
+// instants is observable). The event wheel clamps its jump to raw Step
+// returns while any channel is volatile — see sim's wheel scheduler and
+// DESIGN.md §10.
 func (c *Controller) Volatile() bool {
-	return c.ready == nil || c.volCount > 0
+	return c.volCount > 0
 }
 
 // NextReadyAt returns a sound lower bound on the next instant this channel
@@ -486,8 +448,8 @@ func (c *Controller) Volatile() bool {
 // swap-blocking windows, before which nothing can issue. Volatile channels
 // return now (the caller must keep stepping them); a bound <= now likewise
 // means "due now" (e.g. mid refresh drain). Between now and the returned
-// bound every Step is a pure no-op, so a wheel that skips those Steps is
-// bit-identical to the per-tick scheduler.
+// bound every Step is a pure no-op, so a wheel may skip those Steps without
+// changing any issued command.
 func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
 	if c.Volatile() {
 		return now
@@ -514,7 +476,7 @@ func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
 // at now >= at, so the bank is collected on the very next evaluation either
 // way. Volatile banks are skipped — they are evaluated every Step already.
 func (c *Controller) dirty(bank int, at timing.Tick) {
-	if c.ready == nil || bank < 0 || c.vol[bank] {
+	if bank < 0 || c.vol[bank] {
 		return
 	}
 	if c.ready[bank] > at {
@@ -527,7 +489,7 @@ func (c *Controller) dirty(bank int, at timing.Tick) {
 // no command on it can be legal earlier and the lift cannot skip work.
 // Volatile banks hold Forever, so they are never lifted.
 func (c *Controller) liftBusy(bank int, until timing.Tick) {
-	if c.ready != nil && c.ready[bank] < until {
+	if c.ready[bank] < until {
 		c.ready[bank] = until
 	}
 }
@@ -536,8 +498,8 @@ func (c *Controller) liftBusy(bank int, until timing.Tick) {
 // after a full (non-issuing) evaluation. A bank is volatile while its ACT is
 // throttle-bound (the policy's allowed-at can move earlier with no bank
 // event) or, under span tracking, while it has any pending work (a global
-// event can change its blame cause, and the timeline must move at the same
-// Step the full rescan would move it).
+// event can change its blame cause, and the timeline must move at the first
+// Step after that event).
 func (c *Controller) updateVolatility(i int) {
 	wantVol := c.throttled[i] || (c.spans != nil && !c.bankIdle(i))
 	if wantVol == c.vol[i] {
@@ -944,9 +906,7 @@ func (c *Controller) actReadyAt(now timing.Tick, i, physRow int) (timing.Tick, s
 		cause = span.CauseThrottle
 		// A throttle-bound readiness cannot be cached: the policy may allow
 		// the ACT earlier after an epoch rotation, with no bank event.
-		if c.throttled != nil {
-			c.throttled[i] = true
-		}
+		c.throttled[i] = true
 	}
 	// Hold ACTs when the RAA counter is at its maximum.
 	if c.p.RAAIMT > 0 && c.banks[i].raa >= c.p.RAAMMT {

@@ -31,9 +31,9 @@ type BlockHammer struct {
 	probe          *obs.Probe
 	throttleSeries *obs.Series
 
-	// Stats
-	Blacklisted int64       // ACTs that hit the blacklist
-	Delayed     timing.Tick // total delay injected
+	// Blacklisted counts the ACTs that hit the blacklist. The delay they
+	// cause is attributed to span.CauseThrottle when spans are attached.
+	Blacklisted int64
 }
 
 // bhBank is the per-bank filter state.

@@ -27,34 +27,6 @@ func steadyRunner(t *testing.T, p *timing.Params, mit dram.Mitigator) *runner {
 	return steadyProbedRunner(t, p, mit, nil)
 }
 
-// steadyStepRunner is steadyRunner on the retained per-tick scheduler loop
-// (Config.noTimeSkip): the equivalence matrix keeps that path compiled as
-// the event wheel's oracle, and the oracle must stay allocation-free too.
-func steadyStepRunner(t *testing.T, p *timing.Params, mit dram.Mitigator) *runner {
-	t.Helper()
-	g := smallGeo()
-	profiles := trace.MixHigh(2)
-	for i := range profiles {
-		profiles[i].WorkingSetRows = 1 << 10
-	}
-	r, err := newRunner(Config{
-		Params:     p,
-		Geometry:   g,
-		Hammer:     hammer.Config{HCnt: 1 << 20, BlastRadius: 3},
-		DeviceMit:  mit,
-		Workload:   trace.Generators(profiles, g, 42),
-		Duration:   timing.Second,
-		noTimeSkip: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r.now < 30*timing.Microsecond {
-		r.tick()
-	}
-	return r
-}
-
 // steadyProbedRunner is steadyRunner with an optional probe attached, for
 // pinning the instrumented hot path.
 func steadyProbedRunner(t *testing.T, p *timing.Params, mit dram.Mitigator, probe *obs.Probe) *runner {
@@ -104,17 +76,9 @@ func TestTickDoesNotAllocate(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			// Default path: the tick-skipping event wheel (tickWheel + advance).
 			r := steadyRunner(t, tc.p, tc.mit())
 			if avg := testing.AllocsPerRun(2000, r.tick); avg != 0 {
 				t.Errorf("runner.tick (wheel) allocates %.3f objects/op in steady state; want 0", avg)
-			}
-		})
-		t.Run(tc.name+"-pertick", func(t *testing.T) {
-			// Oracle path: the per-tick loop behind Config.noTimeSkip.
-			r := steadyStepRunner(t, tc.p, tc.mit())
-			if avg := testing.AllocsPerRun(2000, r.tick); avg != 0 {
-				t.Errorf("runner.tick (per-tick) allocates %.3f objects/op in steady state; want 0", avg)
 			}
 		})
 	}

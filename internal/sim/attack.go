@@ -31,14 +31,6 @@ type AttackConfig struct {
 	// Probe, when set, threads shadowscope instrumentation through the
 	// controller, device, and mitigation schemes.
 	Probe *obs.Probe
-	// fullRescan runs the controller with the pre-event-driven full-rescan
-	// scheduler (see memctrl.Options.FullRescan); equivalence testing only,
-	// hence unexported like its sibling.
-	fullRescan bool
-	// noTimeSkip disables the event-wheel fast path that skips controller
-	// Steps at instants where the cached readiness bound proves the channel
-	// cannot act; equivalence testing only.
-	noTimeSkip bool
 }
 
 // AttackResult reports the outcome.
@@ -88,10 +80,7 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 	// recycled for the whole run (whole-struct reset per access).
 	var reqStore memctrl.Request
 	var cur *memctrl.Request
-	mc := memctrl.New(dev, memctrl.Options{
-		MCSide: cfg.MCSide, ClosedPage: true, Probe: cfg.Probe,
-		FullRescan: cfg.fullRescan,
-	})
+	mc := memctrl.New(dev, memctrl.Options{MCSide: cfg.MCSide, ClosedPage: true, Probe: cfg.Probe})
 
 	res := &AttackResult{Device: dev}
 	now := timing.Tick(0)
@@ -121,14 +110,14 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 			res.Acts++
 			dirty = true
 		}
-		if cfg.noTimeSkip || dirty || ctlNext <= now || mc.Volatile() {
+		if dirty || ctlNext <= now || mc.Volatile() {
 			pend := mc.Step(now)
 			dirty = false
 			if pend <= now {
 				continue
 			}
 			ctlNext = pend
-			if !cfg.noTimeSkip && !mc.Volatile() {
+			if !mc.Volatile() {
 				// As in the trace runner, fold the raw Step return with the
 				// cached-state bound: their max is still sound and skips
 				// post-command bus-echo wakeups the raw return would force.

@@ -139,15 +139,13 @@ func TestFlightConservationWatchdogTripsMidRun(t *testing.T) {
 	}
 }
 
-// TestFlightDivergenceWatchdogSchedulers feeds both schedulers' command
+// TestFlightDivergenceWatchdogSameSeed feeds two same-seed runs' command
 // logs through CmdHash and checks the divergence watchdog: quiet when the
-// event-driven scheduler matches the full-rescan reference, tripping on a
-// doctored hash.
-func TestFlightDivergenceWatchdogSchedulers(t *testing.T) {
-	runHash := func(fullRescan bool) *flight.CmdHash {
+// runs agree, tripping on a doctored hash.
+func TestFlightDivergenceWatchdogSameSeed(t *testing.T) {
+	runHash := func() *flight.CmdHash {
 		h := flight.NewCmdHash()
 		cfg := flightConfig(t)
-		cfg.fullRescan = fullRescan
 		cfg.OnCommand = func(ch int, cmd memctrl.Cmd) {
 			h.Note(int(cmd.Kind), cmd.Bank, cmd.Row, cmd.At)
 		}
@@ -156,24 +154,24 @@ func TestFlightDivergenceWatchdogSchedulers(t *testing.T) {
 		}
 		return h
 	}
-	ref, got := runHash(true), runHash(false)
+	ref, got := runHash(), runHash()
 	if ref.Sum() == flight.NewCmdHash().Sum() {
 		t.Fatal("reference run issued no commands")
 	}
 
 	watch := flight.NewWatch(flight.NewRing(8))
-	watch.Add(flight.Divergence("sched-equiv", ref.Sum, got.Sum))
+	watch.Add(flight.Divergence("same-seed", ref.Sum, got.Sum))
 	if tr := watch.Check(0); tr != nil {
-		t.Fatalf("equivalent schedulers tripped divergence: %+v", tr)
+		t.Fatalf("same-seed runs tripped divergence: %+v", tr)
 	}
 
 	// A diverging log must trip.
 	doctored := flight.NewCmdHash()
 	doctored.Note(1, 2, 3, 4)
 	watch2 := flight.NewWatch(flight.NewRing(8))
-	watch2.Add(flight.Divergence("sched-equiv", ref.Sum, doctored.Sum))
+	watch2.Add(flight.Divergence("same-seed", ref.Sum, doctored.Sum))
 	tr := watch2.Check(0)
-	if tr == nil || tr.Watchdog != "sched-equiv" {
+	if tr == nil || tr.Watchdog != "same-seed" {
 		t.Fatalf("doctored hash did not trip: %+v", tr)
 	}
 }

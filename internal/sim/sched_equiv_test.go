@@ -2,15 +2,21 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
-	"reflect"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 
 	"shadow/internal/dram"
 	"shadow/internal/hammer"
 	"shadow/internal/memctrl"
 	"shadow/internal/mitigate"
+	"shadow/internal/obs"
 	"shadow/internal/obs/span"
 	"shadow/internal/report"
 	"shadow/internal/shadow"
@@ -18,23 +24,19 @@ import (
 	"shadow/internal/trace"
 )
 
-// The simulator's two scheduler optimizations must be behaviorally
-// invisible, separately and combined:
-//
-//   - the event-driven controller scheduler (per-bank readiness cache,
-//     toggled off by Config.fullRescan), and
-//   - the tick-skipping event wheel (simulated time jumps straight to the
-//     next actionable instant, toggled off by Config.noTimeSkip).
-//
-// For every mitigation scheme, every seed, every input, and every
-// observation mode, each of the four {event-cache, full-rescan} x
-// {event-wheel, per-tick} variants must produce bit-identical statistics,
-// DRAM command streams, flip records, and span blame tables against the
-// double-oracle (full-rescan + per-tick, both pre-optimization paths kept
-// compiled exactly for this test; one input is held to the wheel axis alone,
-// see equivInput.wheelOnly). Any divergence means a cache-invalidation
-// rule or a readiness lower bound is wrong and an optimization changed
-// simulated behavior, not just speed.
+// The simulator has one scheduler: the tick-skipping event wheel in the
+// runner over the per-bank readiness cache in each controller. Both skip
+// work that provably cannot act, so neither may change what is simulated.
+// Until they were deleted, a per-tick runner loop and a full-rescan
+// controller were kept as oracles, and the 2x2 matrix of the four
+// combinations agreed bit for bit on every case below (with BlockHammer's
+// epoch-release bound folded into Step). testdata/sched.golden.json records
+// that agreed output: statistics, flip records, scrub reports, a hash of
+// every DRAM command, and the span blame table. The tests here replay each
+// case and compare. A divergence means a cache-invalidation rule, a
+// readiness lower bound or a wakeup rule changed simulated behavior, not
+// just speed. Re-record with -update only for a change that is meant to
+// alter simulated behavior, and say why in the change.
 
 // equivScheme builds one protection configuration. Constructors are funcs so
 // each run gets fresh mitigation state (trackers, CSPRNGs, Bloom filters).
@@ -146,7 +148,8 @@ func equivSchemes() []equivScheme {
 // order shows. The 16-core single-channel mix saturates the bank queues, so
 // cores park on full queues and every enqueue instant rests on the wheel's
 // re-arm rule; its conflict variant (four rows per bank, no row locality)
-// adds blacklisted rows whose epoch release makes clamped wakeups matter.
+// adds blacklisted rows, so throttled ACTs wait for their epoch release
+// under the volatility clamp.
 // The 16-core inputs run a subset of schemes to keep the suite fast.
 type equivInput struct {
 	// name prefixes the subtest names; the base input has none, so its
@@ -157,12 +160,6 @@ type equivInput struct {
 	// conflict shrinks every core's working set to four rows per bank with
 	// no row locality, so nearly every access is a row conflict.
 	conflict bool
-	// wheelOnly checks, without spans, only the wheel axis: each wheel run
-	// against the per-tick run of the same controller mode. The
-	// event-driven controller's Step return omits the MC-side epoch boundary
-	// that releases a throttled ACT, so its per-tick Step instants, and with
-	// them the release instant, differ from the full rescan's (ROADMAP).
-	wheelOnly bool
 	// schemes restricts the input to the named schemes (nil = all).
 	schemes []string
 }
@@ -171,7 +168,7 @@ var equivInputs = []equivInput{
 	{cores: 2, channels: 1},
 	{name: "16c-2ch", cores: 16, channels: 2, schemes: []string{"none", "shadow", "blockhammer"}},
 	{name: "16c-1ch", cores: 16, channels: 1, schemes: []string{"none", "shadow", "blockhammer"}},
-	{name: "16c-1ch-conflict", cores: 16, channels: 1, conflict: true, wheelOnly: true, schemes: []string{"blockhammer-epoch"}},
+	{name: "16c-1ch-conflict", cores: 16, channels: 1, conflict: true, schemes: []string{"blockhammer-epoch"}},
 }
 
 // covers reports whether the input runs scheme name.
@@ -206,20 +203,9 @@ type equivView struct {
 	QueueFull timing.Tick
 }
 
-// equivVariants is the scheduler matrix: the double-oracle first, then the
-// three optimized combinations that must match it bit for bit.
-var equivVariants = []struct {
-	name       string
-	fullRescan bool
-	noTimeSkip bool
-}{
-	{"rescan+tick", true, true}, // double-oracle
-	{"event+tick", false, true},
-	{"rescan+wheel", true, false},
-	{"event+wheel", false, false},
-}
-
-func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans, fullRescan, noTimeSkip bool) equivView {
+// runEquiv runs one case and returns its view, plus the number of ACTs that
+// hit a BlockHammer blacklist across the channels (0 for other schemes).
+func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans bool) (equivView, int64) {
 	t.Helper()
 	p := sc.params()
 	g := smallGeo()
@@ -240,8 +226,15 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans, f
 		devFor = func(ch int) dram.Mitigator { return sc.dev(seed + uint64(ch)*101) }
 	}
 	var mcFor func(ch int) mitigate.MCSide
+	var bhs []*mitigate.BlockHammer
 	if sc.mc != nil {
-		mcFor = func(ch int) mitigate.MCSide { return sc.mc(p, seed+uint64(ch)*101) }
+		mcFor = func(ch int) mitigate.MCSide {
+			m := sc.mc(p, seed+uint64(ch)*101)
+			if bh, ok := m.(*mitigate.BlockHammer); ok {
+				bhs = append(bhs, bh)
+			}
+			return m
+		}
 	}
 	var filter *mitigate.RFMFilter
 	if sc.filter != nil {
@@ -266,8 +259,6 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans, f
 		OnCommand: func(ch int, cmd memctrl.Cmd) {
 			fmt.Fprintf(cmdHash, "%d %d %d %d %d\n", ch, cmd.Kind, cmd.Bank, cmd.Row, cmd.At)
 		},
-		fullRescan: fullRescan,
-		noTimeSkip: noTimeSkip,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,11 +281,15 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans, f
 		v.Blame = string(report.BlameJSON([]report.BlameRow{{Label: sc.name, Agg: agg}}))
 		v.QueueFull = agg.Stall[span.CauseQueueFull]
 	}
-	return v
+	var blacklisted int64
+	for _, bh := range bhs {
+		blacklisted += bh.Blacklisted
+	}
+	return v, blacklisted
 }
 
 // forEachEquivCase runs fn as a subtest for every (input, scheme) pair the
-// matrix covers.
+// golden file covers.
 func forEachEquivCase(t *testing.T, fn func(t *testing.T, sc equivScheme, in equivInput)) {
 	for _, in := range equivInputs {
 		for _, sc := range equivSchemes() {
@@ -311,116 +306,207 @@ func forEachEquivCase(t *testing.T, fn func(t *testing.T, sc equivScheme, in equ
 	}
 }
 
-// TestSchedulerEquivalence is the bit-identity gate for the scheduler
-// matrix: every scheme and input, three seeds, all four scheduler variants,
-// statistics + command stream against the double-oracle.
+// TestSchedulerEquivalence replays every scheme and input at three seeds
+// against the golden file. On the conflict input, blockhammer-epoch must
+// blacklist ACTs at every seed, or epoch release goes unexercised.
 func TestSchedulerEquivalence(t *testing.T) {
 	forEachEquivCase(t, func(t *testing.T, sc equivScheme, in equivInput) {
 		for _, seed := range []uint64{42, 7, 1234} {
-			oracle := runEquiv(t, sc, in, seed, false, equivVariants[0].fullRescan, equivVariants[0].noTimeSkip)
-			for _, v := range equivVariants[1:] {
-				ref, refName := oracle, equivVariants[0].name
-				if in.wheelOnly {
-					if v.noTimeSkip {
-						continue
-					}
-					ref = runEquiv(t, sc, in, seed, false, v.fullRescan, true)
-					refName = v.name + " per tick"
-				}
-				got := runEquiv(t, sc, in, seed, false, v.fullRescan, v.noTimeSkip)
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("seed %d: %s diverged from %s:\n oracle: %+v\n got:    %+v",
-						seed, v.name, refName, ref, got)
-				}
+			got, blacklisted := runEquiv(t, sc, in, seed, false)
+			checkGolden(t, fmt.Sprintf("%s/seed%d", t.Name(), seed), got)
+			if in.conflict && blacklisted == 0 {
+				t.Errorf("seed %d: no ACT hit the blacklist, so no throttled row waited for an epoch release", seed)
 			}
 		}
 	})
 }
 
-// TestSchedulerEquivalenceWithSpans repeats the check with shadowtap span
-// tracking attached: stall-cause attribution must blame identical causes for
-// identical durations under both schedulers (this is what forces non-idle
-// banks to stay volatile in the readiness cache — a cached bank could
-// otherwise miss a blame-cause transition driven by another bank's command).
+// TestSchedulerEquivalenceWithSpans repeats the replay with shadowtap span
+// tracking attached, so the golden blame tables hold stall-cause attribution
+// to identical causes for identical durations. Spans keep every non-idle
+// bank volatile in the readiness cache (a cached bank could otherwise miss a
+// blame-cause transition driven by another bank's command), which puts the
+// wheel under its volatility clamp. The 16-core inputs must park cores on
+// full queues, or the wheel's re-arm rule goes unchecked.
 func TestSchedulerEquivalenceWithSpans(t *testing.T) {
 	forEachEquivCase(t, func(t *testing.T, sc equivScheme, in equivInput) {
-		oracle := runEquiv(t, sc, in, 42, true, equivVariants[0].fullRescan, equivVariants[0].noTimeSkip)
-		if oracle.Blame == "" {
+		got, _ := runEquiv(t, sc, in, 42, true)
+		if got.Blame == "" {
 			t.Fatal("span run produced no blame table")
 		}
-		if in.cores >= 16 && oracle.QueueFull == 0 {
+		if in.cores >= 16 && got.QueueFull == 0 {
 			t.Fatal("no queue-full stall: no core parked on a full queue, so the wheel's re-arm rule went unchecked")
 		}
-		for _, v := range equivVariants[1:] {
-			got := runEquiv(t, sc, in, 42, true, v.fullRescan, v.noTimeSkip)
-			if got.Blame == "" {
-				t.Fatal("span run produced no blame table")
-			}
-			if !reflect.DeepEqual(oracle, got) {
-				diff := ""
-				if oracle.Blame != got.Blame {
-					diff = fmt.Sprintf("\n blame oracle: %s\n blame %s: %s", oracle.Blame, v.name, got.Blame)
-				}
-				t.Errorf("span-tracked %s diverged:\n oracle: %+v\n got:    %+v%s", v.name, oracle, got, diff)
-			}
-		}
+		checkGolden(t, t.Name(), got)
 	})
 }
 
-// TestSchedulerEquivalenceAttack covers the attack runner: a single-request
-// closed-page hammer loop against both an unprotected and a SHADOW-protected
-// device must observe identical activation counts, flips, and controller
-// stats under both schedulers.
-func TestSchedulerEquivalenceAttack(t *testing.T) {
-	cases := []struct {
-		name string
-		p    *timing.Params
-		dev  func() dram.Mitigator
-		pat  func() trace.Pattern
-	}{
-		{
-			name: "unprotected-double-sided",
-			p:    baseParams(),
-			dev:  func() dram.Mitigator { return nil },
-			pat:  func() trace.Pattern { return &trace.DoubleSided{Bank: 0, Victim: 16} },
-		},
-		{
-			name: "shadow-single-sided",
-			p:    shadowParams(16),
-			dev:  func() dram.Mitigator { return shadow.New(shadow.Options{Seed: 3}) },
-			pat:  func() trace.Pattern { return &trace.SingleSided{Bank: 0, Row: 16} },
-		},
+// eventHash is an obs.EventSink that folds every event a probe emits into
+// an FNV-64a hash: RunAttack has no command hook, so its probe's event
+// stream (every command, plus shuffle and flip events) stands in for the
+// command log.
+type eventHash struct{ h hash.Hash64 }
+
+func (e eventHash) Record(ev obs.Event) {
+	fmt.Fprintf(e.h, "%d %d %d %d\n", ev.Kind, ev.Bank, ev.Row, ev.At)
+}
+
+// attackCase is one RunAttack input: a single-request closed-page hammer
+// loop against one device.
+type attackCase struct {
+	name string
+	p    func() *timing.Params
+	dev  func() dram.Mitigator
+	pat  func() trace.Pattern
+}
+
+var attackCases = []attackCase{
+	{
+		name: "unprotected-double-sided",
+		p:    baseParams,
+		dev:  func() dram.Mitigator { return nil },
+		pat:  func() trace.Pattern { return &trace.DoubleSided{Bank: 0, Victim: 16} },
+	},
+	{
+		name: "shadow-single-sided",
+		p:    func() *timing.Params { return shadowParams(16) },
+		dev:  func() dram.Mitigator { return shadow.New(shadow.Options{Seed: 3}) },
+		pat:  func() trace.Pattern { return &trace.SingleSided{Bank: 0, Row: 16} },
+	},
+}
+
+// runAttackEquiv runs one attack case and returns its view: Insts holds the
+// activation count, Duration the elapsed time.
+func runAttackEquiv(t *testing.T, tc attackCase) equivView {
+	t.Helper()
+	h := eventHash{fnv.New64a()}
+	rec := obs.NewRecorder(obs.Options{Flight: h})
+	res, err := RunAttack(AttackConfig{
+		Params:    tc.p(),
+		Geometry:  dram.TestGeometry(),
+		Hammer:    hammer.Config{HCnt: 512, BlastRadius: 3},
+		DeviceMit: tc.dev(),
+		MaxActs:   8192,
+		Probe:     rec.NewTrack(tc.name),
+	}, tc.pat())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
+	return equivView{
+		Duration: res.Elapsed,
+		Insts:    []int64{res.Acts},
+		MC:       res.MC,
+		Dev:      res.Device.TotalStats(),
+		Flips:    res.Flips,
+		Records:  [][]dram.FlipRecord{res.Device.Flips()},
+		Scrub:    []dram.ScrubReport{res.Device.Scrub()},
+		CmdHash:  h.h.Sum64(),
+	}
+}
+
+// TestSchedulerEquivalenceAttack replays the attack runner's cases against
+// the golden file. The unprotected double-sided attack must flip bits: every
+// trace-driven case flips none, so it is the only case whose flip records
+// carry data.
+func TestSchedulerEquivalenceAttack(t *testing.T) {
+	for _, tc := range attackCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(fullRescan, noTimeSkip bool) ([]byte, *AttackResult) {
-				res, err := RunAttack(AttackConfig{
-					Params:     tc.p,
-					Geometry:   dram.TestGeometry(),
-					Hammer:     hammer.Config{HCnt: 512, BlastRadius: 3},
-					DeviceMit:  tc.dev(),
-					MaxActs:    8192,
-					fullRescan: fullRescan,
-					noTimeSkip: noTimeSkip,
-				}, tc.pat())
-				if err != nil {
-					t.Fatal(err)
-				}
-				sum := []byte(fmt.Sprintf("%d %d %d %+v %+v",
-					res.Acts, res.Flips, res.Elapsed, res.MC, res.Device.Flips()))
-				return sum, res
+			got := runAttackEquiv(t, tc)
+			if got.Insts[0] == 0 {
+				t.Fatal("attack issued no activations")
 			}
-			oracleSum, oracleRes := run(equivVariants[0].fullRescan, equivVariants[0].noTimeSkip)
-			for _, v := range equivVariants[1:] {
-				gotSum, _ := run(v.fullRescan, v.noTimeSkip)
-				if !bytes.Equal(oracleSum, gotSum) {
-					t.Errorf("attack %s diverged:\n oracle: %s\n got:    %s", v.name, oracleSum, gotSum)
-				}
+			if tc.name == "unprotected-double-sided" && got.Flips == 0 {
+				t.Error("unprotected double-sided attack flipped no bits")
 			}
-			if oracleRes.Acts == 0 {
-				t.Fatal("attack issued no activations; equivalence check is vacuous")
-			}
+			checkGolden(t, t.Name(), got)
 		})
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the scheduler golden file")
+
+// goldenPath holds the scheduler's recorded output, one equivView per case.
+var goldenPath = filepath.Join("testdata", "sched.golden.json")
+
+// goldenCase is one recorded run: its case name and its equivView as JSON.
+type goldenCase struct {
+	Case string
+	View json.RawMessage
+}
+
+// goldenCases is the golden file, loaded once and kept in case-name order;
+// under -update it is rewritten after every recorded case, so a partial -run
+// keeps the other cases.
+var (
+	goldenCases  []goldenCase
+	goldenLoaded bool
+)
+
+// checkGolden compares a run's view with the recorded case key, or records
+// it under -update.
+func checkGolden(t *testing.T, key string, got equivView) {
+	t.Helper()
+	if !goldenLoaded {
+		goldenLoaded = true
+		if b, err := os.ReadFile(goldenPath); err == nil {
+			if err := json.Unmarshal(b, &goldenCases); err != nil {
+				t.Fatalf("%s: %v", goldenPath, err)
+			}
+		} else if !*update {
+			t.Fatal(err)
+		}
+	}
+	b, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for i < len(goldenCases) && goldenCases[i].Case != key {
+		i++
+	}
+	if *update {
+		if i < len(goldenCases) {
+			goldenCases[i].View = b
+		} else {
+			goldenCases = append(goldenCases, goldenCase{Case: key, View: b})
+			sort.Slice(goldenCases, func(a, b int) bool { return goldenCases[a].Case < goldenCases[b].Case })
+		}
+		writeGolden(t)
+		return
+	}
+	if i == len(goldenCases) {
+		t.Fatalf("%s: no golden case (re-run with -update to record it)", key)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, goldenCases[i].View); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), b) {
+		t.Errorf("%s diverged from the golden file (re-run with -update only if the change is intended):\n want: %s\n got:  %s",
+			key, want.Bytes(), b)
+	}
+}
+
+// writeGolden writes the golden file with one case per line, so a diff names
+// the cases that changed.
+func writeGolden(t *testing.T) {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString("[\n")
+	for i, c := range goldenCases {
+		line, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(line)
+		if i < len(goldenCases)-1 {
+			buf.WriteByte(',')
+		}
+		buf.WriteByte('\n')
+	}
+	buf.WriteString("]\n")
+	if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -91,21 +91,6 @@ type Config struct {
 	Progress func(now timing.Tick)
 	// ProgressEvery is the Progress callback period (default Duration/100).
 	ProgressEvery timing.Tick
-	// The two scheduler oracles below are unexported so that only this
-	// package's tests can select them; every other caller runs the event
-	// wheel over the readiness cache.
-	//
-	// fullRescan runs every channel's controller with the pre-event-driven
-	// full-rescan scheduler (see memctrl.Options.FullRescan). Exists for the
-	// scheduler-equivalence regression test.
-	fullRescan bool
-	// noTimeSkip runs the per-tick runner loop — every wakeup steps every
-	// channel and scans every core — instead of the event wheel that skips
-	// quiescent channels and cores and jumps time straight to the next
-	// actionable bound. The per-tick loop is the oracle the wheel is proven
-	// bit-identical against (see TestSchedulerEquivalence and DESIGN.md §10),
-	// exactly as fullRescan preserves the pre-event-driven controller.
-	noTimeSkip bool
 }
 
 // Result summarizes a run.
@@ -155,7 +140,7 @@ type runner struct {
 	mc      *memsys.System
 	devices []*dram.Device
 
-	// Event-wheel state (see tickWheel; unused under Config.noTimeSkip).
+	// Event-wheel state (see tick).
 	// ctls caches the per-channel controllers so the wheel can step a single
 	// channel. coreAt holds each core's next issue time, Forever while the
 	// core is stalled (retire restores it when the core unstalls) or parked
@@ -163,8 +148,8 @@ type runner struct {
 	// in one contiguous array so the wheel's per-wakeup scan never touches a
 	// core that is not due. ctlNext caches each channel's advance bound
 	// (Controller.NextReadyAt) so quiescent channels are not stepped at all;
-	// chDirty marks channels that received a request this tick; chPend/chSel
-	// are per-tick scratch.
+	// chDirty marks channels that received a request this wakeup;
+	// chPend/chSel are per-wakeup scratch.
 	ctls    []*memctrl.Controller
 	coreAt  []timing.Tick
 	ctlNext []timing.Tick
@@ -172,7 +157,7 @@ type runner struct {
 	chSel   []bool
 	chDirty []bool
 
-	// Queue-full parking (see tickWheel): a core whose request found its
+	// Queue-full parking (see tick): a core whose request found its
 	// bank queue full waits with coreAt Forever on that bank's list instead
 	// of polling. parkHead[ch*banks+bank] heads the list of cores parked on
 	// the bank, threaded through parkLink (-1 ends a list); parked counts
@@ -322,7 +307,6 @@ func newRunner(cfg Config) (*runner, error) {
 			OnCommand:  onCmd,
 			Probe:      chProbe,
 			Spans:      spanTr,
-			FullRescan: cfg.fullRescan,
 		})
 	}
 	mc, err := memsys.New(ctls)
@@ -401,127 +385,38 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// tick runs one iteration of the event loop: retire due completions, let
-// cores issue, drain the controllers at the current instant, and advance to
-// the earliest future event. Allocation-free in steady state. The default
-// path is the event wheel (tickWheel); Config.noTimeSkip selects the
-// per-tick oracle loop (tickStep) the wheel is proven bit-identical against.
+// tick runs one wakeup of the event wheel: retire due completions, let due
+// cores issue, step the channels that can act, and jump to the earliest
+// future event. Allocation-free in steady state. It touches only the state
+// that can act at this instant:
+//
+//   - cores are walked through their dense next-issue-time array, so only
+//     due cores touch their replay state;
+//   - a core whose request met a full bank queue retries on a 4 tCK grid
+//     from its first rejection, but parks on the bank and wakes only at the
+//     first grid point after a dequeue from it, or after a clamped wakeup
+//     (DESIGN.md §10, part 5);
+//   - a channel is stepped only when it received a request this wakeup, its
+//     cached bound (Controller.NextReadyAt) has arrived, or it is volatile —
+//     a skipped Step is a pure no-op (DESIGN.md §10);
+//   - advance() jumps straight to the minimum bound.
+//
+// Volatility clamp: while any channel is volatile (throttle-bound ACTs or
+// span-tracked non-idle banks), its controller re-evaluates those banks at
+// every Step, so the set of Step instants is observable. The wheel then
+// steps every channel at every wakeup, wakes at every parked core's next
+// retry, and advances on raw Step returns alone.
 func (r *runner) tick() {
-	if r.cfg.noTimeSkip {
-		r.tickStep()
-		return
-	}
-	r.tickWheel()
-}
-
-// tickStep is the per-tick oracle: every wakeup retires, scans every core,
-// and steps every channel, then advances to the minimum of the raw Step
-// returns, the earliest unstalled core, and the earliest completion. Kept
-// verbatim (bar the shared O(1) progress catch-up) as the reference for
-// TestSchedulerEquivalence's wheel axis.
-func (r *runner) tickStep() {
 	cfg := r.cfg
 	now := r.now
 
 	// 1. Retire completions due by now.
 	r.retire(now)
 
-	// 2. Cores issue due requests, recycling Request objects off the free
-	// list (whole-struct reset: a recycled request must not leak its old
-	// Span pointer or channel-rewritten bank index into the new attempt).
-	// Each core's next wake-up is folded into coreNext as its issue loop
-	// ends — core state never changes after its own iteration, so the
-	// advance phase needs no second scan.
-	coreNext := timing.Forever
-	for id, c := range r.cores {
-		for !c.stalled && c.nextIssueAt <= now {
-			if c.outstanding >= cfg.MSHR {
-				c.stalled = true
-				break
-			}
-			req := r.getReq()
-			*req = memctrl.Request{
-				Core:   id,
-				Bank:   c.pending.Bank,
-				Row:    c.pending.Row,
-				Col:    c.pending.Col,
-				Write:  c.pending.Write,
-				Arrive: now,
-			}
-			if !r.mc.Enqueue(req) {
-				// Bank queue full: retry after a short backoff.
-				r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
-				if !c.backoff {
-					c.backoff, c.backoffAt = true, now
-				}
-				c.nextIssueAt = now + cfg.Params.TCK*4
-				break
-			}
-			if c.backoff {
-				req.Span.NoteBackpressure(c.backoffAt)
-				c.backoff = false
-			}
-			c.outstanding++
-			c.fetch(cfg.InstPerNS, now)
-			r.instSeries.Add(now, float64(c.pending.Gap))
-		}
-		if !c.stalled && c.nextIssueAt > now && c.nextIssueAt < coreNext {
-			coreNext = c.nextIssueAt
-		}
-	}
-
-	// 3. Controllers issue commands available at now.
-	next := timing.Forever
-	for {
-		t := r.mc.Step(now)
-		if t > now {
-			next = t
-			break
-		}
-	}
-
-	// 4. Advance to the earliest future event: the controllers' next action,
-	// the earliest unstalled core, or the earliest outstanding completion.
-	if coreNext < next {
-		next = coreNext
-	}
-	if r.nextDone > now && r.nextDone < next {
-		next = r.nextDone
-	}
-	if next <= now {
-		next = now + cfg.Params.TCK
-	}
-	r.now = next
-	r.noteProgress()
-}
-
-// tickWheel is the event-wheel scheduler. It performs the same three phases
-// as tickStep but touches only the state that can act at this instant:
-//
-//   - cores are walked through their dense next-issue-time array, so only
-//     due cores touch their replay state;
-//   - a core whose request met a full bank queue parks until a dequeue from
-//     that bank (or a clamped wakeup) re-arms it on tickStep's retry grid,
-//     instead of waking to poll every 4 tCK (DESIGN.md §10, part 5);
-//   - a channel is stepped only when it received a request this tick, its
-//     cached bound (Controller.NextReadyAt) has arrived, or it is volatile —
-//     a skipped Step is provably a pure no-op (DESIGN.md §10);
-//   - advance() jumps straight to the minimum cached bound.
-//
-// Volatility clamp: while ANY channel is volatile (throttle-bound ACTs,
-// span-tracked non-idle banks, or full-rescan mode), the set of Step
-// instants is observable, so the wheel steps every channel at every wakeup
-// and advances only on raw Step returns — the exact per-tick behavior.
-func (r *runner) tickWheel() {
-	cfg := r.cfg
-	now := r.now
-
-	// 1. Retire completions due by now (shared with tickStep).
-	r.retire(now)
-
-	// 2. Walk the cores in index order — tickStep's order, which bank-queue
-	// insertion (the FR-FCFS tie-break) must match — replaying every due core
-	// and folding each core's next issue time into coreNext in the same pass.
+	// 2. Walk the cores in index order — same-instant requests enter their
+	// bank queues in core-index order, and FR-FCFS breaks ties on queue
+	// order — replaying every due core and folding each core's next issue
+	// time into coreNext in the same pass.
 	coreNext := timing.Forever
 	for id, at := range r.coreAt {
 		if at > now {
@@ -537,6 +432,8 @@ func (r *runner) tickWheel() {
 				c.stalled = true
 				break
 			}
+			// Whole-struct reset: a recycled request must not leak its old
+			// Span pointer or channel-rewritten bank index into this one.
 			req := r.getReq()
 			*req = memctrl.Request{
 				Core:   id,
@@ -548,10 +445,10 @@ func (r *runner) tickWheel() {
 			}
 			ok, ch := r.mc.EnqueueCh(req)
 			if !ok {
-				// Bank queue full: the retry grid stays tickStep's backoff,
-				// but the core parks on the bank until a dequeue (or a
-				// clamp) re-arms it. A failed enqueue mutates nothing, so
-				// the channel stays clean.
+				// Bank queue full: the core's next retry is 4 tCK away,
+				// but it parks on the bank until a dequeue (or a clamp)
+				// re-arms it. A failed enqueue mutates nothing, so the
+				// channel stays clean.
 				r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
 				if !c.backoff {
 					c.backoff, c.backoffAt = true, now
@@ -580,23 +477,22 @@ func (r *runner) tickWheel() {
 		}
 	}
 
-	// 3. Step the channels that can act: enqueued-into this tick, cached
-	// bound arrived, or volatile. The round structure replicates
-	// memsys.Step's ascending-channel interleaving so multi-channel command
-	// (and completion) order is bit-identical to the per-tick loop; skipped
-	// re-steps of already-quiescent channels within the same instant are
-	// idempotent no-ops.
+	// 3. Step the channels that can act: enqueued-into this wakeup, cached
+	// bound arrived, or volatile. The rounds keep memsys.Step's
+	// ascending-channel interleaving, which fixes the multi-channel command
+	// (and completion) order; skipped re-steps of already-quiescent channels
+	// within the same instant are idempotent no-ops.
 	for ch, ctl := range r.ctls {
 		r.chSel[ch] = r.chDirty[ch] || r.ctlNext[ch] <= now || ctl.Volatile()
 		r.chPend[ch] = now
 		r.chDirty[ch] = false
 	}
 	r.stepSelected(now)
-	// Clamp check: if any channel ended this wakeup volatile, the wakeup set
-	// must match the per-tick loop exactly from here on. Step the channels
-	// the selection skipped — still at this same instant, and provably
-	// without effect (their bound had not arrived) — and advance on raw Step
-	// returns alone.
+	// Clamp check: if any channel ended this wakeup volatile, its Step
+	// instants are observable, so from here on the wheel wakes at every raw
+	// Step return and every core retry. Step the channels the selection
+	// skipped — still at this same instant, and provably without effect
+	// (their bound had not arrived) — and advance on raw Step returns alone.
 	clamped := false
 	for _, ctl := range r.ctls {
 		if ctl.Volatile() {
@@ -619,18 +515,17 @@ func (r *runner) tickWheel() {
 		for ch := range r.ctls {
 			r.ctlNext[ch] = r.chPend[ch]
 		}
-		// The clamped wakeup set includes tickStep's retry instants, so
-		// every parked core resumes polling its grid.
+		// The clamped wakeup set includes every parked core's retry
+		// instants, so every parked core resumes polling its grid.
 		r.rearmAll(now)
 	} else {
 		for ch, ctl := range r.ctls {
 			if !r.chSel[ch] {
 				continue
 			}
-			// The bound is the max of the raw Step return (the per-tick
-			// loop's own advance source — it carries transient bounds like
-			// mid-drain precharge times that the cached-state query cannot
-			// see) and NextReadyAt (which can exceed the Step return by
+			// The bound is the max of the raw Step return (it carries
+			// transient bounds like mid-drain precharge times that the
+			// cached-state query cannot see) and NextReadyAt (which can exceed the Step return by
 			// looking past the post-command bus echo). Both are sound lower
 			// bounds on the channel's next action, so their max is too, and
 			// every wakeup skipped by taking the later one is an instant
@@ -663,10 +558,11 @@ func (r *runner) park(id, slot int) {
 
 // rearmSlot returns every core parked on bank slot to the wheel, at the
 // first point of its retry grid strictly after now. It runs from OnComplete,
-// whose column command just dequeued a request from the bank. tickStep's
-// retry at now runs in the core phase, before this Step, and meets the full
-// queue, as every earlier grid point did, since only a dequeue shrinks a
-// queue. So the first retry that can succeed is the first one after now.
+// whose column command just dequeued a request from the bank. A retry at now
+// would run in the core phase, before this Step, and meet the full queue, as
+// a retry at every earlier grid point would, since only a dequeue shrinks a
+// queue. So the first retry that can succeed is the first one after now, and
+// the skipped grid points are retries that would have failed.
 func (r *runner) rearmSlot(slot int, now timing.Tick) {
 	backoff := r.cfg.Params.TCK * 4
 	for id := r.parkHead[slot]; id >= 0; id = r.parkLink[id] {
@@ -683,9 +579,9 @@ func (r *runner) rearmSlot(slot int, now timing.Tick) {
 	r.parkHead[slot] = -1
 }
 
-// rearmAll re-arms every parked core as rearmSlot does: a clamped wakeup
-// must be followed by tickStep's next wakeup, and that includes the retry
-// instants of the cores parked on full queues.
+// rearmAll re-arms every parked core as rearmSlot does: after a clamped
+// wakeup the wheel wakes at every core's next retry, because a volatile
+// channel's Step instants are observable.
 func (r *runner) rearmAll(now timing.Tick) {
 	for slot := 0; r.parked > 0 && slot < len(r.parkHead); slot++ {
 		r.rearmSlot(slot, now)
@@ -716,8 +612,7 @@ func (r *runner) stepSelected(now timing.Tick) {
 // actionable event: the minimum over per-channel bounds, the earliest
 // unstalled core's issue time (coreNext), and the earliest outstanding
 // completion. A bound at or before now (volatile channels, refresh drains)
-// clamps the jump to +1 tCK — the wheel degrades to the per-tick cadence,
-// never skips.
+// clamps the jump to +1 tCK, never skipping an instant.
 func (r *runner) advance(now, coreNext timing.Tick) {
 	next := coreNext
 	for _, b := range r.ctlNext {
@@ -776,7 +671,7 @@ func (r *runner) noteProgress() {
 	if r.cfg.Progress == nil || r.now < r.nextProg {
 		return
 	}
-	r.cfg.Progress(r.now) //shadowvet:ignore allocflow -- Progress is an optional throttled UI hook, nil in measured configs and off the per-tick fast path
+	r.cfg.Progress(r.now) //shadowvet:ignore allocflow -- Progress is an optional throttled UI hook, nil in measured configs and off the per-wakeup fast path
 	r.nextProg += ((r.now-r.nextProg)/r.progEvery + 1) * r.progEvery
 }
 

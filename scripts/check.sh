@@ -51,15 +51,6 @@ fi
 echo "==> go test -race (concurrency-focused lane)"
 go test -race ./internal/exp/... ./internal/obs/...
 
-# The scheduler matrix — {event-cache, full-rescan} x {event-wheel,
-# per-tick} — must stay bit-identical to the retained double-oracle
-# (full-rescan + per-tick) for every mitigation scheme (Stats, flips, span
-# blame, command log). The suite runs inside `go test ./...` too; gating it
-# by name keeps the contract visible and the failure mode unambiguous when
-# someone touches the readiness cache or a readiness lower bound.
-echo "==> scheduler equivalence (2x2 matrix)"
-go test -run 'TestSchedulerEquivalence' ./internal/sim/
-
 # perfbench is a nested module (its own go.mod), so no `./...` above reaches
 # it. Its unit tests drive the memctrl and sim entry points and check the
 # recorded outputs in perfbench/expected.json; gate them by name.
