@@ -146,12 +146,15 @@ type runner struct {
 	// core is stalled (retire restores it when the core unstalls) or parked
 	// on a full queue (rearmSlot and rearmAll restore it); it sits
 	// in one contiguous array so the wheel's per-wakeup scan never touches a
-	// core that is not due. ctlNext caches each channel's advance bound
+	// core that is not due. coreMin is exactly min(coreAt), kept at every
+	// write to coreAt, so a wakeup with no core due skips the walk over
+	// coreAt altogether. ctlNext caches each channel's advance bound
 	// (Controller.NextReadyAt) so quiescent channels are not stepped at all;
 	// chDirty marks channels that received a request this wakeup;
 	// chPend/chSel are per-wakeup scratch.
 	ctls    []*memctrl.Controller
 	coreAt  []timing.Tick
+	coreMin timing.Tick
 	ctlNext []timing.Tick
 	chPend  []timing.Tick
 	chSel   []bool
@@ -161,12 +164,10 @@ type runner struct {
 	// bank queue full waits with coreAt Forever on that bank's list instead
 	// of polling. parkHead[ch*banks+bank] heads the list of cores parked on
 	// the bank, threaded through parkLink (-1 ends a list); parked counts
-	// them. rearmNext is the earliest retry a re-arm scheduled during this
-	// wakeup, folded into the advance bound.
-	parkHead  []int
-	parkLink  []int
-	parked    int
-	rearmNext timing.Tick
+	// them.
+	parkHead []int
+	parkLink []int
+	parked   int
 
 	inflight []completion
 	// nextDone is the earliest completion time in inflight (Forever when
@@ -248,7 +249,6 @@ func newRunner(cfg Config) (*runner, error) {
 		r.parkHead[i] = -1
 	}
 	r.parkLink = make([]int, len(cores))
-	r.rearmNext = timing.Forever
 
 	ctls := make([]*memctrl.Controller, channels)
 	devices := make([]*dram.Device, channels)
@@ -317,8 +317,12 @@ func newRunner(cfg Config) (*runner, error) {
 	r.devices = devices
 	r.ctls = ctls
 	r.coreAt = make([]timing.Tick, len(cores))
+	r.coreMin = timing.Forever
 	for i, c := range cores {
 		r.coreAt[i] = c.nextIssueAt
+		if c.nextIssueAt < r.coreMin {
+			r.coreMin = c.nextIssueAt
+		}
 	}
 	r.ctlNext = make([]timing.Tick, channels)
 	r.chPend = make([]timing.Tick, channels)
@@ -391,7 +395,8 @@ func Run(cfg Config) (*Result, error) {
 // that can act at this instant:
 //
 //   - cores are walked through their dense next-issue-time array, so only
-//     due cores touch their replay state;
+//     due cores touch their replay state, and only at a wakeup where some
+//     core is due (coreMin);
 //   - a core whose request met a full bank queue retries on a 4 tCK grid
 //     from its first rejection, but parks on the bank and wakes only at the
 //     first grid point after a dequeue from it, or after a clamped wakeup
@@ -407,79 +412,20 @@ func Run(cfg Config) (*Result, error) {
 // steps every channel at every wakeup, wakes at every parked core's next
 // retry, and advances on raw Step returns alone.
 func (r *runner) tick() {
-	cfg := r.cfg
 	now := r.now
 
 	// 1. Retire completions due by now.
 	r.retire(now)
 
-	// 2. Walk the cores in index order — same-instant requests enter their
-	// bank queues in core-index order, and FR-FCFS breaks ties on queue
-	// order — replaying every due core and folding each core's next issue
-	// time into coreNext in the same pass.
-	coreNext := timing.Forever
-	for id, at := range r.coreAt {
-		if at > now {
-			if at < coreNext {
-				coreNext = at
-			}
-			continue
-		}
-		c := r.cores[id]
-		parked := false
-		for !c.stalled && c.nextIssueAt <= now {
-			if c.outstanding >= cfg.MSHR {
-				c.stalled = true
-				break
-			}
-			// Whole-struct reset: a recycled request must not leak its old
-			// Span pointer or channel-rewritten bank index into this one.
-			req := r.getReq()
-			*req = memctrl.Request{
-				Core:   id,
-				Bank:   c.pending.Bank,
-				Row:    c.pending.Row,
-				Col:    c.pending.Col,
-				Write:  c.pending.Write,
-				Arrive: now,
-			}
-			ok, ch := r.mc.EnqueueCh(req)
-			if !ok {
-				// Bank queue full: the core's next retry is 4 tCK away,
-				// but it parks on the bank until a dequeue (or a clamp)
-				// re-arms it. A failed enqueue mutates nothing, so the
-				// channel stays clean.
-				r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
-				if !c.backoff {
-					c.backoff, c.backoffAt = true, now
-				}
-				c.nextIssueAt = now + cfg.Params.TCK*4
-				r.park(id, ch*cfg.Geometry.Banks+req.Bank)
-				parked = true
-				break
-			}
-			r.chDirty[ch] = true
-			if c.backoff {
-				req.Span.NoteBackpressure(c.backoffAt)
-				c.backoff = false
-			}
-			c.outstanding++
-			c.fetch(cfg.InstPerNS, now)
-			r.instSeries.Add(now, float64(c.pending.Gap))
-		}
-		at = timing.Forever
-		if !c.stalled && !parked {
-			at = c.nextIssueAt
-		}
-		r.coreAt[id] = at
-		if at < coreNext {
-			coreNext = at
-		}
+	// 2. Let the due cores issue. With none due the walk would change
+	// nothing, so it is skipped.
+	if r.coreMin <= now {
+		r.walkCores(now)
 	}
 
 	// 3. Step the channels that can act: enqueued-into this wakeup, cached
-	// bound arrived, or volatile. The rounds keep memsys.Step's
-	// ascending-channel interleaving, which fixes the multi-channel command
+	// bound arrived, or volatile. stepSelected steps them in ascending
+	// channel order, round after round, which fixes the multi-channel command
 	// (and completion) order; skipped re-steps of already-quiescent channels
 	// within the same instant are idempotent no-ops.
 	for ch, ctl := range r.ctls {
@@ -538,13 +484,76 @@ func (r *runner) tick() {
 		}
 	}
 
-	// 4. Jump to the wheel's bound, which includes the retries re-armed by
+	// 4. Jump to the wheel's bound. coreMin includes the retries re-armed by
 	// this wakeup's dequeues.
-	if r.rearmNext < coreNext {
-		coreNext = r.rearmNext
+	r.advance(now, r.coreMin)
+}
+
+// walkCores walks the cores in index order — same-instant requests enter
+// their bank queues in core-index order, and FR-FCFS breaks ties on queue
+// order — replaying every due core and recomputing coreMin in the same pass.
+func (r *runner) walkCores(now timing.Tick) {
+	cfg := r.cfg
+	coreMin := timing.Forever
+	for id, at := range r.coreAt {
+		if at > now {
+			if at < coreMin {
+				coreMin = at
+			}
+			continue
+		}
+		c := r.cores[id]
+		parked := false
+		for !c.stalled && c.nextIssueAt <= now {
+			if c.outstanding >= cfg.MSHR {
+				c.stalled = true
+				break
+			}
+			// Whole-struct reset: a recycled request must not leak its old
+			// Span pointer or channel-rewritten bank index into this one.
+			req := r.getReq()
+			*req = memctrl.Request{
+				Core:   id,
+				Bank:   c.pending.Bank,
+				Row:    c.pending.Row,
+				Col:    c.pending.Col,
+				Write:  c.pending.Write,
+				Arrive: now,
+			}
+			ok, ch := r.mc.EnqueueCh(req)
+			if !ok {
+				// Bank queue full: the core's next retry is 4 tCK away,
+				// but it parks on the bank until a dequeue (or a clamp)
+				// re-arms it. A failed enqueue mutates nothing, so the
+				// channel stays clean.
+				r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
+				if !c.backoff {
+					c.backoff, c.backoffAt = true, now
+				}
+				c.nextIssueAt = now + cfg.Params.TCK*4
+				r.park(id, ch*cfg.Geometry.Banks+req.Bank)
+				parked = true
+				break
+			}
+			r.chDirty[ch] = true
+			if c.backoff {
+				req.Span.NoteBackpressure(c.backoffAt)
+				c.backoff = false
+			}
+			c.outstanding++
+			c.fetch(cfg.InstPerNS, now)
+			r.instSeries.Add(now, float64(c.pending.Gap))
+		}
+		at = timing.Forever
+		if !c.stalled && !parked {
+			at = c.nextIssueAt
+		}
+		r.coreAt[id] = at
+		if at < coreMin {
+			coreMin = at
+		}
 	}
-	r.rearmNext = timing.Forever
-	r.advance(now, coreNext)
+	r.coreMin = coreMin
 }
 
 // park holds core id on bank slot's full queue: the core stays out of the
@@ -571,8 +580,8 @@ func (r *runner) rearmSlot(slot int, now timing.Tick) {
 			c.nextIssueAt += ((now-c.nextIssueAt)/backoff + 1) * backoff
 		}
 		r.coreAt[id] = c.nextIssueAt
-		if c.nextIssueAt < r.rearmNext {
-			r.rearmNext = c.nextIssueAt
+		if c.nextIssueAt < r.coreMin {
+			r.coreMin = c.nextIssueAt
 		}
 		r.parked--
 	}
@@ -588,9 +597,10 @@ func (r *runner) rearmAll(now timing.Tick) {
 	}
 }
 
-// stepSelected drains every selected channel to quiescence at now, one
-// ascending-channel pass per round exactly like memsys.Step, leaving each
-// selected channel's raw Step return in chPend.
+// stepSelected drains every selected channel to quiescence at now, in rounds:
+// each round steps every selected channel that is still due, in ascending
+// channel order, so the channels' commands at one instant interleave in a
+// fixed order. Each selected channel's raw Step return is left in chPend.
 func (r *runner) stepSelected(now timing.Tick) {
 	for {
 		again := false
@@ -650,6 +660,9 @@ func (r *runner) retire(now timing.Tick) {
 					c.nextIssueAt = r.inflight[i].at
 				}
 				r.coreAt[id] = c.nextIssueAt
+				if c.nextIssueAt < r.coreMin {
+					r.coreMin = c.nextIssueAt
+				}
 			}
 			r.inflight[i] = r.inflight[len(r.inflight)-1]
 			r.inflight = r.inflight[:len(r.inflight)-1]
