@@ -248,3 +248,42 @@ func TestSameBankRefreshLessIntrusive(t *testing.T) {
 		t.Fatalf("REFsb worst latency %v exceeds all-bank REF %v", sameBank, allBank)
 	}
 }
+
+// TestTRRSurvivesRefreshDrain: a refresh drain that precharges a bank in the
+// middle of a two-victim TRR must not leave the bank marked as holding a TRR
+// activation. The second victim's ACT must still issue with no demand
+// request following to clear the mark.
+func TestTRRSurvivesRefreshDrain(t *testing.T) {
+	var trrRows []int
+	c := newCtl(t, Options{OnCommand: func(cmd Cmd) {
+		if cmd.Kind == CmdACT {
+			trrRows = append(trrRows, cmd.Row)
+		}
+	}}, 0)
+	c.banks[0].trr = []int{5, 7}
+	drained := false
+	for now := timing.Tick(0); now < 20*timing.Microsecond; {
+		if !drained && c.banks[0].trrOpen {
+			// The first victim is open: make refresh due at once, so the
+			// drain, not the TRR, closes the row.
+			c.nextRefreshAt = now
+			drained = true
+		}
+		next := c.Step(now)
+		if next > now {
+			now = next
+		}
+	}
+	if !drained {
+		t.Fatal("the first TRR activation never issued")
+	}
+	if c.Stats.Refs == 0 {
+		t.Fatal("no refresh drained the bank")
+	}
+	if len(trrRows) != 2 || trrRows[0] != 5 || trrRows[1] != 7 || c.Stats.TRRs != 2 {
+		t.Fatalf("TRR ACTs on rows %v (%d counted), want [5 7]", trrRows, c.Stats.TRRs)
+	}
+	if b := &c.banks[0]; b.open || b.trrOpen {
+		t.Fatalf("bank left open=%v trrOpen=%v", b.open, b.trrOpen)
+	}
+}
