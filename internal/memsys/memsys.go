@@ -6,10 +6,11 @@
 // parallelism-maximizing layout of Section II-B).
 //
 // Channels are fully independent in DDR systems — separate command, address,
-// and data buses — so the system's Step is simply the earliest next event
-// across per-channel controllers. (Multiple ranks per channel would share
-// buses; the paper's machine has one DIMM per channel, and we fold its two
-// physical ranks into the per-channel bank count.)
+// and data buses — so each channel's controller is stepped on its own (the
+// simulator's event wheel steps only the channels that can act). (Multiple
+// ranks per channel would share buses; the paper's machine has one DIMM per
+// channel, and we fold its two physical ranks into the per-channel bank
+// count.)
 package memsys
 
 import (
@@ -17,7 +18,6 @@ import (
 
 	"shadow/internal/dram"
 	"shadow/internal/memctrl"
-	"shadow/internal/timing"
 )
 
 // System is a set of independent memory channels.
@@ -57,45 +57,14 @@ func (s *System) Route(globalBank int) (ch, bank int) {
 	return gb % len(s.channels), gb / len(s.channels)
 }
 
-// Enqueue routes a request whose Bank field is a global bank index; the
-// field is rewritten to the channel-local bank.
-func (s *System) Enqueue(r *memctrl.Request) bool {
-	ch, bank := s.Route(r.Bank)
-	r.Bank = bank
-	return s.channels[ch].Enqueue(r)
-}
-
-// EnqueueCh routes and enqueues like Enqueue and additionally reports which
-// channel the request landed on, so the event wheel can mark that channel
-// due without sweeping all of them.
+// EnqueueCh routes a request whose Bank field is a global bank index,
+// rewriting the field to the channel-local bank, and reports which channel
+// the request landed on, so the event wheel can mark that channel due
+// without sweeping all of them.
 func (s *System) EnqueueCh(r *memctrl.Request) (ok bool, ch int) {
 	ch, bank := s.Route(r.Bank)
 	r.Bank = bank
 	return s.channels[ch].Enqueue(r), ch
-}
-
-// Step runs every channel that can act at `now` and returns the earliest
-// future instant any channel could act. Like Controller.Step, a return value
-// equal to now means call again.
-func (s *System) Step(now timing.Tick) timing.Tick {
-	next := timing.Forever
-	for _, c := range s.channels {
-		t := c.Step(now)
-		if t < next {
-			next = t
-		}
-	}
-	return next
-}
-
-// Pending reports whether any channel has queued requests.
-func (s *System) Pending() bool {
-	for _, c := range s.channels {
-		if c.Pending() {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats sums controller statistics across channels.

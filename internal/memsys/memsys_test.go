@@ -52,8 +52,12 @@ func TestRouteInterleavesChannelsFirst(t *testing.T) {
 func TestEnqueueRewritesBank(t *testing.T) {
 	s := newSystem(t, 2)
 	r := &memctrl.Request{Bank: 5, Row: 1} // channel 1, local bank 2
-	if !s.Enqueue(r) {
+	ok, ch := s.EnqueueCh(r)
+	if !ok {
 		t.Fatal("enqueue failed")
+	}
+	if ch != 1 {
+		t.Fatalf("request reported on channel %d, want 1", ch)
 	}
 	if r.Bank != 2 {
 		t.Fatalf("request bank rewritten to %d, want 2", r.Bank)
@@ -61,28 +65,30 @@ func TestEnqueueRewritesBank(t *testing.T) {
 	if !s.Controller(1).Pending() || s.Controller(0).Pending() {
 		t.Fatal("request routed to wrong channel")
 	}
-	if !s.Pending() {
-		t.Fatal("system should be pending")
-	}
 }
 
+// TestStepDrivesAllChannels steps each channel's controller on its own,
+// as the simulator's event wheel does, and checks the system-wide sums.
 func TestStepDrivesAllChannels(t *testing.T) {
 	s := newSystem(t, 2)
 	for gb := 0; gb < 8; gb++ {
-		if !s.Enqueue(&memctrl.Request{Bank: gb, Row: 3}) {
+		if ok, _ := s.EnqueueCh(&memctrl.Request{Bank: gb, Row: 3}); !ok {
 			t.Fatal("enqueue failed")
 		}
 	}
-	now := timing.Tick(0)
-	for s.Pending() && now < timing.Millisecond {
-		next := s.Step(now)
-		if next <= now {
-			continue
+	for ch := 0; ch < s.Channels(); ch++ {
+		c := s.Controller(ch)
+		for now := timing.Tick(0); c.Pending() && now < timing.Millisecond; {
+			if next := c.Step(now); next > now {
+				now = next
+			}
 		}
-		now = next
-	}
-	if s.Pending() {
-		t.Fatal("requests stuck")
+		if c.Pending() {
+			t.Fatalf("channel %d: requests stuck", ch)
+		}
+		if c.Stats.Reads != 4 {
+			t.Fatalf("channel %d served %d reads, want 4", ch, c.Stats.Reads)
+		}
 	}
 	st := s.Stats()
 	if st.Reads != 8 || st.Acts != 8 {
