@@ -42,21 +42,16 @@ if [ "$shadowvet_elapsed" -gt "$SHADOWVET_BUDGET_SECONDS" ]; then
     echo "WARNING: shadowvet wall clock ${shadowvet_elapsed}s exceeds the ${SHADOWVET_BUDGET_SECONDS}s lint budget (non-fatal; profile the analyzers or the call-graph build)" >&2
 fi
 
-# Static concurrency checking (lockflow/goroleak/sharedflow above) and
-# dynamic checking gate together: a fast, focused race lane over the
-# packages that actually spawn goroutines (the exp sweep workers, the obs
-# inspector serving HTTP during a run, the fleet collector's cross-goroutine
-# merging) runs before the full race sweep at the end, so concurrency
-# regressions fail in seconds, not minutes.
-echo "==> go test -race (concurrency-focused lane)"
-go test -race ./internal/exp/... ./internal/obs/...
-
 # perfbench is a nested module (its own go.mod), so no `./...` above reaches
 # it. Its unit tests drive the memctrl and sim entry points and check the
 # recorded outputs in perfbench/expected.json; gate them by name.
 echo "==> perfbench unit tests (nested module)"
 (cd perfbench && go test ./...)
 
+# The race sweep covers the packages that spawn goroutines (the exp sweep
+# workers, the obs inspector serving HTTP during a run, the fleet
+# collector's cross-goroutine merging), the dynamic side of the static
+# concurrency analyzers (lockflow/goroleak/sharedflow) above.
 echo "==> go test -race"
 go test -race ./...
 
