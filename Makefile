@@ -12,9 +12,8 @@ race:
 	go test -race ./...
 
 # The concurrency-focused race lane: just the packages that spawn
-# goroutines (exp sweep workers, the obs inspector). Pairs with the
-# static concurrency analyzers (lockflow/goroleak/sharedflow) in `make
-# lint` — run both when touching anything concurrent.
+# goroutines (exp sweep workers, the obs inspector). Run it, and `make
+# vet` for go vet's lock-copy check, when touching anything concurrent.
 race-focused:
 	go test -race ./internal/exp/... ./internal/obs/...
 

@@ -14,13 +14,9 @@
 // exhaustive switches over the closed enums (span.Cause, obs.Kind,
 // memctrl.CmdKind, ...), nil-receiver guards on the nil-safe obs hot-path
 // types, the internal/ import DAG, the "<pkg>: ..." panic-message
-// convention, checked errors on DRAM command-issuing methods, and the
-// concurrency discipline: no by-value lock copies (locks), every
-// Lock/RLock released on all paths with no double-lock and no blocking
-// under a lock (lockflow, flow-sensitive over the internal/analysis/cfg
-// control-flow graphs), a visible termination signal on every go
-// statement (goroleak), and guarded writes to hot-path simulator state
-// from goroutines or callbacks (sharedflow). Two interprocedural
+// convention, and checked errors on DRAM command-issuing methods.
+// Concurrency is left to the stock tools: `go vet` catches by-value lock
+// copies and `go test -race` catches races. Two interprocedural
 // analyzers work over the module-wide call graph
 // (internal/analysis/callgraph): allocflow proves everything reachable
 // from the hot-path roots (the scheduler tick, the controller step, the

@@ -15,9 +15,8 @@ import (
 // must be allocation-free: the perf contract of the event-driven scheduler
 // (PR 5) is 0 allocs/op in steady state, measured dynamically by
 // internal/sim/alloc_test.go and proved statically here. Matching is by
-// declaring-package name plus receiver and method (the sharedflow
-// convention), restricted to module-local packages, so fixtures can
-// masquerade with a package clause.
+// declaring-package name plus receiver and method, restricted to
+// module-local packages, so fixtures can masquerade with a package clause.
 var allocRoots = map[string]string{
 	// The simulator event loop: retire, issue, drain, advance.
 	"sim.runner.tick": "the per-tick simulator event loop",

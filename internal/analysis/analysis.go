@@ -58,7 +58,7 @@ type Analyzer struct {
 
 // All returns the full shadowvet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Exhaustive, NilGuard, Layering, PanicMsg, CmdErr, Locks, LockFlow, GoroLeak, SharedFlow, AllocFlow, DetFlow}
+	return []*Analyzer{Determinism, Exhaustive, NilGuard, Layering, PanicMsg, CmdErr, AllocFlow, DetFlow}
 }
 
 // A Module is the whole package set of one Run, handed to cross-package

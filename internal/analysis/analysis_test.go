@@ -88,11 +88,11 @@ func TestExpandPatterns(t *testing.T) {
 		t.Errorf("./... should include the package's own directory, got %v", dirs)
 	}
 
-	dirs, err = ExpandPatterns([]string{"testdata/src/locks"})
+	dirs, err = ExpandPatterns([]string{"testdata/src/panicmsg"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dirs) != 1 || dirs[0] != filepath.Clean("testdata/src/locks") {
+	if len(dirs) != 1 || dirs[0] != filepath.Clean("testdata/src/panicmsg") {
 		t.Errorf("plain directory pattern: got %v", dirs)
 	}
 }

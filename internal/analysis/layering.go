@@ -20,17 +20,13 @@ const internalPrefix = "shadow/internal/"
 // architecture for every future change.
 var layerImports = map[string][]string{
 	// Foundations: no internal imports at all.
-	"timing":       {},
-	"hammer":       {},
-	"rng":          {},
-	"analysis/cfg": {},
+	"timing": {},
+	"hammer": {},
+	"rng":    {},
 
-	// The module-wide call graph sits beside the CFG core, below the
-	// analyzer framework.
+	// The module-wide call graph sits below the analyzer framework.
 	"analysis/callgraph": {},
-
-	// The analyzer framework sits on its own CFG core and call graph.
-	"analysis": {"analysis/cfg", "analysis/callgraph"},
+	"analysis":           {"analysis/callgraph"},
 
 	// Leaf instrumentation and reporting.
 	"circuit":    {"timing"},

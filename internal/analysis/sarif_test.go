@@ -14,8 +14,8 @@ import (
 func TestWriteSARIF(t *testing.T) {
 	fixtures := []struct{ name, path string }{
 		{"panicmsg", ""},
-		{"lockflow", ""},
-		{"goroleak", ""},
+		{"cmderr", ""},
+		{"nilguard", "shadow/internal/obs"},
 	}
 	var pkgs []*Package
 	for _, f := range fixtures {

@@ -57,13 +57,9 @@ func TestWaiverHygieneSubsetRuns(t *testing.T) {
 func TestRunParallelMatchesSequential(t *testing.T) {
 	fixtures := []struct{ name, path string }{
 		{"panicmsg", ""},
-		{"locks", ""},
 		{"determinism", "shadow/internal/sim"},
 		{"exhaustive", ""},
 		{"nilguard", "shadow/internal/obs"},
-		{"lockflow", ""},
-		{"goroleak", ""},
-		{"sharedflow", ""},
 		{"allocflow", ""},
 		{"detflow", "shadow/internal/sim"},
 	}

@@ -3,9 +3,11 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"shadow/internal/timing"
 	"shadow/internal/trace"
@@ -65,10 +67,24 @@ func baselineKeyCount(o RunOpts) int {
 	return n
 }
 
+// checkGoroutinesExit fails t unless the goroutine count falls back to
+// before within about two seconds: parallelEach must not return while a
+// worker is still running.
+func checkGoroutinesExit(t *testing.T, before int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 2000 {
+			t.Fatalf("%d goroutines outlived the call (before: %d)", runtime.NumGoroutine()-before, before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestParallelEachErrorFirstWins hammers the error path: many workers fail
 // concurrently and exactly one error must surface, with errMu keeping the
-// write race-free (verified by -race).
+// write race-free (verified by -race). Every worker exits, error or not.
 func TestParallelEachErrorFirstWins(t *testing.T) {
+	before := runtime.NumGoroutine()
 	boom := errors.New("exp: synthetic failure")
 	var calls atomic.Int64
 	err := parallelEach(200, 8, func(_, i int) error {
@@ -84,11 +100,13 @@ func TestParallelEachErrorFirstWins(t *testing.T) {
 	if calls.Load() == 0 || calls.Load() > 200 {
 		t.Fatalf("calls = %d out of range", calls.Load())
 	}
+	checkGoroutinesExit(t, before)
 }
 
 // TestParallelEachCoversAll checks the work-stealing index distribution:
-// every index runs exactly once across workers.
+// every index runs exactly once across workers, and every worker exits.
 func TestParallelEachCoversAll(t *testing.T) {
+	before := runtime.NumGoroutine()
 	const n = 500
 	var hits [n]atomic.Int32
 	if err := parallelEach(n, 16, func(_, i int) error {
@@ -102,4 +120,5 @@ func TestParallelEachCoversAll(t *testing.T) {
 			t.Fatalf("index %d ran %d times, want 1", i, got)
 		}
 	}
+	checkGoroutinesExit(t, before)
 }

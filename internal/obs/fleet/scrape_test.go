@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +94,7 @@ func TestScrapeFailureRecordsError(t *testing.T) {
 }
 
 func TestPollerStartStop(t *testing.T) {
+	before := runtime.NumGoroutine()
 	clk := newFakeClock()
 	c := newTestCollector(clk)
 	srv := fakeWorker(t, workerExposition(t, "shadow", 1),
@@ -116,4 +118,14 @@ func TestPollerStartStop(t *testing.T) {
 	nilPoller.Start(time.Millisecond)
 	nilPoller.Stop()
 	nilPoller.ScrapeAll()
+
+	// Closing the server also closes its client's idle connections, so
+	// every goroutine left after that belongs to the poller.
+	srv.Close()
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 2000 {
+			t.Fatalf("%d goroutines outlived Start/Stop (before: %d)", runtime.NumGoroutine()-before, before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

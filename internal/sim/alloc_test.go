@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"shadow/internal/dram"
@@ -8,6 +9,7 @@ import (
 	"shadow/internal/memctrl"
 	"shadow/internal/obs"
 	"shadow/internal/obs/flight"
+	"shadow/internal/obs/span"
 	"shadow/internal/shadow"
 	"shadow/internal/timing"
 	"shadow/internal/trace"
@@ -21,36 +23,20 @@ import (
 // recycled object escaping, a map in the hot path) fails CI rather than
 // silently costing GC time.
 
-// steadyRunner builds a runner and pumps it past warmup so pools and queue
-// capacities have reached their high-water marks.
-func steadyRunner(t *testing.T, p *timing.Params, mit dram.Mitigator) *runner {
-	return steadyProbedRunner(t, p, mit, nil)
-}
-
-// steadyProbedRunner is steadyRunner with an optional probe attached, for
-// pinning the instrumented hot path.
-func steadyProbedRunner(t *testing.T, p *timing.Params, mit dram.Mitigator, probe *obs.Probe) *runner {
-	return steadyCoresRunner(t, p, mit, probe, 2)
-}
-
-// steadyCoresRunner is steadyProbedRunner over a given number of MixHigh
-// cores on one channel.
-func steadyCoresRunner(t *testing.T, p *timing.Params, mit dram.Mitigator, probe *obs.Probe, cores int) *runner {
+// steadyRunner builds a runner over cfg's scheme and instruments, fed by
+// the given number of MixHigh cores on one channel, and pumps it past
+// warmup so pools and queue capacities have reached their high-water marks.
+func steadyRunner(t *testing.T, cores int, cfg Config) *runner {
 	t.Helper()
-	g := smallGeo()
+	cfg.Geometry = smallGeo()
 	profiles := trace.MixHigh(cores)
 	for i := range profiles {
 		profiles[i].WorkingSetRows = 1 << 10
 	}
-	r, err := newRunner(Config{
-		Params:    p,
-		Geometry:  g,
-		Hammer:    hammer.Config{HCnt: 1 << 20, BlastRadius: 3},
-		DeviceMit: mit,
-		Workload:  trace.Generators(profiles, g, 42),
-		Duration:  timing.Second, // far beyond what the test ever simulates
-		Probe:     probe,
-	})
+	cfg.Hammer = hammer.Config{HCnt: 1 << 20, BlastRadius: 3}
+	cfg.Workload = trace.Generators(profiles, cfg.Geometry, 42)
+	cfg.Duration = timing.Second // far beyond what the test ever simulates
+	r, err := newRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,23 +48,32 @@ func steadyCoresRunner(t *testing.T, p *timing.Params, mit dram.Mitigator, probe
 	return r
 }
 
+// TestTickDoesNotAllocate runs every scheme of the scheduler-equivalence
+// matrix, with span tracking off and on, so the device-side, MC-side and
+// span-tracker hot paths are all held to 0 allocs/op.
 func TestTickDoesNotAllocate(t *testing.T) {
-	cases := []struct {
-		name string
-		p    *timing.Params
-		mit  func() dram.Mitigator
-	}{
-		{name: "baseline", p: baseParams(), mit: func() dram.Mitigator { return nil }},
-		{name: "shadow", p: shadowParams(64), mit: func() dram.Mitigator {
-			return shadow.New(shadow.Options{Seed: 99})
-		}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			r := steadyRunner(t, tc.p, tc.mit())
-			if avg := testing.AllocsPerRun(2000, r.tick); avg != 0 {
-				t.Errorf("runner.tick (wheel) allocates %.3f objects/op in steady state; want 0", avg)
+	for _, sc := range equivSchemes() {
+		t.Run(sc.name, func(t *testing.T) {
+			for _, spans := range []bool{false, true} {
+				t.Run(fmt.Sprintf("spans=%t", spans), func(t *testing.T) {
+					cfg := Config{Params: sc.params()}
+					if sc.dev != nil {
+						cfg.DeviceMit = sc.dev(99)
+					}
+					if sc.mc != nil {
+						cfg.MCSide = sc.mc(cfg.Params, 99)
+					}
+					if sc.filter != nil {
+						cfg.RFMFilter = sc.filter(cfg.Params)
+					}
+					if spans {
+						cfg.Spans = span.NewCollector(4096)
+					}
+					r := steadyRunner(t, 2, cfg)
+					if avg := testing.AllocsPerRun(2000, r.tick); avg != 0 {
+						t.Errorf("runner.tick allocates %.3f objects/op in steady state; want 0", avg)
+					}
+				})
 			}
 		})
 	}
@@ -89,7 +84,7 @@ func TestTickDoesNotAllocate(t *testing.T) {
 // and OnComplete re-arms them on every dequeue from their bank, all at
 // 0 allocs/op.
 func TestSaturatedTickDoesNotAllocate(t *testing.T) {
-	r := steadyCoresRunner(t, shadowParams(64), shadow.New(shadow.Options{Seed: 99}), nil, 16)
+	r := steadyRunner(t, 16, Config{Params: shadowParams(64), DeviceMit: shadow.New(shadow.Options{Seed: 99})})
 	sawParked := false
 	tick := func() {
 		r.tick()
@@ -114,7 +109,11 @@ func TestSaturatedTickDoesNotAllocate(t *testing.T) {
 func TestTickWithFlightDoesNotAllocate(t *testing.T) {
 	ring := flight.NewRing(flight.DefaultCapacity)
 	rec := obs.NewRecorder(obs.Options{Flight: ring})
-	r := steadyProbedRunner(t, shadowParams(64), shadow.New(shadow.Options{Seed: 99}), rec.NewTrack("flight"))
+	r := steadyRunner(t, 2, Config{
+		Params:    shadowParams(64),
+		DeviceMit: shadow.New(shadow.Options{Seed: 99}),
+		Probe:     rec.NewTrack("flight"),
+	})
 	if avg := testing.AllocsPerRun(2000, r.tick); avg != 0 {
 		t.Errorf("runner.tick with flight recorder allocates %.3f objects/op in steady state; want 0", avg)
 	}
