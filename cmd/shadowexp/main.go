@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -51,8 +50,6 @@ func main() {
 	inspect := flag.String("inspect", "", "serve a live run inspector on this address (forces sequential points)")
 	workers := flag.Int("workers", 0, "concurrent operating points per sweep (0 = GOMAXPROCS; probing flags still force 1)")
 	fleetInspect := flag.String("fleet-inspect", "", "serve the shadowfleet dashboard on this address (keeps the sweep parallel)")
-	fleetScrape := flag.String("fleet-scrape", "", "comma-separated remote workers to scrape into the fleet, each 'id=http://host:port' or a bare URL")
-	fleetScrapeInterval := flag.Duration("fleet-scrape-interval", time.Second, "remote worker scrape interval")
 	fleetOut := flag.String("fleet-out", "", "write the final fleet.json roll-up to this file at exit")
 	flightCap := flag.Int("flight", 0, "flight recorder capacity in events (0 disables; forces sequential points)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump to this JSON file at exit")
@@ -136,15 +133,13 @@ func main() {
 
 	// Fleet observability (shadowfleet): unlike -inspect, the fleet hooks do
 	// NOT force the sweep sequential — every fan-out worker gets its own
-	// recorder (only ever touched from that worker's goroutine), renders it
-	// to Prometheus text on its own goroutine, and hands the bytes to the
-	// internally-locked collector; remote workers arrive through the same
-	// parser via the scrape poller.
+	// recorder (only ever touched from that worker's goroutine) and hands it
+	// to the internally-locked collector, which snapshots it on that same
+	// goroutine.
 	var fleetCol *fleet.Collector
 	stopFleet := func() {}
-	var poller *fleet.Poller
-	if *fleetInspect != "" || *fleetScrape != "" || *fleetOut != "" {
-		fleetCol = fleet.NewCollector(fleet.Options{Clock: time.Now})
+	if *fleetInspect != "" || *fleetOut != "" {
+		fleetCol = fleet.NewCollector(time.Now)
 		fleetCol.Watch().OnTrip(func(tr flight.Trip) {
 			fmt.Fprintf(os.Stderr, "fleet watchdog %s tripped: %s\n", tr.Watchdog, tr.Detail)
 		})
@@ -157,18 +152,9 @@ func main() {
 		workerRecs := make([]*obs.Recorder, maxWorkers)
 		wid := func(worker int) string { return fmt.Sprintf("w%d", worker) }
 		ingestWorker := func(worker int) {
-			if worker >= len(workerRecs) || workerRecs[worker] == nil {
-				return
+			if worker < len(workerRecs) && workerRecs[worker] != nil {
+				fleetCol.Ingest(wid(worker), workerRecs[worker].Metrics())
 			}
-			m := workerRecs[worker].Metrics()
-			if m == nil {
-				return
-			}
-			var b bytes.Buffer
-			if err := m.WritePrometheus(&b); err != nil {
-				return
-			}
-			fleetCol.Ingest(wid(worker), b.Bytes())
 		}
 		if o.ProbeFor == nil {
 			// -trace-out/-metrics-out own the probes (and force the sweep
@@ -197,16 +183,6 @@ func main() {
 			fleetCol.PointDone(wid(worker), label, scheme, seed, cmdHash)
 			ingestWorker(worker)
 			fleetCol.Tick()
-		}
-		if *fleetScrape != "" {
-			var targets []fleet.Target
-			for _, s := range strings.Split(*fleetScrape, ",") {
-				t, err := fleet.ParseTarget(strings.TrimSpace(s))
-				cli.ExitOn(err)
-				targets = append(targets, t)
-			}
-			poller = fleet.NewPoller(fleetCol, targets, nil)
-			poller.Start(*fleetScrapeInterval)
 		}
 		if *fleetInspect != "" {
 			var err error
@@ -293,7 +269,6 @@ func main() {
 	cli.ExitOn(cli.WriteObs(rec, *traceOut, *metricsOut))
 	cli.ExitOn(cli.WriteFlightFile(watch, *flightOut))
 	stopInspector()
-	poller.Stop()
 	if fleetCol != nil {
 		fleetCol.Tick() // final trends + watchdog pass before the last snapshot
 		if *fleetOut != "" {

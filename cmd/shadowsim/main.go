@@ -63,7 +63,6 @@ func main() {
 	progress := flag.Bool("progress", false, "print a stderr progress heartbeat")
 	blame := flag.Bool("blame", false, "print the shadowtap stall-blame breakdown after the run")
 	inspect := flag.String("inspect", "", "serve a live run inspector on this address (e.g. :8080)")
-	workerID := flag.String("worker-id", "", "fleet worker identity for scrapeable-worker mode: adds a worker field to /status.json and a shadow_worker_info gauge to /metrics (requires -inspect)")
 	flightCap := flag.Int("flight", flight.DefaultCapacity, "flight recorder capacity in events (0 disables the always-on flight lane)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump (event window + watchdog trip) to this JSON file at exit")
 	stallP99US := flag.Int64("stall-p99-us", 0, "arm the stall-spike watchdog: trip when the p99 request stall over the trailing window exceeds this many simulated microseconds (0 disables)")
@@ -207,7 +206,6 @@ func main() {
 	stopInspector := func() {}
 	if *inspect != "" {
 		ins, stopInspector = cli.StartInspector(*inspect, rec, watch, blameRows)
-		ins.SetWorker(*workerID)
 		tick := progressFn
 		total := o.Duration
 		progressFn = func(now timing.Tick) {

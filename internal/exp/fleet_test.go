@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"regexp"
+	"strconv"
 	"testing"
 	"time"
 
@@ -43,20 +45,12 @@ func fleetSweep(t *testing.T, o RunOpts, col *fleet.Collector) []PerfPoint {
 		}
 		workerRecs := make([]*obs.Recorder, maxWorkers)
 		wid := func(worker int) string { return fmt.Sprintf("w%d", worker) }
-		// ingest renders a worker's registry and hands the bytes to the
-		// collector — the same one-merge-path flow cmd/shadowexp uses. Runs on
-		// the worker's own goroutine; the recorder is never shared.
+		// ingest hands a worker's registry to the collector, which snapshots
+		// it — the same flow cmd/shadowexp uses. Runs on the worker's own
+		// goroutine; the recorder is never shared.
 		ingest := func(worker int) {
-			if workerRecs[worker] == nil {
-				return
-			}
-			var buf bytes.Buffer
-			if err := workerRecs[worker].Metrics().WritePrometheus(&buf); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := col.Ingest(wid(worker), buf.Bytes()); err != nil {
-				t.Errorf("ingest worker %d: %v", worker, err)
+			if workerRecs[worker] != nil {
+				col.Ingest(wid(worker), workerRecs[worker].Metrics())
 			}
 		}
 		o.OnPointsPlanned = col.ExpectPoints
@@ -119,6 +113,14 @@ func TestPointLabelInjective(t *testing.T) {
 	}
 }
 
+// sampleLine matches any exposition sample; counterLine matches a
+// per-worker (shadow_counter) or fleet-total (shadow_fleet_counter) sample:
+// family, escaped instrument name, the remaining labels, value.
+var (
+	sampleLine  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? \S+$`)
+	counterLine = regexp.MustCompile(`^(shadow_counter|shadow_fleet_counter)\{name="((?:[^"\\]|\\.)*)"(.*)\} (\S+)$`)
+)
+
 // TestFleetSweepObservedAndNeutral is the acceptance-criteria integration
 // test: a 12-point parallel sweep with the fleet layer attached (a) merges
 // per-worker counters so the fleet totals account for 100% of them, (b)
@@ -141,7 +143,7 @@ func TestFleetSweepObservedAndNeutral(t *testing.T) {
 	// from every worker goroutine race-free because nothing mutates it): all
 	// wall durations are zero, which keeps the straggler median path off.
 	wall := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	col := fleet.NewCollector(fleet.Options{Clock: func() time.Time { return wall }})
+	col := fleet.NewCollector(func() time.Time { return wall })
 	fleetPoints := fleetSweep(t, base, col)
 	col.Tick()
 
@@ -184,23 +186,32 @@ func TestFleetSweepObservedAndNeutral(t *testing.T) {
 	if err := col.WriteMetrics(&merged); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := fleet.Parse(merged.Bytes())
-	if err != nil {
-		t.Fatalf("merged exposition does not re-parse: %v", err)
-	}
 	perWorker := map[string]float64{}
 	fleetTotal := map[string]float64{}
-	for _, f := range fams {
-		for _, s := range f.Samples {
-			switch f.Name {
-			case "shadow_counter":
-				if s.Label("worker") == "" {
-					t.Fatalf("per-worker sample without worker label: %+v", s)
-				}
-				perWorker[s.Label("name")] += s.Value
-			case "shadow_fleet_counter":
-				fleetTotal[s.Label("name")] = s.Value
+	for _, line := range bytes.Split(merged.Bytes(), []byte("\n")) {
+		if len(line) == 0 || bytes.HasPrefix(line, []byte("# ")) {
+			continue
+		}
+		if !sampleLine.Match(line) {
+			t.Fatalf("merged exposition line is not a sample: %q", line)
+		}
+		m := counterLine.FindSubmatch(line)
+		if m == nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(string(m[4]), 64)
+		if err != nil {
+			t.Fatalf("bad counter value in %q: %v", line, err)
+		}
+		name := string(m[2])
+		switch string(m[1]) {
+		case "shadow_counter":
+			if !bytes.Contains(m[3], []byte(`,worker="`)) {
+				t.Fatalf("per-worker sample without worker label: %q", line)
 			}
+			perWorker[name] += v
+		case "shadow_fleet_counter":
+			fleetTotal[name] = v
 		}
 	}
 	if len(perWorker) == 0 {

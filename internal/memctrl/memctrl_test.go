@@ -2,7 +2,6 @@ package memctrl
 
 import (
 	"testing"
-	"testing/quick"
 
 	"shadow/internal/dram"
 	"shadow/internal/hammer"
@@ -327,31 +326,6 @@ func TestStatsHelpers(t *testing.T) {
 	var zero Stats
 	if zero.RowHitRate() != 0 || zero.AvgReadLatency() != 0 {
 		t.Fatal("zero stats helpers")
-	}
-}
-
-func TestAddrRoundTrip(t *testing.T) {
-	g := dram.DefaultGeometry(true)
-	f := func(pa uint64) bool {
-		bank, row, col := DecodePA(pa, g)
-		if bank < 0 || bank >= g.Banks || row < 0 || row >= g.PARowsPerBank() {
-			return false
-		}
-		b2, r2, c2 := DecodePA(EncodePA(bank, row, col, g), g)
-		return b2 == bank && r2 == row && c2 == col
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSequentialAddressesInterleaveBanks(t *testing.T) {
-	g := dram.DefaultGeometry(true)
-	rowSize := uint64(g.RowBytes)
-	b0, _, _ := DecodePA(0, g)
-	b1, _, _ := DecodePA(rowSize, g) // one row-worth later: next bank
-	if b0 == b1 {
-		t.Fatal("sequential rows do not interleave across banks")
 	}
 }
 

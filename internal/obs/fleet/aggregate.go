@@ -5,21 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"shadow/internal/obs"
 	"shadow/internal/obs/flight"
 )
 
-// The aggregator: merges every worker's parsed metric families into one
+// The aggregator: merges every worker's metric snapshot into one
 // fleet-level exposition and one fleet.json roll-up. All of it renders from
 // a single consistent snapshot taken under the Collector's mutex, and every
 // ordering is explicit (family name, then instrument name, then worker id),
 // so two renders of the same state are byte-identical.
 
-// flipsSuffix identifies bit-flip counters among ingested samples: the dram
+// flipsSuffix identifies bit-flip counters among ingested counters: the dram
 // layer registers "dram/flips_total" and per-point probe tracks prepend
 // "<scheme>/<workloads>/h<N>/" (and channel tracks "chN/"), so the scheme of
 // a flips counter is the first path segment of its instrument name.
@@ -28,30 +28,13 @@ const flipsSuffix = "dram/flips_total"
 // WorkerJSON is one entry of /fleet/workers.json.
 type WorkerJSON struct {
 	ID         string       `json:"id"`
-	Source     string       `json:"source"`
 	Point      string       `json:"point"`
 	Scheme     string       `json:"scheme,omitempty"`
 	Seed       uint64       `json:"seed"`
 	Done       bool         `json:"done"`
 	Percent    float64      `json:"percent"`
 	PointsDone int          `json:"points_done"`
-	Error      string       `json:"error,omitempty"`
 	Trend      []TrendPoint `json:"trend,omitempty"`
-}
-
-// BlameRowJSON mirrors report.BlameRow's JSON shape (the fleet layer sits
-// below report in the import DAG, so it re-declares the wire format rather
-// than importing the renderer).
-type BlameRowJSON struct {
-	Label         string           `json:"label"`
-	Requests      int64            `json:"requests"`
-	Reads         int64            `json:"reads"`
-	Writes        int64            `json:"writes"`
-	RowHits       int64            `json:"row_hits"`
-	ResidentPS    int64            `json:"resident_ps"`
-	ResidentPerNS float64          `json:"resident_per_req_ns"`
-	Conserved     bool             `json:"conserved"`
-	StallPS       map[string]int64 `json:"stall_ps"`
 }
 
 // FleetJSON is the /fleet.json roll-up.
@@ -64,28 +47,7 @@ type FleetJSON struct {
 	Watchdog        *flight.Trip     `json:"watchdog,omitempty"`
 	FlipsPerScheme  map[string]int64 `json:"flips_per_scheme"`
 	Completed       []PointRecord    `json:"completed"`
-	Blame           []BlameRowJSON   `json:"blame,omitempty"`
 	WorkerList      []WorkerJSON     `json:"worker_list"`
-}
-
-// IngestBlame folds a worker's /blame.json payload (an array of
-// report.BlameRow objects) into its registry entry for the fleet-wide
-// aggregated blame table.
-func (c *Collector) IngestBlame(id string, blameJSON []byte) error {
-	if c == nil {
-		return nil
-	}
-	var rows []BlameRowJSON
-	if err := json.Unmarshal(blameJSON, &rows); err != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.workerLocked(id, "local").lastErr = err.Error()
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workerLocked(id, "local").blame = rows
-	return nil
 }
 
 // Fleet builds the /fleet.json snapshot.
@@ -104,7 +66,6 @@ func (c *Collector) Fleet() FleetJSON {
 		Watchdog:        c.watch.Tripped(),
 		FlipsPerScheme:  c.flipsPerSchemeLocked(),
 		Completed:       append([]PointRecord(nil), c.completed...),
-		Blame:           c.blameLocked(),
 	}
 	for _, id := range c.workerIDsLocked() {
 		fj.WorkerList = append(fj.WorkerList, c.workerJSONLocked(id, false))
@@ -131,14 +92,12 @@ func (c *Collector) workerJSONLocked(id string, withTrend bool) WorkerJSON {
 	w := c.workers[id]
 	wj := WorkerJSON{
 		ID:         id,
-		Source:     w.source,
 		Point:      w.point,
 		Scheme:     w.scheme,
 		Seed:       w.seed,
 		Done:       w.done,
 		Percent:    w.progressPct(),
 		PointsDone: w.pointsDone,
-		Error:      w.lastErr,
 	}
 	if withTrend {
 		wj.Trend = c.store.Trend("worker/" + id + "/progress")
@@ -166,88 +125,33 @@ func (c *Collector) Trends() map[string][]TrendPoint {
 func (c *Collector) flipsPerSchemeLocked() map[string]int64 {
 	flips := map[string]int64{}
 	for _, id := range c.workerIDsLocked() {
-		for _, f := range c.workers[id].families {
-			if f.Type != "counter" {
+		for _, r := range c.workers[id].metrics.Counters {
+			if !strings.HasSuffix(r.Name, flipsSuffix) {
 				continue
 			}
-			for _, s := range f.Samples {
-				name := s.Label("name")
-				if !strings.HasSuffix(name, flipsSuffix) {
-					continue
-				}
-				scheme, _, _ := strings.Cut(name, "/")
-				if scheme == flipsSuffix || scheme == "dram" {
-					scheme = "(untracked)"
-				}
-				flips[scheme] += int64(s.Value)
+			scheme, _, _ := strings.Cut(r.Name, "/")
+			if scheme == "dram" {
+				scheme = "(untracked)"
 			}
+			flips[scheme] += r.Value
 		}
 	}
 	return flips
-}
-
-// blameLocked merges every worker's blame rows by label: counters and stall
-// picoseconds sum, conservation ANDs, and the per-request residency is
-// recomputed from the merged sums.
-func (c *Collector) blameLocked() []BlameRowJSON {
-	merged := map[string]*BlameRowJSON{}
-	for _, id := range c.workerIDsLocked() {
-		for _, row := range c.workers[id].blame {
-			m := merged[row.Label]
-			if m == nil {
-				m = &BlameRowJSON{Label: row.Label, Conserved: true, StallPS: map[string]int64{}}
-				merged[row.Label] = m
-			}
-			m.Requests += row.Requests
-			m.Reads += row.Reads
-			m.Writes += row.Writes
-			m.RowHits += row.RowHits
-			m.ResidentPS += row.ResidentPS
-			m.Conserved = m.Conserved && row.Conserved
-			for _, cause := range sortedStallCauses(row.StallPS) {
-				m.StallPS[cause] += row.StallPS[cause]
-			}
-		}
-	}
-	labels := make([]string, 0, len(merged))
-	for l := range merged {
-		labels = append(labels, l) //shadowvet:ignore determinism -- sorted immediately below
-	}
-	sort.Strings(labels)
-	out := make([]BlameRowJSON, 0, len(labels))
-	for _, l := range labels {
-		m := merged[l]
-		if m.Requests > 0 {
-			m.ResidentPerNS = float64(m.ResidentPS) / float64(m.Requests) / 1e3
-		}
-		out = append(out, *m)
-	}
-	return out
-}
-
-func sortedStallCauses(m map[string]int64) []string {
-	causes := make([]string, 0, len(m))
-	for cause := range m {
-		causes = append(causes, cause) //shadowvet:ignore determinism -- sorted immediately below
-	}
-	sort.Strings(causes)
-	return causes
 }
 
 // WriteMetrics renders the merged fleet exposition (/fleet/metrics):
 //
 //	shadow_fleet_* roll-up gauges (workers, points, progress, ETA)
 //	shadow_fleet_flips_total{scheme=...}
-//	shadow_counter/gauge/histogram_* — every worker's samples, re-exposed
-//	    with worker/scheme/point labels appended
+//	shadow_counter/gauge/histogram_* — every worker's snapshot, written by
+//	    obs.WriteExposition with worker/scheme/point labels appended
 //	shadow_fleet_counter{name=...} — per-instrument sums across workers
-//	shadow_fleet_histogram_* — per-instrument cumulative-bucket merges
+//	shadow_fleet_histogram_* — per-instrument bucket-wise merges
 //
-// Per-worker sample values are re-emitted verbatim (Sample.Raw), so a
-// single-worker fleet exposition embeds the worker's own /metrics document
-// byte-for-byte modulo the added labels; the fleet sums account for 100% of
-// the per-worker counters (sum over workers == fleet total — a regression
-// test parses this output and asserts it).
+// A single-worker fleet exposition therefore embeds the worker's own
+// /metrics document byte-for-byte modulo the added labels, and the fleet
+// sums account for 100% of the per-worker counters (sum over workers ==
+// fleet total — a regression test reads this output back and asserts it).
 func (c *Collector) WriteMetrics(w io.Writer) error {
 	if c == nil {
 		return nil
@@ -257,8 +161,18 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	var buf bytes.Buffer
 	c.writeRollupsLocked(&buf)
 	ids := c.workerIDsLocked()
-	c.writePerWorkerLocked(&buf, ids)
-	c.writeFleetSumsLocked(&buf, ids)
+	snaps := make([]obs.Snapshot, len(ids))
+	for i, id := range ids {
+		snaps[i] = c.workers[id].metrics
+	}
+	obs.WriteExposition(&buf, snaps...)
+	writeSums(&buf, snaps, "shadow_fleet_counter", "counter",
+		"Per-instrument counter totals summed across workers.",
+		func(s obs.Snapshot) []obs.Reading { return s.Counters })
+	writeSums(&buf, snaps, "shadow_fleet_gauge", "gauge",
+		"Per-instrument gauge sums across workers.",
+		func(s obs.Snapshot) []obs.Reading { return s.Gauges })
+	writeFleetHistograms(&buf, snaps)
 	_, err := w.Write(buf.Bytes())
 	return err
 }
@@ -293,162 +207,46 @@ func sortedFlipSchemes(m map[string]int64) []string {
 	return schemes
 }
 
-// writePerWorkerLocked re-exposes every worker's samples grouped by family
-// name (sorted), each sample tagged with worker/scheme/point labels.
-func (c *Collector) writePerWorkerLocked(buf *bytes.Buffer, ids []string) {
-	for _, fam := range c.familyNamesLocked(ids) {
-		first := true
-		for _, id := range ids {
-			w := c.workers[id]
-			for _, f := range w.families {
-				if f.Name != fam {
-					continue
-				}
-				if first {
-					if f.Help != "" {
-						fmt.Fprintf(buf, "# HELP %s %s\n", f.Name, f.Help)
-					}
-					if f.Type != "" && f.Type != "untyped" {
-						fmt.Fprintf(buf, "# TYPE %s %s\n", f.Name, f.Type)
-					}
-					first = false
-				}
-				for _, s := range f.Samples {
-					buf.WriteString(renderSample(withWorkerLabels(s, w)))
-				}
-			}
-		}
-	}
-}
-
-// familyNamesLocked is the sorted union of family names across workers.
-func (c *Collector) familyNamesLocked(ids []string) []string {
-	seen := map[string]bool{}
+// writeSums renders one fleet-total family: each instrument's readings
+// summed across workers, sorted by instrument name.
+func writeSums(buf *bytes.Buffer, snaps []obs.Snapshot, family, typ, help string, readings func(obs.Snapshot) []obs.Reading) {
+	sums := map[string]int64{}
 	var names []string
-	for _, id := range ids {
-		for _, f := range c.workers[id].families {
-			if !seen[f.Name] {
-				seen[f.Name] = true
-				names = append(names, f.Name)
+	for _, s := range snaps {
+		for _, r := range readings(s) {
+			if _, ok := sums[r.Name]; !ok {
+				names = append(names, r.Name)
 			}
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// withWorkerLabels appends the fleet identity labels to a sample's own.
-func withWorkerLabels(s Sample, w *worker) Sample {
-	labels := make([]Label, 0, len(s.Labels)+3)
-	labels = append(labels, s.Labels...)
-	labels = append(labels, Label{Key: "worker", Value: w.id})
-	if w.famScheme != "" {
-		labels = append(labels, Label{Key: "scheme", Value: w.famScheme})
-	}
-	if w.famPoint != "" {
-		labels = append(labels, Label{Key: "point", Value: w.famPoint})
-	}
-	s.Labels = labels
-	return s
-}
-
-// renderSample renders one sample line to a string.
-func renderSample(s Sample) string {
-	var b strings.Builder
-	writeSample(&b, s)
-	return b.String()
-}
-
-// writeFleetSumsLocked renders the fleet-total families.
-func (c *Collector) writeFleetSumsLocked(buf *bytes.Buffer, ids []string) {
-	c.writeSumFamilyLocked(buf, ids, "shadow_counter", "shadow_fleet_counter", "counter",
-		"Per-instrument counter totals summed across workers.")
-	c.writeSumFamilyLocked(buf, ids, "shadow_gauge", "shadow_fleet_gauge", "gauge",
-		"Per-instrument gauge sums across workers.")
-	c.writeFleetHistogramsLocked(buf, ids)
-}
-
-// writeSumFamilyLocked sums one name-labelled family across workers.
-func (c *Collector) writeSumFamilyLocked(buf *bytes.Buffer, ids []string, src, dst, typ, help string) {
-	sums := map[string]float64{}
-	var names []string
-	for _, id := range ids {
-		for _, f := range c.workers[id].families {
-			if f.Name != src {
-				continue
-			}
-			for _, s := range f.Samples {
-				name := s.Label("name")
-				if _, ok := sums[name]; !ok {
-					names = append(names, name)
-				}
-				sums[name] += s.Value
-			}
+			sums[r.Name] += r.Value
 		}
 	}
 	if len(names) == 0 {
 		return
 	}
 	sort.Strings(names)
-	fmt.Fprintf(buf, "# HELP %s %s\n# TYPE %s %s\n", dst, help, dst, typ)
+	fmt.Fprintf(buf, "# HELP %s %s\n# TYPE %s %s\n", family, help, family, typ)
 	for _, name := range names {
-		fmt.Fprintf(buf, "%s{%s} %s\n", dst, obs.PromLabel("name", name), formatValue(sums[name]))
+		fmt.Fprintf(buf, "%s{%s} %d\n", family, obs.PromLabel("name", name), sums[name])
 	}
 }
 
-// histAgg accumulates one instrument's histogram across workers.
-type histAgg struct {
-	// edges maps le label -> numeric edge; buckets maps worker -> le -> its
-	// cumulative count at that edge.
-	edges   map[string]float64
-	buckets map[string]map[string]float64
-	sum     float64
-	count   float64
-}
-
-// writeFleetHistogramsLocked merges shadow_histogram families across workers
-// by cumulative step-function addition: for every union bucket edge e, each
-// worker contributes its cumulative count at its largest edge <= e, so the
-// merged series is monotone and its +Inf bucket equals the summed _count
-// even when workers expose different edge sets.
-func (c *Collector) writeFleetHistogramsLocked(buf *bytes.Buffer, ids []string) {
-	aggs := map[string]*histAgg{}
+// writeFleetHistograms merges every worker's histograms by instrument name.
+// All of them share obs's power-of-two buckets, so the merge is a
+// bucket-wise add, and the merged cumulative count at each edge is the sum
+// of the workers' cumulative counts there.
+func writeFleetHistograms(buf *bytes.Buffer, snaps []obs.Snapshot) {
+	merged := map[string]*obs.Histogram{}
 	var names []string
-	agg := func(name string) *histAgg {
-		a := aggs[name]
-		if a == nil {
-			a = &histAgg{edges: map[string]float64{}, buckets: map[string]map[string]float64{}}
-			aggs[name] = a
-			names = append(names, name)
-		}
-		return a
-	}
-	for _, id := range ids {
-		for _, f := range c.workers[id].families {
-			if f.Name != "shadow_histogram" {
-				continue
+	for _, s := range snaps {
+		for i := range s.Histograms {
+			r := &s.Histograms[i]
+			h := merged[r.Name]
+			if h == nil {
+				h = &obs.Histogram{}
+				merged[r.Name] = h
+				names = append(names, r.Name)
 			}
-			for _, s := range f.Samples {
-				name := s.Label("name")
-				switch s.Name {
-				case "shadow_histogram_sum":
-					agg(name).sum += s.Value
-				case "shadow_histogram_count":
-					agg(name).count += s.Value
-				case "shadow_histogram_bucket":
-					a := agg(name)
-					le := s.Label("le")
-					edge, err := parseValue(le)
-					if err != nil {
-						continue
-					}
-					a.edges[le] = edge
-					if a.buckets[id] == nil {
-						a.buckets[id] = map[string]float64{}
-					}
-					a.buckets[id][le] = s.Value
-				}
-			}
+			h.Merge(&r.Histogram)
 		}
 	}
 	if len(names) == 0 {
@@ -458,61 +256,18 @@ func (c *Collector) writeFleetHistogramsLocked(buf *bytes.Buffer, ids []string) 
 	fmt.Fprintf(buf, "# HELP shadow_fleet_histogram Per-instrument distributions merged across workers; le is the inclusive bucket upper edge.\n")
 	fmt.Fprintf(buf, "# TYPE shadow_fleet_histogram histogram\n")
 	for _, name := range names {
-		writeFleetHistogram(buf, name, aggs[name], ids)
+		obs.WritePromHistogram(buf, "shadow_fleet_histogram", name, merged[name], "")
 	}
 }
 
-func writeFleetHistogram(buf *bytes.Buffer, name string, a *histAgg, ids []string) {
-	type edge struct {
-		le string
-		v  float64
+// formatValue renders a fractional roll-up the way the obs layer renders
+// numbers: integral values print as integers, everything else through the
+// shortest float form.
+func formatValue(v float64) string {
+	if v == float64(int64(v)) {
+		return strconv.FormatInt(int64(v), 10)
 	}
-	edges := make([]edge, 0, len(a.edges))
-	for le, v := range a.edges {
-		edges = append(edges, edge{le: le, v: v}) //shadowvet:ignore determinism -- sorted immediately below
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].v < edges[j].v })
-	label := obs.PromLabel("name", name)
-	for _, e := range edges {
-		if math.IsInf(e.v, 1) {
-			continue // +Inf re-derived from the merged count below
-		}
-		var total float64
-		for _, id := range ids {
-			total += cumulativeAt(a.buckets[id], e.v)
-		}
-		fmt.Fprintf(buf, "shadow_fleet_histogram_bucket{%s,%s} %s\n", label, obs.PromLabel("le", e.le), formatValue(total))
-	}
-	fmt.Fprintf(buf, "shadow_fleet_histogram_bucket{%s,le=\"+Inf\"} %s\n", label, formatValue(a.count))
-	fmt.Fprintf(buf, "shadow_fleet_histogram_sum{%s} %s\n", label, formatValue(a.sum))
-	fmt.Fprintf(buf, "shadow_fleet_histogram_count{%s} %s\n", label, formatValue(a.count))
-}
-
-// cumulativeAt returns a worker's cumulative count at its largest finite
-// edge <= e (its +Inf bucket only answers for e == +Inf, handled above).
-func cumulativeAt(buckets map[string]float64, e float64) float64 {
-	var best float64
-	bestEdge := math.Inf(-1)
-	for _, le := range sortedBucketEdges(buckets) {
-		edge, err := parseValue(le)
-		if err != nil || math.IsInf(edge, 1) {
-			continue
-		}
-		if edge <= e && edge > bestEdge {
-			bestEdge = edge
-			best = buckets[le]
-		}
-	}
-	return best
-}
-
-func sortedBucketEdges(buckets map[string]float64) []string {
-	les := make([]string, 0, len(buckets))
-	for le := range buckets {
-		les = append(les, le) //shadowvet:ignore determinism -- sorted immediately below
-	}
-	sort.Strings(les)
-	return les
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // MarshalFleet renders /fleet.json deterministically.

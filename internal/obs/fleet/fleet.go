@@ -1,19 +1,16 @@
-// Package fleet is shadowfleet: fleet-wide observability for sharded
-// sweeps. A Collector registers every worker of a shadowexp point fan-out
-// (and, through the Poller, remote shadowsim processes scraped over HTTP),
-// merges their Prometheus metric families into fleet-level series with
-// worker/scheme/point labels, retains recent history in a bounded trend
-// store, and runs fleet watchdogs — straggler, stalled-worker, and
+// Package fleet is shadowfleet: fleet-wide observability for parallel
+// sweeps. A Collector registers every worker of a shadowexp point fan-out,
+// merges snapshots of their obs metric registries into fleet-level series
+// with worker/scheme/point labels, retains recent history in a bounded
+// trend store, and runs fleet watchdogs — straggler, stalled-worker, and
 // cross-worker divergence — on the flight recorder's trip-and-freeze
 // pattern. The fleet Inspector (inspect.go) serves the merged view live:
 // /fleet.json, /fleet/metrics, /fleet/workers.json, /fleet/trends.json, and
 // an HTML dashboard with per-worker progress bars and sparkline trends.
 //
-// Two sources, one path: in-process workers render their obs.Recorder
-// registries through obs.(*Metrics).WritePrometheus and hand the text to
-// Ingest; the Poller scrapes the same exposition from remote /metrics
-// endpoints. Both go through the package's text-format parser (parse.go),
-// so the aggregator never distinguishes local from remote.
+// The collector is passive: it starts no goroutine and reads no outside
+// input. Sweep workers call its hooks from their own goroutines and hand
+// Ingest their registries, which it snapshots on the caller's goroutine.
 //
 // Like the rest of the obs layer, the package is deterministic (no direct
 // wall-clock reads — the Collector takes its clock injected from the cmd
@@ -22,50 +19,34 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"shadow/internal/obs"
 	"shadow/internal/obs/flight"
 	"shadow/internal/timing"
 )
 
-// Options configures a Collector.
-type Options struct {
-	// Clock supplies wall time (time.Now in production, a fake in tests).
-	// Required: the collector stamps point durations and scrape staleness
-	// with it so the fleet package itself stays free of wall-clock reads.
-	Clock func() time.Time
-	// TrendCapacity bounds each trend series (default DefaultTrendCapacity).
-	TrendCapacity int
-	// RefreshEvery is the minimum wall-time gap between metric snapshots of
-	// one worker (default 1s): PointProgress returns true at most this often.
-	RefreshEvery time.Duration
-	// StragglerFactor is the straggler watchdog's K: an in-flight point
+const (
+	// refreshEvery is the minimum wall-time gap between metric snapshots of
+	// one worker: PointProgress returns true at most this often.
+	refreshEvery = time.Second
+	// stragglerFactor is the straggler watchdog's K: an in-flight point
 	// running longer than K times the median completed-point duration trips
-	// it (default 4; needs >= 3 completed points before it can trip).
-	StragglerFactor float64
-	// StallIntervals is the stalled-worker watchdog's M: a worker whose
-	// metric snapshot has not changed at all across M consecutive ingests
-	// while a point is in flight trips it (default 5).
-	StallIntervals int
-}
-
-func (o Options) withDefaults() Options {
-	if o.RefreshEvery <= 0 {
-		o.RefreshEvery = time.Second
-	}
-	if o.StragglerFactor <= 0 {
-		o.StragglerFactor = 4
-	}
-	if o.StallIntervals <= 0 {
-		o.StallIntervals = 5
-	}
-	return o
-}
+	// it (it needs >= 3 completed points before it can trip).
+	stragglerFactor = 4.0
+	// stragglerFloor exempts short points: below a second of wall time, GC
+	// and scheduling noise and the spread between a sweep's cheap and
+	// expensive points (30x within one short fig8 sweep) exceed the factor.
+	stragglerFloor = time.Second
+	// stallIngests is the stalled-worker watchdog's M: a worker whose metric
+	// snapshot has not changed at all across M consecutive ingests while a
+	// point is in flight trips it.
+	stallIngests = 5
+)
 
 // PointRecord is one completed operating point, as reported by a worker.
 type PointRecord struct {
@@ -79,10 +60,9 @@ type PointRecord struct {
 
 // worker is the registry entry for one fleet member.
 type worker struct {
-	id     string
-	source string // "local", or the scrape base URL
+	id string
 
-	// Current point, as reported by hooks (local) or /status.json (scraped).
+	// Current point, as reported by the sweep hooks.
 	point  string
 	scheme string
 	seed   uint64
@@ -93,26 +73,21 @@ type worker struct {
 	startedAt  time.Time // wall time the current point started
 	lastIngest time.Time
 
-	families []Family // latest parsed metric snapshot
-	// famScheme/famPoint are the worker's scheme and point at the time of
-	// the last metrics ingest — the identity labels the aggregator stamps on
+	// metrics is the latest registry snapshot. Its Labels carry the
+	// worker's id, scheme and point at ingest time — the identity stamped on
 	// re-exposed samples (the live point may already have moved on).
-	famScheme string
-	famPoint  string
-	blame     []BlameRowJSON // latest ingested blame rows
+	metrics obs.Snapshot
 
-	// Stall detection: a fingerprint of the whole exposition at the last
+	// Stall detection: a fingerprint of the whole snapshot at the last
 	// ingest, and how many consecutive ingests it has not changed while a
-	// point was in flight. The fingerprint covers every sample — counters
-	// alone are too quiet a signal (a short benign run may never increment
-	// dram/flips_total, the simulator's only counter), while a live worker's
-	// gauges and latency histograms move on every snapshot.
-	moveSig      uint64
-	counterTotal float64
-	idleIngests  int
+	// point was in flight. The fingerprint covers every instrument —
+	// counters alone are too quiet a signal (a short benign run may never
+	// increment dram/flips_total, the simulator's only counter), while a
+	// live worker's gauges and latency histograms move on every snapshot.
+	moveSig     uint64
+	idleIngests int
 
 	pointsDone int
-	lastErr    string
 }
 
 // progressPct returns the worker's current-point progress in percent.
@@ -127,11 +102,11 @@ func (w *worker) progressPct() float64 {
 }
 
 // Collector is the fleet registry and aggregation point. All methods are
-// safe for concurrent use (hooks arrive from every sweep worker goroutine
-// and the Poller; HTTP handlers read snapshots) and safe on a nil receiver.
+// safe for concurrent use (hooks arrive from every sweep worker goroutine;
+// HTTP handlers read snapshots) and safe on a nil receiver.
 type Collector struct {
-	mu  sync.Mutex
-	opt Options
+	mu    sync.Mutex
+	clock func() time.Time
 
 	workers map[string]*worker
 	store   *Store
@@ -139,7 +114,7 @@ type Collector struct {
 
 	startAt  time.Time // first activity; ETA regression origin
 	expected int       // planned point count (0 = unknown)
-	seq      int64     // scrape/refresh sequence, the trend time axis
+	seq      int64     // Tick sequence, the trend time axis
 
 	completed []PointRecord
 	// completions records (wall seconds since startAt, cumulative count)
@@ -159,16 +134,18 @@ type hashSeen struct {
 	worker string
 }
 
-// NewCollector builds a collector and arms the three fleet watchdogs. opt
-// must carry a Clock.
-func NewCollector(opt Options) *Collector {
-	if opt.Clock == nil {
-		panic("fleet: Options.Clock is required (inject time.Now from the cmd layer)")
+// NewCollector builds a collector and arms the three fleet watchdogs. clock
+// supplies wall time (time.Now in production, a fake in tests); the
+// collector stamps point durations with it, so the fleet package itself
+// stays free of wall-clock reads.
+func NewCollector(clock func() time.Time) *Collector {
+	if clock == nil {
+		panic("fleet: NewCollector needs a clock (inject time.Now from the cmd layer)")
 	}
 	c := &Collector{
-		opt:     opt.withDefaults(),
+		clock:   clock,
 		workers: map[string]*worker{},
-		store:   NewStore(opt.TrendCapacity),
+		store:   NewStore(DefaultTrendCapacity),
 		watch:   flight.NewWatch(nil),
 		hashes:  map[string]hashSeen{},
 	}
@@ -199,22 +176,11 @@ func (c *Collector) ExpectPoints(n int) {
 	c.expected += n
 }
 
-// Register adds a worker to the registry. source is "local" for in-process
-// sweep workers or the scrape base URL for remote ones. Registering an
-// existing id is a no-op.
-func (c *Collector) Register(id, source string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workerLocked(id, source)
-}
-
-func (c *Collector) workerLocked(id, source string) *worker {
+// workerLocked returns the registry entry for id, adding it on first use.
+func (c *Collector) workerLocked(id string) *worker {
 	w := c.workers[id]
 	if w == nil {
-		w = &worker{id: id, source: source, done: true}
+		w = &worker{id: id, done: true}
 		c.workers[id] = w
 	}
 	return w
@@ -222,7 +188,7 @@ func (c *Collector) workerLocked(id, source string) *worker {
 
 func (c *Collector) markStartedLocked() {
 	if c.startAt.IsZero() {
-		c.startAt = c.opt.Clock()
+		c.startAt = c.clock()
 	}
 }
 
@@ -234,34 +200,29 @@ func (c *Collector) PointStart(id, point, scheme string, seed uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.markStartedLocked()
-	w := c.workerLocked(id, "local")
+	w := c.workerLocked(id)
 	w.point, w.scheme, w.seed = point, scheme, seed
 	w.now, w.total = 0, 0
 	w.done = false
 	w.idleIngests = 0
-	w.startedAt = c.opt.Clock()
+	w.startedAt = c.clock()
 }
 
 // PointProgress updates a worker's current-point progress. The return value
 // asks the caller — who owns the worker's obs.Recorder and runs on that
-// worker's goroutine — for a fresh metrics snapshot: it is true at most once
-// per Options.RefreshEvery of wall time per worker.
+// worker's goroutine — for a fresh Ingest: it is true at most once per
+// second of wall time per worker.
 func (c *Collector) PointProgress(id, point string, now, total timing.Tick) bool {
 	if c == nil {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.workerLocked(id, "local")
-	if w.point != point {
-		// Progress for a point we never saw start (scraped worker moved on).
-		w.point = point
-		w.startedAt = c.opt.Clock()
-	}
+	w := c.workerLocked(id)
 	w.now, w.total = now, total
 	w.done = false
-	wall := c.opt.Clock()
-	if wall.Sub(w.lastIngest) < c.opt.RefreshEvery {
+	wall := c.clock()
+	if wall.Sub(w.lastIngest) < refreshEvery {
 		return false
 	}
 	w.lastIngest = wall
@@ -277,8 +238,8 @@ func (c *Collector) PointDone(id, point, scheme string, seed, cmdHash uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.workerLocked(id, "local")
-	wall := c.opt.Clock()
+	w := c.workerLocked(id)
+	wall := c.clock()
 	var ms float64
 	if !w.startedAt.IsZero() {
 		ms = float64(wall.Sub(w.startedAt)) / float64(time.Millisecond)
@@ -309,143 +270,74 @@ func (c *Collector) PointDone(id, point, scheme string, seed, cmdHash uint64) {
 	}
 }
 
-// Ingest parses a worker's Prometheus exposition snapshot and replaces its
-// stored families, feeding the trend store and the stalled-worker detector.
-func (c *Collector) Ingest(id string, promText []byte) error {
+// Ingest snapshots a worker's metric registry and replaces its stored
+// snapshot, feeding the trend store and the stalled-worker detector. Call it
+// from the goroutine that owns m: the snapshot is taken there, before the
+// collector's lock, and the collector never touches m again. A nil m ingests
+// an empty registry.
+func (c *Collector) Ingest(id string, m *obs.Metrics) {
 	if c == nil {
-		return nil
+		return
 	}
-	fams, err := Parse(promText)
-	if err != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.workerLocked(id, "local").lastErr = err.Error()
-		return err
-	}
+	snap := m.Snapshot()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.markStartedLocked()
-	w := c.workerLocked(id, "local")
-	w.families = fams
-	w.famScheme, w.famPoint = w.scheme, w.point
-	w.lastErr = ""
-	w.lastIngest = c.opt.Clock()
+	w := c.workerLocked(id)
+	snap.Labels = "," + obs.PromLabel("worker", id)
+	if w.scheme != "" {
+		snap.Labels += "," + obs.PromLabel("scheme", w.scheme)
+	}
+	if w.point != "" {
+		snap.Labels += "," + obs.PromLabel("point", w.point)
+	}
+	w.metrics = snap
+	w.lastIngest = c.clock()
 
-	sig := movementSig(fams)
+	sig := movementSig(snap)
 	if !w.done && sig == w.moveSig {
 		w.idleIngests++
 	} else {
 		w.idleIngests = 0
 	}
 	w.moveSig = sig
-	w.counterTotal = counterTotal(fams)
 
 	c.store.Append("worker/"+id+"/progress", c.seq, w.progressPct())
-	c.store.Append("worker/"+id+"/counter_total", c.seq, w.counterTotal)
-	return nil
+	c.store.Append("worker/"+id+"/counter_total", c.seq, counterTotal(snap))
 }
 
-// movementSig fingerprints an exposition (FNV-1a over every family name,
-// sample label set, and raw value): the liveness signal the stalled-worker
-// watchdog compares across ingests. Two identical snapshots — a frozen
-// worker re-serving the same /metrics, or a local point whose simulation
-// stopped updating its instruments — hash equal; any sample changing
-// anywhere counts as movement.
-func movementSig(fams []Family) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
-		h = (h ^ 0xff) * prime64 // field separator
+// movementSig fingerprints a snapshot (FNV-1a over every instrument name and
+// value; a histogram's count and sum change on every observation): the
+// liveness signal the stalled-worker watchdog compares across ingests. Two
+// identical snapshots — a point whose simulation stopped updating its
+// instruments — hash equal; any instrument changing anywhere counts as
+// movement.
+func movementSig(s obs.Snapshot) uint64 {
+	h := fnv.New64a()
+	for _, r := range s.Counters {
+		fmt.Fprintf(h, "c %q %d\n", r.Name, r.Value)
 	}
-	for _, f := range fams {
-		mix(f.Name)
-		for _, s := range f.Samples {
-			for _, l := range s.Labels {
-				mix(l.Key)
-				mix(l.Value)
-			}
-			mix(s.Raw)
-		}
+	for _, r := range s.Gauges {
+		fmt.Fprintf(h, "g %q %d\n", r.Name, r.Value)
 	}
-	return h
+	for i := range s.Histograms {
+		r := &s.Histograms[i]
+		fmt.Fprintf(h, "h %q %d %d\n", r.Name, r.Count(), r.Sum())
+	}
+	return h.Sum64()
 }
 
-// counterTotal sums every counter-family sample: the movement signal the
-// stalled-worker watchdog compares across ingests.
-func counterTotal(fams []Family) float64 {
+// counterTotal sums every counter: the worker's counter_total trend.
+func counterTotal(s obs.Snapshot) float64 {
 	var total float64
-	for _, f := range fams {
-		if f.Type != "counter" {
-			continue
-		}
-		for _, s := range f.Samples {
-			total += s.Value
-		}
+	for _, r := range s.Counters {
+		total += float64(r.Value)
 	}
 	return total
 }
 
-// workerStatus is the scraped /status.json shape (the obs.Inspector's),
-// reduced to the fields the fleet tracks.
-type workerStatus struct {
-	Label      string  `json:"label"`
-	Worker     string  `json:"worker"`
-	Done       bool    `json:"done"`
-	SimNowPS   int64   `json:"sim_now_ps"`
-	SimTotalPS int64   `json:"sim_total_ps"`
-	Percent    float64 `json:"percent"`
-}
-
-// IngestStatus folds a scraped /status.json payload into the worker's
-// registry entry: current point label (scheme is its first path segment),
-// progress, and done state.
-func (c *Collector) IngestStatus(id string, statusJSON []byte) error {
-	if c == nil {
-		return nil
-	}
-	var st workerStatus
-	if err := json.Unmarshal(statusJSON, &st); err != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.workerLocked(id, "local").lastErr = err.Error()
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.markStartedLocked()
-	w := c.workerLocked(id, "local")
-	if w.point != st.Label {
-		w.startedAt = c.opt.Clock()
-	}
-	w.point = st.Label
-	w.scheme, _, _ = strings.Cut(st.Label, "/")
-	w.now, w.total = timing.Tick(st.SimNowPS), timing.Tick(st.SimTotalPS)
-	if st.Done && !w.done {
-		w.pointsDone++
-	}
-	w.done = st.Done
-	return nil
-}
-
-// SetError records a scrape failure against a worker (shown in
-// /fleet/workers.json rather than silently dropping the target).
-func (c *Collector) SetError(id string, err error) {
-	if c == nil || err == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workerLocked(id, "local").lastErr = err.Error()
-}
-
 // Tick advances the fleet: appends the roll-up trends and runs the
-// watchdogs once. Call it at the scrape/refresh cadence; the first trip
+// watchdogs once. Call it at the refresh cadence; the first trip
 // freezes (the watch records it and later Ticks return it unchanged).
 func (c *Collector) Tick() *flight.Trip {
 	if c == nil {
@@ -532,14 +424,15 @@ func (c *Collector) workerIDsLocked() []string {
 // watch.Check); they read collector state directly and never lock.
 
 // stragglerLocked trips when an in-flight point has been running longer
-// than StragglerFactor times the median completed-point wall duration.
+// than stragglerFactor times the median completed-point wall duration and
+// longer than stragglerFloor.
 func (c *Collector) stragglerLocked(timing.Tick) (string, bool) {
 	med := c.medianPointMSLocked()
 	if med <= 0 || len(c.completed) < 3 {
 		return "", false
 	}
-	limit := c.opt.StragglerFactor * med
-	wall := c.opt.Clock()
+	limit := max(stragglerFactor*med, float64(stragglerFloor/time.Millisecond))
+	wall := c.clock()
 	for _, id := range c.workerIDsLocked() {
 		w := c.workers[id]
 		if w.done || w.point == "" || w.startedAt.IsZero() {
@@ -548,21 +441,21 @@ func (c *Collector) stragglerLocked(timing.Tick) (string, bool) {
 		ms := float64(wall.Sub(w.startedAt)) / float64(time.Millisecond)
 		if ms > limit {
 			return fmt.Sprintf("worker %s point %s running %.0f ms > %.1fx median %.0f ms over %d completed points",
-				id, w.point, ms, c.opt.StragglerFactor, med, len(c.completed)), true
+				id, w.point, ms, stragglerFactor, med, len(c.completed)), true
 		}
 	}
 	return "", false
 }
 
 // stalledLocked trips when a worker's metric snapshot has not changed
-// across StallIntervals consecutive ingests while a point was in flight.
+// across stallIngests consecutive ingests while a point was in flight.
 func (c *Collector) stalledLocked(timing.Tick) (string, bool) {
 	for _, id := range c.workerIDsLocked() {
 		w := c.workers[id]
-		if w.done || w.idleIngests < c.opt.StallIntervals {
+		if w.done || w.idleIngests < stallIngests {
 			continue
 		}
-		return fmt.Sprintf("worker %s point %s: metrics frozen across %d scrape intervals",
+		return fmt.Sprintf("worker %s point %s: metrics frozen across %d ingests",
 			id, w.point, w.idleIngests), true
 	}
 	return "", false

@@ -22,7 +22,7 @@ import (
 //	/healthz             liveness probe (200 "ok")
 //
 // Every endpoint sends Cache-Control: no-store, matching the obs.Inspector:
-// payloads change every scrape interval and must never be served stale.
+// payloads change on every refresh and must never be served stale.
 
 // Handler returns the fleet inspector's HTTP handler over the collector.
 func (c *Collector) Handler() http.Handler {
@@ -101,9 +101,7 @@ func writeDashboard(w http.ResponseWriter, fj FleetJSON, trends map[string][]Tre
 	fmt.Fprintf(w, "<tr><th align=\"left\">worker</th><th align=\"left\">point</th><th align=\"left\">progress</th><th align=\"left\">done</th><th align=\"left\">trend</th></tr>")
 	for _, wk := range fj.WorkerList {
 		state := htmlEscape(wk.Point)
-		if wk.Error != "" {
-			state = `<span style="color:#f66">` + htmlEscape(wk.Error) + `</span>`
-		} else if wk.Done && wk.Point == "" {
+		if wk.Done && wk.Point == "" {
 			state = "(idle)"
 		}
 		fmt.Fprintf(w, `<tr><td>%s</td><td>%s</td><td><div style="background:#333;width:160px;height:10px"><div style="background:#4a9;height:10px;width:%.1f%%"></div></div></td><td>%d</td><td>%s</td></tr>`,

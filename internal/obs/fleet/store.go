@@ -2,7 +2,7 @@ package fleet
 
 import "sort"
 
-// The embedded time-series store: every scrape interval appends one raw
+// The embedded time-series store: every refresh appends one raw
 // sample per tracked series (worker progress, fleet counter totals, flips),
 // and the dashboard renders the retained window as sparkline trends. The
 // discipline matches the flight recorder's ring: memory is fixed at
@@ -15,11 +15,11 @@ import "sort"
 // in place by the compaction, so the capacity bound is as hard as the
 // flight ring's.
 
-// DefaultTrendCapacity holds ~4 minutes of 1 s scrapes at full resolution
+// DefaultTrendCapacity holds ~4 minutes of 1 s refreshes at full resolution
 // per series, compacting to 8-minute resolution-halved windows and so on.
 const DefaultTrendCapacity = 256
 
-// TrendPoint is one stored sample: At is the collector's scrape sequence
+// TrendPoint is one stored sample: At is the collector's Tick sequence
 // number (or any caller-supplied monotonic instant) of the first raw sample
 // the point condenses; V is the mean of its raw samples.
 type TrendPoint struct {

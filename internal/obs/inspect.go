@@ -43,7 +43,6 @@ type Inspector struct {
 
 	mu      sync.Mutex
 	label   string
-	worker  string
 	now     timing.Tick
 	total   timing.Tick
 	started time.Time
@@ -83,19 +82,6 @@ type pointState struct {
 // production, a fake in tests).
 func NewInspector(clock func() time.Time) *Inspector {
 	return &Inspector{clock: clock, minGap: time.Second, pointIdx: map[string]int{}}
-}
-
-// SetWorker attaches a fleet worker identity: it appears as the "worker"
-// field of /status.json and a shadow_worker_info gauge on /metrics, letting
-// a fleet collector scraping this process key its registry entry. Safe on a
-// nil receiver.
-func (ins *Inspector) SetWorker(id string) {
-	if ins == nil {
-		return
-	}
-	ins.mu.Lock()
-	defer ins.mu.Unlock()
-	ins.worker = id
 }
 
 // SetSources attaches the data sources. Call before the run starts.
@@ -203,7 +189,6 @@ func (ins *Inspector) Done() {
 // status is the JSON shape of /status.json.
 type status struct {
 	Label       string  `json:"label"`
-	Worker      string  `json:"worker,omitempty"`
 	Done        bool    `json:"done"`
 	SimNowPS    int64   `json:"sim_now_ps"`
 	SimTotalPS  int64   `json:"sim_total_ps"`
@@ -228,7 +213,6 @@ func (ins *Inspector) snapshot() snap {
 	defer ins.mu.Unlock()
 	st := status{
 		Label:       ins.label,
-		Worker:      ins.worker,
 		Done:        ins.done,
 		SimNowPS:    int64(ins.now),
 		SimTotalPS:  int64(ins.total),
@@ -263,10 +247,6 @@ func writeRunMetrics(w io.Writer, st status, points []pointState) {
 	}
 	fmt.Fprintf(w, "# HELP shadow_run_info Run identity; the label carries the run or experiment-point name.\n")
 	fmt.Fprintf(w, "# TYPE shadow_run_info gauge\nshadow_run_info{%s} 1\n", PromLabel("label", st.Label))
-	if st.Worker != "" {
-		fmt.Fprintf(w, "# HELP shadow_worker_info Fleet worker identity of this process.\n")
-		fmt.Fprintf(w, "# TYPE shadow_worker_info gauge\nshadow_worker_info{%s} 1\n", PromLabel("worker", st.Worker))
-	}
 	fmt.Fprintf(w, "# TYPE shadow_run_done gauge\nshadow_run_done %d\n", state)
 	fmt.Fprintf(w, "# TYPE shadow_run_progress_ratio gauge\nshadow_run_progress_ratio %g\n", st.Percent/100)
 	fmt.Fprintf(w, "# TYPE shadow_run_sim_picoseconds gauge\nshadow_run_sim_picoseconds %d\n", st.SimNowPS)

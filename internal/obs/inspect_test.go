@@ -296,48 +296,3 @@ func TestInspectorPerPointGauges(t *testing.T) {
 		}
 	}
 }
-
-// TestInspectorSetWorker: the fleet worker identity reaches /status.json and
-// the shadow_worker_info gauge, and stays absent when unset.
-func TestInspectorSetWorker(t *testing.T) {
-	now := time.Unix(0, 0)
-	ins := NewInspector(func() time.Time { return now })
-	ins.Observe("shadow/mix", 1, 2)
-
-	var st struct {
-		Worker string `json:"worker"`
-	}
-	srv := httptest.NewServer(ins.Handler())
-	defer srv.Close()
-	get := func(path string) string {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	if body := get("/metrics"); strings.Contains(body, "shadow_worker_info") {
-		t.Errorf("worker gauge emitted without an identity:\n%s", body)
-	}
-	if err := json.Unmarshal([]byte(get("/status.json")), &st); err != nil || st.Worker != "" {
-		t.Fatalf("status worker = %q err %v, want empty", st.Worker, err)
-	}
-
-	ins.SetWorker("sim3")
-	if body := get("/metrics"); !strings.Contains(body, `shadow_worker_info{worker="sim3"} 1`) {
-		t.Errorf("/metrics missing worker identity:\n%s", body)
-	}
-	if err := json.Unmarshal([]byte(get("/status.json")), &st); err != nil || st.Worker != "sim3" {
-		t.Fatalf("status worker = %q err %v, want sim3", st.Worker, err)
-	}
-
-	var nilIns *Inspector
-	nilIns.SetWorker("x") // must not panic
-}

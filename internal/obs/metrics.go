@@ -113,6 +113,50 @@ func (m *Metrics) SeriesNames() []string {
 	return sortedKeysSeries(m.series)
 }
 
+// Snapshot is a point-in-time copy of a registry's counters, gauges and
+// histograms, each list sorted by instrument name. It shares no memory with
+// the registry, so the goroutine that owns a registry can take one and hand
+// it to another (the fleet collector) without further locking. Labels, when
+// set, is a pre-rendered label suffix (`,key="value"...`, built with
+// PromLabel) that WriteExposition appends to every sample's label set.
+type Snapshot struct {
+	Counters   []Reading
+	Gauges     []Reading
+	Histograms []HistogramReading
+	Labels     string
+}
+
+// Reading is one counter or gauge value.
+type Reading struct {
+	Name  string
+	Value int64
+}
+
+// HistogramReading is a copy of one histogram.
+type HistogramReading struct {
+	Name string
+	Histogram
+}
+
+// Snapshot copies every counter, gauge and histogram. A nil registry yields
+// an empty snapshot.
+func (m *Metrics) Snapshot() Snapshot {
+	var s Snapshot
+	if m == nil {
+		return s
+	}
+	for _, name := range sortedKeysCounter(m.counters) {
+		s.Counters = append(s.Counters, Reading{Name: name, Value: m.counters[name].Value()})
+	}
+	for _, name := range sortedKeysGauge(m.gauges) {
+		s.Gauges = append(s.Gauges, Reading{Name: name, Value: m.gauges[name].Value()})
+	}
+	for _, name := range sortedKeysHistogram(m.hists) {
+		s.Histograms = append(s.Histograms, HistogramReading{Name: name, Histogram: *m.hists[name]})
+	}
+	return s
+}
+
 func sortedKeysCounter(m map[string]*Counter) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -219,6 +263,26 @@ func (h *Histogram) Observe(v int64) {
 		idx = bits.Len64(uint64(v))
 	}
 	h.buckets[idx]++
+}
+
+// Merge adds every sample of o into h. All histograms share the same
+// power-of-two buckets, so a bucket-wise add yields exactly the histogram of
+// both sample sets.
+func (h *Histogram) Merge(o *Histogram) {
+	if h == nil || o == nil || o.count == 0 {
+		return
+	}
+	if h.count == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	if h.count == 0 || o.max > h.max {
+		h.max = o.max
+	}
+	h.count += o.count
+	h.sum += o.sum
+	for i, n := range o.buckets {
+		h.buckets[i] += n
+	}
 }
 
 // Count returns the number of samples.

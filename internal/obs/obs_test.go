@@ -93,6 +93,37 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramMerge: merging two histograms equals observing both sample
+// sets into one, and a snapshot is a copy the registry no longer touches.
+func TestHistogramMerge(t *testing.T) {
+	var a, b, all Histogram
+	for _, v := range []int64{-4, 0, 1, 9, 300} {
+		a.Observe(v)
+		all.Observe(v)
+	}
+	for _, v := range []int64{2, 9, 70000} {
+		b.Observe(v)
+		all.Observe(v)
+	}
+	var empty Histogram
+	a.Merge(&empty)
+	empty.Merge(&a)
+	empty.Merge(&b)
+	if empty != all {
+		t.Fatalf("merged %+v, want %+v", empty, all)
+	}
+
+	m := newMetrics(1000)
+	m.Histogram("lat").Observe(5)
+	m.Counter("n").Add(2)
+	snap := m.Snapshot()
+	m.Histogram("lat").Observe(6)
+	m.Counter("n").Inc()
+	if snap.Histograms[0].Count() != 1 || snap.Counters[0] != (Reading{Name: "n", Value: 2}) {
+		t.Fatalf("snapshot moved with the registry: %+v", snap)
+	}
+}
+
 func TestSeriesBucketing(t *testing.T) {
 	rec := NewRecorder(Options{Metrics: true, SampleInterval: 10})
 	s := rec.NewTrack("run").Series("rfm")

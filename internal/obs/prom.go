@@ -43,40 +43,70 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	if m == nil {
 		return nil
 	}
+	return WriteExposition(w, m.Snapshot())
+}
+
+// WriteExposition renders snapshots as one exposition document. Each family
+// gets its HELP and TYPE lines once, when any snapshot holds an instrument
+// of it, followed by the samples of every snapshot in argument order, each
+// label set extended by that snapshot's Labels. /metrics writes one
+// unlabelled snapshot; the fleet collector writes one per worker.
+func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 	var buf bytes.Buffer
-	if names := sortedKeysCounter(m.counters); len(names) > 0 {
+	if anyNonEmpty(snaps, func(s Snapshot) int { return len(s.Counters) }) {
 		buf.WriteString("# HELP shadow_counter Monotonic counters, keyed by instrument name.\n")
 		buf.WriteString("# TYPE shadow_counter counter\n")
-		for _, name := range names {
-			fmt.Fprintf(&buf, "shadow_counter{%s} %d\n", PromLabel("name", name), m.counters[name].Value())
+		for _, s := range snaps {
+			for _, r := range s.Counters {
+				fmt.Fprintf(&buf, "shadow_counter{%s%s} %d\n", PromLabel("name", r.Name), s.Labels, r.Value)
+			}
 		}
 	}
-	if names := sortedKeysGauge(m.gauges); len(names) > 0 {
+	if anyNonEmpty(snaps, func(s Snapshot) int { return len(s.Gauges) }) {
 		buf.WriteString("# HELP shadow_gauge Last-written gauges, keyed by instrument name.\n")
 		buf.WriteString("# TYPE shadow_gauge gauge\n")
-		for _, name := range names {
-			fmt.Fprintf(&buf, "shadow_gauge{%s} %d\n", PromLabel("name", name), m.gauges[name].Value())
+		for _, s := range snaps {
+			for _, r := range s.Gauges {
+				fmt.Fprintf(&buf, "shadow_gauge{%s%s} %d\n", PromLabel("name", r.Name), s.Labels, r.Value)
+			}
 		}
 	}
-	if names := sortedKeysHistogram(m.hists); len(names) > 0 {
+	if anyNonEmpty(snaps, func(s Snapshot) int { return len(s.Histograms) }) {
 		buf.WriteString("# HELP shadow_histogram Power-of-two-bucketed distributions; le is the inclusive bucket upper edge.\n")
 		buf.WriteString("# TYPE shadow_histogram histogram\n")
-		for _, name := range names {
-			writePromHistogram(&buf, name, m.hists[name])
+		for _, s := range snaps {
+			for i := range s.Histograms {
+				r := &s.Histograms[i]
+				WritePromHistogram(&buf, "shadow_histogram", r.Name, &r.Histogram, s.Labels)
+			}
 		}
 	}
 	_, err := w.Write(buf.Bytes())
 	return err
 }
 
-func writePromHistogram(buf *bytes.Buffer, name string, h *Histogram) {
+// anyNonEmpty reports whether n is positive for some snapshot.
+func anyNonEmpty(snaps []Snapshot, n func(Snapshot) int) bool {
+	for _, s := range snaps {
+		if n(s) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// WritePromHistogram renders one histogram's samples under family (its
+// _bucket, _sum and _count series): cumulative counts at every non-empty
+// bucket's upper edge, then +Inf. labels extends each label set, as
+// Snapshot.Labels does.
+func WritePromHistogram(buf *bytes.Buffer, family, name string, h *Histogram, labels string) {
 	label := PromLabel("name", name)
 	var cum int64
 	for _, b := range h.Buckets() {
 		cum += b.Count
-		fmt.Fprintf(buf, "shadow_histogram_bucket{%s,%s} %d\n", label, PromLabel("le", fmt.Sprint(b.Hi)), cum)
+		fmt.Fprintf(buf, "%s_bucket{%s,%s%s} %d\n", family, label, PromLabel("le", fmt.Sprint(b.Hi)), labels, cum)
 	}
-	fmt.Fprintf(buf, "shadow_histogram_bucket{%s,le=\"+Inf\"} %d\n", label, h.Count())
-	fmt.Fprintf(buf, "shadow_histogram_sum{%s} %d\n", label, h.Sum())
-	fmt.Fprintf(buf, "shadow_histogram_count{%s} %d\n", label, h.Count())
+	fmt.Fprintf(buf, "%s_bucket{%s,le=\"+Inf\"%s} %d\n", family, label, labels, h.Count())
+	fmt.Fprintf(buf, "%s_sum{%s%s} %d\n", family, label, labels, h.Sum())
+	fmt.Fprintf(buf, "%s_count{%s%s} %d\n", family, label, labels, h.Count())
 }

@@ -52,9 +52,9 @@ echo "==> perfbench unit tests (nested module)"
 (cd perfbench && go test ./...)
 
 # The race sweep covers the packages that spawn goroutines (the exp sweep
-# workers, the obs inspector serving HTTP during a run, the fleet
-# collector's cross-goroutine merging). It is the repository's concurrency
-# check; the goroutine-exit tests in exp and obs/fleet run inside it.
+# workers, the obs inspector serving HTTP during a run) and the fleet
+# collector those sweep workers call into. It is the repository's
+# concurrency check; the goroutine-exit tests in exp run inside it.
 echo "==> go test -race"
 go test -race ./...
 
