@@ -12,10 +12,14 @@ import (
 )
 
 // TestFloorBoundsNextCommand checks the re-key that follows every issued
-// command on generated inputs: the key the commanded bank is filed under
-// must be a lower bound on the next command the phases issue on that bank.
-// Refresh commands are exempt: the refresh deadline schedules them, not the
-// bank keys (REFsb ignores ACT spacing).
+// command on generated inputs: the key the commanded bank is filed under,
+// lowered to the arrival of every request enqueued on the bank since (as
+// dirty lowers it), must be a lower bound on the next command the phases
+// issue on that bank. Refresh commands and the PREs of a refresh drain are
+// exempt: the refresh deadline schedules them, not the bank keys (REFsb
+// ignores ACT spacing, and a drain closes idle banks, keyed at Forever, and
+// banks whose key waits on a row hit). Every request must also be served by the end of the run, so a key
+// that is never lowered for new work fails too.
 //
 // The inputs cover open and closed page, DDR5 same-bank refresh, RFMs coming
 // due at a small RAAIMT while ACT spacing binds (16 banks in 4 groups, so
@@ -72,9 +76,10 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 				}
 				bound := make([]timing.Tick, geo.Banks) // 0: no bound recorded yet
 				commanded, checked := -1, 0
+				var c *Controller
 				opt.OnCommand = func(cmd Cmd) {
 					commanded = cmd.Bank
-					if cmd.Bank < 0 || cmd.Kind == CmdREF {
+					if cmd.Bank < 0 || cmd.Kind == CmdREF || cmd.Kind == CmdPRE && c.refreshDrain {
 						return
 					}
 					if cmd.At < bound[cmd.Bank] {
@@ -82,8 +87,12 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 					}
 					checked++
 				}
-				c := New(d, opt)
-				driveFloorCheck(c, seed, func() {
+				c = New(d, opt)
+				driveFloorCheck(c, seed, func(r *Request) {
+					if r.Arrive < bound[r.Bank] {
+						bound[r.Bank] = r.Arrive
+					}
+				}, func() {
 					if commanded >= 0 && !c.vol[commanded] {
 						bound[commanded] = c.ready[commanded]
 					}
@@ -91,6 +100,9 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 				})
 				if checked < 1000 {
 					t.Fatalf("only %d commands checked", checked)
+				}
+				if n := c.QueuedRequests(); n > 0 {
+					t.Fatalf("%d requests still queued at the end of the run", n)
 				}
 				if tc.raaimt > 0 && c.Stats.RFMs == 0 {
 					t.Fatal("no RFM came due")
@@ -104,10 +116,11 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 }
 
 // driveFloorCheck feeds c generated requests (a few hot rows per bank, so
-// both hits and conflicts occur, a quarter of them writes) in arrival bursts,
-// and steps it at every instant its Step returns, calling afterStep after
-// every Step.
-func driveFloorCheck(c *Controller, seed uint64, afterStep func()) {
+// both hits and conflicts occur, a quarter of them writes) in arrival bursts
+// until 4096 have arrived, and steps it at every instant its Step returns
+// until the end of the run. It calls enqueued after every accepted request
+// and afterStep after every Step.
+func driveFloorCheck(c *Controller, seed uint64, enqueued func(*Request), afterStep func()) {
 	src := rng.NewCSPRNG(seed)
 	banks := c.Device().Banks()
 	p := c.Device().Params()
@@ -124,7 +137,9 @@ func driveFloorCheck(c *Controller, seed uint64, afterStep func()) {
 					Write:  rng.Intn(src, 4) == 0,
 					Arrive: now,
 				})
-				c.Enqueue(&reqs[len(reqs)-1]) // a full queue drops the request
+				if r := &reqs[len(reqs)-1]; c.Enqueue(r) { // a full queue drops the request
+					enqueued(r)
+				}
 			}
 			nextArrive = now + timing.Tick(1+rng.Intn(src, 40))*p.TCK
 		}

@@ -1,0 +1,98 @@
+package memctrl
+
+import (
+	"fmt"
+	"testing"
+
+	"shadow/internal/dram"
+	"shadow/internal/hammer"
+	"shadow/internal/mitigate"
+	"shadow/internal/timing"
+)
+
+// TestHitCacheMatchesQueueWalk checks the cached FR-FCFS hit on generated
+// inputs: after every Enqueue and every Step, each open bank's cached answer,
+// when one is held, must be the oldest queued request whose translated row
+// is the open row, as a fresh walk of the queue finds it. The inputs cover
+// open and closed page, RRS swaps (which move rows and precharge the bank),
+// Graphene TRR activations and the refresh drains every run passes through.
+func TestHitCacheMatchesQueueWalk(t *testing.T) {
+	geo := dram.Geometry{Banks: 16, SubarraysPerBank: 4, RowsPerSubarray: 32, RowBytes: 64, ExtraRows: 1}
+	hc := hammer.Config{HCnt: 1 << 20, BlastRadius: 1}
+	rrs := func() mitigate.MCSide {
+		return mitigate.NewRRS(mitigate.RRSConfig{
+			SwapThreshold: 6,
+			RowsPerBank:   geo.PARowsPerBank(),
+			SwapLatency:   100 * timing.Nanosecond,
+			REFW:          32 * timing.Millisecond,
+			Seed:          5,
+		})
+	}
+	graphene := func() mitigate.MCSide {
+		return mitigate.NewGraphene(mitigate.GrapheneConfig{
+			Hammer:      hammer.Config{HCnt: 64, BlastRadius: 2},
+			RowsPerBank: geo.PARowsPerBank(),
+			REFW:        32 * timing.Millisecond,
+		})
+	}
+	cases := []struct {
+		name string
+		opt  Options
+		mc   func() mitigate.MCSide
+		trr  bool // the MC side is Graphene, else RRS
+	}{
+		{name: "open"},
+		{name: "closed", opt: Options{ClosedPage: true}},
+		{name: "rrs", mc: rrs},
+		{name: "rrs-closed", opt: Options{ClosedPage: true}, mc: rrs},
+		{name: "trr", mc: graphene, trr: true},
+	}
+	for _, tc := range cases {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
+				d, err := dram.NewDevice(dram.Config{Geometry: geo, Params: timing.NewParams(timing.DDR4_2666), Hammer: hc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := tc.opt
+				if tc.mc != nil {
+					opt.MCSide = tc.mc()
+				}
+				c := New(d, opt)
+				compared := 0
+				check := func(when string) {
+					for i := range c.banks {
+						b := &c.banks[i]
+						if !b.open || b.hit == hitUnknown {
+							continue
+						}
+						want := hitNone
+						for idx, r := range b.queue {
+							if c.mc.TranslateRow(i, r.Row) == b.openRow {
+								want = idx
+								break
+							}
+						}
+						if b.hit != want {
+							t.Fatalf("%s: bank %d caches hit %d, the queue walk finds %d", when, i, b.hit, want)
+						}
+						compared++
+					}
+				}
+				driveFloorCheck(c, seed, func(*Request) { check("after Enqueue") }, func() { check("after Step") })
+				if compared < 1000 {
+					t.Fatalf("only %d cached hits compared", compared)
+				}
+				if c.Stats.Refs == 0 {
+					t.Fatal("no refresh drain")
+				}
+				if tc.mc != nil && !tc.trr && c.Stats.Swaps == 0 {
+					t.Fatal("no RRS swap")
+				}
+				if tc.trr && c.Stats.TRRs == 0 {
+					t.Fatal("no TRR issued")
+				}
+			})
+		}
+	}
+}

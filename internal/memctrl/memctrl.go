@@ -12,6 +12,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shadow/internal/dram"
 	"shadow/internal/mitigate"
@@ -136,11 +137,30 @@ type bankCtl struct {
 	// trrOpen marks the open row as a TRR activation: no column traffic,
 	// precharge as soon as tRAS allows.
 	trrOpen bool
+	// hit caches oldestHit while the bank is open: the queue index of the
+	// oldest request hitting the open row, hitNone, or hitUnknown. An ACT,
+	// a PRE (an RRS swap's included) and a dequeue void it; Enqueue records
+	// a new hit when none is cached.
+	hit int
 	// colsSinceAct / actSeen track the column-per-activation streak for the
 	// row-buffer locality histogram.
 	colsSinceAct int
 	actSeen      bool
 }
+
+// Values of bankCtl.hit besides a queue index.
+const (
+	hitNone    = -1 // no queued request hits the open row
+	hitUnknown = -2 // not computed since the queue or the open row last changed
+)
+
+// volatileKey is a volatile bank's readiness key: below every instant, so
+// every Step collects the bank, and liftBusy never raises it.
+const volatileKey timing.Tick = -1
+
+// maxBanks bounds the banks of one rank: Step collects the due banks into a
+// 64-bit mask.
+const maxBanks = 64
 
 // Controller drives one rank.
 type Controller struct {
@@ -167,15 +187,14 @@ type Controller struct {
 	// earliest possibly-actionable tick — always a lower bound on the bank's
 	// true next-action time, so stale entries cost an extra
 	// (behavior-neutral) wakeup, never a missed command. Volatile banks hold
-	// Forever in ready and are re-evaluated every Step: banks whose binding
-	// ACT constraint is the MC-side throttle (BlockHammer's allowed-at can
-	// move EARLIER at an epoch rotation, with no bank event to invalidate
-	// on) and, when spans are attached, every non-idle bank (a global event
-	// can change a waiting bank's blame cause, and the cause timeline must
-	// move at the first Step after that event, not at the bank's next
-	// cached instant). scan/bankNext are per-Step scratch.
+	// volatileKey in ready and are re-evaluated every Step: banks whose
+	// binding ACT constraint is the MC-side throttle (BlockHammer's
+	// allowed-at can move EARLIER at an epoch rotation, with no bank event
+	// to invalidate on) and, when spans are attached, every non-idle bank (a
+	// global event can change a waiting bank's blame cause, and the cause
+	// timeline must move at the first Step after that event, not at the
+	// bank's next cached instant). bankNext is per-Step scratch.
 	ready     []timing.Tick
-	scan      []int
 	bankNext  []timing.Tick
 	vol       []bool
 	volCount  int // number of banks currently in the volatile set
@@ -219,6 +238,9 @@ func New(dev *dram.Device, opt Options) *Controller {
 	if mc == nil {
 		mc = mitigate.NopMCSide{}
 	}
+	if dev.Banks() > maxBanks {
+		panic(fmt.Sprintf("memctrl: %d banks; a rank has at most %d", dev.Banks(), maxBanks))
+	}
 	groups := (dev.Banks() + 3) / 4
 	c := &Controller{
 		dev:           dev,
@@ -233,7 +255,9 @@ func New(dev *dram.Device, opt Options) *Controller {
 	}
 	n := dev.Banks()
 	c.ready = make([]timing.Tick, n) // all 0: the first Step classifies every bank
-	c.scan = make([]int, 0, n)
+	for i := range c.banks {
+		c.banks[i].hit = hitUnknown
+	}
 	c.bankNext = make([]timing.Tick, n)
 	c.vol = make([]bool, n)
 	c.throttled = make([]bool, n)
@@ -281,6 +305,9 @@ func (c *Controller) Enqueue(r *Request) bool {
 		return false
 	}
 	b.queue = append(b.queue, r) //shadowvet:ignore allocflow -- bank queue bounded by QueueCap; capacity is retained across request recycling, so growth stops after warmup
+	if b.open && b.hit == hitNone && c.mc.TranslateRow(r.Bank, r.Row) == b.openRow {
+		b.hit = len(b.queue) - 1
+	}
 	c.dirty(r.Bank, r.Arrive)
 	c.depthHist.Observe(int64(len(b.queue)))
 	if c.spans != nil {
@@ -349,48 +376,54 @@ func (c *Controller) Step(now timing.Tick) timing.Tick {
 	return c.stepEvent(now, next)
 }
 
-// stepEvent runs phases 2-4 over only the banks that could act: the volatile
-// set plus every bank whose cached readiness has arrived. One ascending pass
-// collects them while folding the other banks' cached minimum. The scan set
-// comes out in ascending bank order and each phase walks all of it before
-// the next phase starts, which decides which command issues when several are
-// legal at the same tick: RFM before TRR before demand, lower bank first.
+// stepEvent runs phases 2-4 over only the banks that could act: every bank
+// whose key has arrived, the volatile set (volatileKey) included. One
+// ascending pass collects them into a mask while folding the other banks'
+// keys into their minimum. Each phase walks the mask in ascending bank order
+// before the next phase starts, which decides which command issues when
+// several are legal at the same tick: RFM before TRR before demand, lower
+// bank first.
 func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
-	scan := c.scan[:0]
+	var due uint64
 	rest := timing.Forever
 	for i, t := range c.ready {
-		if t <= now || c.vol[i] {
-			scan = append(scan, i) //shadowvet:ignore allocflow -- c.scan is reused via [:0]; capacity tops out at the bank count
-		} else if t < rest {
-			rest = t
-		}
+		// d is 1 when the key has arrived (t <= now): the sign bit of now-t,
+		// inverted. It cannot overflow: now >= 0 and -1 <= t <= Forever.
+		d := uint64(now-t)>>63 ^ 1
+		due |= d << (uint(i) & 63)
+		// A collected key joins the bound through its bank's evaluation
+		// instead: fold Forever in its place.
+		rest = minTick(rest, (t|timing.Tick(-int64(d)))&timing.Forever)
 	}
-	c.scan = scan
 	next = minTick(next, rest)
-	for _, i := range scan {
+	for m := due; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		c.bankNext[i] = timing.Forever
 		c.throttled[i] = false
 	}
-	for _, i := range scan {
+	for m := due; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		t, issued := c.tryRFM(now, i)
 		if issued {
 			return c.issuedDuringScan(now, 0)
 		}
 		c.bankNext[i] = minTick(c.bankNext[i], t)
 	}
-	for _, i := range scan {
+	for m := due; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		t, issued := c.tryTRR(now, i)
 		if issued {
 			return c.issuedDuringScan(now, 0)
 		}
 		c.bankNext[i] = minTick(c.bankNext[i], t)
 	}
-	for s, i := range scan {
+	for m := due; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		t, issued := c.tryDemand(now, i)
 		if issued {
-			// Demand is the last phase: banks earlier in the scan are fully
+			// Demand is the last phase: due banks below i are fully
 			// evaluated and keep their computed readiness.
-			return c.issuedDuringScan(now, s)
+			return c.issuedDuringScan(now, due&(1<<uint(i)-1))
 		}
 		c.bankNext[i] = minTick(c.bankNext[i], t)
 	}
@@ -398,7 +431,8 @@ func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
 	// the phases is strictly greater than now, so the Step loop cannot spin)
 	// or keep it in the volatile set if it must be re-evaluated every Step.
 	// Either way its computed time joins the bound.
-	for _, i := range scan {
+	for m := due; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		c.recacheBank(i)
 		next = minTick(next, c.bankNext[i])
 	}
@@ -415,18 +449,18 @@ func (c *Controller) recacheBank(i int) {
 	}
 }
 
-// issuedDuringScan finishes a Step that issued a command mid-scan. Banks
-// before position keep were evaluated by every phase, and their computed
-// times stay valid lower bounds across the issued command — a command only
-// adds constraints, so it can raise but never lower another bank's
-// next-action time — so they re-cache at their computed readiness. Banks the
-// evaluation never completed for (everything from keep on, plus every bank
+// issuedDuringScan finishes a Step that issued a command mid-scan. The banks
+// in the mask keep were evaluated by every phase, and their computed times
+// stay valid lower bounds across the issued command — a command only adds
+// constraints, so it can raise but never lower another bank's next-action
+// time — so they re-cache at their computed readiness. Banks the evaluation
+// never completed for (the issuing bank and those above it, plus every bank
 // when the issue happened in the RFM or TRR phase) need no re-arming at all:
 // they still hold their collected keys (<= now), so the next Step collects
 // and re-evaluates them — their partial minima are never trusted.
-func (c *Controller) issuedDuringScan(now timing.Tick, keep int) timing.Tick {
-	for _, i := range c.scan[:keep] {
-		if !c.vol[i] {
+func (c *Controller) issuedDuringScan(now timing.Tick, keep uint64) timing.Tick {
+	for ; keep != 0; keep &= keep - 1 {
+		if i := bits.TrailingZeros64(keep); !c.vol[i] {
 			c.recacheBank(i)
 		}
 	}
@@ -476,11 +510,8 @@ func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
 //
 // The key is lowered to the event time, never raised: every future Step runs
 // at now >= at, so the bank is collected on the very next evaluation either
-// way. Volatile banks are skipped — they are evaluated every Step already.
+// way. A volatile bank's key is already below every instant.
 func (c *Controller) dirty(bank int, at timing.Tick) {
-	if c.vol[bank] {
-		return
-	}
 	if c.ready[bank] > at {
 		c.ready[bank] = at
 	}
@@ -492,10 +523,10 @@ func (c *Controller) dirty(bank int, at timing.Tick) {
 // all of the command's state updates, replaces it and lets NextReadyAt see
 // past the command's one-tCK bus echo.
 //
-// Volatile banks are skipped: they hold Forever and are evaluated every Step.
-// With spans attached the bank stays due at the next Step instead: its next
-// evaluation may change its blame cause, an observable event that the floor
-// does not bound.
+// Volatile banks are skipped: they hold volatileKey and are evaluated every
+// Step. With spans attached the bank stays due at the next Step instead: its
+// next evaluation may change its blame cause, an observable event that the
+// floor does not bound.
 func (c *Controller) rekey(i int, now timing.Tick) {
 	if i < 0 || c.vol[i] {
 		return
@@ -509,10 +540,15 @@ func (c *Controller) rekey(i int, now timing.Tick) {
 
 // floor returns a lower bound on the next command the phases can issue on
 // bank i, from the bank's and the channel's timing state as they stand.
-// Every input only rises until the bank's next command, so the bound holds
-// until then:
+// Every input only rises until the bank's next command or, for an idle bank
+// and an open bank's hit, its next Enqueue (which lowers the key to the
+// arrival), so the bound holds until then:
 //
-//   - open: a column command (colReadyAt) or a PRE (conflict, TRR, RFM,
+//   - idle (bankIdle): Forever, since every phase returns Forever for it;
+//   - open, in the simple state (open page, raa < RAAIMT, no TRR queued or
+//     open): tryDemand alone can issue, a column command (colReadyAt) when a
+//     queued request hits the open row, else a conflict PRE (NextPREReady);
+//   - open otherwise: a column command or a PRE (conflict, TRR, RFM,
 //     closed-page close), whichever is legal first;
 //   - closed: an ACT (demand or TRR) or an RFM, neither before the bank's
 //     own NextACTReady. The ACT spacing (tRRD_S, tRRD_L, tFAW) raises the
@@ -522,6 +558,9 @@ func (c *Controller) rekey(i int, now timing.Tick) {
 // With an RFM filter and an RFM due, the bank's next evaluation may take a
 // counted filter skip without issuing, so the floor is now.
 func (c *Controller) floor(i int, now timing.Tick) timing.Tick {
+	if c.bankIdle(i) {
+		return timing.Forever
+	}
 	b := &c.banks[i]
 	rfmDue := c.p.RAAIMT > 0 && b.raa >= c.p.RAAIMT
 	if rfmDue && c.opt.RFMFilter != nil {
@@ -529,6 +568,13 @@ func (c *Controller) floor(i int, now timing.Tick) timing.Tick {
 	}
 	d := c.dev.Bank(i)
 	if b.open {
+		if !rfmDue && len(b.trr) == 0 && !b.trrOpen && !c.opt.ClosedPage {
+			if req, _ := c.oldestHit(i); req == nil {
+				return d.NextPREReady()
+			}
+			t, _ := c.colReadyAt(now, i)
+			return t
+		}
 		t, _ := c.colReadyAt(now, i)
 		return minTick(t, d.NextPREReady())
 	}
@@ -550,9 +596,9 @@ func (c *Controller) actSpacingAt(i int) timing.Tick {
 // liftBusy raises a bank's cached readiness to the end of a device-side
 // busy window (REF/REFsb/RFM): the bank is closed for the whole window, so
 // no command on it can be legal earlier and the lift cannot skip work.
-// Volatile banks hold Forever, so they are never lifted.
+// Volatile banks keep volatileKey.
 func (c *Controller) liftBusy(bank int, until timing.Tick) {
-	if c.ready[bank] < until {
+	if !c.vol[bank] && c.ready[bank] < until {
 		c.ready[bank] = until
 	}
 }
@@ -571,7 +617,7 @@ func (c *Controller) updateVolatility(i int) {
 	c.vol[i] = wantVol
 	if wantVol {
 		c.volCount++
-		c.ready[i] = timing.Forever
+		c.ready[i] = volatileKey
 	} else {
 		c.volCount--
 	}
@@ -638,6 +684,7 @@ func (c *Controller) tryTRR(now timing.Tick, i int) (timing.Tick, bool) {
 	b.trr = b.trr[1:]
 	b.open = true
 	b.openRow = row
+	b.hit = hitUnknown
 	b.trrOpen = true
 	b.actFor = nil
 	b.raa++
@@ -657,6 +704,7 @@ func (c *Controller) precharge(i int, at timing.Tick) {
 	b := &c.banks[i]
 	b.open = false
 	b.trrOpen = false
+	b.hit = hitUnknown
 	c.Stats.Pres++
 	c.log(CmdPRE, i, -1, at)
 }
@@ -847,15 +895,24 @@ func (c *Controller) tryRFM(now timing.Tick, i int) (timing.Tick, bool) {
 	return now, true
 }
 
-// oldestHit returns the oldest queued request hitting the open row of bank i.
+// oldestHit returns the oldest queued request hitting the open row of bank i
+// and its queue index. The FR-FCFS walk runs only when the cached answer
+// (bankCtl.hit) is void.
 func (c *Controller) oldestHit(i int) (*Request, int) {
 	b := &c.banks[i]
-	for idx, r := range b.queue {
-		if c.mc.TranslateRow(i, r.Row) == b.openRow {
-			return r, idx
+	if b.hit == hitUnknown {
+		b.hit = hitNone
+		for idx, r := range b.queue {
+			if c.mc.TranslateRow(i, r.Row) == b.openRow {
+				b.hit = idx
+				break
+			}
 		}
 	}
-	return nil, -1
+	if b.hit == hitNone {
+		return nil, -1
+	}
+	return b.queue[b.hit], b.hit
 }
 
 // colReadyAt returns the earliest legal column-command time for bank i and
@@ -914,6 +971,7 @@ func (c *Controller) issueColumn(now timing.Tick, i int, req *Request, idx int) 
 	b := &c.banks[i]
 	b.colsSinceAct++
 	b.queue = append(b.queue[:idx], b.queue[idx+1:]...) //shadowvet:ignore allocflow -- in-place deletion: appending into the same backing array never grows it
+	b.hit = hitUnknown
 	if b.actFor == req {
 		// Drop the served request's pointer: callers may recycle Request
 		// objects, and a stale actFor must never match a reused one.
@@ -1042,6 +1100,7 @@ func (c *Controller) tryDemand(now timing.Tick, i int) (timing.Tick, bool) {
 	b.colsSinceAct = 0
 	b.open = true
 	b.openRow = phys
+	b.hit = hitUnknown
 	b.actFor = req
 	b.trrOpen = false
 	b.raa++

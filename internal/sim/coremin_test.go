@@ -11,20 +11,28 @@ import (
 	"shadow/internal/trace"
 )
 
-// TestCoreMinTracksCoreAt checks that runner.coreMin equals min(coreAt)
-// after every wakeup: the wheel skips the core walk whenever coreMin lies in
-// the future, so a coreMin above the true minimum would skip a due core. The
-// inputs cover 1 to 64 cores on one and two channels, saturated bank queues
-// (cores park and are re-armed by dequeues) and a BlockHammer run with spans
-// attached (every clamped wakeup re-arms every parked core).
+// TestCoreMinTracksCoreAt checks the wheel's core summaries after every
+// wakeup: coreMin equals min(coreAt), each groupMin entry equals the minimum
+// of its group's coreAt, and the stalled count equals the number of
+// MSHR-stalled cores. The wheel skips the core walk whenever coreMin lies in
+// the future and a group whenever its minimum does, so a summary above the
+// true minimum would skip a due core; and completions wake the wheel only
+// while the stalled count is positive (or the wakeup is clamped), so an
+// undercount would retire a stalled core's completion late. The inputs cover
+// 1 to 64 cores (a partial last group included) on one and two channels,
+// cores stalled on two MSHRs, saturated bank queues (cores park and are
+// re-armed by dequeues) and a BlockHammer run with spans attached (every
+// clamped wakeup re-arms every parked core).
 func TestCoreMinTracksCoreAt(t *testing.T) {
 	cases := []struct {
 		cores, channels int
+		mshr            int  // 0: the default
 		conflict        bool // four rows per bank, no row locality: queues saturate
 		blockhammer     bool // BlockHammer at H_cnt 64 plus spans: the clamp
 	}{
 		{cores: 1, channels: 1},
 		{cores: 4, channels: 2},
+		{cores: 12, channels: 1, mshr: 2},
 		{cores: 16, channels: 1},
 		{cores: 16, channels: 2},
 		{cores: 64, channels: 1, conflict: true},
@@ -34,6 +42,9 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		name := fmt.Sprintf("%dc-%dch", tc.cores, tc.channels)
+		if tc.mshr > 0 {
+			name += fmt.Sprintf("-mshr%d", tc.mshr)
+		}
 		if tc.conflict {
 			name += "-conflict"
 		}
@@ -60,6 +71,7 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 				Channels: tc.channels,
 				Workload: trace.Generators(profiles, wlGeo, 7),
 				Duration: 40 * timing.Microsecond,
+				MSHR:     tc.mshr,
 			}
 			if tc.blockhammer {
 				cfg.MCSideFor = func(ch int) mitigate.MCSide {
@@ -75,7 +87,7 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parkedSeen, clampSeen, skipped := false, false, 0
+			parkedSeen, clampSeen, stallSeen, skipped := false, false, false, 0
 			for r.now < cfg.Duration {
 				walk := r.coreMin <= r.now
 				r.tick()
@@ -91,6 +103,25 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 				if r.coreMin != want {
 					t.Fatalf("at %v: coreMin %v, min(coreAt) %v", r.now, r.coreMin, want)
 				}
+				for g, got := range r.groupMin {
+					want := timing.Forever
+					for _, at := range r.coreAt[g*coreGroup : min((g+1)*coreGroup, len(r.coreAt))] {
+						want = min(want, at)
+					}
+					if got != want {
+						t.Fatalf("at %v: groupMin[%d] %v, min of its coreAt %v", r.now, g, got, want)
+					}
+				}
+				stalled := 0
+				for _, c := range r.cores {
+					if c.stalled {
+						stalled++
+					}
+				}
+				if r.stalled != stalled {
+					t.Fatalf("at %v: stalled count %d, %d cores stalled", r.now, r.stalled, stalled)
+				}
+				stallSeen = stallSeen || stalled > 0
 				// A clamped wakeup re-arms every parked core before it
 				// returns, so a core's backoff flag is what shows it met a
 				// full queue.
@@ -103,6 +134,9 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 			}
 			if skipped == 0 {
 				t.Error("no wakeup skipped the core walk")
+			}
+			if tc.mshr > 0 && !stallSeen {
+				t.Error("no core stalled on its MSHRs")
 			}
 			if tc.conflict && !parkedSeen {
 				t.Error("no core parked on a full queue")

@@ -131,6 +131,9 @@ type completion struct {
 	at   timing.Tick
 }
 
+// coreGroup is the number of cores one runner.groupMin entry summarizes.
+const coreGroup = 8
+
 // runner holds the hot-loop state of one simulation. The per-iteration work
 // lives in tick() — factored out of Run so the allocation regression test
 // can pump a steady-state runner directly and pin the loop to 0 allocs.
@@ -146,19 +149,23 @@ type runner struct {
 	// core is stalled (retire restores it when the core unstalls) or parked
 	// on a full queue (rearmSlot and rearmAll restore it); it sits
 	// in one contiguous array so the wheel's per-wakeup scan never touches a
-	// core that is not due. coreMin is exactly min(coreAt), kept at every
-	// write to coreAt, so a wakeup with no core due skips the walk over
-	// coreAt altogether. ctlNext caches each channel's advance bound
-	// (Controller.NextReadyAt) so quiescent channels are not stepped at all;
-	// chDirty marks channels that received a request this wakeup;
-	// chPend/chSel are per-wakeup scratch.
-	ctls    []*memctrl.Controller
-	coreAt  []timing.Tick
-	coreMin timing.Tick
-	ctlNext []timing.Tick
-	chPend  []timing.Tick
-	chSel   []bool
-	chDirty []bool
+	// core that is not due. groupMin[g] is exactly the minimum of coreAt over
+	// cores [g*coreGroup, (g+1)*coreGroup), and coreMin exactly min(coreAt),
+	// both kept at every write to coreAt, so a wakeup with no core due skips
+	// the walk altogether and the walk skips every group with no core due.
+	// stalled counts the MSHR-stalled cores. ctlNext caches each channel's
+	// advance bound (Controller.NextReadyAt) so quiescent channels are not
+	// stepped at all; chDirty marks channels that received a request this
+	// wakeup; chPend/chSel are per-wakeup scratch.
+	ctls     []*memctrl.Controller
+	coreAt   []timing.Tick
+	groupMin []timing.Tick
+	coreMin  timing.Tick
+	stalled  int
+	ctlNext  []timing.Tick
+	chPend   []timing.Tick
+	chSel    []bool
+	chDirty  []bool
 
 	// Queue-full parking (see tick): a core whose request found its
 	// bank queue full waits with coreAt Forever on that bank's list instead
@@ -317,12 +324,13 @@ func newRunner(cfg Config) (*runner, error) {
 	r.devices = devices
 	r.ctls = ctls
 	r.coreAt = make([]timing.Tick, len(cores))
+	r.groupMin = make([]timing.Tick, (len(cores)+coreGroup-1)/coreGroup)
+	for g := range r.groupMin {
+		r.groupMin[g] = timing.Forever
+	}
 	r.coreMin = timing.Forever
 	for i, c := range cores {
-		r.coreAt[i] = c.nextIssueAt
-		if c.nextIssueAt < r.coreMin {
-			r.coreMin = c.nextIssueAt
-		}
+		r.lowerCoreAt(i, c.nextIssueAt)
 	}
 	r.ctlNext = make([]timing.Tick, channels)
 	r.chPend = make([]timing.Tick, channels)
@@ -395,8 +403,13 @@ func Run(cfg Config) (*Result, error) {
 // that can act at this instant:
 //
 //   - cores are walked through their dense next-issue-time array, so only
-//     due cores touch their replay state, and only at a wakeup where some
-//     core is due (coreMin);
+//     due cores touch their replay state, only at a wakeup where some core
+//     is due (coreMin), and only in groups of cores where one is due
+//     (groupMin);
+//   - a completion wakes the wheel only while some core is MSHR-stalled or
+//     the wheel is clamped: otherwise retiring it changes only the core's
+//     outstanding count, which only the walk reads, and the walk runs after
+//     the retire pass of its own wakeup (DESIGN.md §10, part 4);
 //   - a core whose request met a full bank queue retries on a 4 tCK grid
 //     from its first rejection, but parks on the bank and wakes only at the
 //     first grid point after a dequeue from it, or after a clamped wakeup
@@ -486,74 +499,99 @@ func (r *runner) tick() {
 
 	// 4. Jump to the wheel's bound. coreMin includes the retries re-armed by
 	// this wakeup's dequeues.
-	r.advance(now, r.coreMin)
+	r.advance(now, clamped)
 }
 
 // walkCores walks the cores in index order — same-instant requests enter
 // their bank queues in core-index order, and FR-FCFS breaks ties on queue
-// order — replaying every due core and recomputing coreMin in the same pass.
+// order — replaying every due core. A group with no core due is skipped
+// whole; the walked groups' minima and coreMin are recomputed in the same
+// pass.
 func (r *runner) walkCores(now timing.Tick) {
-	cfg := r.cfg
 	coreMin := timing.Forever
-	for id, at := range r.coreAt {
-		if at > now {
-			if at < coreMin {
-				coreMin = at
-			}
-			continue
-		}
-		c := r.cores[id]
-		parked := false
-		for !c.stalled && c.nextIssueAt <= now {
-			if c.outstanding >= cfg.MSHR {
-				c.stalled = true
-				break
-			}
-			// Whole-struct reset: a recycled request must not leak its old
-			// Span pointer or channel-rewritten bank index into this one.
-			req := r.getReq()
-			*req = memctrl.Request{
-				Core:   id,
-				Bank:   c.pending.Bank,
-				Row:    c.pending.Row,
-				Col:    c.pending.Col,
-				Write:  c.pending.Write,
-				Arrive: now,
-			}
-			ok, ch := r.mc.EnqueueCh(req)
-			if !ok {
-				// Bank queue full: the core's next retry is 4 tCK away,
-				// but it parks on the bank until a dequeue (or a clamp)
-				// re-arms it. A failed enqueue mutates nothing, so the
-				// channel stays clean.
-				r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
-				if !c.backoff {
-					c.backoff, c.backoffAt = true, now
+	for g, gmin := range r.groupMin {
+		if gmin <= now {
+			gmin = timing.Forever
+			lo := g * coreGroup
+			for id, at := range r.coreAt[lo:min(lo+coreGroup, len(r.coreAt))] {
+				if at <= now {
+					at = r.replay(lo+id, now)
 				}
-				c.nextIssueAt = now + cfg.Params.TCK*4
-				r.park(id, ch*cfg.Geometry.Banks+req.Bank)
-				parked = true
-				break
+				gmin = min(gmin, at)
 			}
-			r.chDirty[ch] = true
-			if c.backoff {
-				req.Span.NoteBackpressure(c.backoffAt)
-				c.backoff = false
-			}
-			c.outstanding++
-			c.fetch(cfg.InstPerNS, now)
-			r.instSeries.Add(now, float64(c.pending.Gap))
+			r.groupMin[g] = gmin
 		}
-		at = timing.Forever
-		if !c.stalled && !parked {
-			at = c.nextIssueAt
-		}
-		r.coreAt[id] = at
-		if at < coreMin {
-			coreMin = at
-		}
+		coreMin = min(coreMin, gmin)
 	}
 	r.coreMin = coreMin
+}
+
+// replay issues due core id's requests until it stalls on its MSHRs, parks
+// on a full bank queue or runs ahead of now, and returns its new coreAt
+// (Forever while stalled or parked).
+func (r *runner) replay(id int, now timing.Tick) timing.Tick {
+	cfg := r.cfg
+	c := r.cores[id]
+	parked := false
+	for !c.stalled && c.nextIssueAt <= now {
+		if c.outstanding >= cfg.MSHR {
+			c.stalled = true
+			r.stalled++
+			break
+		}
+		// Whole-struct reset: a recycled request must not leak its old
+		// Span pointer or channel-rewritten bank index into this one.
+		req := r.getReq()
+		*req = memctrl.Request{
+			Core:   id,
+			Bank:   c.pending.Bank,
+			Row:    c.pending.Row,
+			Col:    c.pending.Col,
+			Write:  c.pending.Write,
+			Arrive: now,
+		}
+		ok, ch := r.mc.EnqueueCh(req)
+		if !ok {
+			// Bank queue full: the core's next retry is 4 tCK away, but it
+			// parks on the bank until a dequeue (or a clamp) re-arms it. A
+			// failed enqueue mutates nothing, so the channel stays clean.
+			r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
+			if !c.backoff {
+				c.backoff, c.backoffAt = true, now
+			}
+			c.nextIssueAt = now + cfg.Params.TCK*4
+			r.park(id, ch*cfg.Geometry.Banks+req.Bank)
+			parked = true
+			break
+		}
+		r.chDirty[ch] = true
+		if c.backoff {
+			req.Span.NoteBackpressure(c.backoffAt)
+			c.backoff = false
+		}
+		c.outstanding++
+		c.fetch(cfg.InstPerNS, now)
+		r.instSeries.Add(now, float64(c.pending.Gap))
+	}
+	at := timing.Forever
+	if !c.stalled && !parked {
+		at = c.nextIssueAt
+	}
+	r.coreAt[id] = at
+	return at
+}
+
+// lowerCoreAt puts core id back on the wheel at at: coreAt was Forever (the
+// core stalled, parked or not yet armed), so its group's minimum and coreMin
+// can only fall.
+func (r *runner) lowerCoreAt(id int, at timing.Tick) {
+	r.coreAt[id] = at
+	if g := id / coreGroup; at < r.groupMin[g] {
+		r.groupMin[g] = at
+	}
+	if at < r.coreMin {
+		r.coreMin = at
+	}
 }
 
 // park holds core id on bank slot's full queue: the core stays out of the
@@ -579,10 +617,7 @@ func (r *runner) rearmSlot(slot int, now timing.Tick) {
 		if c.nextIssueAt <= now {
 			c.nextIssueAt += ((now-c.nextIssueAt)/backoff + 1) * backoff
 		}
-		r.coreAt[id] = c.nextIssueAt
-		if c.nextIssueAt < r.coreMin {
-			r.coreMin = c.nextIssueAt
-		}
+		r.lowerCoreAt(id, c.nextIssueAt)
 		r.parked--
 	}
 	r.parkHead[slot] = -1
@@ -620,17 +655,18 @@ func (r *runner) stepSelected(now timing.Tick) {
 
 // advance moves simulated time to the wheel's sound lower bound on the next
 // actionable event: the minimum over per-channel bounds, the earliest
-// unstalled core's issue time (coreNext), and the earliest outstanding
-// completion. A bound at or before now (volatile channels, refresh drains)
-// clamps the jump to +1 tCK, never skipping an instant.
-func (r *runner) advance(now, coreNext timing.Tick) {
-	next := coreNext
+// unstalled core's issue time (coreMin) and, while some core is stalled or
+// the wakeup was clamped, the earliest outstanding completion. A bound at or
+// before now (volatile channels, refresh drains) clamps the jump to +1 tCK,
+// never skipping an instant.
+func (r *runner) advance(now timing.Tick, clamped bool) {
+	next := r.coreMin
 	for _, b := range r.ctlNext {
 		if b < next {
 			next = b
 		}
 	}
-	if r.nextDone > now && r.nextDone < next {
+	if (r.stalled > 0 || clamped) && r.nextDone > now && r.nextDone < next {
 		next = r.nextDone
 	}
 	if next <= now {
@@ -656,13 +692,11 @@ func (r *runner) retire(now timing.Tick) {
 			c.outstanding--
 			if c.stalled {
 				c.stalled = false
+				r.stalled--
 				if c.nextIssueAt < r.inflight[i].at {
 					c.nextIssueAt = r.inflight[i].at
 				}
-				r.coreAt[id] = c.nextIssueAt
-				if c.nextIssueAt < r.coreMin {
-					r.coreMin = c.nextIssueAt
-				}
+				r.lowerCoreAt(id, c.nextIssueAt)
 			}
 			r.inflight[i] = r.inflight[len(r.inflight)-1]
 			r.inflight = r.inflight[:len(r.inflight)-1]
