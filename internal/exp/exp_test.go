@@ -250,18 +250,14 @@ func TestAdversarialBounds(t *testing.T) {
 func TestBaselineCacheHit(t *testing.T) {
 	o := fastOpts()
 	o.Seed = 991 // avoid keys other tests already populated
-	before := len(baselineCache)
-	_, _, err := runPoint(Point{Scheme: Shadow, HCnt: 4096, Grade: timing.DDR4_2666, Seed: o.Seed}, trace.MixHigh(o.Cores), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := len(baselineCache)
-	_, _, err = runPoint(Point{Scheme: DRR, HCnt: 4096, Grade: timing.DDR4_2666, Seed: o.Seed}, trace.MixHigh(o.Cores), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(baselineCache) != mid || mid <= before {
-		t.Errorf("baseline cache not reused: %d -> %d -> %d", before, mid, len(baselineCache))
+	for _, s := range []Scheme{Shadow, DRR} {
+		_, _, err := runPoint(Point{Scheme: s, HCnt: 4096, Grade: timing.DDR4_2666, Seed: o.Seed}, trace.MixHigh(o.Cores), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if entries := baselineEntries(o); len(entries) != 1 || entries[0].runs != 1 {
+			t.Fatalf("after %s: %d baseline entries, want 1 simulated once", s, len(entries))
+		}
 	}
 }
 

@@ -25,11 +25,17 @@ type perfJob struct {
 	out *PerfPoint
 }
 
-// runJobs sweeps the jobs, concurrently up to o.Workers, pre-warming the
-// per-workload baselines so parallel points only contend on the cache read.
+// runJobs sweeps the jobs, concurrently up to o.Workers. The distinct
+// baselines (one per workload and grade) are the first items of the same
+// fan-out, so they run concurrently with each other and ahead of the scheme
+// points, each of which waits only on its own baseline.
 func runJobs(jobs []perfJob, o RunOpts) error {
 	o = o.withDefaults()
-	// Pre-warm baselines serially (one per distinct workload+grade).
+	type baseJob struct {
+		grade    timing.Grade
+		profiles []trace.Profile
+	}
+	var bases []baseJob
 	seen := map[string]bool{}
 	for _, j := range jobs {
 		key := fmt.Sprintf("%s/%v", j.workload, j.pt.Grade)
@@ -37,18 +43,20 @@ func runJobs(jobs []perfJob, o RunOpts) error {
 			continue
 		}
 		seen[key] = true
-		geo := o.Geometry(j.pt.Grade)
 		profiles := append([]trace.Profile(nil), j.profiles...)
-		clampWS(profiles, geo)
-		if _, err := baselineRun(j.pt.Grade, profiles, geo, o); err != nil {
-			return err
-		}
+		clampWS(profiles, o.Geometry(j.pt.Grade))
+		bases = append(bases, baseJob{j.pt.Grade, profiles})
 	}
 	if o.OnPointsPlanned != nil {
 		o.OnPointsPlanned(len(jobs))
 	}
-	return parallelEach(len(jobs), o.Workers, func(worker, i int) error {
-		j := jobs[i]
+	return parallelEach(len(bases)+len(jobs), o.Workers, func(worker, i int) error {
+		if i < len(bases) {
+			b := bases[i]
+			_, err := baselineRun(b.grade, b.profiles, o.Geometry(b.grade), o)
+			return err
+		}
+		j := jobs[i-len(bases)]
 		ow := o
 		ow.workerID = worker
 		ws, _, err := runPoint(j.pt, append([]trace.Profile(nil), j.profiles...), ow)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,9 +16,9 @@ import (
 
 // TestParallelFanOutSharedBaseline exercises the real goroutine fan-out of
 // the experiment harness under the race detector: several scheme points run
-// concurrently through parallelEach, all contending on the shared baseline
-// cache (baselineMu). Run with -race; any unsynchronized access to the
-// cache or the error slot fails the build's `go test -race ./...` gate.
+// concurrently through parallelEach, all contending on the one baseline
+// cache entry of their key. Run with -race; any unsynchronized access to
+// the cache or the error slot fails the build's `go test -race ./...` gate.
 func TestParallelFanOutSharedBaseline(t *testing.T) {
 	o := RunOpts{
 		Duration:  20 * timing.Microsecond,
@@ -45,26 +46,102 @@ func TestParallelFanOutSharedBaseline(t *testing.T) {
 	}
 	// Every point shares one workload/grade/opts key: the baseline must have
 	// been simulated once and served from the cache afterwards.
-	key := baselineKeyCount(o)
-	if key != 1 {
-		t.Errorf("baseline cache holds %d entries for this config, want 1", key)
+	if entries := baselineEntries(o); len(entries) != 1 || entries[0].runs != 1 {
+		t.Errorf("baseline cache holds %d entries for this config, want 1 simulated once", len(entries))
 	}
 }
 
-// baselineKeyCount counts cache entries carrying this test's unique seed
-// (keys are "grade/duration/warmup/cores/seed/subarrays,profiles...").
-func baselineKeyCount(o RunOpts) int {
+// baselineEntries returns the cache entries carrying o's seed (keys are
+// "grade/duration/warmup/cores/seed/subarrays,profiles..."), sorted by key.
+// Each test that inspects the cache uses a seed no other test uses.
+func baselineEntries(o RunOpts) []*baselineEntry {
 	o = o.withDefaults()
 	marker := fmt.Sprintf("/%d/", o.Seed)
 	baselineMu.Lock()
 	defer baselineMu.Unlock()
-	n := 0
+	var keys []string
 	for key := range baselineCache {
 		if strings.Contains(key, marker) {
-			n++ //shadowvet:ignore determinism -- order-independent count
+			keys = append(keys, key) //shadowvet:ignore determinism -- sorted below
 		}
 	}
-	return n
+	sort.Strings(keys)
+	entries := make([]*baselineEntry, len(keys))
+	for i, key := range keys {
+		entries[i] = baselineCache[key]
+	}
+	return entries
+}
+
+// dropBaselines removes the cache entries carrying o's seed.
+func dropBaselines(o RunOpts) {
+	o = o.withDefaults()
+	marker := fmt.Sprintf("/%d/", o.Seed)
+	baselineMu.Lock()
+	defer baselineMu.Unlock()
+	for key := range baselineCache {
+		if strings.Contains(key, marker) {
+			delete(baselineCache, key)
+		}
+	}
+}
+
+// TestRunJobsBaselinesInFanOut runs a three-workload sweep with its
+// baselines inside the 4-worker fan-out: every baseline key must be
+// simulated exactly once, OnPointsPlanned must count the scheme points
+// only, and every Rel must be bit-equal to a serial run's.
+func TestRunJobsBaselinesInFanOut(t *testing.T) {
+	o := RunOpts{
+		Duration:  20 * timing.Microsecond,
+		Cores:     2, // one core would give mix-high and mix-blend one profile
+		Subarrays: 8,
+		Seed:      7002, // keys distinct from other tests' cache entries
+	}
+	wnames := []string{"mix-high", "mix-blend", "mix-random"}
+	schemes := []Scheme{Shadow, PARFM, MithrilArea}
+	sweep := func(workers int) []PerfPoint {
+		t.Helper()
+		ow := o
+		ow.Workers = workers
+		planned := 0
+		ow.OnPointsPlanned = func(n int) { planned += n }
+		points := make([]PerfPoint, len(wnames)*len(schemes))
+		var jobs []perfJob
+		for _, w := range wnames {
+			for _, s := range schemes {
+				jobs = append(jobs, perfJob{
+					workload: w,
+					profiles: mixByName(w, o.Cores),
+					pt:       Point{Scheme: s, HCnt: 4096, Grade: timing.DDR4_2666, Seed: o.Seed},
+					out:      &points[len(jobs)],
+				})
+			}
+		}
+		if err := runJobs(jobs, ow); err != nil {
+			t.Fatal(err)
+		}
+		if planned != len(jobs) {
+			t.Errorf("workers %d: OnPointsPlanned counted %d, want the %d scheme points", workers, planned, len(jobs))
+		}
+		return points
+	}
+	serial := sweep(1)
+	dropBaselines(o)
+	parallel := sweep(4)
+	entries := baselineEntries(o)
+	if len(entries) != len(wnames) {
+		t.Fatalf("%d baseline entries, want one per workload (%d)", len(entries), len(wnames))
+	}
+	for i, e := range entries {
+		if e.runs != 1 || e.err != nil || e.res == nil {
+			t.Errorf("baseline %d: %d simulations (err %v), want exactly 1", i, e.runs, e.err)
+		}
+	}
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Errorf("point %d: 4 workers gave %+v, 1 worker %+v", i, parallel[i], serial[i])
+		}
+	}
 }
 
 // checkGoroutinesExit fails t unless the goroutine count falls back to

@@ -158,9 +158,10 @@ const (
 // every Step collects the bank, and liftBusy never raises it.
 const volatileKey timing.Tick = -1
 
-// maxBanks bounds the banks of one rank: Step collects the due banks into a
-// 64-bit mask.
-const maxBanks = 64
+// MaxBanks bounds the banks of one rank: Step collects the due banks into a
+// 64-bit mask. New panics above it; sim.Run and sim.RunAttack reject such a
+// geometry with an error first.
+const MaxBanks = 64
 
 // Controller drives one rank.
 type Controller struct {
@@ -238,8 +239,8 @@ func New(dev *dram.Device, opt Options) *Controller {
 	if mc == nil {
 		mc = mitigate.NopMCSide{}
 	}
-	if dev.Banks() > maxBanks {
-		panic(fmt.Sprintf("memctrl: %d banks; a rank has at most %d", dev.Banks(), maxBanks))
+	if dev.Banks() > MaxBanks {
+		panic(fmt.Sprintf("memctrl: %d banks; a rank has at most %d", dev.Banks(), MaxBanks))
 	}
 	groups := (dev.Banks() + 3) / 4
 	c := &Controller{

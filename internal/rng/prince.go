@@ -17,7 +17,17 @@ import "math/bits"
 // of in-DRAM hardware unit SHADOW uses; a single instance sustains more than
 // 1 Gbit/s even at DRAM core frequencies (Section VIII).
 type Prince struct {
-	k0, k0p, k1 uint64
+	k0, k0p uint64
+	// enc keys the core for Encrypt; dec is its alpha reflection, which
+	// Decrypt runs.
+	enc, dec coreKey
+}
+
+// coreKey is the PRINCE-core key k1 with its image L(k1), L = M'∘SR⁻¹ (the
+// linear half of a backward round): the backward rounds add the key after
+// L, so the tables below see it as L(k1).
+type coreKey struct {
+	k1, lk1 uint64
 }
 
 // alpha is the PRINCE reflection constant: RC[i] XOR RC[11-i] = alpha.
@@ -100,18 +110,15 @@ func NewPrince(k0, k1 uint64) *Prince {
 	return &Prince{
 		k0:  k0,
 		k0p: bits.RotateLeft64(k0, -1) ^ (k0 >> 63),
-		k1:  k1,
+		enc: newCoreKey(k1),
+		dec: newCoreKey(k1 ^ alpha),
 	}
 }
 
-func subBytes(s uint64, box *[16]uint64) uint64 {
-	var out uint64
-	for i := 0; i < 16; i++ {
-		out |= box[(s>>(60-4*i))&0xF] << (60 - 4*i)
-	}
-	return out
-}
+func newCoreKey(k1 uint64) coreKey { return coreKey{k1: k1, lk1: backwardLinear(k1)} }
 
+// mPrime applies the M' layer bit-serially: one parity per output bit.
+// Only the table construction below uses it.
 func mPrime(s uint64) uint64 {
 	var out uint64
 	for i := 0; i < 64; i++ {
@@ -129,34 +136,79 @@ func doShiftRows(s uint64, perm *[16]int) uint64 {
 	return out
 }
 
-// core is PRINCE-core: the FX-free part keyed by k1.
-func (p *Prince) core(s uint64) uint64 {
-	s ^= p.k1 ^ roundConst[0]
-	for i := 1; i <= 5; i++ {
-		s = subBytes(s, &sbox)
-		s = doShiftRows(mPrime(s), &shiftRows)
-		s ^= roundConst[i] ^ p.k1
+// backwardLinear is L = M'∘SR⁻¹, the linear layer of rounds 6-10.
+func backwardLinear(s uint64) uint64 { return mPrime(doShiftRows(s, &shiftRowsInv)) }
+
+// roundTable holds one round's S-box and linear layer folded together: entry
+// [i][v] is the layer's output for nibble value v at nibble i (counting from
+// the least significant nibble) with every other nibble zero. The layer is
+// linear after the S-box, so a round is the XOR of 16 entries.
+type roundTable [16][16]uint64
+
+func newRoundTable(box *[16]uint64, linear func(uint64) uint64) *roundTable {
+	var t roundTable
+	for i := range t {
+		for v := range t[i] {
+			t[i][v] = linear(box[v] << (4 * i))
+		}
 	}
-	s = subBytes(s, &sbox)
-	s = mPrime(s)
-	s = subBytes(s, &sboxInv)
+	return &t
+}
+
+func (t *roundTable) apply(s uint64) uint64 {
+	return t[0][s&0xF] ^ t[1][s>>4&0xF] ^ t[2][s>>8&0xF] ^ t[3][s>>12&0xF] ^
+		t[4][s>>16&0xF] ^ t[5][s>>20&0xF] ^ t[6][s>>24&0xF] ^ t[7][s>>28&0xF] ^
+		t[8][s>>32&0xF] ^ t[9][s>>36&0xF] ^ t[10][s>>40&0xF] ^ t[11][s>>44&0xF] ^
+		t[12][s>>48&0xF] ^ t[13][s>>52&0xF] ^ t[14][s>>56&0xF] ^ t[15][s>>60]
+}
+
+var (
+	// forward is S then M' then SR: rounds 1-5.
+	forward = newRoundTable(&sbox, func(s uint64) uint64 { return doShiftRows(mPrime(s), &shiftRows) })
+	// middle is S then M': the first half of the middle layer.
+	middle = newRoundTable(&sbox, mPrime)
+	// backward is S⁻¹ then L: the middle layer's S⁻¹ and rounds 6-9's S⁻¹
+	// carried into the next round's linear layer.
+	backward = newRoundTable(&sboxInv, backwardLinear)
+)
+
+// backwardConst holds L(RC_i) for the backward rounds 6-10.
+var backwardConst = func() (c [12]uint64) {
 	for i := 6; i <= 10; i++ {
-		s ^= roundConst[i] ^ p.k1
-		s = mPrime(doShiftRows(s, &shiftRowsInv))
-		s = subBytes(s, &sboxInv)
+		c[i] = backwardLinear(roundConst[i])
 	}
-	return s ^ p.k1 ^ roundConst[11]
+	return c
+}()
+
+// core is PRINCE-core: the FX-free part keyed by k1. The specification's
+// backward round is x ^= RC_i^k1 followed by S⁻¹(L(x)); since L is linear,
+// it is computed as L(S⁻¹(y)) ^ L(RC_i) ^ L(k1) on the state y before the
+// previous S⁻¹, which the backward table applies, and the last S⁻¹ runs on
+// its own.
+func core(s uint64, k *coreKey) uint64 {
+	s ^= k.k1 ^ roundConst[0]
+	for i := 1; i <= 5; i++ {
+		s = forward.apply(s) ^ roundConst[i] ^ k.k1
+	}
+	s = middle.apply(s)
+	for i := 6; i <= 10; i++ {
+		s = backward.apply(s) ^ backwardConst[i] ^ k.lk1
+	}
+	var out uint64
+	for i := 0; i < 64; i += 4 {
+		out |= sboxInv[s>>i&0xF] << i
+	}
+	return out ^ k.k1 ^ roundConst[11]
 }
 
 // Encrypt enciphers one 64-bit block.
 func (p *Prince) Encrypt(m uint64) uint64 {
-	return p.core(m^p.k0) ^ p.k0p
+	return core(m^p.k0, &p.enc) ^ p.k0p
 }
 
 // Decrypt deciphers one 64-bit block using PRINCE's alpha-reflection
 // property: decryption under (k0, k0', k1) equals encryption under
 // (k0', k0, k1 XOR alpha).
 func (p *Prince) Decrypt(c uint64) uint64 {
-	inv := &Prince{k0: p.k0p, k0p: p.k0, k1: p.k1 ^ alpha}
-	return inv.Encrypt(c)
+	return core(c^p.k0p, &p.dec) ^ p.k0
 }

@@ -38,13 +38,62 @@ func TestPrinceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrinceAlphaReflection verifies the defining FX property:
-// D(k0,k0',k1) == E(k0',k0,k1^alpha).
-func TestPrinceAlphaReflection(t *testing.T) {
+// The bit-serial specification form of PRINCE: every layer applied on its
+// own, round by round. It is the oracle the table-driven core is checked
+// against.
+
+func subBytes(s uint64, box *[16]uint64) uint64 {
+	var out uint64
+	for i := 0; i < 16; i++ {
+		out |= box[(s>>(60-4*i))&0xF] << (60 - 4*i)
+	}
+	return out
+}
+
+func specCore(s, k1 uint64) uint64 {
+	s ^= k1 ^ roundConst[0]
+	for i := 1; i <= 5; i++ {
+		s = subBytes(s, &sbox)
+		s = doShiftRows(mPrime(s), &shiftRows)
+		s ^= roundConst[i] ^ k1
+	}
+	s = subBytes(s, &sbox)
+	s = mPrime(s)
+	s = subBytes(s, &sboxInv)
+	for i := 6; i <= 10; i++ {
+		s ^= roundConst[i] ^ k1
+		s = mPrime(doShiftRows(s, &shiftRowsInv))
+		s = subBytes(s, &sboxInv)
+	}
+	return s ^ k1 ^ roundConst[11]
+}
+
+func specK0p(k0 uint64) uint64 { return k0>>1 | k0<<63 ^ k0>>63 }
+
+func specEncrypt(k0, k1, m uint64) uint64 {
+	return specCore(m^k0, k1) ^ specK0p(k0)
+}
+
+// specDecrypt is the alpha reflection: encryption under (k0', k0, k1^alpha).
+func specDecrypt(k0, k1, c uint64) uint64 {
+	return specCore(c^specK0p(k0), k1^alpha) ^ k0
+}
+
+func TestPrinceMatchesSpec(t *testing.T) {
 	f := func(k0, k1, m uint64) bool {
 		p := NewPrince(k0, k1)
-		refl := &Prince{k0: p.k0p, k0p: p.k0, k1: k1 ^ alpha}
-		return p.Decrypt(m) == refl.Encrypt(m)
+		return p.Encrypt(m) == specEncrypt(k0, k1, m) && p.Decrypt(m) == specDecrypt(k0, k1, m)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPrinceAlphaReflection verifies the defining FX property on the spec
+// form: D(k0,k0',k1) inverts E(k0,k0',k1).
+func TestPrinceAlphaReflection(t *testing.T) {
+	f := func(k0, k1, m uint64) bool {
+		return specDecrypt(k0, k1, specEncrypt(k0, k1, m)) == m
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

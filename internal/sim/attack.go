@@ -51,6 +51,9 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 	if cfg.Geometry.Banks == 0 {
 		cfg.Geometry = dram.DefaultGeometry(cfg.Params.Grade == timing.DDR5_4800)
 	}
+	if err := checkBanks(cfg.Geometry); err != nil {
+		return nil, err
+	}
 	if cfg.Hammer.HCnt == 0 {
 		cfg.Hammer = hammer.DefaultConfig()
 	}

@@ -196,6 +196,15 @@ type runner struct {
 	now        timing.Tick
 }
 
+// checkBanks rejects a geometry with more banks than one controller
+// drives, before memctrl.New would panic on it.
+func checkBanks(g dram.Geometry) error {
+	if g.Banks > memctrl.MaxBanks {
+		return fmt.Errorf("sim: %d banks; a rank has at most %d", g.Banks, memctrl.MaxBanks)
+	}
+	return nil
+}
+
 // newRunner validates cfg, applies defaults, and builds the cores,
 // controllers, devices, and recycling pools for one run. Split from Run so
 // the allocation regression test can pump a steady-state runner's tick()
@@ -212,6 +221,9 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	if cfg.Geometry.Banks == 0 {
 		cfg.Geometry = dram.DefaultGeometry(cfg.Params.Grade == timing.DDR5_4800)
+	}
+	if err := checkBanks(cfg.Geometry); err != nil {
+		return nil, err
 	}
 	if cfg.Hammer.HCnt == 0 {
 		cfg.Hammer = hammer.DefaultConfig()

@@ -7,6 +7,7 @@ import (
 	"shadow/internal/circuit"
 	"shadow/internal/dram"
 	"shadow/internal/hammer"
+	"shadow/internal/memctrl"
 	"shadow/internal/mitigate"
 	"shadow/internal/rng"
 	"shadow/internal/shadow"
@@ -80,6 +81,40 @@ func TestRunValidation(t *testing.T) {
 	w := trace.Generators(trace.MixHigh(1), g, 1)
 	if _, err := Run(Config{Params: baseParams(), Workload: w}); err == nil {
 		t.Error("zero duration accepted")
+	}
+}
+
+// TestRunRejectsTooManyBanks: a rank wider than memctrl.MaxBanks is a
+// configuration error at the API boundary, not a panic inside memctrl.New.
+func TestRunRejectsTooManyBanks(t *testing.T) {
+	for _, banks := range []int{memctrl.MaxBanks, memctrl.MaxBanks + 1} {
+		g := dram.TestGeometry()
+		g.Banks = banks
+		_, err := Run(Config{
+			Params:   baseParams(),
+			Geometry: g,
+			Workload: trace.Generators(trace.MixHigh(1), g, 1),
+			Duration: timing.Microsecond,
+		})
+		if (err != nil) != (banks > memctrl.MaxBanks) {
+			t.Errorf("%d banks: err = %v", banks, err)
+		}
+	}
+}
+
+func TestRunAttackRejectsTooManyBanks(t *testing.T) {
+	for _, banks := range []int{memctrl.MaxBanks, memctrl.MaxBanks + 1} {
+		g := dram.TestGeometry()
+		g.Banks = banks
+		_, err := RunAttack(AttackConfig{
+			Params:   baseParams(),
+			Geometry: g,
+			Hammer:   hammer.Config{HCnt: 1 << 20, BlastRadius: 1},
+			MaxActs:  16,
+		}, &trace.SingleSided{Bank: banks - 1, Row: 5})
+		if (err != nil) != (banks > memctrl.MaxBanks) {
+			t.Errorf("%d banks: err = %v", banks, err)
+		}
 	}
 }
 
