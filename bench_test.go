@@ -376,6 +376,34 @@ func BenchmarkShadowShuffleOp(b *testing.B) {
 	}
 }
 
+// BenchmarkShadowTranslate measures one remapping-row translation, the read
+// SHADOW puts in front of every ACT: the bank's state lookup, the row's
+// payload and one entry decode. It walks every PA row of a bank, so every
+// subarray's table is read.
+func BenchmarkShadowTranslate(b *testing.B) {
+	ctrl := shadow.New(shadow.Options{Seed: 1})
+	d := dram.MustNewDevice(dram.Config{
+		Geometry:  dram.DefaultGeometry(false),
+		Params:    timing.NewParams(timing.DDR4_2666),
+		Hammer:    hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
+		Mitigator: ctrl,
+	})
+	bank := d.Bank(3)
+	rows := d.Geometry().PARowsPerBank()
+	for r := 0; r < rows; r++ { // initialize every table before timing
+		ctrl.Translate(bank, r)
+	}
+	sum := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, da := ctrl.Translate(bank, i*7919%rows)
+		sum += da
+	}
+	if sum < 0 {
+		b.Fatal("negative DA row")
+	}
+}
+
 // BenchmarkAblationPairingDistance compares the adjacent (distance-1) and
 // open-bitline (distance-2) subarray pairings: protection must be identical
 // (the pairing only changes which physical row holds the table).

@@ -11,41 +11,33 @@ import (
 	"shadow/internal/timing"
 )
 
-// TestFloorBoundsNextCommand checks the re-key that follows every issued
-// command on generated inputs: the key the commanded bank is filed under,
-// lowered to the arrival of every request enqueued on the bank since (as
-// dirty lowers it), must be a lower bound on the next command the phases
-// issue on that bank. Refresh commands and the PREs of a refresh drain are
-// exempt: the refresh deadline schedules them, not the bank keys (REFsb
-// ignores ACT spacing, and a drain closes idle banks, keyed at Forever, and
-// banks whose key waits on a row hit). Every request must also be served by the end of the run, so a key
-// that is never lowered for new work fails too.
-//
-// The inputs cover open and closed page, DDR5 same-bank refresh, RFMs coming
-// due at a small RAAIMT while ACT spacing binds (16 banks in 4 groups, so
-// tRRD_S, tRRD_L and tFAW all bind) and an MC side that emits TRR work. With
-// the stock DDR4 and DDR5 timings, ACT spacing never outlasts the tRP that
-// follows a PRE (tFAW < 3*tRRD_S + tRP), so one case doubles tFAW: there an
-// RFM can follow its PRE before the next ACT could, and a floor that applied
-// ACT spacing to an RFM-due bank would be too late.
-func TestFloorBoundsNextCommand(t *testing.T) {
-	geo := dram.Geometry{Banks: 16, SubarraysPerBank: 4, RowsPerSubarray: 32, RowBytes: 64, ExtraRows: 1}
-	hc := hammer.Config{HCnt: 1 << 20, BlastRadius: 1}
+// floorGeo has 16 banks in 4 groups, so tRRD_S, tRRD_L and tFAW all bind.
+var floorGeo = dram.Geometry{Banks: 16, SubarraysPerBank: 4, RowsPerSubarray: 32, RowBytes: 64, ExtraRows: 1}
+
+// floorCase is one controller configuration of the generated-input grid.
+type floorCase struct {
+	name    string
+	grade   timing.Grade
+	raaimt  int
+	wideFAW bool
+	opt     Options
+	mc      func() mitigate.MCSide
+}
+
+// floorCases covers open and closed page, DDR5 same-bank refresh, RFMs
+// coming due at a small RAAIMT while ACT spacing binds and an MC side that
+// emits TRR work. With the stock DDR4 and DDR5 timings, ACT spacing never
+// outlasts the tRP that follows a PRE (tFAW < 3*tRRD_S + tRP), so one case
+// doubles tFAW: there an RFM can follow its PRE before the next ACT could.
+func floorCases() []floorCase {
 	graphene := func() mitigate.MCSide {
 		return mitigate.NewGraphene(mitigate.GrapheneConfig{
 			Hammer:      hammer.Config{HCnt: 64, BlastRadius: 2},
-			RowsPerBank: geo.PARowsPerBank(),
+			RowsPerBank: floorGeo.PARowsPerBank(),
 			REFW:        32 * timing.Millisecond,
 		})
 	}
-	cases := []struct {
-		name    string
-		grade   timing.Grade
-		raaimt  int
-		wideFAW bool
-		opt     Options
-		mc      func() mitigate.MCSide
-	}{
+	return []floorCase{
 		{name: "open", grade: timing.DDR4_2666},
 		{name: "closed", grade: timing.DDR4_2666, opt: Options{ClosedPage: true}},
 		{name: "open-rfm", grade: timing.DDR4_2666, raaimt: 4},
@@ -56,7 +48,15 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 		{name: "trr", grade: timing.DDR4_2666, mc: graphene},
 		{name: "trr-closed-rfm", grade: timing.DDR4_2666, raaimt: 4, opt: Options{ClosedPage: true}, mc: graphene},
 	}
-	for _, tc := range cases {
+}
+
+// forEachFloorCase runs fn as a subtest for every case of the grid at seeds
+// 1-3, with a fresh device and the case's options. fn sets its own hooks on
+// opt and builds the controller. After fn, the run must have served every
+// request, and the RFM and TRR cases must have issued one.
+func forEachFloorCase(t *testing.T, fn func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller) {
+	hc := hammer.Config{HCnt: 1 << 20, BlastRadius: 1}
+	for _, tc := range floorCases() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
 				p := timing.NewParams(tc.grade)
@@ -66,7 +66,7 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 				if tc.wideFAW {
 					p.FAW *= 2
 				}
-				d, err := dram.NewDevice(dram.Config{Geometry: geo, Params: p, Hammer: hc})
+				d, err := dram.NewDevice(dram.Config{Geometry: floorGeo, Params: p, Hammer: hc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,33 +74,7 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 				if tc.mc != nil {
 					opt.MCSide = tc.mc()
 				}
-				bound := make([]timing.Tick, geo.Banks) // 0: no bound recorded yet
-				commanded, checked := -1, 0
-				var c *Controller
-				opt.OnCommand = func(cmd Cmd) {
-					commanded = cmd.Bank
-					if cmd.Bank < 0 || cmd.Kind == CmdREF || cmd.Kind == CmdPRE && c.refreshDrain {
-						return
-					}
-					if cmd.At < bound[cmd.Bank] {
-						t.Fatalf("%v on bank %d at %v, before its key %v", cmd.Kind, cmd.Bank, cmd.At, bound[cmd.Bank])
-					}
-					checked++
-				}
-				c = New(d, opt)
-				driveFloorCheck(c, seed, func(r *Request) {
-					if r.Arrive < bound[r.Bank] {
-						bound[r.Bank] = r.Arrive
-					}
-				}, func() {
-					if commanded >= 0 && !c.vol[commanded] {
-						bound[commanded] = c.ready[commanded]
-					}
-					commanded = -1
-				})
-				if checked < 1000 {
-					t.Fatalf("only %d commands checked", checked)
-				}
+				c := fn(t, d, seed, opt)
 				if n := c.QueuedRequests(); n > 0 {
 					t.Fatalf("%d requests still queued at the end of the run", n)
 				}
@@ -115,12 +89,92 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 	}
 }
 
+// TestFloorBoundsNextCommand checks the re-key that follows every issued
+// command on generated inputs: the key the commanded bank is filed under,
+// lowered to the arrival of every request enqueued on the bank since (as
+// dirty lowers it), must be a lower bound on the next command the phases
+// issue on that bank. Refresh commands and the PREs of a refresh drain are
+// exempt: the refresh deadline schedules them, not the bank keys (REFsb
+// ignores ACT spacing, and a drain closes idle banks, keyed at Forever, and
+// banks whose key waits on a row hit). Every request must also be served by
+// the end of the run, so a key that is never lowered for new work fails too.
+// In the wide-tFAW case, a floor that applied ACT spacing to an RFM-due bank
+// would be too late.
+func TestFloorBoundsNextCommand(t *testing.T) {
+	forEachFloorCase(t, func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller {
+		bound := make([]timing.Tick, floorGeo.Banks) // 0: no bound recorded yet
+		commanded, checked := -1, 0
+		var c *Controller
+		opt.OnCommand = func(cmd Cmd) {
+			commanded = cmd.Bank
+			if cmd.Bank < 0 || cmd.Kind == CmdREF || cmd.Kind == CmdPRE && c.refreshDrain {
+				return
+			}
+			if cmd.At < bound[cmd.Bank] {
+				t.Fatalf("%v on bank %d at %v, before its key %v", cmd.Kind, cmd.Bank, cmd.At, bound[cmd.Bank])
+			}
+			checked++
+		}
+		c = New(d, opt)
+		driveFloorCheck(c, seed, func(r *Request) {
+			if r.Arrive < bound[r.Bank] {
+				bound[r.Bank] = r.Arrive
+			}
+		}, func(now, next timing.Tick) {
+			if commanded >= 0 && !c.vol[commanded] {
+				bound[commanded] = c.ready[commanded]
+			}
+			commanded = -1
+		})
+		if checked < 1000 {
+			t.Fatalf("only %d commands checked", checked)
+		}
+		return c
+	})
+}
+
+// TestStepReturnsBound checks Step's return on the same generated inputs. On
+// a controller with no volatile bank it must be the channel's whole bound,
+// so that a driver may sleep until it without asking NextReadyAt: after a
+// command it equals NextReadyAt(now), which lies past now, and otherwise it
+// is never below NextReadyAt(now). NextReadyAt scans every bank's key; Step
+// reaches the same value from the keys its own scan already read.
+func TestStepReturnsBound(t *testing.T) {
+	forEachFloorCase(t, func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller {
+		issued, checked := false, 0
+		opt.OnCommand = func(Cmd) { issued = true }
+		c := New(d, opt)
+		driveFloorCheck(c, seed, func(*Request) {}, func(now, next timing.Tick) {
+			if c.Volatile() {
+				t.Fatal("a controller without spans or a throttling MC side went volatile")
+			}
+			want := c.NextReadyAt(now)
+			switch {
+			case issued && next <= now:
+				t.Fatalf("Step at %v issued a command and returned %v, not past now", now, next)
+			case issued && next != want:
+				t.Fatalf("Step at %v issued a command and returned %v, NextReadyAt %v", now, next, want)
+			case next < want:
+				t.Fatalf("Step at %v returned %v, below NextReadyAt %v", now, next, want)
+			}
+			if issued {
+				checked++
+			}
+			issued = false
+		})
+		if checked < 1000 {
+			t.Fatalf("only %d commands checked", checked)
+		}
+		return c
+	})
+}
+
 // driveFloorCheck feeds c generated requests (a few hot rows per bank, so
 // both hits and conflicts occur, a quarter of them writes) in arrival bursts
 // until 4096 have arrived, and steps it at every instant its Step returns
 // until the end of the run. It calls enqueued after every accepted request
-// and afterStep after every Step.
-func driveFloorCheck(c *Controller, seed uint64, enqueued func(*Request), afterStep func()) {
+// and afterStep with the instant and the return of every Step.
+func driveFloorCheck(c *Controller, seed uint64, enqueued func(*Request), afterStep func(now, next timing.Tick)) {
 	src := rng.NewCSPRNG(seed)
 	banks := c.Device().Banks()
 	p := c.Device().Params()
@@ -144,7 +198,7 @@ func driveFloorCheck(c *Controller, seed uint64, enqueued func(*Request), afterS
 			nextArrive = now + timing.Tick(1+rng.Intn(src, 40))*p.TCK
 		}
 		next := c.Step(now)
-		afterStep()
+		afterStep(now, next)
 		if next <= now {
 			continue
 		}

@@ -79,7 +79,7 @@ func TestHitCacheMatchesQueueWalk(t *testing.T) {
 						compared++
 					}
 				}
-				driveFloorCheck(c, seed, func(*Request) { check("after Enqueue") }, func() { check("after Step") })
+				driveFloorCheck(c, seed, func(*Request) { check("after Enqueue") }, func(_, _ timing.Tick) { check("after Step") })
 				if compared < 1000 {
 					t.Fatalf("only %d cached hits compared", compared)
 				}

@@ -332,49 +332,69 @@ func (c *Controller) Pending() bool { return c.QueuedRequests() > 0 }
 // Step attempts to issue one command at time `now` and returns the earliest
 // time at which the controller could act next. When the return value equals
 // now, call Step again (more work is possible at this instant).
+//
+// On a channel with no volatile bank, a return after now is the channel's
+// whole bound: never below NextReadyAt(now), and equal to it after a
+// command. A driver can sleep until it without asking NextReadyAt. While
+// some bank is volatile, Step returns its raw bound (the bus echo after a
+// command), which a driver must step at.
 func (c *Controller) Step(now timing.Tick) timing.Tick {
 	if now < c.blockedUntil {
-		return c.blockedUntil
+		return c.bound(now, c.blockedUntil)
 	}
 	if now < c.cmdBusFreeAt {
-		return c.cmdBusFreeAt
+		return c.bound(now, c.cmdBusFreeAt)
 	}
-
-	next := timing.Forever
 
 	// 1. Refresh has top priority once due: drain open banks, then REF.
 	if now >= c.nextRefreshAt {
 		c.refreshDrain = true
-	} else {
-		next = minTick(next, c.nextRefreshAt)
 	}
 	if c.refreshDrain {
 		// Every bank's ACT progress is held by the drain; column traffic that
 		// still completes below flips its bank back to service at the same
 		// instant (zero-length segment), keeping attribution exact.
 		c.spans.SetAllCauses(now, span.CauseRefresh)
-		if t, issued := c.tryRefresh(now); issued {
-			return c.afterCmd(now)
-		} else if t != timing.Forever {
-			next = minTick(next, t)
-		}
-		if c.refreshDrain {
+		t, issued := c.tryRefresh(now)
+		if !issued {
 			// While draining, do not start new row activity; allow column
-			// traffic to finish below only for open rows.
-			if t := c.tryDrainColumns(now); t == now {
-				return c.afterCmd(now)
-			} else {
-				return minTick(next, t)
-			}
+			// traffic to finish only for open rows.
+			d := c.tryDrainColumns(now)
+			issued = d == now
+			t = minTick(t, d)
 		}
+		if issued {
+			return c.bound(now, c.afterCmd(now))
+		}
+		return c.bound(now, t)
 	}
+	return c.stepEvent(now)
+}
 
-	// The MC-side policy's own timer (BlockHammer's filter-epoch rotation,
-	// which releases throttled rows) bounds the next Step, so a release is
-	// seen at its epoch boundary rather than at whichever Step follows it.
-	next = minTick(next, c.mc.NextEventAt(now))
+// bound folds the channel's cached bound into a raw Step return from one of
+// the rare paths (swap blocking, bus echo, refresh drain, REF): their max is
+// still a sound lower bound on the next action, and it skips the wakeups
+// the raw return would force. A raw return at or before now (more work at
+// this instant) and a volatile channel (NextReadyAt returns now) keep the raw
+// value.
+func (c *Controller) bound(now, raw timing.Tick) timing.Tick {
+	if raw <= now {
+		return raw
+	}
+	return maxTick(raw, c.NextReadyAt(now))
+}
 
-	return c.stepEvent(now, next)
+// settled finishes NextReadyAt from keys, the minimum of the refresh
+// deadline and every bank's readiness key: it folds in the device's and the
+// MC-side policy's timers and gates the result by the command-bus and
+// swap-blocking windows. Keys at or before the bus window cannot move the
+// result, so the timers are not asked then.
+func (c *Controller) settled(now, keys timing.Tick) timing.Tick {
+	if keys > c.cmdBusFreeAt {
+		keys = minTick(keys, c.dev.NextDeadline(now))
+		keys = minTick(keys, c.mc.NextEventAt(now))
+	}
+	return maxTick(maxTick(keys, c.cmdBusFreeAt), c.blockedUntil)
 }
 
 // stepEvent runs phases 2-4 over only the banks that could act: every bank
@@ -384,7 +404,11 @@ func (c *Controller) Step(now timing.Tick) timing.Tick {
 // before the next phase starts, which decides which command issues when
 // several are legal at the same tick: RFM before TRR before demand, lower
 // bank first.
-func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
+func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
+	// The MC-side policy's own timer (BlockHammer's filter-epoch rotation,
+	// which releases throttled rows) bounds the next Step, so a release is
+	// seen at its epoch boundary rather than at whichever Step follows it.
+	event := c.mc.NextEventAt(now)
 	var due uint64
 	rest := timing.Forever
 	for i, t := range c.ready {
@@ -396,7 +420,9 @@ func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
 		// instead: fold Forever in its place.
 		rest = minTick(rest, (t|timing.Tick(-int64(d)))&timing.Forever)
 	}
-	next = minTick(next, rest)
+	// Refresh is not draining here (Step returned if it were), so its
+	// deadline is still ahead.
+	keys := minTick(rest, c.nextRefreshAt)
 	for m := due; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		c.bankNext[i] = timing.Forever
@@ -406,7 +432,7 @@ func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
 		i := bits.TrailingZeros64(m)
 		t, issued := c.tryRFM(now, i)
 		if issued {
-			return c.issuedDuringScan(now, 0)
+			return c.issuedDuringScan(now, due, 0, keys)
 		}
 		c.bankNext[i] = minTick(c.bankNext[i], t)
 	}
@@ -414,7 +440,7 @@ func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
 		i := bits.TrailingZeros64(m)
 		t, issued := c.tryTRR(now, i)
 		if issued {
-			return c.issuedDuringScan(now, 0)
+			return c.issuedDuringScan(now, due, 0, keys)
 		}
 		c.bankNext[i] = minTick(c.bankNext[i], t)
 	}
@@ -424,7 +450,7 @@ func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
 		if issued {
 			// Demand is the last phase: due banks below i are fully
 			// evaluated and keep their computed readiness.
-			return c.issuedDuringScan(now, due&(1<<uint(i)-1))
+			return c.issuedDuringScan(now, due, due&(1<<uint(i)-1), keys)
 		}
 		c.bankNext[i] = minTick(c.bankNext[i], t)
 	}
@@ -435,9 +461,16 @@ func (c *Controller) stepEvent(now, next timing.Tick) timing.Tick {
 	for m := due; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		c.recacheBank(i)
-		next = minTick(next, c.bankNext[i])
+		keys = minTick(keys, c.bankNext[i])
 	}
-	return next
+	raw := minTick(keys, event)
+	if c.volCount > 0 {
+		return raw
+	}
+	// keys is now the minimum NextReadyAt scans for. The scan may have
+	// released the policy's last throttled row (an epoch rotation), which
+	// moves its timer past the one folded into raw; the max keeps the later.
+	return maxTick(raw, c.settled(now, keys))
 }
 
 // recacheBank files bank i after a full (all-phase, non-issuing) evaluation:
@@ -459,13 +492,27 @@ func (c *Controller) recacheBank(i int) {
 // when the issue happened in the RFM or TRR phase) need no re-arming at all:
 // they still hold their collected keys (<= now), so the next Step collects
 // and re-evaluates them — their partial minima are never trusted.
-func (c *Controller) issuedDuringScan(now timing.Tick, keep uint64) timing.Tick {
+//
+// The return is NextReadyAt(now) without its scan. keys holds the refresh
+// deadline and the keys of every bank outside due, which the command left
+// alone: it re-keys only its own bank, which is due, and its busy window
+// (an RFM's) lifts only that bank. So folding in the due banks' keys as
+// they now stand gives the minimum over every key. A volatile channel
+// returns the raw bus echo instead.
+func (c *Controller) issuedDuringScan(now timing.Tick, due, keep uint64, keys timing.Tick) timing.Tick {
 	for ; keep != 0; keep &= keep - 1 {
 		if i := bits.TrailingZeros64(keep); !c.vol[i] {
 			c.recacheBank(i)
 		}
 	}
-	return c.afterCmd(now)
+	raw := c.afterCmd(now)
+	if c.volCount > 0 {
+		return raw
+	}
+	for ; due != 0; due &= due - 1 {
+		keys = minTick(keys, c.ready[bits.TrailingZeros64(due)])
+	}
+	return c.settled(now, keys)
 }
 
 // Volatile reports whether this channel must be stepped at every runner
@@ -488,6 +535,11 @@ func (c *Controller) Volatile() bool {
 // means "due now" (e.g. mid refresh drain). Between now and the returned
 // bound every Step is a pure no-op, so a wheel may skip those Steps without
 // changing any issued command.
+//
+// On a non-volatile channel Step returns this bound or a later one (after a
+// command in the bank scan it computes the bound from its own scan), so the
+// simulator's drivers do not call it. It serves replay drivers that fold it
+// themselves and tests that check Step against it.
 func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
 	if c.Volatile() {
 		return now
@@ -496,10 +548,7 @@ func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
 	for _, t := range c.ready {
 		next = minTick(next, t)
 	}
-	next = minTick(next, c.dev.NextDeadline(now))
-	next = minTick(next, c.mc.NextEventAt(now))
-	next = maxTick(next, c.cmdBusFreeAt)
-	return maxTick(next, c.blockedUntil)
+	return c.settled(now, next)
 }
 
 // dirty lowers a bank's cached readiness to time at. Enqueue calls it: a new

@@ -27,13 +27,24 @@ func newCtl(t *testing.T, opt Options, raaimt int) *Controller {
 }
 
 // run drives the controller until all queued requests complete or the
-// deadline passes, returning the finishing time.
+// deadline passes, returning the latest completion (Done) among the requests
+// served. The loop clock is no finishing time: once the queue empties, Step's
+// bound lies at the next refresh.
 func run(t *testing.T, c *Controller, deadline timing.Tick) timing.Tick {
 	t.Helper()
+	var last timing.Tick
+	prev := c.opt.OnComplete
+	c.opt.OnComplete = func(r *Request) {
+		last = max(last, r.Done)
+		if prev != nil {
+			prev(r)
+		}
+	}
+	defer func() { c.opt.OnComplete = prev }()
 	now := timing.Tick(0)
 	for now < deadline {
 		if !c.Pending() {
-			return now
+			return last
 		}
 		next := c.Step(now)
 		if next <= now {
@@ -44,7 +55,7 @@ func run(t *testing.T, c *Controller, deadline timing.Tick) timing.Tick {
 	if c.Pending() {
 		t.Fatalf("requests still pending at deadline %v (%d left)", deadline, c.QueuedRequests())
 	}
-	return now
+	return last
 }
 
 func TestSingleReadLatency(t *testing.T) {

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"shadow/internal/obs"
@@ -181,6 +182,15 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// fnvPrimePow[k] is fnvPrime^k (mod 2^64): k zero bytes folded at once.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
 // CmdHash accumulates an order-sensitive FNV-1a hash of a command log:
 // feed it (kind, bank, row, at) from an OnCommand hook and compare Sums
 // across schedulers via the Divergence watchdog. Not safe for concurrent
@@ -193,17 +203,22 @@ type CmdHash struct {
 // NewCmdHash returns an empty hash.
 func NewCmdHash() *CmdHash { return &CmdHash{sum: fnvOffset} }
 
-// Note folds one command into the hash.
+// Note folds one command into the hash: the four fields as 8-byte
+// little-endian words, byte by byte (row as its low 32 bits). A zero byte's
+// XOR leaves the state unchanged, so each word's high zero bytes fold into
+// one multiply by fnvPrime^k; most bytes of a command are such zeros.
 func (h *CmdHash) Note(kind, bank, row int, at timing.Tick) {
 	if h == nil {
 		return
 	}
 	s := h.sum
 	for _, v := range [4]uint64{uint64(kind), uint64(bank), uint64(uint32(row)), uint64(at)} {
-		for i := 0; i < 8; i++ {
+		n := (bits.Len64(v) + 7) / 8 // bytes up to the highest non-zero one
+		for i := 0; i < n; i++ {
 			s ^= (v >> (8 * i)) & 0xff
 			s *= fnvPrime
 		}
+		s *= fnvPrimePow[8-n]
 	}
 	h.sum = s
 }

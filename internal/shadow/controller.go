@@ -61,7 +61,13 @@ type Controller struct {
 	opt    Options
 	src    rng.Source
 	csprng *rng.CSPRNG // non-nil when the default source is in use
-	banks  map[int]*bankState
+	// banks holds each bank's state by bank ID; nil until the bank's first
+	// use. Every Translate and OnACT looks its bank up here.
+	banks []*bankState
+	// tab is the remapping-row layout, computed once for geo, the geometry
+	// of the first bank served; every later bank must share it.
+	tab Table
+	geo dram.Geometry
 
 	probe         *obs.Probe
 	shuffleSeries *obs.Series
@@ -76,7 +82,7 @@ func New(opt Options) *Controller {
 	if opt.PairDistance == 0 {
 		opt.PairDistance = 1
 	}
-	c := &Controller{opt: opt, banks: make(map[int]*bankState)}
+	c := &Controller{opt: opt}
 	if opt.Source != nil {
 		c.src = opt.Source
 	} else {
@@ -117,26 +123,57 @@ func (c *Controller) PairOf(sub, totalSubs int) int {
 }
 
 func (c *Controller) state(b *dram.Bank) *bankState {
-	s, ok := c.banks[b.ID()]
-	if !ok {
-		cap := b.Params().RAAIMT
-		if cap <= 0 {
-			cap = 64
-		}
-		s = &bankState{
-			recent:     make([]int, 0, cap),
-			tablesInit: make([]bool, b.Geometry().SubarraysPerBank),
-		}
-		c.banks[b.ID()] = s
+	if id := b.ID(); id < len(c.banks) && c.banks[id] != nil {
+		return c.banks[id]
 	}
+	return c.newState(b)
+}
+
+// newState builds bank b's state on its first use.
+func (c *Controller) newState(b *dram.Bank) *bankState {
+	id := b.ID()
+	for len(c.banks) <= id {
+		c.banks = append(c.banks, nil)
+	}
+	cap := b.Params().RAAIMT
+	if cap <= 0 {
+		cap = 64
+	}
+	s := &bankState{
+		recent:     make([]int, 0, cap),
+		tablesInit: make([]bool, b.Geometry().SubarraysPerBank),
+	}
+	c.banks[id] = s
 	return s
 }
 
 // table returns the Table layout and the encoded payload holding sub's
 // mapping (in the paired subarray's remapping-row), initializing the
-// identity mapping on first use.
+// identity mapping on first use. The payload is looked up on every call, not
+// kept: a write to the remapping-row (a refresh restore, a row copy, an
+// injected fault) may replace it, and translation must read what the row
+// holds.
 func (c *Controller) table(b *dram.Bank, sub int) (Table, []byte) {
 	g := b.Geometry()
+	if g != c.geo {
+		c.setLayout(g)
+	}
+	pair := c.PairOf(sub, g.SubarraysPerBank)
+	data := b.Subarray(pair).RemapRow().Bytes(g.RowBytes)
+	st := c.state(b)
+	if !st.tablesInit[sub] {
+		c.tab.InitIdentity(data)
+		st.tablesInit[sub] = true
+	}
+	return c.tab, data
+}
+
+// setLayout computes the remapping-row layout for geometry g, once: the
+// controller serves banks of one geometry.
+func (c *Controller) setLayout(g dram.Geometry) {
+	if c.tab.slots != 0 {
+		panic(fmt.Sprintf("shadow: bank geometry %+v differs from %+v, which the remap-table layout was computed for", g, c.geo))
+	}
 	if g.ExtraRows != 1 {
 		panic(fmt.Sprintf("shadow: geometry must provision exactly one empty row per subarray, got %d", g.ExtraRows))
 	}
@@ -144,14 +181,7 @@ func (c *Controller) table(b *dram.Bank, sub int) (Table, []byte) {
 	if t.Bytes() > g.RowBytes {
 		panic(fmt.Sprintf("shadow: remap table (%dB) exceeds row size (%dB)", t.Bytes(), g.RowBytes))
 	}
-	pair := c.PairOf(sub, g.SubarraysPerBank)
-	data := b.Subarray(pair).RemapRow().Bytes(g.RowBytes)
-	st := c.state(b)
-	if !st.tablesInit[sub] {
-		t.InitIdentity(data)
-		st.tablesInit[sub] = true
-	}
-	return t, data
+	c.tab, c.geo = t, g
 }
 
 // Translate implements dram.Mitigator: every ACT first reads the

@@ -59,8 +59,21 @@ func (t Table) Bytes() int {
 // entry offsets: entry 0 is the incremental refresh pointer, entry 1+i is
 // logical slot i.
 
+// windowWidth is the widest entry that a 24-bit little-endian window holds
+// at any bit offset: an entry starts at most 7 bits into its first byte.
+// bitsFor gives 17 bits to subarrays of up to 128K DA rows.
+const windowWidth = 24 - 7
+
+// get decodes one entry. Every ACT decodes one (Translate), so the entry is
+// read as one 24-bit window, whole bytes at once; the bit loop serves only
+// entries wider than the window and a window that would run past the end of
+// data.
 func (t Table) get(data []byte, entry int) int {
 	off := uint(entry) * t.width
+	if i := off / 8; t.width <= windowWidth && i+3 <= uint(len(data)) {
+		w := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16
+		return int(w >> (off % 8) & (1<<t.width - 1))
+	}
 	var v uint
 	for b := uint(0); b < t.width; b++ {
 		bit := off + b
@@ -71,8 +84,18 @@ func (t Table) get(data []byte, entry int) int {
 	return int(v)
 }
 
+// set encodes the low width bits of val into one entry, leaving every other
+// bit of data as it was; it takes the same window as get.
 func (t Table) set(data []byte, entry, val int) {
 	off := uint(entry) * t.width
+	if i := off / 8; t.width <= windowWidth && i+3 <= uint(len(data)) {
+		s := off % 8
+		mask := uint32(1<<t.width-1) << s
+		w := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16
+		w = w&^mask | uint32(val)<<s&mask
+		data[i], data[i+1], data[i+2] = byte(w), byte(w>>8), byte(w>>16)
+		return
+	}
 	for b := uint(0); b < t.width; b++ {
 		bit := off + b
 		mask := byte(1) << (bit % 8)

@@ -87,8 +87,10 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 
 	res := &AttackResult{Device: dev}
 	now := timing.Tick(0)
-	// Event-wheel state: ctlNext is a sound lower bound on the controller's
-	// next possible action; dirty forces a Step after an enqueue. When the
+	// Event-wheel state: ctlNext is the controller's last Step return, a
+	// sound lower bound on its next possible action (on a non-volatile
+	// controller already folded with its cached bound, so it sees past the
+	// post-command bus echo); dirty forces a Step after an enqueue. When the
 	// bound proves the controller quiescent at a wakeup (we woke early only
 	// to check cur.Done), the Step call is skipped entirely.
 	ctlNext := timing.Tick(0)
@@ -114,19 +116,10 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 			dirty = true
 		}
 		if dirty || ctlNext <= now || mc.Volatile() {
-			pend := mc.Step(now)
+			ctlNext = mc.Step(now)
 			dirty = false
-			if pend <= now {
+			if ctlNext <= now {
 				continue
-			}
-			ctlNext = pend
-			if !mc.Volatile() {
-				// As in the trace runner, fold the raw Step return with the
-				// cached-state bound: their max is still sound and skips
-				// post-command bus-echo wakeups the raw return would force.
-				if b := mc.NextReadyAt(now); b > ctlNext {
-					ctlNext = b
-				}
 			}
 		}
 		next := ctlNext

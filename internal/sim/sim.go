@@ -153,17 +153,16 @@ type runner struct {
 	// cores [g*coreGroup, (g+1)*coreGroup), and coreMin exactly min(coreAt),
 	// both kept at every write to coreAt, so a wakeup with no core due skips
 	// the walk altogether and the walk skips every group with no core due.
-	// stalled counts the MSHR-stalled cores. ctlNext caches each channel's
-	// advance bound (Controller.NextReadyAt) so quiescent channels are not
+	// stalled counts the MSHR-stalled cores. ctlNext holds each channel's
+	// last Step return, its advance bound, so quiescent channels are not
 	// stepped at all; chDirty marks channels that received a request this
-	// wakeup; chPend/chSel are per-wakeup scratch.
+	// wakeup; chSel is per-wakeup scratch.
 	ctls     []*memctrl.Controller
 	coreAt   []timing.Tick
 	groupMin []timing.Tick
 	coreMin  timing.Tick
 	stalled  int
 	ctlNext  []timing.Tick
-	chPend   []timing.Tick
 	chSel    []bool
 	chDirty  []bool
 
@@ -345,7 +344,6 @@ func newRunner(cfg Config) (*runner, error) {
 		r.lowerCoreAt(i, c.nextIssueAt)
 	}
 	r.ctlNext = make([]timing.Tick, channels)
-	r.chPend = make([]timing.Tick, channels)
 	r.chSel = make([]bool, channels)
 	r.chDirty = make([]bool, channels)
 
@@ -427,15 +425,15 @@ func Run(cfg Config) (*Result, error) {
 //     first grid point after a dequeue from it, or after a clamped wakeup
 //     (DESIGN.md §10, part 5);
 //   - a channel is stepped only when it received a request this wakeup, its
-//     cached bound (Controller.NextReadyAt) has arrived, or it is volatile —
-//     a skipped Step is a pure no-op (DESIGN.md §10);
+//     bound (its last Step return, ctlNext) has arrived, or it is volatile
+//     — a skipped Step is a pure no-op (DESIGN.md §10);
 //   - advance() jumps straight to the minimum bound.
 //
 // Volatility clamp: while any channel is volatile (throttle-bound ACTs or
 // span-tracked non-idle banks), its controller re-evaluates those banks at
 // every Step, so the set of Step instants is observable. The wheel then
 // steps every channel at every wakeup, wakes at every parked core's next
-// retry, and advances on raw Step returns alone.
+// retry, and at every volatile channel's raw Step return.
 func (r *runner) tick() {
 	now := r.now
 
@@ -448,22 +446,24 @@ func (r *runner) tick() {
 		r.walkCores(now)
 	}
 
-	// 3. Step the channels that can act: enqueued-into this wakeup, cached
-	// bound arrived, or volatile. stepSelected steps them in ascending
-	// channel order, round after round, which fixes the multi-channel command
-	// (and completion) order; skipped re-steps of already-quiescent channels
+	// 3. Step the channels that can act: enqueued-into this wakeup, bound
+	// arrived, or volatile. stepSelected steps them in ascending channel
+	// order, round after round, which fixes the multi-channel command (and
+	// completion) order; skipped re-steps of already-quiescent channels
 	// within the same instant are idempotent no-ops.
 	for ch, ctl := range r.ctls {
 		r.chSel[ch] = r.chDirty[ch] || r.ctlNext[ch] <= now || ctl.Volatile()
-		r.chPend[ch] = now
+		if r.chSel[ch] {
+			r.ctlNext[ch] = now
+		}
 		r.chDirty[ch] = false
 	}
 	r.stepSelected(now)
 	// Clamp check: if any channel ended this wakeup volatile, its Step
 	// instants are observable, so from here on the wheel wakes at every raw
-	// Step return and every core retry. Step the channels the selection
-	// skipped — still at this same instant, and provably without effect
-	// (their bound had not arrived) — and advance on raw Step returns alone.
+	// Step return of a volatile channel and every core retry. Step the
+	// channels the selection skipped — still at this same instant, and
+	// provably without effect (their bound had not arrived).
 	clamped := false
 	for _, ctl := range r.ctls {
 		if ctl.Volatile() {
@@ -475,38 +475,16 @@ func (r *runner) tick() {
 		again := false
 		for ch := range r.ctls {
 			if !r.chSel[ch] {
-				r.chSel[ch] = true
-				r.chPend[ch] = now
+				r.ctlNext[ch] = now
 				again = true
 			}
 		}
 		if again {
 			r.stepSelected(now)
 		}
-		for ch := range r.ctls {
-			r.ctlNext[ch] = r.chPend[ch]
-		}
 		// The clamped wakeup set includes every parked core's retry
 		// instants, so every parked core resumes polling its grid.
 		r.rearmAll(now)
-	} else {
-		for ch, ctl := range r.ctls {
-			if !r.chSel[ch] {
-				continue
-			}
-			// The bound is the max of the raw Step return (it carries
-			// transient bounds like mid-drain precharge times that the
-			// cached-state query cannot see) and NextReadyAt (which can exceed the Step return by
-			// looking past the post-command bus echo). Both are sound lower
-			// bounds on the channel's next action, so their max is too, and
-			// every wakeup skipped by taking the later one is an instant
-			// where the channel provably could not act.
-			b := ctl.NextReadyAt(now)
-			if r.chPend[ch] > b {
-				b = r.chPend[ch]
-			}
-			r.ctlNext[ch] = b
-		}
 	}
 
 	// 4. Jump to the wheel's bound. coreMin includes the retries re-armed by
@@ -644,17 +622,20 @@ func (r *runner) rearmAll(now timing.Tick) {
 	}
 }
 
-// stepSelected drains every selected channel to quiescence at now, in rounds:
-// each round steps every selected channel that is still due, in ascending
-// channel order, so the channels' commands at one instant interleave in a
-// fixed order. Each selected channel's raw Step return is left in chPend.
+// stepSelected drains every selected channel (ctlNext set to now) to
+// quiescence at now, in rounds: each round steps every channel that is still
+// due, in ascending channel order, so the channels' commands at one instant
+// interleave in a fixed order. Each stepped channel's last Step return is
+// left in ctlNext: on a non-volatile channel that is already its cached
+// bound (NextReadyAt or later), on a volatile one the raw return the clamp
+// wakes at.
 func (r *runner) stepSelected(now timing.Tick) {
 	for {
 		again := false
 		for ch, ctl := range r.ctls {
-			if r.chSel[ch] && r.chPend[ch] <= now {
-				r.chPend[ch] = ctl.Step(now)
-				if r.chPend[ch] <= now {
+			if r.ctlNext[ch] <= now {
+				r.ctlNext[ch] = ctl.Step(now)
+				if r.ctlNext[ch] <= now {
 					again = true
 				}
 			}
