@@ -111,6 +111,21 @@ func equivSchemes() []equivScheme {
 			},
 		},
 		{
+			// BlockHammer with H_cnt 256 and a 64 us refresh window: rows
+			// blacklist and their ACTs wait on the throttle across REF
+			// drains, so a throttle-bound bank's key must hold through an
+			// all-bank REF (which commands no single bank).
+			name:   "blockhammer-throttle",
+			params: baseParams,
+			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
+				return mitigate.NewBlockHammer(mitigate.BlockHammerConfig{
+					Hammer: hammer.Config{HCnt: 256, BlastRadius: 3},
+					REFW:   64 * timing.Microsecond,
+					Seed:   seed + 3,
+				})
+			},
+		},
+		{
 			name:   "rrs",
 			params: baseParams,
 			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
@@ -168,7 +183,7 @@ var equivInputs = []equivInput{
 	{cores: 2, channels: 1},
 	{name: "16c-2ch", cores: 16, channels: 2, schemes: []string{"none", "shadow", "blockhammer"}},
 	{name: "16c-1ch", cores: 16, channels: 1, schemes: []string{"none", "shadow", "blockhammer"}},
-	{name: "16c-1ch-conflict", cores: 16, channels: 1, conflict: true, schemes: []string{"blockhammer-epoch"}},
+	{name: "16c-1ch-conflict", cores: 16, channels: 1, conflict: true, schemes: []string{"blockhammer-epoch", "blockhammer-throttle"}},
 }
 
 // covers reports whether the input runs scheme name.
