@@ -37,11 +37,11 @@ func benchOpts() exp.RunOpts {
 // event wheel as shipped (timeskip), the shipped configuration with the
 // always-on telemetry lane (flight: metrics probe + flight ring), and full
 // observation attached (probed: shadowscope probe + shadowtap spans, which
-// force non-idle banks volatile and so collapse the wheel toward per-tick
-// behavior). A fifth scheme lane, mix-low, runs the idle-heavy sub-1-MPKI
-// workload where the wheel's jumps dominate. Run with -benchmem; the
-// per-tick and full-rescan schedulers are test oracles
-// (TestSchedulerEquivalence) and are not timed here.
+// re-evaluate every non-idle bank at every Step and after every command).
+// A fifth scheme lane, mix-low, runs the idle-heavy sub-1-MPKI workload
+// where the wheel's jumps dominate. Run with -benchmem; the scheduler's
+// agreed output is recorded in internal/sim/testdata/sched.golden.json
+// (TestSchedulerEquivalence).
 func BenchmarkSim(b *testing.B) {
 	schemes := []exp.Scheme{exp.Baseline, exp.Shadow, exp.MithrilPerf, exp.BlockHammer}
 	modes := []struct {

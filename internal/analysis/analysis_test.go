@@ -12,6 +12,31 @@ import (
 // first load pay for stdlib type-checking and the rest nearly free.
 var testLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
 
+// internalPkgs memoizes loadInternal: each directory of the live tree is
+// parsed and type-checked once per test binary, however many tests analyze
+// it. The packages are shared, so no test may modify them.
+var internalPkgs = map[string][]*Package{}
+
+// loadInternal returns the packages of internal/<rel> (the directory's
+// package and its external test package, if any), loaded through
+// testLoader.
+func loadInternal(t *testing.T, rel string) []*Package {
+	t.Helper()
+	if pkgs, ok := internalPkgs[rel]; ok {
+		return pkgs
+	}
+	l, err := testLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	pkgs, err := l.LoadDir(filepath.Join("..", "..", "internal", rel))
+	if err != nil {
+		t.Fatalf("load internal/%s: %v", rel, err)
+	}
+	internalPkgs[rel] = pkgs
+	return pkgs
+}
+
 // loadFixture type-checks testdata/src/<name> and optionally rewrites its
 // import path (the determinism analyzer only fires inside the simulation
 // packages, so its fixtures masquerade as one).
@@ -117,15 +142,7 @@ func TestLoaderModuleDiscovery(t *testing.T) {
 // TestSelfCheck runs the whole suite over this package: the analyzer
 // implementation must satisfy its own rules.
 func TestSelfCheck(t *testing.T) {
-	l, err := testLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := RunAnalyzers(pkgs, All()); len(diags) > 0 {
+	if diags := RunAnalyzers(loadInternal(t, "analysis"), All()); len(diags) > 0 {
 		for _, d := range diags {
 			t.Errorf("self-check: %v", d)
 		}

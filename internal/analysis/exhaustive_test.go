@@ -34,16 +34,8 @@ func TestExhaustiveMessage(t *testing.T) {
 // TestExhaustiveOnRealEnums proves discovery sees the repository's actual
 // closed enums through the type checker, imported or local.
 func TestExhaustiveOnRealEnums(t *testing.T) {
-	l, err := testLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range []string{"../obs/span", "../memctrl", "../timing", "../exp"} {
-		pkgs, err := l.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("load %s: %v", dir, err)
-		}
-		if diags := RunAnalyzers(pkgs, []*Analyzer{Exhaustive}); len(diags) > 0 {
+	for _, dir := range []string{"obs/span", "memctrl", "timing", "exp"} {
+		if diags := RunAnalyzers(loadInternal(t, dir), []*Analyzer{Exhaustive}); len(diags) > 0 {
 			for _, d := range diags {
 				t.Errorf("%s should be exhaustive-clean: %v", dir, d)
 			}

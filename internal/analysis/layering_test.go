@@ -37,16 +37,8 @@ func TestLayeringOutsideInternal(t *testing.T) {
 // asserts the live tree satisfies the DAG — and that the DAG is acyclic, so
 // the declared architecture is actually a hierarchy.
 func TestLayeringDAGMatchesTree(t *testing.T) {
-	l, err := testLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for rel := range layerImports {
-		pkgs, err := l.LoadDir("../../internal/" + rel)
-		if err != nil {
-			t.Fatalf("load internal/%s: %v", rel, err)
-		}
-		if diags := RunAnalyzers(pkgs, []*Analyzer{Layering}); len(diags) > 0 {
+		if diags := RunAnalyzers(loadInternal(t, rel), []*Analyzer{Layering}); len(diags) > 0 {
 			for _, d := range diags {
 				t.Errorf("live tree violates the DAG: %v", d)
 			}

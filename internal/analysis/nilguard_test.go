@@ -18,16 +18,8 @@ func TestNilGuardScopedByPackage(t *testing.T) {
 // TestNilGuardOnRealTypes runs the analyzer over the live obs and span
 // packages: the shipped hot-path types must honor their own contract.
 func TestNilGuardOnRealTypes(t *testing.T) {
-	l, err := testLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range []string{"../obs", "../obs/span"} {
-		pkgs, err := l.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("load %s: %v", dir, err)
-		}
-		if diags := RunAnalyzers(pkgs, []*Analyzer{NilGuard}); len(diags) > 0 {
+	for _, dir := range []string{"obs", "obs/span"} {
+		if diags := RunAnalyzers(loadInternal(t, dir), []*Analyzer{NilGuard}); len(diags) > 0 {
 			for _, d := range diags {
 				t.Errorf("%s violates the nil-safe contract: %v", dir, d)
 			}

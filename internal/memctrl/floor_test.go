@@ -7,6 +7,7 @@ import (
 	"shadow/internal/dram"
 	"shadow/internal/hammer"
 	"shadow/internal/mitigate"
+	"shadow/internal/obs/span"
 	"shadow/internal/rng"
 	"shadow/internal/timing"
 )
@@ -20,21 +21,33 @@ type floorCase struct {
 	grade   timing.Grade
 	raaimt  int
 	wideFAW bool
-	opt     Options
-	mc      func() mitigate.MCSide
+	// spans attaches a span tracker to the controller and the device.
+	spans bool
+	opt   Options
+	mc    func() mitigate.MCSide
 }
 
 // floorCases covers open and closed page, DDR5 same-bank refresh, RFMs
-// coming due at a small RAAIMT while ACT spacing binds and an MC side that
-// emits TRR work. With the stock DDR4 and DDR5 timings, ACT spacing never
-// outlasts the tRP that follows a PRE (tFAW < 3*tRRD_S + tRP), so one case
-// doubles tFAW: there an RFM can follow its PRE before the next ACT could.
+// coming due at a small RAAIMT while ACT spacing binds, an MC side that
+// emits TRR work, BlockHammer throttling rows across several filter epochs,
+// and span tracking (which re-keys every non-idle bank at every command), on
+// its own and with throttling. With the stock DDR4 and DDR5 timings, ACT
+// spacing never outlasts the tRP that follows a PRE (tFAW < 3*tRRD_S + tRP),
+// so one case doubles tFAW: there an RFM can follow its PRE before the next
+// ACT could.
 func floorCases() []floorCase {
 	graphene := func() mitigate.MCSide {
 		return mitigate.NewGraphene(mitigate.GrapheneConfig{
 			Hammer:      hammer.Config{HCnt: 64, BlastRadius: 2},
 			RowsPerBank: floorGeo.PARowsPerBank(),
 			REFW:        32 * timing.Millisecond,
+		})
+	}
+	blockhammer := func() mitigate.MCSide {
+		return mitigate.NewBlockHammer(mitigate.BlockHammerConfig{
+			Hammer: hammer.Config{HCnt: 32, BlastRadius: 1},
+			REFW:   50 * timing.Microsecond,
+			Seed:   5,
 		})
 	}
 	return []floorCase{
@@ -47,13 +60,17 @@ func floorCases() []floorCase {
 		{name: "ddr5-refsb-rfm", grade: timing.DDR5_4800, raaimt: 3, opt: Options{SameBankRefresh: true, ClosedPage: true}},
 		{name: "trr", grade: timing.DDR4_2666, mc: graphene},
 		{name: "trr-closed-rfm", grade: timing.DDR4_2666, raaimt: 4, opt: Options{ClosedPage: true}, mc: graphene},
+		{name: "throttle", grade: timing.DDR4_2666, mc: blockhammer},
+		{name: "spans", grade: timing.DDR4_2666, raaimt: 4, spans: true},
+		{name: "spans-throttle", grade: timing.DDR4_2666, spans: true, mc: blockhammer},
 	}
 }
 
 // forEachFloorCase runs fn as a subtest for every case of the grid at seeds
 // 1-3, with a fresh device and the case's options. fn sets its own hooks on
 // opt and builds the controller. After fn, the run must have served every
-// request, and the RFM and TRR cases must have issued one.
+// request, the RFM and TRR cases must have issued one, and BlockHammer must
+// have blacklisted an ACT.
 func forEachFloorCase(t *testing.T, fn func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller) {
 	hc := hammer.Config{HCnt: 1 << 20, BlastRadius: 1}
 	for _, tc := range floorCases() {
@@ -66,11 +83,14 @@ func forEachFloorCase(t *testing.T, fn func(t *testing.T, d *dram.Device, seed u
 				if tc.wideFAW {
 					p.FAW *= 2
 				}
-				d, err := dram.NewDevice(dram.Config{Geometry: floorGeo, Params: p, Hammer: hc})
+				opt := tc.opt
+				if tc.spans {
+					opt.Spans = span.NewTracker(floorGeo.Banks, 1024, nil)
+				}
+				d, err := dram.NewDevice(dram.Config{Geometry: floorGeo, Params: p, Hammer: hc, Spans: opt.Spans})
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt := tc.opt
 				if tc.mc != nil {
 					opt.MCSide = tc.mc()
 				}
@@ -81,7 +101,11 @@ func forEachFloorCase(t *testing.T, fn func(t *testing.T, d *dram.Device, seed u
 				if tc.raaimt > 0 && c.Stats.RFMs == 0 {
 					t.Fatal("no RFM came due")
 				}
-				if tc.mc != nil && c.Stats.TRRs == 0 {
+				bh, throttles := opt.MCSide.(*mitigate.BlockHammer)
+				switch {
+				case throttles && bh.Blacklisted == 0:
+					t.Fatal("BlockHammer blacklisted no ACT")
+				case tc.mc != nil && !throttles && c.Stats.TRRs == 0:
 					t.Fatal("no TRR issued")
 				}
 			})
@@ -121,7 +145,7 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 				bound[r.Bank] = r.Arrive
 			}
 		}, func(now, next timing.Tick) {
-			if commanded >= 0 && !c.vol[commanded] {
+			if commanded >= 0 {
 				bound[commanded] = c.ready[commanded]
 			}
 			commanded = -1
@@ -133,11 +157,11 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 	})
 }
 
-// TestStepReturnsBound checks Step's return on the same generated inputs. On
-// a controller with no volatile bank it must be the channel's whole bound,
-// so that a driver may sleep until it without asking NextReadyAt: after a
-// command it equals NextReadyAt(now), which lies past now, and otherwise it
-// is never below NextReadyAt(now). NextReadyAt scans every bank's key; Step
+// TestStepReturnsBound checks Step's return on the same generated inputs. It
+// must be the channel's whole bound, throttled and span-tracked banks
+// included, so that a driver may sleep until it without asking NextReadyAt:
+// after a command it equals NextReadyAt(now), which lies past now, and
+// otherwise it is never below NextReadyAt(now). NextReadyAt scans every bank's key; Step
 // reaches the same value from the keys its own scan already read.
 func TestStepReturnsBound(t *testing.T) {
 	forEachFloorCase(t, func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller {
@@ -145,9 +169,6 @@ func TestStepReturnsBound(t *testing.T) {
 		opt.OnCommand = func(Cmd) { issued = true }
 		c := New(d, opt)
 		driveFloorCheck(c, seed, func(*Request) {}, func(now, next timing.Tick) {
-			if c.Volatile() {
-				t.Fatal("a controller without spans or a throttling MC side went volatile")
-			}
 			want := c.NextReadyAt(now)
 			switch {
 			case issued && next <= now:

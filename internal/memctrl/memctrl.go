@@ -154,10 +154,6 @@ const (
 	hitUnknown = -2 // not computed since the queue or the open row last changed
 )
 
-// volatileKey is a volatile bank's readiness key: below every instant, so
-// every Step collects the bank, and liftBusy never raises it.
-const volatileKey timing.Tick = -1
-
 // MaxBanks bounds the banks of one rank: Step collects the due banks into a
 // 64-bit mask. New panics above it; sim.Run and sim.RunAttack reject such a
 // geometry with an error first.
@@ -184,22 +180,23 @@ type Controller struct {
 	busFreeAt    timing.Tick // data bus
 	blockedUntil timing.Tick // RRS swap channel blocking
 
-	// Event-driven scheduling state. ready holds each non-volatile bank's
-	// earliest possibly-actionable tick — always a lower bound on the bank's
-	// true next-action time, so stale entries cost an extra
-	// (behavior-neutral) wakeup, never a missed command. Volatile banks hold
-	// volatileKey in ready and are re-evaluated every Step: banks whose
-	// binding ACT constraint is the MC-side throttle (BlockHammer's
-	// allowed-at can move EARLIER at an epoch rotation, with no bank event
-	// to invalidate on) and, when spans are attached, every non-idle bank (a
-	// global event can change a waiting bank's blame cause, and the cause
-	// timeline must move at the first Step after that event, not at the
-	// bank's next cached instant). bankNext is per-Step scratch.
+	// Event-driven scheduling state. ready holds each bank's earliest
+	// possibly-actionable tick — always a lower bound on the bank's true
+	// next-action time, so stale entries cost an extra (behavior-neutral)
+	// wakeup, never a missed command. A bank whose binding ACT constraint is
+	// the MC-side throttle is keyed no later than the policy's next event
+	// (BlockHammer's allowed-at moves earlier only at an epoch rotation).
+	// bankNext and throttled are per-Step scratch.
 	ready     []timing.Tick
 	bankNext  []timing.Tick
-	vol       []bool
-	volCount  int // number of banks currently in the volatile set
 	throttled []bool
+	// watch, when spans are attached, marks the non-idle banks as of their
+	// last full evaluation. A global event (a REF drain, an RFM, a swap
+	// block, another bank's command) can change a waiting bank's blame
+	// cause, so every Step evaluates the watched banks and every command
+	// re-keys them at its instant: the cause timeline moves at the first
+	// Step after the event, not at the bank's next cached instant.
+	watch uint64
 	// cmdBank is the bank of the last command logged (-1 for an all-bank
 	// REF); afterCmd re-keys it once the command's state updates are done.
 	cmdBank int
@@ -260,7 +257,6 @@ func New(dev *dram.Device, opt Options) *Controller {
 		c.banks[i].hit = hitUnknown
 	}
 	c.bankNext = make([]timing.Tick, n)
-	c.vol = make([]bool, n)
 	c.throttled = make([]bool, n)
 	dev.SetBusyNotifier(c.liftBusy)
 	if opt.SameBankRefresh {
@@ -326,18 +322,13 @@ func (c *Controller) QueuedRequests() int {
 	return n
 }
 
-// Pending reports whether any request is queued.
-func (c *Controller) Pending() bool { return c.QueuedRequests() > 0 }
-
 // Step attempts to issue one command at time `now` and returns the earliest
 // time at which the controller could act next. When the return value equals
 // now, call Step again (more work is possible at this instant).
 //
-// On a channel with no volatile bank, a return after now is the channel's
-// whole bound: never below NextReadyAt(now), and equal to it after a
-// command. A driver can sleep until it without asking NextReadyAt. While
-// some bank is volatile, Step returns its raw bound (the bus echo after a
-// command), which a driver must step at.
+// A return after now is the channel's whole bound: never below
+// NextReadyAt(now), and equal to it after a command. A driver can sleep
+// until it without asking NextReadyAt.
 func (c *Controller) Step(now timing.Tick) timing.Tick {
 	if now < c.blockedUntil {
 		return c.bound(now, c.blockedUntil)
@@ -375,8 +366,7 @@ func (c *Controller) Step(now timing.Tick) timing.Tick {
 // the rare paths (swap blocking, bus echo, refresh drain, REF): their max is
 // still a sound lower bound on the next action, and it skips the wakeups
 // the raw return would force. A raw return at or before now (more work at
-// this instant) and a volatile channel (NextReadyAt returns now) keep the raw
-// value.
+// this instant) keeps the raw value.
 func (c *Controller) bound(now, raw timing.Tick) timing.Tick {
 	if raw <= now {
 		return raw
@@ -398,9 +388,9 @@ func (c *Controller) settled(now, keys timing.Tick) timing.Tick {
 }
 
 // stepEvent runs phases 2-4 over only the banks that could act: every bank
-// whose key has arrived, the volatile set (volatileKey) included. One
-// ascending pass collects them into a mask while folding the other banks'
-// keys into their minimum. Each phase walks the mask in ascending bank order
+// whose key has arrived, plus the watched banks under spans. One ascending
+// pass collects them into a mask while folding the other banks' keys into
+// their minimum. Each phase walks the mask in ascending bank order
 // before the next phase starts, which decides which command issues when
 // several are legal at the same tick: RFM before TRR before demand, lower
 // bank first.
@@ -413,13 +403,14 @@ func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
 	rest := timing.Forever
 	for i, t := range c.ready {
 		// d is 1 when the key has arrived (t <= now): the sign bit of now-t,
-		// inverted. It cannot overflow: now >= 0 and -1 <= t <= Forever.
+		// inverted. It cannot overflow: now >= 0 and 0 <= t <= Forever.
 		d := uint64(now-t)>>63 ^ 1
 		due |= d << (uint(i) & 63)
 		// A collected key joins the bound through its bank's evaluation
 		// instead: fold Forever in its place.
 		rest = minTick(rest, (t|timing.Tick(-int64(d)))&timing.Forever)
 	}
+	due |= c.watch
 	// Refresh is not draining here (Step returned if it were), so its
 	// deadline is still ahead.
 	keys := minTick(rest, c.nextRefreshAt)
@@ -456,30 +447,36 @@ func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
 	}
 	// Nothing issued: re-cache each scanned bank (every non-issue time from
 	// the phases is strictly greater than now, so the Step loop cannot spin)
-	// or keep it in the volatile set if it must be re-evaluated every Step.
-	// Either way its computed time joins the bound.
+	// and fold its key into the bound.
 	for m := due; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		c.recacheBank(i)
-		keys = minTick(keys, c.bankNext[i])
+		c.recacheBank(i, now)
+		keys = minTick(keys, c.ready[i])
 	}
 	raw := minTick(keys, event)
-	if c.volCount > 0 {
-		return raw
-	}
 	// keys is now the minimum NextReadyAt scans for. The scan may have
 	// released the policy's last throttled row (an epoch rotation), which
 	// moves its timer past the one folded into raw; the max keeps the later.
 	return maxTick(raw, c.settled(now, keys))
 }
 
-// recacheBank files bank i after a full (all-phase, non-issuing) evaluation:
-// into the volatile set if it must be re-evaluated every Step, else into the
-// readiness cache under its computed next-action time.
-func (c *Controller) recacheBank(i int) {
-	c.updateVolatility(i)
-	if !c.vol[i] {
-		c.ready[i] = c.bankNext[i]
+// recacheBank files bank i, evaluated at now by every phase without issuing,
+// under its computed next-action time. A throttle-bound bank is filed no
+// later than the MC-side policy's next event, the only instant its allowed-at
+// can move earlier. Under spans, the bank joins or leaves the watched set.
+func (c *Controller) recacheBank(i int, now timing.Tick) {
+	t := c.bankNext[i]
+	if c.throttled[i] {
+		t = minTick(t, c.mc.NextEventAt(now))
+	}
+	c.ready[i] = t
+	if c.spans != nil {
+		bit := uint64(1) << uint(i)
+		if c.bankIdle(i) {
+			c.watch &^= bit
+		} else {
+			c.watch |= bit
+		}
 	}
 }
 
@@ -496,54 +493,41 @@ func (c *Controller) recacheBank(i int) {
 // The return is NextReadyAt(now) without its scan. keys holds the refresh
 // deadline and the keys of every bank outside due, which the command left
 // alone: it re-keys only its own bank, which is due, and its busy window
-// (an RFM's) lifts only that bank. So folding in the due banks' keys as
-// they now stand gives the minimum over every key. A volatile channel
-// returns the raw bus echo instead.
+// (an RFM's) lifts only that bank; under spans it also re-keys the watched
+// banks, which are due. So folding in the due banks' keys as they now stand
+// gives the minimum over every key.
 func (c *Controller) issuedDuringScan(now timing.Tick, due, keep uint64, keys timing.Tick) timing.Tick {
 	for ; keep != 0; keep &= keep - 1 {
-		if i := bits.TrailingZeros64(keep); !c.vol[i] {
-			c.recacheBank(i)
-		}
+		c.recacheBank(bits.TrailingZeros64(keep), now)
 	}
-	raw := c.afterCmd(now)
-	if c.volCount > 0 {
-		return raw
-	}
+	c.afterCmd(now)
 	for ; due != 0; due &= due - 1 {
 		keys = minTick(keys, c.ready[bits.TrailingZeros64(due)])
 	}
 	return c.settled(now, keys)
 }
 
-// Volatile reports whether this channel must be stepped at every runner
-// wakeup: some bank is in the volatile set (throttle-bound ACTs and
-// span-tracked non-idle banks are re-evaluated every Step, so the set of Step
-// instants is observable). The event wheel clamps its jump to raw Step
-// returns while any channel is volatile — see sim's wheel scheduler and
-// DESIGN.md §10.
-func (c *Controller) Volatile() bool {
-	return c.volCount > 0
-}
+// Volatile reports false: every bank's key is an exact lower bound, so no
+// channel needs stepping at every wakeup. Nothing in this module calls it;
+// it stays for the replay driver in perfbench, which still folds it into
+// its wakeup rule.
+func (c *Controller) Volatile() bool { return false }
 
 // NextReadyAt returns a sound lower bound on the next instant this channel
 // can issue a command or otherwise change observable state, assuming no new
 // requests arrive: the earliest of the refresh deadline, the cached per-bank
 // readiness minimum, the device's busy-window deadlines, and the mitigation
 // timers on both sides of the channel — gated by the command-bus and
-// swap-blocking windows, before which nothing can issue. Volatile channels
-// return now (the caller must keep stepping them); a bound <= now likewise
+// swap-blocking windows, before which nothing can issue. A bound <= now
 // means "due now" (e.g. mid refresh drain). Between now and the returned
 // bound every Step is a pure no-op, so a wheel may skip those Steps without
-// changing any issued command.
+// changing any issued command or, under spans, any blame segment.
 //
-// On a non-volatile channel Step returns this bound or a later one (after a
-// command in the bank scan it computes the bound from its own scan), so the
-// simulator's drivers do not call it. It serves replay drivers that fold it
-// themselves and tests that check Step against it.
+// Step returns this bound or a later one (after a command in the bank scan
+// it computes the bound from its own scan), so the simulator's drivers do
+// not call it. It serves replay drivers that fold it themselves and tests
+// that check Step against it.
 func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
-	if c.Volatile() {
-		return now
-	}
 	next := c.nextRefreshAt
 	for _, t := range c.ready {
 		next = minTick(next, t)
@@ -560,7 +544,7 @@ func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
 //
 // The key is lowered to the event time, never raised: every future Step runs
 // at now >= at, so the bank is collected on the very next evaluation either
-// way. A volatile bank's key is already below every instant.
+// way.
 func (c *Controller) dirty(bank int, at timing.Tick) {
 	if c.ready[bank] > at {
 		c.ready[bank] = at
@@ -573,12 +557,11 @@ func (c *Controller) dirty(bank int, at timing.Tick) {
 // all of the command's state updates, replaces it and lets NextReadyAt see
 // past the command's one-tCK bus echo.
 //
-// Volatile banks are skipped: they hold volatileKey and are evaluated every
-// Step. With spans attached the bank stays due at the next Step instead: its
+// With spans attached the bank stays due at the next Step instead: its
 // next evaluation may change its blame cause, an observable event that the
 // floor does not bound.
 func (c *Controller) rekey(i int, now timing.Tick) {
-	if i < 0 || c.vol[i] {
+	if i < 0 {
 		return
 	}
 	if c.spans != nil {
@@ -646,30 +629,9 @@ func (c *Controller) actSpacingAt(i int) timing.Tick {
 // liftBusy raises a bank's cached readiness to the end of a device-side
 // busy window (REF/REFsb/RFM): the bank is closed for the whole window, so
 // no command on it can be legal earlier and the lift cannot skip work.
-// Volatile banks keep volatileKey.
 func (c *Controller) liftBusy(bank int, until timing.Tick) {
-	if !c.vol[bank] && c.ready[bank] < until {
+	if c.ready[bank] < until {
 		c.ready[bank] = until
-	}
-}
-
-// updateVolatility moves bank i between the cached set and the volatile set
-// after a full (non-issuing) evaluation. A bank is volatile while its ACT is
-// throttle-bound (the policy's allowed-at can move earlier with no bank
-// event) or, under span tracking, while it has any pending work (a global
-// event can change its blame cause, and the timeline must move at the first
-// Step after that event).
-func (c *Controller) updateVolatility(i int) {
-	wantVol := c.throttled[i] || (c.spans != nil && !c.bankIdle(i))
-	if wantVol == c.vol[i] {
-		return
-	}
-	c.vol[i] = wantVol
-	if wantVol {
-		c.volCount++
-		c.ready[i] = volatileKey
-	} else {
-		c.volCount--
 	}
 }
 
@@ -760,9 +722,13 @@ func (c *Controller) precharge(i int, at timing.Tick) {
 }
 
 // afterCmd accounts for command-bus occupancy, re-keys the commanded bank
-// and returns the next instant.
+// and the watched banks (a REF, with no commanded bank, included) and
+// returns the next instant.
 func (c *Controller) afterCmd(now timing.Tick) timing.Tick {
 	c.rekey(c.cmdBank, now)
+	for m := c.watch; m != 0; m &= m - 1 {
+		c.dirty(bits.TrailingZeros64(m), now)
+	}
 	c.cmdBusFreeAt = now + c.p.TCK
 	return c.cmdBusFreeAt
 }
@@ -1055,8 +1021,8 @@ func (c *Controller) actReadyAt(now timing.Tick, i, physRow int) (timing.Tick, s
 	if r := c.mc.ACTAllowedAt(i, physRow, t); r > t {
 		t = r
 		cause = span.CauseThrottle
-		// A throttle-bound readiness cannot be cached: the policy may allow
-		// the ACT earlier after an epoch rotation, with no bank event.
+		// The policy may allow the ACT earlier after its next event (an
+		// epoch rotation), with no bank event: recacheBank bounds the key.
 		c.throttled[i] = true
 	}
 	// Hold ACTs when the RAA counter is at its maximum.

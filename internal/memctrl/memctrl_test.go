@@ -43,7 +43,7 @@ func run(t *testing.T, c *Controller, deadline timing.Tick) timing.Tick {
 	defer func() { c.opt.OnComplete = prev }()
 	now := timing.Tick(0)
 	for now < deadline {
-		if !c.Pending() {
+		if c.QueuedRequests() == 0 {
 			return last
 		}
 		next := c.Step(now)
@@ -52,7 +52,7 @@ func run(t *testing.T, c *Controller, deadline timing.Tick) timing.Tick {
 		}
 		now = next
 	}
-	if c.Pending() {
+	if c.QueuedRequests() > 0 {
 		t.Fatalf("requests still pending at deadline %v (%d left)", deadline, c.QueuedRequests())
 	}
 	return last
@@ -219,7 +219,7 @@ func driveSequential(t *testing.T, c *Controller, reqs []*Request, deadline timi
 		if !c.Enqueue(r) {
 			t.Fatal("enqueue failed")
 		}
-		for c.Pending() {
+		for c.QueuedRequests() > 0 {
 			next := c.Step(now)
 			if next <= now {
 				continue
@@ -380,7 +380,7 @@ func TestFAWLimitsActivationBursts(t *testing.T) {
 	actTimes := []timing.Tick{}
 	now := timing.Tick(0)
 	prevActs := int64(0)
-	for c.Pending() && now < timing.Millisecond {
+	for c.QueuedRequests() > 0 && now < timing.Millisecond {
 		next := c.Step(now)
 		if c.Stats.Acts > prevActs {
 			actTimes = append(actTimes, now)
@@ -420,7 +420,7 @@ func TestCCDLimitsColumnBursts(t *testing.T) {
 	rdTimes := []timing.Tick{}
 	now := timing.Tick(0)
 	prev := int64(0)
-	for c.Pending() && now < timing.Millisecond {
+	for c.QueuedRequests() > 0 && now < timing.Millisecond {
 		next := c.Step(now)
 		if c.Stats.Reads > prev {
 			rdTimes = append(rdTimes, now)

@@ -66,7 +66,7 @@ func TestGrapheneDefendsThroughMC(t *testing.T) {
 			if !c.Enqueue(r) {
 				t.Fatal("enqueue failed")
 			}
-			for c.Pending() || r.Done == 0 {
+			for c.QueuedRequests() > 0 || r.Done == 0 {
 				next := c.Step(now)
 				if next <= now {
 					continue
@@ -121,7 +121,7 @@ func TestPARADefendsThroughMC(t *testing.T) {
 	for i := 0; i < 4*hcnt; i++ {
 		r := &Request{Bank: 0, Row: 16, Arrive: now}
 		c.Enqueue(r)
-		for c.Pending() || r.Done == 0 {
+		for c.QueuedRequests() > 0 || r.Done == 0 {
 			next := c.Step(now)
 			if next <= now {
 				continue

@@ -62,7 +62,7 @@ func TestEnqueueRewritesBank(t *testing.T) {
 	if r.Bank != 2 {
 		t.Fatalf("request bank rewritten to %d, want 2", r.Bank)
 	}
-	if !s.Controller(1).Pending() || s.Controller(0).Pending() {
+	if s.Controller(1).QueuedRequests() == 0 || s.Controller(0).QueuedRequests() > 0 {
 		t.Fatal("request routed to wrong channel")
 	}
 }
@@ -78,12 +78,12 @@ func TestStepDrivesAllChannels(t *testing.T) {
 	}
 	for ch := 0; ch < s.Channels(); ch++ {
 		c := s.Controller(ch)
-		for now := timing.Tick(0); c.Pending() && now < timing.Millisecond; {
+		for now := timing.Tick(0); c.QueuedRequests() > 0 && now < timing.Millisecond; {
 			if next := c.Step(now); next > now {
 				now = next
 			}
 		}
-		if c.Pending() {
+		if c.QueuedRequests() > 0 {
 			t.Fatalf("channel %d: requests stuck", ch)
 		}
 		if c.Stats.Reads != 4 {

@@ -23,7 +23,7 @@ type histogramDump struct {
 	Mean  float64 `json:"mean"`
 	// P50/P95/P99 follow the upper-bound-of-bucket convention (see
 	// Histogram.Quantile): each is the inclusive upper edge of the
-	// power-of-two bucket holding that quantile's sample, clamped to Max —
+	// power-of-two bucket holding that quantile's sample, capped at Max —
 	// a conservative estimate that never understates the true quantile.
 	P50     int64        `json:"p50"`
 	P95     int64        `json:"p95"`

@@ -7,7 +7,7 @@ import (
 
 // TestHistogramQuantiles pins the upper-bound-of-bucket convention: each
 // quantile reports the inclusive upper edge of the power-of-two bucket
-// holding that quantile's sample, clamped to the observed max.
+// holding that quantile's sample, capped at the observed max.
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	// 90 samples in bucket [8,15], 10 in bucket [1024,2047].
@@ -24,7 +24,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Errorf("p90 = %d, want 15", got)
 	}
 	if got := h.Quantile(0.95); got != 1500 {
-		t.Errorf("p95 = %d, want 1500 (bucket edge 2047 clamped to max)", got)
+		t.Errorf("p95 = %d, want 1500 (bucket edge 2047 capped at max)", got)
 	}
 	if got := h.Quantile(0.99); got != 1500 {
 		t.Errorf("p99 = %d, want 1500", got)
@@ -50,7 +50,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	var neg Histogram
 	neg.Observe(-5) // negatives clamp into bucket 0; max stays negative
 	if got := neg.Quantile(0.5); got != -5 {
-		t.Errorf("negative-sample p50 = %d, want -5 (clamped to max)", got)
+		t.Errorf("negative-sample p50 = %d, want -5 (capped at max)", got)
 	}
 }
 

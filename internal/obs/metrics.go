@@ -327,7 +327,7 @@ func (h *Histogram) Mean() float64 {
 
 // Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1):
 // the inclusive upper edge of the power-of-two bucket holding the sample of
-// rank ceil(q*count), clamped to the observed maximum. The convention is
+// rank ceil(q*count), capped at the observed maximum. The convention is
 // conservative — the true quantile is never underestimated — and documented
 // in the metrics dumps, which carry p50/p95/p99 under it. Returns 0 when
 // empty (or on a nil receiver).

@@ -64,7 +64,7 @@ func TestBarChartClamping(t *testing.T) {
 	c.Add("a", "x", 1.7) // above YMax: clamp, don't overflow
 	out := c.String()
 	if strings.Count(out, "█") != 10 {
-		t.Fatalf("over-scale bar not clamped:\n%s", out)
+		t.Fatalf("over-scale bar not capped:\n%s", out)
 	}
 }
 

@@ -88,8 +88,8 @@ func TestSaturatedTickDoesNotAllocate(t *testing.T) {
 	sawParked := false
 	tick := func() {
 		r.tick()
-		if r.parked > 0 {
-			sawParked = true
+		for _, c := range r.cores {
+			sawParked = sawParked || c.backoff
 		}
 	}
 	if avg := testing.AllocsPerRun(2000, tick); avg != 0 {

@@ -88,9 +88,9 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 	res := &AttackResult{Device: dev}
 	now := timing.Tick(0)
 	// Event-wheel state: ctlNext is the controller's last Step return, a
-	// sound lower bound on its next possible action (on a non-volatile
-	// controller already folded with its cached bound, so it sees past the
-	// post-command bus echo); dirty forces a Step after an enqueue. When the
+	// sound lower bound on its next possible action (already folded with its
+	// cached bound, so it sees past the post-command bus echo); dirty forces a
+	// Step after an enqueue. When the
 	// bound proves the controller quiescent at a wakeup (we woke early only
 	// to check cur.Done), the Step call is skipped entirely.
 	ctlNext := timing.Tick(0)
@@ -115,7 +115,7 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 			res.Acts++
 			dirty = true
 		}
-		if dirty || ctlNext <= now || mc.Volatile() {
+		if dirty || ctlNext <= now {
 			ctlNext = mc.Step(now)
 			dirty = false
 			if ctlNext <= now {

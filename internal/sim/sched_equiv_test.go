@@ -97,9 +97,8 @@ func equivSchemes() []equivScheme {
 		{
 			// BlockHammer with a 2 us filter epoch and H_cnt 64: rows
 			// blacklist, throttle and are released by epoch rotations within
-			// the horizon. A release is seen by the first Step after
-			// the epoch boundary, so the set of clamped wakeup instants
-			// decides when a throttled ACT issues.
+			// the horizon. A throttled bank is keyed no later than the
+			// next epoch boundary, so a release is seen at that boundary.
 			name:   "blockhammer-epoch",
 			params: baseParams,
 			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
@@ -163,8 +162,7 @@ func equivSchemes() []equivScheme {
 // order shows. The 16-core single-channel mix saturates the bank queues, so
 // cores park on full queues and every enqueue instant rests on the wheel's
 // re-arm rule; its conflict variant (four rows per bank, no row locality)
-// adds blacklisted rows, so throttled ACTs wait for their epoch release
-// under the volatility clamp.
+// adds blacklisted rows, so throttled ACTs wait for their epoch release.
 // The 16-core inputs run a subset of schemes to keep the suite fast.
 type equivInput struct {
 	// name prefixes the subtest names; the base input has none, so its
@@ -338,11 +336,11 @@ func TestSchedulerEquivalence(t *testing.T) {
 
 // TestSchedulerEquivalenceWithSpans repeats the replay with shadowtap span
 // tracking attached, so the golden blame tables hold stall-cause attribution
-// to identical causes for identical durations. Spans keep every non-idle
-// bank volatile in the readiness cache (a cached bank could otherwise miss a
-// blame-cause transition driven by another bank's command), which puts the
-// wheel under its volatility clamp. The 16-core inputs must park cores on
-// full queues, or the wheel's re-arm rule goes unchecked.
+// to identical causes for identical durations. Spans make every Step
+// evaluate the watched (non-idle) banks and every command re-key them, or a
+// cached bank would miss a blame-cause transition driven by another bank's
+// command or a REF. The 16-core inputs must park cores on full queues, or
+// the wheel's re-arm rule goes unchecked.
 func TestSchedulerEquivalenceWithSpans(t *testing.T) {
 	forEachEquivCase(t, func(t *testing.T, sc equivScheme, in equivInput) {
 		got, _ := runEquiv(t, sc, in, 42, true)

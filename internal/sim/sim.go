@@ -147,8 +147,7 @@ type runner struct {
 	// ctls caches the per-channel controllers so the wheel can step a single
 	// channel. coreAt holds each core's next issue time, Forever while the
 	// core is stalled (retire restores it when the core unstalls) or parked
-	// on a full queue (rearmSlot and rearmAll restore it); it sits
-	// in one contiguous array so the wheel's per-wakeup scan never touches a
+	// on a full queue (rearmSlot restores it); it sits in one contiguous array so the wheel's per-wakeup scan never touches a
 	// core that is not due. groupMin[g] is exactly the minimum of coreAt over
 	// cores [g*coreGroup, (g+1)*coreGroup), and coreMin exactly min(coreAt),
 	// both kept at every write to coreAt, so a wakeup with no core due skips
@@ -156,24 +155,21 @@ type runner struct {
 	// stalled counts the MSHR-stalled cores. ctlNext holds each channel's
 	// last Step return, its advance bound, so quiescent channels are not
 	// stepped at all; chDirty marks channels that received a request this
-	// wakeup; chSel is per-wakeup scratch.
+	// wakeup.
 	ctls     []*memctrl.Controller
 	coreAt   []timing.Tick
 	groupMin []timing.Tick
 	coreMin  timing.Tick
 	stalled  int
 	ctlNext  []timing.Tick
-	chSel    []bool
 	chDirty  []bool
 
 	// Queue-full parking (see tick): a core whose request found its
 	// bank queue full waits with coreAt Forever on that bank's list instead
 	// of polling. parkHead[ch*banks+bank] heads the list of cores parked on
-	// the bank, threaded through parkLink (-1 ends a list); parked counts
-	// them.
+	// the bank, threaded through parkLink (-1 ends a list).
 	parkHead []int
 	parkLink []int
-	parked   int
 
 	inflight []completion
 	// nextDone is the earliest completion time in inflight (Forever when
@@ -344,7 +340,6 @@ func newRunner(cfg Config) (*runner, error) {
 		r.lowerCoreAt(i, c.nextIssueAt)
 	}
 	r.ctlNext = make([]timing.Tick, channels)
-	r.chSel = make([]bool, channels)
 	r.chDirty = make([]bool, channels)
 
 	r.instSeries = cfg.Probe.Series("sim/insts")
@@ -416,24 +411,17 @@ func Run(cfg Config) (*Result, error) {
 //     due cores touch their replay state, only at a wakeup where some core
 //     is due (coreMin), and only in groups of cores where one is due
 //     (groupMin);
-//   - a completion wakes the wheel only while some core is MSHR-stalled or
-//     the wheel is clamped: otherwise retiring it changes only the core's
-//     outstanding count, which only the walk reads, and the walk runs after
-//     the retire pass of its own wakeup (DESIGN.md §10, part 4);
+//   - a completion wakes the wheel only while some core is MSHR-stalled:
+//     otherwise retiring it changes only the core's outstanding count, which
+//     only the walk reads, and the walk runs after the retire pass of its own
+//     wakeup (DESIGN.md §10, part 4);
 //   - a core whose request met a full bank queue retries on a 4 tCK grid
 //     from its first rejection, but parks on the bank and wakes only at the
-//     first grid point after a dequeue from it, or after a clamped wakeup
-//     (DESIGN.md §10, part 5);
-//   - a channel is stepped only when it received a request this wakeup, its
-//     bound (its last Step return, ctlNext) has arrived, or it is volatile
-//     — a skipped Step is a pure no-op (DESIGN.md §10);
+//     first grid point after a dequeue from it (DESIGN.md §10, part 5);
+//   - a channel is stepped only when it received a request this wakeup or
+//     its bound (its last Step return, ctlNext) has arrived — a skipped Step
+//     is a pure no-op, spans or not (DESIGN.md §10);
 //   - advance() jumps straight to the minimum bound.
-//
-// Volatility clamp: while any channel is volatile (throttle-bound ACTs or
-// span-tracked non-idle banks), its controller re-evaluates those banks at
-// every Step, so the set of Step instants is observable. The wheel then
-// steps every channel at every wakeup, wakes at every parked core's next
-// retry, and at every volatile channel's raw Step return.
 func (r *runner) tick() {
 	now := r.now
 
@@ -446,50 +434,22 @@ func (r *runner) tick() {
 		r.walkCores(now)
 	}
 
-	// 3. Step the channels that can act: enqueued-into this wakeup, bound
-	// arrived, or volatile. stepSelected steps them in ascending channel
-	// order, round after round, which fixes the multi-channel command (and
-	// completion) order; skipped re-steps of already-quiescent channels
-	// within the same instant are idempotent no-ops.
-	for ch, ctl := range r.ctls {
-		r.chSel[ch] = r.chDirty[ch] || r.ctlNext[ch] <= now || ctl.Volatile()
-		if r.chSel[ch] {
+	// 3. Step the channels that can act: enqueued-into this wakeup or bound
+	// arrived. stepSelected steps them in ascending channel order, round
+	// after round, which fixes the multi-channel command (and completion)
+	// order; skipped re-steps of already-quiescent channels within the same
+	// instant are idempotent no-ops.
+	for ch, dirty := range r.chDirty {
+		if dirty {
 			r.ctlNext[ch] = now
+			r.chDirty[ch] = false
 		}
-		r.chDirty[ch] = false
 	}
 	r.stepSelected(now)
-	// Clamp check: if any channel ended this wakeup volatile, its Step
-	// instants are observable, so from here on the wheel wakes at every raw
-	// Step return of a volatile channel and every core retry. Step the
-	// channels the selection skipped — still at this same instant, and
-	// provably without effect (their bound had not arrived).
-	clamped := false
-	for _, ctl := range r.ctls {
-		if ctl.Volatile() {
-			clamped = true
-			break
-		}
-	}
-	if clamped {
-		again := false
-		for ch := range r.ctls {
-			if !r.chSel[ch] {
-				r.ctlNext[ch] = now
-				again = true
-			}
-		}
-		if again {
-			r.stepSelected(now)
-		}
-		// The clamped wakeup set includes every parked core's retry
-		// instants, so every parked core resumes polling its grid.
-		r.rearmAll(now)
-	}
 
 	// 4. Jump to the wheel's bound. coreMin includes the retries re-armed by
 	// this wakeup's dequeues.
-	r.advance(now, clamped)
+	r.advance(now)
 }
 
 // walkCores walks the cores in index order — same-instant requests enter
@@ -543,7 +503,7 @@ func (r *runner) replay(id int, now timing.Tick) timing.Tick {
 		ok, ch := r.mc.EnqueueCh(req)
 		if !ok {
 			// Bank queue full: the core's next retry is 4 tCK away, but it
-			// parks on the bank until a dequeue (or a clamp) re-arms it. A
+			// parks on the bank until a dequeue re-arms it. A
 			// failed enqueue mutates nothing, so the channel stays clean.
 			r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
 			if !c.backoff {
@@ -585,12 +545,10 @@ func (r *runner) lowerCoreAt(id int, at timing.Tick) {
 }
 
 // park holds core id on bank slot's full queue: the core stays out of the
-// wheel (coreAt Forever) until rearmSlot or rearmAll puts it back on its
-// retry grid.
+// wheel (coreAt Forever) until rearmSlot puts it back on its retry grid.
 func (r *runner) park(id, slot int) {
 	r.parkLink[id] = r.parkHead[slot]
 	r.parkHead[slot] = id
-	r.parked++
 }
 
 // rearmSlot returns every core parked on bank slot to the wheel, at the
@@ -608,27 +566,15 @@ func (r *runner) rearmSlot(slot int, now timing.Tick) {
 			c.nextIssueAt += ((now-c.nextIssueAt)/backoff + 1) * backoff
 		}
 		r.lowerCoreAt(id, c.nextIssueAt)
-		r.parked--
 	}
 	r.parkHead[slot] = -1
-}
-
-// rearmAll re-arms every parked core as rearmSlot does: after a clamped
-// wakeup the wheel wakes at every core's next retry, because a volatile
-// channel's Step instants are observable.
-func (r *runner) rearmAll(now timing.Tick) {
-	for slot := 0; r.parked > 0 && slot < len(r.parkHead); slot++ {
-		r.rearmSlot(slot, now)
-	}
 }
 
 // stepSelected drains every selected channel (ctlNext set to now) to
 // quiescence at now, in rounds: each round steps every channel that is still
 // due, in ascending channel order, so the channels' commands at one instant
 // interleave in a fixed order. Each stepped channel's last Step return is
-// left in ctlNext: on a non-volatile channel that is already its cached
-// bound (NextReadyAt or later), on a volatile one the raw return the clamp
-// wakes at.
+// left in ctlNext: that is already its cached bound (NextReadyAt or later).
 func (r *runner) stepSelected(now timing.Tick) {
 	for {
 		again := false
@@ -648,18 +594,17 @@ func (r *runner) stepSelected(now timing.Tick) {
 
 // advance moves simulated time to the wheel's sound lower bound on the next
 // actionable event: the minimum over per-channel bounds, the earliest
-// unstalled core's issue time (coreMin) and, while some core is stalled or
-// the wakeup was clamped, the earliest outstanding completion. A bound at or
-// before now (volatile channels, refresh drains) clamps the jump to +1 tCK,
-// never skipping an instant.
-func (r *runner) advance(now timing.Tick, clamped bool) {
+// unstalled core's issue time (coreMin) and, while some core is stalled, the
+// earliest outstanding completion. A bound at or before now moves the wheel
+// on by one tCK, so it never spins at an instant.
+func (r *runner) advance(now timing.Tick) {
 	next := r.coreMin
 	for _, b := range r.ctlNext {
 		if b < next {
 			next = b
 		}
 	}
-	if (r.stalled > 0 || clamped) && r.nextDone > now && r.nextDone < next {
+	if r.stalled > 0 && r.nextDone > now && r.nextDone < next {
 		next = r.nextDone
 	}
 	if next <= now {

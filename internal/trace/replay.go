@@ -82,15 +82,15 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 // so a trace recorded on one organization replays on another. Returns the
 // number of events that needed folding.
 func ClampEvents(events []Event, banks, rowsPerBank int) int {
-	clamped := 0
+	folded := 0
 	for i := range events {
 		if events[i].Bank >= banks || events[i].Row >= rowsPerBank {
-			clamped++
+			folded++
 		}
 		events[i].Bank %= banks
 		events[i].Row %= rowsPerBank
 	}
-	return clamped
+	return folded
 }
 
 // Replay is a Generator over a recorded event list, looping when exhausted

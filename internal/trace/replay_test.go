@@ -81,7 +81,7 @@ func TestClampEvents(t *testing.T) {
 	}
 	n := ClampEvents(events, 16, 8192)
 	if n != 1 {
-		t.Fatalf("clamped = %d, want 1", n)
+		t.Fatalf("folded = %d, want 1", n)
 	}
 	if events[0].Bank != 0 || events[0].Row != 10 {
 		t.Fatal("in-range event modified")
