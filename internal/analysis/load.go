@@ -156,7 +156,11 @@ func (m *moduleImporter) check(path, srcDir string) (*types.Package, error) {
 		return nil, fmt.Errorf("analysis: no Go files for %s in %s", path, srcDir)
 	}
 	conf := types.Config{Importer: m, IgnoreFuncBodies: true}
-	return conf.Check(path, m.fset, files, nil)
+	pkg, err := conf.Check(path, m.fset, files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking package %q failed (%v)", path, err)
+	}
+	return pkg, nil
 }
 
 // ImportPath maps a directory inside the module to its import path.

@@ -161,8 +161,9 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 // must be the channel's whole bound, throttled and span-tracked banks
 // included, so that a driver may sleep until it without asking NextReadyAt:
 // after a command it equals NextReadyAt(now), which lies past now, and
-// otherwise it is never below NextReadyAt(now). NextReadyAt scans every bank's key; Step
-// reaches the same value from the keys its own scan already read.
+// otherwise it is never below NextReadyAt(now). NextReadyAt scans every
+// bank's key; Step reaches the same value from the keys its own scan already
+// read.
 func TestStepReturnsBound(t *testing.T) {
 	forEachFloorCase(t, func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller {
 		issued, checked := false, 0

@@ -508,9 +508,10 @@ func (c *Controller) issuedDuringScan(now timing.Tick, due, keep uint64, keys ti
 }
 
 // Volatile reports false: every bank's key is an exact lower bound, so no
-// channel needs stepping at every wakeup. Nothing in this module calls it;
-// it stays for the replay driver in perfbench, which still folds it into
-// its wakeup rule.
+// channel needs stepping at every wakeup. Nothing in this module calls it.
+// perfbench's attack replay (perfbench/replay.go) still folds it into its
+// wakeup rule, so it stays until that replay drives sim.RunAttack (ROADMAP
+// item 1).
 func (c *Controller) Volatile() bool { return false }
 
 // NextReadyAt returns a sound lower bound on the next instant this channel

@@ -90,9 +90,9 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 	// Event-wheel state: ctlNext is the controller's last Step return, a
 	// sound lower bound on its next possible action (already folded with its
 	// cached bound, so it sees past the post-command bus echo); dirty forces a
-	// Step after an enqueue. When the
-	// bound proves the controller quiescent at a wakeup (we woke early only
-	// to check cur.Done), the Step call is skipped entirely.
+	// Step after an enqueue. When the bound proves the controller quiescent
+	// at a wakeup (we woke early only to check cur.Done), the Step call is
+	// skipped entirely.
 	ctlNext := timing.Tick(0)
 	dirty := true
 	for now < cfg.Duration {

@@ -147,8 +147,9 @@ type runner struct {
 	// ctls caches the per-channel controllers so the wheel can step a single
 	// channel. coreAt holds each core's next issue time, Forever while the
 	// core is stalled (retire restores it when the core unstalls) or parked
-	// on a full queue (rearmSlot restores it); it sits in one contiguous array so the wheel's per-wakeup scan never touches a
-	// core that is not due. groupMin[g] is exactly the minimum of coreAt over
+	// on a full queue (rearmSlot restores it); it sits in one contiguous
+	// array so the wheel's per-wakeup scan never touches a core that is not
+	// due. groupMin[g] is exactly the minimum of coreAt over
 	// cores [g*coreGroup, (g+1)*coreGroup), and coreMin exactly min(coreAt),
 	// both kept at every write to coreAt, so a wakeup with no core due skips
 	// the walk altogether and the walk skips every group with no core due.
