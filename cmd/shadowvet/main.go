@@ -27,7 +27,9 @@
 // offending line; the driver checks the waivers themselves (a reason is
 // mandatory and a waiver that suppresses nothing is itself a finding).
 //
-// Findings print one per line on stdout, with a count on stderr. One
+// Findings print one per line on stdout, with a count on stderr. The exit
+// status is 0 when clean, 1 on findings and 2 when the packages cannot be
+// loaded, a type error in any of them included. One
 // analysis also writes the machine-readable reports: -json-out FILE writes
 // the findings as a JSON array (empty when clean) for CI annotation, and
 // -sarif-out FILE writes a SARIF 2.1.0 log, the format code forges ingest
@@ -79,8 +81,11 @@ func main() {
 	}
 
 	// Loading stays sequential (the loader's importer cache is shared);
-	// the analysis itself fans out per package below.
+	// the analysis itself fans out per package below. A type error is a
+	// load failure: analyzers on partial type information can miss
+	// findings, so a tree that does not type-check fails the gate.
 	var pkgs []*analysis.Package
+	typeErrors := 0
 	for _, dir := range dirs {
 		loaded, err := loader.LoadDir(dir)
 		if err != nil {
@@ -89,10 +94,15 @@ func main() {
 		}
 		for _, pkg := range loaded {
 			for _, terr := range pkg.TypeErrors {
-				fmt.Fprintf(os.Stderr, "shadowvet: warning: %s: %v\n", pkg.Path, terr)
+				fmt.Fprintf(os.Stderr, "shadowvet: %s: type error: %v\n", pkg.Path, terr)
+				typeErrors++
 			}
 		}
 		pkgs = append(pkgs, loaded...)
+	}
+	if typeErrors > 0 {
+		fmt.Fprintf(os.Stderr, "shadowvet: %d type error(s); nothing analyzed\n", typeErrors)
+		os.Exit(2)
 	}
 
 	diags := analysis.Run(pkgs, analyzers, analysis.Options{

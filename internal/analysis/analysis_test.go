@@ -139,6 +139,35 @@ func TestLoaderModuleDiscovery(t *testing.T) {
 	}
 }
 
+// TestLoadDirHonorsBuildConstraints loads the module root, whose external
+// test package declares raceEnabled in a `//go:build race` file and again
+// in a `//go:build !race` one. The loader must parse only the file the
+// default build context selects, so the root type-checks without errors.
+func TestLoadDirHonorsBuildConstraints(t *testing.T) {
+	l, err := testLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadDir(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var race []string
+	for _, pkg := range pkgs {
+		for _, terr := range pkg.TypeErrors {
+			t.Errorf("%s: type error: %v", pkg.Name, terr)
+		}
+		for _, f := range pkg.Files {
+			if name := filepath.Base(l.Fset.Position(f.Pos()).Filename); strings.HasPrefix(name, "race_") {
+				race = append(race, name)
+			}
+		}
+	}
+	if len(race) != 1 || race[0] != "race_disabled_test.go" {
+		t.Errorf("loaded race files %v, want [race_disabled_test.go]", race)
+	}
+}
+
 // TestSelfCheck runs the whole suite over this package: the analyzer
 // implementation must satisfy its own rules.
 func TestSelfCheck(t *testing.T) {

@@ -25,7 +25,7 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// TypeErrors collects type-checker complaints. Analysis still runs on
-	// the partial information; the driver surfaces these as warnings.
+	// the partial information; cmd/shadowvet treats any as a load failure.
 	TypeErrors []error
 }
 
@@ -182,9 +182,11 @@ func (l *Loader) ImportPath(dir string) (string, error) {
 	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// LoadDir parses and type-checks every .go file directly in dir, grouped by
+// LoadDir parses and type-checks the .go files directly in dir that the
+// default build context accepts (build constraints and file-name GOOS/GOARCH
+// suffixes applied, as the go command would for `go test`), grouped by
 // package clause. Hard parse failures abort; type errors are recorded on the
-// package and analysis proceeds with partial information.
+// package.
 func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -197,8 +199,12 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	byName := map[string][]*ast.File{}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
+			continue
+		}
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -12,14 +12,31 @@ import (
 // every subarray; used only when SHADOW pairs it), and the hammer tracker
 // covering the ordinary rows. Disturbance never crosses subarrays (threat
 // model item 3), which is why the tracker lives here.
+//
+// ACTs and refreshes touch only the tracker. The row table is built on the
+// first call to Row (a flip, a row copy or swap, an sPPR, a payload read or
+// an integrity check), each row seeded with its power-on pattern, so a run
+// pays for row payload slots only in the subarrays whose data it touches.
 type Subarray struct {
-	rows   []Row
-	remap  Row
-	Hammer *hammer.Subarray
+	rows      []Row // nil until the first Row call
+	remap     Row
+	Hammer    *hammer.Subarray
+	bank, idx int // seeds the row table
 }
 
-// Row returns the row at DA index da within the subarray.
-func (s *Subarray) Row(da int) *Row { return &s.rows[da] }
+// Row returns the row at DA index da within the subarray, building the row
+// table on first use.
+func (s *Subarray) Row(da int) *Row {
+	if s.rows == nil {
+		s.rows = make([]Row, s.Hammer.Rows()) //shadowvet:ignore allocflow -- first-touch lazy row table build, once per subarray whose data a run touches
+		// Every ordinary row starts with the deterministic pattern for its
+		// initial (identity-mapped) location.
+		for i := range s.rows {
+			s.rows[i].SetSeed(rowSeed(s.bank, s.idx, i))
+		}
+	}
+	return &s.rows[da]
+}
 
 // RemapRow returns the subarray's remapping-row payload.
 func (s *Subarray) RemapRow() *Row { return &s.remap }
@@ -96,21 +113,17 @@ func (b *Bank) Params() *timing.Params { return b.p }
 // Geometry returns the rank geometry.
 func (b *Bank) Geometry() Geometry { return b.geo }
 
-// Subarray returns (lazily allocating) subarray s.
+// Subarray returns subarray s, allocating its hammer tracker on first use
+// (its row table waits for Subarray.Row).
 func (b *Bank) Subarray(s int) *Subarray {
 	if s < 0 || s >= len(b.subs) {
 		panic(fmt.Sprintf("dram: bank %d subarray %d out of range [0,%d)", b.id, s, len(b.subs)))
 	}
 	if b.subs[s] == nil {
-		da := b.geo.DARowsPerSubarray()
 		sa := &Subarray{ //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
-			rows:   make([]Row, da), //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
-			Hammer: hammer.NewSubarray(da, b.hcfg),
-		}
-		// Every ordinary row starts with the deterministic pattern for its
-		// initial (identity-mapped) location.
-		for i := range sa.rows {
-			sa.rows[i].SetSeed(rowSeed(b.id, s, i))
+			Hammer: hammer.NewSubarray(b.geo.DARowsPerSubarray(), b.hcfg),
+			bank:   b.id,
+			idx:    s,
 		}
 		sa.remap.SetSeed(rowSeed(b.id, s, -1))
 		b.subs[s] = sa

@@ -682,3 +682,156 @@ func TestRowSeedAccessor(t *testing.T) {
 		t.Fatal("same seed should match without materializing")
 	}
 }
+
+// builtRowTables lists the subarrays, as {bank, sub}, whose row table has
+// been built.
+func builtRowTables(d *Device) [][2]int {
+	var out [][2]int
+	for _, b := range d.banks {
+		for s, sa := range b.subs {
+			if sa != nil && sa.rows != nil {
+				out = append(out, [2]int{b.id, s})
+			}
+		}
+	}
+	return out
+}
+
+// TestRowTableBuiltOnFirstUse: ACTs and refreshes touch only the hammer
+// trackers, so a run with no copy, swap, repair or flip builds no row
+// table, even though a refresh sweep creates every subarray. A built table
+// holds every row's power-on seed, and each operation that reads or writes
+// row data builds exactly the tables it touches.
+func TestRowTableBuiltOnFirstUse(t *testing.T) {
+	d := testDevice(t)
+	g, p := d.Geometry(), d.Params()
+	now := timing.Tick(0)
+	for bank := 0; bank < g.Banks; bank++ {
+		for pa := 0; pa < g.PARowsPerBank(); pa += 7 {
+			if err := d.Activate(bank, pa, now); err != nil {
+				t.Fatal(err)
+			}
+			now += p.RAS
+			if err := d.Precharge(bank, now); err != nil {
+				t.Fatal(err)
+			}
+			now += p.RP
+		}
+	}
+	for i := 0; i <= int(p.REFW/p.REFI); i++ {
+		if err := d.Refresh(now); err != nil {
+			t.Fatal(err)
+		}
+		now += p.RFC
+	}
+	for _, b := range d.banks {
+		for s, sa := range b.subs {
+			if sa == nil {
+				t.Fatalf("bank %d subarray %d not created by a refresh sweep", b.id, s)
+			}
+		}
+	}
+	if d.FlipCount() != 0 {
+		t.Fatalf("%d flips", d.FlipCount())
+	}
+	if built := builtRowTables(d); len(built) != 0 {
+		t.Fatalf("ACTs and refreshes built row tables %v", built)
+	}
+
+	// A built table starts at every row's power-on seed, spare rows included.
+	sa := d.Bank(1).Subarray(2)
+	sa.Row(0)
+	for i := 0; i < g.DARowsPerSubarray(); i++ {
+		r := sa.Row(i)
+		want := rowSeed(1, 2, i)
+		if i < g.RowsPerSubarray && want != d.Bank(1).InitialSeed(g.PARow(2, i)) {
+			t.Fatalf("row %d: rowSeed %x, InitialSeed %x", i, want, d.Bank(1).InitialSeed(g.PARow(2, i)))
+		}
+		if r.Seed() != want || r.Materialized() {
+			t.Fatalf("row %d: seed %x materialized %v, want %x unmaterialized", i, r.Seed(), r.Materialized(), want)
+		}
+	}
+	if built := builtRowTables(d); len(built) != 1 || built[0] != [2]int{1, 2} {
+		t.Fatalf("Row built tables %v, want [[1 2]]", built)
+	}
+
+	// An integrity check reads every row of every table it builds.
+	for bank := 0; bank < g.Banks; bank++ {
+		for pa := 0; pa < g.PARowsPerBank(); pa++ {
+			if bits := d.CorruptedBitsPA(bank, pa); bits != 0 {
+				t.Fatalf("untouched PA row %d/%d: %d corrupted bits", bank, pa, bits)
+			}
+		}
+	}
+	if built := builtRowTables(d); len(built) != g.Banks*g.SubarraysPerBank {
+		t.Fatalf("a full scrub built %d tables, want %d", len(built), g.Banks*g.SubarraysPerBank)
+	}
+}
+
+// TestRowDataOpsBuildOnlyTheirTables: a row copy, a swap, an sPPR and a
+// flip each build only the tables of the rows they touch, and move or
+// corrupt data as they did when every table was built up front.
+func TestRowDataOpsBuildOnlyTheirTables(t *testing.T) {
+	g := TestGeometry()
+	rb := g.RowBytes
+
+	d := testDevice(t)
+	b := d.Bank(0)
+	if err := b.RowCopy(2, 3, 9, 0); err != nil {
+		t.Fatal(err)
+	}
+	if built := builtRowTables(d); len(built) != 1 || built[0] != [2]int{0, 2} {
+		t.Fatalf("RowCopy built %v, want [[0 2]]", built)
+	}
+	if got, want := b.Subarray(2).Row(9).Seed(), b.InitialSeed(g.PARow(2, 3)); got != want {
+		t.Fatalf("copied row seed %x, want %x", got, want)
+	}
+
+	d = testDevice(t)
+	paA, paB := g.PARow(1, 3), g.PARow(3, 5)
+	a, bb := PatternBytes(d.Bank(2).InitialSeed(paA), rb), PatternBytes(d.Bank(2).InitialSeed(paB), rb)
+	if err := d.SwapRows(2, paA, paB); err != nil {
+		t.Fatal(err)
+	}
+	if built := builtRowTables(d); len(built) != 2 || built[0] != [2]int{2, 1} || built[1] != [2]int{2, 3} {
+		t.Fatalf("SwapRows built %v, want [[2 1] [2 3]]", built)
+	}
+	if !bytes.Equal(d.InspectPA(2, paA), bb) || !bytes.Equal(d.InspectPA(2, paB), a) {
+		t.Fatal("swap did not exchange contents")
+	}
+
+	d = testDevice(t)
+	if err := d.SoftPPR(3, 7, 1, g.DARowsPerSubarray()-1); err != nil {
+		t.Fatal(err)
+	}
+	if built := builtRowTables(d); len(built) != 2 || built[0] != [2]int{3, 0} || built[1] != [2]int{3, 1} {
+		t.Fatalf("SoftPPR built %v, want [[3 0] [3 1]]", built)
+	}
+	if d.CorruptedBitsPA(3, 7) != 0 {
+		t.Fatal("repaired row lost its data")
+	}
+
+	d, err := NewDevice(Config{
+		Geometry: g,
+		Params:   timing.NewParams(timing.DDR4_2666),
+		Hammer:   hammer.Config{HCnt: 50, BlastRadius: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = d.Bank(1)
+	for i := 0; i < 49; i++ {
+		b.InternalActivate(3, 5)
+	}
+	if built := builtRowTables(d); len(built) != 0 {
+		t.Fatalf("ACTs below H_cnt built %v", built)
+	}
+	b.InternalActivate(3, 5)
+	if built := builtRowTables(d); len(built) != 1 || built[0] != [2]int{1, 3} {
+		t.Fatalf("flips built %v, want [[1 3]]", built)
+	}
+	if d.FlipCount() != 2 || d.CorruptedBitsPA(1, g.PARow(3, 4)) != 1 || d.CorruptedBitsPA(1, g.PARow(3, 6)) != 1 {
+		t.Fatalf("flips %d; corrupted bits %d/%d, want 2; 1/1",
+			d.FlipCount(), d.CorruptedBitsPA(1, g.PARow(3, 4)), d.CorruptedBitsPA(1, g.PARow(3, 6)))
+	}
+}

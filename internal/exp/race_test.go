@@ -88,8 +88,9 @@ func dropBaselines(o RunOpts) {
 
 // TestRunJobsBaselinesInFanOut runs a three-workload sweep with its
 // baselines inside the 4-worker fan-out: every baseline key must be
-// simulated exactly once, OnPointsPlanned must count the scheme points
-// only, and every Rel must be bit-equal to a serial run's.
+// simulated exactly once and cached without its devices, OnPointsPlanned
+// must count the scheme points only, and every Rel must be bit-equal to a
+// serial run's.
 func TestRunJobsBaselinesInFanOut(t *testing.T) {
 	o := RunOpts{
 		Duration:  20 * timing.Microsecond,
@@ -135,6 +136,11 @@ func TestRunJobsBaselinesInFanOut(t *testing.T) {
 	for i, e := range entries {
 		if e.runs != 1 || e.err != nil || e.res == nil {
 			t.Errorf("baseline %d: %d simulations (err %v), want exactly 1", i, e.runs, e.err)
+			continue
+		}
+		if e.res.Device != nil || e.res.Devices != nil || len(e.res.IPC) != o.Cores {
+			t.Errorf("baseline %d keeps Device %p, %d Devices and %d IPCs; want no devices and %d IPCs",
+				i, e.res.Device, len(e.res.Devices), len(e.res.IPC), o.Cores)
 		}
 	}
 	for i := range serial {

@@ -11,7 +11,8 @@
 // effective hammer count since that row's charge was last restored. Any full
 // restore — auto-refresh, TRR, SHADOW's incremental refresh, the row's own
 // activation, or being the destination of a row copy — resets the count.
-// When a victim's count reaches H_cnt the model reports a bit flip.
+// When a victim's count crosses H_cnt the model reports a bit flip: the
+// count only rises between restores, so each crossing is reported once.
 package hammer
 
 import "fmt"
@@ -60,12 +61,14 @@ type Flip struct {
 	ByRow    int     // the aggressor DA row whose ACT completed the flip
 }
 
-// Subarray tracks hammer pressure for every DA row of one subarray.
+// Subarray tracks hammer pressure for every DA row of one subarray. A row
+// flips when an activation lifts its count from below H_cnt to H_cnt or
+// above. Weights are positive and only a restore or Reset lowers a count
+// (to zero), so a row flips at most once between restores.
 type Subarray struct {
-	cfg     Config
-	eff     []float64 // effective hammer count per DA row since last restore
-	flipped []bool    // rows that already flipped and were not yet restored
-	flips   []Flip    // log of every flip since construction or Reset
+	cfg   Config
+	eff   []float64 // effective hammer count per DA row since last restore
+	flips []Flip    // log of every flip since construction or Reset
 
 	// Totals for experiment reporting.
 	acts     int64
@@ -81,9 +84,8 @@ func NewSubarray(rows int, cfg Config) *Subarray {
 		panic(fmt.Sprintf("hammer: invalid config %+v", cfg))
 	}
 	return &Subarray{ //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
-		cfg:     cfg,
-		eff:     make([]float64, rows), //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
-		flipped: make([]bool, rows),    //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
+		cfg: cfg,
+		eff: make([]float64, rows), //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
 	}
 }
 
@@ -101,20 +103,21 @@ func (s *Subarray) Activate(r int) []Flip {
 	s.mustRow(r)
 	s.acts++
 	// Activation restores the row's own charge.
-	s.restoreRow(r)
+	s.eff[r] = 0
 
 	var out []Flip
+	h := float64(s.cfg.HCnt)
 	for d := 1; d <= s.cfg.BlastRadius; d++ {
 		w := s.cfg.Weight(d)
 		for _, v := range [2]int{r - d, r + d} {
 			if v < 0 || v >= len(s.eff) {
 				continue
 			}
+			before := s.eff[v]
 			s.eff[v] += w
-			if s.eff[v] >= float64(s.cfg.HCnt) && !s.flipped[v] {
+			if s.eff[v] >= h && before < h {
 				f := Flip{Row: v, Pressure: s.eff[v], ByRow: r}
-				s.flipped[v] = true
-				s.flips = append(s.flips, f) //shadowvet:ignore allocflow -- a row enters the flip list at most once (flipped guard); bounded by rows per subarray
+				s.flips = append(s.flips, f) //shadowvet:ignore allocflow -- a row enters the flip list once per crossing of H_cnt, at most once between restores
 				out = append(out, f)         //shadowvet:ignore allocflow -- flip result list, non-empty only on rare flip events, not steady-state work
 			}
 		}
@@ -129,12 +132,7 @@ func (s *Subarray) Activate(r int) []Flip {
 func (s *Subarray) Refresh(r int) {
 	s.mustRow(r)
 	s.restores++
-	s.restoreRow(r)
-}
-
-func (s *Subarray) restoreRow(r int) {
 	s.eff[r] = 0
-	s.flipped[r] = false
 }
 
 // Pressure returns the current effective hammer count of DA row r.
@@ -159,10 +157,7 @@ func (s *Subarray) Restores() int64 { return s.restores }
 
 // Reset clears all state including the flip log.
 func (s *Subarray) Reset() {
-	for i := range s.eff {
-		s.eff[i] = 0
-		s.flipped[i] = false
-	}
+	clear(s.eff)
 	s.flips = nil
 	s.acts = 0
 	s.restores = 0

@@ -1,9 +1,13 @@
 package hammer
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"shadow/internal/rng"
 )
 
 func TestWeight(t *testing.T) {
@@ -243,5 +247,123 @@ func TestPanicsOnBadInput(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// flaggedOracle is the reference tracker: a per-row flipped flag, set at
+// the first report and cleared by a restore, guards a second report while
+// the row stays at or above H_cnt.
+type flaggedOracle struct {
+	cfg            Config
+	eff            []float64
+	flipped        []bool
+	flips          []Flip
+	acts, restores int64
+}
+
+func newFlaggedOracle(rows int, cfg Config) *flaggedOracle {
+	return &flaggedOracle{cfg: cfg, eff: make([]float64, rows), flipped: make([]bool, rows)}
+}
+
+func (s *flaggedOracle) Activate(r int) []Flip {
+	s.acts++
+	s.eff[r], s.flipped[r] = 0, false
+	var out []Flip
+	for d := 1; d <= s.cfg.BlastRadius; d++ {
+		w := s.cfg.Weight(d)
+		for _, v := range [2]int{r - d, r + d} {
+			if v < 0 || v >= len(s.eff) {
+				continue
+			}
+			s.eff[v] += w
+			if s.eff[v] >= float64(s.cfg.HCnt) && !s.flipped[v] {
+				f := Flip{Row: v, Pressure: s.eff[v], ByRow: r}
+				s.flipped[v] = true
+				s.flips = append(s.flips, f)
+				out = append(out, f)
+			}
+		}
+	}
+	return out
+}
+
+func (s *flaggedOracle) Refresh(r int) {
+	s.restores++
+	s.eff[r], s.flipped[r] = 0, false
+}
+
+func (s *flaggedOracle) Reset() {
+	clear(s.eff)
+	clear(s.flipped)
+	s.flips = nil
+	s.acts, s.restores = 0, 0
+}
+
+// TestSubarrayMatchesFlaggedOracle drives Subarray and the flagged oracle
+// with generated Activate/Refresh/Reset sequences over subarray sizes 1 to
+// 600 and blast radii 1 to 6. H_cnt is small and a sticky aggressor moves
+// within a narrow window, so rows flip, keep being hammered past H_cnt, are
+// restored and flip again. After every operation the two must agree on the
+// flips it reported, the flip log, the pressure of every row it touched,
+// and the counters.
+func TestSubarrayMatchesFlaggedOracle(t *testing.T) {
+	for _, rows := range []int{1, 2, 3, 5, 8, 13, 64, 129, 513, 600} {
+		for blast := 1; blast <= 6; blast++ {
+			t.Run(fmt.Sprintf("rows%d/blast%d", rows, blast), func(t *testing.T) {
+				src := rng.NewCSPRNG(uint64(rows<<3 | blast))
+				cfg := Config{HCnt: 2 + rng.Intn(src, 10), BlastRadius: blast}
+				s, ref := NewSubarray(rows, cfg), newFlaggedOracle(rows, cfg)
+				window := min(rows, 2*blast+3)
+				base := rng.Intn(src, rows-window+1)
+				reflips := 0
+				aggr := base
+				for op := 0; op < 4000; op++ {
+					// The aggressor sticks for runs of ~8 ACTs, long enough
+					// to lift a neighbor past H_cnt on its own.
+					if rng.Intn(src, 8) == 0 {
+						aggr = base + rng.Intn(src, window)
+					}
+					r := aggr
+					if rng.Intn(src, 20) == 0 {
+						r = rng.Intn(src, rows)
+					}
+					var what string
+					switch k := rng.Intn(src, 1000); {
+					case k < 900:
+						what = "Activate"
+						got, want := s.Activate(r), ref.Activate(r)
+						if !slices.Equal(got, want) {
+							t.Fatalf("op %d: Activate(%d) = %v, want %v", op, r, got, want)
+						}
+						for _, f := range want {
+							if slices.ContainsFunc(ref.flips[:len(ref.flips)-len(want)], func(g Flip) bool { return g.Row == f.Row }) {
+								reflips++
+							}
+						}
+					case k < 998:
+						what = "Refresh"
+						s.Refresh(r)
+						ref.Refresh(r)
+					default:
+						what = "Reset"
+						s.Reset()
+						ref.Reset()
+					}
+					for v := max(0, r-blast); v <= min(rows-1, r+blast); v++ {
+						if got, want := s.Pressure(v), ref.eff[v]; got != want {
+							t.Fatalf("op %d (%s %d): Pressure(%d) = %g, want %g", op, what, r, v, got, want)
+						}
+					}
+					if !slices.Equal(s.Flips(), ref.flips) || s.FlipCount() != len(ref.flips) ||
+						s.Acts() != ref.acts || s.Restores() != ref.restores {
+						t.Fatalf("op %d (%s %d): flips %d/%d, acts %d/%d, restores %d/%d (tracker/oracle)",
+							op, what, r, s.FlipCount(), len(ref.flips), s.Acts(), ref.acts, s.Restores(), ref.restores)
+					}
+				}
+				if rows > 1 && reflips == 0 {
+					t.Errorf("no row flipped again after a restore (%d flips): the sequence misses the case", len(ref.flips))
+				}
+			})
+		}
 	}
 }

@@ -43,7 +43,9 @@ type AttackResult struct {
 	Device    *dram.Device
 }
 
-// RunAttack mounts the pattern against a device built from cfg.
+// RunAttack mounts the pattern against a device built from cfg. An access
+// the pattern yields outside the geometry (a bank outside [0, Banks) or a
+// row outside [0, PARowsPerBank)) ends the run with an error naming it.
 func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 	if cfg.Params == nil {
 		return nil, fmt.Errorf("sim: Params required")
@@ -95,6 +97,7 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 	// skipped entirely.
 	ctlNext := timing.Tick(0)
 	dirty := true
+	banks, rows := cfg.Geometry.Banks, cfg.Geometry.PARowsPerBank()
 	for now < cfg.Duration {
 		if cur == nil || cur.Done > 0 {
 			if cur != nil && cur.Done > now {
@@ -107,6 +110,10 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 				break
 			}
 			bank, row := pat.NextRow()
+			if bank < 0 || bank >= banks || row < 0 || row >= rows {
+				return nil, fmt.Errorf("sim: attack %s access %d: bank %d row %d outside %d banks of %d rows",
+					pat.Name(), res.Acts, bank, row, banks, rows)
+			}
 			cur = &reqStore
 			*cur = memctrl.Request{Bank: bank, Row: row, Arrive: now}
 			if !mc.Enqueue(cur) {

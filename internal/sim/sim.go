@@ -104,7 +104,9 @@ type Result struct {
 	Flips int
 	// Device is channel 0's rank, available for post-run inspection
 	// (mapping state, row contents, flip records); Devices lists every
-	// channel's rank.
+	// channel's rank. Run always sets both. A baseline cached by the
+	// experiment harness (internal/exp) carries neither: it keeps only the
+	// statistics above, which is all a scheme point normalizes against.
 	Device  *dram.Device
 	Devices []*dram.Device
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"shadow/internal/circuit"
@@ -115,6 +117,56 @@ func TestRunAttackRejectsTooManyBanks(t *testing.T) {
 		if (err != nil) != (banks > memctrl.MaxBanks) {
 			t.Errorf("%d banks: err = %v", banks, err)
 		}
+	}
+}
+
+// scriptPattern replays a fixed list of (bank, row) accesses, then repeats
+// the last one.
+type scriptPattern struct {
+	acc [][2]int
+	i   int
+}
+
+func (p *scriptPattern) Name() string { return "script" }
+
+func (p *scriptPattern) NextRow() (int, int) {
+	a := p.acc[min(p.i, len(p.acc)-1)]
+	p.i++
+	return a[0], a[1]
+}
+
+// TestRunAttackRejectsBadAccess: a pattern yielding a bank or row outside
+// the geometry is an error naming the access, not a panic in
+// memctrl.Enqueue or the controller's ACT.
+func TestRunAttackRejectsBadAccess(t *testing.T) {
+	g := dram.TestGeometry()
+	rows := g.PARowsPerBank()
+	cases := []struct {
+		name string
+		bad  [2]int
+		want string
+	}{
+		{"bank-high", [2]int{g.Banks, 5}, fmt.Sprintf("access 3: bank %d row 5 outside", g.Banks)},
+		{"bank-negative", [2]int{-1, 5}, "access 3: bank -1 row 5 outside"},
+		{"row-high", [2]int{1, rows}, fmt.Sprintf("access 3: bank 1 row %d outside", rows)},
+		{"row-negative", [2]int{1, -2}, "access 3: bank 1 row -2 outside"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pat := &scriptPattern{acc: [][2]int{{0, 1}, {1, 9}, {0, 1}, tc.bad}}
+			res, err := RunAttack(AttackConfig{
+				Params:   baseParams(),
+				Geometry: g,
+				Hammer:   hammer.Config{HCnt: 1 << 20, BlastRadius: 1},
+				MaxActs:  16,
+			}, pat)
+			if err == nil {
+				t.Fatalf("no error after %d ACTs", res.Acts)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q lacks %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -25,8 +25,9 @@ go build ./...
 # One full-tree shadowvet pass. Its JSON report and SARIF log are kept as
 # CI artifacts so findings can be diffed across runs (and a forge can render
 # inline annotations) without re-running the suite. shadowvet exits
-# non-zero on any finding, which aborts the gate via set -e; both reports
-# are written first, so they remain for inspection. `./...` covers every
+# non-zero on any finding or type error, which aborts the gate via set -e;
+# on findings both reports are written first, so they remain for
+# inspection. `./...` covers every
 # package, internal/analysis itself and examples/ included; the registry
 # test in internal/analysis (TestRegistriesNameLivePackages) catches a
 # package move that would drop a package from an analyzer's scope. The pass
