@@ -44,13 +44,12 @@ var layerImports = map[string][]string{
 
 	// The controller and its observers.
 	"memctrl":  {"dram", "hammer", "mitigate", "obs", "obs/span", "rng", "shadow", "timing"},
-	"memsys":   {"dram", "hammer", "memctrl", "obs", "obs/span", "timing"},
 	"cmdtrace": {"dram", "hammer", "memctrl", "obs", "timing"},
 	"power":    {"dram", "memctrl", "timing"},
 
 	// The simulator and the experiment layers on top.
-	"sim": {"circuit", "dram", "hammer", "memctrl", "memsys", "mitigate",
-		"obs", "obs/span", "rng", "shadow", "timing", "trace"},
+	"sim": {"circuit", "dram", "hammer", "memctrl", "mitigate", "obs",
+		"obs/span", "rng", "shadow", "timing", "trace"},
 	"security": {"dram", "hammer", "mitigate", "rng", "shadow", "sim", "timing", "trace"},
 	"exp": {"circuit", "dram", "hammer", "memctrl", "mitigate", "obs", "obs/flight",
 		"obs/span", "power", "report", "rng", "security", "shadow", "sim", "timing", "trace"},

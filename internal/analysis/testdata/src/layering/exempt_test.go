@@ -3,6 +3,6 @@ package layering
 // Test files are exempt from layering: a test may drive its package from
 // above without inverting the runtime architecture.
 
-import "shadow/internal/memsys"
+import "shadow/internal/sim"
 
-var _ = memsys.New
+var _ = sim.Run

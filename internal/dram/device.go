@@ -399,11 +399,18 @@ func (d *Device) Scrub() ScrubReport {
 }
 
 // CorruptedBitsPA counts bit errors in a PA row relative to its power-on
-// pattern.
+// pattern. A subarray whose row table is unbuilt still holds every row's
+// power-on seed, so its rows are checked without building the table.
 func (d *Device) CorruptedBitsPA(bank, paRow int) int {
 	b := d.banks[bank]
 	sub, da := d.translate(b, paRow)
-	return b.Subarray(sub).Row(da).CorruptedBits(b.InitialSeed(paRow), d.geo.RowBytes)
+	want := b.InitialSeed(paRow)
+	sa := b.subs[sub]
+	if sa == nil || sa.rows == nil {
+		held := Row{seed: rowSeed(b.id, sub, da)}
+		return held.CorruptedBits(want, d.geo.RowBytes)
+	}
+	return sa.Row(da).CorruptedBits(want, d.geo.RowBytes)
 }
 
 // TotalStats sums the per-bank statistics.

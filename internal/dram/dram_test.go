@@ -700,8 +700,9 @@ func builtRowTables(d *Device) [][2]int {
 // TestRowTableBuiltOnFirstUse: ACTs and refreshes touch only the hammer
 // trackers, so a run with no copy, swap, repair or flip builds no row
 // table, even though a refresh sweep creates every subarray. A built table
-// holds every row's power-on seed, and each operation that reads or writes
-// row data builds exactly the tables it touches.
+// holds every row's power-on seed, and each operation that writes row data
+// builds exactly the tables it touches. An integrity check reads an
+// unbuilt table's seeds without building it, and still finds a flip.
 func TestRowTableBuiltOnFirstUse(t *testing.T) {
 	d := testDevice(t)
 	g, p := d.Geometry(), d.Params()
@@ -737,6 +738,13 @@ func TestRowTableBuiltOnFirstUse(t *testing.T) {
 	if built := builtRowTables(d); len(built) != 0 {
 		t.Fatalf("ACTs and refreshes built row tables %v", built)
 	}
+	if rep := d.Scrub(); rep.CorruptedBits != 0 || rep.RowsChecked != g.Banks*g.PARowsPerBank() {
+		t.Fatalf("scrub of an untouched device: %d corrupted bits over %d rows, want 0 over %d",
+			rep.CorruptedBits, rep.RowsChecked, g.Banks*g.PARowsPerBank())
+	}
+	if built := builtRowTables(d); len(built) != 0 {
+		t.Fatalf("a scrub of an untouched device built row tables %v", built)
+	}
 
 	// A built table starts at every row's power-on seed, spare rows included.
 	sa := d.Bank(1).Subarray(2)
@@ -755,7 +763,8 @@ func TestRowTableBuiltOnFirstUse(t *testing.T) {
 		t.Fatalf("Row built tables %v, want [[1 2]]", built)
 	}
 
-	// An integrity check reads every row of every table it builds.
+	// An integrity check reads built and unbuilt tables alike and builds
+	// none.
 	for bank := 0; bank < g.Banks; bank++ {
 		for pa := 0; pa < g.PARowsPerBank(); pa++ {
 			if bits := d.CorruptedBitsPA(bank, pa); bits != 0 {
@@ -763,8 +772,32 @@ func TestRowTableBuiltOnFirstUse(t *testing.T) {
 			}
 		}
 	}
-	if built := builtRowTables(d); len(built) != g.Banks*g.SubarraysPerBank {
-		t.Fatalf("a full scrub built %d tables, want %d", len(built), g.Banks*g.SubarraysPerBank)
+	if built := builtRowTables(d); len(built) != 1 {
+		t.Fatalf("a full scrub built tables: %v, want [[1 2]]", built)
+	}
+
+	// A flip builds its table, and a scrub still finds it: a hammered row
+	// at H_cnt flips one bit in each neighbor.
+	d, err := NewDevice(Config{
+		Geometry: g,
+		Params:   p,
+		Hammer:   hammer.Config{HCnt: 50, BlastRadius: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		d.Bank(1).InternalActivate(3, 5)
+	}
+	if d.FlipCount() != 2 {
+		t.Fatalf("%d flips, want 2", d.FlipCount())
+	}
+	rep := d.Scrub()
+	if rep.CorruptedRows != 2 || rep.CorruptedBits != 2 || rep.PerBank[1] != 2 {
+		t.Fatalf("scrub after a flip: %+v, want 2 rows and 2 bits in bank 1", rep)
+	}
+	if built := builtRowTables(d); len(built) != 1 || built[0] != [2]int{1, 3} {
+		t.Fatalf("flip and scrub built %v, want [[1 3]]", built)
 	}
 }
 

@@ -425,8 +425,8 @@ var (
 // baselineEntry is one cached baseline. res and err are written inside once
 // and read only after it. An error is cached like a result: the simulation
 // is deterministic, so running it again would fail the same way. res keeps
-// the run's statistics but not its devices (Device and Devices are nil):
-// a scheme point reads only the baseline's IPC, and a cached device would
+// the run's statistics but not its device (Device is nil): a scheme
+// point reads only the baseline's IPC, and a cached device would
 // keep every subarray's state live for the whole process.
 type baselineEntry struct {
 	once sync.Once
@@ -458,7 +458,7 @@ func baselineRun(grade timing.Grade, profiles []trace.Profile, geo dram.Geometry
 			Warmup:   o.Warmup,
 		})
 		if e.err == nil {
-			e.res.Device, e.res.Devices = nil, nil
+			e.res.Device = nil
 		}
 	})
 	return e.res, e.err

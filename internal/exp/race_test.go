@@ -138,9 +138,9 @@ func TestRunJobsBaselinesInFanOut(t *testing.T) {
 			t.Errorf("baseline %d: %d simulations (err %v), want exactly 1", i, e.runs, e.err)
 			continue
 		}
-		if e.res.Device != nil || e.res.Devices != nil || len(e.res.IPC) != o.Cores {
-			t.Errorf("baseline %d keeps Device %p, %d Devices and %d IPCs; want no devices and %d IPCs",
-				i, e.res.Device, len(e.res.Devices), len(e.res.IPC), o.Cores)
+		if e.res.Device != nil || len(e.res.IPC) != o.Cores {
+			t.Errorf("baseline %d keeps Device %p and %d IPCs; want no device and %d IPCs",
+				i, e.res.Device, len(e.res.IPC), o.Cores)
 		}
 	}
 	for i := range serial {

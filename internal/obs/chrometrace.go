@@ -52,7 +52,7 @@ func ticksToUS(t int64) float64 { return float64(t) / 1e6 }
 
 // WriteChromeTrace renders the captured events as Chrome trace-event JSON,
 // viewable in Perfetto (ui.perfetto.dev) or chrome://tracing: one process
-// per track/channel, one thread per bank, duration slices ("X") for
+// per track, one thread per bank, duration slices ("X") for
 // commands with service time and thread-scoped instants ("i") otherwise.
 // The output is byte-deterministic for a deterministic event stream.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {

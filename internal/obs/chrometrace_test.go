@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func sampleRecorder() *Recorder {
 	rec := NewRecorder(Options{Events: true})
 	p := rec.NewTrack("shadow/mix-high")
-	ch1 := p.ForChannel(1)
+	p2 := rec.NewTrack("parfm/mix-high")
 	us := timing.Microsecond
 	p.Emit(Event{At: 1 * us, Dur: timing.NS(35), Kind: KindACT, Bank: 0, Row: 42})
 	p.Emit(Event{At: 2 * us, Dur: timing.NS(15), Kind: KindRD, Bank: 0, Row: 42})
@@ -24,8 +24,8 @@ func sampleRecorder() *Recorder {
 	p.Emit(Event{At: 3 * us, Kind: KindShuffle, Bank: 2, Row: 77, Aux: 1})
 	p.Emit(Event{At: 4 * us, Dur: timing.NS(195), Kind: KindREF, Bank: -1, Row: -1})
 	p.Emit(Event{At: 5 * us, Kind: KindThrottle, Bank: 1, Row: 9, Dur: timing.NS(1000)})
-	ch1.Emit(Event{At: 6 * us, Dur: timing.NS(35), Kind: KindACT, Bank: 3, Row: 8})
-	ch1.Emit(Event{At: 7 * us, Kind: KindFlip, Bank: 3, Row: 10, Aux: 0})
+	p2.Emit(Event{At: 6 * us, Dur: timing.NS(35), Kind: KindACT, Bank: 3, Row: 8})
+	p2.Emit(Event{At: 7 * us, Kind: KindFlip, Bank: 3, Row: 10, Aux: 0})
 	return rec
 }
 

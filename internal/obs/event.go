@@ -90,7 +90,7 @@ type Event struct {
 	At   timing.Tick
 	Dur  timing.Tick
 	Kind Kind
-	// PID is the trace group (track + channel), filled by Probe.Emit.
+	// PID is the trace group (the track's index), filled by Probe.Emit.
 	PID int
 	// TID overrides the trace thread; 0 derives it from Bank (the default
 	// bank-per-thread layout). Request spans use ReqTID lanes.

@@ -21,8 +21,8 @@ import (
 
 // flipsSuffix identifies bit-flip counters among ingested counters: the dram
 // layer registers "dram/flips_total" and per-point probe tracks prepend
-// "<scheme>/<workloads>/h<N>/" (and channel tracks "chN/"), so the scheme of
-// a flips counter is the first path segment of its instrument name.
+// "<scheme>/<workloads>/h<N>/", so the scheme of a flips counter is the
+// first path segment of its instrument name.
 const flipsSuffix = "dram/flips_total"
 
 // WorkerJSON is one entry of /fleet/workers.json.

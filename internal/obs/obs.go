@@ -20,10 +20,10 @@
 //
 // A Recorder owns the collected data for one run and renders it through
 // WriteChromeTrace (Perfetto-viewable trace-event JSON, one process track
-// per channel, one thread track per bank) and the Metrics dump
-// (WriteJSON). Probes are handed out per track (NewTrack) and per
-// channel (ForChannel); the simulator threads them through the memory
-// controller, the DRAM device, and the mitigation schemes.
+// per Track, one thread track per bank) and the Metrics dump (WriteJSON).
+// Probes are handed out per track (NewTrack); the simulator threads them
+// through the memory controller, the DRAM device, and the mitigation
+// schemes.
 //
 // A Recorder is not safe for concurrent use: attach it to one
 // single-threaded simulation at a time (the experiment harness forces
@@ -35,10 +35,6 @@ import (
 
 	"shadow/internal/timing"
 )
-
-// trackStride spaces track base PIDs so per-channel probes (ForChannel) can
-// derive distinct PIDs without registration.
-const trackStride = 64
 
 // EventSink receives every emitted event, even when the growable event log
 // (Options.Events) is off. The flight recorder (obs/flight.Ring) implements
@@ -69,7 +65,8 @@ type Options struct {
 }
 
 // Track is one top-level trace group (a Chrome trace "process"): one per
-// simulation run, or one per experiment operating point.
+// simulation run, or one per experiment operating point. Its PID is its
+// index in Recorder.Tracks.
 type Track struct {
 	PID  int
 	Name string
@@ -104,7 +101,7 @@ func NewRecorder(opt Options) *Recorder {
 // multiple tracks (one per experiment operating point) never collide in the
 // shared registry.
 func (r *Recorder) NewTrack(name string) *Probe {
-	pid := len(r.tracks) * trackStride
+	pid := len(r.tracks)
 	r.tracks = append(r.tracks, Track{PID: pid, Name: name})
 	return &Probe{rec: r, pid: pid, prefix: name + "/"}
 }
@@ -138,18 +135,12 @@ func (r *Recorder) emit(e Event) {
 	r.events = append(r.events, e) //shadowvet:ignore allocflow -- event buffer bounded by MaxEvents; growth is amortized and stops at the cap
 }
 
-// trackName resolves a PID (base track or channel-derived) to a display
-// name for trace metadata.
+// trackName resolves a PID to its track's display name for trace metadata.
 func (r *Recorder) trackName(pid int) string {
-	base, ch := pid/trackStride, pid%trackStride
-	name := fmt.Sprintf("track %d", base)
-	if base < len(r.tracks) {
-		name = r.tracks[base].Name
+	if pid < len(r.tracks) {
+		return r.tracks[pid].Name
 	}
-	if ch > 0 {
-		name = fmt.Sprintf("%s ch%d", name, ch)
-	}
-	return name
+	return fmt.Sprintf("track %d", pid)
 }
 
 // Probe is the instrumentation handle threaded through the simulator. A
@@ -169,19 +160,6 @@ func (p *Probe) Enabled() bool { return p != nil }
 // may skip the construction entirely when it is false.
 func (p *Probe) EventsOn() bool {
 	return p != nil && (p.rec.opt.Events || p.rec.opt.Flight != nil)
-}
-
-// ForChannel derives a per-channel probe: channel ch's events land on
-// PID base+ch and its metric names gain a "ch<N>/" prefix. Channel 0 is
-// the base track itself.
-func (p *Probe) ForChannel(ch int) *Probe {
-	if p == nil || ch == 0 {
-		return p
-	}
-	if ch < 0 || ch >= trackStride {
-		panic(fmt.Sprintf("obs: channel %d out of range [0,%d)", ch, trackStride))
-	}
-	return &Probe{rec: p.rec, pid: p.pid + ch, prefix: fmt.Sprintf("%sch%d/", p.prefix, ch)}
 }
 
 // Emit records a structured event (no-op when events are disabled).

@@ -13,9 +13,6 @@ func TestNilProbeIsInert(t *testing.T) {
 	if p.Enabled() {
 		t.Fatal("nil probe reports Enabled")
 	}
-	if q := p.ForChannel(3); q != nil {
-		t.Fatalf("nil probe ForChannel = %v, want nil", q)
-	}
 	p.Emit(Event{Kind: KindACT}) // must not panic
 	p.Counter("c").Inc()
 	p.Gauge("g").Set(7)
@@ -143,32 +140,25 @@ func TestSeriesBucketing(t *testing.T) {
 	}
 }
 
-func TestForChannelPrefixesAndPIDs(t *testing.T) {
+func TestTrackPrefixesAndPIDs(t *testing.T) {
 	rec := NewRecorder(Options{Metrics: true, Events: true})
-	p := rec.NewTrack("run")
-	p2 := rec.NewTrack("other")
-	ch1 := p2.ForChannel(1)
-	ch1.Counter("acts").Inc()
-	ch1.Emit(Event{At: 5, Kind: KindACT, Bank: 0})
-	if got := rec.Metrics().Counter("other/ch1/acts").Value(); got != 1 {
-		t.Fatalf("other/ch1/acts = %d, want 1", got)
+	rec.NewTrack("run")
+	p := rec.NewTrack("other")
+	p.Counter("acts").Inc()
+	p.Emit(Event{At: 5, Kind: KindACT, Bank: 0})
+	if got := rec.Metrics().Counter("other/acts").Value(); got != 1 {
+		t.Fatalf("other/acts = %d, want 1", got)
 	}
 	ev := rec.Events()
-	if len(ev) != 1 || ev[0].PID != trackStride+1 {
-		t.Fatalf("event PID = %+v, want pid %d", ev, trackStride+1)
+	if len(ev) != 1 || ev[0].PID != 1 {
+		t.Fatalf("event PID = %+v, want pid 1", ev)
 	}
-	if got := rec.trackName(ev[0].PID); got != "other ch1" {
-		t.Fatalf("trackName = %q, want %q", got, "other ch1")
+	if got := rec.trackName(ev[0].PID); got != "other" {
+		t.Fatalf("trackName = %q, want %q", got, "other")
 	}
-	if got := p.ForChannel(0); got != p {
-		t.Fatal("ForChannel(0) must return the base probe")
+	if got := rec.trackName(2); got != "track 2" {
+		t.Fatalf("unregistered trackName = %q, want %q", got, "track 2")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ForChannel out of range did not panic")
-		}
-	}()
-	p.ForChannel(trackStride)
 }
 
 func TestRecorderDropsAfterMaxEvents(t *testing.T) {

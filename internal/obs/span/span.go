@@ -119,7 +119,7 @@ type Attributor interface {
 // open row (RowHit).
 type Span struct {
 	Core  int
-	Bank  int // channel-local bank
+	Bank  int
 	Row   int
 	Write bool
 
@@ -216,19 +216,6 @@ func (a *Aggregate) add(sp *Span) {
 	}
 	a.Resident += sp.Resident()
 	for c, v := range sp.Stall {
-		a.Stall[c] += v
-	}
-}
-
-// Merge folds another aggregate (e.g. another channel's) into a.
-func (a *Aggregate) Merge(b Aggregate) {
-	a.Spans += b.Spans
-	a.Reads += b.Reads
-	a.Writes += b.Writes
-	a.RowHits += b.RowHits
-	a.Dropped += b.Dropped
-	a.Resident += b.Resident
-	for c, v := range b.Stall {
 		a.Stall[c] += v
 	}
 }
@@ -495,65 +482,44 @@ func (t *Tracker) Spans() []*Span {
 	return t.spans
 }
 
-// Collector owns span tracking for one multi-channel run: one Tracker per
-// channel, created on demand by the simulator. A nil *Collector is valid
-// and hands out nil trackers.
+// Collector owns span tracking for one run: the Tracker the simulator
+// threads through its controller and device, created on demand. A nil
+// *Collector is valid and hands out a nil tracker.
 type Collector struct {
 	maxSpans int
-	trackers []*Tracker
+	tracker  *Tracker
 }
 
-// NewCollector builds a collector. maxSpans bounds per-tracker span
-// retention (0 = default).
+// NewCollector builds a collector. maxSpans bounds span retention
+// (0 = default).
 func NewCollector(maxSpans int) *Collector {
 	return &Collector{maxSpans: maxSpans}
 }
 
-// ForChannel creates (or returns) channel ch's tracker. Safe on a nil
-// receiver (returns a nil, inert tracker).
-func (c *Collector) ForChannel(ch, banks int, probe *obs.Probe) *Tracker {
+// Tracker creates (or returns) the run's tracker. Safe on a nil receiver
+// (returns a nil, inert tracker).
+func (c *Collector) Tracker(banks int, probe *obs.Probe) *Tracker {
 	if c == nil {
 		return nil
 	}
-	for len(c.trackers) <= ch {
-		c.trackers = append(c.trackers, nil)
+	if c.tracker == nil {
+		c.tracker = NewTracker(banks, c.maxSpans, probe)
 	}
-	if c.trackers[ch] == nil {
-		c.trackers[ch] = NewTracker(banks, c.maxSpans, probe)
-	}
-	return c.trackers[ch]
+	return c.tracker
 }
 
-// Trackers returns the per-channel trackers (nil entries possible).
-func (c *Collector) Trackers() []*Tracker {
-	if c == nil {
-		return nil
-	}
-	return c.trackers
-}
-
-// Aggregate merges every channel's blame.
+// Aggregate returns the run's rolled-up blame.
 func (c *Collector) Aggregate() Aggregate {
 	if c == nil {
 		return Aggregate{}
 	}
-	var a Aggregate
-	for _, t := range c.trackers {
-		if t != nil {
-			a.Merge(t.agg)
-		}
-	}
-	return a
+	return c.tracker.Aggregate()
 }
 
-// Spans returns every channel's retained spans, channel-major.
+// Spans returns the retained spans in completion order.
 func (c *Collector) Spans() []*Span {
 	if c == nil {
 		return nil
 	}
-	var out []*Span
-	for _, t := range c.trackers {
-		out = append(out, t.Spans()...)
-	}
-	return out
+	return c.tracker.Spans()
 }

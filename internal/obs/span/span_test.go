@@ -89,16 +89,23 @@ func TestBusyWindows(t *testing.T) {
 	}
 }
 
-// TestAggregateMergeAndConserved exercises the aggregate arithmetic across
-// trackers via a Collector.
+// TestAggregateMergeAndConserved exercises the aggregate arithmetic: a read
+// and a write on two banks roll up into one conserved aggregate, read
+// through the Collector.
 func TestAggregateMergeAndConserved(t *testing.T) {
 	col := NewCollector(0)
-	for ch := 0; ch < 2; ch++ {
-		tr := col.ForChannel(ch, 1, nil)
-		tr.SetCause(0, 0, CauseService)
-		sp := tr.Start(ch, 0, 1, ch == 1, 10)
-		tr.SetCause(0, 40, CauseBus)
+	tr := col.Tracker(2, nil)
+	if col.Tracker(2, nil) != tr {
+		t.Fatal("Collector.Tracker built a second tracker")
+	}
+	for bank := 0; bank < 2; bank++ {
+		tr.SetCause(bank, 0, CauseService)
+		sp := tr.Start(bank, bank, 1, bank == 1, 10)
+		tr.SetCause(bank, 40, CauseBus)
 		tr.Complete(sp, 60, 90)
+	}
+	if got := len(col.Spans()); got != 2 {
+		t.Fatalf("collector retained %d spans, want 2", got)
 	}
 	agg := col.Aggregate()
 	if agg.Spans != 2 || agg.Reads != 1 || agg.Writes != 1 {
@@ -189,11 +196,11 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp.NoteBackpressure(0)
 	sp.NoteACT(0)
-	if col.ForChannel(0, 4, nil) != nil {
+	if col.Tracker(4, nil) != nil {
 		t.Error("nil collector returned a tracker")
 	}
-	if col.Trackers() != nil || col.Spans() != nil {
-		t.Error("nil collector returned trackers or spans")
+	if col.Spans() != nil {
+		t.Error("nil collector returned spans")
 	}
 	if agg := col.Aggregate(); agg.Spans != 0 {
 		t.Error("nil collector aggregate not empty")

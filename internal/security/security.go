@@ -102,6 +102,10 @@ func (c Config) ScenarioI() float64 {
 	return c.perYear(pw, windowSeconds)
 }
 
+// maxExact is the longest recurrence evadeRecurrence runs step by step;
+// longer ones take the linear bound.
+const maxExact = 1 << 22
+
 // evadeRecurrence evaluates the Equation 3 recurrence
 //
 //	P[n] = P[n-1] + (1 - P[n-M-1]) * (1/N) * (1-1/N)^M
@@ -122,22 +126,26 @@ func evadeRecurrence(nAggr, m, steps int) float64 {
 	if q == 0 {
 		return 0
 	}
-	// The recurrence needs a sliding window of M+1 past values; for the
-	// common regime where P stays tiny, P[n] ~= (n-M)*q and the (1-P[...])
-	// factor is 1. Run it exactly with a ring buffer when feasible,
-	// otherwise use the linear bound (which is an upper bound, conservative
-	// in the paper's spirit).
-	const maxExact = 1 << 22
+	// The recurrence reads only P[n-1] and P[n-M-1]; for the common regime
+	// where P stays tiny, P[n] ~= (n-M)*q and the (1-P[...]) factor is 1.
+	// Run it exactly when feasible, keeping P[n-1] in prev and the last M+1
+	// values in a ring whose slot n%(M+1) holds P[n-M-1] until step n
+	// overwrites it with P[n]; P[0..M] are 0. Otherwise use the linear
+	// bound (which is an upper bound, conservative in the paper's spirit).
 	if steps <= maxExact {
-		hist := make([]float64, steps+1)
+		ring := make([]float64, m+1)
+		prev, slot := 0.0, 0
 		for n := m + 1; n <= steps; n++ {
-			prevIdx := n - m - 1
-			hist[n] = hist[n-1] + (1-hist[prevIdx])*q
-			if hist[n] > 1 {
-				hist[n] = 1
+			p := prev + (1-ring[slot])*q
+			if p > 1 {
+				p = 1
+			}
+			ring[slot], prev = p, p
+			if slot++; slot == len(ring) {
+				slot = 0
 			}
 		}
-		return clamp01(float64(nAggr) * hist[steps])
+		return clamp01(float64(nAggr) * prev)
 	}
 	return clamp01(float64(nAggr) * float64(steps-m) * q)
 }

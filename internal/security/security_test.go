@@ -118,6 +118,60 @@ func TestEvadeRecurrenceProperties(t *testing.T) {
 	}
 }
 
+// evadeRecurrenceFull is evadeRecurrence as it was before its ring buffer:
+// the whole P[0..steps] history in one slice. It is the reference the ring
+// buffer must match bit for bit.
+func evadeRecurrenceFull(nAggr, m, steps int) float64 {
+	if m <= 0 {
+		return 1
+	}
+	if steps <= m {
+		return 0
+	}
+	invN := 1.0 / float64(nAggr)
+	logQ := math.Log(invN) + float64(m)*math.Log1p(-invN)
+	q := math.Exp(logQ)
+	if q == 0 {
+		return 0
+	}
+	if steps <= maxExact {
+		hist := make([]float64, steps+1)
+		for n := m + 1; n <= steps; n++ {
+			prevIdx := n - m - 1
+			hist[n] = hist[n-1] + (1-hist[prevIdx])*q
+			if hist[n] > 1 {
+				hist[n] = 1
+			}
+		}
+		return clamp01(float64(nAggr) * hist[steps])
+	}
+	return clamp01(float64(nAggr) * float64(steps-m) * q)
+}
+
+// TestEvadeRecurrenceMatchesFullHistory holds the ring-buffer recurrence to
+// the full-history reference with ==, over aggressor counts, window lengths
+// M (1 saturates P at its clamp) and step counts from M+1 to maxExact and
+// past it, where both take the linear bound.
+func TestEvadeRecurrenceMatchesFullHistory(t *testing.T) {
+	check := func(nAggr, m, steps int) {
+		t.Helper()
+		if got, want := evadeRecurrence(nAggr, m, steps), evadeRecurrenceFull(nAggr, m, steps); got != want {
+			t.Errorf("evadeRecurrence(%d, %d, %d) = %v, full history %v", nAggr, m, steps, got, want)
+		}
+	}
+	for _, nAggr := range []int{1, 2, 3, 8, 64} {
+		for _, m := range []int{0, 1, 2, 7, 64, 1000} {
+			for _, steps := range []int{m, m + 1, m + 2, 2*m + 1, 2*m + 2, 5*m + 3, 4096, 100000} {
+				check(nAggr, m, steps)
+			}
+		}
+	}
+	for _, c := range [][2]int{{2, 1}, {8, 33}, {64, 4096}} {
+		check(c[0], c[1], maxExact)
+		check(c[0], c[1], maxExact+1)
+	}
+}
+
 func TestLogChoose(t *testing.T) {
 	if got := math.Exp(logChoose(5, 2)); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("C(5,2) = %g", got)

@@ -19,29 +19,27 @@ import (
 // true minimum would skip a due core; and completions wake the wheel only
 // while the stalled count is positive, so an undercount would retire a
 // stalled core's completion late. The inputs cover 1 to 64 cores (a partial
-// last group included) on one and two channels, cores stalled on two MSHRs,
+// last group included), cores stalled on two MSHRs,
 // saturated bank queues (cores park and are re-armed by dequeues) and a
 // BlockHammer run with spans attached, which must blacklist ACTs so that
 // throttled banks wait on their epoch release.
 func TestCoreMinTracksCoreAt(t *testing.T) {
 	cases := []struct {
-		cores, channels int
-		mshr            int  // 0: the default
-		conflict        bool // four rows per bank, no row locality: queues saturate
-		blockhammer     bool // BlockHammer at H_cnt 64 plus spans: throttled ACTs
+		cores       int
+		mshr        int  // 0: the default
+		conflict    bool // four rows per bank, no row locality: queues saturate
+		blockhammer bool // BlockHammer at H_cnt 64 plus spans: throttled ACTs
 	}{
-		{cores: 1, channels: 1},
-		{cores: 4, channels: 2},
-		{cores: 12, channels: 1, mshr: 2},
-		{cores: 16, channels: 1},
-		{cores: 16, channels: 2},
-		{cores: 64, channels: 1, conflict: true},
-		{cores: 64, channels: 2, conflict: true},
-		{cores: 64, channels: 1, conflict: true, blockhammer: true},
+		{cores: 1},
+		{cores: 12, mshr: 2},
+		{cores: 16},
+		{cores: 64, conflict: true},
+		{cores: 64, conflict: true, blockhammer: true},
 	}
 	for _, tc := range cases {
 		tc := tc
-		name := fmt.Sprintf("%dc-%dch", tc.cores, tc.channels)
+		// The -1ch suffix names the one channel a run simulates.
+		name := fmt.Sprintf("%dc-1ch", tc.cores)
 		if tc.mshr > 0 {
 			name += fmt.Sprintf("-mshr%d", tc.mshr)
 		}
@@ -54,8 +52,6 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := baseParams()
 			g := smallGeo()
-			wlGeo := g
-			wlGeo.Banks = g.Banks * tc.channels
 			profiles := trace.MixHigh(tc.cores)
 			for i := range profiles {
 				profiles[i].WorkingSetRows = 1 << 10
@@ -68,22 +64,18 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 				Params:   p,
 				Geometry: g,
 				Hammer:   hammer.Config{HCnt: 4096, BlastRadius: 3},
-				Channels: tc.channels,
-				Workload: trace.Generators(profiles, wlGeo, 7),
+				Workload: trace.Generators(profiles, g, 7),
 				Duration: 40 * timing.Microsecond,
 				MSHR:     tc.mshr,
 			}
-			var bhs []*mitigate.BlockHammer
+			var bh *mitigate.BlockHammer
 			if tc.blockhammer {
-				cfg.MCSideFor = func(ch int) mitigate.MCSide {
-					bh := mitigate.NewBlockHammer(mitigate.BlockHammerConfig{
-						Hammer: hammer.Config{HCnt: 64, BlastRadius: 3},
-						REFW:   4 * timing.Microsecond,
-						Seed:   uint64(ch) + 3,
-					})
-					bhs = append(bhs, bh)
-					return bh
-				}
+				bh = mitigate.NewBlockHammer(mitigate.BlockHammerConfig{
+					Hammer: hammer.Config{HCnt: 64, BlastRadius: 3},
+					REFW:   4 * timing.Microsecond,
+					Seed:   3,
+				})
+				cfg.MCSide = bh
 				cfg.Spans = span.NewCollector(4096)
 			}
 			r, err := newRunner(cfg)
@@ -140,14 +132,8 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 			if tc.conflict && !parkedSeen {
 				t.Error("no core parked on a full queue")
 			}
-			if tc.blockhammer {
-				var blacklisted int64
-				for _, bh := range bhs {
-					blacklisted += bh.Blacklisted
-				}
-				if blacklisted == 0 {
-					t.Error("BlockHammer blacklisted no ACT")
-				}
+			if tc.blockhammer && bh.Blacklisted == 0 {
+				t.Error("BlockHammer blacklisted no ACT")
 			}
 		})
 	}

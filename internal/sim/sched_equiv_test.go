@@ -156,20 +156,19 @@ func equivSchemes() []equivScheme {
 }
 
 // equivInput is one workload shape of the matrix. Every scheme runs the
-// 2-core single-channel mix. The 16-core two-channel mix puts the wheel's two
-// load-bearing orderings (DESIGN.md §10) — the index-order core replay and
-// the ascending-channel step rounds — under enough contention that a wrong
-// order shows. The 16-core single-channel mix saturates the bank queues, so
-// cores park on full queues and every enqueue instant rests on the wheel's
-// re-arm rule; its conflict variant (four rows per bank, no row locality)
-// adds blacklisted rows, so throttled ACTs wait for their epoch release.
-// The 16-core inputs run a subset of schemes to keep the suite fast.
+// 2-core mix. The 16-core mix puts the wheel's load-bearing ordering
+// (DESIGN.md §10), the index-order core replay, under enough contention that
+// a wrong order shows, and saturates the bank queues, so cores park on full
+// queues and every enqueue instant rests on the wheel's re-arm rule; its
+// conflict variant (four rows per bank, no row locality) adds blacklisted
+// rows, so throttled ACTs wait for their epoch release. The 16-core inputs
+// run a subset of schemes to keep the suite fast. (The "1ch" in their names
+// is the one channel a run simulates.)
 type equivInput struct {
 	// name prefixes the subtest names; the base input has none, so its
 	// subtests are named by scheme alone.
-	name     string
-	cores    int
-	channels int
+	name  string
+	cores int
 	// conflict shrinks every core's working set to four rows per bank with
 	// no row locality, so nearly every access is a row conflict.
 	conflict bool
@@ -178,11 +177,13 @@ type equivInput struct {
 }
 
 var equivInputs = []equivInput{
-	{cores: 2, channels: 1},
-	{name: "16c-2ch", cores: 16, channels: 2, schemes: []string{"none", "shadow", "blockhammer"}},
-	{name: "16c-1ch", cores: 16, channels: 1, schemes: []string{"none", "shadow", "blockhammer"}},
-	{name: "16c-1ch-conflict", cores: 16, channels: 1, conflict: true, schemes: []string{"blockhammer-epoch", "blockhammer-throttle"}},
+	{cores: 2},
+	{name: "16c-1ch", cores: 16, schemes: []string{"none", "shadow", "blockhammer"}},
+	{name: "16c-1ch-conflict", cores: 16, conflict: true, schemes: []string{"blockhammer-epoch", "blockhammer-throttle"}},
 }
+
+// equivSeeds are the seeds TestSchedulerEquivalence replays every case at.
+var equivSeeds = []uint64{42, 7, 1234}
 
 // covers reports whether the input runs scheme name.
 func (in equivInput) covers(name string) bool {
@@ -198,9 +199,10 @@ func (in equivInput) covers(name string) bool {
 }
 
 // equivView is the full observable surface of one run: the determinism-test
-// statsView plus every channel's flip records and scrub report, a hash of
-// every DRAM command the controllers issued (channel, kind, bank, row,
-// tick), and the rendered blame table when spans are attached.
+// statsView plus the device's flip records and scrub report, a hash of
+// every DRAM command the controller issued (channel 0, kind, bank, row,
+// tick), and the rendered blame table when spans are attached. Records and
+// Scrub are one-element lists, the layout the golden file was recorded in.
 type equivView struct {
 	Duration timing.Tick
 	Insts    []int64
@@ -217,13 +219,11 @@ type equivView struct {
 }
 
 // runEquiv runs one case and returns its view, plus the number of ACTs that
-// hit a BlockHammer blacklist across the channels (0 for other schemes).
+// hit a BlockHammer blacklist (0 for other schemes).
 func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans bool) (equivView, int64) {
 	t.Helper()
 	p := sc.params()
 	g := smallGeo()
-	wlGeo := g
-	wlGeo.Banks = g.Banks * in.channels // generators span the global bank space
 	profiles := trace.MixHigh(in.cores)
 	for i := range profiles {
 		profiles[i].WorkingSetRows = 1 << 10
@@ -232,22 +232,15 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans bo
 			profiles[i].RowLocality = 0
 		}
 	}
-	// Each channel gets its own mitigation state; channel ch's seed is offset
-	// so the channels do not mirror each other.
-	var devFor func(ch int) dram.Mitigator
+	var dev dram.Mitigator
 	if sc.dev != nil {
-		devFor = func(ch int) dram.Mitigator { return sc.dev(seed + uint64(ch)*101) }
+		dev = sc.dev(seed)
 	}
-	var mcFor func(ch int) mitigate.MCSide
-	var bhs []*mitigate.BlockHammer
+	var mc mitigate.MCSide
+	var bh *mitigate.BlockHammer
 	if sc.mc != nil {
-		mcFor = func(ch int) mitigate.MCSide {
-			m := sc.mc(p, seed+uint64(ch)*101)
-			if bh, ok := m.(*mitigate.BlockHammer); ok {
-				bhs = append(bhs, bh)
-			}
-			return m
-		}
+		mc = sc.mc(p, seed)
+		bh, _ = mc.(*mitigate.BlockHammer)
 	}
 	var filter *mitigate.RFMFilter
 	if sc.filter != nil {
@@ -259,16 +252,15 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans bo
 	}
 	cmdHash := fnv.New64a()
 	res, err := Run(Config{
-		Params:       p,
-		Geometry:     g,
-		Hammer:       hammer.Config{HCnt: 4096, BlastRadius: 3},
-		Channels:     in.channels,
-		DeviceMitFor: devFor,
-		MCSideFor:    mcFor,
-		RFMFilter:    filter,
-		Workload:     trace.Generators(profiles, wlGeo, seed),
-		Duration:     60 * timing.Microsecond,
-		Spans:        col,
+		Params:    p,
+		Geometry:  g,
+		Hammer:    hammer.Config{HCnt: 4096, BlastRadius: 3},
+		DeviceMit: dev,
+		MCSide:    mc,
+		RFMFilter: filter,
+		Workload:  trace.Generators(profiles, g, seed),
+		Duration:  60 * timing.Microsecond,
+		Spans:     col,
 		OnCommand: func(ch int, cmd memctrl.Cmd) {
 			fmt.Fprintf(cmdHash, "%d %d %d %d %d\n", ch, cmd.Kind, cmd.Bank, cmd.Row, cmd.At)
 		},
@@ -283,48 +275,52 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans bo
 		MC:       res.MC,
 		Dev:      res.Dev,
 		Flips:    res.Flips,
+		Records:  [][]dram.FlipRecord{res.Device.Flips()},
+		Scrub:    []dram.ScrubReport{res.Device.Scrub()},
 		CmdHash:  cmdHash.Sum64(),
-	}
-	for _, d := range res.Devices {
-		v.Records = append(v.Records, d.Flips())
-		v.Scrub = append(v.Scrub, d.Scrub())
 	}
 	if col != nil {
 		agg := col.Aggregate()
 		v.Blame = string(report.BlameJSON([]report.BlameRow{{Label: sc.name, Agg: agg}}))
 		v.QueueFull = agg.Stall[span.CauseQueueFull]
 	}
-	var blacklisted int64
-	for _, bh := range bhs {
-		blacklisted += bh.Blacklisted
+	if bh == nil {
+		return v, 0
 	}
-	return v, blacklisted
+	return v, bh.Blacklisted
 }
 
-// forEachEquivCase runs fn as a subtest for every (input, scheme) pair the
-// golden file covers.
-func forEachEquivCase(t *testing.T, fn func(t *testing.T, sc equivScheme, in equivInput)) {
+// forEachEquivCase calls fn with the subtest name of every (input, scheme)
+// pair the golden file covers.
+func forEachEquivCase(fn func(name string, sc equivScheme, in equivInput)) {
 	for _, in := range equivInputs {
 		for _, sc := range equivSchemes() {
 			if !in.covers(sc.name) {
 				continue
 			}
-			sc, in := sc, in
 			name := sc.name
 			if in.name != "" {
 				name = in.name + "/" + sc.name
 			}
-			t.Run(name, func(t *testing.T) { fn(t, sc, in) })
+			fn(name, sc, in)
 		}
 	}
+}
+
+// runEquivCases runs fn as a subtest for every (input, scheme) pair the
+// golden file covers.
+func runEquivCases(t *testing.T, fn func(t *testing.T, sc equivScheme, in equivInput)) {
+	forEachEquivCase(func(name string, sc equivScheme, in equivInput) {
+		t.Run(name, func(t *testing.T) { fn(t, sc, in) })
+	})
 }
 
 // TestSchedulerEquivalence replays every scheme and input at three seeds
 // against the golden file. On the conflict input, blockhammer-epoch must
 // blacklist ACTs at every seed, or epoch release goes unexercised.
 func TestSchedulerEquivalence(t *testing.T) {
-	forEachEquivCase(t, func(t *testing.T, sc equivScheme, in equivInput) {
-		for _, seed := range []uint64{42, 7, 1234} {
+	runEquivCases(t, func(t *testing.T, sc equivScheme, in equivInput) {
+		for _, seed := range equivSeeds {
 			got, blacklisted := runEquiv(t, sc, in, seed, false)
 			checkGolden(t, fmt.Sprintf("%s/seed%d", t.Name(), seed), got)
 			if in.conflict && blacklisted == 0 {
@@ -342,7 +338,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 // command or a REF. The 16-core inputs must park cores on full queues, or
 // the wheel's re-arm rule goes unchecked.
 func TestSchedulerEquivalenceWithSpans(t *testing.T) {
-	forEachEquivCase(t, func(t *testing.T, sc equivScheme, in equivInput) {
+	runEquivCases(t, func(t *testing.T, sc equivScheme, in equivInput) {
 		got, _ := runEquiv(t, sc, in, 42, true)
 		if got.Blame == "" {
 			t.Fatal("span run produced no blame table")
@@ -434,6 +430,37 @@ func TestSchedulerEquivalenceAttack(t *testing.T) {
 			}
 			checkGolden(t, t.Name(), got)
 		})
+	}
+}
+
+// TestGoldenCasesAreLive fails when the golden file holds a case that no
+// test here replays: a stale case would otherwise sit in the file unchecked
+// after its input or scheme is deleted. The live names are every input ×
+// scheme × seed of TestSchedulerEquivalence, every input × scheme of
+// TestSchedulerEquivalenceWithSpans, and every attack case.
+func TestGoldenCasesAreLive(t *testing.T) {
+	live := map[string]bool{}
+	forEachEquivCase(func(name string, _ equivScheme, _ equivInput) {
+		for _, seed := range equivSeeds {
+			live[fmt.Sprintf("TestSchedulerEquivalence/%s/seed%d", name, seed)] = true
+		}
+		live["TestSchedulerEquivalenceWithSpans/"+name] = true
+	})
+	for _, tc := range attackCases {
+		live["TestSchedulerEquivalenceAttack/"+tc.name] = true
+	}
+	b, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []goldenCase
+	if err := json.Unmarshal(b, &cases); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	for _, c := range cases {
+		if !live[c.Case] {
+			t.Errorf("%s: case %s is replayed by no test; delete it", goldenPath, c.Case)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"shadow/internal/dram"
 	"shadow/internal/hammer"
 	"shadow/internal/memctrl"
-	"shadow/internal/memsys"
 	"shadow/internal/mitigate"
 	"shadow/internal/obs"
 	"shadow/internal/obs/span"
@@ -57,33 +56,24 @@ type Config struct {
 	// (tracker tables, Bloom filters) are measured in steady state rather
 	// than while still filling. Must be below Duration.
 	Warmup timing.Tick
-	// Channels builds a multi-channel system (default 1). Workload
-	// generators must then emit global bank indices in
-	// [0, Channels*Geometry.Banks) — build them over a geometry whose Banks
-	// field is the total. With Channels > 1, per-channel mitigators come
-	// from DeviceMitFor/MCSideFor (mitigation state must not be shared
-	// across channels, since bank indices repeat).
-	Channels     int
-	DeviceMitFor func(ch int) dram.Mitigator
-	MCSideFor    func(ch int) mitigate.MCSide
 	// InstPerNS is each core's peak retirement rate (instructions per
 	// nanosecond); 4.0 models a ~3 GHz out-of-order core.
 	InstPerNS float64
 	// MSHR bounds each core's outstanding misses (default 8, approximating
 	// an out-of-order core with prefetching).
 	MSHR int
-	// OnCommand, when set, observes every DRAM command each channel's
-	// controller issues (protocol validation; see package cmdtrace). The
-	// channel index is passed alongside the command.
+	// OnCommand, when set, observes every DRAM command the controller
+	// issues (protocol validation; see package cmdtrace). Its channel
+	// argument is always 0: a run simulates one channel.
 	OnCommand func(ch int, cmd memctrl.Cmd)
 	// Probe, when set, threads shadowscope instrumentation through the
-	// memory controllers, devices, and mitigation schemes; channel ch
-	// records on the probe's ForChannel(ch). Nil disables all observation.
+	// memory controller, the device, and the mitigation schemes. Nil
+	// disables all observation.
 	Probe *obs.Probe
 	// Spans, when set, threads shadowtap request-lifecycle tracing through
-	// the controllers and devices: every request gets a span with
-	// conservation-exact stall-cause attribution, rolled up per channel.
-	// Nil disables span tracking entirely.
+	// the controller and device: every request gets a span with
+	// conservation-exact stall-cause attribution. Nil disables span
+	// tracking entirely.
 	Spans *span.Collector
 	// Progress, when set, is called with the current simulated time roughly
 	// every ProgressEvery ticks (observation only; drives the CLI
@@ -102,13 +92,12 @@ type Result struct {
 	MC    memctrl.Stats
 	Dev   dram.BankStats
 	Flips int
-	// Device is channel 0's rank, available for post-run inspection
-	// (mapping state, row contents, flip records); Devices lists every
-	// channel's rank. Run always sets both. A baseline cached by the
-	// experiment harness (internal/exp) carries neither: it keeps only the
-	// statistics above, which is all a scheme point normalizes against.
-	Device  *dram.Device
-	Devices []*dram.Device
+	// Device is the simulated rank, available for post-run inspection
+	// (mapping state, row contents, flip records). Run always sets it. A
+	// baseline cached by the experiment harness (internal/exp) carries
+	// none: it keeps only the statistics above, which is all a scheme
+	// point normalizes against.
+	Device *dram.Device
 }
 
 // core is the per-core replay state.
@@ -140,37 +129,33 @@ const coreGroup = 8
 // lives in tick() — factored out of Run so the allocation regression test
 // can pump a steady-state runner directly and pin the loop to 0 allocs.
 type runner struct {
-	cfg     *Config
-	cores   []*core
-	mc      *memsys.System
-	devices []*dram.Device
+	cfg   *Config
+	cores []*core
+	ctl   *memctrl.Controller
+	dev   *dram.Device
 
 	// Event-wheel state (see tick).
-	// ctls caches the per-channel controllers so the wheel can step a single
-	// channel. coreAt holds each core's next issue time, Forever while the
-	// core is stalled (retire restores it when the core unstalls) or parked
-	// on a full queue (rearmSlot restores it); it sits in one contiguous
-	// array so the wheel's per-wakeup scan never touches a core that is not
-	// due. groupMin[g] is exactly the minimum of coreAt over
-	// cores [g*coreGroup, (g+1)*coreGroup), and coreMin exactly min(coreAt),
-	// both kept at every write to coreAt, so a wakeup with no core due skips
-	// the walk altogether and the walk skips every group with no core due.
-	// stalled counts the MSHR-stalled cores. ctlNext holds each channel's
-	// last Step return, its advance bound, so quiescent channels are not
-	// stepped at all; chDirty marks channels that received a request this
-	// wakeup.
-	ctls     []*memctrl.Controller
+	// coreAt holds each core's next issue time, Forever while the core is
+	// stalled (retire restores it when the core unstalls) or parked on a
+	// full queue (rearm restores it); it sits in one contiguous array so the
+	// wheel's per-wakeup scan never touches a core that is not due.
+	// groupMin[g] is exactly the minimum of coreAt over cores
+	// [g*coreGroup, (g+1)*coreGroup), and coreMin exactly min(coreAt), both
+	// kept at every write to coreAt, so a wakeup with no core due skips the
+	// walk altogether and the walk skips every group with no core due.
+	// stalled counts the MSHR-stalled cores. ctlNext holds the controller's
+	// last Step return, its advance bound, lowered to now by an enqueue, so
+	// a quiescent controller is not stepped at all.
 	coreAt   []timing.Tick
 	groupMin []timing.Tick
 	coreMin  timing.Tick
 	stalled  int
-	ctlNext  []timing.Tick
-	chDirty  []bool
+	ctlNext  timing.Tick
 
 	// Queue-full parking (see tick): a core whose request found its
 	// bank queue full waits with coreAt Forever on that bank's list instead
-	// of polling. parkHead[ch*banks+bank] heads the list of cores parked on
-	// the bank, threaded through parkLink (-1 ends a list).
+	// of polling. parkHead[bank] heads the list of cores parked on the
+	// bank, threaded through parkLink (-1 ends a list).
 	parkHead []int
 	parkLink []int
 
@@ -203,10 +188,10 @@ func checkBanks(g dram.Geometry) error {
 	return nil
 }
 
-// newRunner validates cfg, applies defaults, and builds the cores,
-// controllers, devices, and recycling pools for one run. Split from Run so
-// the allocation regression test can pump a steady-state runner's tick()
-// under testing.AllocsPerRun.
+// newRunner validates cfg, applies defaults, and builds the cores, the
+// controller, the device, and the recycling pools for one run. Split from
+// Run so the allocation regression test can pump a steady-state runner's
+// tick() under testing.AllocsPerRun.
 func newRunner(cfg Config) (*runner, error) {
 	if cfg.Params == nil {
 		return nil, fmt.Errorf("sim: Params required")
@@ -236,17 +221,6 @@ func newRunner(cfg Config) (*runner, error) {
 		return nil, fmt.Errorf("sim: warmup %v must be below duration %v", cfg.Warmup, cfg.Duration)
 	}
 
-	channels := cfg.Channels
-	if channels <= 0 {
-		channels = 1
-	}
-	if channels > 1 && cfg.DeviceMit != nil {
-		return nil, fmt.Errorf("sim: with Channels > 1 use DeviceMitFor, not DeviceMit")
-	}
-	if channels > 1 && cfg.MCSide != nil {
-		return nil, fmt.Errorf("sim: with Channels > 1 use MCSideFor, not MCSide")
-	}
-
 	cores := make([]*core, len(cfg.Workload))
 	for i, g := range cfg.Workload {
 		cores[i] = &core{gen: g}
@@ -261,78 +235,56 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	r.inflight = make([]completion, 0, len(r.reqSlab))
 	r.nextDone = timing.Forever
-	r.parkHead = make([]int, channels*cfg.Geometry.Banks)
+	r.parkHead = make([]int, cfg.Geometry.Banks)
 	for i := range r.parkHead {
 		r.parkHead[i] = -1
 	}
 	r.parkLink = make([]int, len(cores))
 
-	ctls := make([]*memctrl.Controller, channels)
-	devices := make([]*dram.Device, channels)
-	for ch := 0; ch < channels; ch++ {
-		mit := cfg.DeviceMit
-		if cfg.DeviceMitFor != nil {
-			mit = cfg.DeviceMitFor(ch)
+	if cfg.Probe != nil {
+		if ps, ok := cfg.DeviceMit.(probeSetter); ok {
+			ps.SetProbe(cfg.Probe)
 		}
-		mcside := cfg.MCSide
-		if cfg.MCSideFor != nil {
-			mcside = cfg.MCSideFor(ch)
+		if ps, ok := cfg.MCSide.(probeSetter); ok {
+			ps.SetProbe(cfg.Probe)
 		}
-		chProbe := cfg.Probe.ForChannel(ch)
-		if chProbe != nil {
-			if ps, ok := mit.(probeSetter); ok {
-				ps.SetProbe(chProbe)
-			}
-			if ps, ok := mcside.(probeSetter); ok {
-				ps.SetProbe(chProbe)
-			}
-		}
-		spanTr := cfg.Spans.ForChannel(ch, cfg.Geometry.Banks, chProbe)
-		dev, err := dram.NewDevice(dram.Config{
-			Geometry:  cfg.Geometry,
-			Params:    cfg.Params,
-			Hammer:    cfg.Hammer,
-			Mitigator: mit,
-			Probe:     chProbe,
-			Spans:     spanTr,
-		})
-		if err != nil {
-			return nil, err
-		}
-		devices[ch] = dev
-		var onCmd func(memctrl.Cmd)
-		if cfg.OnCommand != nil {
-			chID := ch
-			onCmd = func(c memctrl.Cmd) { cfg.OnCommand(chID, c) }
-		}
-		// Completion queue: (coreID, doneAt) pairs, unsorted (small). The
-		// completed request goes straight back on the free list, and its
-		// dequeue frees a slot for the cores parked on its bank.
-		slot0 := ch * cfg.Geometry.Banks
-		onComplete := func(req *memctrl.Request) {
-			r.inflight = append(r.inflight, completion{core: req.Core, at: req.Done})
-			if req.Done < r.nextDone {
-				r.nextDone = req.Done
-			}
-			r.freeReqs = append(r.freeReqs, req)
-			r.rearmSlot(slot0+req.Bank, r.now)
-		}
-		ctls[ch] = memctrl.New(dev, memctrl.Options{
-			MCSide:     mcside,
-			RFMFilter:  cfg.RFMFilter,
-			OnComplete: onComplete,
-			OnCommand:  onCmd,
-			Probe:      chProbe,
-			Spans:      spanTr,
-		})
 	}
-	mc, err := memsys.New(ctls)
+	spanTr := cfg.Spans.Tracker(cfg.Geometry.Banks, cfg.Probe)
+	dev, err := dram.NewDevice(dram.Config{
+		Geometry:  cfg.Geometry,
+		Params:    cfg.Params,
+		Hammer:    cfg.Hammer,
+		Mitigator: cfg.DeviceMit,
+		Probe:     cfg.Probe,
+		Spans:     spanTr,
+	})
 	if err != nil {
 		return nil, err
 	}
-	r.mc = mc
-	r.devices = devices
-	r.ctls = ctls
+	var onCmd func(memctrl.Cmd)
+	if cfg.OnCommand != nil {
+		onCmd = func(c memctrl.Cmd) { cfg.OnCommand(0, c) }
+	}
+	// Completion queue: (coreID, doneAt) pairs, unsorted (small). The
+	// completed request goes straight back on the free list, and its
+	// dequeue frees a slot for the cores parked on its bank.
+	onComplete := func(req *memctrl.Request) {
+		r.inflight = append(r.inflight, completion{core: req.Core, at: req.Done})
+		if req.Done < r.nextDone {
+			r.nextDone = req.Done
+		}
+		r.freeReqs = append(r.freeReqs, req)
+		r.rearm(req.Bank, r.now)
+	}
+	r.dev = dev
+	r.ctl = memctrl.New(dev, memctrl.Options{
+		MCSide:     cfg.MCSide,
+		RFMFilter:  cfg.RFMFilter,
+		OnComplete: onComplete,
+		OnCommand:  onCmd,
+		Probe:      cfg.Probe,
+		Spans:      spanTr,
+	})
 	r.coreAt = make([]timing.Tick, len(cores))
 	r.groupMin = make([]timing.Tick, (len(cores)+coreGroup-1)/coreGroup)
 	for g := range r.groupMin {
@@ -342,8 +294,6 @@ func newRunner(cfg Config) (*runner, error) {
 	for i, c := range cores {
 		r.lowerCoreAt(i, c.nextIssueAt)
 	}
-	r.ctlNext = make([]timing.Tick, channels)
-	r.chDirty = make([]bool, channels)
 
 	r.instSeries = cfg.Probe.Series("sim/insts")
 	r.progEvery = cfg.ProgressEvery
@@ -376,7 +326,7 @@ func Run(cfg Config) (*Result, error) {
 			for i, c := range r.cores {
 				warmInsts[i] = c.insts
 			}
-			warmMC = r.mc.Stats()
+			warmMC = r.ctl.Stats
 		}
 		r.tick()
 	}
@@ -386,14 +336,13 @@ func Run(cfg Config) (*Result, error) {
 		Duration: measured,
 		Insts:    make([]int64, len(r.cores)),
 		IPC:      make([]float64, len(r.cores)),
-		MC:       r.mc.Stats(),
-		Dev:      r.mc.DeviceStats(),
-		Flips:    r.mc.FlipCount(),
-		Device:   r.devices[0],
-		Devices:  r.devices,
+		MC:       r.ctl.Stats,
+		Dev:      r.dev.TotalStats(),
+		Flips:    r.dev.FlipCount(),
+		Device:   r.dev,
 	}
 	if warmTaken {
-		res.MC = subStats(r.mc.Stats(), warmMC)
+		res.MC = subStats(r.ctl.Stats, warmMC)
 	}
 	for i, c := range r.cores {
 		res.Insts[i] = c.insts
@@ -406,7 +355,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // tick runs one wakeup of the event wheel: retire due completions, let due
-// cores issue, step the channels that can act, and jump to the earliest
+// cores issue, step the controller if it can act, and jump to the earliest
 // future event. Allocation-free in steady state. It touches only the state
 // that can act at this instant:
 //
@@ -421,9 +370,9 @@ func Run(cfg Config) (*Result, error) {
 //   - a core whose request met a full bank queue retries on a 4 tCK grid
 //     from its first rejection, but parks on the bank and wakes only at the
 //     first grid point after a dequeue from it (DESIGN.md §10, part 5);
-//   - a channel is stepped only when it received a request this wakeup or
-//     its bound (its last Step return, ctlNext) has arrived — a skipped Step
-//     is a pure no-op, spans or not (DESIGN.md §10);
+//   - the controller is stepped only when it received a request this wakeup
+//     or its bound (its last Step return, ctlNext) has arrived — a skipped
+//     Step is a pure no-op, spans or not (DESIGN.md §10);
 //   - advance() jumps straight to the minimum bound.
 func (r *runner) tick() {
 	now := r.now
@@ -437,18 +386,12 @@ func (r *runner) tick() {
 		r.walkCores(now)
 	}
 
-	// 3. Step the channels that can act: enqueued-into this wakeup or bound
-	// arrived. stepSelected steps them in ascending channel order, round
-	// after round, which fixes the multi-channel command (and completion)
-	// order; skipped re-steps of already-quiescent channels within the same
-	// instant are idempotent no-ops.
-	for ch, dirty := range r.chDirty {
-		if dirty {
-			r.ctlNext[ch] = now
-			r.chDirty[ch] = false
-		}
+	// 3. Step the controller until its bound passes now: it is due if it was
+	// handed a request this wakeup or its bound has arrived. Each Step
+	// return is its cached bound (NextReadyAt or later).
+	for r.ctlNext <= now {
+		r.ctlNext = r.ctl.Step(now)
 	}
-	r.stepSelected(now)
 
 	// 4. Jump to the wheel's bound. coreMin includes the retries re-armed by
 	// this wakeup's dequeues.
@@ -493,7 +436,7 @@ func (r *runner) replay(id int, now timing.Tick) timing.Tick {
 			break
 		}
 		// Whole-struct reset: a recycled request must not leak its old
-		// Span pointer or channel-rewritten bank index into this one.
+		// Span pointer into this one.
 		req := r.getReq()
 		*req = memctrl.Request{
 			Core:   id,
@@ -503,21 +446,20 @@ func (r *runner) replay(id int, now timing.Tick) timing.Tick {
 			Write:  c.pending.Write,
 			Arrive: now,
 		}
-		ok, ch := r.mc.EnqueueCh(req)
-		if !ok {
+		if !r.ctl.Enqueue(req) {
 			// Bank queue full: the core's next retry is 4 tCK away, but it
-			// parks on the bank until a dequeue re-arms it. A
-			// failed enqueue mutates nothing, so the channel stays clean.
+			// parks on the bank until a dequeue re-arms it. A failed
+			// enqueue mutates nothing, so the controller stays clean.
 			r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
 			if !c.backoff {
 				c.backoff, c.backoffAt = true, now
 			}
 			c.nextIssueAt = now + cfg.Params.TCK*4
-			r.park(id, ch*cfg.Geometry.Banks+req.Bank)
+			r.park(id, req.Bank)
 			parked = true
 			break
 		}
-		r.chDirty[ch] = true
+		r.ctlNext = now // the new request makes the controller due
 		if c.backoff {
 			req.Span.NoteBackpressure(c.backoffAt)
 			c.backoff = false
@@ -547,66 +489,39 @@ func (r *runner) lowerCoreAt(id int, at timing.Tick) {
 	}
 }
 
-// park holds core id on bank slot's full queue: the core stays out of the
-// wheel (coreAt Forever) until rearmSlot puts it back on its retry grid.
-func (r *runner) park(id, slot int) {
-	r.parkLink[id] = r.parkHead[slot]
-	r.parkHead[slot] = id
+// park holds core id on bank's full queue: the core stays out of the wheel
+// (coreAt Forever) until rearm puts it back on its retry grid.
+func (r *runner) park(id, bank int) {
+	r.parkLink[id] = r.parkHead[bank]
+	r.parkHead[bank] = id
 }
 
-// rearmSlot returns every core parked on bank slot to the wheel, at the
+// rearm returns every core parked on bank to the wheel, at the
 // first point of its retry grid strictly after now. It runs from OnComplete,
 // whose column command just dequeued a request from the bank. A retry at now
 // would run in the core phase, before this Step, and meet the full queue, as
 // a retry at every earlier grid point would, since only a dequeue shrinks a
 // queue. So the first retry that can succeed is the first one after now, and
 // the skipped grid points are retries that would have failed.
-func (r *runner) rearmSlot(slot int, now timing.Tick) {
+func (r *runner) rearm(bank int, now timing.Tick) {
 	backoff := r.cfg.Params.TCK * 4
-	for id := r.parkHead[slot]; id >= 0; id = r.parkLink[id] {
+	for id := r.parkHead[bank]; id >= 0; id = r.parkLink[id] {
 		c := r.cores[id]
 		if c.nextIssueAt <= now {
 			c.nextIssueAt += ((now-c.nextIssueAt)/backoff + 1) * backoff
 		}
 		r.lowerCoreAt(id, c.nextIssueAt)
 	}
-	r.parkHead[slot] = -1
-}
-
-// stepSelected drains every selected channel (ctlNext set to now) to
-// quiescence at now, in rounds: each round steps every channel that is still
-// due, in ascending channel order, so the channels' commands at one instant
-// interleave in a fixed order. Each stepped channel's last Step return is
-// left in ctlNext: that is already its cached bound (NextReadyAt or later).
-func (r *runner) stepSelected(now timing.Tick) {
-	for {
-		again := false
-		for ch, ctl := range r.ctls {
-			if r.ctlNext[ch] <= now {
-				r.ctlNext[ch] = ctl.Step(now)
-				if r.ctlNext[ch] <= now {
-					again = true
-				}
-			}
-		}
-		if !again {
-			return
-		}
-	}
+	r.parkHead[bank] = -1
 }
 
 // advance moves simulated time to the wheel's sound lower bound on the next
-// actionable event: the minimum over per-channel bounds, the earliest
+// actionable event: the minimum of the controller's bound, the earliest
 // unstalled core's issue time (coreMin) and, while some core is stalled, the
 // earliest outstanding completion. A bound at or before now moves the wheel
 // on by one tCK, so it never spins at an instant.
 func (r *runner) advance(now timing.Tick) {
-	next := r.coreMin
-	for _, b := range r.ctlNext {
-		if b < next {
-			next = b
-		}
-	}
+	next := min(r.coreMin, r.ctlNext)
 	if r.stalled > 0 && r.nextDone > now && r.nextDone < next {
 		next = r.nextDone
 	}
