@@ -10,6 +10,7 @@
 package shadow_test
 
 import (
+	"strconv"
 	"testing"
 
 	"shadow/internal/circuit"
@@ -137,6 +138,22 @@ func BenchmarkTable2(b *testing.B) {
 	}
 	b.ReportMetric(float64(secure), "secure-cells")
 	b.ReportMetric(security.DefaultConfig(4096, 64).BitFlipProbability(), "p(4K,64)")
+}
+
+// BenchmarkSecureRAAIMT measures the secure RFM threshold search that
+// starts every SHADOW operating point (exp.ShadowRAAIMT): the decision
+// security.Config.Secure over RAAIMT 4096 down to the first secure one.
+// perfbench reports the same layer as security.secure_raaimt_s.
+func BenchmarkSecureRAAIMT(b *testing.B) {
+	for _, hcnt := range []int{2048, 4096, 8192, 16384} {
+		b.Run(strconv.Itoa(hcnt/1024)+"K", func(b *testing.B) {
+			var r int
+			for i := 0; i < b.N; i++ {
+				r = security.SecureRAAIMT(hcnt)
+			}
+			b.ReportMetric(float64(r), "raaimt")
+		})
+	}
 }
 
 // BenchmarkTable3 regenerates Table III: the circuit model's SHADOW timings.

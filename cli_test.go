@@ -172,3 +172,29 @@ func TestCLIOutputFiles(t *testing.T) {
 		})
 	}
 }
+
+// TestCLIWarnsInsecureFallback: at an H_cnt with no secure RAAIMT,
+// exp.ShadowRAAIMT falls back to RAAIMT 8, and shadowsim says so on stderr
+// for the schemes whose threshold derives from it, and only for those.
+func TestCLIWarnsInsecureFallback(t *testing.T) {
+	dir := t.TempDir()
+	buildCLIs(t, dir)
+	const warning = "no secure RAAIMT"
+	for _, tc := range []struct {
+		scheme, hcnt string
+		warn         bool
+	}{
+		{"shadow", "256", true},
+		{"parfm", "256", true},
+		{"mithril-perf", "256", false},
+		{"shadow", "4096", false},
+	} {
+		code, stderr := runCLI(t, dir, "shadowsim", "-scheme", tc.scheme, "-hcnt", tc.hcnt, "-duration-us", "2")
+		if code != 0 {
+			t.Fatalf("shadowsim -scheme %s -hcnt %s: exit status %d\n%s", tc.scheme, tc.hcnt, code, stderr)
+		}
+		if got := strings.Contains(stderr, warning); got != tc.warn {
+			t.Errorf("shadowsim -scheme %s -hcnt %s: warned %v, want %v\n%s", tc.scheme, tc.hcnt, got, tc.warn, stderr)
+		}
+	}
+}

@@ -33,6 +33,7 @@ import (
 	"shadow/internal/obs/flight"
 	"shadow/internal/obs/span"
 	"shadow/internal/report"
+	"shadow/internal/security"
 	"shadow/internal/sim"
 	"shadow/internal/timing"
 	"shadow/internal/trace"
@@ -93,6 +94,7 @@ func main() {
 		return
 	}
 
+	warnFallback(exp.Scheme(*scheme), *hcnt)
 	cli.StartProfiles(*cpuprofile, *memprofile)
 	defer cli.StopProfiles()
 
@@ -309,6 +311,16 @@ func attackPattern(name string, geo dram.Geometry) (trace.Pattern, error) {
 		return &trace.HalfDouble{Bank: 0, Victim: victim}, nil
 	}
 	return nil, fmt.Errorf("unknown attack %q (have: %s)", name, strings.Join(attackNames, ", "))
+}
+
+// warnFallback notes on stderr a run whose RAAIMT derives from SHADOW's
+// secure threshold (SHADOW itself, and PARFM) at an H_cnt that has none:
+// exp.ShadowRAAIMT then falls back to RAAIMT 8 without saying so.
+func warnFallback(scheme exp.Scheme, hcnt int) {
+	if (scheme == exp.Shadow || scheme == exp.PARFM) && security.SecureRAAIMT(hcnt) == 0 {
+		fmt.Fprintf(os.Stderr, "warning: no secure RAAIMT in [8,4096] for Hcnt %d; %s runs from SHADOW's fallback RAAIMT %d\n",
+			hcnt, scheme, exp.ShadowRAAIMT(hcnt))
+	}
 }
 
 // runAttack mounts a Row Hammer pattern against the configured device and

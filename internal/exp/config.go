@@ -80,7 +80,12 @@ const (
 // work) follow.
 var AllSchemes = []Scheme{Shadow, PARFM, MithrilPerf, MithrilArea, DRR, BlockHammer, RRS, Graphene, PARA, Panopticon}
 
-// ShadowRAAIMT returns SHADOW's secure RFM threshold for an H_cnt.
+// ShadowRAAIMT returns SHADOW's secure RFM threshold for an H_cnt. At
+// H_cnt 300 and below no RAAIMT in [8, 4096] is secure (security.SecureRAAIMT
+// returns 0), and ShadowRAAIMT falls back to 8, the most frequent RFM
+// searched, without saying so: a point built there runs SHADOW, and PARFM
+// derived from it, at an insecure threshold. Callers that report to a user
+// check security.SecureRAAIMT themselves.
 func ShadowRAAIMT(hcnt int) int {
 	if r := security.SecureRAAIMT(hcnt); r > 0 {
 		return r

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"shadow/internal/security"
 	"shadow/internal/timing"
 	"shadow/internal/trace"
 )
@@ -59,6 +60,20 @@ func TestShadowRAAIMTTable(t *testing.T) {
 	for h, r := range want {
 		if got := ShadowRAAIMT(h); got != r {
 			t.Errorf("ShadowRAAIMT(%d) = %d, want %d", h, got, r)
+		}
+	}
+}
+
+// TestShadowRAAIMTFallback pins the silent fallback: where no RAAIMT is
+// secure, SHADOW runs at RAAIMT 8, the same value as the secure threshold
+// one H_cnt above the edge.
+func TestShadowRAAIMTFallback(t *testing.T) {
+	for _, c := range []struct{ hcnt, secure int }{{256, 0}, {300, 0}, {301, 8}} {
+		if got := security.SecureRAAIMT(c.hcnt); got != c.secure {
+			t.Errorf("security.SecureRAAIMT(%d) = %d, want %d", c.hcnt, got, c.secure)
+		}
+		if got := ShadowRAAIMT(c.hcnt); got != 8 {
+			t.Errorf("ShadowRAAIMT(%d) = %d, want 8", c.hcnt, got)
 		}
 	}
 }

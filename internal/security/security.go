@@ -7,11 +7,17 @@
 //
 // All probability arithmetic runs in log space: the interesting values range
 // from 0.5 down to 1e-111 and below.
+//
+// The printed values (BitFlipProbability, ScenarioI/II/III) are full
+// evaluations. Secure, and so SecureRAAIMT, only decides the 1% bar: it
+// stops at the first scenario or aggressor split that reaches it, and it
+// clears a split by the recurrence's linear bound N*(steps-M)*q, padded by
+// a relative 1e-6, without running the recurrence. It returns exactly
+// BitFlipProbability() < 0.01, in microseconds rather than milliseconds.
 package security
 
 import (
 	"math"
-	"sync"
 
 	"shadow/internal/timing"
 )
@@ -97,57 +103,103 @@ func (c Config) ScenarioI() float64 {
 		logChoose(c.NRow, m1) +
 		float64(m1)*math.Log(p) +
 		float64(c.NRow-m1)*math.Log1p(-p)
-	pw := math.Exp(logP)
-	windowSeconds := float64(c.NRow) * float64(c.RAAIMT) / c.actsPerSecond()
-	return c.perYear(pw, windowSeconds)
+	return c.perYear(math.Exp(logP), c.incrementalWindow())
 }
 
 // maxExact is the longest recurrence evadeRecurrence runs step by step;
 // longer ones take the linear bound.
 const maxExact = 1 << 22
 
-// evadeRecurrence evaluates the Equation 3 recurrence
-//
-//	P[n] = P[n-1] + (1 - P[n-M-1]) * (1/N) * (1-1/N)^M
-//
-// for n steps, returning N * P[n] (the paper conservatively multiplies by
-// the number of aggressors).
-func evadeRecurrence(nAggr, m, steps int) float64 {
+// evadeQ returns Equation 3's step weight q = (1/N) * (1-1/N)^M, computed
+// in log space. It is the most one step of the recurrence can add.
+func evadeQ(nAggr, m int) float64 {
+	invN := 1.0 / float64(nAggr)
+	return math.Exp(math.Log(invN) + float64(m)*math.Log1p(-invN))
+}
+
+// evadeBound returns the linear upper bound N * (steps-M) * q on
+// evadeRecurrence(nAggr, m, steps): each step after the first M adds
+// (1 - P[n-M-1]) * q <= q, since 0 <= P <= 1. It is not clamped to 1.
+func evadeBound(nAggr, m, steps int) float64 {
 	if m <= 0 {
 		return 1
 	}
 	if steps <= m {
 		return 0
 	}
-	invN := 1.0 / float64(nAggr)
-	// q = (1/N) * (1-1/N)^M in log space.
-	logQ := math.Log(invN) + float64(m)*math.Log1p(-invN)
-	q := math.Exp(logQ)
+	return float64(nAggr) * float64(steps-m) * evadeQ(nAggr, m)
+}
+
+// evadeRecurrence evaluates the Equation 3 recurrence
+//
+//	P[n] = P[n-1] + (1 - P[n-M-1]) * (1/N) * (1-1/N)^M
+//
+// for n steps, returning N * P[n] clamped to 1 (the paper conservatively
+// multiplies by the number of aggressors). ring is scratch space for the
+// exact run, reused across calls: the returned slice is ring, grown if the
+// run needed more.
+func evadeRecurrence(nAggr, m, steps int, ring []float64) (float64, []float64) {
+	if m <= 0 {
+		return 1, ring
+	}
+	if steps <= m {
+		return 0, ring
+	}
+	q := evadeQ(nAggr, m)
 	if q == 0 {
-		return 0
+		return 0, ring
 	}
 	// The recurrence reads only P[n-1] and P[n-M-1]; for the common regime
 	// where P stays tiny, P[n] ~= (n-M)*q and the (1-P[...]) factor is 1.
 	// Run it exactly when feasible, keeping P[n-1] in prev and the last M+1
 	// values in a ring whose slot n%(M+1) holds P[n-M-1] until step n
-	// overwrites it with P[n]; P[0..M] are 0. Otherwise use the linear
-	// bound (which is an upper bound, conservative in the paper's spirit).
-	if steps <= maxExact {
-		ring := make([]float64, m+1)
-		prev, slot := 0.0, 0
-		for n := m + 1; n <= steps; n++ {
-			p := prev + (1-ring[slot])*q
-			if p > 1 {
-				p = 1
-			}
-			ring[slot], prev = p, p
-			if slot++; slot == len(ring) {
-				slot = 0
-			}
-		}
-		return clamp01(float64(nAggr) * prev)
+	// overwrites it with P[n]; P[0..M] are 0. P never falls, so once N*P
+	// reaches 1 the clamped result is 1 and the run stops. Otherwise use
+	// the linear bound (which is an upper bound, conservative in the
+	// paper's spirit).
+	if steps > maxExact {
+		return clamp01(evadeBound(nAggr, m, steps)), ring
 	}
-	return clamp01(float64(nAggr) * float64(steps-m) * q)
+	if cap(ring) < m+1 {
+		ring = make([]float64, m+1, max(m+1, 2*cap(ring)))
+	}
+	hist := ring[:m+1]
+	clear(hist)
+	prev, slot := 0.0, 0
+	for n := m + 1; n <= steps; n++ {
+		p := prev + (1-hist[slot])*q
+		if float64(nAggr)*p >= 1 {
+			return 1, ring
+		}
+		hist[slot], prev = p, p
+		if slot++; slot == len(hist) {
+			slot = 0
+		}
+	}
+	return float64(nAggr) * prev, ring
+}
+
+// Both multi-aggressor scenarios split one RFM interval's RAAIMT ACTs
+// evenly over N aggressors, N in [1, RAAIMT]: each gets m = RAAIMT/N ACTs
+// per interval and must evade the shuffle for M = ceil(HCnt/m) consecutive
+// intervals. worstSplit takes the worst split's Equation 3 probability over
+// steps intervals, skipping splits whose M exceeds maxM, and expands it to
+// the rank year for windowSeconds-long windows.
+func (c Config) worstSplit(maxM, steps int, windowSeconds float64) float64 {
+	var ring []float64
+	best := 0.0
+	for nAggr := 1; nAggr <= c.RAAIMT && best < 1; nAggr++ {
+		m := ceilDiv(c.HCnt, c.RAAIMT/nAggr)
+		if m > maxM {
+			continue
+		}
+		var p float64
+		p, ring = evadeRecurrence(nAggr, m, steps, ring)
+		if p > best {
+			best = p
+		}
+	}
+	return c.perYear(best, windowSeconds)
 }
 
 // ScenarioII evaluates attack scenario II: N_Aggr aggressors within a single
@@ -156,23 +208,7 @@ func evadeRecurrence(nAggr, m, steps int) float64 {
 // refresh bounds the attack to NRow RFM intervals and imposes
 // m*NRow < HCnt. The result maximizes over N_Aggr.
 func (c Config) ScenarioII() float64 {
-	best := 0.0
-	for nAggr := 1; nAggr <= c.RAAIMT; nAggr++ {
-		m := c.RAAIMT / nAggr // ACTs per aggressor per interval
-		if m == 0 {
-			continue
-		}
-		m2 := ceilDiv(c.HCnt, m) // intervals to survive
-		if m2 > c.NRow {
-			continue // incremental refresh resets victims first
-		}
-		p := evadeRecurrence(nAggr, m2, c.NRow)
-		if p > best {
-			best = p
-		}
-	}
-	windowSeconds := float64(c.NRow) * float64(c.RAAIMT) / c.actsPerSecond()
-	return c.perYear(best, windowSeconds)
+	return c.worstSplit(c.NRow, c.NRow, c.incrementalWindow())
 }
 
 // ScenarioIII evaluates attack scenario III: aggressors spread across
@@ -181,22 +217,24 @@ func (c Config) ScenarioII() float64 {
 // is conservatively ignored (as in the paper). The result maximizes over
 // N_Aggr.
 func (c Config) ScenarioIII() float64 {
+	return c.worstSplit(math.MaxInt, c.refreshSteps(), c.refreshWindow())
+}
+
+// incrementalWindow is scenarios I and II's attack window in seconds: NRow
+// RFM intervals, one incremental refresh period.
+func (c Config) incrementalWindow() float64 {
+	return float64(c.NRow) * float64(c.RAAIMT) / c.actsPerSecond()
+}
+
+// refreshSteps is the number of RFM intervals in tREFW, scenario III's steps.
+func (c Config) refreshSteps() int {
 	actsPerWindow := float64(c.TREFW) / float64(c.TRC)
-	steps := int(actsPerWindow / float64(c.RAAIMT))
-	best := 0.0
-	for nAggr := 1; nAggr <= c.RAAIMT; nAggr++ {
-		m := c.RAAIMT / nAggr
-		if m == 0 {
-			continue
-		}
-		m3 := ceilDiv(c.HCnt, m)
-		p := evadeRecurrence(nAggr, m3, steps)
-		if p > best {
-			best = p
-		}
-	}
-	windowSeconds := float64(c.TREFW) / float64(timing.Second)
-	return c.perYear(best, windowSeconds)
+	return int(actsPerWindow / float64(c.RAAIMT))
+}
+
+// refreshWindow is scenario III's attack window, tREFW, in seconds.
+func (c Config) refreshWindow() float64 {
+	return float64(c.TREFW) / float64(timing.Second)
 }
 
 // BitFlipProbability returns the rank-year bit-flip probability: the worst
@@ -217,37 +255,66 @@ func (c Config) SpecificVictimProbability() float64 {
 	return c.BitFlipProbability() / float64(c.NRow)
 }
 
-// Secure reports whether the configuration achieves the paper's
-// near-complete protection bar: below 1% bit-flip probability per rank-year.
-func (c Config) Secure() bool { return c.BitFlipProbability() < 0.01 }
+// secureBar is the paper's near-complete protection bar: a rank-year
+// bit-flip probability below 1%.
+const secureBar = 0.01
 
-// secureRAAIMTCache memoizes SecureRAAIMT: the search evaluates the full
-// evasion recurrence for up to ten candidate thresholds, and the experiment
-// harness re-derives the threshold for every simulation it configures —
-// without the cache that analytic dominates short benchmark runs.
-var (
-	secureRAAIMTMu    sync.Mutex
-	secureRAAIMTCache = map[int]int{}
-)
+// boundPad pads a linear bound before it clears a split: the exact
+// recurrence sums up to maxExact terms, and its rounding may lift it past
+// the bound's single product by a relative ~maxExact * 2^-53 ~ 5e-10.
+const boundPad = 1 + 1e-6
+
+// Secure reports whether the configuration achieves the paper's
+// near-complete protection bar, BitFlipProbability() < 1%, and returns
+// exactly that. It decides rather than evaluates: the maximum is under the
+// bar only if every scenario and every aggressor split is, so it returns
+// false at the first one that reaches the bar, and it clears a split by
+// evadeBound without running its recurrence where it can (see
+// splitReachesBar).
+func (c Config) Secure() bool {
+	return c.ScenarioI() < secureBar &&
+		!c.splitReachesBar(c.NRow, c.NRow, c.incrementalWindow()) &&
+		!c.splitReachesBar(math.MaxInt, c.refreshSteps(), c.refreshWindow())
+}
+
+// splitReachesBar reports whether worstSplit(maxM, steps, windowSeconds)
+// reaches secureBar, without computing it.
+//
+// worstSplit is perYear of the largest split probability, and perYear never
+// decreases as its input grows, so the worst split reaches the bar exactly
+// when some split does. A split's probability is at most its evadeBound,
+// because every recurrence step adds at most q. The exact run sums its
+// steps one at a time, so its rounding may exceed the bound's one product;
+// boundPad's relative 1e-6 covers that many times over. So a split whose
+// padded bound stays under the bar cannot reach it and is skipped. Any
+// other split runs the exact recurrence, and the first that reaches the
+// bar decides.
+func (c Config) splitReachesBar(maxM, steps int, windowSeconds float64) bool {
+	var ring []float64
+	for nAggr := 1; nAggr <= c.RAAIMT; nAggr++ {
+		m := ceilDiv(c.HCnt, c.RAAIMT/nAggr)
+		if m > maxM || c.perYear(boundPad*evadeBound(nAggr, m, steps), windowSeconds) < secureBar {
+			continue
+		}
+		var p float64
+		p, ring = evadeRecurrence(nAggr, m, steps, ring)
+		if c.perYear(p, windowSeconds) >= secureBar {
+			return true
+		}
+	}
+	return false
+}
 
 // SecureRAAIMT returns the largest power-of-two RAAIMT (fewest RFMs, lowest
 // overhead) in [8, 4096] that is secure for the given H_cnt, or 0 if none.
 // Table II bolds exactly these configurations.
 func SecureRAAIMT(hcnt int) int {
-	secureRAAIMTMu.Lock()
-	defer secureRAAIMTMu.Unlock()
-	if r, ok := secureRAAIMTCache[hcnt]; ok {
-		return r
-	}
-	r := 0
 	for raaimt := 4096; raaimt >= 8; raaimt /= 2 {
 		if DefaultConfig(hcnt, raaimt).Secure() {
-			r = raaimt
-			break
+			return raaimt
 		}
 	}
-	secureRAAIMTCache[hcnt] = r
-	return r
+	return 0
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"shadow/internal/dram"
+	"shadow/internal/rng"
+	"shadow/internal/timing"
 	"shadow/internal/trace"
 )
 
@@ -97,30 +99,36 @@ func TestMonotonicity(t *testing.T) {
 	}
 }
 
+// evade runs evadeRecurrence on a fresh ring.
+func evade(nAggr, m, steps int) float64 {
+	p, _ := evadeRecurrence(nAggr, m, steps, nil)
+	return p
+}
+
 func TestEvadeRecurrenceProperties(t *testing.T) {
 	// Zero steps beyond M -> zero probability.
-	if got := evadeRecurrence(4, 100, 100); got != 0 {
+	if got := evade(4, 100, 100); got != 0 {
 		t.Fatalf("steps <= M should be 0, got %g", got)
 	}
 	// Probability grows with steps.
-	a := evadeRecurrence(4, 40, 50)
-	b := evadeRecurrence(4, 40, 500)
+	a := evade(4, 40, 50)
+	b := evade(4, 40, 500)
 	if b <= a || a <= 0 {
 		t.Fatalf("recurrence not growing: %g -> %g", a, b)
 	}
 	// Never exceeds its N*1 cap and clamps at 1.
-	if got := evadeRecurrence(2, 1, 1<<20); got > 1 {
+	if got := evade(2, 1, 1<<20); got > 1 {
 		t.Fatalf("recurrence exceeded 1: %g", got)
 	}
 	// m <= 0 is immediate success (degenerate guard).
-	if got := evadeRecurrence(4, 0, 10); got != 1 {
+	if got := evade(4, 0, 10); got != 1 {
 		t.Fatalf("m=0 should return 1, got %g", got)
 	}
 }
 
-// evadeRecurrenceFull is evadeRecurrence as it was before its ring buffer:
-// the whole P[0..steps] history in one slice. It is the reference the ring
-// buffer must match bit for bit.
+// evadeRecurrenceFull is evadeRecurrence as it was before its ring buffer
+// and its early stop: the whole P[0..steps] history in one slice. It is the
+// reference evadeRecurrence must match bit for bit.
 func evadeRecurrenceFull(nAggr, m, steps int) float64 {
 	if m <= 0 {
 		return 1
@@ -151,11 +159,16 @@ func evadeRecurrenceFull(nAggr, m, steps int) float64 {
 // TestEvadeRecurrenceMatchesFullHistory holds the ring-buffer recurrence to
 // the full-history reference with ==, over aggressor counts, window lengths
 // M (1 saturates P at its clamp) and step counts from M+1 to maxExact and
-// past it, where both take the linear bound.
+// past it, where both take the linear bound. One ring serves every call, as
+// it does inside a scenario, so a ring that is reused, grown or shrunk
+// must leave no trace.
 func TestEvadeRecurrenceMatchesFullHistory(t *testing.T) {
+	var ring []float64
 	check := func(nAggr, m, steps int) {
 		t.Helper()
-		if got, want := evadeRecurrence(nAggr, m, steps), evadeRecurrenceFull(nAggr, m, steps); got != want {
+		var got float64
+		got, ring = evadeRecurrence(nAggr, m, steps, ring)
+		if want := evadeRecurrenceFull(nAggr, m, steps); got != want {
 			t.Errorf("evadeRecurrence(%d, %d, %d) = %v, full history %v", nAggr, m, steps, got, want)
 		}
 	}
@@ -169,6 +182,215 @@ func TestEvadeRecurrenceMatchesFullHistory(t *testing.T) {
 	for _, c := range [][2]int{{2, 1}, {8, 33}, {64, 4096}} {
 		check(c[0], c[1], maxExact)
 		check(c[0], c[1], maxExact+1)
+	}
+}
+
+// TestEvadeBoundCoversRounding: the exact recurrence never exceeds its
+// linear bound once padded by boundPad, although its step-by-step sum does
+// round past the bound's single product — so the pad is load-bearing. The
+// grid keeps P tiny, where (1-P) rounds to 1 and the recurrence is a plain
+// running sum of q.
+func TestEvadeBoundCoversRounding(t *testing.T) {
+	over := 0
+	var ring []float64
+	for _, nAggr := range []int{2, 3, 5, 7, 8, 13, 32, 100} {
+		for _, m := range []int{40, 97, 200, 333, 512} {
+			for _, steps := range []int{m + 1, m + 7, 1000, 4097, 30000, 123457} {
+				var p float64
+				p, ring = evadeRecurrence(nAggr, m, steps, ring)
+				b := evadeBound(nAggr, m, steps)
+				if p > boundPad*b {
+					t.Errorf("evadeRecurrence(%d, %d, %d) = %v above padded bound %v", nAggr, m, steps, p, boundPad*b)
+				}
+				if p > b {
+					over++
+				}
+			}
+		}
+	}
+	if over == 0 {
+		t.Error("no recurrence rounded past its unpadded bound: the grid no longer exercises boundPad")
+	}
+}
+
+// scenarioRef is one scenario's worst per-window probability and its
+// window length in seconds, as the reference evaluation finds them.
+type scenarioRef struct{ pWindow, windowSeconds float64 }
+
+// scenariosRef evaluates scenarios I, II and III as they were before the
+// shared ring, the early stops and the secure decision: every aggressor
+// count runs the full-history recurrence. It is the reference the scenario
+// functions must match bit for bit.
+func scenariosRef(c Config) [3]scenarioRef {
+	var out [3]scenarioRef
+	incremental := float64(c.NRow) * float64(c.RAAIMT) / c.actsPerSecond()
+	if m1 := ceilDiv(c.HCnt, c.RAAIMT); m1 <= c.NRow {
+		p := c.WSum / float64(c.NRow)
+		logP := math.Log(float64(c.NRow)) +
+			logChoose(c.NRow, m1) +
+			float64(m1)*math.Log(p) +
+			float64(c.NRow-m1)*math.Log1p(-p)
+		out[0] = scenarioRef{math.Exp(logP), incremental}
+	} else {
+		out[0] = scenarioRef{0, incremental}
+	}
+	best := 0.0
+	for nAggr := 1; nAggr <= c.RAAIMT; nAggr++ {
+		m := c.RAAIMT / nAggr
+		if m == 0 {
+			continue
+		}
+		m2 := ceilDiv(c.HCnt, m)
+		if m2 > c.NRow {
+			continue
+		}
+		if p := evadeRecurrenceFull(nAggr, m2, c.NRow); p > best {
+			best = p
+		}
+	}
+	out[1] = scenarioRef{best, incremental}
+	actsPerWindow := float64(c.TREFW) / float64(c.TRC)
+	steps := int(actsPerWindow / float64(c.RAAIMT))
+	best = 0.0
+	for nAggr := 1; nAggr <= c.RAAIMT; nAggr++ {
+		m := c.RAAIMT / nAggr
+		if m == 0 {
+			continue
+		}
+		if p := evadeRecurrenceFull(nAggr, ceilDiv(c.HCnt, m), steps); p > best {
+			best = p
+		}
+	}
+	out[2] = scenarioRef{best, float64(c.TREFW) / float64(timing.Second)}
+	return out
+}
+
+// worstRef is the reference BitFlipProbability of precomputed scenarios.
+func (c Config) worstRef(s [3]scenarioRef) float64 {
+	return math.Max(c.perYear(s[0].pWindow, s[0].windowSeconds),
+		math.Max(c.perYear(s[1].pWindow, s[1].windowSeconds), c.perYear(s[2].pWindow, s[2].windowSeconds)))
+}
+
+// TestScenariosMatchReference holds every printed value to the reference
+// evaluation with ==: shadowsec -sweep's grid, plus windows of maxExact
+// steps and one past it, for scenario II (NRow) and III (tREFW).
+func TestScenariosMatchReference(t *testing.T) {
+	var cfgs []Config
+	for _, h := range []int{65536, 32768, 16384, 8192, 4096, 2048, 1024} {
+		for _, r := range []int{1024, 512, 256, 128, 64, 32, 16, 8} {
+			cfgs = append(cfgs, DefaultConfig(h, r))
+		}
+	}
+	for _, steps := range []int{maxExact, maxExact + 1} {
+		c := DefaultConfig(40, 2)
+		c.NRow = steps
+		c.TREFW = c.TRC * timing.Tick(c.RAAIMT*steps)
+		cfgs = append(cfgs, c)
+	}
+	for _, c := range cfgs {
+		ref := scenariosRef(c)
+		got := [4]float64{c.ScenarioI(), c.ScenarioII(), c.ScenarioIII(), c.BitFlipProbability()}
+		want := [4]float64{
+			c.perYear(ref[0].pWindow, ref[0].windowSeconds),
+			c.perYear(ref[1].pWindow, ref[1].windowSeconds),
+			c.perYear(ref[2].pWindow, ref[2].windowSeconds),
+			c.worstRef(ref),
+		}
+		if got != want {
+			t.Errorf("HCnt %d RAAIMT %d NRow %d: I, II, III, worst = %v, reference %v",
+				c.HCnt, c.RAAIMT, c.NRow, got, want)
+		}
+	}
+}
+
+// genConfig draws a configuration around the paper's: H_cnt and RAAIMT
+// log-uniform (RAAIMT mostly not a power of two), and NRow, Banks and WSum
+// varied.
+func genConfig(src rng.Source) Config {
+	logUniform := func(lo, hi float64) int {
+		u := float64(src.Uint64()>>11) / (1 << 53)
+		return int(math.Exp2(lo + u*(hi-lo)))
+	}
+	c := DefaultConfig(logUniform(5, 16), logUniform(0, 12))
+	c.NRow = 64 + int(src.Uint64()%961)
+	c.Banks = 1 + int(src.Uint64()%64)
+	c.WSum = 1 + float64(src.Uint64()%4001)/1000
+	return c
+}
+
+// checkSecure fails the test unless Secure agrees with the full evaluation.
+func checkSecure(t *testing.T, c Config) {
+	t.Helper()
+	if got, want := c.Secure(), c.BitFlipProbability() < secureBar; got != want {
+		t.Errorf("%+v: Secure() = %v, BitFlipProbability() = %v", c, got, c.BitFlipProbability())
+	}
+}
+
+// TestSecureMatchesEvaluation holds the secure decision to the full
+// evaluation. 500 generated configurations fall on both sides of the bar,
+// mostly far from it. For 60 more, HorizonSeconds is set to the two
+// adjacent float64 values between which the reference crosses 1%, where a
+// missing bound pad or an off-by-one comparison decides the other way.
+func TestSecureMatchesEvaluation(t *testing.T) {
+	src := rng.NewCSPRNG(27)
+	secure := 0
+	for i := 0; i < 500; i++ {
+		c := genConfig(src)
+		checkSecure(t, c)
+		if c.Secure() {
+			secure++
+		}
+	}
+	if secure < 100 || secure > 400 {
+		t.Errorf("%d of 500 generated configurations secure: the sample no longer spans the bar", secure)
+	}
+	edges := 0
+	for edges < 60 {
+		c := genConfig(src)
+		ref := scenariosRef(c)
+		at := func(bits uint64) float64 {
+			c.HorizonSeconds = math.Float64frombits(bits)
+			return c.worstRef(ref)
+		}
+		// Find the least horizon whose reference probability reaches the
+		// bar; positive float64s order as their bits do.
+		lo, hi := uint64(1), math.Float64bits(1e300)
+		if at(lo) >= secureBar || at(hi) < secureBar {
+			continue // never or always insecure: no edge to test
+		}
+		for hi-lo > 1 {
+			if mid := lo + (hi-lo)/2; at(mid) >= secureBar {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		for _, bits := range []uint64{lo, hi} {
+			c.HorizonSeconds = math.Float64frombits(bits)
+			if insecure := c.BitFlipProbability() >= secureBar; insecure != (bits == hi) {
+				t.Errorf("%+v: BitFlipProbability() = %v disagrees with the reference edge", c, c.BitFlipProbability())
+			}
+			checkSecure(t, c)
+		}
+		edges++
+	}
+}
+
+// TestSecureRAAIMTMatchesSearch holds SecureRAAIMT to the search over full
+// evaluations on a geometric H_cnt grid from 64 to 65536.
+func TestSecureRAAIMTMatchesSearch(t *testing.T) {
+	for h := 64.0; h <= 65536; h *= math.Sqrt2 {
+		hcnt := int(math.Round(h))
+		want := 0
+		for raaimt := 4096; raaimt >= 8; raaimt /= 2 {
+			if DefaultConfig(hcnt, raaimt).BitFlipProbability() < secureBar {
+				want = raaimt
+				break
+			}
+		}
+		if got := SecureRAAIMT(hcnt); got != want {
+			t.Errorf("SecureRAAIMT(%d) = %d, full search %d", hcnt, got, want)
+		}
 	}
 }
 
