@@ -1,6 +1,6 @@
 # Developer entry points. `make verify` is the full gate every PR must pass.
 
-.PHONY: build test race race-focused vet lint fmt bench verify
+.PHONY: build test race race-focused vet lint fmt bench fuzz verify
 
 build:
 	go build ./...
@@ -37,6 +37,12 @@ fmt:
 # "Observability & profiling").
 bench:
 	go test -bench . -benchmem -benchtime 3x -run '^$$' ./...
+
+# Long fuzzing of the whole simulation, run by hand: `go test` and the gate
+# run only FuzzSimulation's seed corpus. New failing inputs land in
+# internal/sim/testdata/fuzz/FuzzSimulation.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzSimulation$$' -fuzztime 2m ./internal/sim
 
 verify:
 	./scripts/check.sh

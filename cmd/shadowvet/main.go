@@ -10,19 +10,18 @@
 //	go run ./cmd/shadowvet -list
 //
 // The suite enforces simulator determinism (no wall-clock reads, no global
-// math/rand, no order-sensitive map iteration in the simulation packages),
-// exhaustive switches over the closed enums (span.Cause, obs.Kind,
-// memctrl.CmdKind, ...), nil-receiver guards on the nil-safe obs hot-path
-// types, the internal/ import DAG, the "<pkg>: ..." panic-message
-// convention, and checked errors on DRAM command-issuing methods.
+// math/rand, no order-sensitive map iteration and no multi-ready select in
+// the simulation packages), exhaustive switches over the closed enums
+// (span.Cause, obs.Kind, memctrl.CmdKind, ...), nil-receiver guards on the
+// nil-safe obs hot-path types, the internal/ import DAG, the "<pkg>: ..."
+// panic-message convention, and checked errors on DRAM command-issuing
+// methods.
 // Concurrency is left to the stock tools: `go vet` catches by-value lock
-// copies and `go test -race` catches races. Two interprocedural
-// analyzers work over the module-wide call graph
-// (internal/analysis/callgraph): allocflow proves everything reachable
-// from the hot-path roots (the scheduler tick, the controller step, the
-// flight/span recording paths) allocation-free, and detflow flags
-// calls from the simulation packages that transitively reach a
-// nondeterminism source in unrestricted code. A finding can be waived with
+// copies and `go test -race` catches races. One interprocedural analyzer
+// works over the module-wide call graph (internal/analysis/callgraph):
+// allocflow proves everything reachable from the hot-path roots (the
+// scheduler tick, the controller step, the flight/span recording paths)
+// allocation-free. A finding can be waived with
 // a "//shadowvet:ignore <analyzer> -- reason" comment on or above the
 // offending line; the driver checks the waivers themselves (a reason is
 // mandatory and a waiver that suppresses nothing is itself a finding).

@@ -48,7 +48,7 @@ type Analyzer struct {
 	// per Run invocation over the whole loaded package set, before any
 	// per-package pass, and its result is handed to every Run call through
 	// Pass.Facts. Prepare computes whole-program facts (reachability over
-	// the module call graph, interprocedural taint); Run stays the only
+	// the module call graph); Run stays the only
 	// reporting path, so diagnostics keep package-local positions, waiver
 	// suppression, and the scheduling-independent sorted output of the
 	// parallel driver. Prepare itself always runs sequentially, in suite
@@ -58,7 +58,7 @@ type Analyzer struct {
 
 // All returns the full shadowvet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Exhaustive, NilGuard, Layering, PanicMsg, CmdErr, AllocFlow, DetFlow}
+	return []*Analyzer{Determinism, Exhaustive, NilGuard, Layering, PanicMsg, CmdErr, AllocFlow}
 }
 
 // A Module is the whole package set of one Run, handed to cross-package

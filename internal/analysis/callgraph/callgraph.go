@@ -16,10 +16,8 @@
 //     sound for the full-tree CI run and degrades gracefully on subsets;
 //   - a call through a function value (a variable, field, parameter, or
 //     call result of function type) cannot be resolved and produces a single
-//     EdgeDynamic edge to the synthetic Unknown node. Analyzers choose their
-//     own policy for Unknown: allocflow pessimistically flags the call site,
-//     detflow optimistically ignores it (matching the per-package scan it
-//     replaces);
+//     EdgeDynamic edge to the synthetic Unknown node. allocflow
+//     pessimistically flags such a call site;
 //   - an immediately-invoked function literal is a static call to the
 //     literal's own node; every other literal gets a conservative EdgeLit
 //     edge from its enclosing function, modeling that a literal handed to
@@ -35,10 +33,9 @@
 //
 // Everything about the graph is deterministic: Nodes() sorts by ID, a
 // node's edges are deduplicated by callee and ordered by first call-site
-// position, and SCCs() condenses with Tarjan's algorithm over that ordering.
-// Two Builds over the same tree render byte-identical String() dumps, which
-// the per-package analysis framework relies on for scheduling-independent
-// output.
+// position. Two Builds over the same tree render byte-identical String()
+// dumps, which the per-package analysis framework relies on for
+// scheduling-independent output.
 package callgraph
 
 import (
@@ -253,69 +250,6 @@ func (g *Graph) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// SCCs returns the strongly connected components of the graph in reverse
-// topological order of the condensation: every edge leaving a component
-// points to an earlier component in the slice, so a bottom-up fact
-// propagation (callees before callers) can run in one pass. Node order
-// within a component and the component order itself are deterministic.
-func (g *Graph) SCCs() [][]*Node {
-	s := &sccState{
-		index:   map[*Node]int{},
-		lowlink: map[*Node]int{},
-		onStack: map[*Node]bool{},
-	}
-	for _, n := range g.Nodes() {
-		if _, seen := s.index[n]; !seen {
-			s.strongconnect(n)
-		}
-	}
-	return s.comps
-}
-
-// sccState is Tarjan's bookkeeping. The recursion depth is bounded by the
-// deepest call chain in the module, which is small here.
-type sccState struct {
-	counter int
-	index   map[*Node]int
-	lowlink map[*Node]int
-	onStack map[*Node]bool
-	stack   []*Node
-	comps   [][]*Node
-}
-
-func (s *sccState) strongconnect(v *Node) {
-	s.index[v] = s.counter
-	s.lowlink[v] = s.counter
-	s.counter++
-	s.stack = append(s.stack, v)
-	s.onStack[v] = true
-	for _, e := range v.Out {
-		w := e.Callee
-		if _, seen := s.index[w]; !seen {
-			s.strongconnect(w)
-			if s.lowlink[w] < s.lowlink[v] {
-				s.lowlink[v] = s.lowlink[w]
-			}
-		} else if s.onStack[w] && s.index[w] < s.lowlink[v] {
-			s.lowlink[v] = s.index[w]
-		}
-	}
-	if s.lowlink[v] == s.index[v] {
-		var comp []*Node
-		for {
-			w := s.stack[len(s.stack)-1]
-			s.stack = s.stack[:len(s.stack)-1]
-			s.onStack[w] = false
-			comp = append(comp, w)
-			if w == v {
-				break
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i].ID < comp[j].ID })
-		s.comps = append(s.comps, comp)
-	}
 }
 
 // hierarchy is the class-hierarchy side table for interface devirtualization:

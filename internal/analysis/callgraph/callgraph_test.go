@@ -146,35 +146,6 @@ func root(xs []int) (int, mine, string) {
 	}
 }
 
-func TestSCCsReverseTopological(t *testing.T) {
-	g := buildSrc(t, `package p
-func a() { b() }
-func b() { a(); c() }
-func c() {}
-`)
-	comps := g.SCCs()
-	pos := map[string]int{}
-	for i, comp := range comps {
-		for _, n := range comp {
-			pos[n.ID] = i
-		}
-	}
-	if pos["p.a"] != pos["p.b"] {
-		t.Errorf("a and b are mutually recursive and must share a component: %v", pos)
-	}
-	if !(pos["p.c"] < pos["p.a"]) {
-		t.Errorf("reverse topological order: callee c's component must precede a/b's: %v", pos)
-	}
-	// Every edge must point to the same or an earlier component.
-	for _, n := range g.Nodes() {
-		for _, e := range n.Out {
-			if pos[e.Callee.ID] > pos[n.ID] {
-				t.Errorf("edge %s -> %s violates reverse topological component order", n.ID, e.Callee.ID)
-			}
-		}
-	}
-}
-
 func TestCalleesForAndNodeFor(t *testing.T) {
 	src := `package p
 func helper() {}

@@ -47,12 +47,17 @@ var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 // Determinism flags nondeterminism sources inside the simulation packages:
 // wall-clock reads (time.Now/Since/Until), any use of global math/rand
-// (including rand.Seed), and range statements over maps whose body is
+// (including rand.Seed), range statements over maps whose body is
 // order-sensitive — appending to a slice, assigning to variables declared
-// outside the loop, or returning early.
+// outside the loop, or returning early — and selects over two or more
+// channel cases, where the runtime picks among the ready cases
+// pseudo-randomly. The scan is per package: a helper in an unrestricted
+// package is not followed. Whole-simulation determinism is checked
+// dynamically by sim's FuzzSimulation, which runs every generated
+// configuration twice and compares the command hashes.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "flag wall-clock reads, math/rand, and order-sensitive map iteration " +
+	Doc: "flag wall-clock reads, math/rand, order-sensitive map iteration and multi-ready selects " +
 		"in the simulation packages (internal/{sim,dram,memctrl,shadow,mitigate,trace,exp,obs,obs/span,obs/flight})",
 	Run: runDeterminism,
 }
@@ -92,10 +97,27 @@ func runDeterminism(pass *Pass) {
 				}
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
+			case *ast.SelectStmt:
+				if cases := channelCases(n); cases > 1 {
+					pass.Reportf(n.Pos(), "select over %d channel cases in a simulation package: the runtime picks among ready cases pseudo-randomly; restructure to a deterministic priority order or waive with the reason the choice cannot affect results", cases)
+				}
 			}
 			return true
 		})
 	}
+}
+
+// channelCases returns the number of channel communication clauses of a
+// select (default clauses excluded); two or more make the select's choice
+// scheduler-dependent when several are ready.
+func channelCases(sel *ast.SelectStmt) int {
+	cases := 0
+	for _, c := range sel.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+			cases++
+		}
+	}
+	return cases
 }
 
 // checkMapRange reports a range over a map whose body makes the result
@@ -146,8 +168,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 // range makes the result order-dependent. Writes to plain variables or
 // struct fields declared outside the loop are order-sensitive (reductions,
 // last-writer-wins); writes keyed by an index expression (out[k] = v) are
-// per-key and therefore order-independent, so they pass. It takes a bare
-// types.Info (not a Pass) so detflow's Prepare can share it.
+// per-key and therefore order-independent, so they pass.
 func orderSensitiveLHS(info *types.Info, rng *ast.RangeStmt, lhs ast.Expr) (string, token.Pos, bool) {
 	switch e := lhs.(type) {
 	case *ast.Ident:

@@ -51,3 +51,13 @@ func earlyReturn(m map[int]int) int {
 	}
 	return -1
 }
+
+// The runtime picks among ready select cases pseudo-randomly.
+func waitTwo(a, b chan int) int {
+	select { // want:determinism
+	case v := <-a:
+		return v
+	case v := <-b:
+		return v
+	}
+}

@@ -51,3 +51,13 @@ func countLarge(m map[int]int) map[int]bool {
 	}
 	return out
 }
+
+// A single-case select with a default is a deterministic poll.
+func tryRecv(c chan int) (int, bool) {
+	select {
+	case v := <-c:
+		return v, true
+	default:
+		return 0, false
+	}
+}

@@ -61,7 +61,6 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		{"exhaustive", ""},
 		{"nilguard", "shadow/internal/obs"},
 		{"allocflow", ""},
-		{"detflow", "shadow/internal/sim"},
 	}
 	var pkgs []*Package
 	for _, f := range fixtures {

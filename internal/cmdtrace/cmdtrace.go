@@ -182,24 +182,6 @@ func (c *Checker) checkColumn(cmd memctrl.Cmd) {
 }
 
 func (c *Checker) checkREF(cmd memctrl.Cmd) {
-	if cmd.Bank >= 0 {
-		// Same-bank refresh (REFsb): only the named bank must be idle.
-		b := c.bank(cmd)
-		if b == nil {
-			c.violate(cmd, "bank index", cmd.At)
-			return
-		}
-		if b.open {
-			c.violate(cmd, "REFsb with bank open", b.preReady)
-		}
-		if cmd.At < b.actReady && b.sawAct {
-			c.violate(cmd, "REFsb before tRP", b.actReady)
-		}
-		if ready := cmd.At + c.p.RFCsb; ready > b.actReady {
-			b.actReady = ready
-		}
-		return
-	}
 	for i := range c.banks {
 		if c.banks[i].open {
 			c.violate(cmd, fmt.Sprintf("REF with bank %d open", i), c.banks[i].preReady)

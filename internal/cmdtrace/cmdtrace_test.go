@@ -206,29 +206,3 @@ func TestRFMOnOpenBank(t *testing.T) {
 		t.Fatalf("RFM-on-open not detected: %v", c.Violations())
 	}
 }
-
-func TestREFsbChecking(t *testing.T) {
-	p := timing.NewParams(timing.DDR5_4800)
-	c := New(p, 4)
-	// Legal REFsb on an idle bank.
-	c.Observe(memctrl.Cmd{Kind: memctrl.CmdREF, Bank: 2, At: 0})
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// ACT on the refreshing bank during tRFCsb is illegal; other banks fine.
-	c.Observe(memctrl.Cmd{Kind: memctrl.CmdACT, Bank: 3, Row: 1, At: p.TCK})
-	if err := c.Err(); err != nil {
-		t.Fatalf("other bank blocked: %v", err)
-	}
-	c.Observe(memctrl.Cmd{Kind: memctrl.CmdACT, Bank: 2, Row: 1, At: p.RFCsb / 2})
-	if err := c.Err(); err == nil {
-		t.Fatal("ACT during tRFCsb accepted")
-	}
-	// REFsb on an open bank.
-	c2 := New(p, 4)
-	c2.Observe(memctrl.Cmd{Kind: memctrl.CmdACT, Bank: 0, Row: 1, At: 0})
-	c2.Observe(memctrl.Cmd{Kind: memctrl.CmdREF, Bank: 0, At: p.TCK})
-	if err := c2.Err(); err == nil || !strings.Contains(err.Error(), "REFsb with bank open") {
-		t.Fatalf("err = %v", err)
-	}
-}

@@ -20,19 +20,15 @@ import (
 // statement about the memory controller.
 func TestControllerStreamsAreClean(t *testing.T) {
 	base := timing.NewParams(timing.DDR4_2666)
-	ddr5 := timing.NewParams(timing.DDR5_4800)
 	geo := dram.TestGeometry()
 	cases := []struct {
-		name     string
-		params   *timing.Params
-		mit      func() dram.Mitigator
-		mcside   func() mitigate.MCSide
-		closed   bool
-		sameBank bool
+		name   string
+		params *timing.Params
+		mit    func() dram.Mitigator
+		mcside func() mitigate.MCSide
+		closed bool
 	}{
 		{name: "baseline", params: base},
-		{name: "ddr5-refsb", params: ddr5.WithRAAIMT(16), sameBank: true,
-			mit: func() dram.Mitigator { return shadow.New(shadow.Options{Seed: 12}) }},
 		{
 			name:   "shadow",
 			params: base.WithShadow(circuit.DefaultShadowTimings(base)).WithRAAIMT(8),
@@ -94,10 +90,9 @@ func TestControllerStreamsAreClean(t *testing.T) {
 				mcside = tc.mcside()
 			}
 			ctl := memctrl.New(d, memctrl.Options{
-				MCSide:          mcside,
-				ClosedPage:      tc.closed,
-				SameBankRefresh: tc.sameBank,
-				OnCommand:       checker.Observe,
+				MCSide:     mcside,
+				ClosedPage: tc.closed,
+				OnCommand:  checker.Observe,
 			})
 
 			// Random request stream with bursty hot rows, driven for 100us.

@@ -13,29 +13,41 @@ import (
 // covering the ordinary rows. Disturbance never crosses subarrays (threat
 // model item 3), which is why the tracker lives here.
 //
-// ACTs and refreshes touch only the tracker. The row table is built on the
-// first call to Row (a flip, a row copy or swap, an sPPR, a payload read or
-// an integrity check), each row seeded with its power-on pattern, so a run
-// pays for row payload slots only in the subarrays whose data it touches.
+// Both the tracker and the row table are built on first use. The tracker
+// waits for the first hammer use (an ACT, a refresh or a row copy), so a
+// subarray whose remapping-row SHADOW only reads has none. The row table
+// waits for the first call to Row (a flip, a row copy or swap, an sPPR, a
+// payload read or an integrity check), each row seeded with its power-on
+// pattern, so a run pays for row payload slots only in the subarrays whose
+// data it touches.
 type Subarray struct {
-	rows      []Row // nil until the first Row call
-	remap     Row
-	Hammer    *hammer.Subarray
-	bank, idx int // seeds the row table
+	rows   []Row            // nil until the first Row call
+	hammer *hammer.Subarray // nil until the first Hammer call
+	remap  Row
+	bank   *Bank
+	idx    int
 }
 
 // Row returns the row at DA index da within the subarray, building the row
 // table on first use.
 func (s *Subarray) Row(da int) *Row {
 	if s.rows == nil {
-		s.rows = make([]Row, s.Hammer.Rows()) //shadowvet:ignore allocflow -- first-touch lazy row table build, once per subarray whose data a run touches
+		s.rows = make([]Row, s.bank.geo.DARowsPerSubarray()) //shadowvet:ignore allocflow -- first-touch lazy row table build, once per subarray whose data a run touches
 		// Every ordinary row starts with the deterministic pattern for its
 		// initial (identity-mapped) location.
 		for i := range s.rows {
-			s.rows[i].SetSeed(rowSeed(s.bank, s.idx, i))
+			s.rows[i].SetSeed(rowSeed(s.bank.id, s.idx, i))
 		}
 	}
 	return &s.rows[da]
+}
+
+// Hammer returns the subarray's hammer tracker, building it on first use.
+func (s *Subarray) Hammer() *hammer.Subarray {
+	if s.hammer == nil {
+		s.hammer = hammer.NewSubarray(s.bank.geo.DARowsPerSubarray(), s.bank.hcfg)
+	}
+	return s.hammer
 }
 
 // RemapRow returns the subarray's remapping-row payload.
@@ -113,18 +125,14 @@ func (b *Bank) Params() *timing.Params { return b.p }
 // Geometry returns the rank geometry.
 func (b *Bank) Geometry() Geometry { return b.geo }
 
-// Subarray returns subarray s, allocating its hammer tracker on first use
-// (its row table waits for Subarray.Row).
+// Subarray returns subarray s, allocating it on first use (its tracker
+// and row table wait for their own first use).
 func (b *Bank) Subarray(s int) *Subarray {
 	if s < 0 || s >= len(b.subs) {
 		panic(fmt.Sprintf("dram: bank %d subarray %d out of range [0,%d)", b.id, s, len(b.subs)))
 	}
 	if b.subs[s] == nil {
-		sa := &Subarray{ //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
-			Hammer: hammer.NewSubarray(b.geo.DARowsPerSubarray(), b.hcfg),
-			bank:   b.id,
-			idx:    s,
-		}
+		sa := &Subarray{bank: b, idx: s} //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
 		sa.remap.SetSeed(rowSeed(b.id, s, -1))
 		b.subs[s] = sa
 	}
@@ -174,7 +182,7 @@ func (b *Bank) Activate(sub, da int, now timing.Tick) error {
 // physically flips bits for any victims that cross H_cnt.
 func (b *Bank) recordACT(sub, da int) {
 	sa := b.Subarray(sub)
-	for _, f := range sa.Hammer.Activate(da) {
+	for _, f := range sa.Hammer().Activate(da) {
 		b.Stats.Flips++
 		// Deterministic-but-spread bit position derived from the flip count.
 		bit := int((uint64(f.Row)*2654435761 + uint64(b.Stats.Flips)*40503) % uint64(b.geo.RowBytes*8))
@@ -259,7 +267,7 @@ func (b *Bank) setBusy(until timing.Tick) {
 // BusyUntil reports when the current REF/RFM completes.
 func (b *Bank) BusyUntil() timing.Tick { return b.busyUntil }
 
-// NextDeadline returns the end of the bank's current REF/REFsb/RFM busy
+// NextDeadline returns the end of the bank's current REF/RFM busy
 // window — the next device-side instant at which this bank's schedulability
 // changes on its own — or timing.Forever when no window is open. The event
 // wheel does not fold it into its jump bound (a busy-window end is only
@@ -297,7 +305,7 @@ func (b *Bank) AutoRefresh(n int, now timing.Tick, busy timing.Tick) error {
 // RefreshRow fully restores one row's charge (TRR, incremental refresh, and
 // auto-refresh all funnel here).
 func (b *Bank) RefreshRow(sub, da int) {
-	b.Subarray(sub).Hammer.Refresh(da)
+	b.Subarray(sub).Hammer().Refresh(da)
 	b.Stats.RefRows++
 }
 
@@ -326,7 +334,7 @@ func (b *Bank) RowCopy(sub, srcDA, dstDA int, now timing.Tick) error {
 	b.recordACT(sub, dstDA)
 	sa.Row(dstDA).CopyFrom(sa.Row(srcDA), b.geo.RowBytes)
 	// The destination holds freshly driven charge.
-	sa.Hammer.Refresh(dstDA)
+	sa.Hammer().Refresh(dstDA)
 	b.Stats.RowCopies++
 	return nil
 }

@@ -82,14 +82,14 @@ type Device struct {
 	cmdAt     timing.Tick
 
 	// shadowtap span tracker (nil-inert): the device opens pre-attributed
-	// busy windows when REF/REFsb/RFM commands start their busy time, so the
+	// busy windows when REF/RFM commands start their busy time, so the
 	// controller can blame ACT waits on the right cause. rfmCause is what the
 	// mitigator claims for the RFM windows it fills.
 	spans    *span.Tracker
 	rfmCause span.Cause
 
 	// busyNotify, when set, observes every device-side bank busy window
-	// (REF/REFsb/RFM) as it opens. The memory controller registers it to
+	// (REF/RFM) as it opens. The memory controller registers it to
 	// keep its per-bank readiness cache tight: nothing can issue on the
 	// bank before the window closes.
 	busyNotify func(bank int, until timing.Tick)
@@ -108,7 +108,7 @@ type Config struct {
 	// Probe, when set, records bit-flip events and a flip-rate series.
 	Probe *obs.Probe
 	// Spans, when set, attaches shadowtap busy-window attribution for
-	// REF/REFsb/RFM commands.
+	// REF/RFM commands.
 	Spans *span.Tracker
 }
 
@@ -177,7 +177,7 @@ func MustNewDevice(cfg Config) *Device {
 }
 
 // SetBusyNotifier registers fn to observe every bank busy window the device
-// opens (REF, REFsb, RFM), with the tick at which the window ends. One
+// opens (REF, RFM), with the tick at which the window ends. One
 // observer; nil detaches.
 func (d *Device) SetBusyNotifier(fn func(bank int, until timing.Tick)) {
 	d.busyNotify = fn
@@ -279,28 +279,6 @@ func (d *Device) Refresh(now timing.Tick) error {
 	return nil
 }
 
-// RefreshBank executes a DDR5 same-bank refresh (REFsb): only the named
-// bank refreshes its next RowsPerREF rows and is busy for tRFCsb; other
-// banks keep serving. Unsupported (tRFCsb = 0) parameter sets reject it.
-func (d *Device) RefreshBank(bank int, now timing.Tick) error {
-	if d.p.RFCsb <= 0 {
-		return fmt.Errorf("dram: REFsb unsupported by %v", d.p.Grade) //shadowvet:ignore allocflow -- error path for protocol violations; the controller panics on any device error, so it never runs on a green run
-	}
-	if err := d.checkBank(bank); err != nil {
-		return err
-	}
-	b := d.banks[bank]
-	if err := b.AutoRefresh(d.refRowsPerREF, now, d.p.RFCsb); err != nil {
-		return err
-	}
-	d.Refs++
-	if d.busyNotify != nil {
-		d.busyNotify(bank, now+d.p.RFCsb) //shadowvet:ignore allocflow -- wired to the controller's readiness-cache lift, a plain array write on the memctrl.Controller.Step command path
-	}
-	d.spans.NoteBusy(bank, now, now+d.p.RFCsb, span.CauseRefresh)
-	return nil
-}
-
 // RFM executes a per-bank refresh-management command: the bank is busy for
 // tRFM while the mitigator performs its action (SHADOW: row-shuffle +
 // incremental refresh; PARFM/Mithril: TRR). The bank's RAA counter is
@@ -350,8 +328,8 @@ func (d *Device) SwapRows(bank, paA, paB int) error {
 	tmp.CopyFrom(ra, d.geo.RowBytes)
 	ra.CopyFrom(rb, d.geo.RowBytes)
 	rb.CopyFrom(&tmp, d.geo.RowBytes)
-	b.Subarray(subA).Hammer.Refresh(daA)
-	b.Subarray(subB).Hammer.Refresh(daB)
+	b.Subarray(subA).Hammer().Refresh(daA)
+	b.Subarray(subB).Hammer().Refresh(daB)
 	return nil
 }
 

@@ -250,8 +250,8 @@ func TestAutoRefreshResetsHammerPressure(t *testing.T) {
 		now += p.RP
 	}
 	sa := d.Bank(0).Subarray(0)
-	if sa.Hammer.Pressure(4) != 100 {
-		t.Fatalf("pressure = %g, want 100", sa.Hammer.Pressure(4))
+	if sa.Hammer().Pressure(4) != 100 {
+		t.Fatalf("pressure = %g, want 100", sa.Hammer().Pressure(4))
 	}
 	// One full sweep of REF commands must reset it.
 	slots := int(p.REFW/p.REFI) + 1
@@ -261,7 +261,7 @@ func TestAutoRefreshResetsHammerPressure(t *testing.T) {
 		}
 		now += p.RFC
 	}
-	if got := sa.Hammer.Pressure(4); got != 0 {
+	if got := sa.Hammer().Pressure(4); got != 0 {
 		t.Fatalf("pressure after full refresh sweep = %g, want 0", got)
 	}
 }
@@ -585,17 +585,17 @@ func TestInternalActivateDisturbsAndRestores(t *testing.T) {
 	sa := b.Subarray(0)
 	// Build pressure on row 5 via its neighbor.
 	for i := 0; i < 10; i++ {
-		sa.Hammer.Activate(6)
+		sa.Hammer().Activate(6)
 	}
-	if sa.Hammer.Pressure(5) != 10 {
+	if sa.Hammer().Pressure(5) != 10 {
 		t.Fatal("setup failed")
 	}
 	b.InternalActivate(0, 5)
-	if sa.Hammer.Pressure(5) != 0 {
+	if sa.Hammer().Pressure(5) != 0 {
 		t.Fatal("internal activate did not restore the row")
 	}
-	if sa.Hammer.Pressure(4) != 1 {
-		t.Fatalf("neighbor pressure = %g, want 1 (internal ACT disturbs)", sa.Hammer.Pressure(4))
+	if sa.Hammer().Pressure(4) != 1 {
+		t.Fatalf("neighbor pressure = %g, want 1 (internal ACT disturbs)", sa.Hammer().Pressure(4))
 	}
 }
 
@@ -614,36 +614,6 @@ func TestMustNewDevice(t *testing.T) {
 		}
 	}()
 	MustNewDevice(Config{})
-}
-
-func TestRefreshBank(t *testing.T) {
-	// DDR4 has no tRFCsb.
-	d4 := testDevice(t)
-	if err := d4.RefreshBank(0, 0); err == nil {
-		t.Fatal("REFsb accepted on DDR4")
-	}
-	d5 := MustNewDevice(Config{
-		Geometry: TestGeometry(),
-		Params:   timing.NewParams(timing.DDR5_4800),
-		Hammer:   hammer.DefaultConfig(),
-	})
-	p := d5.Params()
-	if err := d5.RefreshBank(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if d5.Refs != 1 {
-		t.Fatalf("Refs = %d", d5.Refs)
-	}
-	// Only bank 1 is busy.
-	if err := d5.Activate(1, 0, p.RFCsb-1); err == nil {
-		t.Fatal("ACT on refreshing bank accepted")
-	}
-	if err := d5.Activate(2, 0, p.RFCsb-1); err != nil {
-		t.Fatalf("other bank blocked by REFsb: %v", err)
-	}
-	if d5.Bank(1).Stats.RefRows != int64(d5.RowsPerREF()) {
-		t.Fatalf("RefRows = %d", d5.Bank(1).Stats.RefRows)
-	}
 }
 
 func TestSwapRowsDevice(t *testing.T) {

@@ -27,7 +27,7 @@ type floorCase struct {
 	mc    func() mitigate.MCSide
 }
 
-// floorCases covers open and closed page, DDR5 same-bank refresh, RFMs
+// floorCases covers open and closed page on DDR4 and DDR5, RFMs
 // coming due at a small RAAIMT while ACT spacing binds, an MC side that
 // emits TRR work, BlockHammer throttling rows across several filter epochs,
 // and span tracking (which re-keys every non-idle bank at every command), on
@@ -56,8 +56,8 @@ func floorCases() []floorCase {
 		{name: "open-rfm", grade: timing.DDR4_2666, raaimt: 4},
 		{name: "closed-rfm", grade: timing.DDR4_2666, raaimt: 2, opt: Options{ClosedPage: true}},
 		{name: "closed-rfm-wide-faw", grade: timing.DDR4_2666, raaimt: 2, wideFAW: true, opt: Options{ClosedPage: true}},
-		{name: "ddr5-refsb", grade: timing.DDR5_4800, opt: Options{SameBankRefresh: true}},
-		{name: "ddr5-refsb-rfm", grade: timing.DDR5_4800, raaimt: 3, opt: Options{SameBankRefresh: true, ClosedPage: true}},
+		{name: "ddr5", grade: timing.DDR5_4800},
+		{name: "ddr5-closed-rfm", grade: timing.DDR5_4800, raaimt: 3, opt: Options{ClosedPage: true}},
 		{name: "trr", grade: timing.DDR4_2666, mc: graphene},
 		{name: "trr-closed-rfm", grade: timing.DDR4_2666, raaimt: 4, opt: Options{ClosedPage: true}, mc: graphene},
 		{name: "throttle", grade: timing.DDR4_2666, mc: blockhammer},
@@ -118,9 +118,9 @@ func forEachFloorCase(t *testing.T, fn func(t *testing.T, d *dram.Device, seed u
 // lowered to the arrival of every request enqueued on the bank since (as
 // dirty lowers it), must be a lower bound on the next command the phases
 // issue on that bank. Refresh commands and the PREs of a refresh drain are
-// exempt: the refresh deadline schedules them, not the bank keys (REFsb
-// ignores ACT spacing, and a drain closes idle banks, keyed at Forever, and
-// banks whose key waits on a row hit). Every request must also be served by
+// exempt: the refresh deadline schedules them, not the bank keys (a drain
+// closes idle banks, keyed at Forever, and banks whose key waits on a row
+// hit). Every request must also be served by
 // the end of the run, so a key that is never lowered for new work fails too.
 // In the wide-tFAW case, a floor that applied ACT spacing to an RFM-due bank
 // would be too late.
@@ -131,7 +131,7 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 		var c *Controller
 		opt.OnCommand = func(cmd Cmd) {
 			commanded = cmd.Bank
-			if cmd.Bank < 0 || cmd.Kind == CmdREF || cmd.Kind == CmdPRE && c.refreshDrain {
+			if cmd.Bank < 0 || cmd.Kind == CmdPRE && c.refreshDrain {
 				return
 			}
 			if cmd.At < bound[cmd.Bank] {

@@ -103,11 +103,6 @@ type Options struct {
 	// access is an activation — the behaviour an attacker induces with
 	// cache-flushing access sequences, used by the attack simulator.
 	ClosedPage bool
-	// SameBankRefresh uses DDR5 REFsb commands instead of all-bank REF: one
-	// bank refreshes every tREFI/banks while the others keep serving,
-	// trading rank-wide stalls for more frequent, cheaper ones. Requires a
-	// parameter set with tRFCsb (DDR5).
-	SameBankRefresh bool
 	// OnComplete, when set, is invoked for every completed request.
 	OnComplete func(*Request)
 	// OnCommand, when set, observes every DRAM command the controller
@@ -203,7 +198,6 @@ type Controller struct {
 
 	nextRefreshAt timing.Tick
 	refreshDrain  bool
-	refreshBank   int // next REFsb target when SameBankRefresh is on
 
 	// shadowscope instruments, resolved once at construction; all are
 	// nil-inert when no probe is attached.
@@ -259,13 +253,6 @@ func New(dev *dram.Device, opt Options) *Controller {
 	c.bankNext = make([]timing.Tick, n)
 	c.throttled = make([]bool, n)
 	dev.SetBusyNotifier(c.liftBusy)
-	if opt.SameBankRefresh {
-		if dev.Params().RFCsb <= 0 {
-			panic("memctrl: SameBankRefresh requires a parameter set with tRFCsb")
-		}
-		// Per-bank refresh paces banks*x faster at 1/banks the work each.
-		c.nextRefreshAt = dev.Params().REFI / timing.Tick(dev.Banks())
-	}
 	for i := range c.actWindow {
 		c.actWindow[i] = -dev.Params().FAW
 	}
@@ -628,7 +615,7 @@ func (c *Controller) actSpacingAt(i int) timing.Tick {
 }
 
 // liftBusy raises a bank's cached readiness to the end of a device-side
-// busy window (REF/REFsb/RFM): the bank is closed for the whole window, so
+// busy window (REF/RFM): the bank is closed for the whole window, so
 // no command on it can be legal earlier and the lift cannot skip work.
 func (c *Controller) liftBusy(bank int, until timing.Tick) {
 	if c.ready[bank] < until {
@@ -758,9 +745,6 @@ func (c *Controller) log(kind CmdKind, bank, row int, at timing.Tick) {
 		k, dur = obs.KindWR, c.p.WL+c.p.BL
 	case CmdREF:
 		k, dur = obs.KindREF, c.p.RFC
-		if bank >= 0 {
-			dur = c.p.RFCsb
-		}
 	case CmdRFM:
 		k, dur = obs.KindRFM, c.p.RFM
 		c.rfmSeries.Add(at, 1)
@@ -772,12 +756,8 @@ func (c *Controller) log(kind CmdKind, bank, row int, at timing.Tick) {
 }
 
 // tryRefresh advances the refresh drain: precharge open banks, then issue
-// REF (or a single-bank REFsb in same-bank mode). Returns
-// (nextTime, issuedCommand).
+// REF. Returns (nextTime, issuedCommand).
 func (c *Controller) tryRefresh(now timing.Tick) (timing.Tick, bool) {
-	if c.opt.SameBankRefresh {
-		return c.trySameBankRefresh(now)
-	}
 	next := timing.Forever
 	allClosed := true
 	for i := range c.banks {
@@ -810,32 +790,6 @@ func (c *Controller) tryRefresh(now timing.Tick) (timing.Tick, bool) {
 	c.Stats.Refs++
 	c.log(CmdREF, -1, -1, now)
 	c.nextRefreshAt += c.p.REFI
-	c.refreshDrain = false
-	return now, true
-}
-
-// trySameBankRefresh refreshes only the rotation's target bank (REFsb).
-func (c *Controller) trySameBankRefresh(now timing.Tick) (timing.Tick, bool) {
-	i := c.refreshBank
-	b := &c.banks[i]
-	if b.open {
-		ready := c.dev.Bank(i).NextPREReady()
-		if now < ready {
-			return ready, false
-		}
-		c.precharge(i, now)
-		return now, true
-	}
-	if ready := c.dev.Bank(i).NextACTReady(); now < ready {
-		return ready, false
-	}
-	if err := c.dev.RefreshBank(i, now); err != nil {
-		panic(fmt.Sprintf("memctrl: REFsb: %v", err))
-	}
-	c.Stats.Refs++
-	c.log(CmdREF, i, -1, now)
-	c.refreshBank = (c.refreshBank + 1) % len(c.banks)
-	c.nextRefreshAt += c.p.REFI / timing.Tick(len(c.banks))
 	c.refreshDrain = false
 	return now, true
 }

@@ -40,7 +40,7 @@ func TestMCTRRPathExecutes(t *testing.T) {
 	}
 	// Victims 15 and 17 were refreshed recently; pressure is low.
 	sa := c.Device().Bank(0).Subarray(0)
-	if p := sa.Hammer.Pressure(15); p > float64(g.Threshold())+2 {
+	if p := sa.Hammer().Pressure(15); p > float64(g.Threshold())+2 {
 		t.Errorf("victim 15 pressure %g despite TRR", p)
 	}
 }
@@ -142,110 +142,6 @@ func TestPARADefendsThroughMC(t *testing.T) {
 	}
 	if pa.Samples == 0 {
 		t.Fatal("PARA never sampled")
-	}
-}
-
-// TestSameBankRefresh: REFsb covers all rows per tREFW while only one bank
-// stalls at a time.
-func TestSameBankRefresh(t *testing.T) {
-	p := timing.NewParams(timing.DDR5_4800)
-	d, err := dram.NewDevice(dram.Config{
-		Geometry: dram.TestGeometry(),
-		Params:   p,
-		Hammer:   hammer.Config{HCnt: 1 << 20, BlastRadius: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(d, Options{SameBankRefresh: true})
-	now := timing.Tick(0)
-	end := 10 * p.REFI
-	for now < end {
-		next := c.Step(now)
-		if next <= now {
-			continue
-		}
-		if next > end {
-			break
-		}
-		now = next
-	}
-	// Per-bank refreshes run banks-times as often as all-bank REF would.
-	wantMin := int64(9 * d.Banks())
-	if c.Stats.Refs < wantMin {
-		t.Fatalf("REFsb count %d, want >= %d over 10 tREFI", c.Stats.Refs, wantMin)
-	}
-	// Every bank advanced its refresh pointer (RefRows spread across banks).
-	perBank := map[int]int64{}
-	for i := 0; i < d.Banks(); i++ {
-		perBank[i] = d.Bank(i).Stats.RefRows
-	}
-	for i, n := range perBank {
-		if n == 0 {
-			t.Fatalf("bank %d never refreshed", i)
-		}
-	}
-}
-
-// TestSameBankRefreshRejectedOnDDR4: the DDR4 parameter set has no tRFCsb.
-func TestSameBankRefreshRejectedOnDDR4(t *testing.T) {
-	d, err := dram.NewDevice(dram.Config{
-		Geometry: dram.TestGeometry(),
-		Params:   timing.NewParams(timing.DDR4_2666),
-		Hammer:   hammer.Config{HCnt: 1 << 20, BlastRadius: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SameBankRefresh on DDR4 accepted")
-		}
-	}()
-	New(d, Options{SameBankRefresh: true})
-}
-
-// TestSameBankRefreshStreamClean: REFsb command streams pass the protocol
-// checker (exercised here rather than in cmdtrace to avoid an import cycle).
-func TestSameBankRefreshLessIntrusive(t *testing.T) {
-	// Under the same light load, same-bank refresh must not be slower than
-	// all-bank refresh for per-request latency-critical traffic, because
-	// only 1/N of the banks is ever blocked.
-	p := timing.NewParams(timing.DDR5_4800)
-	mk := func(sameBank bool) timing.Tick {
-		d, err := dram.NewDevice(dram.Config{
-			Geometry: dram.TestGeometry(),
-			Params:   p,
-			Hammer:   hammer.Config{HCnt: 1 << 20, BlastRadius: 3},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := New(d, Options{SameBankRefresh: sameBank})
-		var worst timing.Tick
-		now := timing.Tick(0)
-		rows := dram.TestGeometry().PARowsPerBank()
-		for i := 0; i < 200; i++ {
-			r := &Request{Bank: i % 4, Row: i % rows, Arrive: now}
-			c.Enqueue(r)
-			for r.Done == 0 {
-				next := c.Step(now)
-				if next <= now {
-					continue
-				}
-				now = next
-			}
-			if lat := r.Done - r.Arrive; lat > worst {
-				worst = lat
-			}
-			now += 200 * timing.Nanosecond // light, latency-sensitive load
-		}
-		return worst
-	}
-	allBank := mk(false)
-	sameBank := mk(true)
-	if sameBank > allBank {
-		t.Fatalf("REFsb worst latency %v exceeds all-bank REF %v", sameBank, allBank)
 	}
 }
 

@@ -161,7 +161,7 @@ func TestTRRVictimCoverage(t *testing.T) {
 	// After the RFM, victims 14,15,17,18 were refreshed (pressure 0 except
 	// disturbance from the TRR activations themselves, < 3).
 	for _, v := range []int{15, 17} {
-		if p := sa.Hammer.Pressure(v); p > 3 {
+		if p := sa.Hammer().Pressure(v); p > 3 {
 			t.Errorf("victim %d pressure %g after TRR", v, p)
 		}
 	}

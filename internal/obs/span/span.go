@@ -53,7 +53,7 @@ const (
 	// CauseBus: column-command spacing or data-bus occupancy (tCCD_S/L,
 	// burst collision).
 	CauseBus
-	// CauseRefresh: auto-refresh (REF/REFsb) drain and busy windows.
+	// CauseRefresh: auto-refresh (REF) drain and busy windows.
 	CauseRefresh
 	// CauseRFM: RFM busy time and RAA-saturation ACT holds for TRR-backed
 	// schemes (PARFM, Mithril), plus the generic DDR5 RFM interface.
@@ -271,7 +271,7 @@ func (tl *bankTimeline) set(now timing.Tick, c Cause) {
 }
 
 // busyNote marks a bank-busy window whose blame is known in advance (REF,
-// REFsb, RFM): while the window is open, ACT waits on the bank are
+// RFM): while the window is open, ACT waits on the bank are
 // attributed to its cause rather than generic bank-busy.
 type busyNote struct {
 	until timing.Tick
@@ -341,7 +341,7 @@ func (t *Tracker) SetAllCauses(now timing.Tick, c Cause) {
 }
 
 // NoteBusy opens a pre-attributed busy window on bank until `until` and
-// moves the timeline to its cause. The device calls it when REF/REFsb/RFM
+// moves the timeline to its cause. The device calls it when REF/RFM
 // commands start their busy time.
 func (t *Tracker) NoteBusy(bank int, now, until timing.Tick, c Cause) {
 	if t == nil {

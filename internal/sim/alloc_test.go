@@ -52,20 +52,12 @@ func steadyRunner(t *testing.T, cores int, cfg Config) *runner {
 // matrix, with span tracking off and on, so the device-side, MC-side and
 // span-tracker hot paths are all held to 0 allocs/op.
 func TestTickDoesNotAllocate(t *testing.T) {
-	for _, sc := range equivSchemes() {
+	for _, sc := range equivSchemes(equivHammer, smallGeo().PARowsPerBank()) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, spans := range []bool{false, true} {
 				t.Run(fmt.Sprintf("spans=%t", spans), func(t *testing.T) {
-					cfg := Config{Params: sc.params()}
-					if sc.dev != nil {
-						cfg.DeviceMit = sc.dev(99)
-					}
-					if sc.mc != nil {
-						cfg.MCSide = sc.mc(cfg.Params, 99)
-					}
-					if sc.filter != nil {
-						cfg.RFMFilter = sc.filter(cfg.Params)
-					}
+					cfg := Config{Params: sc.params(baseParams())}
+					sc.build(&cfg, 99)
 					if spans {
 						cfg.Spans = span.NewCollector(4096)
 					}

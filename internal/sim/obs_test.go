@@ -16,7 +16,7 @@ import (
 )
 
 // TestObservationDoesNotPerturbStats is the shadowscope counterpart of
-// TestRunDeterministicAcrossRuns: attaching probes must never change what the
+// FuzzSimulation's same-seed oracle: attaching probes must never change what the
 // simulator computes. The same seeded config runs three ways — probes off,
 // metrics only, and full event tracing — and every reported statistic must be
 // bit-identical across all three. A divergence means an instrument leaked

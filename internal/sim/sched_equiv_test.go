@@ -12,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"shadow/internal/circuit"
 	"shadow/internal/dram"
 	"shadow/internal/hammer"
 	"shadow/internal/memctrl"
@@ -40,27 +41,36 @@ import (
 
 // equivScheme builds one protection configuration. Constructors are funcs so
 // each run gets fresh mitigation state (trackers, CSPRNGs, Bloom filters).
+// params configures a stock parameter set of either speed grade.
 type equivScheme struct {
 	name   string
-	params func() *timing.Params
+	params func(p *timing.Params) *timing.Params
 	dev    func(seed uint64) dram.Mitigator
 	mc     func(p *timing.Params, seed uint64) mitigate.MCSide
 	filter func(p *timing.Params) *mitigate.RFMFilter
 }
 
-func equivSchemes() []equivScheme {
-	h := hammer.Config{HCnt: 4096, BlastRadius: 3}
-	rows := smallGeo().PARowsPerBank()
+// equivHammer is the fault model of the golden cases.
+var equivHammer = hammer.Config{HCnt: 4096, BlastRadius: 3}
+
+// equivSchemes returns every protection configuration, sized for the fault
+// model h and banks of rows PA rows. The golden cases use equivHammer and
+// smallGeo; FuzzSimulation generates both.
+func equivSchemes(h hammer.Config, rows int) []equivScheme {
+	same := func(p *timing.Params) *timing.Params { return p }
+	withShadow := func(p *timing.Params) *timing.Params {
+		return p.WithShadow(circuit.DefaultShadowTimings(p)).WithRAAIMT(64)
+	}
 	return []equivScheme{
-		{name: "none", params: baseParams},
+		{name: "none", params: same},
 		{
 			name:   "shadow",
-			params: func() *timing.Params { return shadowParams(64) },
+			params: withShadow,
 			dev:    func(seed uint64) dram.Mitigator { return shadow.New(shadow.Options{Seed: seed + 1}) },
 		},
 		{
 			name:   "shadow-filtered",
-			params: func() *timing.Params { return shadowParams(64) },
+			params: withShadow,
 			dev:    func(seed uint64) dram.Mitigator { return shadow.New(shadow.Options{Seed: seed + 1}) },
 			filter: func(p *timing.Params) *mitigate.RFMFilter {
 				return mitigate.NewRFMFilter(1024, 4, 16, p.REFW)
@@ -68,26 +78,26 @@ func equivSchemes() []equivScheme {
 		},
 		{
 			name:   "parfm",
-			params: func() *timing.Params { return baseParams().WithRAAIMT(32) },
+			params: func(p *timing.Params) *timing.Params { return p.WithRAAIMT(32) },
 			dev:    func(seed uint64) dram.Mitigator { return mitigate.NewPARFM(h.BlastRadius, seed+2) },
 		},
 		{
 			name:   "mithril",
-			params: func() *timing.Params { return baseParams().WithRAAIMT(64) },
+			params: func(p *timing.Params) *timing.Params { return p.WithRAAIMT(64) },
 			dev:    func(seed uint64) dram.Mitigator { return mitigate.NewMithril(2048, h.BlastRadius) },
 		},
 		{
 			name:   "panopticon",
-			params: func() *timing.Params { return baseParams().WithRAAIMT(64) },
+			params: func(p *timing.Params) *timing.Params { return p.WithRAAIMT(64) },
 			dev:    func(seed uint64) dram.Mitigator { return mitigate.NewPanopticon(h.HCnt, h.BlastRadius) },
 		},
 		{
 			name:   "drr",
-			params: func() *timing.Params { return baseParams().WithRefreshScale(2) },
+			params: func(p *timing.Params) *timing.Params { return p.WithRefreshScale(2) },
 		},
 		{
 			name:   "blockhammer",
-			params: baseParams,
+			params: same,
 			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
 				return mitigate.NewBlockHammer(mitigate.BlockHammerConfig{
 					Hammer: h, REFW: p.REFW, Seed: seed + 3,
@@ -100,10 +110,10 @@ func equivSchemes() []equivScheme {
 			// the horizon. A throttled bank is keyed no later than the
 			// next epoch boundary, so a release is seen at that boundary.
 			name:   "blockhammer-epoch",
-			params: baseParams,
+			params: same,
 			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
 				return mitigate.NewBlockHammer(mitigate.BlockHammerConfig{
-					Hammer: hammer.Config{HCnt: 64, BlastRadius: 3},
+					Hammer: hammer.Config{HCnt: 64, BlastRadius: h.BlastRadius},
 					REFW:   4 * timing.Microsecond,
 					Seed:   seed + 3,
 				})
@@ -115,10 +125,10 @@ func equivSchemes() []equivScheme {
 			// drains, so a throttle-bound bank's key must hold through an
 			// all-bank REF (which commands no single bank).
 			name:   "blockhammer-throttle",
-			params: baseParams,
+			params: same,
 			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
 				return mitigate.NewBlockHammer(mitigate.BlockHammerConfig{
-					Hammer: hammer.Config{HCnt: 256, BlastRadius: 3},
+					Hammer: hammer.Config{HCnt: 256, BlastRadius: h.BlastRadius},
 					REFW:   64 * timing.Microsecond,
 					Seed:   seed + 3,
 				})
@@ -126,7 +136,7 @@ func equivSchemes() []equivScheme {
 		},
 		{
 			name:   "rrs",
-			params: baseParams,
+			params: same,
 			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
 				return mitigate.NewRRS(mitigate.RRSConfig{
 					SwapThreshold: int64(h.HCnt / 6),
@@ -138,7 +148,7 @@ func equivSchemes() []equivScheme {
 		},
 		{
 			name:   "graphene",
-			params: baseParams,
+			params: same,
 			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
 				return mitigate.NewGraphene(mitigate.GrapheneConfig{
 					Hammer: h, RowsPerBank: rows, REFW: p.REFW,
@@ -147,7 +157,7 @@ func equivSchemes() []equivScheme {
 		},
 		{
 			name:   "para",
-			params: baseParams,
+			params: same,
 			mc: func(p *timing.Params, seed uint64) mitigate.MCSide {
 				return mitigate.NewPARA(h, rows, seed+5)
 			},
@@ -198,11 +208,11 @@ func (in equivInput) covers(name string) bool {
 	return false
 }
 
-// equivView is the full observable surface of one run: the determinism-test
-// statsView plus the device's flip records and scrub report, a hash of
-// every DRAM command the controller issued (channel 0, kind, bank, row,
-// tick), and the rendered blame table when spans are attached. Records and
-// Scrub are one-element lists, the layout the golden file was recorded in.
+// equivView is the full observable surface of one run: its statistics and
+// IPC, the device's flip records and scrub report, a hash of every DRAM
+// command the controller issued (channel 0, kind, bank, row, tick), and the
+// rendered blame table when spans are attached. Records and Scrub are
+// one-element lists, the layout the golden file was recorded in.
 type equivView struct {
 	Duration timing.Tick
 	Insts    []int64
@@ -222,7 +232,7 @@ type equivView struct {
 // hit a BlockHammer blacklist (0 for other schemes).
 func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans bool) (equivView, int64) {
 	t.Helper()
-	p := sc.params()
+	p := sc.params(baseParams())
 	g := smallGeo()
 	profiles := trace.MixHigh(in.cores)
 	for i := range profiles {
@@ -232,39 +242,52 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans bo
 			profiles[i].RowLocality = 0
 		}
 	}
-	var dev dram.Mitigator
-	if sc.dev != nil {
-		dev = sc.dev(seed)
+	cfg := Config{
+		Params:   p,
+		Geometry: g,
+		Hammer:   equivHammer,
+		Workload: trace.Generators(profiles, g, seed),
+		Duration: 60 * timing.Microsecond,
 	}
-	var mc mitigate.MCSide
-	var bh *mitigate.BlockHammer
-	if sc.mc != nil {
-		mc = sc.mc(p, seed)
-		bh, _ = mc.(*mitigate.BlockHammer)
-	}
-	var filter *mitigate.RFMFilter
-	if sc.filter != nil {
-		filter = sc.filter(p)
-	}
-	var col *span.Collector
+	sc.build(&cfg, seed)
 	if spans {
-		col = span.NewCollector(4096)
+		cfg.Spans = span.NewCollector(4096)
 	}
+	v, _ := equivRun(t, sc.name, cfg)
+	if bh, ok := cfg.MCSide.(*mitigate.BlockHammer); ok {
+		return v, bh.Blacklisted
+	}
+	return v, 0
+}
+
+// build sets cfg's mitigations to fresh instances of the scheme at seed,
+// for cfg.Params.
+func (sc equivScheme) build(cfg *Config, seed uint64) {
+	if sc.dev != nil {
+		cfg.DeviceMit = sc.dev(seed)
+	}
+	if sc.mc != nil {
+		cfg.MCSide = sc.mc(cfg.Params, seed)
+	}
+	if sc.filter != nil {
+		cfg.RFMFilter = sc.filter(cfg.Params)
+	}
+}
+
+// equivRun runs cfg and returns its view, with the blame table labelled
+// name when spans are attached. The command hash is folded from an
+// OnCommand hook that runs after any hook cfg already sets.
+func equivRun(t *testing.T, name string, cfg Config) (equivView, *Result) {
+	t.Helper()
 	cmdHash := fnv.New64a()
-	res, err := Run(Config{
-		Params:    p,
-		Geometry:  g,
-		Hammer:    hammer.Config{HCnt: 4096, BlastRadius: 3},
-		DeviceMit: dev,
-		MCSide:    mc,
-		RFMFilter: filter,
-		Workload:  trace.Generators(profiles, g, seed),
-		Duration:  60 * timing.Microsecond,
-		Spans:     col,
-		OnCommand: func(ch int, cmd memctrl.Cmd) {
-			fmt.Fprintf(cmdHash, "%d %d %d %d %d\n", ch, cmd.Kind, cmd.Bank, cmd.Row, cmd.At)
-		},
-	})
+	observe := cfg.OnCommand
+	cfg.OnCommand = func(ch int, cmd memctrl.Cmd) {
+		if observe != nil {
+			observe(ch, cmd)
+		}
+		fmt.Fprintf(cmdHash, "%d %d %d %d %d\n", ch, cmd.Kind, cmd.Bank, cmd.Row, cmd.At)
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,22 +302,19 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans bo
 		Scrub:    []dram.ScrubReport{res.Device.Scrub()},
 		CmdHash:  cmdHash.Sum64(),
 	}
-	if col != nil {
-		agg := col.Aggregate()
-		v.Blame = string(report.BlameJSON([]report.BlameRow{{Label: sc.name, Agg: agg}}))
+	if cfg.Spans != nil {
+		agg := cfg.Spans.Aggregate()
+		v.Blame = string(report.BlameJSON([]report.BlameRow{{Label: name, Agg: agg}}))
 		v.QueueFull = agg.Stall[span.CauseQueueFull]
 	}
-	if bh == nil {
-		return v, 0
-	}
-	return v, bh.Blacklisted
+	return v, res
 }
 
 // forEachEquivCase calls fn with the subtest name of every (input, scheme)
 // pair the golden file covers.
 func forEachEquivCase(fn func(name string, sc equivScheme, in equivInput)) {
 	for _, in := range equivInputs {
-		for _, sc := range equivSchemes() {
+		for _, sc := range equivSchemes(equivHammer, smallGeo().PARowsPerBank()) {
 			if !in.covers(sc.name) {
 				continue
 			}
@@ -384,20 +404,27 @@ var attackCases = []attackCase{
 	},
 }
 
-// runAttackEquiv runs one attack case and returns its view: Insts holds the
-// activation count, Duration the elapsed time.
+// runAttackEquiv runs one attack case and returns its view.
 func runAttackEquiv(t *testing.T, tc attackCase) equivView {
 	t.Helper()
-	h := eventHash{fnv.New64a()}
-	rec := obs.NewRecorder(obs.Options{Flight: h})
-	res, err := RunAttack(AttackConfig{
+	v, _ := attackRun(t, tc.name, AttackConfig{
 		Params:    tc.p(),
 		Geometry:  dram.TestGeometry(),
 		Hammer:    hammer.Config{HCnt: 512, BlastRadius: 3},
 		DeviceMit: tc.dev(),
 		MaxActs:   8192,
-		Probe:     rec.NewTrack(tc.name),
 	}, tc.pat())
+	return v
+}
+
+// attackRun runs one attack under a probe named name and returns its view:
+// Insts holds the activation count, Duration the elapsed time, and CmdHash
+// the hash of the probe's event stream.
+func attackRun(t *testing.T, name string, cfg AttackConfig, pat trace.Pattern) (equivView, *AttackResult) {
+	t.Helper()
+	h := eventHash{fnv.New64a()}
+	cfg.Probe = obs.NewRecorder(obs.Options{Flight: h}).NewTrack(name)
+	res, err := RunAttack(cfg, pat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +437,7 @@ func runAttackEquiv(t *testing.T, tc attackCase) equivView {
 		Records:  [][]dram.FlipRecord{res.Device.Flips()},
 		Scrub:    []dram.ScrubReport{res.Device.Scrub()},
 		CmdHash:  h.h.Sum64(),
-	}
+	}, res
 }
 
 // TestSchedulerEquivalenceAttack replays the attack runner's cases against

@@ -101,11 +101,10 @@ type Params struct {
 	RTP  Tick // RD to PRE
 
 	// Refresh and refresh management.
-	REFI  Tick // average periodic refresh interval
-	RFC   Tick // refresh cycle time (all-bank REF busy time)
-	RFCsb Tick // same-bank refresh busy time (tRFCsb; 0 = REFsb unsupported)
-	REFW  Tick // refresh window (every cell refreshed once per REFW)
-	RFM   Tick // RFM command busy time (tRFM)
+	REFI Tick // average periodic refresh interval
+	RFC  Tick // refresh cycle time (all-bank REF busy time)
+	REFW Tick // refresh window (every cell refreshed once per REFW)
+	RFM  Tick // RFM command busy time (tRFM)
 
 	// RFM interface configuration (JEDEC DDR5): an RFM command is issued by
 	// the MC when a bank's Rolling Accumulated ACT (RAA) counter reaches
@@ -284,7 +283,6 @@ func NewParams(g Grade) *Params {
 			RTP:   NS(7.5),
 			REFI:  NS(3900.0), // fine-granularity refresh, per-bank pace
 			RFC:   NS(295.0),  // tRFC1 16Gb
-			RFCsb: NS(130.0),  // tRFCsb 16Gb: per-bank refresh (DDR5 REFsb)
 			REFW:  32 * Millisecond,
 			RFM:   NS(195.0), // JEDEC tRFM (16Gb); the shuffle (186ns) fits
 		}

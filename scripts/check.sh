@@ -2,7 +2,10 @@
 # check.sh — the repository's full verification gate, as run in CI and by
 # `make verify`: formatting, go vet, the shadowvet static-analysis suite
 # (simulator determinism + DRAM-protocol invariants), the build, the test
-# suite under the race detector, and one iteration of every benchmark.
+# suite under the race detector, and one iteration of every benchmark. The
+# race lane also runs FuzzSimulation's seed corpus, which checks determinism
+# over the whole simulation: every generated input runs twice and must
+# issue the same commands. Nothing here fuzzes; `make fuzz` does, by hand.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
