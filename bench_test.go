@@ -122,6 +122,37 @@ func benchSimOpts(b *testing.B, o exp.RunOpts, scheme exp.Scheme, profiles []tra
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sims/sec")
 }
 
+// BenchmarkAttack measures the attack simulator's throughput on the path
+// every SHADOW security run takes: SHADOW at H_cnt 2K (DDR4-2666, 8
+// subarrays per bank, blast radius 3) under scenario II's 8 aggressors in
+// closed page, 100k ACTs per run. Every ACT is remapped and an RFM
+// shuffle follows every RAAIMT ACTs. It reports host ns per ACT; the
+// device and SHADOW's tables are built outside the timed region.
+func BenchmarkAttack(b *testing.B) {
+	const acts = 100_000
+	geo := exp.RunOpts{Subarrays: 8}.Geometry(timing.DDR4_2666)
+	pt := exp.Point{Scheme: exp.Shadow, HCnt: 2048, Blast: 3, Grade: timing.DDR4_2666, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, dm, _ := pt.Build(geo, 0)
+		pat := trace.NewScenarioII(0, 0, 8, geo, 1)
+		b.StartTimer()
+		res, err := sim.RunAttack(sim.AttackConfig{
+			Params: p, Geometry: geo, DeviceMit: dm,
+			Hammer:  hammer.Config{HCnt: 2048, BlastRadius: 3},
+			MaxActs: acts, Duration: 100 * timing.Millisecond,
+		}, pat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Acts != acts {
+			b.Fatalf("attack issued %d ACTs, want %d", res.Acts, acts)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*acts), "ns/ACT")
+}
+
 // BenchmarkTable2 regenerates Table II: SHADOW's rank-year bit-flip
 // probability across RAAIMT x H_cnt via the Appendix XI analytics.
 func BenchmarkTable2(b *testing.B) {

@@ -21,6 +21,9 @@ var restrictedPkgs = map[string]bool{
 	"shadow/internal/mitigate": true,
 	"shadow/internal/trace":    true,
 	"shadow/internal/exp":      true,
+	// Every ACT charges its victims through hammer.Subarray.Activate, so
+	// entropy there reaches a run's flips.
+	"shadow/internal/hammer": true,
 	// The observability layer records from inside the simulation loop, so it
 	// is held to the same standard: instruments are keyed to simulated ticks
 	// and its wall-clock consumers (the progress heartbeat and the live
@@ -58,7 +61,7 @@ var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flag wall-clock reads, math/rand, order-sensitive map iteration and multi-ready selects " +
-		"in the simulation packages (internal/{sim,dram,memctrl,shadow,mitigate,trace,exp,obs,obs/span,obs/flight})",
+		"in the simulation packages (internal/{sim,dram,memctrl,shadow,mitigate,trace,exp,hammer,obs,obs/span,obs/flight,obs/fleet})",
 	Run: runDeterminism,
 }
 

@@ -36,6 +36,13 @@ func TestDeterminismCoversSpanTracker(t *testing.T) {
 	checkFixture(t, Determinism, loadFixture(t, "spantrack", "shadow/internal/obs/span"))
 }
 
+// TestDeterminismCoversHammer checks the fault model is policed like any
+// simulation package: the hammerprobe fixture reads the global math/rand
+// source inside an Activate-shaped method.
+func TestDeterminismCoversHammer(t *testing.T) {
+	checkFixture(t, Determinism, loadFixture(t, "hammerprobe", "shadow/internal/hammer"))
+}
+
 func TestDeterminismEveryRestrictedPackage(t *testing.T) {
 	for path := range restrictedPkgs {
 		pkg := loadFixture(t, "determinism", path)

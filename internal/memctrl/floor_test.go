@@ -113,17 +113,16 @@ func forEachFloorCase(t *testing.T, fn func(t *testing.T, d *dram.Device, seed u
 	}
 }
 
-// TestFloorBoundsNextCommand checks the re-key that follows every issued
-// command on generated inputs: the key the commanded bank is filed under,
-// lowered to the arrival of every request enqueued on the bank since (as
-// dirty lowers it), must be a lower bound on the next command the phases
-// issue on that bank. Refresh commands and the PREs of a refresh drain are
-// exempt: the refresh deadline schedules them, not the bank keys (a drain
-// closes idle banks, keyed at Forever, and banks whose key waits on a row
-// hit). Every request must also be served by
-// the end of the run, so a key that is never lowered for new work fails too.
-// In the wide-tFAW case, a floor that applied ACT spacing to an RFM-due bank
-// would be too late.
+// TestFloorBoundsNextCommand checks, on generated inputs, the keys a bank is
+// filed under at the re-key that follows every command on it and at every
+// Enqueue on it: the latest such key must be a lower bound on the next
+// command the phases issue on that bank. Refresh commands and the PREs of a
+// refresh drain are exempt: the refresh deadline schedules them, not the
+// bank keys (a drain closes idle banks, keyed at Forever, and banks whose key
+// waits on a row hit). Every request must also be served by the end of the
+// run, so a key that is never lowered for new work fails too. In the
+// wide-tFAW case, a floor that applied ACT spacing to an RFM-due bank would
+// be too late.
 func TestFloorBoundsNextCommand(t *testing.T) {
 	forEachFloorCase(t, func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller {
 		bound := make([]timing.Tick, floorGeo.Banks) // 0: no bound recorded yet
@@ -141,9 +140,7 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 		}
 		c = New(d, opt)
 		driveFloorCheck(c, seed, func(r *Request) {
-			if r.Arrive < bound[r.Bank] {
-				bound[r.Bank] = r.Arrive
-			}
+			bound[r.Bank] = c.ready[r.Bank]
 		}, func(now, next timing.Tick) {
 			if commanded >= 0 {
 				bound[commanded] = c.ready[commanded]
@@ -153,6 +150,26 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 		if checked < 1000 {
 			t.Fatalf("only %d commands checked", checked)
 		}
+		return c
+	})
+}
+
+// TestLiveMaskMatchesKeys checks, after every Enqueue and Step on generated
+// inputs, that bit i of the live mask is set exactly when bank i's key is
+// below Forever: the collection pass and NextReadyAt walk only those banks.
+func TestLiveMaskMatchesKeys(t *testing.T) {
+	forEachFloorCase(t, func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller {
+		c := New(d, opt)
+		check := func(op string, now timing.Tick) {
+			for i, key := range c.ready {
+				if live := c.live>>uint(i)&1 == 1; live != (key < timing.Forever) {
+					t.Fatalf("after %s at %v: bank %d keyed %v, live bit %v", op, now, i, key, live)
+				}
+			}
+		}
+		driveFloorCheck(c, seed, func(r *Request) { check("Enqueue", r.Arrive) }, func(now, _ timing.Tick) {
+			check("Step", now)
+		})
 		return c
 	})
 }

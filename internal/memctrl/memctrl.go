@@ -181,8 +181,11 @@ type Controller struct {
 	// wakeup, never a missed command. A bank whose binding ACT constraint is
 	// the MC-side throttle is keyed no later than the policy's next event
 	// (BlockHammer's allowed-at moves earlier only at an epoch rotation).
+	// live has bit i set exactly when ready[i] < Forever: the banks a Step
+	// can collect. setKey, the only writer of ready, keeps it in step.
 	// bankNext and throttled are per-Step scratch.
 	ready     []timing.Tick
+	live      uint64
 	bankNext  []timing.Tick
 	throttled []bool
 	// watch, when spans are attached, marks the non-idle banks as of their
@@ -247,6 +250,7 @@ func New(dev *dram.Device, opt Options) *Controller {
 	}
 	n := dev.Banks()
 	c.ready = make([]timing.Tick, n) // all 0: the first Step classifies every bank
+	c.live = 1<<uint(n) - 1
 	for i := range c.banks {
 		c.banks[i].hit = hitUnknown
 	}
@@ -279,7 +283,9 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 func bankGroup(bank int) int { return bank / 4 }
 
 // Enqueue adds a request. It reports false when the bank queue is full (the
-// core must retry later).
+// core must retry later). A bank not yet due is filed no later than its
+// floor at the arrival, taken once the request is queued and its hit
+// recorded, so a Step at the arrival evaluates it only if it can act then.
 func (c *Controller) Enqueue(r *Request) bool {
 	if r.Bank < 0 || r.Bank >= len(c.banks) {
 		panic(fmt.Sprintf("memctrl: bank %d out of range", r.Bank))
@@ -292,7 +298,15 @@ func (c *Controller) Enqueue(r *Request) bool {
 	if b.open && b.hit == hitNone && c.mc.TranslateRow(r.Bank, r.Row) == b.openRow {
 		b.hit = len(b.queue) - 1
 	}
-	c.dirty(r.Bank, r.Arrive)
+	switch {
+	case c.spans != nil:
+		// The bank's next evaluation may change its blame cause.
+		c.dirty(r.Bank, r.Arrive)
+	case c.ready[r.Bank] > r.Arrive:
+		// A bank already due keeps its key: the next Step collects it.
+		// Any other is filed at its floor.
+		c.setKey(r.Bank, minTick(c.ready[r.Bank], c.floor(r.Bank, r.Arrive)))
+	}
 	c.depthHist.Observe(int64(len(b.queue)))
 	if c.spans != nil {
 		r.Span = c.spans.Start(r.Core, r.Bank, r.Row, r.Write, r.Arrive)
@@ -376,11 +390,13 @@ func (c *Controller) settled(now, keys timing.Tick) timing.Tick {
 
 // stepEvent runs phases 2-4 over only the banks that could act: every bank
 // whose key has arrived, plus the watched banks under spans. One ascending
-// pass collects them into a mask while folding the other banks' keys into
-// their minimum. Each phase walks the mask in ascending bank order
-// before the next phase starts, which decides which command issues when
-// several are legal at the same tick: RFM before TRR before demand, lower
-// bank first.
+// pass over the live banks collects them into a mask while folding the other
+// live banks' keys into their minimum. Each phase walks the mask in
+// ascending bank order before the next phase starts, which decides which
+// command issues when several are legal at the same tick: RFM before TRR
+// before demand, lower bank first. The RFM phase visits only the due banks
+// whose RFM it would not defer (rfmWanted) and the TRR phase only those
+// with TRR work; neither phase has anything to do on the others.
 func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
 	// The MC-side policy's own timer (BlockHammer's filter-epoch rotation,
 	// which releases throttled rows) bounds the next Step, so a release is
@@ -388,11 +404,13 @@ func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
 	event := c.mc.NextEventAt(now)
 	var due uint64
 	rest := timing.Forever
-	for i, t := range c.ready {
+	for m := c.live; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		t := c.ready[i]
 		// d is 1 when the key has arrived (t <= now): the sign bit of now-t,
 		// inverted. It cannot overflow: now >= 0 and 0 <= t <= Forever.
 		d := uint64(now-t)>>63 ^ 1
-		due |= d << (uint(i) & 63)
+		due |= d << uint(i)
 		// A collected key joins the bound through its bank's evaluation
 		// instead: fold Forever in its place.
 		rest = minTick(rest, (t|timing.Tick(-int64(d)))&timing.Forever)
@@ -401,6 +419,9 @@ func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
 	// Refresh is not draining here (Step returned if it were), so its
 	// deadline is still ahead.
 	keys := minTick(rest, c.nextRefreshAt)
+	if due == 0 {
+		return maxTick(minTick(keys, event), c.settled(now, keys))
+	}
 	for m := due; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		c.bankNext[i] = timing.Forever
@@ -408,6 +429,9 @@ func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
 	}
 	for m := due; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
+		if !c.rfmWanted(i) {
+			continue
+		}
 		t, issued := c.tryRFM(now, i)
 		if issued {
 			return c.issuedDuringScan(now, due, 0, keys)
@@ -416,6 +440,9 @@ func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
 	}
 	for m := due; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
+		if !c.banks[i].trrPending() {
+			continue
+		}
 		t, issued := c.tryTRR(now, i)
 		if issued {
 			return c.issuedDuringScan(now, due, 0, keys)
@@ -456,7 +483,7 @@ func (c *Controller) recacheBank(i int, now timing.Tick) {
 	if c.throttled[i] {
 		t = minTick(t, c.mc.NextEventAt(now))
 	}
-	c.ready[i] = t
+	c.setKey(i, t)
 	if c.spans != nil {
 		bit := uint64(1) << uint(i)
 		if c.bankIdle(i) {
@@ -517,25 +544,38 @@ func (c *Controller) Volatile() bool { return false }
 // that check Step against it.
 func (c *Controller) NextReadyAt(now timing.Tick) timing.Tick {
 	next := c.nextRefreshAt
-	for _, t := range c.ready {
-		next = minTick(next, t)
+	for m := c.live; m != 0; m &= m - 1 {
+		next = minTick(next, c.ready[bits.TrailingZeros64(m)])
 	}
 	return c.settled(now, next)
 }
 
-// dirty lowers a bank's cached readiness to time at. Enqueue calls it: a new
-// request can make the bank actionable at its arrival. Events that only RAISE
-// times (other banks' ACT/column spacing, all-bank REF, swap blocking) need
-// no invalidation: the cached lower bound stays valid and costs at most one
-// extra behavior-neutral wakeup. A command on the bank itself re-keys it
-// (rekey).
+// setKey files bank i under readiness key t and keeps live in step. Every
+// write of ready goes through it.
+func (c *Controller) setKey(i int, t timing.Tick) {
+	c.ready[i] = t
+	bit := uint64(1) << uint(i)
+	if t < timing.Forever {
+		c.live |= bit
+	} else {
+		c.live &^= bit
+	}
+}
+
+// dirty lowers a bank's cached readiness to time at, so that its next Step
+// evaluates it. Under spans, Enqueue and every command call it on the banks
+// whose blame cause may move; without spans Enqueue files the bank at its
+// floor instead. Events that only RAISE times (other banks' ACT/column
+// spacing, all-bank REF, swap blocking) need no invalidation: the cached
+// lower bound stays valid and costs at most one extra behavior-neutral
+// wakeup.
 //
 // The key is lowered to the event time, never raised: every future Step runs
 // at now >= at, so the bank is collected on the very next evaluation either
 // way.
 func (c *Controller) dirty(bank int, at timing.Tick) {
 	if c.ready[bank] > at {
-		c.ready[bank] = at
+		c.setKey(bank, at)
 	}
 }
 
@@ -556,14 +596,15 @@ func (c *Controller) rekey(i int, now timing.Tick) {
 		c.dirty(i, now)
 		return
 	}
-	c.ready[i] = c.floor(i, now)
+	c.setKey(i, c.floor(i, now))
 }
 
 // floor returns a lower bound on the next command the phases can issue on
 // bank i, from the bank's and the channel's timing state as they stand.
 // Every input only rises until the bank's next command or, for an idle bank
-// and an open bank's hit, its next Enqueue (which lowers the key to the
-// arrival), so the bound holds until then:
+// and an open bank's hit, its next Enqueue (which leaves a due bank due and
+// files any other no later than its floor at the arrival), so the bound
+// holds until then:
 //
 //   - idle (bankIdle): Forever, since every phase returns Forever for it;
 //   - open, in the simple state (open page, raa < RAAIMT, no TRR queued or
@@ -583,13 +624,13 @@ func (c *Controller) floor(i int, now timing.Tick) timing.Tick {
 		return timing.Forever
 	}
 	b := &c.banks[i]
-	rfmDue := c.p.RAAIMT > 0 && b.raa >= c.p.RAAIMT
+	rfmDue := c.rfmDue(i)
 	if rfmDue && c.opt.RFMFilter != nil {
 		return now
 	}
 	d := c.dev.Bank(i)
 	if b.open {
-		if !rfmDue && len(b.trr) == 0 && !b.trrOpen && !c.opt.ClosedPage {
+		if !rfmDue && !b.trrPending() && !c.opt.ClosedPage {
 			if req, _ := c.oldestHit(i); req == nil {
 				return d.NextPREReady()
 			}
@@ -619,7 +660,7 @@ func (c *Controller) actSpacingAt(i int) timing.Tick {
 // no command on it can be legal earlier and the lift cannot skip work.
 func (c *Controller) liftBusy(bank int, until timing.Tick) {
 	if c.ready[bank] < until {
-		c.ready[bank] = until
+		c.setKey(bank, until)
 	}
 }
 
@@ -629,14 +670,36 @@ func (c *Controller) liftBusy(bank int, until timing.Tick) {
 // every scheduling phase returns Forever for them without side effects.
 func (c *Controller) bankIdle(i int) bool {
 	b := &c.banks[i]
-	return len(b.queue) == 0 && len(b.trr) == 0 && !b.trrOpen &&
-		!(c.opt.ClosedPage && b.open) &&
-		!(c.p.RAAIMT > 0 && b.raa >= c.p.RAAIMT)
+	return len(b.queue) == 0 && !b.trrPending() &&
+		!(c.opt.ClosedPage && b.open) && !c.rfmDue(i)
+}
+
+// rfmDue reports that bank i's RAA counter has reached RAAIMT: the RFM phase
+// has work for it.
+func (c *Controller) rfmDue(i int) bool {
+	return c.p.RAAIMT > 0 && c.banks[i].raa >= c.p.RAAIMT
+}
+
+// rfmWanted reports that the RFM phase has work for bank i: an RFM is due,
+// and either no demand is queued or the counter could pass RAAMMT within
+// another RAAIMT ACTs. Otherwise the RFM is deferred (see tryRFM) and demand
+// continues; a later Step retries once the queue drains or the counter grows
+// urgent.
+func (c *Controller) rfmWanted(i int) bool {
+	b := &c.banks[i]
+	return c.rfmDue(i) && (len(b.queue) == 0 || b.raa+c.p.RAAIMT > c.p.RAAMMT)
+}
+
+// trrPending reports that the bank has MC-side TRR work queued or a TRR
+// activation to close: the TRR phase has work for it.
+func (b *bankCtl) trrPending() bool {
+	return b.trrOpen || len(b.trr) > 0
 }
 
 // tryTRR advances a bank's pending MC-side target-row-refreshes: close the
 // bank if needed, activate the victim (restoring its charge), and precharge
 // again. TRR activations count toward the RAA counter like any other ACT.
+// The TRR phase calls it only for a bank with TRR work (trrPending).
 func (c *Controller) tryTRR(now timing.Tick, i int) (timing.Tick, bool) {
 	b := &c.banks[i]
 	if b.trrOpen {
@@ -649,9 +712,6 @@ func (c *Controller) tryTRR(now timing.Tick, i int) (timing.Tick, bool) {
 		c.precharge(i, now)
 		c.spans.SetCause(i, now, span.CauseTRR)
 		return now, true
-	}
-	if len(b.trr) == 0 {
-		return timing.Forever, false
 	}
 	if b.open {
 		t := c.dev.Bank(i).NextPREReady()
@@ -823,18 +883,10 @@ func (c *Controller) tryDrainColumns(now timing.Tick) timing.Tick {
 // tryRFM issues a pending RFM for bank i. Per JEDEC the MC may defer the RFM
 // while the RAA counter stays below RAAMMT, so we issue opportunistically
 // when the bank is idle and only force it (stalling ACTs) when the counter
-// could overrun within another interval. Returns (nextTime, issued).
+// could overrun within another interval. Returns (nextTime, issued). The RFM
+// phase calls it only for a bank whose RFM is not deferred (rfmWanted).
 func (c *Controller) tryRFM(now timing.Tick, i int) (timing.Tick, bool) {
 	b := &c.banks[i]
-	if c.p.RAAIMT <= 0 || b.raa < c.p.RAAIMT {
-		return timing.Forever, false
-	}
-	urgent := b.raa+c.p.RAAIMT > c.p.RAAMMT
-	if !urgent && len(b.queue) > 0 {
-		// Defer: demand traffic continues; a later Step retries when the
-		// queue drains or the counter grows urgent.
-		return timing.Forever, false
-	}
 	// Section VIII filter: skip the RFM when no row is hot.
 	if c.opt.RFMFilter != nil && !c.opt.RFMFilter.ShouldRFM(i, now) {
 		b.raa -= c.p.RAAIMT
