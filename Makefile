@@ -11,9 +11,10 @@ test:
 race:
 	go test -race ./...
 
-# The concurrency-focused race lane: just the packages that spawn
-# goroutines (exp sweep workers, the obs inspector). Run it, and `make
-# vet` for go vet's lock-copy check, when touching anything concurrent.
+# The concurrency-focused race lane: just the packages whose state many
+# goroutines share (exp sweep workers, the fleet collector they and the
+# -inspect HTTP handlers call). Run it, and `make vet` for go vet's
+# lock-copy check, when touching anything concurrent.
 race-focused:
 	go test -race ./internal/exp/... ./internal/obs/...
 

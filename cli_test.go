@@ -87,9 +87,9 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 
 // TestCLIOutputFiles pins the output path both CLIs share: an error exit
 // still completes the pprof profiles, and the metrics, trace and flight
-// files of a short run are JSON documents. It also drives shadowexp's own
-// fleet wiring: a parallel fig8 sweep's -fleet-out roll-up accounts for
-// every point.
+// files of a short run are JSON documents. It also drives shadowexp's
+// inspector wiring: the -fleet-out status document of a parallel and of a
+// sequential fig8 sweep accounts for every point.
 func TestCLIOutputFiles(t *testing.T) {
 	dir := t.TempDir()
 	buildCLIs(t, dir)
@@ -108,44 +108,55 @@ func TestCLIOutputFiles(t *testing.T) {
 		}
 	})
 
-	t.Run("fleet-out", func(t *testing.T) {
-		out := filepath.Join(dir, "fleet.json")
-		args := []string{"-experiment", "fig8", "-duration-us", "20", "-workers", "2", "-fleet-out", out}
-		if code, stderr := runCLI(t, dir, "shadowexp", args...); code != 0 {
-			t.Fatalf("shadowexp %v: exit status %d\n%s", args, code, stderr)
-		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fj struct {
-			Workers        int `json:"workers"`
-			PointsExpected int `json:"points_expected"`
-			PointsDone     int `json:"points_done"`
-			Watchdog       any `json:"watchdog"`
-			Completed      []struct {
-				Point   string `json:"point"`
-				CmdHash string `json:"cmd_hash"`
-			} `json:"completed"`
-		}
-		if err := json.Unmarshal(data, &fj); err != nil {
-			t.Fatalf("fleet.json is not JSON: %v", err)
-		}
-		if fj.PointsExpected <= 0 || fj.PointsDone != fj.PointsExpected {
-			t.Errorf("points_done %d, points_expected %d: want equal and positive", fj.PointsDone, fj.PointsExpected)
-		}
-		if fj.Watchdog != nil {
-			t.Errorf("watchdog tripped on a healthy sweep: %v", fj.Watchdog)
-		}
-		if fj.Workers != 2 {
-			t.Errorf("workers = %d, want 2", fj.Workers)
-		}
-		for _, rec := range fj.Completed {
-			if rec.CmdHash == "" || rec.CmdHash == "0x0000000000000000" {
-				t.Errorf("completed point %s has no command hash", rec.Point)
+	// The parallel lane hands each fan-out worker its own recorder; the
+	// sequential one (-flight forces it) ingests the shared recorder as w0.
+	for _, lane := range []struct {
+		name    string
+		args    []string
+		workers int
+	}{
+		{"fleet-out", []string{"-workers", "2"}, 2},
+		{"fleet-out sequential", []string{"-flight", "64"}, 1},
+	} {
+		t.Run(lane.name, func(t *testing.T) {
+			out := filepath.Join(dir, "fleet.json")
+			args := append([]string{"-experiment", "fig8", "-duration-us", "20", "-fleet-out", out}, lane.args...)
+			if code, stderr := runCLI(t, dir, "shadowexp", args...); code != 0 {
+				t.Fatalf("shadowexp %v: exit status %d\n%s", args, code, stderr)
 			}
-		}
-	})
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fj struct {
+				Workers        int `json:"workers"`
+				PointsExpected int `json:"points_expected"`
+				PointsDone     int `json:"points_done"`
+				Watchdog       any `json:"watchdog"`
+				Completed      []struct {
+					Point   string `json:"point"`
+					CmdHash string `json:"cmd_hash"`
+				} `json:"completed"`
+			}
+			if err := json.Unmarshal(data, &fj); err != nil {
+				t.Fatalf("fleet.json is not JSON: %v", err)
+			}
+			if fj.PointsExpected <= 0 || fj.PointsDone != fj.PointsExpected {
+				t.Errorf("points_done %d, points_expected %d: want equal and positive", fj.PointsDone, fj.PointsExpected)
+			}
+			if fj.Watchdog != nil {
+				t.Errorf("watchdog tripped on a healthy sweep: %v", fj.Watchdog)
+			}
+			if fj.Workers != lane.workers {
+				t.Errorf("workers = %d, want %d", fj.Workers, lane.workers)
+			}
+			for _, rec := range fj.Completed {
+				if rec.CmdHash == "" || rec.CmdHash == "0x0000000000000000" {
+					t.Errorf("completed point %s has no command hash", rec.Point)
+				}
+			}
+		})
+	}
 
 	runs := map[string][]string{
 		"shadowsim": {"-duration-us", "5"},

@@ -12,9 +12,11 @@
 // With -trace-out or -metrics-out, every scheme run of the selected
 // experiments records into one shadowscope recorder (one Perfetto track per
 // operating point); probing forces the point sweep to run sequentially.
-// These outputs, -flight-out, the -inspect live inspector and the profiles
-// go through internal/cli, the output path shadowsim shares, and print
-// their status lines on stderr so stdout carries only the tables.
+// These outputs, -flight-out and the profiles go through internal/cli, the
+// output path shadowsim shares, and print their status lines on stderr so
+// stdout carries only the tables. The -inspect live inspector and
+// -fleet-out observe the sweep through one fleet collector, which keeps it
+// parallel.
 package main
 
 import (
@@ -47,10 +49,9 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the metrics dump as JSON (forces sequential points)")
 	progress := flag.Bool("progress", false, "print per-experiment progress lines to stderr")
 	blame := flag.Bool("blame", false, "print a shadowtap stall-blame table covering every scheme run (forces sequential points)")
-	inspect := flag.String("inspect", "", "serve a live run inspector on this address (forces sequential points)")
+	inspect := flag.String("inspect", "", "serve the live inspector on this address (keeps the sweep parallel; live blame needs -blame)")
 	workers := flag.Int("workers", 0, "concurrent operating points per sweep (0 = GOMAXPROCS; probing flags still force 1)")
-	fleetInspect := flag.String("fleet-inspect", "", "serve the shadowfleet dashboard on this address (keeps the sweep parallel)")
-	fleetOut := flag.String("fleet-out", "", "write the final fleet.json roll-up to this file at exit")
+	fleetOut := flag.String("fleet-out", "", "write the inspector's final status document to this file at exit")
 	flightCap := flag.Int("flight", 0, "flight recorder capacity in events (0 disables; forces sequential points)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump to this JSON file at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the harness")
@@ -85,14 +86,14 @@ func main() {
 	}
 
 	// Span tracking: one collector per scheme run, accumulated in label
-	// order. SpansFor/Progress force Workers=1, so spanRuns and the
-	// inspector sources are only touched from this goroutine.
+	// order. SpansFor forces Workers=1, so spanRuns is only touched from one
+	// goroutine at a time.
 	type spanRun struct {
 		label string
 		col   *span.Collector
 	}
 	var spanRuns []spanRun
-	if *blame || *inspect != "" {
+	if *blame {
 		o.SpansFor = func(label string) *span.Collector {
 			col := span.NewCollector(0)
 			spanRuns = append(spanRuns, spanRun{label: label, col: col})
@@ -110,85 +111,28 @@ func main() {
 		}
 		return rows
 	}
-	var ins *obs.Inspector
-	stopInspector := func() {}
-	if *inspect != "" {
-		ins, stopInspector = cli.StartInspector(*inspect, rec, watch, blameRows)
-		o.Progress = ins.Observe
-	}
 
-	// Watchdog checks ride the progress callback (which forces sequential
-	// points, so the span collectors are only read from this goroutine).
-	// Flips are deliberately NOT watched here: several experiments measure
-	// corruption on purpose, so a flip is data, not an anomaly.
-	if ring != nil {
-		prev := o.Progress
-		o.Progress = func(label string, now, total timing.Tick) {
-			if prev != nil {
-				prev(label, now, total)
-			}
-			watch.Check(now)
-		}
-	}
-
-	// Fleet observability (shadowfleet): unlike -inspect, the fleet hooks do
-	// NOT force the sweep sequential — every fan-out worker gets its own
-	// recorder (only ever touched from that worker's goroutine) and hands it
-	// to the internally-locked collector, which snapshots it on that same
-	// goroutine.
 	var fleetCol *fleet.Collector
-	stopFleet := func() {}
-	if *fleetInspect != "" || *fleetOut != "" {
+	stopInspector := func() {}
+	if *inspect != "" || *fleetOut != "" {
 		fleetCol = fleet.NewCollector(time.Now)
 		fleetCol.Watch().OnTrip(func(tr flight.Trip) {
 			fmt.Fprintf(os.Stderr, "fleet watchdog %s tripped: %s\n", tr.Watchdog, tr.Detail)
 		})
-		maxWorkers := o.Workers
-		if maxWorkers <= 0 {
-			maxWorkers = runtime.GOMAXPROCS(0)
+		var src fleet.Sources
+		if *blame {
+			src.Blame = func() []byte { return report.BlameJSON(blameRows()) }
 		}
-		// Per-worker recorders, indexed by the stable fan-out worker id; slot
-		// w is only ever touched from worker w's goroutine.
-		workerRecs := make([]*obs.Recorder, maxWorkers)
-		wid := func(worker int) string { return fmt.Sprintf("w%d", worker) }
-		ingestWorker := func(worker int) {
-			if worker < len(workerRecs) && workerRecs[worker] != nil {
-				fleetCol.Ingest(wid(worker), workerRecs[worker].Metrics())
-			}
+		if ring != nil {
+			src.Flight = watch
 		}
-		if o.ProbeFor == nil {
-			// -trace-out/-metrics-out own the probes (and force the sweep
-			// sequential); without them each worker records its own metrics.
-			o.WorkerProbe = func(worker int, label string) *obs.Probe {
-				if worker < len(workerRecs) && workerRecs[worker] == nil {
-					workerRecs[worker] = obs.NewRecorder(obs.Options{Metrics: true})
-				}
-				if worker < len(workerRecs) {
-					return workerRecs[worker].NewTrack(label)
-				}
-				return nil
-			}
-		}
-		o.OnPointsPlanned = fleetCol.ExpectPoints
-		o.OnPointStart = func(worker int, label, scheme string, seed uint64) {
-			fleetCol.PointStart(wid(worker), label, scheme, seed)
-		}
-		o.OnPointProgress = func(worker int, label string, now, total timing.Tick) {
-			if fleetCol.PointProgress(wid(worker), label, now, total) {
-				ingestWorker(worker)
-				fleetCol.Tick()
-			}
-		}
-		o.OnPointDone = func(worker int, label, scheme string, seed, cmdHash uint64, rel float64) {
-			fleetCol.PointDone(wid(worker), label, scheme, seed, cmdHash)
-			ingestWorker(worker)
-			fleetCol.Tick()
-		}
-		if *fleetInspect != "" {
-			var err error
-			stopFleet, err = cli.Serve("fleet", *fleetInspect, fleetCol.Handler())
-			cli.ExitOn(err)
-		}
+		fleetCol.SetSources(src)
+	}
+	observe(&o, fleetCol, rec, watch)
+	if *inspect != "" {
+		var err error
+		stopInspector, err = cli.Serve("inspector", *inspect, fleetCol.Handler())
+		cli.ExitOn(err)
 	}
 
 	type result struct {
@@ -261,30 +205,83 @@ func main() {
 		}
 	}
 
-	ins.Done()
 	if *blame {
 		fmt.Println()
 		fmt.Print(report.BlameTable("stall blame by scheme run (percent of resident time per cause)", blameRows()))
 	}
 	cli.ExitOn(cli.WriteObs(rec, *traceOut, *metricsOut))
 	cli.ExitOn(cli.WriteFlightFile(watch, *flightOut))
-	stopInspector()
-	if fleetCol != nil {
-		fleetCol.Tick() // final trends + watchdog pass before the last snapshot
-		if *fleetOut != "" {
-			cli.ExitOn(os.WriteFile(*fleetOut, fleetCol.MarshalFleet(), 0o644))
-			fmt.Fprintf(os.Stderr, "fleet: roll-up -> %s\n", *fleetOut)
-		}
+	fleetCol.Tick() // final trends + watchdog pass before the last snapshot
+	if *fleetOut != "" {
+		cli.ExitOn(os.WriteFile(*fleetOut, fleetCol.MarshalFleet(), 0o644))
+		fmt.Fprintf(os.Stderr, "fleet: status -> %s\n", *fleetOut)
 	}
-	stopFleet()
+	stopInspector()
 	if watch.Tripped() != nil {
 		cli.Exit(1)
 	}
-	// A fleet divergence trip is a correctness violation (same point+seed
-	// hashed differently on two workers) and fails the run; straggler and
-	// stalled-worker trips are performance anomalies — reported on stderr,
-	// the dashboard, and fleet.json, but not fatal.
-	if tr := fleetCol.Watch().Tripped(); tr != nil && tr.Watchdog == "fleet-divergence" {
+	// A divergence (same point+seed hashed differently on two workers) is a
+	// correctness violation and fails the run, whichever fleet watchdog
+	// tripped first; straggler and stalled-worker trips are performance
+	// anomalies — reported on stderr, the dashboard, and the status
+	// document, but not fatal.
+	if d := fleetCol.Divergence(); d != "" {
+		fmt.Fprintf(os.Stderr, "fleet: divergence: %s\n", d)
 		cli.Exit(1)
+	}
+}
+
+// observe wires the sweep's point hooks into the fleet collector (nil for
+// none) and the flight watch's checks into its progress. Each fan-out worker
+// records into its own recorder, touched only on its goroutine, so the sweep
+// stays parallel; when ProbeFor owns the probes the sweep is sequential and
+// its shared recorder rec is worker w0's. A flight ring forces that
+// sequential sweep too, which the watch needs: it is not safe for
+// concurrent use.
+func observe(o *exp.RunOpts, col *fleet.Collector, rec *obs.Recorder, watch *flight.Watch) {
+	ring := watch.Ring()
+	if col == nil && ring == nil {
+		return
+	}
+	maxWorkers := o.Workers
+	if maxWorkers <= 0 {
+		maxWorkers = runtime.GOMAXPROCS(0)
+	}
+	recs := make([]*obs.Recorder, maxWorkers)
+	if rec != nil {
+		recs[0] = rec
+	} else if col != nil {
+		o.WorkerProbe = func(worker int, label string) *obs.Probe {
+			if recs[worker] == nil {
+				recs[worker] = obs.NewRecorder(obs.Options{Metrics: true})
+			}
+			return recs[worker].NewTrack(label)
+		}
+	}
+	wid := func(worker int) string { return fmt.Sprintf("w%d", worker) }
+	refresh := func(worker int) {
+		col.Ingest(wid(worker), recs[worker])
+		col.Tick()
+	}
+	o.OnPointProgress = func(worker int, label string, now, total timing.Tick) {
+		if col.PointProgress(wid(worker), label, now, total) {
+			refresh(worker)
+		}
+		if ring != nil {
+			// Flips are deliberately NOT watched here: several experiments
+			// measure corruption on purpose, so a flip is data, not an anomaly.
+			watch.Check(now)
+		}
+	}
+	if col == nil {
+		return
+	}
+	o.OnPointsPlanned = col.ExpectPoints
+	o.OnPointStart = func(worker int, label, scheme string, seed uint64) {
+		col.PointStart(wid(worker), label, scheme, seed)
+	}
+	o.OnPointDone = func(worker int, label, scheme string, seed, cmdHash uint64, rel float64) {
+		col.PointDone(wid(worker), label, scheme, seed, cmdHash)
+		refresh(worker)
 	}
 }

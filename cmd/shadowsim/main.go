@@ -9,10 +9,11 @@
 //	shadowsim -scheme shadow -trace-out t.json -metrics-out m.json -timeline
 //	shadowsim -list   # show available workloads, schemes, and attacks
 //
-// The observability outputs (-trace-out, -metrics-out, -flight-out, the
-// -inspect live inspector, -cpuprofile/-memprofile) go through
-// internal/cli, the output path shadowexp shares; their status lines print
-// on stderr.
+// The observability outputs (-trace-out, -metrics-out, -flight-out,
+// -cpuprofile/-memprofile) go through internal/cli, the output path
+// shadowexp shares; their status lines print on stderr. The -inspect live
+// inspector is the fleet collector shadowexp serves, over a one-worker,
+// one-point fleet.
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"shadow/internal/hammer"
 	"shadow/internal/memctrl"
 	"shadow/internal/obs"
+	"shadow/internal/obs/fleet"
 	"shadow/internal/obs/flight"
 	"shadow/internal/obs/span"
 	"shadow/internal/report"
@@ -63,7 +65,7 @@ func main() {
 	timeline := flag.Bool("timeline", false, "print time-series strip charts after the run")
 	progress := flag.Bool("progress", false, "print a stderr progress heartbeat")
 	blame := flag.Bool("blame", false, "print the shadowtap stall-blame breakdown after the run")
-	inspect := flag.String("inspect", "", "serve a live run inspector on this address (e.g. :8080)")
+	inspect := flag.String("inspect", "", "serve the live inspector on this address (e.g. :8080)")
 	flightCap := flag.Int("flight", flight.DefaultCapacity, "flight recorder capacity in events (0 disables the always-on flight lane)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump (event window + watchdog trip) to this JSON file at exit")
 	stallP99US := flag.Int64("stall-p99-us", 0, "arm the stall-spike watchdog: trip when the p99 request stall over the trailing window exceeds this many simulated microseconds (0 disables)")
@@ -204,17 +206,38 @@ func main() {
 		}
 	}
 
-	var ins *obs.Inspector
+	// The live inspector sees the run as worker w0 of a one-point fleet.
+	var insp *fleet.Collector
+	var cmdHash *flight.CmdHash
 	stopInspector := func() {}
 	if *inspect != "" {
-		ins, stopInspector = cli.StartInspector(*inspect, rec, watch, blameRows)
+		insp = fleet.NewCollector(time.Now)
+		insp.SetSources(fleet.Sources{
+			Blame:  func() []byte { return report.BlameJSON(blameRows()) },
+			Flight: watch,
+		})
+		var err error
+		stopInspector, err = cli.Serve("inspector", *inspect, insp.Handler())
+		cli.ExitOn(err)
+		insp.ExpectPoints(1)
+		insp.PointStart("w0", label, *scheme, *seed)
+		cmdHash = flight.NewCmdHash()
+		observeCmd := onCmd
+		onCmd = func(ch int, c memctrl.Cmd) {
+			if observeCmd != nil {
+				observeCmd(ch, c)
+			}
+			cmdHash.Note(int(c.Kind), c.Bank, c.Row, c.At)
+		}
 		tick := progressFn
-		total := o.Duration
 		progressFn = func(now timing.Tick) {
 			if tick != nil {
 				tick(now)
 			}
-			ins.Observe(label, now, total)
+			if insp.PointProgress("w0", label, now, o.Duration) {
+				insp.Ingest("w0", rec)
+				insp.Tick()
+			}
 		}
 	}
 
@@ -229,11 +252,13 @@ func main() {
 		Progress:  progressFn,
 	})
 	hb.Done()
-	ins.Done()
 	cli.ExitOn(err)
 	// Final watchdog pass at run end: conservation over the complete span
 	// aggregate, flips from the last progress interval.
 	watch.Check(o.Duration)
+	insp.PointDone("w0", label, *scheme, *seed, cmdHash.Sum())
+	insp.Ingest("w0", rec)
+	insp.Tick()
 
 	fmt.Printf("scheme=%s workload=%s grade=%v hcnt=%d blast=%d duration=%v\n",
 		*scheme, *workload, g, *hcnt, *blast, o.Duration)

@@ -55,7 +55,7 @@ var layerImports = map[string][]string{
 		"obs/span", "power", "report", "rng", "security", "shadow", "sim", "timing", "trace"},
 
 	// The command-line tools' shared output path: profiles, exits, HTTP
-	// serving, and the recorder, inspector, and flight-file wiring.
+	// serving, and the recorder and flight-file wiring.
 	"cli": {"obs", "obs/flight", "report"},
 }
 

@@ -1,6 +1,6 @@
 // Package cli is the output path the simulator's command-line tools share:
 // usage errors and exits that stop the pprof profiles first, the background
-// HTTP servers, the live run inspector, and the trace, metrics, and
+// HTTP server the live inspector runs on, and the trace, metrics, and
 // flight-recorder files. cmd/shadowsim and cmd/shadowexp both call it, so
 // each observability behaviour has one implementation; cmd/shadowvet writes
 // its reports through WriteFile.
@@ -25,7 +25,6 @@ import (
 
 	"shadow/internal/obs"
 	"shadow/internal/obs/flight"
-	"shadow/internal/report"
 )
 
 // profiles is the profiling state. runtime/pprof's CPU profile is
@@ -121,22 +120,6 @@ func Serve(name, addr string, h http.Handler) (stop func(), err error) {
 		}
 		fmt.Fprintf(os.Stderr, "%s: shut down\n", name)
 	}, nil
-}
-
-// StartInspector serves a live run inspector on addr over the recorder (nil
-// when nothing records), the flight watch, and the rolling blame rows. The
-// caller drives the returned inspector from its progress callback, calls
-// Done after the run, then stops the server.
-func StartInspector(addr string, rec *obs.Recorder, watch *flight.Watch, blame func() []report.BlameRow) (*obs.Inspector, func()) {
-	ins := obs.NewInspector(time.Now)
-	ins.SetSources(obs.InspectorSources{
-		Recorder: rec,
-		Flight:   watch,
-		Blame:    func() []byte { return report.BlameJSON(blame()) },
-	})
-	stop, err := Serve("inspector", addr, ins.Handler())
-	ExitOn(err)
-	return ins, stop
 }
 
 // NewWatch builds the flight watch over a ring of capacity events (no ring

@@ -75,8 +75,8 @@ type Device struct {
 	// timestamp flip events.
 	probe      *obs.Probe
 	flipSeries *obs.Series
-	// flipCount mirrors the flip series as a plain counter so the Inspector's
-	// Prometheus exposition (counters/gauges/histograms only) can alert on
+	// flipCount mirrors the flip series as a plain counter so the live
+	// inspector's Prometheus exposition (counters/gauges/histograms only) can alert on
 	// flips; series stay in the JSON dump.
 	flipCount *obs.Counter
 	cmdAt     timing.Tick

@@ -241,13 +241,9 @@ type RunOpts struct {
 	// Setting it forces Workers=1 (callers typically aggregate the
 	// collectors from one goroutine).
 	SpansFor func(label string) *span.Collector
-	// Progress, when set, receives per-run progress callbacks: the run's
-	// label, its current simulated time, and its total horizon (drives the
-	// live -inspect endpoint). Setting it forces Workers=1.
-	Progress func(label string, now, total timing.Tick)
 
-	// Fleet hooks (shadowfleet, internal/obs/fleet). Unlike ProbeFor /
-	// SpansFor / Progress these do NOT force Workers=1: the fleet collector
+	// Fleet hooks (the live inspector, internal/obs/fleet). Unlike ProbeFor /
+	// SpansFor these do NOT force Workers=1: the fleet collector
 	// synchronizes internally, and WorkerProbe hands each fan-out worker its
 	// own recorder, so the sweep keeps its full parallelism while being
 	// observed. All hooks may be called concurrently from every worker.
@@ -258,7 +254,8 @@ type RunOpts struct {
 	OnPointsPlanned func(n int)
 	// OnPointStart fires when a worker picks up an operating point.
 	OnPointStart func(worker int, label, scheme string, seed uint64)
-	// OnPointProgress mirrors Progress per worker (label, sim now/total).
+	// OnPointProgress receives a worker's progress through its point: the
+	// label, the current simulated time, and the point's total horizon.
 	OnPointProgress func(worker int, label string, now, total timing.Tick)
 	// OnPointDone fires after a point's scheme run completes, carrying the
 	// order-sensitive FNV hash of its DRAM command log (the fleet divergence
@@ -289,7 +286,7 @@ func (o RunOpts) withDefaults() RunOpts {
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.ProbeFor != nil || o.SpansFor != nil || o.Progress != nil {
+	if o.ProbeFor != nil || o.SpansFor != nil {
 		o.Workers = 1
 	}
 	return o
@@ -334,15 +331,8 @@ func runPoint(pt Point, profiles []trace.Profile, o RunOpts) (float64, *sim.Resu
 		spans = o.SpansFor(label)
 	}
 	var progress func(timing.Tick)
-	if o.Progress != nil || o.OnPointProgress != nil {
-		progress = func(now timing.Tick) {
-			if o.Progress != nil {
-				o.Progress(label, now, total)
-			}
-			if o.OnPointProgress != nil {
-				o.OnPointProgress(o.workerID, label, now, total)
-			}
-		}
+	if o.OnPointProgress != nil {
+		progress = func(now timing.Tick) { o.OnPointProgress(o.workerID, label, now, total) }
 	}
 	var cmdHash *flight.CmdHash
 	var onCommand func(ch int, cmd memctrl.Cmd)

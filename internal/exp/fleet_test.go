@@ -15,7 +15,7 @@ import (
 )
 
 // fleetSweep runs a 12-point sweep (4 schemes x 3 H_cnt values, one
-// workload) through runJobs with the full shadowfleet wiring shadowexp uses:
+// workload) through runJobs with the full inspector wiring shadowexp uses:
 // per-worker recorders handed out by WorkerProbe, point lifecycle hooks
 // feeding a Collector, and a final ingest per worker. It returns the
 // measured points and the collector.
@@ -50,7 +50,7 @@ func fleetSweep(t *testing.T, o RunOpts, col *fleet.Collector) []PerfPoint {
 		// goroutine; the recorder is never shared.
 		ingest := func(worker int) {
 			if workerRecs[worker] != nil {
-				col.Ingest(wid(worker), workerRecs[worker].Metrics())
+				col.Ingest(wid(worker), workerRecs[worker])
 			}
 		}
 		o.OnPointsPlanned = col.ExpectPoints

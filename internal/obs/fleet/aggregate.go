@@ -8,13 +8,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"shadow/internal/obs"
 	"shadow/internal/obs/flight"
 )
 
 // The aggregator: merges every worker's metric snapshot into one
-// fleet-level exposition and one fleet.json roll-up. All of it renders from
+// fleet-level exposition and one status document. All of it renders from
 // a single consistent snapshot taken under the Collector's mutex, and every
 // ordering is explicit (family name, then instrument name, then worker id),
 // so two renders of the same state are byte-identical.
@@ -25,19 +26,25 @@ import (
 // first path segment of its instrument name.
 const flipsSuffix = "dram/flips_total"
 
-// WorkerJSON is one entry of /fleet/workers.json.
+// WorkerJSON is one worker in the status document: its current (or last)
+// point, that point's simulated progress and rate, and its event count.
 type WorkerJSON struct {
-	ID         string       `json:"id"`
-	Point      string       `json:"point"`
-	Scheme     string       `json:"scheme,omitempty"`
-	Seed       uint64       `json:"seed"`
-	Done       bool         `json:"done"`
-	Percent    float64      `json:"percent"`
-	PointsDone int          `json:"points_done"`
-	Trend      []TrendPoint `json:"trend,omitempty"`
+	ID          string  `json:"id"`
+	Point       string  `json:"point"`
+	Scheme      string  `json:"scheme,omitempty"`
+	Seed        uint64  `json:"seed"`
+	Done        bool    `json:"done"`
+	Percent     float64 `json:"percent"`
+	SimNowPS    int64   `json:"sim_now_ps"`
+	SimTotalPS  int64   `json:"sim_total_ps"`
+	SimUSPerSec float64 `json:"sim_us_per_sec"`
+	ElapsedSec  float64 `json:"elapsed_sec"`
+	Events      int64   `json:"events"`
+	PointsDone  int     `json:"points_done"`
 }
 
-// FleetJSON is the /fleet.json roll-up.
+// FleetJSON is the status document: /status.json, and the file -fleet-out
+// writes.
 type FleetJSON struct {
 	Workers         int              `json:"workers"`
 	PointsExpected  int              `json:"points_expected"`
@@ -45,12 +52,13 @@ type FleetJSON struct {
 	ProgressPercent float64          `json:"progress_percent"`
 	ETASeconds      float64          `json:"eta_seconds"`
 	Watchdog        *flight.Trip     `json:"watchdog,omitempty"`
+	Divergence      string           `json:"divergence,omitempty"`
 	FlipsPerScheme  map[string]int64 `json:"flips_per_scheme"`
 	Completed       []PointRecord    `json:"completed"`
 	WorkerList      []WorkerJSON     `json:"worker_list"`
 }
 
-// Fleet builds the /fleet.json snapshot.
+// Fleet builds the status document.
 func (c *Collector) Fleet() FleetJSON {
 	if c == nil {
 		return FleetJSON{FlipsPerScheme: map[string]int64{}}
@@ -64,43 +72,38 @@ func (c *Collector) Fleet() FleetJSON {
 		ProgressPercent: c.progressPctLocked(),
 		ETASeconds:      c.etaSecondsLocked(),
 		Watchdog:        c.watch.Tripped(),
+		Divergence:      c.divergent,
 		FlipsPerScheme:  c.flipsPerSchemeLocked(),
 		Completed:       append([]PointRecord(nil), c.completed...),
 	}
+	wall := c.clock()
 	for _, id := range c.workerIDsLocked() {
-		fj.WorkerList = append(fj.WorkerList, c.workerJSONLocked(id, false))
+		fj.WorkerList = append(fj.WorkerList, c.workerJSONLocked(id, wall))
 	}
 	return fj
 }
 
-// WorkersJSON builds the /fleet/workers.json payload: every registered
-// worker, sorted by id, each with its recent progress trend for sparklines.
-func (c *Collector) WorkersJSON() []WorkerJSON {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []WorkerJSON
-	for _, id := range c.workerIDsLocked() {
-		out = append(out, c.workerJSONLocked(id, true))
-	}
-	return out
-}
-
-func (c *Collector) workerJSONLocked(id string, withTrend bool) WorkerJSON {
+func (c *Collector) workerJSONLocked(id string, wall time.Time) WorkerJSON {
 	w := c.workers[id]
-	wj := WorkerJSON{
-		ID:         id,
-		Point:      w.point,
-		Scheme:     w.scheme,
-		Seed:       w.seed,
-		Done:       w.done,
-		Percent:    w.progressPct(),
-		PointsDone: w.pointsDone,
+	now := w.now
+	if w.done {
+		now, wall = w.total, w.doneAt
 	}
-	if withTrend {
-		wj.Trend = c.store.Trend("worker/" + id + "/progress")
+	wj := WorkerJSON{
+		ID:          id,
+		Point:       w.point,
+		Scheme:      w.scheme,
+		Seed:        w.seed,
+		Done:        w.done,
+		Percent:     w.progressPct(),
+		SimNowPS:    int64(now),
+		SimTotalPS:  int64(w.total),
+		SimUSPerSec: w.rate,
+		Events:      w.events,
+		PointsDone:  w.pointsDone,
+	}
+	if !w.startedAt.IsZero() {
+		wj.ElapsedSec = wall.Sub(w.startedAt).Seconds()
 	}
 	return wj
 }
@@ -139,10 +142,13 @@ func (c *Collector) flipsPerSchemeLocked() map[string]int64 {
 	return flips
 }
 
-// WriteMetrics renders the merged fleet exposition (/fleet/metrics):
+// WriteMetrics renders the merged fleet exposition (/metrics):
 //
 //	shadow_fleet_* roll-up gauges (workers, points, progress, ETA)
 //	shadow_fleet_flips_total{scheme=...}
+//	shadow_fleet_worker_*{worker,point} — each worker's current point:
+//	    progress, simulated time, rate, events, done
+//	shadow_fleet_point_*{point} — every point seen: progress, done
 //	shadow_counter/gauge/histogram_* — every worker's snapshot, written by
 //	    obs.WriteExposition with worker/scheme/point labels appended
 //	shadow_fleet_counter{name=...} — per-instrument sums across workers
@@ -160,6 +166,7 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	defer c.mu.Unlock()
 	var buf bytes.Buffer
 	c.writeRollupsLocked(&buf)
+	c.writeProgressLocked(&buf)
 	ids := c.workerIDsLocked()
 	snaps := make([]obs.Snapshot, len(ids))
 	for i, id := range ids {
@@ -184,11 +191,7 @@ func (c *Collector) writeRollupsLocked(buf *bytes.Buffer) {
 	fmt.Fprintf(buf, "# TYPE shadow_fleet_points_done gauge\nshadow_fleet_points_done %d\n", len(c.completed))
 	fmt.Fprintf(buf, "# TYPE shadow_fleet_progress_percent gauge\nshadow_fleet_progress_percent %s\n", formatValue(c.progressPctLocked()))
 	fmt.Fprintf(buf, "# TYPE shadow_fleet_eta_seconds gauge\nshadow_fleet_eta_seconds %s\n", formatValue(c.etaSecondsLocked()))
-	watchdog := 0
-	if c.watch.Tripped() != nil {
-		watchdog = 1
-	}
-	fmt.Fprintf(buf, "# TYPE shadow_fleet_watchdog_tripped gauge\nshadow_fleet_watchdog_tripped %d\n", watchdog)
+	fmt.Fprintf(buf, "# TYPE shadow_fleet_watchdog_tripped gauge\nshadow_fleet_watchdog_tripped %d\n", boolInt(c.watch.Tripped() != nil))
 	if flips := c.flipsPerSchemeLocked(); len(flips) > 0 {
 		fmt.Fprintf(buf, "# HELP shadow_fleet_flips_total Bit flips summed across workers, keyed by scheme.\n")
 		fmt.Fprintf(buf, "# TYPE shadow_fleet_flips_total counter\n")
@@ -196,6 +199,77 @@ func (c *Collector) writeRollupsLocked(buf *bytes.Buffer) {
 			fmt.Fprintf(buf, "shadow_fleet_flips_total{%s} %d\n", obs.PromLabel("scheme", scheme), flips[scheme])
 		}
 	}
+}
+
+// writeProgressLocked renders the per-worker and per-point progress
+// families. Every point seen keeps its own series — completed ones at
+// ratio 1, in-flight ones at their worker's progress — so a sweep's
+// earlier points are not clobbered by the latest.
+func (c *Collector) writeProgressLocked(buf *bytes.Buffer) {
+	ids := c.workerIDsLocked()
+	if len(ids) > 0 {
+		wall := c.clock()
+		workers := make([]WorkerJSON, len(ids))
+		for i, id := range ids {
+			workers[i] = c.workerJSONLocked(id, wall)
+		}
+		family := func(name, typ, help string, value func(WorkerJSON) string) {
+			fmt.Fprintf(buf, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+			for _, wj := range workers {
+				fmt.Fprintf(buf, "%s{%s,%s} %s\n", name, obs.PromLabel("worker", wj.ID), obs.PromLabel("point", wj.Point), value(wj))
+			}
+		}
+		family("shadow_fleet_worker_progress_ratio", "gauge", "Progress of each worker's current point.",
+			func(wj WorkerJSON) string { return formatValue(wj.Percent / 100) })
+		family("shadow_fleet_worker_sim_picoseconds", "gauge", "Simulated time of each worker's current point.",
+			func(wj WorkerJSON) string { return strconv.FormatInt(wj.SimNowPS, 10) })
+		family("shadow_fleet_worker_sim_total_picoseconds", "gauge", "Simulated horizon of each worker's current point.",
+			func(wj WorkerJSON) string { return strconv.FormatInt(wj.SimTotalPS, 10) })
+		family("shadow_fleet_worker_sim_us_per_second", "gauge", "Simulated microseconds per wall second on each worker's current point.",
+			func(wj WorkerJSON) string { return formatValue(wj.SimUSPerSec) })
+		family("shadow_fleet_worker_events_total", "counter", "Trace events each worker's recorder has captured.",
+			func(wj WorkerJSON) string { return strconv.FormatInt(wj.Events, 10) })
+		family("shadow_fleet_worker_done", "gauge", "1 when the worker has no point in flight.",
+			func(wj WorkerJSON) string { return strconv.Itoa(boolInt(wj.Done)) })
+	}
+
+	type pointState struct {
+		ratio float64
+		done  bool
+	}
+	state := map[string]pointState{}
+	for _, r := range c.completed {
+		state[r.Point] = pointState{1, true}
+	}
+	for _, id := range ids {
+		if w := c.workers[id]; !w.done && w.point != "" {
+			state[w.point] = pointState{w.progressPct() / 100, false}
+		}
+	}
+	if len(state) == 0 {
+		return
+	}
+	points := make([]string, 0, len(state))
+	for p := range state {
+		points = append(points, p) //shadowvet:ignore determinism -- sorted immediately below
+	}
+	sort.Strings(points)
+	fmt.Fprintf(buf, "# HELP shadow_fleet_point_progress_ratio Progress of every point seen; completed points read 1.\n")
+	fmt.Fprintf(buf, "# TYPE shadow_fleet_point_progress_ratio gauge\n")
+	for _, p := range points {
+		fmt.Fprintf(buf, "shadow_fleet_point_progress_ratio{%s} %s\n", obs.PromLabel("point", p), formatValue(state[p].ratio))
+	}
+	fmt.Fprintf(buf, "# TYPE shadow_fleet_point_done gauge\n")
+	for _, p := range points {
+		fmt.Fprintf(buf, "shadow_fleet_point_done{%s} %d\n", obs.PromLabel("point", p), boolInt(state[p].done))
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func sortedFlipSchemes(m map[string]int64) []string {
@@ -270,7 +344,7 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// MarshalFleet renders /fleet.json deterministically.
+// MarshalFleet renders the status document deterministically.
 func (c *Collector) MarshalFleet() []byte {
 	if c == nil {
 		return []byte("{}\n")

@@ -1,16 +1,17 @@
-// Package fleet is shadowfleet: fleet-wide observability for parallel
-// sweeps. A Collector registers every worker of a shadowexp point fan-out,
-// merges snapshots of their obs metric registries into fleet-level series
-// with worker/scheme/point labels, retains recent history in a bounded
-// trend store, and runs fleet watchdogs — straggler, stalled-worker, and
-// cross-worker divergence — on the flight recorder's trip-and-freeze
-// pattern. The fleet Inspector (inspect.go) serves the merged view live:
-// /fleet.json, /fleet/metrics, /fleet/workers.json, /fleet/trends.json, and
-// an HTML dashboard with per-worker progress bars and sparkline trends.
+// Package fleet is the live run inspector behind both CLIs' -inspect flag
+// and shadowexp's -fleet-out. A Collector registers every worker of a
+// shadowexp point fan-out (a shadowsim run is a one-worker, one-point
+// fleet), merges snapshots of their obs metric registries into fleet-level
+// series with worker/scheme/point labels, retains recent history in a
+// bounded trend store, and runs fleet watchdogs — straggler, stalled-worker,
+// and cross-worker divergence — on the flight recorder's trip-and-freeze
+// pattern. Its Handler (inspect.go) serves the merged view live.
 //
 // The collector is passive: it starts no goroutine and reads no outside
 // input. Sweep workers call its hooks from their own goroutines and hand
-// Ingest their registries, which it snapshots on the caller's goroutine.
+// Ingest their recorders, which it snapshots on the caller's goroutine; the
+// blame and flight Sources are rendered there too, so they may read live
+// simulation state without locking.
 //
 // Like the rest of the obs layer, the package is deterministic (no direct
 // wall-clock reads — the Collector takes its clock injected from the cmd
@@ -19,8 +20,10 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -71,7 +74,16 @@ type worker struct {
 	done   bool // no point in flight
 
 	startedAt  time.Time // wall time the current point started
+	doneAt     time.Time // wall time the last point completed
 	lastIngest time.Time
+
+	// The simulated-µs-per-wall-second rate, measured between the refreshes
+	// PointProgress grants; a new point restarts it from zero.
+	rateWall time.Time
+	rateSim  timing.Tick
+	rate     float64
+
+	events int64 // the recorder's trace-event count at the last ingest
 
 	// metrics is the latest registry snapshot. Its Labels carry the
 	// worker's id, scheme and point at ingest time — the identity stamped on
@@ -101,12 +113,28 @@ func (w *worker) progressPct() float64 {
 	return 100 * float64(w.now) / float64(w.total)
 }
 
+// Sources are the run-wide documents the inspector serves beside the
+// fleet's own. Ingest renders them on the calling worker's goroutine, so
+// they are meant for runs whose state one goroutine owns (a shadowsim run,
+// a sequential sweep). A nil source serves an empty document.
+type Sources struct {
+	// Blame returns the rolling blame breakdown as JSON (/blame.json).
+	Blame func() []byte
+	// Flight writes the flight-recorder dump (/flight.json), e.g. a
+	// flight.Watch.
+	Flight interface{ WriteDump(io.Writer) error }
+}
+
 // Collector is the fleet registry and aggregation point. All methods are
 // safe for concurrent use (hooks arrive from every sweep worker goroutine;
 // HTTP handlers read snapshots) and safe on a nil receiver.
 type Collector struct {
 	mu    sync.Mutex
 	clock func() time.Time
+	src   Sources // set before the first hook, read-only after
+
+	// The latest renders of src, taken by Ingest.
+	blame, flight []byte
 
 	workers map[string]*worker
 	store   *Store
@@ -154,6 +182,15 @@ func NewCollector(clock func() time.Time) *Collector {
 	c.watch.Add(flight.Check{Name: "fleet-stalled-worker", Probe: c.stalledLocked})
 	c.watch.Add(flight.Check{Name: "fleet-divergence", Probe: c.divergenceLocked})
 	return c
+}
+
+// SetSources attaches the blame and flight sources. Call it before the
+// first hook.
+func (c *Collector) SetSources(src Sources) {
+	if c == nil {
+		return
+	}
+	c.src = src
 }
 
 // Watch exposes the fleet watchdogs (trip inspection, OnTrip hooks).
@@ -206,12 +243,14 @@ func (c *Collector) PointStart(id, point, scheme string, seed uint64) {
 	w.done = false
 	w.idleIngests = 0
 	w.startedAt = c.clock()
+	w.rateWall, w.rateSim, w.rate = w.startedAt, 0, 0
 }
 
 // PointProgress updates a worker's current-point progress. The return value
 // asks the caller — who owns the worker's obs.Recorder and runs on that
 // worker's goroutine — for a fresh Ingest: it is true at most once per
-// second of wall time per worker.
+// second of wall time per worker, and each such refresh re-measures the
+// worker's simulation rate.
 func (c *Collector) PointProgress(id, point string, now, total timing.Tick) bool {
 	if c == nil {
 		return false
@@ -226,6 +265,10 @@ func (c *Collector) PointProgress(id, point string, now, total timing.Tick) bool
 		return false
 	}
 	w.lastIngest = wall
+	if secs := wall.Sub(w.rateWall).Seconds(); secs > 0 && !w.rateWall.IsZero() {
+		w.rate = float64(now-w.rateSim) / float64(timing.Microsecond) / secs
+	}
+	w.rateWall, w.rateSim = wall, now
 	return true
 }
 
@@ -245,6 +288,7 @@ func (c *Collector) PointDone(id, point, scheme string, seed, cmdHash uint64) {
 		ms = float64(wall.Sub(w.startedAt)) / float64(time.Millisecond)
 	}
 	w.done = true
+	w.doneAt = wall
 	w.point, w.scheme, w.seed = point, scheme, seed
 	w.now = w.total
 	w.pointsDone++
@@ -270,20 +314,38 @@ func (c *Collector) PointDone(id, point, scheme string, seed, cmdHash uint64) {
 	}
 }
 
-// Ingest snapshots a worker's metric registry and replaces its stored
-// snapshot, feeding the trend store and the stalled-worker detector. Call it
-// from the goroutine that owns m: the snapshot is taken there, before the
-// collector's lock, and the collector never touches m again. A nil m ingests
-// an empty registry.
-func (c *Collector) Ingest(id string, m *obs.Metrics) {
+// Ingest snapshots a worker's recorder (its metric registry and event
+// count) and replaces its stored snapshot, feeding the trend store and the
+// stalled-worker detector, and re-renders the Sources. Call it from the
+// goroutine that owns rec: everything is read there, before the collector's
+// lock, and the collector never touches rec again. A nil rec ingests an
+// empty registry.
+func (c *Collector) Ingest(id string, rec *obs.Recorder) {
 	if c == nil {
 		return
 	}
-	snap := m.Snapshot()
+	var snap obs.Snapshot
+	var events int64
+	if rec != nil {
+		snap = rec.Metrics().Snapshot()
+		events = rec.EventCount()
+	}
+	var blame, flight []byte
+	if c.src.Blame != nil {
+		blame = c.src.Blame()
+	}
+	if c.src.Flight != nil {
+		var b bytes.Buffer
+		if c.src.Flight.WriteDump(&b) == nil {
+			flight = b.Bytes()
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.markStartedLocked()
+	c.blame, c.flight = blame, flight
 	w := c.workerLocked(id)
+	w.events = events
 	snap.Labels = "," + obs.PromLabel("worker", id)
 	if w.scheme != "" {
 		snap.Labels += "," + obs.PromLabel("scheme", w.scheme)
@@ -294,8 +356,11 @@ func (c *Collector) Ingest(id string, m *obs.Metrics) {
 	w.metrics = snap
 	w.lastIngest = c.clock()
 
+	// A registry without instruments (a shared recorder that only traces or
+	// feeds the flight ring) carries no liveness signal: never idle.
+	live := len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) > 0
 	sig := movementSig(snap)
-	if !w.done && sig == w.moveSig {
+	if live && !w.done && sig == w.moveSig {
 		w.idleIngests++
 	} else {
 		w.idleIngests = 0
@@ -338,7 +403,8 @@ func counterTotal(s obs.Snapshot) float64 {
 
 // Tick advances the fleet: appends the roll-up trends and runs the
 // watchdogs once. Call it at the refresh cadence; the first trip
-// freezes (the watch records it and later Ticks return it unchanged).
+// freezes (the watch records it and later Ticks return it unchanged), so
+// a divergence after another trip shows only in Divergence.
 func (c *Collector) Tick() *flight.Trip {
 	if c == nil {
 		return nil
@@ -459,6 +525,20 @@ func (c *Collector) stalledLocked(timing.Tick) (string, bool) {
 			id, w.point, w.idleIngests), true
 	}
 	return "", false
+}
+
+// Divergence describes the first pair of workers that reported different
+// command hashes for one point and seed, "" while all agree. Unlike the
+// watch, which latches whichever watchdog tripped first, it always reports
+// a divergence: a correctness failure, where the other trips are
+// performance anomalies.
+func (c *Collector) Divergence() string {
+	if c == nil {
+		return ""
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.divergent
 }
 
 // divergenceLocked trips once two workers reported different command hashes

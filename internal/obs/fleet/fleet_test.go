@@ -35,10 +35,10 @@ func newTestCollector(clk *fakeClock) *Collector {
 	return NewCollector(clk.now)
 }
 
-// workerMetrics builds one synthetic worker's registry: a point-labelled
+// workerMetrics builds one synthetic worker's recorder: a point-labelled
 // flips counter, request counters, a gauge, and a latency histogram whose
 // observations differ per worker so bucket edge sets differ too.
-func workerMetrics(scheme string, base int64) *obs.Metrics {
+func workerMetrics(scheme string, base int64) *obs.Recorder {
 	rec := obs.NewRecorder(obs.Options{Metrics: true})
 	p := rec.NewTrack(scheme + "/mix-high/h256")
 	p.Counter("dram/flips_total").Add(base)
@@ -48,7 +48,7 @@ func workerMetrics(scheme string, base int64) *obs.Metrics {
 	for i := int64(0); i < 20; i++ {
 		h.Observe(base * (i + 1))
 	}
-	return rec.Metrics()
+	return rec
 }
 
 // sampleLine matches one exposition sample: metric name, optional label set,
@@ -106,7 +106,7 @@ func TestFleetSumInvariant(t *testing.T) {
 		// One instrument every worker shares, each over a different edge
 		// set, so the merge adds buckets only some workers populate.
 		for v := int64(1); v <= 5; v++ {
-			m.Histogram("shared/latency").Observe(v * int64(i+1))
+			m.Metrics().Histogram("shared/latency").Observe(v * int64(i+1))
 		}
 		c.Ingest(id, m)
 	}
@@ -365,12 +365,12 @@ func TestStalledWorkerResetsOnMovement(t *testing.T) {
 // workloads don't flip bits), while its gauges and histograms move on every
 // snapshot — that must never read as a stall. Caught live on a fig9 sweep.
 func TestStalledWorkerIgnoresFlatCounters(t *testing.T) {
-	registry := func(gauge int64) *obs.Metrics {
+	registry := func(gauge int64) *obs.Recorder {
 		rec := obs.NewRecorder(obs.Options{Metrics: true})
 		p := rec.NewTrack("shadow/mix-high/h256")
 		p.Counter("dram/flips_total").Add(0) // flat forever
 		p.Gauge("memctrl/queue_depth").Set(gauge)
-		return rec.Metrics()
+		return rec
 	}
 	clk := newFakeClock()
 	c := newTestCollector(clk)
@@ -430,6 +430,59 @@ func TestDivergenceWatchdog(t *testing.T) {
 		if !strings.Contains(tr.Detail, want) {
 			t.Fatalf("trip detail %q missing %q", tr.Detail, want)
 		}
+	}
+}
+
+// TestDivergenceAfterStragglerTrip is the hidden-divergence regression: the
+// watch latches its first trip, so a divergence after a straggler trip never
+// reaches Tick. Divergence (what shadowexp's exit status reads) and the
+// status document must still report it.
+func TestDivergenceAfterStragglerTrip(t *testing.T) {
+	clk := newFakeClock()
+	c := newTestCollector(clk)
+	for i := 0; i < 3; i++ {
+		completePoint(c, clk, "w0", fmt.Sprintf("p%d", i), uint64(i), uint64(100+i), time.Second)
+	}
+	c.PointStart("w1", "p0", "shadow", 0)
+	clk.advance(5 * time.Second)
+	if tr := c.Tick(); tr == nil || tr.Watchdog != "fleet-straggler" {
+		t.Fatalf("trip = %+v, want fleet-straggler", tr)
+	}
+	if d := c.Divergence(); d != "" {
+		t.Fatalf("divergence before any disagreement: %q", d)
+	}
+	// The straggler completes p0 seed 0 with a hash differing from w0's.
+	c.PointDone("w1", "p0", "shadow", 0, 0xbad)
+	if tr := c.Tick(); tr == nil || tr.Watchdog != "fleet-straggler" {
+		t.Fatalf("trip = %+v, want the latched fleet-straggler", tr)
+	}
+	d := c.Divergence()
+	for _, want := range []string{"p0", "w0", "w1"} {
+		if !strings.Contains(d, want) {
+			t.Fatalf("Divergence() = %q, missing %q", d, want)
+		}
+	}
+	if fj := c.Fleet(); fj.Divergence != d {
+		t.Fatalf("status document divergence = %q, want %q", fj.Divergence, d)
+	}
+}
+
+// TestStalledWorkerIgnoresEmptyRegistry: a recorder without instruments (a
+// shared recorder that only traces or feeds the flight ring) carries no
+// liveness signal, so however often it is ingested it never reads as a
+// stall.
+func TestStalledWorkerIgnoresEmptyRegistry(t *testing.T) {
+	clk := newFakeClock()
+	c := newTestCollector(clk)
+	c.PointStart("w0", "p0", "shadow", 1)
+	rec := obs.NewRecorder(obs.Options{Events: true})
+	for i := 0; i < 2*stallIngests; i++ {
+		clk.advance(time.Second)
+		c.Ingest("w0", rec)
+		c.Ingest("w1", nil)
+	}
+	if tr := c.Tick(); tr != nil {
+		t.Fatalf("tripped on registries without instruments: %+v", tr)
 	}
 }
 
@@ -521,7 +574,7 @@ func TestNilCollectorInert(t *testing.T) {
 	}
 	c.PointDone("w0", "p", "s", 1, 2)
 	c.Ingest("w0", workerMetrics("shadow", 1))
-	if c.Tick() != nil || c.Watch() != nil || c.WorkersJSON() != nil || c.Trends() != nil {
+	if c.Tick() != nil || c.Watch() != nil || c.Divergence() != "" || c.Trends() != nil {
 		t.Fatal("nil collector produced state")
 	}
 	if err := c.WriteMetrics(&bytes.Buffer{}); err != nil {
@@ -533,7 +586,7 @@ func TestNilCollectorInert(t *testing.T) {
 }
 
 // TestRoundTripByteIdentical: a one-worker fleet re-exposes the worker's
-// registry byte for byte as the worker's own /metrics renders it, apart from
+// registry byte for byte as WriteExposition renders it alone, apart from
 // the added worker label — escaped hostile instrument names and histogram
 // families included.
 func TestRoundTripByteIdentical(t *testing.T) {
@@ -550,11 +603,11 @@ func TestRoundTripByteIdentical(t *testing.T) {
 	rec.NewTrack("evil\\name\"with\nnewline").Counter("x").Add(1)
 
 	var own bytes.Buffer
-	if err := rec.Metrics().WritePrometheus(&own); err != nil {
+	if err := obs.WriteExposition(&own, rec.Metrics().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	c := newTestCollector(newFakeClock())
-	c.Ingest("w0", rec.Metrics())
+	c.Ingest("w0", rec)
 	var merged bytes.Buffer
 	if err := c.WriteMetrics(&merged); err != nil {
 		t.Fatal(err)

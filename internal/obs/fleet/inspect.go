@@ -3,87 +3,94 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"html"
 	"net/http"
 	"strings"
 
 	"shadow/internal/obs"
 )
 
-// The fleet Inspector: the HTTP face of the Collector, behind shadowexp's
-// -fleet-inspect flag.
+// Handler returns the live inspector's HTTP handler over the collector,
+// behind both CLIs' -inspect flag:
 //
-//	/                    HTML dashboard (auto-refreshing): fleet progress,
-//	                     ETA, per-worker progress bars, sparkline trends,
-//	                     watchdog state, flips per scheme
-//	/fleet.json          full fleet roll-up (FleetJSON)
-//	/fleet/metrics       merged Prometheus exposition (WriteMetrics)
-//	/fleet/workers.json  per-worker state with progress trends
-//	/fleet/trends.json   every stored trend series
-//	/healthz             liveness probe (200 "ok")
+//	/              HTML dashboard (auto-refreshing): fleet progress, ETA,
+//	               per-worker progress, rate, events and trends, watchdog
+//	               state, flips per scheme, rolling blame
+//	/status.json   the status document (FleetJSON; what -fleet-out writes)
+//	/metrics       merged Prometheus exposition (WriteMetrics)
+//	/trends.json   every stored trend series
+//	/blame.json    rolling blame breakdown ([] without a blame source)
+//	/flight.json   flight-recorder dump ({} without a flight source)
+//	/healthz       liveness probe (200 "ok")
 //
-// Every endpoint sends Cache-Control: no-store, matching the obs.Inspector:
-// payloads change on every refresh and must never be served stale.
-
-// Handler returns the fleet inspector's HTTP handler over the collector.
+// Every endpoint sends Cache-Control: no-store: payloads change on every
+// refresh and must never be served stale by an intermediary.
 func (c *Collector) Handler() http.Handler {
 	if c == nil {
 		return http.NotFoundHandler()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/fleet.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Cache-Control", "no-store")
+	handle := func(path, contentType string, write func(http.ResponseWriter)) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != path {
+				http.NotFound(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", contentType)
+			w.Header().Set("Cache-Control", "no-store")
+			write(w)
+		})
+	}
+	handle("/status.json", "application/json", func(w http.ResponseWriter) {
 		w.Write(c.MarshalFleet())
 	})
-	mux.HandleFunc("/fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.ContentTypePrometheus)
-		w.Header().Set("Cache-Control", "no-store")
+	handle("/metrics", obs.ContentTypePrometheus, func(w http.ResponseWriter) {
 		c.WriteMetrics(w)
 	})
-	mux.HandleFunc("/fleet/workers.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Cache-Control", "no-store")
-		workers := c.WorkersJSON()
-		if workers == nil {
-			workers = []WorkerJSON{}
-		}
+	handle("/trends.json", "application/json", func(w http.ResponseWriter) {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(workers)
+		enc.Encode(c.Trends())
 	})
-	mux.HandleFunc("/fleet/trends.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Cache-Control", "no-store")
-		trends := c.Trends()
-		if trends == nil {
-			trends = map[string][]TrendPoint{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(trends)
+	handle("/blame.json", "application/json", func(w http.ResponseWriter) {
+		blame, _ := c.docs()
+		w.Write(orEmpty(blame, "[]\n"))
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("Cache-Control", "no-store")
+	handle("/flight.json", "application/json", func(w http.ResponseWriter) {
+		_, flight := c.docs()
+		w.Write(orEmpty(flight, "{}\n"))
+	})
+	handle("/healthz", "text/plain; charset=utf-8", func(w http.ResponseWriter) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Header().Set("Cache-Control", "no-store")
-		writeDashboard(w, c.Fleet(), c.Trends())
+	handle("/", "text/html; charset=utf-8", func(w http.ResponseWriter) {
+		blame, _ := c.docs()
+		writeDashboard(w, c.Fleet(), c.Trends(), blame)
 	})
 	return mux
 }
 
-// writeDashboard renders the HTML fleet dashboard from one consistent
-// snapshot pair.
-func writeDashboard(w http.ResponseWriter, fj FleetJSON, trends map[string][]TrendPoint) {
-	fmt.Fprintf(w, `<!doctype html><html><head><meta http-equiv="refresh" content="2"><title>shadowfleet</title></head><body style="font-family:monospace;background:#111;color:#ddd">`)
-	fmt.Fprintf(w, "<h2>shadowfleet dashboard</h2>")
+// docs returns the latest blame and flight renders.
+func (c *Collector) docs() (blame, flight []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.blame, c.flight
+}
+
+// orEmpty returns doc, or the empty document when there is none yet.
+func orEmpty(doc []byte, empty string) []byte {
+	if len(doc) == 0 {
+		return []byte(empty)
+	}
+	return doc
+}
+
+// writeDashboard renders the HTML dashboard from one consistent snapshot
+// set.
+func writeDashboard(w http.ResponseWriter, fj FleetJSON, trends map[string][]TrendPoint, blame []byte) {
+	esc := html.EscapeString
+	fmt.Fprintf(w, `<!doctype html><html><head><meta http-equiv="refresh" content="2"><title>shadow inspector</title></head><body style="font-family:monospace;background:#111;color:#ddd">`)
+	fmt.Fprintf(w, "<h2>shadow inspector</h2>")
 	eta := "-"
 	if fj.ETASeconds > 0 {
 		eta = fmt.Sprintf("%.0fs", fj.ETASeconds)
@@ -93,19 +100,28 @@ func writeDashboard(w http.ResponseWriter, fj FleetJSON, trends map[string][]Tre
 	fmt.Fprintf(w, "<div style=\"background:#333;width:480px;height:14px\"><div style=\"background:#4a9;height:14px;width:%.1f%%\"></div></div>", clampPct(fj.ProgressPercent))
 	if fj.Watchdog != nil {
 		fmt.Fprintf(w, `<p style="color:#f66"><b>WATCHDOG TRIPPED</b> %s: %s</p>`,
-			htmlEscape(fj.Watchdog.Watchdog), htmlEscape(fj.Watchdog.Detail))
+			esc(fj.Watchdog.Watchdog), esc(fj.Watchdog.Detail))
 	}
-	fmt.Fprintf(w, `<p><a href="/fleet.json" style="color:#8cf">fleet.json</a> · <a href="/fleet/metrics" style="color:#8cf">fleet/metrics</a> · <a href="/fleet/workers.json" style="color:#8cf">fleet/workers.json</a> · <a href="/fleet/trends.json" style="color:#8cf">fleet/trends.json</a> · <a href="/healthz" style="color:#8cf">healthz</a></p>`)
+	if fj.Divergence != "" {
+		fmt.Fprintf(w, `<p style="color:#f66"><b>DIVERGENCE</b> %s</p>`, esc(fj.Divergence))
+	}
+	var links []string
+	for _, l := range []string{"status.json", "metrics", "trends.json", "blame.json", "flight.json", "healthz"} {
+		links = append(links, fmt.Sprintf(`<a href="/%s" style="color:#8cf">%s</a>`, l, l))
+	}
+	fmt.Fprintf(w, "<p>%s</p>", strings.Join(links, " · "))
 
 	fmt.Fprintf(w, "<h3>workers</h3><table cellpadding=\"4\">")
-	fmt.Fprintf(w, "<tr><th align=\"left\">worker</th><th align=\"left\">point</th><th align=\"left\">progress</th><th align=\"left\">done</th><th align=\"left\">trend</th></tr>")
+	fmt.Fprintf(w, "<tr><th align=\"left\">worker</th><th align=\"left\">point</th><th align=\"left\">progress</th><th align=\"left\">sim-us</th><th align=\"left\">sim-us/s</th><th align=\"left\">events</th><th align=\"left\">elapsed</th><th align=\"left\">done</th><th align=\"left\">trend</th></tr>")
 	for _, wk := range fj.WorkerList {
-		state := htmlEscape(wk.Point)
-		if wk.Done && wk.Point == "" {
-			state = "(idle)"
+		state := esc(wk.Point)
+		if wk.Done {
+			state += " (done)"
 		}
-		fmt.Fprintf(w, `<tr><td>%s</td><td>%s</td><td><div style="background:#333;width:160px;height:10px"><div style="background:#4a9;height:10px;width:%.1f%%"></div></div></td><td>%d</td><td>%s</td></tr>`,
-			htmlEscape(wk.ID), state, clampPct(wk.Percent), wk.PointsDone,
+		fmt.Fprintf(w, `<tr><td>%s</td><td>%s</td><td><div style="background:#333;width:160px;height:10px"><div style="background:#4a9;height:10px;width:%.1f%%"></div></div></td><td>%.1f of %.1f</td><td>%.1f</td><td>%d</td><td>%.1fs</td><td>%d</td><td>%s</td></tr>`,
+			esc(wk.ID), state, clampPct(wk.Percent),
+			float64(wk.SimNowPS)/1e6, float64(wk.SimTotalPS)/1e6,
+			wk.SimUSPerSec, wk.Events, wk.ElapsedSec, wk.PointsDone,
 			sparkline(trends["worker/"+wk.ID+"/progress"], 0, 100))
 	}
 	fmt.Fprintf(w, "</table>")
@@ -113,13 +129,16 @@ func writeDashboard(w http.ResponseWriter, fj FleetJSON, trends map[string][]Tre
 	if len(fj.FlipsPerScheme) > 0 {
 		fmt.Fprintf(w, "<h3>bit flips per scheme</h3><table cellpadding=\"4\">")
 		for _, scheme := range sortedFlipSchemes(fj.FlipsPerScheme) {
-			fmt.Fprintf(w, "<tr><td>%s</td><td align=\"right\">%d</td></tr>", htmlEscape(scheme), fj.FlipsPerScheme[scheme])
+			fmt.Fprintf(w, "<tr><td>%s</td><td align=\"right\">%d</td></tr>", esc(scheme), fj.FlipsPerScheme[scheme])
 		}
 		fmt.Fprintf(w, "</table>")
 	}
 
 	if pts := trends["fleet/progress"]; len(pts) > 1 {
 		fmt.Fprintf(w, "<h3>fleet progress trend</h3>%s", sparkline(pts, 0, 100))
+	}
+	if len(blame) > 0 {
+		fmt.Fprintf(w, "<h3>rolling blame</h3><pre>%s</pre>", esc(string(blame)))
 	}
 	fmt.Fprintf(w, "</body></html>")
 }
@@ -165,25 +184,4 @@ func sparkline(pts []TrendPoint, lo, hi float64) string {
 	}
 	b.WriteString(`"/></svg>`)
 	return b.String()
-}
-
-// htmlEscape covers the characters that matter inside the dashboard's text
-// nodes (same contract as the obs.Inspector's).
-func htmlEscape(s string) string {
-	var b []byte
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<':
-			b = append(b, "&lt;"...)
-		case '>':
-			b = append(b, "&gt;"...)
-		case '&':
-			b = append(b, "&amp;"...)
-		case '"':
-			b = append(b, "&quot;"...)
-		default:
-			b = append(b, s[i])
-		}
-	}
-	return string(b)
 }

@@ -68,7 +68,7 @@ func WriteDump(w io.Writer, r *Ring, trip *Trip) error {
 }
 
 // WriteDump writes the watch's ring and trip as deterministic JSON — the
-// form the cmd layer and the Inspector's /flight.json serve.
+// form the cmd layer writes and the live inspector's /flight.json serves.
 func (w *Watch) WriteDump(out io.Writer) error {
 	if w == nil {
 		return WriteDump(out, nil, nil)

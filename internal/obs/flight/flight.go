@@ -6,7 +6,7 @@
 // receives every emitted event — DRAM commands with bank/row/tick, the
 // mitigation actions (RFM, shuffle, swap, throttle, TRR), faults, and span
 // milestones — overwriting the oldest once full. Recording is zero-alloc
-// and mutex-protected, so an Inspector goroutine can Snapshot the window
+// and mutex-protected, so another goroutine can Snapshot the window
 // concurrently with the simulation writer under -race.
 //
 // Watchdogs (watchdog.go) are invariant probes run off the hot path, at the

@@ -162,20 +162,6 @@ func StallSpike(r *Ring, window, limit timing.Tick) Check {
 	}}
 }
 
-// Divergence builds a generic two-source comparison watchdog (scheduler
-// equivalence: the event-driven scheduler's command-log hash against a
-// reference). It trips when the two sums differ; callers ensure both
-// sources are at the same checkpoint when the check runs.
-func Divergence(name string, want, got func() uint64) Check {
-	return Check{Name: name, Probe: func(timing.Tick) (string, bool) {
-		w, g := want(), got()
-		if w == g {
-			return "", false
-		}
-		return fmt.Sprintf("command-log hash diverged: want %#016x, got %#016x", w, g), true
-	}}
-}
-
 // FNV-1a parameters (64-bit).
 const (
 	fnvOffset = 14695981039346656037
@@ -193,7 +179,8 @@ var fnvPrimePow = func() (p [9]uint64) {
 
 // CmdHash accumulates an order-sensitive FNV-1a hash of a command log:
 // feed it (kind, bank, row, at) from an OnCommand hook and compare Sums
-// across schedulers via the Divergence watchdog. Not safe for concurrent
+// across runs of one point and seed (the fleet collector's divergence
+// watchdog and the whole-simulation fuzz target do). Not safe for concurrent
 // use (commands are issued from the single simulation goroutine); a nil
 // *CmdHash is valid and inert.
 type CmdHash struct {

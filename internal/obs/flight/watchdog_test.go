@@ -128,22 +128,6 @@ func TestStallSpikeIgnoresNonSpanEvents(t *testing.T) {
 	}
 }
 
-func TestDivergenceCheck(t *testing.T) {
-	want, got := uint64(7), uint64(7)
-	c := Divergence("sched-equiv", func() uint64 { return want }, func() uint64 { return got })
-	if _, bad := c.Probe(0); bad {
-		t.Fatal("equal hashes tripped")
-	}
-	got = 8
-	detail, bad := c.Probe(0)
-	if !bad {
-		t.Fatal("diverged hashes did not trip")
-	}
-	if !strings.Contains(detail, "diverged") {
-		t.Fatalf("detail = %q", detail)
-	}
-}
-
 func TestCmdHashOrderSensitive(t *testing.T) {
 	a, b := NewCmdHash(), NewCmdHash()
 	a.Note(1, 2, 3, 4)

@@ -414,16 +414,8 @@ func (s *Series) Add(now timing.Tick, v float64) {
 	s.vals[i] += v
 }
 
-// Interval returns the bucket width.
-func (s *Series) Interval() timing.Tick {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
-// Values returns the per-interval sums (bucket i covers
-// [i*Interval, (i+1)*Interval)).
+// Values returns the per-interval sums: bucket i covers simulated time
+// [i*w, (i+1)*w) for the registry's sample interval w.
 func (s *Series) Values() []float64 {
 	if s == nil {
 		return nil

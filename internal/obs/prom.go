@@ -36,21 +36,12 @@ func PromLabel(key, value string) string {
 	return key + `="` + promLabelEscaper.Replace(value) + `"`
 }
 
-// WritePrometheus renders every counter, gauge, and histogram in Prometheus
-// text exposition format 0.0.4, sorted by instrument name. A nil registry
-// writes nothing.
-func (m *Metrics) WritePrometheus(w io.Writer) error {
-	if m == nil {
-		return nil
-	}
-	return WriteExposition(w, m.Snapshot())
-}
-
-// WriteExposition renders snapshots as one exposition document. Each family
-// gets its HELP and TYPE lines once, when any snapshot holds an instrument
-// of it, followed by the samples of every snapshot in argument order, each
-// label set extended by that snapshot's Labels. /metrics writes one
-// unlabelled snapshot; the fleet collector writes one per worker.
+// WriteExposition renders snapshots as one exposition document in
+// Prometheus text format 0.0.4, each snapshot's instruments sorted by name.
+// Each family gets its HELP and TYPE lines once, when any snapshot holds an
+// instrument of it, followed by the samples of every snapshot in argument
+// order, each label set extended by that snapshot's Labels. The fleet
+// collector's /metrics writes one snapshot per worker.
 func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 	var buf bytes.Buffer
 	if anyNonEmpty(snaps, func(s Snapshot) int { return len(s.Counters) }) {

@@ -16,8 +16,8 @@ var promLine = regexp.MustCompile(`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .*|[
 func promText(t *testing.T, m *Metrics) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := m.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
+	if err := WriteExposition(&buf, m.Snapshot()); err != nil {
+		t.Fatalf("WriteExposition: %v", err)
 	}
 	return buf.String()
 }
@@ -141,7 +141,7 @@ func TestWritePrometheusBucketMonotonic(t *testing.T) {
 func TestWritePrometheusNilRegistry(t *testing.T) {
 	var m *Metrics
 	var buf bytes.Buffer
-	if err := m.WritePrometheus(&buf); err != nil {
+	if err := WriteExposition(&buf, m.Snapshot()); err != nil {
 		t.Fatalf("nil registry: %v", err)
 	}
 	if buf.Len() != 0 {

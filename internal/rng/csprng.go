@@ -24,13 +24,6 @@ func NewCSPRNG(seed uint64) *CSPRNG {
 	return &CSPRNG{cipher: NewPrince(k0, k1), nonce: nonce}
 }
 
-// NewCSPRNGKeyed returns a PRINCE-CTR generator with an explicit key and
-// nonce — the form used when modelling boot-time key initialization from a
-// CPU-side true RNG (Section VIII).
-func NewCSPRNGKeyed(k0, k1, nonce uint64) *CSPRNG {
-	return &CSPRNG{cipher: NewPrince(k0, k1), nonce: nonce}
-}
-
 // splitmix is the SplitMix64 output function, used only for seed expansion.
 func splitmix(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"shadow/internal/hammer"
-	"shadow/internal/memctrl"
 	"shadow/internal/obs"
 	"shadow/internal/obs/flight"
 	"shadow/internal/obs/span"
@@ -136,42 +135,5 @@ func TestFlightConservationWatchdogTripsMidRun(t *testing.T) {
 	// The run continued past the trip but the window did not move.
 	if ring.Total() != frozenTotal {
 		t.Fatalf("frozen ring kept recording: %d -> %d", frozenTotal, ring.Total())
-	}
-}
-
-// TestFlightDivergenceWatchdogSameSeed feeds two same-seed runs' command
-// logs through CmdHash and checks the divergence watchdog: quiet when the
-// runs agree, tripping on a doctored hash.
-func TestFlightDivergenceWatchdogSameSeed(t *testing.T) {
-	runHash := func() *flight.CmdHash {
-		h := flight.NewCmdHash()
-		cfg := flightConfig(t)
-		cfg.OnCommand = func(ch int, cmd memctrl.Cmd) {
-			h.Note(int(cmd.Kind), cmd.Bank, cmd.Row, cmd.At)
-		}
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	ref, got := runHash(), runHash()
-	if ref.Sum() == flight.NewCmdHash().Sum() {
-		t.Fatal("reference run issued no commands")
-	}
-
-	watch := flight.NewWatch(flight.NewRing(8))
-	watch.Add(flight.Divergence("same-seed", ref.Sum, got.Sum))
-	if tr := watch.Check(0); tr != nil {
-		t.Fatalf("same-seed runs tripped divergence: %+v", tr)
-	}
-
-	// A diverging log must trip.
-	doctored := flight.NewCmdHash()
-	doctored.Note(1, 2, 3, 4)
-	watch2 := flight.NewWatch(flight.NewRing(8))
-	watch2.Add(flight.Divergence("same-seed", ref.Sum, doctored.Sum))
-	tr := watch2.Check(0)
-	if tr == nil || tr.Watchdog != "same-seed" {
-		t.Fatalf("doctored hash did not trip: %+v", tr)
 	}
 }
