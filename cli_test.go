@@ -62,6 +62,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 	}{
 		{"shadowsim", []string{"-cores", "-3"}, "-cores must be non-negative"},
 		{"shadowsim", []string{"-scheme", "bogus"}, `unknown scheme "bogus" (have: baseline shadow`},
+		{"shadowsim", []string{"-scheme", "graphene"}, `unknown scheme "graphene" (have: baseline shadow parfm mithril-perf mithril-area drr blockhammer rrs)`},
 		{"shadowsim", []string{"-grade", "bogus"}, `unknown grade "bogus" (have: ddr4 ddr5)`},
 		{"shadowsim", []string{"-attack", "blast", "-acts", "0"}, "-acts must be positive"},
 		{"shadowsim", []string{"-attack", "blast", "-acts", "-5"}, "-acts must be positive"},

@@ -233,9 +233,10 @@ func main() {
 
 // observe wires the sweep's point hooks into the fleet collector (nil for
 // none) and the flight watch's checks into its progress. Each fan-out worker
-// records into its own recorder, touched only on its goroutine, so the sweep
-// stays parallel; when ProbeFor owns the probes the sweep is sequential and
-// its shared recorder rec is worker w0's. A flight ring forces that
+// records each point into a fresh recorder, touched only on its goroutine,
+// so the sweep stays parallel and a worker's ingests carry only its current
+// point's instruments; when ProbeFor owns the probes the sweep is sequential
+// and its shared recorder rec is worker w0's. A flight ring forces that
 // sequential sweep too, which the watch needs: it is not safe for
 // concurrent use.
 func observe(o *exp.RunOpts, col *fleet.Collector, rec *obs.Recorder, watch *flight.Watch) {
@@ -252,9 +253,7 @@ func observe(o *exp.RunOpts, col *fleet.Collector, rec *obs.Recorder, watch *fli
 		recs[0] = rec
 	} else if col != nil {
 		o.WorkerProbe = func(worker int, label string) *obs.Probe {
-			if recs[worker] == nil {
-				recs[worker] = obs.NewRecorder(obs.Options{Metrics: true})
-			}
+			recs[worker] = obs.NewRecorder(obs.Options{Metrics: true})
 			return recs[worker].NewTrack(label)
 		}
 	}

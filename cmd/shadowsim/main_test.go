@@ -46,7 +46,7 @@ func TestSchemeNamesComplete(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	for _, want := range []string{"shadow", "rrs", "blockhammer", "graphene", "para"} {
+	for _, want := range []string{"shadow", "parfm", "mithril-perf", "mithril-area", "drr", "blockhammer", "rrs"} {
 		if !seen[want] {
 			t.Errorf("scheme %q missing", want)
 		}

@@ -15,7 +15,7 @@ import (
 
 // TestControllerStreamsAreClean replays the command streams the real
 // controller produces — under every mitigation class, with refreshes, RFMs,
-// TRRs, and swaps in play — through the independent checker and requires
+// and swaps in play — through the independent checker and requires
 // zero protocol violations. This is the repository's strongest correctness
 // statement about the memory controller.
 func TestControllerStreamsAreClean(t *testing.T) {
@@ -38,17 +38,6 @@ func TestControllerStreamsAreClean(t *testing.T) {
 			name:   "parfm",
 			params: base.WithRAAIMT(8),
 			mit:    func() dram.Mitigator { return mitigate.NewPARFM(3, 2) },
-		},
-		{
-			name:   "graphene-trr",
-			params: base,
-			mcside: func() mitigate.MCSide {
-				return mitigate.NewGraphene(mitigate.GrapheneConfig{
-					Hammer:      hammer.Config{HCnt: 64, BlastRadius: 2},
-					RowsPerBank: geo.PARowsPerBank(),
-					REFW:        base.REFW,
-				})
-			},
 		},
 		{
 			name:   "rrs-swaps",

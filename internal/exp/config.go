@@ -70,15 +70,11 @@ const (
 	DRR         Scheme = "drr"
 	BlockHammer Scheme = "blockhammer"
 	RRS         Scheme = "rrs"
-	Graphene    Scheme = "graphene"
-	PARA        Scheme = "para"
-	Panopticon  Scheme = "panopticon"
 )
 
-// AllSchemes lists every non-baseline scheme. The paper's Figure 8/11 set
-// comes first; Graphene, classic PARA, and Panopticon (Section IX related
-// work) follow.
-var AllSchemes = []Scheme{Shadow, PARFM, MithrilPerf, MithrilArea, DRR, BlockHammer, RRS, Graphene, PARA, Panopticon}
+// AllSchemes lists every non-baseline scheme: the Figure 8 set, then the
+// Figure 11 MC-side set.
+var AllSchemes = []Scheme{Shadow, PARFM, MithrilPerf, MithrilArea, DRR, BlockHammer, RRS}
 
 // ShadowRAAIMT returns SHADOW's secure RFM threshold for an H_cnt. At
 // H_cnt 300 and below no RAAIMT in [8, 4096] is secure (security.SecureRAAIMT
@@ -192,24 +188,6 @@ func (pt Point) Build(geo dram.Geometry, duration timing.Tick) (*timing.Params, 
 			REFW:          base.REFW,
 			Seed:          pt.Seed + 4,
 		})
-
-	case Graphene:
-		return base, nil, mitigate.NewGraphene(mitigate.GrapheneConfig{
-			Hammer:      hammer.Config{HCnt: pt.HCnt, BlastRadius: blast},
-			RowsPerBank: geo.PARowsPerBank(),
-			REFW:        base.REFW,
-		})
-
-	case PARA:
-		return base, nil, mitigate.NewPARA(
-			hammer.Config{HCnt: pt.HCnt, BlastRadius: blast},
-			geo.PARowsPerBank(), pt.Seed+5)
-
-	case Panopticon:
-		// Per-row counters drain their refresh queue at RFM slots; pace them
-		// like Mithril-area.
-		p := base.WithRAAIMT(trrRAAIMT(32, blast))
-		return p, mitigate.NewPanopticon(pt.HCnt, blast), nil
 	}
 	panic(fmt.Sprintf("exp: unknown scheme %q", pt.Scheme))
 }

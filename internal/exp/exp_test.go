@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strconv"
 	"strings"
 	"testing"
@@ -101,11 +104,11 @@ func TestPointBuildAllSchemes(t *testing.T) {
 			t.Errorf("%s: invalid params: %v", s, err)
 		}
 		switch s {
-		case Shadow, PARFM, MithrilPerf, MithrilArea, Panopticon:
+		case Shadow, PARFM, MithrilPerf, MithrilArea:
 			if dm == nil {
 				t.Errorf("%s: missing device mitigator", s)
 			}
-		case BlockHammer, RRS, Graphene, PARA:
+		case BlockHammer, RRS:
 			if mc == nil {
 				t.Errorf("%s: missing MC-side policy", s)
 			}
@@ -116,6 +119,70 @@ func TestPointBuildAllSchemes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEverySchemeHasAFigure keeps AllSchemes to the schemes the paper's
+// evaluation runs: each must be listed in a []Scheme literal of a figure or
+// table runner in perf.go. A scheme no figure runs is dead weight in every
+// layer below (its mitigator, the controller paths only it drives, its
+// golden cases), so it is deleted rather than carried.
+func TestEverySchemeHasAFigure(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(name string) *ast.File {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// The constant naming each Scheme value, from config.go.
+	consts := map[Scheme]string{}
+	for _, d := range parse("config.go").Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok || g.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range g.Specs {
+			v := spec.(*ast.ValueSpec)
+			if !isIdent(v.Type, "Scheme") {
+				continue
+			}
+			for i, name := range v.Names {
+				val, err := strconv.Unquote(v.Values[i].(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				consts[Scheme(val)] = name.Name
+			}
+		}
+	}
+	// Every constant listed in a []Scheme literal of perf.go.
+	listed := map[string]bool{}
+	ast.Inspect(parse("perf.go"), func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		if arr, ok := lit.Type.(*ast.ArrayType); !ok || !isIdent(arr.Elt, "Scheme") {
+			return true
+		}
+		for _, e := range lit.Elts {
+			if id, ok := e.(*ast.Ident); ok {
+				listed[id.Name] = true
+			}
+		}
+		return true
+	})
+	for _, s := range AllSchemes {
+		if !listed[consts[s]] {
+			t.Errorf("scheme %q is in AllSchemes but in no figure's scheme list in perf.go", s)
+		}
+	}
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 func TestFig8SmokeShape(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 
 // fleetSweep runs a 12-point sweep (4 schemes x 3 H_cnt values, one
 // workload) through runJobs with the full inspector wiring shadowexp uses:
-// per-worker recorders handed out by WorkerProbe, point lifecycle hooks
+// a fresh recorder per point handed out by WorkerProbe, point lifecycle hooks
 // feeding a Collector, and a final ingest per worker. It returns the
 // measured points and the collector.
 func fleetSweep(t *testing.T, o RunOpts, col *fleet.Collector) []PerfPoint {
@@ -55,9 +55,7 @@ func fleetSweep(t *testing.T, o RunOpts, col *fleet.Collector) []PerfPoint {
 		}
 		o.OnPointsPlanned = col.ExpectPoints
 		o.WorkerProbe = func(worker int, label string) *obs.Probe {
-			if workerRecs[worker] == nil {
-				workerRecs[worker] = obs.NewRecorder(obs.Options{Metrics: true})
-			}
+			workerRecs[worker] = obs.NewRecorder(obs.Options{Metrics: true})
 			return workerRecs[worker].NewTrack(label)
 		}
 		o.OnPointStart = func(worker int, label, scheme string, seed uint64) {

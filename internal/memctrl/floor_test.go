@@ -28,19 +28,22 @@ type floorCase struct {
 }
 
 // floorCases covers open and closed page on DDR4 and DDR5, RFMs
-// coming due at a small RAAIMT while ACT spacing binds, an MC side that
-// emits TRR work, BlockHammer throttling rows across several filter epochs,
+// coming due at a small RAAIMT while ACT spacing binds, RRS swapping rows
+// (each swap precharges its bank and blocks the channel), BlockHammer
+// throttling rows across several filter epochs,
 // and span tracking (which re-keys every non-idle bank at every command), on
 // its own and with throttling. With the stock DDR4 and DDR5 timings, ACT
 // spacing never outlasts the tRP that follows a PRE (tFAW < 3*tRRD_S + tRP),
 // so one case doubles tFAW: there an RFM can follow its PRE before the next
 // ACT could.
 func floorCases() []floorCase {
-	graphene := func() mitigate.MCSide {
-		return mitigate.NewGraphene(mitigate.GrapheneConfig{
-			Hammer:      hammer.Config{HCnt: 64, BlastRadius: 2},
-			RowsPerBank: floorGeo.PARowsPerBank(),
-			REFW:        32 * timing.Millisecond,
+	rrs := func() mitigate.MCSide {
+		return mitigate.NewRRS(mitigate.RRSConfig{
+			SwapThreshold: 6,
+			RowsPerBank:   floorGeo.PARowsPerBank(),
+			SwapLatency:   100 * timing.Nanosecond,
+			REFW:          32 * timing.Millisecond,
+			Seed:          5,
 		})
 	}
 	blockhammer := func() mitigate.MCSide {
@@ -58,8 +61,8 @@ func floorCases() []floorCase {
 		{name: "closed-rfm-wide-faw", grade: timing.DDR4_2666, raaimt: 2, wideFAW: true, opt: Options{ClosedPage: true}},
 		{name: "ddr5", grade: timing.DDR5_4800},
 		{name: "ddr5-closed-rfm", grade: timing.DDR5_4800, raaimt: 3, opt: Options{ClosedPage: true}},
-		{name: "trr", grade: timing.DDR4_2666, mc: graphene},
-		{name: "trr-closed-rfm", grade: timing.DDR4_2666, raaimt: 4, opt: Options{ClosedPage: true}, mc: graphene},
+		{name: "rrs", grade: timing.DDR4_2666, mc: rrs},
+		{name: "rrs-closed-rfm", grade: timing.DDR4_2666, raaimt: 4, opt: Options{ClosedPage: true}, mc: rrs},
 		{name: "throttle", grade: timing.DDR4_2666, mc: blockhammer},
 		{name: "spans", grade: timing.DDR4_2666, raaimt: 4, spans: true},
 		{name: "spans-throttle", grade: timing.DDR4_2666, spans: true, mc: blockhammer},
@@ -69,8 +72,8 @@ func floorCases() []floorCase {
 // forEachFloorCase runs fn as a subtest for every case of the grid at seeds
 // 1-3, with a fresh device and the case's options. fn sets its own hooks on
 // opt and builds the controller. After fn, the run must have served every
-// request, the RFM and TRR cases must have issued one, and BlockHammer must
-// have blacklisted an ACT.
+// request, the RFM cases must have issued one, RRS must have swapped rows
+// and BlockHammer must have blacklisted an ACT.
 func forEachFloorCase(t *testing.T, fn func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller) {
 	hc := hammer.Config{HCnt: 1 << 20, BlastRadius: 1}
 	for _, tc := range floorCases() {
@@ -105,8 +108,8 @@ func forEachFloorCase(t *testing.T, fn func(t *testing.T, d *dram.Device, seed u
 				switch {
 				case throttles && bh.Blacklisted == 0:
 					t.Fatal("BlockHammer blacklisted no ACT")
-				case tc.mc != nil && !throttles && c.Stats.TRRs == 0:
-					t.Fatal("no TRR issued")
+				case tc.mc != nil && !throttles && c.Stats.Swaps == 0:
+					t.Fatal("no RRS swap")
 				}
 			})
 		}

@@ -15,7 +15,8 @@ import (
 // when one is held, must be the oldest queued request whose translated row
 // is the open row, as a fresh walk of the queue finds it. The inputs cover
 // open and closed page, RRS swaps (which move rows and precharge the bank),
-// Graphene TRR activations and the refresh drains every run passes through.
+// PARFM's RFMs (whose PREs close rows no request asked to close) and the
+// refresh drains every run passes through.
 func TestHitCacheMatchesQueueWalk(t *testing.T) {
 	geo := dram.Geometry{Banks: 16, SubarraysPerBank: 4, RowsPerSubarray: 32, RowBytes: 64, ExtraRows: 1}
 	hc := hammer.Config{HCnt: 1 << 20, BlastRadius: 1}
@@ -28,29 +29,27 @@ func TestHitCacheMatchesQueueWalk(t *testing.T) {
 			Seed:          5,
 		})
 	}
-	graphene := func() mitigate.MCSide {
-		return mitigate.NewGraphene(mitigate.GrapheneConfig{
-			Hammer:      hammer.Config{HCnt: 64, BlastRadius: 2},
-			RowsPerBank: geo.PARowsPerBank(),
-			REFW:        32 * timing.Millisecond,
-		})
-	}
 	cases := []struct {
-		name string
-		opt  Options
-		mc   func() mitigate.MCSide
-		trr  bool // the MC side is Graphene, else RRS
+		name   string
+		opt    Options
+		mc     func() mitigate.MCSide // RRS when set
+		raaimt int                    // PARFM on the device when set
 	}{
 		{name: "open"},
 		{name: "closed", opt: Options{ClosedPage: true}},
 		{name: "rrs", mc: rrs},
 		{name: "rrs-closed", opt: Options{ClosedPage: true}, mc: rrs},
-		{name: "trr", mc: graphene, trr: true},
+		{name: "parfm-rfm", raaimt: 4},
 	}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				d, err := dram.NewDevice(dram.Config{Geometry: geo, Params: timing.NewParams(timing.DDR4_2666), Hammer: hc})
+				cfg := dram.Config{Geometry: geo, Params: timing.NewParams(timing.DDR4_2666), Hammer: hc}
+				if tc.raaimt > 0 {
+					cfg.Params = cfg.Params.WithRAAIMT(tc.raaimt)
+					cfg.Mitigator = mitigate.NewPARFM(hc.BlastRadius, seed)
+				}
+				d, err := dram.NewDevice(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,11 +85,11 @@ func TestHitCacheMatchesQueueWalk(t *testing.T) {
 				if c.Stats.Refs == 0 {
 					t.Fatal("no refresh drain")
 				}
-				if tc.mc != nil && !tc.trr && c.Stats.Swaps == 0 {
+				if tc.mc != nil && c.Stats.Swaps == 0 {
 					t.Fatal("no RRS swap")
 				}
-				if tc.trr && c.Stats.TRRs == 0 {
-					t.Fatal("no TRR issued")
+				if tc.raaimt > 0 && c.Stats.RFMs == 0 {
+					t.Fatal("no RFM issued")
 				}
 			})
 		}

@@ -41,7 +41,7 @@ type Request struct {
 type Stats struct {
 	Acts, Reads, Writes, Pres int64
 	Refs, RFMs, SkippedRFMs   int64
-	Swaps, TRRs               int64
+	Swaps                     int64
 	RowHits, RowMisses        int64
 	ReadLatency               timing.Tick // sum over completed reads (arrive -> data)
 	CompletedReads            int64
@@ -126,12 +126,6 @@ type bankCtl struct {
 	// actFor, in closed-page mode, is the single request the current
 	// activation was issued for; once served the row closes.
 	actFor *Request
-	// trr queues victim rows awaiting an MC-side target-row-refresh
-	// (an ACT-PRE cycle issued by the controller itself).
-	trr []int
-	// trrOpen marks the open row as a TRR activation: no column traffic,
-	// precharge as soon as tRAS allows.
-	trrOpen bool
 	// hit caches oldestHit while the bank is open: the queue index of the
 	// oldest request hitting the open row, hitNone, or hitUnknown. An ACT,
 	// a PRE (an RRS swap's included) and a dequeue void it; Enqueue records
@@ -217,7 +211,7 @@ type Controller struct {
 
 	// shadowtap span tracker (nil-inert) and the blame the installed
 	// mitigator claims for RFM windows and RAA-saturation holds (SHADOW
-	// shuffles inside them, TRR-backed schemes refresh).
+	// shuffles inside them, PARFM and Mithril refresh victims).
 	spans    *span.Tracker
 	rfmCause span.Cause
 
@@ -388,15 +382,14 @@ func (c *Controller) settled(now, keys timing.Tick) timing.Tick {
 	return maxTick(maxTick(keys, c.cmdBusFreeAt), c.blockedUntil)
 }
 
-// stepEvent runs phases 2-4 over only the banks that could act: every bank
+// stepEvent runs phases 2-3 over only the banks that could act: every bank
 // whose key has arrived, plus the watched banks under spans. One ascending
 // pass over the live banks collects them into a mask while folding the other
 // live banks' keys into their minimum. Each phase walks the mask in
 // ascending bank order before the next phase starts, which decides which
-// command issues when several are legal at the same tick: RFM before TRR
-// before demand, lower bank first. The RFM phase visits only the due banks
-// whose RFM it would not defer (rfmWanted) and the TRR phase only those
-// with TRR work; neither phase has anything to do on the others.
+// command issues when several are legal at the same tick: RFM before
+// demand, lower bank first. The RFM phase visits only the due banks whose
+// RFM it would not defer (rfmWanted); it has nothing to do on the others.
 func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
 	// The MC-side policy's own timer (BlockHammer's filter-epoch rotation,
 	// which releases throttled rows) bounds the next Step, so a release is
@@ -433,17 +426,6 @@ func (c *Controller) stepEvent(now timing.Tick) timing.Tick {
 			continue
 		}
 		t, issued := c.tryRFM(now, i)
-		if issued {
-			return c.issuedDuringScan(now, due, 0, keys)
-		}
-		c.bankNext[i] = minTick(c.bankNext[i], t)
-	}
-	for m := due; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if !c.banks[i].trrPending() {
-			continue
-		}
-		t, issued := c.tryTRR(now, i)
 		if issued {
 			return c.issuedDuringScan(now, due, 0, keys)
 		}
@@ -500,7 +482,7 @@ func (c *Controller) recacheBank(i int, now timing.Tick) {
 // constraints, so it can raise but never lower another bank's next-action
 // time — so they re-cache at their computed readiness. Banks the evaluation
 // never completed for (the issuing bank and those above it, plus every bank
-// when the issue happened in the RFM or TRR phase) need no re-arming at all:
+// when the issue happened in the RFM phase) need no re-arming at all:
 // they still hold their collected keys (<= now), so the next Step collects
 // and re-evaluates them — their partial minima are never trusted.
 //
@@ -580,10 +562,10 @@ func (c *Controller) dirty(bank int, at timing.Tick) {
 }
 
 // rekey files bank i, commanded at now, under its floor. The command may
-// have lowered the bank's next-action time (queued TRR work, opened or
-// closed a row, drained RAA), so its old key is void; the floor, taken after
-// all of the command's state updates, replaces it and lets NextReadyAt see
-// past the command's one-tCK bus echo.
+// have lowered the bank's next-action time (opened or closed a row, drained
+// RAA), so its old key is void; the floor, taken after all of the command's
+// state updates, replaces it and lets NextReadyAt see past the command's
+// one-tCK bus echo.
 //
 // With spans attached the bank stays due at the next Step instead: its
 // next evaluation may change its blame cause, an observable event that the
@@ -607,13 +589,13 @@ func (c *Controller) rekey(i int, now timing.Tick) {
 // holds until then:
 //
 //   - idle (bankIdle): Forever, since every phase returns Forever for it;
-//   - open, in the simple state (open page, raa < RAAIMT, no TRR queued or
-//     open): tryDemand alone can issue, a column command (colReadyAt) when a
-//     queued request hits the open row, else a conflict PRE (NextPREReady);
-//   - open otherwise: a column command or a PRE (conflict, TRR, RFM,
-//     closed-page close), whichever is legal first;
-//   - closed: an ACT (demand or TRR) or an RFM, neither before the bank's
-//     own NextACTReady. The ACT spacing (tRRD_S, tRRD_L, tFAW) raises the
+//   - open, in the simple state (open page, raa < RAAIMT): tryDemand alone
+//     can issue, a column command (colReadyAt) when a queued request hits
+//     the open row, else a conflict PRE (NextPREReady);
+//   - open otherwise: a column command or a PRE (conflict, RFM, closed-page
+//     close), whichever is legal first;
+//   - closed: an ACT or an RFM, neither before the bank's own
+//     NextACTReady. The ACT spacing (tRRD_S, tRRD_L, tFAW) raises the
 //     bound only when no RFM can be due (raa < RAAIMT), because RFM ignores
 //     it.
 //
@@ -630,7 +612,7 @@ func (c *Controller) floor(i int, now timing.Tick) timing.Tick {
 	}
 	d := c.dev.Bank(i)
 	if b.open {
-		if !rfmDue && !b.trrPending() && !c.opt.ClosedPage {
+		if !rfmDue && !c.opt.ClosedPage {
 			if req, _ := c.oldestHit(i); req == nil {
 				return d.NextPREReady()
 			}
@@ -665,13 +647,12 @@ func (c *Controller) liftBusy(bank int, until timing.Tick) {
 }
 
 // bankIdle reports that bank i can neither issue a command nor produce a
-// span cause segment: nothing queued, no TRR work, no TRR or closed-page row
-// to close, and no pending RFM obligation. Skipping idle banks is exact —
-// every scheduling phase returns Forever for them without side effects.
+// span cause segment: nothing queued, no closed-page row to close, and no
+// pending RFM obligation. Skipping idle banks is exact — every scheduling
+// phase returns Forever for them without side effects.
 func (c *Controller) bankIdle(i int) bool {
 	b := &c.banks[i]
-	return len(b.queue) == 0 && !b.trrPending() &&
-		!(c.opt.ClosedPage && b.open) && !c.rfmDue(i)
+	return len(b.queue) == 0 && !(c.opt.ClosedPage && b.open) && !c.rfmDue(i)
 }
 
 // rfmDue reports that bank i's RAA counter has reached RAAIMT: the RFM phase
@@ -690,80 +671,14 @@ func (c *Controller) rfmWanted(i int) bool {
 	return c.rfmDue(i) && (len(b.queue) == 0 || b.raa+c.p.RAAIMT > c.p.RAAMMT)
 }
 
-// trrPending reports that the bank has MC-side TRR work queued or a TRR
-// activation to close: the TRR phase has work for it.
-func (b *bankCtl) trrPending() bool {
-	return b.trrOpen || len(b.trr) > 0
-}
-
-// tryTRR advances a bank's pending MC-side target-row-refreshes: close the
-// bank if needed, activate the victim (restoring its charge), and precharge
-// again. TRR activations count toward the RAA counter like any other ACT.
-// The TRR phase calls it only for a bank with TRR work (trrPending).
-func (c *Controller) tryTRR(now timing.Tick, i int) (timing.Tick, bool) {
-	b := &c.banks[i]
-	if b.trrOpen {
-		// Precharge the TRR activation as soon as legal.
-		t := c.dev.Bank(i).NextPREReady()
-		if now < t {
-			c.spans.SetCause(i, now, span.CauseTRR)
-			return t, false
-		}
-		c.precharge(i, now)
-		c.spans.SetCause(i, now, span.CauseTRR)
-		return now, true
-	}
-	if b.open {
-		t := c.dev.Bank(i).NextPREReady()
-		if now < t {
-			c.spans.SetCause(i, now, span.CauseTRR)
-			return t, false
-		}
-		c.precharge(i, now)
-		c.spans.SetCause(i, now, span.CauseTRR)
-		return now, true
-	}
-	row := b.trr[0]
-	t, _ := c.actReadyAt(now, i, row)
-	if t == timing.Forever {
-		return timing.Forever, false // RAA saturated; RFM first
-	}
-	if now < t {
-		// Pending TRR work owns the bank regardless of which JEDEC spacing
-		// delays its ACT: the queued demand requests wait on the TRR.
-		c.spans.SetCause(i, now, span.CauseTRR)
-		return t, false
-	}
-	if err := c.dev.Activate(i, row, now); err != nil {
-		panic(fmt.Sprintf("memctrl: TRR ACT: %v", err))
-	}
-	c.log(CmdACT, i, row, now)
-	if c.emitEvents {
-		c.probe.Emit(obs.Event{At: now, Kind: obs.KindTRR, Bank: i, Row: row})
-	}
-	b.trr = b.trr[1:]
-	b.open = true
-	b.openRow = row
-	b.hit = hitUnknown
-	b.trrOpen = true
-	b.actFor = nil
-	b.raa++
-	c.Stats.Acts++
-	c.Stats.TRRs++
-	c.noteACT(now, i)
-	c.spans.SetCause(i, now, span.CauseTRR)
-	return now, true
-}
-
-// precharge issues a PRE on bank i at time at: it closes the open row (a TRR
-// activation included), counts the command and logs it.
+// precharge issues a PRE on bank i at time at: it closes the open row,
+// counts the command and logs it.
 func (c *Controller) precharge(i int, at timing.Tick) {
 	if err := c.dev.Precharge(i, at); err != nil {
 		panic(fmt.Sprintf("memctrl: PRE on bank %d: %v", i, err))
 	}
 	b := &c.banks[i]
 	b.open = false
-	b.trrOpen = false
 	b.hit = hitUnknown
 	c.Stats.Pres++
 	c.log(CmdPRE, i, -1, at)
@@ -1084,18 +999,14 @@ func (c *Controller) tryDemand(now timing.Tick, i int) (timing.Tick, bool) {
 			return t, false
 		}
 		// Conflict: precharge. The head request waits on the bank's own
-		// recovery — or on an MC-side TRR cycle still holding the row open.
+		// recovery.
 		t := c.dev.Bank(i).NextPREReady()
 		if now >= t {
 			c.precharge(i, now)
 			c.spans.SetCause(i, now, span.CauseBankBusy)
 			return now, true
 		}
-		cause := span.CauseBankBusy
-		if b.trrOpen {
-			cause = span.CauseTRR
-		}
-		c.spans.SetCause(i, now, cause)
+		c.spans.SetCause(i, now, span.CauseBankBusy)
 		return t, false
 	}
 	// Closed: activate for the oldest request.
@@ -1125,33 +1036,22 @@ func (c *Controller) tryDemand(now timing.Tick, i int) (timing.Tick, bool) {
 	b.openRow = phys
 	b.hit = hitUnknown
 	b.actFor = req
-	b.trrOpen = false
 	b.raa++
 	c.Stats.Acts++
 	c.Stats.RowMisses++ // the head request needed this ACT
-	c.noteACT(now, i)
-	if c.opt.RFMFilter != nil {
-		c.opt.RFMFilter.Observe(i, phys, now)
-	}
-	// MC-side mitigation observation; may demand work.
-	if act := c.mc.OnACT(i, phys, now); act != nil {
-		if act.Swap != nil {
-			c.performSwap(act.Swap, now)
-		}
-		if len(act.TRR) > 0 {
-			b.trr = append(b.trr, act.TRR...) //shadowvet:ignore allocflow -- TRR work queue; bounded per-ACT fanout reusing capacity after warmup
-		}
-	}
-	return now, true
-}
-
-// noteACT records the rank-global ACT spacing state (tRRD, tFAW, command
-// bus) shared by demand and TRR activations.
-func (c *Controller) noteACT(now timing.Tick, i int) {
+	// The rank-global ACT spacing state: tRRD_S, tRRD_L and the tFAW ring.
 	c.rrdGlobalAt = now + c.p.RRDS
 	c.rrdGroupAt[bankGroup(i)] = now + c.p.RRDL
 	c.actWindow[c.actWindowIdx] = now
 	c.actWindowIdx = (c.actWindowIdx + 1) % len(c.actWindow)
+	if c.opt.RFMFilter != nil {
+		c.opt.RFMFilter.Observe(i, phys, now)
+	}
+	// MC-side mitigation observation; may demand a row swap.
+	if s := c.mc.OnACT(i, phys, now); s != nil {
+		c.performSwap(s, now)
+	}
+	return now, true
 }
 
 // performSwap executes an RRS swap: after the current ACT completes its

@@ -177,7 +177,7 @@ func (bh *BlockHammer) NextEventAt(now timing.Tick) timing.Tick {
 }
 
 // OnACT implements MCSide: count the activation.
-func (bh *BlockHammer) OnACT(bank, paRow int, now timing.Tick) *Action {
+func (bh *BlockHammer) OnACT(bank, paRow int, now timing.Tick) *SwapRequest {
 	b := bh.bank(bank)
 	bh.rotate(b, now)
 	key := rowKey(bank, paRow)

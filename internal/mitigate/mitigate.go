@@ -35,17 +35,6 @@ type SwapRequest struct {
 	BlockFor timing.Tick
 }
 
-// Action is the mitigating work an MC-side policy requests after observing
-// an activation.
-type Action struct {
-	// Swap moves two rows' contents over the channel (RRS).
-	Swap *SwapRequest
-	// TRR lists PA rows the MC must refresh by activating them — the
-	// MC-side target-row-refresh of Graphene and PARA. Each costs a normal
-	// ACT-PRE cycle on the bank (and counts toward its RAA counter).
-	TRR []int
-}
-
 // MCSide is a memory-controller-side mitigation policy.
 type MCSide interface {
 	// Name identifies the scheme in experiment output.
@@ -56,8 +45,9 @@ type MCSide interface {
 	// ACTAllowedAt returns the earliest time an ACT to (bank, paRow) may
 	// issue — the throttling hook (BlockHammer). Return now for no delay.
 	ACTAllowedAt(bank, paRow int, now timing.Tick) timing.Tick
-	// OnACT observes an issued ACT and may demand mitigating work.
-	OnACT(bank, paRow int, now timing.Tick) *Action
+	// OnACT observes an issued ACT and may demand a row swap (RRS); nil
+	// asks for nothing.
+	OnACT(bank, paRow int, now timing.Tick) *SwapRequest
 	// NextEventAt returns the earliest future instant at which the policy
 	// could act on its own schedule rather than in response to a command
 	// (BlockHammer's epoch rotation; timing.Forever when there is no
@@ -79,7 +69,7 @@ func (NopMCSide) TranslateRow(bank, paRow int) int { return paRow }
 func (NopMCSide) ACTAllowedAt(bank, paRow int, now timing.Tick) timing.Tick { return now }
 
 // OnACT implements MCSide.
-func (NopMCSide) OnACT(bank, paRow int, now timing.Tick) *Action { return nil }
+func (NopMCSide) OnACT(bank, paRow int, now timing.Tick) *SwapRequest { return nil }
 
 // NextEventAt implements MCSide: no timers.
 func (NopMCSide) NextEventAt(timing.Tick) timing.Tick { return timing.Forever }

@@ -285,9 +285,7 @@ func TestRRSSwapTriggersAndIndirection(t *testing.T) {
 		if n > 17 {
 			t.Fatal("no swap after threshold+1 ACTs")
 		}
-		if act := r.OnACT(2, 40, now); act != nil {
-			req = act.Swap
-		}
+		req = r.OnACT(2, 40, now)
 		now += timing.NS(50)
 	}
 	if n != 16 {

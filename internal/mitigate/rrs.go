@@ -95,14 +95,7 @@ func (r *RRS) NextEventAt(timing.Tick) timing.Tick { return timing.Forever }
 // OnACT implements MCSide: count the *physical* row (aggression follows the
 // physical location) and trigger a swap at the threshold. The returned
 // request names physical rows; the MC moves the data and stalls the channel.
-func (r *RRS) OnACT(bank, paRow int, now timing.Tick) *Action {
-	if req := r.onACT(bank, paRow, now); req != nil {
-		return &Action{Swap: req}
-	}
-	return nil
-}
-
-func (r *RRS) onACT(bank, paRow int, now timing.Tick) *SwapRequest {
+func (r *RRS) OnACT(bank, paRow int, now timing.Tick) *SwapRequest {
 	b := r.bank(bank)
 	if r.cfg.REFW > 0 && now-b.lastReset >= r.cfg.REFW {
 		b.tracker.Reset()

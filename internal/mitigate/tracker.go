@@ -99,16 +99,6 @@ func (t *Tracker) Mitigated(row int) {
 	}
 }
 
-// ResetRow zeroes a row's counter in place (Graphene restarts a mitigated
-// row's count; unlike Mitigated, the entry does not inherit the table
-// minimum).
-func (t *Tracker) ResetRow(row int) {
-	if i, ok := t.index[row]; ok {
-		t.counts[i] = 0
-		t.up(i)
-	}
-}
-
 // Remove drops a row from the table (RRS removes a row after swapping it).
 func (t *Tracker) Remove(row int) {
 	i, ok := t.index[row]

@@ -67,12 +67,6 @@ func (t *mapTracker) Mitigated(row int) {
 	t.counts[row] = min
 }
 
-func (t *mapTracker) ResetRow(row int) {
-	if _, ok := t.counts[row]; ok {
-		t.counts[row] = 0
-	}
-}
-
 func (t *mapTracker) Remove(row int) { delete(t.counts, row) }
 
 func (t *mapTracker) Reset() {
@@ -138,10 +132,6 @@ func TestTrackerMatchesMapOracle(t *testing.T) {
 					}
 					tr.Mitigated(row)
 					ref.Mitigated(row)
-				case k < 965:
-					what = "ResetRow"
-					tr.ResetRow(row)
-					ref.ResetRow(row)
 				case k < 999:
 					what = "Remove"
 					tr.Remove(row)

@@ -20,7 +20,6 @@ const (
 	KindREF
 	KindRFM
 	// Mitigation actions.
-	KindTRR        // MC-side target-row-refresh activation (Graphene, PARA)
 	KindShuffle    // SHADOW row-shuffle (Row is the sampled aggressor PA row; Aux its subarray)
 	KindIncRefresh // SHADOW incremental refresh (Row is the refreshed DA row)
 	KindSwap       // RRS row swap (Row/Aux are the PA rows; Dur the channel-blocking time)
@@ -52,8 +51,6 @@ func (k Kind) String() string {
 		return "REF"
 	case KindRFM:
 		return "RFM"
-	case KindTRR:
-		return "TRR"
 	case KindShuffle:
 		return "shuffle"
 	case KindIncRefresh:
@@ -80,7 +77,7 @@ func (k Kind) Category() string {
 		return "fault"
 	case KindSpan:
 		return "req"
-	default: // KindTRR, KindShuffle, KindIncRefresh, KindSwap, KindThrottle
+	default: // KindShuffle, KindIncRefresh, KindSwap, KindThrottle
 		return "mitigation"
 	}
 }

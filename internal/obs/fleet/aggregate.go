@@ -12,6 +12,7 @@ import (
 
 	"shadow/internal/obs"
 	"shadow/internal/obs/flight"
+	"shadow/internal/timing"
 )
 
 // The aggregator: merges every worker's metric snapshot into one
@@ -90,20 +91,24 @@ func (c *Collector) workerJSONLocked(id string, wall time.Time) WorkerJSON {
 		now, wall = w.total, w.doneAt
 	}
 	wj := WorkerJSON{
-		ID:          id,
-		Point:       w.point,
-		Scheme:      w.scheme,
-		Seed:        w.seed,
-		Done:        w.done,
-		Percent:     w.progressPct(),
-		SimNowPS:    int64(now),
-		SimTotalPS:  int64(w.total),
-		SimUSPerSec: w.rate,
-		Events:      w.events,
-		PointsDone:  w.pointsDone,
+		ID:         id,
+		Point:      w.point,
+		Scheme:     w.scheme,
+		Seed:       w.seed,
+		Done:       w.done,
+		Percent:    w.progressPct(),
+		SimNowPS:   int64(now),
+		SimTotalPS: int64(w.total),
+		Events:     w.events,
+		PointsDone: w.pointsDone,
 	}
 	if !w.startedAt.IsZero() {
 		wj.ElapsedSec = wall.Sub(w.startedAt).Seconds()
+		// The point's own average rate, from its start to its latest
+		// progress (to its end once done).
+		if wj.ElapsedSec > 0 {
+			wj.SimUSPerSec = float64(now) / float64(timing.Microsecond) / wj.ElapsedSec
+		}
 	}
 	return wj
 }

@@ -77,12 +77,6 @@ type worker struct {
 	doneAt     time.Time // wall time the last point completed
 	lastIngest time.Time
 
-	// The simulated-µs-per-wall-second rate, measured between the refreshes
-	// PointProgress grants; a new point restarts it from zero.
-	rateWall time.Time
-	rateSim  timing.Tick
-	rate     float64
-
 	events int64 // the recorder's trace-event count at the last ingest
 
 	// metrics is the latest registry snapshot. Its Labels carry the
@@ -243,14 +237,12 @@ func (c *Collector) PointStart(id, point, scheme string, seed uint64) {
 	w.done = false
 	w.idleIngests = 0
 	w.startedAt = c.clock()
-	w.rateWall, w.rateSim, w.rate = w.startedAt, 0, 0
 }
 
 // PointProgress updates a worker's current-point progress. The return value
 // asks the caller — who owns the worker's obs.Recorder and runs on that
 // worker's goroutine — for a fresh Ingest: it is true at most once per
-// second of wall time per worker, and each such refresh re-measures the
-// worker's simulation rate.
+// second of wall time per worker.
 func (c *Collector) PointProgress(id, point string, now, total timing.Tick) bool {
 	if c == nil {
 		return false
@@ -265,10 +257,6 @@ func (c *Collector) PointProgress(id, point string, now, total timing.Tick) bool
 		return false
 	}
 	w.lastIngest = wall
-	if secs := wall.Sub(w.rateWall).Seconds(); secs > 0 && !w.rateWall.IsZero() {
-		w.rate = float64(now-w.rateSim) / float64(timing.Microsecond) / secs
-	}
-	w.rateWall, w.rateSim = wall, now
 	return true
 }
 

@@ -279,8 +279,8 @@ func TestInspectorNewPointResetsRate(t *testing.T) {
 	c.PointProgress("w0", "a", 10*timing.Microsecond, total)
 	clk.advance(2 * time.Second)
 	c.PointProgress("w0", "a", 90*timing.Microsecond, total)
-	if got := c.Fleet().WorkerList[0].SimUSPerSec; got != 40 {
-		t.Fatalf("rate = %v sim-us/s, want 40 (80 sim-us over 2 s)", got)
+	if got := c.Fleet().WorkerList[0].SimUSPerSec; got != 45 {
+		t.Fatalf("rate = %v sim-us/s, want 45 (90 sim-us over the point's 2 s)", got)
 	}
 
 	c.PointDone("w0", "a", "shadow", 1, 0x1)
@@ -288,6 +288,40 @@ func TestInspectorNewPointResetsRate(t *testing.T) {
 	c.PointProgress("w0", "b", 5*timing.Microsecond, total)
 	if wk := c.Fleet().WorkerList[0]; wk.Point != "b" || wk.SimUSPerSec != 0 {
 		t.Errorf("rate carried across points: %+v", wk)
+	}
+	clk.advance(time.Second)
+	c.PointProgress("w0", "b", 30*timing.Microsecond, total)
+	if got := c.Fleet().WorkerList[0].SimUSPerSec; got != 30 {
+		t.Errorf("rate = %v sim-us/s, want 30 (30 sim-us over point b's 1 s)", got)
+	}
+}
+
+// TestInspectorShortPointRate: a point shorter than the one-second ingest
+// throttle still reads its own rate, while in flight and once done, on the
+// status document and on /metrics.
+func TestInspectorShortPointRate(t *testing.T) {
+	clk := newFakeClock()
+	c := newTestCollector(clk)
+	total := 100 * timing.Microsecond
+	c.PointStart("w0", "a", "shadow", 1)
+	c.PointProgress("w0", "a", 0, total)
+	clk.advance(250 * time.Millisecond)
+	c.PointProgress("w0", "a", 50*timing.Microsecond, total)
+	if got := c.Fleet().WorkerList[0].SimUSPerSec; got != 200 {
+		t.Fatalf("in flight: rate = %v sim-us/s, want 200 (50 sim-us over 0.25 s)", got)
+	}
+	clk.advance(250 * time.Millisecond)
+	c.PointDone("w0", "a", "shadow", 1, 0x1)
+	clk.advance(time.Second) // the done point's rate stops at its end
+	if got := c.Fleet().WorkerList[0].SimUSPerSec; got != 200 {
+		t.Fatalf("done: rate = %v sim-us/s, want 200 (100 sim-us over 0.5 s)", got)
+	}
+	var b bytes.Buffer
+	if err := c.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := `shadow_fleet_worker_sim_us_per_second{worker="w0",point="a"} 200`; !strings.Contains(b.String(), want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, b.String())
 	}
 }
 

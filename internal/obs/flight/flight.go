@@ -4,10 +4,10 @@
 //
 // The Ring implements obs.EventSink: attached through obs.Options.Flight it
 // receives every emitted event — DRAM commands with bank/row/tick, the
-// mitigation actions (RFM, shuffle, swap, throttle, TRR), faults, and span
-// milestones — overwriting the oldest once full. Recording is zero-alloc
-// and mutex-protected, so another goroutine can Snapshot the window
-// concurrently with the simulation writer under -race.
+// mitigation actions (RFM, shuffle, incremental refresh, swap, throttle),
+// faults, and span milestones — overwriting the oldest once full. Recording
+// is zero-alloc and mutex-protected, so another goroutine can Snapshot the
+// window concurrently with the simulation writer under -race.
 //
 // Watchdogs (watchdog.go) are invariant probes run off the hot path, at the
 // progress cadence: span-conservation violation, stall spike (p99 over the

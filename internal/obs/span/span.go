@@ -65,9 +65,6 @@ const (
 	CauseSwap
 	// CauseThrottle: BlockHammer delaying the activation.
 	CauseThrottle
-	// CauseTRR: MC-side target-row-refresh cycles (Graphene, PARA)
-	// occupying the bank.
-	CauseTRR
 	// CauseQueueFull: backpressure — the core's request was rejected by a
 	// full bank queue before it could enqueue.
 	CauseQueueFull
@@ -97,8 +94,6 @@ func (c Cause) String() string {
 		return "swap"
 	case CauseThrottle:
 		return "throttle"
-	case CauseTRR:
-		return "trr"
 	case CauseQueueFull:
 		return "queue-full"
 	}

@@ -237,14 +237,14 @@ func TestNoteACTFirstWins(t *testing.T) {
 func TestCauseStrings(t *testing.T) {
 	want := []string{
 		"service", "bank-busy", "act-spacing", "bus", "refresh", "rfm",
-		"shuffle", "swap", "throttle", "trr", "queue-full",
+		"shuffle", "swap", "throttle", "queue-full",
 	}
 	for c := Cause(0); c < NumCauses; c++ {
 		if got := c.String(); got != want[c] {
 			t.Errorf("Cause(%d).String() = %q, want %q", c, got, want[c])
 		}
 	}
-	if got := NumCauses.String(); got != "Cause(11)" {
+	if got := NumCauses.String(); got != "Cause(10)" {
 		t.Errorf("out-of-range String = %q", got)
 	}
 }

@@ -99,9 +99,10 @@ func TestCSPRNGDeterministic(t *testing.T) {
 	}
 }
 
-// TestCSPRNGStreamPinned pins the first outputs of two seeds. Every PARFM,
-// PARA and RRS draw and every SHADOW shuffle comes from this stream, so a
-// change to the cipher or the seed expansion shows here first.
+// TestCSPRNGStreamPinned pins the first outputs of two seeds. Every PARFM
+// and RRS draw, every SHADOW shuffle and every generated workload comes from
+// this stream, so a change to the cipher or the seed expansion shows here
+// first.
 func TestCSPRNGStreamPinned(t *testing.T) {
 	pins := []struct {
 		seed uint64

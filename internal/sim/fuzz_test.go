@@ -117,14 +117,14 @@ func FuzzSimulation(f *testing.F) {
 		{"none", false, 4, 2, 64, 1, doubleSided, false, 7},
 		{"parfm", true, 1, 1, 2048, 8, mixHigh, true, 8},
 		{"mithril", false, 6, 3, 2048, 3, halfDouble, false, 9},
-		{"panopticon", false, 5, 2, 128, 4, mixHigh, true, 10},
+		{"mithril", false, 5, 2, 128, 4, mixHigh, true, 10},
 		{"drr", false, 16, 1, 8192, 16, mixLow, false, 11},
 		{"blockhammer", true, 8, 3, 512, 12, mixHigh, true, 12},
 		{"blockhammer-epoch", false, 4, 3, 64, 16, mixHigh, false, 13},
 		{"blockhammer-throttle", false, 8, 2, 256, 4, scenarioIII, false, 14},
 		{"rrs", true, 8, 1, 384, 1, doubleSided, false, 15},
-		{"graphene", false, 12, 2, 64, 5, mixBlend, true, 16},
-		{"para", true, 7, 3, 4096, 9, mixRandom, false, 17},
+		{"parfm", false, 12, 2, 64, 5, mixBlend, true, 16},
+		{"shadow", true, 7, 3, 4096, 9, mixRandom, false, 17},
 	}
 	schemes := equivSchemes(equivHammer, 1) // for the names and the count
 	for _, e := range corpus {

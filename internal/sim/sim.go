@@ -599,7 +599,6 @@ func subStats(a, w memctrl.Stats) memctrl.Stats {
 	a.RFMs -= w.RFMs
 	a.SkippedRFMs -= w.SkippedRFMs
 	a.Swaps -= w.Swaps
-	a.TRRs -= w.TRRs
 	a.RowHits -= w.RowHits
 	a.RowMisses -= w.RowMisses
 	a.ReadLatency -= w.ReadLatency

@@ -185,7 +185,7 @@ func TestSpanSchemeCauseExclusivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := col.Aggregate()
-	for _, c := range []span.Cause{span.CauseRFM, span.CauseShuffle, span.CauseSwap, span.CauseThrottle, span.CauseTRR} {
+	for _, c := range []span.Cause{span.CauseRFM, span.CauseShuffle, span.CauseSwap, span.CauseThrottle} {
 		if agg.Stall[c] != 0 {
 			t.Errorf("baseline run attributed %d ticks to %s", agg.Stall[c], c)
 		}

@@ -47,8 +47,8 @@ echo "==> perfbench unit tests (nested module)"
 (cd perfbench && go test ./...)
 
 # The race sweep covers the packages that spawn goroutines (the exp sweep
-# workers, the obs inspector serving HTTP during a run) and the fleet
-# collector those sweep workers call into. It is the repository's
+# workers, the fleet collector's -inspect handler serving HTTP during a run)
+# and the fleet collector those sweep workers call into. It is the repository's
 # concurrency check; the goroutine-exit tests in exp run inside it.
 echo "==> go test -race"
 go test -race ./...
