@@ -130,10 +130,10 @@ func TestCLIOutputFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			var fj struct {
-				Workers        int `json:"workers"`
-				PointsExpected int `json:"points_expected"`
-				PointsDone     int `json:"points_done"`
-				Watchdog       any `json:"watchdog"`
+				Workers        int    `json:"workers"`
+				PointsExpected int    `json:"points_expected"`
+				PointsDone     int    `json:"points_done"`
+				Divergence     string `json:"divergence"`
 				Completed      []struct {
 					Point   string `json:"point"`
 					CmdHash string `json:"cmd_hash"`
@@ -145,8 +145,8 @@ func TestCLIOutputFiles(t *testing.T) {
 			if fj.PointsExpected <= 0 || fj.PointsDone != fj.PointsExpected {
 				t.Errorf("points_done %d, points_expected %d: want equal and positive", fj.PointsDone, fj.PointsExpected)
 			}
-			if fj.Watchdog != nil {
-				t.Errorf("watchdog tripped on a healthy sweep: %v", fj.Watchdog)
+			if fj.Divergence != "" {
+				t.Errorf("divergence on a healthy sweep: %s", fj.Divergence)
 			}
 			if fj.Workers != lane.workers {
 				t.Errorf("workers = %d, want %d", fj.Workers, lane.workers)

@@ -116,9 +116,6 @@ func main() {
 	stopInspector := func() {}
 	if *inspect != "" || *fleetOut != "" {
 		fleetCol = fleet.NewCollector(time.Now)
-		fleetCol.Watch().OnTrip(func(tr flight.Trip) {
-			fmt.Fprintf(os.Stderr, "fleet watchdog %s tripped: %s\n", tr.Watchdog, tr.Detail)
-		})
 		var src fleet.Sources
 		if *blame {
 			src.Blame = func() []byte { return report.BlameJSON(blameRows()) }
@@ -211,7 +208,6 @@ func main() {
 	}
 	cli.ExitOn(cli.WriteObs(rec, *traceOut, *metricsOut))
 	cli.ExitOn(cli.WriteFlightFile(watch, *flightOut))
-	fleetCol.Tick() // final trends + watchdog pass before the last snapshot
 	if *fleetOut != "" {
 		cli.ExitOn(os.WriteFile(*fleetOut, fleetCol.MarshalFleet(), 0o644))
 		fmt.Fprintf(os.Stderr, "fleet: status -> %s\n", *fleetOut)
@@ -221,10 +217,7 @@ func main() {
 		cli.Exit(1)
 	}
 	// A divergence (same point+seed hashed differently on two workers) is a
-	// correctness violation and fails the run, whichever fleet watchdog
-	// tripped first; straggler and stalled-worker trips are performance
-	// anomalies — reported on stderr, the dashboard, and the status
-	// document, but not fatal.
+	// correctness violation and fails the run.
 	if d := fleetCol.Divergence(); d != "" {
 		fmt.Fprintf(os.Stderr, "fleet: divergence: %s\n", d)
 		cli.Exit(1)
@@ -258,13 +251,9 @@ func observe(o *exp.RunOpts, col *fleet.Collector, rec *obs.Recorder, watch *fli
 		}
 	}
 	wid := func(worker int) string { return fmt.Sprintf("w%d", worker) }
-	refresh := func(worker int) {
-		col.Ingest(wid(worker), recs[worker])
-		col.Tick()
-	}
 	o.OnPointProgress = func(worker int, label string, now, total timing.Tick) {
 		if col.PointProgress(wid(worker), label, now, total) {
-			refresh(worker)
+			col.Ingest(wid(worker), recs[worker])
 		}
 		if ring != nil {
 			// Flips are deliberately NOT watched here: several experiments
@@ -281,6 +270,6 @@ func observe(o *exp.RunOpts, col *fleet.Collector, rec *obs.Recorder, watch *fli
 	}
 	o.OnPointDone = func(worker int, label, scheme string, seed, cmdHash uint64, rel float64) {
 		col.PointDone(wid(worker), label, scheme, seed, cmdHash)
-		refresh(worker)
+		col.Ingest(wid(worker), recs[worker])
 	}
 }

@@ -6,7 +6,7 @@
 //
 //	shadowsim -scheme shadow -workload mix-high -hcnt 4096 -duration-us 200
 //	shadowsim -scheme baseline -workload mcf -grade ddr5
-//	shadowsim -scheme shadow -trace-out t.json -metrics-out m.json -timeline
+//	shadowsim -scheme shadow -trace-out t.json -metrics-out m.json
 //	shadowsim -list   # show available workloads, schemes, and attacks
 //
 // The observability outputs (-trace-out, -metrics-out, -flight-out,
@@ -62,13 +62,10 @@ func main() {
 	list := flag.Bool("list", false, "list workloads, schemes, and attacks")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (open in ui.perfetto.dev)")
 	metricsOut := flag.String("metrics-out", "", "write the metrics dump as JSON")
-	timeline := flag.Bool("timeline", false, "print time-series strip charts after the run")
-	progress := flag.Bool("progress", false, "print a stderr progress heartbeat")
 	blame := flag.Bool("blame", false, "print the shadowtap stall-blame breakdown after the run")
 	inspect := flag.String("inspect", "", "serve the live inspector on this address (e.g. :8080)")
 	flightCap := flag.Int("flight", flight.DefaultCapacity, "flight recorder capacity in events (0 disables the always-on flight lane)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump (event window + watchdog trip) to this JSON file at exit")
-	stallP99US := flag.Int64("stall-p99-us", 0, "arm the stall-spike watchdog: trip when the p99 request stall over the trailing window exceeds this many simulated microseconds (0 disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	flag.Parse()
@@ -110,7 +107,7 @@ func main() {
 	defer cli.RecoverFlight(watch, *flightOut)
 	ring := watch.Ring()
 
-	rec := cli.NewRecorder(*traceOut != "", *metricsOut != "" || *timeline || *inspect != "", watch)
+	rec := cli.NewRecorder(*traceOut != "", *metricsOut != "" || *inspect != "", watch)
 	var probe *obs.Probe
 	label := *scheme + "/" + *workload
 	if *attack != "" {
@@ -123,9 +120,6 @@ func main() {
 	if *attack != "" {
 		runAttack(*attack, exp.Scheme(*scheme), g, geo, *hcnt, *blast, *acts, *seed, o.Duration, probe)
 		cli.ExitOn(cli.WriteObs(rec, *traceOut, *metricsOut))
-		if *timeline {
-			printTimeline(rec, 0)
-		}
 		// Attack runs dump the window on request but arm no watchdogs:
 		// bit flips are the experiment, not an anomaly.
 		cli.ExitOn(cli.WriteFlightFile(watch, *flightOut))
@@ -170,16 +164,6 @@ func main() {
 		checker = cmdtrace.New(p, geo.Banks)
 		onCmd = func(ch int, c memctrl.Cmd) { checker.Observe(c) }
 	}
-	var hb *obs.Heartbeat
-	var progressFn func(timing.Tick)
-	if *progress {
-		hb = obs.NewHeartbeat(os.Stderr, label, o.Duration, time.Now)
-		if rec != nil {
-			hb = hb.WithEvents(rec.EventCount)
-		}
-		progressFn = hb.Tick
-	}
-
 	var spans *span.Collector
 	if *blame || *inspect != "" {
 		spans = span.NewCollector(0)
@@ -188,22 +172,13 @@ func main() {
 
 	// Arm the anomaly watchdogs. A trip freezes the ring at that moment so
 	// the dump shows the events leading up to the anomaly, not its aftermath.
+	var progressFn func(timing.Tick)
 	if ring != nil {
 		watch.Add(flight.FlipDetector(ring))
 		if spans != nil {
 			watch.Add(flight.Conservation(spans.Aggregate))
 		}
-		if *stallP99US > 0 {
-			watch.Add(flight.StallSpike(ring, 10*timing.Microsecond,
-				timing.Tick(*stallP99US)*timing.Microsecond))
-		}
-		tick := progressFn
-		progressFn = func(now timing.Tick) {
-			if tick != nil {
-				tick(now)
-			}
-			watch.Check(now)
-		}
+		progressFn = func(now timing.Tick) { watch.Check(now) }
 	}
 
 	// The live inspector sees the run as worker w0 of a one-point fleet.
@@ -236,7 +211,6 @@ func main() {
 			}
 			if insp.PointProgress("w0", label, now, o.Duration) {
 				insp.Ingest("w0", rec)
-				insp.Tick()
 			}
 		}
 	}
@@ -251,14 +225,12 @@ func main() {
 		Spans:     spans,
 		Progress:  progressFn,
 	})
-	hb.Done()
 	cli.ExitOn(err)
 	// Final watchdog pass at run end: conservation over the complete span
 	// aggregate, flips from the last progress interval.
 	watch.Check(o.Duration)
 	insp.PointDone("w0", label, *scheme, *seed, cmdHash.Sum())
 	insp.Ingest("w0", rec)
-	insp.Tick()
 
 	fmt.Printf("scheme=%s workload=%s grade=%v hcnt=%d blast=%d duration=%v\n",
 		*scheme, *workload, g, *hcnt, *blast, o.Duration)
@@ -290,36 +262,11 @@ func main() {
 		fmt.Print(report.CriticalPath(label, rows[0].Agg))
 	}
 	cli.ExitOn(cli.WriteObs(rec, *traceOut, *metricsOut))
-	if *timeline {
-		printTimeline(rec, o.Duration)
-	}
 	cli.ExitOn(cli.WriteFlightFile(watch, *flightOut))
 	stopInspector()
 	if watch.Tripped() != nil {
 		cli.Exit(1)
 	}
-}
-
-// printTimeline renders every recorded time series as a terminal strip chart.
-func printTimeline(rec *obs.Recorder, duration timing.Tick) {
-	if rec == nil {
-		return
-	}
-	m := rec.Metrics()
-	names := m.SeriesNames()
-	if len(names) == 0 {
-		fmt.Println("timeline: no series recorded")
-		return
-	}
-	span := ""
-	if duration > 0 {
-		span = fmt.Sprintf("0 - %v, %v/column bucket", duration, m.SampleInterval())
-	}
-	c := &report.StripChart{Title: "timeline", Span: span}
-	for _, name := range names {
-		c.Add(name, m.LookupSeries(name).Values())
-	}
-	fmt.Print(c.String())
 }
 
 // attackPattern builds a named attack pattern over the geometry.

@@ -26,8 +26,7 @@ var restrictedPkgs = map[string]bool{
 	"shadow/internal/hammer": true,
 	// The observability layer records from inside the simulation loop, so it
 	// is held to the same standard: instruments are keyed to simulated ticks
-	// and its one wall-clock consumer, the progress heartbeat, takes the
-	// clock as an injected func from the cmd layer.
+	// and nothing in it reads the wall clock.
 	"shadow/internal/obs": true,
 	// The flight recorder records from the Recorder's emit path and its
 	// watchdogs run at the progress cadence; both must stay reproducible so

@@ -33,7 +33,7 @@ var layerImports = map[string][]string{
 	"obs":        {"timing"},
 	"obs/span":   {"obs", "timing"},
 	"obs/flight": {"obs", "obs/span", "timing"},
-	"obs/fleet":  {"obs", "obs/flight", "timing"},
+	"obs/fleet":  {"obs", "timing"},
 	"report":     {"obs", "obs/span", "timing"},
 
 	// The device and what plugs into it.

@@ -14,8 +14,7 @@ import (
 // it. Keyed by package path so fixtures can masquerade via path override.
 var nilGuarded = map[string]map[string]bool{
 	"shadow/internal/obs": {
-		"Probe":     true,
-		"Heartbeat": true,
+		"Probe": true,
 	},
 	"shadow/internal/obs/span": {
 		"Tracker":   true,
@@ -28,7 +27,6 @@ var nilGuarded = map[string]map[string]bool{
 	},
 	"shadow/internal/obs/fleet": {
 		"Collector": true,
-		"Store":     true,
 	},
 }
 
@@ -41,9 +39,9 @@ var nilGuarded = map[string]map[string]bool{
 // it is work a nil receiver executes.
 var NilGuard = &Analyzer{
 	Name: "nilguard",
-	Doc: "require exported methods on nil-safe obs hot-path types (obs.Probe, obs.Heartbeat, " +
+	Doc: "require exported methods on nil-safe obs hot-path types (obs.Probe, " +
 		"span.Tracker, span.Collector, flight.Ring, flight.Watch, flight.CmdHash, " +
-		"fleet.Collector, fleet.Store) to begin with a nil-receiver guard",
+		"fleet.Collector) to begin with a nil-receiver guard",
 	Run: runNilGuard,
 }
 

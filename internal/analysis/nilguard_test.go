@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 func TestNilGuardFixture(t *testing.T) {
-	checkFixture(t, NilGuard, loadFixture(t, "nilguard", "shadow/internal/obs"))
+	checkFixture(t, NilGuard, loadFixture(t, "nilguard", "shadow/internal/obs/flight"))
 }
 
 // TestNilGuardScopedByPackage proves the check is keyed by package path:

@@ -15,7 +15,7 @@ func TestWriteSARIF(t *testing.T) {
 	fixtures := []struct{ name, path string }{
 		{"panicmsg", ""},
 		{"cmderr", ""},
-		{"nilguard", "shadow/internal/obs"},
+		{"nilguard", "shadow/internal/obs/flight"},
 	}
 	var pkgs []*Package
 	for _, f := range fixtures {

@@ -1,32 +1,32 @@
 // Fixture for the nilguard analyzer. The package masquerades as
-// shadow/internal/obs (path override in the test), so the Probe and
-// Heartbeat types here stand in for the real hot-path types.
+// shadow/internal/obs/flight (path override in the test), so the Ring and
+// Watch types here stand in for the real hot-path types.
 package nilguard
 
-// Probe mirrors the nil-safe instrumentation handle.
-type Probe struct{ n int }
+// Ring mirrors the nil-safe flight ring.
+type Ring struct{ n int }
 
 // Bump has no guard at all.
-func (p *Probe) Bump() { // want:nilguard
-	p.n++
+func (r *Ring) Bump() { // want:nilguard
+	r.n++
 }
 
 // Late guards after work has already run on the receiver's behalf.
-func (p *Probe) Late() int { // want:nilguard
+func (r *Ring) Late() int { // want:nilguard
 	x := 1
-	if p == nil {
+	if r == nil {
 		return x
 	}
-	return p.n + x
+	return r.n + x
 }
 
-// Heartbeat mirrors the progress reporter.
-type Heartbeat struct{ done bool }
+// Watch mirrors the watchdog set.
+type Watch struct{ done bool }
 
 // Wrong tests a different variable, not the receiver.
-func (h *Heartbeat) Wrong(other *Heartbeat) { // want:nilguard
+func (w *Watch) Wrong(other *Watch) { // want:nilguard
 	if other == nil {
 		return
 	}
-	h.done = true
+	w.done = true
 }

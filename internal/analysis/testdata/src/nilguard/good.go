@@ -1,36 +1,36 @@
 package nilguard
 
 // Guard: the canonical early return.
-func (p *Probe) Guard() {
-	if p == nil {
+func (r *Ring) Guard() {
+	if r == nil {
 		return
 	}
-	p.n++
+	r.n++
 }
 
 // Enabled: a single return of the nil comparison.
-func (p *Probe) Enabled() bool { return p != nil }
+func (r *Ring) Enabled() bool { return r != nil }
 
 // Wrapped: all work inside the non-nil branch.
-func (p *Probe) Wrapped(d int) {
-	if p != nil {
-		p.n += d
+func (r *Ring) Wrapped(d int) {
+	if r != nil {
+		r.n += d
 	}
 }
 
 // Compound: the receiver test shares the condition.
-func (h *Heartbeat) Compound() {
-	if h == nil || h.done {
+func (w *Watch) Compound() {
+	if w == nil || w.done {
 		return
 	}
-	h.done = true
+	w.done = true
 }
 
 // unexported methods are outside the exported-contract check.
-func (h *Heartbeat) bump() { h.done = true }
+func (w *Watch) bump() { w.done = true }
 
 // Value receivers cannot be nil.
-func (h Heartbeat) Snapshot() bool { return h.done }
+func (w Watch) Snapshot() bool { return w.done }
 
 // helper is not one of the guarded types.
 type helper struct{ n int }

@@ -59,7 +59,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		{"panicmsg", ""},
 		{"determinism", "shadow/internal/sim"},
 		{"exhaustive", ""},
-		{"nilguard", "shadow/internal/obs"},
+		{"nilguard", "shadow/internal/obs/flight"},
 		{"allocflow", ""},
 	}
 	var pkgs []*Package

@@ -208,7 +208,7 @@ func RecoverFlight(watch *flight.Watch, path string) {
 	panic(r) //shadowvet:ignore panicmsg -- re-raising the original panic value after the flight dump
 }
 
-// writeFile creates path and fills it with write, returning the first error
+// WriteFile creates path and fills it with write, returning the first error
 // of the create, the write, and the close.
 func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)

@@ -73,11 +73,7 @@ type Device struct {
 	// shadowscope instrumentation. cmdAt is the time of the command being
 	// executed, recorded so the flip sink (which has no time parameter) can
 	// timestamp flip events.
-	probe      *obs.Probe
-	flipSeries *obs.Series
-	// flipCount mirrors the flip series as a plain counter so the live
-	// inspector's Prometheus exposition (counters/gauges/histograms only) can alert on
-	// flips; series stay in the JSON dump.
+	probe     *obs.Probe
 	flipCount *obs.Counter
 	cmdAt     timing.Tick
 
@@ -135,7 +131,6 @@ func NewDevice(cfg Config) (*Device, error) {
 		probe: cfg.Probe,
 		spans: cfg.Spans,
 	}
-	d.flipSeries = cfg.Probe.Series("dram/flips")
 	d.flipCount = cfg.Probe.Counter("dram/flips_total")
 	d.rfmCause = span.CauseRFM
 	if a, ok := mit.(span.Attributor); ok {
@@ -157,7 +152,6 @@ func NewDevice(cfg Config) (*Device, error) {
 					At: d.cmdAt, Kind: obs.KindFlip,
 					Bank: bankID, Row: da, Aux: int64(sub),
 				})
-				d.flipSeries.Add(d.cmdAt, 1)
 				d.flipCount.Inc()
 			}
 		}

@@ -237,7 +237,7 @@ type RunOpts struct {
 	OnPointProgress func(worker int, label string, now, total timing.Tick)
 	// OnPointDone fires after a point's scheme run completes, carrying the
 	// order-sensitive FNV hash of its DRAM command log (the fleet divergence
-	// watchdog compares it across workers for same point+seed) and the
+	// check compares it across workers for same point+seed) and the
 	// measured relative performance. Setting it attaches an observation-only
 	// sim.Config.OnCommand hook to scheme runs.
 	OnPointDone func(worker int, label, scheme string, seed, cmdHash uint64, rel float64)
@@ -342,9 +342,9 @@ func runPoint(pt Point, profiles []trace.Profile, o RunOpts) (float64, *sim.Resu
 }
 
 // pointLabel names a scheme run's shadowscope track. The label must be
-// injective over the point's configuration: the fleet divergence watchdog
+// injective over the point's configuration: the fleet divergence check
 // compares command hashes of completions sharing a (label, seed) key, so
-// two differently-configured points with one label would falsely trip it
+// two differently-configured points with one label would falsely fail it
 // (Fig. 9 varies tRCD, Fig. 10 blast radius, Fig. 11 the DRAM grade, all
 // at a fixed scheme/workload/H_cnt). Non-default fields append suffixes
 // so the common case keeps the short scheme/workload/hNNNN form.

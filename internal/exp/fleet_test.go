@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,13 +65,11 @@ func fleetSweep(t *testing.T, o RunOpts, col *fleet.Collector) []PerfPoint {
 		o.OnPointProgress = func(worker int, label string, now, total timing.Tick) {
 			if col.PointProgress(wid(worker), label, now, total) {
 				ingest(worker)
-				col.Tick()
 			}
 		}
 		o.OnPointDone = func(worker int, label, scheme string, seed, cmdHash uint64, rel float64) {
 			col.PointDone(wid(worker), label, scheme, seed, cmdHash)
 			ingest(worker)
-			col.Tick()
 		}
 	}
 
@@ -80,7 +79,7 @@ func fleetSweep(t *testing.T, o RunOpts, col *fleet.Collector) []PerfPoint {
 	return points
 }
 
-// TestPointLabelInjective pins the contract the fleet divergence watchdog
+// TestPointLabelInjective pins the contract the fleet divergence check
 // depends on: points that build different configurations must never share
 // a label, or a healthy fig9/fig10/fig11 sweep would falsely trip the
 // (fatal) same-point-same-seed hash comparison. Caught live: fig9's three
@@ -122,7 +121,7 @@ var (
 // TestFleetSweepObservedAndNeutral is the acceptance-criteria integration
 // test: a 12-point parallel sweep with the fleet layer attached (a) merges
 // per-worker counters so the fleet totals account for 100% of them, (b)
-// finishes with 100% fleet progress and no watchdog trip, and (c) produces
+// finishes with 100% fleet progress and no divergence, and (c) produces
 // bit-identical results to the same-seed bare sweep — observation must not
 // perturb the simulation.
 func TestFleetSweepObservedAndNeutral(t *testing.T) {
@@ -138,12 +137,10 @@ func TestFleetSweepObservedAndNeutral(t *testing.T) {
 	barePoints := fleetSweep(t, base, nil)
 
 	// Fleet-attached sweep, same seed. The injected clock is frozen (reads
-	// from every worker goroutine race-free because nothing mutates it): all
-	// wall durations are zero, which keeps the straggler median path off.
+	// from every worker goroutine race-free because nothing mutates it).
 	wall := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	col := fleet.NewCollector(func() time.Time { return wall })
 	fleetPoints := fleetSweep(t, base, col)
-	col.Tick()
 
 	// (c) Observation neutrality: every point's measured relative performance
 	// is bit-identical to the bare sweep's.
@@ -156,7 +153,8 @@ func TestFleetSweepObservedAndNeutral(t *testing.T) {
 		}
 	}
 
-	// (b) Fleet accounting: every point completed, progress 100, no trips.
+	// (b) Fleet accounting: every point completed, progress 100, no
+	// divergence.
 	fj := col.Fleet()
 	if fj.PointsExpected != 12 || fj.PointsDone != 12 {
 		t.Fatalf("fleet points = %d/%d, want 12/12", fj.PointsDone, fj.PointsExpected)
@@ -164,8 +162,8 @@ func TestFleetSweepObservedAndNeutral(t *testing.T) {
 	if fj.ProgressPercent != 100 {
 		t.Fatalf("fleet progress = %v, want 100", fj.ProgressPercent)
 	}
-	if fj.Watchdog != nil {
-		t.Fatalf("watchdog tripped on a healthy sweep: %+v", fj.Watchdog)
+	if fj.Divergence != "" {
+		t.Fatalf("divergence on a healthy sweep: %s", fj.Divergence)
 	}
 	seenPoints := map[string]bool{}
 	for _, rec := range fj.Completed {
@@ -186,6 +184,11 @@ func TestFleetSweepObservedAndNeutral(t *testing.T) {
 	}
 	perWorker := map[string]float64{}
 	fleetTotal := map[string]float64{}
+	// The simulator's event counts reach the fleet sums as counters. Each
+	// worker's last ingest holds only its last point, whatever its scheme,
+	// so only the scheme-independent counts are sure to be there.
+	counts := []string{"mc/acts", "mc/rfms", "mc/blocked_ticks", "sim/insts"}
+	countTotal := map[string]float64{}
 	for _, line := range bytes.Split(merged.Bytes(), []byte("\n")) {
 		if len(line) == 0 || bytes.HasPrefix(line, []byte("# ")) {
 			continue
@@ -210,6 +213,11 @@ func TestFleetSweepObservedAndNeutral(t *testing.T) {
 			perWorker[name] += v
 		case "shadow_fleet_counter":
 			fleetTotal[name] = v
+			for _, c := range counts {
+				if strings.HasSuffix(name, "/"+c) {
+					countTotal[c] += v
+				}
+			}
 		}
 	}
 	if len(perWorker) == 0 {
@@ -223,12 +231,17 @@ func TestFleetSweepObservedAndNeutral(t *testing.T) {
 	if len(fleetTotal) != len(perWorker) {
 		t.Errorf("fleet totals cover %d instruments, workers expose %d", len(fleetTotal), len(perWorker))
 	}
+	for _, c := range counts {
+		if total, ok := countTotal[c]; !ok || (c == "mc/acts" && total == 0) {
+			t.Errorf("fleet counter totals for %s: present %v, sum %v", c, ok, total)
+		}
+	}
 
-	// Divergence watchdog end-to-end: replaying the same points with the same
-	// seed through the same collector must agree hash-for-hash — feeding it a
+	// Divergence end-to-end: replaying the same points with the same seed
+	// through the same collector must agree hash-for-hash — feeding it a
 	// second sweep is exactly the same-point-same-seed comparison it guards.
 	fleetSweep(t, base, col)
-	if tr := col.Tick(); tr != nil {
-		t.Fatalf("same-seed replay tripped %s: %s", tr.Watchdog, tr.Detail)
+	if d := col.Divergence(); d != "" {
+		t.Fatalf("same-seed replay diverged: %s", d)
 	}
 }

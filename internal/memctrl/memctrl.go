@@ -201,13 +201,13 @@ type Controller struct {
 	probe *obs.Probe
 	// emitEvents caches Probe.EventsOn at construction: metrics-only runs
 	// (the always-on flight-less config) skip per-command Event building.
-	emitEvents  bool
-	latHist     *obs.Histogram
-	depthHist   *obs.Histogram
-	localHist   *obs.Histogram
-	actSeries   *obs.Series
-	rfmSeries   *obs.Series
-	blockSeries *obs.Series
+	emitEvents bool
+	latHist    *obs.Histogram
+	depthHist  *obs.Histogram
+	localHist  *obs.Histogram
+	actCount   *obs.Counter
+	rfmCount   *obs.Counter
+	blockCount *obs.Counter
 
 	// shadowtap span tracker (nil-inert) and the blame the installed
 	// mitigator claims for RFM windows and RAA-saturation holds (SHADOW
@@ -259,9 +259,9 @@ func New(dev *dram.Device, opt Options) *Controller {
 	c.latHist = c.probe.Histogram("mc/read_latency_ticks")
 	c.depthHist = c.probe.Histogram("mc/queue_depth")
 	c.localHist = c.probe.Histogram("mc/row_hits_per_act")
-	c.actSeries = c.probe.Series("mc/acts")
-	c.rfmSeries = c.probe.Series("mc/rfms")
-	c.blockSeries = c.probe.Series("mc/blocked_ticks")
+	c.actCount = c.probe.Counter("mc/acts")
+	c.rfmCount = c.probe.Counter("mc/rfms")
+	c.blockCount = c.probe.Counter("mc/blocked_ticks")
 	c.spans = opt.Spans
 	c.rfmCause = span.CauseRFM
 	if a, ok := dev.Mitigator().(span.Attributor); ok {
@@ -711,7 +711,7 @@ func (c *Controller) log(kind CmdKind, bank, row int, at timing.Tick) {
 	switch kind {
 	case CmdACT:
 		k, dur = obs.KindACT, c.p.RCD
-		c.actSeries.Add(at, 1)
+		c.actCount.Inc()
 	case CmdPRE:
 		k, dur = obs.KindPRE, c.p.RP
 	case CmdRD:
@@ -722,7 +722,7 @@ func (c *Controller) log(kind CmdKind, bank, row int, at timing.Tick) {
 		k, dur = obs.KindREF, c.p.RFC
 	case CmdRFM:
 		k, dur = obs.KindRFM, c.p.RFM
-		c.rfmSeries.Add(at, 1)
+		c.rfmCount.Inc()
 	}
 	if !c.emitEvents {
 		return
@@ -1075,7 +1075,7 @@ func (c *Controller) performSwap(s *mitigate.SwapRequest, now timing.Tick) {
 			Bank: s.Bank, Row: s.RowA, Aux: int64(s.RowB),
 		})
 	}
-	c.blockSeries.Add(now, float64(until-now))
+	c.blockCount.Add(int64(until - now))
 }
 
 // RowHitRate returns the fraction of column commands served without an ACT.

@@ -28,8 +28,8 @@ type BlockHammer struct {
 	// maintained incrementally so NextEventAt needs no map iteration.
 	throttleRows int
 
-	probe          *obs.Probe
-	throttleSeries *obs.Series
+	probe         *obs.Probe
+	throttleCount *obs.Counter
 
 	// Blacklisted counts the ACTs that hit the blacklist. The delay they
 	// cause is attributed to span.CauseThrottle when spans are attached.
@@ -80,7 +80,7 @@ func (bh *BlockHammer) Name() string { return "blockhammer" }
 // events plus a throttled-ACT rate series. A nil probe detaches.
 func (bh *BlockHammer) SetProbe(p *obs.Probe) {
 	bh.probe = p
-	bh.throttleSeries = p.Series("blockhammer/throttled")
+	bh.throttleCount = p.Counter("blockhammer/throttled")
 }
 
 // TranslateRow implements MCSide (identity).
@@ -193,7 +193,7 @@ func (bh *BlockHammer) OnACT(bank, paRow int, now timing.Tick) *SwapRequest {
 				At: now, Dur: bh.throttleDelay(), Kind: obs.KindThrottle,
 				Bank: bank, Row: paRow,
 			})
-			bh.throttleSeries.Add(now, 1)
+			bh.throttleCount.Inc()
 		}
 	}
 	return nil

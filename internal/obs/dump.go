@@ -8,11 +8,9 @@ import (
 // metricsDump is the JSON shape of a metrics export. Maps marshal with
 // sorted keys, so the output is byte-deterministic.
 type metricsDump struct {
-	SampleIntervalPS int64                    `json:"sample_interval_ps"`
-	Counters         map[string]int64         `json:"counters,omitempty"`
-	Gauges           map[string]int64         `json:"gauges,omitempty"`
-	Histograms       map[string]histogramDump `json:"histograms,omitempty"`
-	Series           map[string][]float64     `json:"series,omitempty"`
+	Counters   map[string]int64         `json:"counters,omitempty"`
+	Gauges     map[string]int64         `json:"gauges,omitempty"`
+	Histograms map[string]histogramDump `json:"histograms,omitempty"`
 }
 
 type histogramDump struct {
@@ -38,7 +36,7 @@ type bucketDump struct {
 }
 
 func (m *Metrics) dump() metricsDump {
-	d := metricsDump{SampleIntervalPS: int64(m.interval)}
+	var d metricsDump
 	if len(m.counters) > 0 {
 		d.Counters = make(map[string]int64, len(m.counters))
 		for _, k := range sortedKeysCounter(m.counters) {
@@ -64,12 +62,6 @@ func (m *Metrics) dump() metricsDump {
 				hd.Buckets = append(hd.Buckets, bucketDump{Lo: b.Lo, Hi: b.Hi, Count: b.Count})
 			}
 			d.Histograms[k] = hd
-		}
-	}
-	if len(m.series) > 0 {
-		d.Series = make(map[string][]float64, len(m.series))
-		for _, k := range sortedKeysSeries(m.series) {
-			d.Series[k] = m.series[k].Values()
 		}
 	}
 	return d

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"shadow/internal/obs"
-	"shadow/internal/obs/flight"
 	"shadow/internal/timing"
 )
 
@@ -51,8 +50,6 @@ type FleetJSON struct {
 	PointsExpected  int              `json:"points_expected"`
 	PointsDone      int              `json:"points_done"`
 	ProgressPercent float64          `json:"progress_percent"`
-	ETASeconds      float64          `json:"eta_seconds"`
-	Watchdog        *flight.Trip     `json:"watchdog,omitempty"`
 	Divergence      string           `json:"divergence,omitempty"`
 	FlipsPerScheme  map[string]int64 `json:"flips_per_scheme"`
 	Completed       []PointRecord    `json:"completed"`
@@ -71,8 +68,6 @@ func (c *Collector) Fleet() FleetJSON {
 		PointsExpected:  c.expected,
 		PointsDone:      len(c.completed),
 		ProgressPercent: c.progressPctLocked(),
-		ETASeconds:      c.etaSecondsLocked(),
-		Watchdog:        c.watch.Tripped(),
 		Divergence:      c.divergent,
 		FlipsPerScheme:  c.flipsPerSchemeLocked(),
 		Completed:       append([]PointRecord(nil), c.completed...),
@@ -113,21 +108,6 @@ func (c *Collector) workerJSONLocked(id string, wall time.Time) WorkerJSON {
 	return wj
 }
 
-// Trends returns the store's series for the dashboard, keyed by name,
-// deterministically ordered when marshalled (maps encode with sorted keys).
-func (c *Collector) Trends() map[string][]TrendPoint {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string][]TrendPoint, len(c.store.series))
-	for _, name := range c.store.Names() {
-		out[name] = c.store.Trend(name)
-	}
-	return out
-}
-
 // flipsPerSchemeLocked sums every flips counter across workers, keyed by
 // the scheme (first path segment of the instrument name).
 func (c *Collector) flipsPerSchemeLocked() map[string]int64 {
@@ -149,7 +129,7 @@ func (c *Collector) flipsPerSchemeLocked() map[string]int64 {
 
 // WriteMetrics renders the merged fleet exposition (/metrics):
 //
-//	shadow_fleet_* roll-up gauges (workers, points, progress, ETA)
+//	shadow_fleet_* roll-up gauges (workers, points, progress)
 //	shadow_fleet_flips_total{scheme=...}
 //	shadow_fleet_worker_*{worker,point} — each worker's current point:
 //	    progress, simulated time, rate, events, done
@@ -195,8 +175,6 @@ func (c *Collector) writeRollupsLocked(buf *bytes.Buffer) {
 	fmt.Fprintf(buf, "# TYPE shadow_fleet_points_expected gauge\nshadow_fleet_points_expected %d\n", c.expected)
 	fmt.Fprintf(buf, "# TYPE shadow_fleet_points_done gauge\nshadow_fleet_points_done %d\n", len(c.completed))
 	fmt.Fprintf(buf, "# TYPE shadow_fleet_progress_percent gauge\nshadow_fleet_progress_percent %s\n", formatValue(c.progressPctLocked()))
-	fmt.Fprintf(buf, "# TYPE shadow_fleet_eta_seconds gauge\nshadow_fleet_eta_seconds %s\n", formatValue(c.etaSecondsLocked()))
-	fmt.Fprintf(buf, "# TYPE shadow_fleet_watchdog_tripped gauge\nshadow_fleet_watchdog_tripped %d\n", boolInt(c.watch.Tripped() != nil))
 	if flips := c.flipsPerSchemeLocked(); len(flips) > 0 {
 		fmt.Fprintf(buf, "# HELP shadow_fleet_flips_total Bit flips summed across workers, keyed by scheme.\n")
 		fmt.Fprintf(buf, "# TYPE shadow_fleet_flips_total counter\n")

@@ -1,11 +1,12 @@
 // Package fleet is the live run inspector behind both CLIs' -inspect flag
 // and shadowexp's -fleet-out. A Collector registers every worker of a
 // shadowexp point fan-out (a shadowsim run is a one-worker, one-point
-// fleet), merges snapshots of their obs metric registries into fleet-level
-// series with worker/scheme/point labels, retains recent history in a
-// bounded trend store, and runs fleet watchdogs — straggler, stalled-worker,
-// and cross-worker divergence — on the flight recorder's trip-and-freeze
-// pattern. Its Handler (inspect.go) serves the merged view live.
+// fleet), tracks each point's progress, keeps a record of every completed
+// point with its command hash, and merges snapshots of the workers' obs
+// metric registries into one exposition with worker/scheme/point labels and
+// fleet-wide sums. Two workers that hash one point and seed differently
+// make a divergence (Divergence), a correctness failure the sweep exits on.
+// Its Handler (inspect.go) serves the merged view live.
 //
 // The collector is passive: it starts no goroutine and reads no outside
 // input. Sweep workers call its hooks from their own goroutines and hand
@@ -15,41 +16,25 @@
 //
 // Like the rest of the obs layer, the package is deterministic (no direct
 // wall-clock reads — the Collector takes its clock injected from the cmd
-// layer; every map iteration is sorted) and nil-safe (a nil *Collector or
-// *Store is valid and inert).
+// layer; every map iteration is sorted) and nil-safe (a nil *Collector is
+// valid and inert).
 package fleet
 
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"sync"
 	"time"
 
 	"shadow/internal/obs"
-	"shadow/internal/obs/flight"
 	"shadow/internal/timing"
 )
 
-const (
-	// refreshEvery is the minimum wall-time gap between metric snapshots of
-	// one worker: PointProgress returns true at most this often.
-	refreshEvery = time.Second
-	// stragglerFactor is the straggler watchdog's K: an in-flight point
-	// running longer than K times the median completed-point duration trips
-	// it (it needs >= 3 completed points before it can trip).
-	stragglerFactor = 4.0
-	// stragglerFloor exempts short points: below a second of wall time, GC
-	// and scheduling noise and the spread between a sweep's cheap and
-	// expensive points (30x within one short fig8 sweep) exceed the factor.
-	stragglerFloor = time.Second
-	// stallIngests is the stalled-worker watchdog's M: a worker whose metric
-	// snapshot has not changed at all across M consecutive ingests while a
-	// point is in flight trips it.
-	stallIngests = 5
-)
+// refreshEvery is the minimum wall-time gap between metric snapshots of one
+// worker: PointProgress returns true at most this often.
+const refreshEvery = time.Second
 
 // PointRecord is one completed operating point, as reported by a worker.
 type PointRecord struct {
@@ -83,15 +68,6 @@ type worker struct {
 	// worker's id, scheme and point at ingest time — the identity stamped on
 	// re-exposed samples (the live point may already have moved on).
 	metrics obs.Snapshot
-
-	// Stall detection: a fingerprint of the whole snapshot at the last
-	// ingest, and how many consecutive ingests it has not changed while a
-	// point was in flight. The fingerprint covers every instrument —
-	// counters alone are too quiet a signal (a short benign run may never
-	// increment dram/flips_total, the simulator's only counter), while a
-	// live worker's gauges and latency histograms move on every snapshot.
-	moveSig     uint64
-	idleIngests int
 
 	pointsDone int
 }
@@ -130,18 +106,10 @@ type Collector struct {
 	// The latest renders of src, taken by Ingest.
 	blame, flight []byte
 
-	workers map[string]*worker
-	store   *Store
-	watch   *flight.Watch
-
-	startAt  time.Time // first activity; ETA regression origin
-	expected int       // planned point count (0 = unknown)
-	seq      int64     // Tick sequence, the trend time axis
+	workers  map[string]*worker
+	expected int // planned point count (0 = unknown)
 
 	completed []PointRecord
-	// completions records (wall seconds since startAt, cumulative count)
-	// pairs for the ETA throughput regression.
-	completions []completion
 
 	// hashes detects cross-worker divergence: first (hash, worker) seen per
 	// point+seed key.
@@ -149,33 +117,23 @@ type Collector struct {
 	divergent string // non-empty once two workers disagreed
 }
 
-type completion struct{ atSec, count float64 }
-
 type hashSeen struct {
 	hash   uint64
 	worker string
 }
 
-// NewCollector builds a collector and arms the three fleet watchdogs. clock
-// supplies wall time (time.Now in production, a fake in tests); the
-// collector stamps point durations with it, so the fleet package itself
-// stays free of wall-clock reads.
+// NewCollector builds a collector. clock supplies wall time (time.Now in
+// production, a fake in tests); the collector stamps point durations with
+// it, so the fleet package itself stays free of wall-clock reads.
 func NewCollector(clock func() time.Time) *Collector {
 	if clock == nil {
 		panic("fleet: NewCollector needs a clock (inject time.Now from the cmd layer)")
 	}
-	c := &Collector{
+	return &Collector{
 		clock:   clock,
 		workers: map[string]*worker{},
-		store:   NewStore(DefaultTrendCapacity),
-		watch:   flight.NewWatch(nil),
 		hashes:  map[string]hashSeen{},
 	}
-	// The probes run under c.mu (Tick holds it), so they read state directly.
-	c.watch.Add(flight.Check{Name: "fleet-straggler", Probe: c.stragglerLocked})
-	c.watch.Add(flight.Check{Name: "fleet-stalled-worker", Probe: c.stalledLocked})
-	c.watch.Add(flight.Check{Name: "fleet-divergence", Probe: c.divergenceLocked})
-	return c
 }
 
 // SetSources attaches the blame and flight sources. Call it before the
@@ -187,23 +145,14 @@ func (c *Collector) SetSources(src Sources) {
 	c.src = src
 }
 
-// Watch exposes the fleet watchdogs (trip inspection, OnTrip hooks).
-func (c *Collector) Watch() *flight.Watch {
-	if c == nil {
-		return nil
-	}
-	return c.watch
-}
-
 // ExpectPoints adds n to the planned point count (each experiment of a
-// sweep announces its jobs as it starts). Drives fleet progress % and ETA.
+// sweep announces its jobs as it starts). Drives fleet progress %.
 func (c *Collector) ExpectPoints(n int) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.markStartedLocked()
 	c.expected += n
 }
 
@@ -217,12 +166,6 @@ func (c *Collector) workerLocked(id string) *worker {
 	return w
 }
 
-func (c *Collector) markStartedLocked() {
-	if c.startAt.IsZero() {
-		c.startAt = c.clock()
-	}
-}
-
 // PointStart records that a worker began an operating point.
 func (c *Collector) PointStart(id, point, scheme string, seed uint64) {
 	if c == nil {
@@ -230,12 +173,10 @@ func (c *Collector) PointStart(id, point, scheme string, seed uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.markStartedLocked()
 	w := c.workerLocked(id)
 	w.point, w.scheme, w.seed = point, scheme, seed
 	w.now, w.total = 0, 0
 	w.done = false
-	w.idleIngests = 0
 	w.startedAt = c.clock()
 }
 
@@ -260,9 +201,9 @@ func (c *Collector) PointProgress(id, point string, now, total timing.Tick) bool
 	return true
 }
 
-// PointDone records a completed point: its wall duration (for the straggler
-// median and the ETA regression) and its FNV command hash (for the
-// cross-worker divergence watchdog).
+// PointDone records a completed point: its wall duration and its FNV
+// command hash, which it compares with the first record of the same point
+// and seed (Divergence).
 func (c *Collector) PointDone(id, point, scheme string, seed, cmdHash uint64) {
 	if c == nil {
 		return
@@ -280,15 +221,9 @@ func (c *Collector) PointDone(id, point, scheme string, seed, cmdHash uint64) {
 	w.point, w.scheme, w.seed = point, scheme, seed
 	w.now = w.total
 	w.pointsDone++
-	w.idleIngests = 0
 	c.completed = append(c.completed, PointRecord{
 		Worker: id, Point: point, Scheme: scheme, Seed: seed,
 		CmdHash: fmt.Sprintf("%#016x", cmdHash), WallMS: ms,
-	})
-	c.markStartedLocked()
-	c.completions = append(c.completions, completion{
-		atSec: wall.Sub(c.startAt).Seconds(),
-		count: float64(len(c.completed)),
 	})
 
 	key := fmt.Sprintf("%s|%d", point, seed)
@@ -303,11 +238,10 @@ func (c *Collector) PointDone(id, point, scheme string, seed, cmdHash uint64) {
 }
 
 // Ingest snapshots a worker's recorder (its metric registry and event
-// count) and replaces its stored snapshot, feeding the trend store and the
-// stalled-worker detector, and re-renders the Sources. Call it from the
-// goroutine that owns rec: everything is read there, before the collector's
-// lock, and the collector never touches rec again. A nil rec ingests an
-// empty registry.
+// count), replaces its stored snapshot, and re-renders the Sources. Call it
+// from the goroutine that owns rec: everything is read there, before the
+// collector's lock, and the collector never touches rec again. A nil rec
+// ingests an empty registry.
 func (c *Collector) Ingest(id string, rec *obs.Recorder) {
 	if c == nil {
 		return
@@ -330,7 +264,6 @@ func (c *Collector) Ingest(id string, rec *obs.Recorder) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.markStartedLocked()
 	c.blame, c.flight = blame, flight
 	w := c.workerLocked(id)
 	w.events = events
@@ -343,66 +276,6 @@ func (c *Collector) Ingest(id string, rec *obs.Recorder) {
 	}
 	w.metrics = snap
 	w.lastIngest = c.clock()
-
-	// A registry without instruments (a shared recorder that only traces or
-	// feeds the flight ring) carries no liveness signal: never idle.
-	live := len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) > 0
-	sig := movementSig(snap)
-	if live && !w.done && sig == w.moveSig {
-		w.idleIngests++
-	} else {
-		w.idleIngests = 0
-	}
-	w.moveSig = sig
-
-	c.store.Append("worker/"+id+"/progress", c.seq, w.progressPct())
-	c.store.Append("worker/"+id+"/counter_total", c.seq, counterTotal(snap))
-}
-
-// movementSig fingerprints a snapshot (FNV-1a over every instrument name and
-// value; a histogram's count and sum change on every observation): the
-// liveness signal the stalled-worker watchdog compares across ingests. Two
-// identical snapshots — a point whose simulation stopped updating its
-// instruments — hash equal; any instrument changing anywhere counts as
-// movement.
-func movementSig(s obs.Snapshot) uint64 {
-	h := fnv.New64a()
-	for _, r := range s.Counters {
-		fmt.Fprintf(h, "c %q %d\n", r.Name, r.Value)
-	}
-	for _, r := range s.Gauges {
-		fmt.Fprintf(h, "g %q %d\n", r.Name, r.Value)
-	}
-	for i := range s.Histograms {
-		r := &s.Histograms[i]
-		fmt.Fprintf(h, "h %q %d %d\n", r.Name, r.Count(), r.Sum())
-	}
-	return h.Sum64()
-}
-
-// counterTotal sums every counter: the worker's counter_total trend.
-func counterTotal(s obs.Snapshot) float64 {
-	var total float64
-	for _, r := range s.Counters {
-		total += float64(r.Value)
-	}
-	return total
-}
-
-// Tick advances the fleet: appends the roll-up trends and runs the
-// watchdogs once. Call it at the refresh cadence; the first trip
-// freezes (the watch records it and later Ticks return it unchanged), so
-// a divergence after another trip shows only in Divergence.
-func (c *Collector) Tick() *flight.Trip {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	c.store.Append("fleet/points_done", c.seq, float64(len(c.completed)))
-	c.store.Append("fleet/progress", c.seq, c.progressPctLocked())
-	return c.watch.Check(timing.Tick(c.seq))
 }
 
 // progressPctLocked is the fleet-wide progress estimate: completed points
@@ -432,38 +305,6 @@ func (c *Collector) progressPctLocked() float64 {
 	return pct
 }
 
-// etaSecondsLocked estimates seconds until the sweep completes, from a
-// least-squares regression of cumulative completed points over wall time:
-// the slope is the fleet's point throughput, and remaining/slope the ETA. 0
-// means "no estimate" (unknown total, fewer than 2 completions, or no
-// forward progress).
-func (c *Collector) etaSecondsLocked() float64 {
-	if c.expected <= 0 || len(c.completions) < 2 {
-		return 0
-	}
-	remaining := float64(c.expected - len(c.completed))
-	if remaining <= 0 {
-		return 0
-	}
-	var sx, sy, sxx, sxy float64
-	n := float64(len(c.completions))
-	for _, p := range c.completions {
-		sx += p.atSec
-		sy += p.count
-		sxx += p.atSec * p.atSec
-		sxy += p.atSec * p.count
-	}
-	den := n*sxx - sx*sx
-	if den <= 0 {
-		return 0
-	}
-	slope := (n*sxy - sx*sy) / den // points per second
-	if slope <= 0 {
-		return 0
-	}
-	return remaining / slope
-}
-
 // workerIDsLocked returns the registered worker ids, sorted.
 func (c *Collector) workerIDsLocked() []string {
 	ids := make([]string, 0, len(c.workers))
@@ -474,52 +315,10 @@ func (c *Collector) workerIDsLocked() []string {
 	return ids
 }
 
-// Watchdog probes. All run with c.mu held (Tick holds it across
-// watch.Check); they read collector state directly and never lock.
-
-// stragglerLocked trips when an in-flight point has been running longer
-// than stragglerFactor times the median completed-point wall duration and
-// longer than stragglerFloor.
-func (c *Collector) stragglerLocked(timing.Tick) (string, bool) {
-	med := c.medianPointMSLocked()
-	if med <= 0 || len(c.completed) < 3 {
-		return "", false
-	}
-	limit := max(stragglerFactor*med, float64(stragglerFloor/time.Millisecond))
-	wall := c.clock()
-	for _, id := range c.workerIDsLocked() {
-		w := c.workers[id]
-		if w.done || w.point == "" || w.startedAt.IsZero() {
-			continue
-		}
-		ms := float64(wall.Sub(w.startedAt)) / float64(time.Millisecond)
-		if ms > limit {
-			return fmt.Sprintf("worker %s point %s running %.0f ms > %.1fx median %.0f ms over %d completed points",
-				id, w.point, ms, stragglerFactor, med, len(c.completed)), true
-		}
-	}
-	return "", false
-}
-
-// stalledLocked trips when a worker's metric snapshot has not changed
-// across stallIngests consecutive ingests while a point was in flight.
-func (c *Collector) stalledLocked(timing.Tick) (string, bool) {
-	for _, id := range c.workerIDsLocked() {
-		w := c.workers[id]
-		if w.done || w.idleIngests < stallIngests {
-			continue
-		}
-		return fmt.Sprintf("worker %s point %s: metrics frozen across %d ingests",
-			id, w.point, w.idleIngests), true
-	}
-	return "", false
-}
-
 // Divergence describes the first pair of workers that reported different
-// command hashes for one point and seed, "" while all agree. Unlike the
-// watch, which latches whichever watchdog tripped first, it always reports
-// a divergence: a correctness failure, where the other trips are
-// performance anomalies.
+// command hashes for one point and seed, "" while all agree. A divergence is
+// a correctness failure: one of the two runs was not deterministic, or two
+// distinct points share a label.
 func (c *Collector) Divergence() string {
 	if c == nil {
 		return ""
@@ -527,23 +326,4 @@ func (c *Collector) Divergence() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.divergent
-}
-
-// divergenceLocked trips once two workers reported different command hashes
-// for the same point+seed.
-func (c *Collector) divergenceLocked(timing.Tick) (string, bool) {
-	return c.divergent, c.divergent != ""
-}
-
-// medianPointMSLocked is the median completed-point wall duration.
-func (c *Collector) medianPointMSLocked() float64 {
-	if len(c.completed) == 0 {
-		return 0
-	}
-	ms := make([]float64, 0, len(c.completed))
-	for _, r := range c.completed {
-		ms = append(ms, r.WallMS)
-	}
-	sort.Float64s(ms)
-	return ms[len(ms)/2]
 }

@@ -15,13 +15,12 @@ import (
 	"time"
 
 	"shadow/internal/obs"
-	"shadow/internal/timing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fakeClock is the injected wall clock: tests advance it explicitly, so the
-// straggler and throttle behavior is exact instead of sleep-based.
+// fakeClock is the injected wall clock: tests advance it explicitly, so
+// point durations and the ingest throttle are exact instead of sleep-based.
 type fakeClock struct{ t time.Time }
 
 func newFakeClock() *fakeClock {
@@ -286,203 +285,50 @@ func completePoint(c *Collector, clk *fakeClock, id, point string, seed, hash ui
 	c.PointDone(id, point, "shadow", seed, hash)
 }
 
-func TestStragglerWatchdog(t *testing.T) {
-	clk := newFakeClock()
-	c := newTestCollector(clk)
-	c.ExpectPoints(5)
-	for i := 0; i < 3; i++ {
-		completePoint(c, clk, "w0", fmt.Sprintf("p%d", i), uint64(i), uint64(100+i), time.Second)
-	}
-	if tr := c.Tick(); tr != nil {
-		t.Fatalf("tripped early: %+v", tr)
-	}
-	c.PointStart("w1", "p-slow", "shadow", 9)
-	clk.advance(3900 * time.Millisecond)
-	if tr := c.Tick(); tr != nil {
-		t.Fatalf("tripped under 4x the median: %+v", tr)
-	}
-	// In-flight point runs past 4x the 1 s median.
-	clk.advance(600 * time.Millisecond)
-	tr := c.Tick()
-	if tr == nil || tr.Watchdog != "fleet-straggler" {
-		t.Fatalf("trip = %+v, want fleet-straggler", tr)
-	}
-	if !strings.Contains(tr.Detail, "w1") || !strings.Contains(tr.Detail, "p-slow") {
-		t.Fatalf("trip detail %q does not name the straggler", tr.Detail)
-	}
-	// The trip freezes and marshals deterministically.
-	if tr2 := c.Tick(); tr2 != tr {
-		t.Fatal("trip did not freeze")
-	}
-	dump, err := json.Marshal(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"watchdog":"fleet-straggler"`, `"detail"`, `"at_ps"`} {
-		if !strings.Contains(string(dump), want) {
-			t.Fatalf("trip JSON %s missing %s", dump, want)
-		}
-	}
-}
-
-func TestStalledWorkerWatchdog(t *testing.T) {
-	clk := newFakeClock()
-	c := newTestCollector(clk)
-	c.PointStart("w0", "p0", "shadow", 1)
-	m := workerMetrics("shadow", 5)
-	c.Ingest("w0", m)
-	// Five more ingests with identical counters: no movement while in flight.
-	for i := 0; i < 5; i++ {
-		clk.advance(time.Second)
-		c.Ingest("w0", m)
-	}
-	tr := c.Tick()
-	if tr == nil || tr.Watchdog != "fleet-stalled-worker" {
-		t.Fatalf("trip = %+v, want fleet-stalled-worker", tr)
-	}
-	if !strings.Contains(tr.Detail, "w0") {
-		t.Fatalf("trip detail %q does not name the worker", tr.Detail)
-	}
-}
-
-func TestStalledWorkerResetsOnMovement(t *testing.T) {
-	clk := newFakeClock()
-	c := newTestCollector(clk)
-	c.PointStart("w0", "p0", "shadow", 1)
-	for i := 0; i < 12; i++ {
-		clk.advance(time.Second)
-		// Counters move on every ingest: never stalls.
-		c.Ingest("w0", workerMetrics("shadow", int64(i+1)))
-	}
-	if tr := c.Tick(); tr != nil {
-		t.Fatalf("tripped on a moving worker: %+v", tr)
-	}
-}
-
-// TestStalledWorkerIgnoresFlatCounters pins the movement signal to the whole
-// exposition, not counters alone. A healthy short run may never increment a
-// counter (dram/flips_total is the simulator's only one, and benign
-// workloads don't flip bits), while its gauges and histograms move on every
-// snapshot — that must never read as a stall. Caught live on a fig9 sweep.
-func TestStalledWorkerIgnoresFlatCounters(t *testing.T) {
-	registry := func(gauge int64) *obs.Recorder {
-		rec := obs.NewRecorder(obs.Options{Metrics: true})
-		p := rec.NewTrack("shadow/mix-high/h256")
-		p.Counter("dram/flips_total").Add(0) // flat forever
-		p.Gauge("memctrl/queue_depth").Set(gauge)
-		return rec
-	}
-	clk := newFakeClock()
-	c := newTestCollector(clk)
-	c.PointStart("w0", "p0", "shadow", 1)
-	for i := 0; i < 12; i++ {
-		clk.advance(time.Second)
-		c.Ingest("w0", registry(int64(i+1)))
-	}
-	if tr := c.Tick(); tr != nil {
-		t.Fatalf("tripped with flat counters but moving gauges: %+v", tr)
-	}
-	// Freeze the gauge too: now the snapshot is truly static and the
-	// watchdog must trip.
-	for i := 0; i < 6; i++ {
-		clk.advance(time.Second)
-		c.Ingest("w0", registry(99))
-	}
-	if tr := c.Tick(); tr == nil || tr.Watchdog != "fleet-stalled-worker" {
-		t.Fatalf("trip = %+v, want fleet-stalled-worker once fully frozen", tr)
-	}
-}
-
-// TestStragglerWatchdogIgnoresShortPoints: points under a second never
-// straggle, however far past the median — short sweeps mix 1 ms and 30 ms
-// points.
-func TestStragglerWatchdogIgnoresShortPoints(t *testing.T) {
-	clk := newFakeClock()
-	c := newTestCollector(clk)
-	for i := 0; i < 3; i++ {
-		completePoint(c, clk, "w0", fmt.Sprintf("p%d", i), uint64(i), uint64(100+i), 10*time.Millisecond)
-	}
-	c.PointStart("w1", "p-slow", "shadow", 9)
-	clk.advance(900 * time.Millisecond)
-	if tr := c.Tick(); tr != nil {
-		t.Fatalf("a 900 ms point tripped: %+v", tr)
-	}
-	clk.advance(200 * time.Millisecond)
-	if tr := c.Tick(); tr == nil || tr.Watchdog != "fleet-straggler" {
-		t.Fatalf("trip = %+v, want fleet-straggler past the floor", tr)
-	}
-}
-
 func TestDivergenceWatchdog(t *testing.T) {
 	clk := newFakeClock()
 	c := newTestCollector(clk)
 	completePoint(c, clk, "w0", "p0", 42, 0xdead, 10*time.Millisecond)
-	if tr := c.Tick(); tr != nil {
-		t.Fatalf("tripped early: %+v", tr)
+	if d := c.Divergence(); d != "" {
+		t.Fatalf("divergence before any disagreement: %q", d)
 	}
 	// Same point+seed, different command hash from another worker.
 	completePoint(c, clk, "w1", "p0", 42, 0xbeef, 10*time.Millisecond)
-	tr := c.Tick()
-	if tr == nil || tr.Watchdog != "fleet-divergence" {
-		t.Fatalf("trip = %+v, want fleet-divergence", tr)
-	}
+	d := c.Divergence()
 	for _, want := range []string{"w0", "w1", "p0", "42"} {
-		if !strings.Contains(tr.Detail, want) {
-			t.Fatalf("trip detail %q missing %q", tr.Detail, want)
+		if !strings.Contains(d, want) {
+			t.Fatalf("Divergence() = %q, missing %q", d, want)
 		}
 	}
 }
 
-// TestDivergenceAfterStragglerTrip is the hidden-divergence regression: the
-// watch latches its first trip, so a divergence after a straggler trip never
-// reaches Tick. Divergence (what shadowexp's exit status reads) and the
-// status document must still report it.
-func TestDivergenceAfterStragglerTrip(t *testing.T) {
+// TestDivergenceKeepsFirstDisagreement: once two workers disagree, later
+// disagreements do not overwrite the first, and the status document (what
+// -fleet-out writes) carries the same description Divergence returns, which
+// shadowexp's exit status reads.
+func TestDivergenceKeepsFirstDisagreement(t *testing.T) {
 	clk := newFakeClock()
 	c := newTestCollector(clk)
 	for i := 0; i < 3; i++ {
 		completePoint(c, clk, "w0", fmt.Sprintf("p%d", i), uint64(i), uint64(100+i), time.Second)
 	}
-	c.PointStart("w1", "p0", "shadow", 0)
-	clk.advance(5 * time.Second)
-	if tr := c.Tick(); tr == nil || tr.Watchdog != "fleet-straggler" {
-		t.Fatalf("trip = %+v, want fleet-straggler", tr)
-	}
-	if d := c.Divergence(); d != "" {
-		t.Fatalf("divergence before any disagreement: %q", d)
-	}
-	// The straggler completes p0 seed 0 with a hash differing from w0's.
-	c.PointDone("w1", "p0", "shadow", 0, 0xbad)
-	if tr := c.Tick(); tr == nil || tr.Watchdog != "fleet-straggler" {
-		t.Fatalf("trip = %+v, want the latched fleet-straggler", tr)
-	}
-	d := c.Divergence()
-	for _, want := range []string{"p0", "w0", "w1"} {
-		if !strings.Contains(d, want) {
-			t.Fatalf("Divergence() = %q, missing %q", d, want)
+	completePoint(c, clk, "w1", "p0", 0, 0xbad, time.Second)
+	first := c.Divergence()
+	for _, want := range []string{"p0", "w0", "w1", "0x0000000000000bad"} {
+		if !strings.Contains(first, want) {
+			t.Fatalf("Divergence() = %q, missing %q", first, want)
 		}
 	}
-	if fj := c.Fleet(); fj.Divergence != d {
-		t.Fatalf("status document divergence = %q, want %q", fj.Divergence, d)
+	completePoint(c, clk, "w2", "p1", 1, 0xbad, time.Second)
+	if d := c.Divergence(); d != first {
+		t.Fatalf("a later disagreement replaced the first: %q, want %q", d, first)
 	}
-}
-
-// TestStalledWorkerIgnoresEmptyRegistry: a recorder without instruments (a
-// shared recorder that only traces or feeds the flight ring) carries no
-// liveness signal, so however often it is ingested it never reads as a
-// stall.
-func TestStalledWorkerIgnoresEmptyRegistry(t *testing.T) {
-	clk := newFakeClock()
-	c := newTestCollector(clk)
-	c.PointStart("w0", "p0", "shadow", 1)
-	rec := obs.NewRecorder(obs.Options{Events: true})
-	for i := 0; i < 2*stallIngests; i++ {
-		clk.advance(time.Second)
-		c.Ingest("w0", rec)
-		c.Ingest("w1", nil)
+	if fj := c.Fleet(); fj.Divergence != first {
+		t.Fatalf("status document divergence = %q, want %q", fj.Divergence, first)
 	}
-	if tr := c.Tick(); tr != nil {
-		t.Fatalf("tripped on registries without instruments: %+v", tr)
+	var fj FleetJSON
+	if err := json.Unmarshal(c.MarshalFleet(), &fj); err != nil || fj.Divergence != first || len(fj.Completed) != 5 {
+		t.Fatalf("marshalled status: divergence %q, %d completed, err %v", fj.Divergence, len(fj.Completed), err)
 	}
 }
 
@@ -493,17 +339,17 @@ func TestDivergenceSameHashNoTrip(t *testing.T) {
 	completePoint(c, clk, "w1", "p0", 42, 0xfeed, 10*time.Millisecond)
 	// Different seed may hash differently without being divergence.
 	completePoint(c, clk, "w1", "p0", 43, 0xdead, 10*time.Millisecond)
-	if tr := c.Tick(); tr != nil {
-		t.Fatalf("agreeing workers tripped: %+v", tr)
+	if d := c.Divergence(); d != "" {
+		t.Fatalf("agreeing workers diverged: %q", d)
 	}
 }
 
-func TestProgressAndETA(t *testing.T) {
+func TestFleetProgress(t *testing.T) {
 	clk := newFakeClock()
 	c := newTestCollector(clk)
 	c.ExpectPoints(10)
 	fj := c.Fleet()
-	if fj.ProgressPercent != 0 || fj.ETASeconds != 0 {
+	if fj.ProgressPercent != 0 {
 		t.Fatalf("fresh fleet: %+v", fj)
 	}
 	// One point per second, steadily.
@@ -516,10 +362,6 @@ func TestProgressAndETA(t *testing.T) {
 	}
 	if math.Abs(fj.ProgressPercent-40) > 1e-9 {
 		t.Fatalf("progress = %v, want 40", fj.ProgressPercent)
-	}
-	// Throughput is 1 point/s, 6 remain: ETA ~6 s.
-	if math.Abs(fj.ETASeconds-6) > 0.5 {
-		t.Fatalf("ETA = %v, want ~6", fj.ETASeconds)
 	}
 	// An in-flight point at 50% adds half a point of fractional progress.
 	c.PointStart("w1", "p4", "shadow", 4)
@@ -546,25 +388,6 @@ func TestPointProgressThrottle(t *testing.T) {
 	}
 }
 
-func TestTrendsFeedFromIngest(t *testing.T) {
-	clk := newFakeClock()
-	c := newTestCollector(clk)
-	c.ExpectPoints(2)
-	c.PointStart("w0", "p0", "shadow", 1)
-	for i := 0; i < 3; i++ {
-		clk.advance(time.Second)
-		c.PointProgress("w0", "p0", timing.Tick(i*30), timing.Tick(100))
-		c.Ingest("w0", workerMetrics("shadow", int64(i+1)))
-		c.Tick()
-	}
-	tr := c.Trends()
-	for _, name := range []string{"worker/w0/progress", "worker/w0/counter_total", "fleet/progress", "fleet/points_done"} {
-		if len(tr[name]) == 0 {
-			t.Errorf("trend %q empty; have %v", name, c.store.Names())
-		}
-	}
-}
-
 func TestNilCollectorInert(t *testing.T) {
 	var c *Collector
 	c.ExpectPoints(5)
@@ -574,7 +397,7 @@ func TestNilCollectorInert(t *testing.T) {
 	}
 	c.PointDone("w0", "p", "s", 1, 2)
 	c.Ingest("w0", workerMetrics("shadow", 1))
-	if c.Tick() != nil || c.Watch() != nil || c.Divergence() != "" || c.Trends() != nil {
+	if c.Divergence() != "" {
 		t.Fatal("nil collector produced state")
 	}
 	if err := c.WriteMetrics(&bytes.Buffer{}); err != nil {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"html"
 	"net/http"
@@ -13,12 +12,11 @@ import (
 // Handler returns the live inspector's HTTP handler over the collector,
 // behind both CLIs' -inspect flag:
 //
-//	/              HTML dashboard (auto-refreshing): fleet progress, ETA,
-//	               per-worker progress, rate, events and trends, watchdog
-//	               state, flips per scheme, rolling blame
+//	/              HTML dashboard (auto-refreshing): fleet progress,
+//	               per-worker progress, rate and events, divergence, flips
+//	               per scheme, rolling blame
 //	/status.json   the status document (FleetJSON; what -fleet-out writes)
 //	/metrics       merged Prometheus exposition (WriteMetrics)
-//	/trends.json   every stored trend series
 //	/blame.json    rolling blame breakdown ([] without a blame source)
 //	/flight.json   flight-recorder dump ({} without a flight source)
 //	/healthz       liveness probe (200 "ok")
@@ -47,11 +45,6 @@ func (c *Collector) Handler() http.Handler {
 	handle("/metrics", obs.ContentTypePrometheus, func(w http.ResponseWriter) {
 		c.WriteMetrics(w)
 	})
-	handle("/trends.json", "application/json", func(w http.ResponseWriter) {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(c.Trends())
-	})
 	handle("/blame.json", "application/json", func(w http.ResponseWriter) {
 		blame, _ := c.docs()
 		w.Write(orEmpty(blame, "[]\n"))
@@ -65,7 +58,7 @@ func (c *Collector) Handler() http.Handler {
 	})
 	handle("/", "text/html; charset=utf-8", func(w http.ResponseWriter) {
 		blame, _ := c.docs()
-		writeDashboard(w, c.Fleet(), c.Trends(), blame)
+		writeDashboard(w, c.Fleet(), blame)
 	})
 	return mux
 }
@@ -87,42 +80,33 @@ func orEmpty(doc []byte, empty string) []byte {
 
 // writeDashboard renders the HTML dashboard from one consistent snapshot
 // set.
-func writeDashboard(w http.ResponseWriter, fj FleetJSON, trends map[string][]TrendPoint, blame []byte) {
+func writeDashboard(w http.ResponseWriter, fj FleetJSON, blame []byte) {
 	esc := html.EscapeString
 	fmt.Fprintf(w, `<!doctype html><html><head><meta http-equiv="refresh" content="2"><title>shadow inspector</title></head><body style="font-family:monospace;background:#111;color:#ddd">`)
 	fmt.Fprintf(w, "<h2>shadow inspector</h2>")
-	eta := "-"
-	if fj.ETASeconds > 0 {
-		eta = fmt.Sprintf("%.0fs", fj.ETASeconds)
-	}
-	fmt.Fprintf(w, "<p>%d workers — %d/%d points — %.1f%% — ETA %s</p>",
-		fj.Workers, fj.PointsDone, fj.PointsExpected, fj.ProgressPercent, eta)
+	fmt.Fprintf(w, "<p>%d workers — %d/%d points — %.1f%%</p>",
+		fj.Workers, fj.PointsDone, fj.PointsExpected, fj.ProgressPercent)
 	fmt.Fprintf(w, "<div style=\"background:#333;width:480px;height:14px\"><div style=\"background:#4a9;height:14px;width:%.1f%%\"></div></div>", clampPct(fj.ProgressPercent))
-	if fj.Watchdog != nil {
-		fmt.Fprintf(w, `<p style="color:#f66"><b>WATCHDOG TRIPPED</b> %s: %s</p>`,
-			esc(fj.Watchdog.Watchdog), esc(fj.Watchdog.Detail))
-	}
 	if fj.Divergence != "" {
 		fmt.Fprintf(w, `<p style="color:#f66"><b>DIVERGENCE</b> %s</p>`, esc(fj.Divergence))
 	}
 	var links []string
-	for _, l := range []string{"status.json", "metrics", "trends.json", "blame.json", "flight.json", "healthz"} {
+	for _, l := range []string{"status.json", "metrics", "blame.json", "flight.json", "healthz"} {
 		links = append(links, fmt.Sprintf(`<a href="/%s" style="color:#8cf">%s</a>`, l, l))
 	}
 	fmt.Fprintf(w, "<p>%s</p>", strings.Join(links, " · "))
 
 	fmt.Fprintf(w, "<h3>workers</h3><table cellpadding=\"4\">")
-	fmt.Fprintf(w, "<tr><th align=\"left\">worker</th><th align=\"left\">point</th><th align=\"left\">progress</th><th align=\"left\">sim-us</th><th align=\"left\">sim-us/s</th><th align=\"left\">events</th><th align=\"left\">elapsed</th><th align=\"left\">done</th><th align=\"left\">trend</th></tr>")
+	fmt.Fprintf(w, "<tr><th align=\"left\">worker</th><th align=\"left\">point</th><th align=\"left\">progress</th><th align=\"left\">sim-us</th><th align=\"left\">sim-us/s</th><th align=\"left\">events</th><th align=\"left\">elapsed</th><th align=\"left\">done</th></tr>")
 	for _, wk := range fj.WorkerList {
 		state := esc(wk.Point)
 		if wk.Done {
 			state += " (done)"
 		}
-		fmt.Fprintf(w, `<tr><td>%s</td><td>%s</td><td><div style="background:#333;width:160px;height:10px"><div style="background:#4a9;height:10px;width:%.1f%%"></div></div></td><td>%.1f of %.1f</td><td>%.1f</td><td>%d</td><td>%.1fs</td><td>%d</td><td>%s</td></tr>`,
+		fmt.Fprintf(w, `<tr><td>%s</td><td>%s</td><td><div style="background:#333;width:160px;height:10px"><div style="background:#4a9;height:10px;width:%.1f%%"></div></div></td><td>%.1f of %.1f</td><td>%.1f</td><td>%d</td><td>%.1fs</td><td>%d</td></tr>`,
 			esc(wk.ID), state, clampPct(wk.Percent),
 			float64(wk.SimNowPS)/1e6, float64(wk.SimTotalPS)/1e6,
-			wk.SimUSPerSec, wk.Events, wk.ElapsedSec, wk.PointsDone,
-			sparkline(trends["worker/"+wk.ID+"/progress"], 0, 100))
+			wk.SimUSPerSec, wk.Events, wk.ElapsedSec, wk.PointsDone)
 	}
 	fmt.Fprintf(w, "</table>")
 
@@ -134,9 +118,6 @@ func writeDashboard(w http.ResponseWriter, fj FleetJSON, trends map[string][]Tre
 		fmt.Fprintf(w, "</table>")
 	}
 
-	if pts := trends["fleet/progress"]; len(pts) > 1 {
-		fmt.Fprintf(w, "<h3>fleet progress trend</h3>%s", sparkline(pts, 0, 100))
-	}
 	if len(blame) > 0 {
 		fmt.Fprintf(w, "<h3>rolling blame</h3><pre>%s</pre>", esc(string(blame)))
 	}
@@ -151,37 +132,4 @@ func clampPct(p float64) float64 {
 		return 100
 	}
 	return p
-}
-
-// sparkline renders a trend as an inline SVG polyline. lo/hi fix the value
-// axis when hi > lo; otherwise the trend autoscales to its own range.
-func sparkline(pts []TrendPoint, lo, hi float64) string {
-	if len(pts) < 2 {
-		return ""
-	}
-	if hi <= lo {
-		lo, hi = pts[0].V, pts[0].V
-		for _, p := range pts {
-			if p.V < lo {
-				lo = p.V
-			}
-			if p.V > hi {
-				hi = p.V
-			}
-		}
-		if hi == lo {
-			hi = lo + 1
-		}
-	}
-	const width, height = 120, 24
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg width="%d" height="%d" viewBox="0 0 %d %d"><polyline fill="none" stroke="#4a9" stroke-width="1.5" points="`,
-		width, height, width, height)
-	for i, p := range pts {
-		x := float64(i) / float64(len(pts)-1) * (width - 2)
-		y := (height - 2) - (p.V-lo)/(hi-lo)*(height-4)
-		fmt.Fprintf(&b, "%.1f,%.1f ", x+1, y)
-	}
-	b.WriteString(`"/></svg>`)
-	return b.String()
 }

@@ -37,7 +37,6 @@ func TestFleetHandlerEndpoints(t *testing.T) {
 	completePoint(c, clk, "w0", "shadow/mix/h64", 7, 0xabc, 50*time.Millisecond)
 	c.PointStart("w1", "baseline/mix/h64", "baseline", 7)
 	c.Ingest("w1", workerMetrics("baseline", 2))
-	c.Tick()
 
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -69,15 +68,6 @@ func TestFleetHandlerEndpoints(t *testing.T) {
 		t.Fatalf("metrics missing roll-ups:\n%s", body)
 	}
 
-	_, body = get(t, srv, "/trends.json")
-	var trends map[string][]TrendPoint
-	if err := json.Unmarshal(body, &trends); err != nil {
-		t.Fatalf("trends.json: %v", err)
-	}
-	if len(trends["fleet/progress"]) == 0 {
-		t.Fatalf("trends.json lacks fleet/progress: %s", body)
-	}
-
 	resp, body = get(t, srv, "/healthz")
 	if resp.StatusCode != 200 || string(body) != "ok\n" {
 		t.Fatalf("healthz: %d %q", resp.StatusCode, body)
@@ -94,7 +84,7 @@ func TestFleetHandlerEndpoints(t *testing.T) {
 		}
 	}
 
-	for _, path := range []string{"/nope", "/status.json/x"} {
+	for _, path := range []string{"/nope", "/status.json/x", "/trends.json"} {
 		if resp, _ = get(t, srv, path); resp.StatusCode != 404 {
 			t.Fatalf("%s: %d, want 404", path, resp.StatusCode)
 		}
@@ -107,7 +97,7 @@ func TestFleetHandlerEmptyCollector(t *testing.T) {
 	clk := newFakeClock()
 	srv := httptest.NewServer(newTestCollector(clk).Handler())
 	defer srv.Close()
-	for path, want := range map[string]string{"/trends.json": "{}\n", "/blame.json": "[]\n", "/flight.json": "{}\n"} {
+	for path, want := range map[string]string{"/blame.json": "[]\n", "/flight.json": "{}\n"} {
 		if resp, body := get(t, srv, path); resp.StatusCode != 200 || string(body) != want {
 			t.Errorf("empty %s = %d %q, want %q", path, resp.StatusCode, body, want)
 		}
@@ -159,7 +149,6 @@ func TestInspectorEndpoints(t *testing.T) {
 	progress := func(now timing.Tick) {
 		if c.PointProgress("w0", point, now, total) {
 			c.Ingest("w0", rec)
-			c.Tick()
 		}
 	}
 	status := func() WorkerJSON {
@@ -257,7 +246,7 @@ func TestInspectorScrapeEndpoints(t *testing.T) {
 	if _, body := get(t, srv, "/flight.json"); !strings.Contains(string(body), `"capacity":8`) {
 		t.Errorf("/flight.json = %q", body)
 	}
-	for _, path := range []string{"/", "/status.json", "/metrics", "/trends.json", "/blame.json", "/flight.json", "/healthz"} {
+	for _, path := range []string{"/", "/status.json", "/metrics", "/blame.json", "/flight.json", "/healthz"} {
 		if resp, _ := get(t, srv, path); resp.Header.Get("Cache-Control") != "no-store" {
 			t.Errorf("%s lacks Cache-Control: no-store (%v)", path, resp.Header["Cache-Control"])
 		}
@@ -384,21 +373,6 @@ func TestDashboardEscapesHostileLabels(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	if sparkline(nil, 0, 100) != "" || sparkline([]TrendPoint{{At: 0, V: 1}}, 0, 100) != "" {
-		t.Fatal("sparkline of <2 points should be empty")
-	}
-	svg := sparkline([]TrendPoint{{At: 0, V: 0}, {At: 1, V: 50}, {At: 2, V: 100}}, 0, 100)
-	if !strings.HasPrefix(svg, "<svg") || !strings.Contains(svg, "polyline") {
-		t.Fatalf("sparkline = %q", svg)
-	}
-	// Autoscale path: hi <= lo triggers min/max fitting, constant series
-	// avoids division by zero.
-	if s := sparkline([]TrendPoint{{At: 0, V: 7}, {At: 1, V: 7}}, 0, 0); !strings.HasPrefix(s, "<svg") {
-		t.Fatalf("autoscaled constant sparkline = %q", s)
-	}
-}
-
 // TestInspectorScrapeDuringIngest scrapes every endpoint while four workers
 // run their hooks, and Ingest renders the sources, on their own goroutines:
 // under -race it checks that the handlers read only state the collector's
@@ -424,12 +398,11 @@ func TestInspectorScrapeDuringIngest(t *testing.T) {
 				c.PointProgress(id, point, 1, 2)
 				c.Ingest(id, rec)
 				c.PointDone(id, point, "shadow", uint64(i), 0x1)
-				c.Tick()
 			}
 		}(fmt.Sprintf("w%d", w))
 	}
 	for i := 0; i < 5; i++ {
-		for _, path := range []string{"/", "/status.json", "/metrics", "/trends.json", "/blame.json", "/flight.json"} {
+		for _, path := range []string{"/", "/status.json", "/metrics", "/blame.json", "/flight.json"} {
 			if resp, _ := get(t, srv, path); resp.StatusCode != 200 {
 				t.Errorf("%s: %d", path, resp.StatusCode)
 			}

@@ -10,12 +10,10 @@
 // window concurrently with the simulation writer under -race.
 //
 // Watchdogs (watchdog.go) are invariant probes run off the hot path, at the
-// progress cadence: span-conservation violation, stall spike (p99 over the
-// ring's recent request spans), bit-flip detection, and scheduler-
-// equivalence divergence. The first trip freezes the ring, so the dump
-// (dump.go: deterministic JSON, no wall-clock or host fields) preserves the
-// event window that *led up to* the anomaly rather than whatever happened
-// after it.
+// progress cadence: span-conservation violation and bit-flip detection. The
+// first trip freezes the ring, so the dump (dump.go: deterministic JSON, no
+// wall-clock or host fields) preserves the event window that *led up to*
+// the anomaly rather than whatever happened after it.
 //
 // Like the rest of the obs layer the package is nil-safe: a nil *Ring,
 // *Watch, or *CmdHash is valid and inert, so callers wire them

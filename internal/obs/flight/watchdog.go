@@ -3,7 +3,6 @@ package flight
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"shadow/internal/obs"
 	"shadow/internal/obs/span"
@@ -128,40 +127,6 @@ func FlipDetector(r *Ring) Check {
 	}}
 }
 
-// StallSpike builds the stall-spike watchdog: it trips when the p99
-// attributed stall of the request spans completed within the trailing
-// window exceeds limit. The p99 is computed over the ring's buffered
-// KindSpan events (Aux carries each span's attributed stall), sorted — a
-// deterministic, off-hot-path computation.
-func StallSpike(r *Ring, window, limit timing.Tick) Check {
-	return Check{Name: "stall-spike", Probe: func(now timing.Tick) (string, bool) {
-		var stalls []int64
-		for _, e := range r.Snapshot() {
-			if e.Kind != obs.KindSpan {
-				continue
-			}
-			if done := e.At + e.Dur; done < now-window {
-				continue
-			}
-			stalls = append(stalls, e.Aux)
-		}
-		if len(stalls) == 0 {
-			return "", false
-		}
-		sort.Slice(stalls, func(i, j int) bool { return stalls[i] < stalls[j] })
-		rank := (99*len(stalls) + 99) / 100 // ceil(0.99*n)
-		if rank > len(stalls) {
-			rank = len(stalls)
-		}
-		p99 := stalls[rank-1]
-		if p99 <= int64(limit) {
-			return "", false
-		}
-		return fmt.Sprintf("p99 request stall %d ps > limit %d ps over %d spans in trailing %d ps",
-			p99, int64(limit), len(stalls), int64(window)), true
-	}}
-}
-
 // FNV-1a parameters (64-bit).
 const (
 	fnvOffset = 14695981039346656037
@@ -179,8 +144,8 @@ var fnvPrimePow = func() (p [9]uint64) {
 
 // CmdHash accumulates an order-sensitive FNV-1a hash of a command log:
 // feed it (kind, bank, row, at) from an OnCommand hook and compare Sums
-// across runs of one point and seed (the fleet collector's divergence
-// watchdog and the whole-simulation fuzz target do). Not safe for concurrent
+// across runs of one point and seed (the fleet collector's divergence check
+// and the whole-simulation fuzz target do). Not safe for concurrent
 // use (commands are issued from the single simulation goroutine); a nil
 // *CmdHash is valid and inert.
 type CmdHash struct {

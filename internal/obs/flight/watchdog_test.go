@@ -91,43 +91,6 @@ func TestFlipDetectorCheck(t *testing.T) {
 	}
 }
 
-func TestStallSpikeCheck(t *testing.T) {
-	r := NewRing(128)
-	// 20 fast spans and one slow one, all completing near now=1000: with 21
-	// samples the p99 rank (ceil(0.99*21) = 21) lands on the outlier.
-	for i := 0; i < 20; i++ {
-		r.Record(obs.Event{At: timing.Tick(900 + i), Dur: 10, Kind: obs.KindSpan, Aux: 50})
-	}
-	r.Record(obs.Event{At: 995, Dur: 5, Kind: obs.KindSpan, Aux: 5000})
-
-	c := StallSpike(r, 500, 1000)
-	detail, bad := c.Probe(1000)
-	if !bad {
-		t.Fatal("p99=5000 over limit 1000 did not trip")
-	}
-	if !strings.Contains(detail, "5000") {
-		t.Fatalf("detail = %q", detail)
-	}
-
-	// A generous limit stays quiet.
-	if detail, bad := StallSpike(r, 500, 10000).Probe(1000); bad {
-		t.Fatalf("under-limit p99 tripped: %s", detail)
-	}
-	// Spans completed before the window don't count: from now=10000 the
-	// window [9500,10000] is empty.
-	if _, bad := c.Probe(10000); bad {
-		t.Fatal("stale spans tripped outside the window")
-	}
-}
-
-func TestStallSpikeIgnoresNonSpanEvents(t *testing.T) {
-	r := NewRing(16)
-	r.Record(obs.Event{At: 10, Kind: obs.KindACT, Aux: 1 << 40})
-	if _, bad := StallSpike(r, 100, 1).Probe(20); bad {
-		t.Fatal("non-span event fed the stall spike")
-	}
-}
-
 func TestCmdHashOrderSensitive(t *testing.T) {
 	a, b := NewCmdHash(), NewCmdHash()
 	a.Note(1, 2, 3, 4)

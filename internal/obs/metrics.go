@@ -4,37 +4,23 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-
-	"shadow/internal/timing"
 )
 
-// Metrics is the instrument registry: named counters, gauges, histograms,
-// and time series, created on first use. A nil *Metrics is valid and hands
-// out nil (inert) instruments.
+// Metrics is the instrument registry: named counters, gauges and
+// histograms, created on first use. A nil *Metrics is valid and hands out
+// nil (inert) instruments.
 type Metrics struct {
-	interval timing.Tick
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	series   map[string]*Series
 }
 
-func newMetrics(interval timing.Tick) *Metrics {
+func newMetrics() *Metrics {
 	return &Metrics{
-		interval: interval,
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		series:   map[string]*Series{},
 	}
-}
-
-// SampleInterval returns the bucket width shared by every time series.
-func (m *Metrics) SampleInterval() timing.Tick {
-	if m == nil {
-		return 0
-	}
-	return m.interval
 }
 
 // Counter returns (creating on first use) the named counter.
@@ -76,41 +62,12 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
-// Series returns (creating on first use) the named time series.
-func (m *Metrics) Series(name string) *Series {
-	if m == nil {
-		return nil
-	}
-	s := m.series[name]
-	if s == nil {
-		s = &Series{interval: m.interval}
-		m.series[name] = s
-	}
-	return s
-}
-
-// LookupSeries returns the named series without creating it (nil if absent).
-func (m *Metrics) LookupSeries(name string) *Series {
-	if m == nil {
-		return nil
-	}
-	return m.series[name]
-}
-
 // LookupHistogram returns the named histogram without creating it.
 func (m *Metrics) LookupHistogram(name string) *Histogram {
 	if m == nil {
 		return nil
 	}
 	return m.hists[name]
-}
-
-// SeriesNames returns every registered series name, sorted.
-func (m *Metrics) SeriesNames() []string {
-	if m == nil {
-		return nil
-	}
-	return sortedKeysSeries(m.series)
 }
 
 // Snapshot is a point-in-time copy of a registry's counters, gauges and
@@ -176,15 +133,6 @@ func sortedKeysGauge(m map[string]*Gauge) []string {
 }
 
 func sortedKeysHistogram(m map[string]*Histogram) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k) //shadowvet:ignore determinism -- sorted immediately below
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedKeysSeries(m map[string]*Series) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k) //shadowvet:ignore determinism -- sorted immediately below
@@ -392,33 +340,4 @@ func (h *Histogram) Buckets() []Bucket {
 		out = append(out, b)
 	}
 	return out
-}
-
-// Series is a fixed-interval time series over simulated time: Add(now, v)
-// accumulates v into the bucket now/interval, so the values are sums per
-// interval (rates, stall time, instruction counts). Nil-inert.
-type Series struct {
-	interval timing.Tick
-	vals     []float64
-}
-
-// Add accumulates v into the bucket covering simulated time now.
-func (s *Series) Add(now timing.Tick, v float64) {
-	if s == nil {
-		return
-	}
-	i := int(now / s.interval)
-	for len(s.vals) <= i {
-		s.vals = append(s.vals, 0) //shadowvet:ignore allocflow -- per-interval series growth is amortized doubling; the dynamic gate stays at 0 allocs/op
-	}
-	s.vals[i] += v
-}
-
-// Values returns the per-interval sums: bucket i covers simulated time
-// [i*w, (i+1)*w) for the registry's sample interval w.
-func (s *Series) Values() []float64 {
-	if s == nil {
-		return nil
-	}
-	return s.vals
 }

@@ -1,17 +1,15 @@
 // Package obs is shadowscope: the simulator's deterministic observability
-// layer — metrics (counters, gauges, tick-bucketed histograms,
-// fixed-interval time series) and a structured event sink capturing DRAM
-// commands, RFM issues, SHADOW shuffles, RRS swaps, and BlockHammer
-// throttle decisions.
+// layer — metrics (counters, gauges, power-of-two histograms) and a
+// structured event sink capturing DRAM commands, RFM issues, SHADOW
+// shuffles, RRS swaps, and BlockHammer throttle decisions.
 //
 // Two properties define the design:
 //
-//   - Determinism. Every instrument is keyed to *simulated* time
-//     (timing.Tick); nothing in this package reads the wall clock or any
-//     unseeded entropy source, so it passes the shadowvet determinism
-//     analyzer and instrumented same-seed runs stay bit-identical. The one
-//     component that needs wall time — the progress Heartbeat — takes the
-//     clock as an injected func from the (unrestricted) cmd layer.
+//   - Determinism. Events carry *simulated* time (timing.Tick) and
+//     instruments count simulated events; nothing in this package reads the
+//     wall clock or any unseeded entropy source, so it passes the shadowvet
+//     determinism analyzer and instrumented same-seed runs stay
+//     bit-identical.
 //
 //   - Nil-safety. The off path costs one nil check: a nil *Probe, and every
 //     instrument obtained from it, is valid and inert. Simulation code
@@ -30,11 +28,7 @@
 // Workers=1 when probing for exactly this reason).
 package obs
 
-import (
-	"fmt"
-
-	"shadow/internal/timing"
-)
+import "fmt"
 
 // EventSink receives every emitted event, even when the growable event log
 // (Options.Events) is off. The flight recorder (obs/flight.Ring) implements
@@ -48,7 +42,7 @@ type EventSink interface {
 // nothing (useful only for benchmarks of the probe overhead itself).
 type Options struct {
 	// Metrics enables the instrument registry (counters, gauges,
-	// histograms, series).
+	// histograms).
 	Metrics bool
 	// Events enables the structured event sink.
 	Events bool
@@ -56,9 +50,6 @@ type Options struct {
 	// Events: the always-on flight recorder lane. The sink must be
 	// bounded (overwrite-oldest); it is called on the simulation hot path.
 	Flight EventSink
-	// SampleInterval is the bucket width of every time series (default
-	// 1 us of simulated time).
-	SampleInterval timing.Tick
 	// MaxEvents bounds the event sink's memory (default 1<<22 ≈ 4M
 	// events); excess events are counted in Dropped, never silently lost.
 	MaxEvents int
@@ -83,15 +74,12 @@ type Recorder struct {
 
 // NewRecorder builds a recorder.
 func NewRecorder(opt Options) *Recorder {
-	if opt.SampleInterval <= 0 {
-		opt.SampleInterval = timing.Microsecond
-	}
 	if opt.MaxEvents <= 0 {
 		opt.MaxEvents = 1 << 22
 	}
 	r := &Recorder{opt: opt}
 	if opt.Metrics {
-		r.met = newMetrics(opt.SampleInterval)
+		r.met = newMetrics()
 	}
 	return r
 }
@@ -194,12 +182,4 @@ func (p *Probe) Histogram(name string) *Histogram {
 		return nil
 	}
 	return p.rec.met.Histogram(p.prefix + name)
-}
-
-// Series returns the named fixed-interval time series.
-func (p *Probe) Series(name string) *Series {
-	if p == nil {
-		return nil
-	}
-	return p.rec.met.Series(p.prefix + name)
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"shadow/internal/timing"
 )
@@ -17,15 +16,11 @@ func TestNilProbeIsInert(t *testing.T) {
 	p.Counter("c").Inc()
 	p.Gauge("g").Set(7)
 	p.Histogram("h").Observe(42)
-	p.Series("s").Add(timing.Microsecond, 1)
 	if got := p.Counter("c").Value(); got != 0 {
 		t.Fatalf("nil counter Value = %d, want 0", got)
 	}
 	if got := p.Histogram("h").Mean(); got != 0 {
 		t.Fatalf("nil histogram Mean = %g, want 0", got)
-	}
-	if got := p.Series("s").Values(); got != nil {
-		t.Fatalf("nil series Values = %v, want nil", got)
 	}
 }
 
@@ -110,7 +105,7 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatalf("merged %+v, want %+v", empty, all)
 	}
 
-	m := newMetrics(1000)
+	m := newMetrics()
 	m.Histogram("lat").Observe(5)
 	m.Counter("n").Add(2)
 	snap := m.Snapshot()
@@ -118,25 +113,6 @@ func TestHistogramMerge(t *testing.T) {
 	m.Counter("n").Inc()
 	if snap.Histograms[0].Count() != 1 || snap.Counters[0] != (Reading{Name: "n", Value: 2}) {
 		t.Fatalf("snapshot moved with the registry: %+v", snap)
-	}
-}
-
-func TestSeriesBucketing(t *testing.T) {
-	rec := NewRecorder(Options{Metrics: true, SampleInterval: 10})
-	s := rec.NewTrack("run").Series("rfm")
-	s.Add(0, 1)
-	s.Add(9, 1)  // same bucket
-	s.Add(10, 2) // next bucket
-	s.Add(35, 5) // bucket 3, skipping 2
-	want := []float64{2, 2, 0, 5}
-	got := s.Values()
-	if len(got) != len(want) {
-		t.Fatalf("series = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("series[%d] = %g, want %g", i, got[i], want[i])
-		}
 	}
 }
 
@@ -176,26 +152,22 @@ func TestRecorderDropsAfterMaxEvents(t *testing.T) {
 }
 
 func TestMetricsDumpJSON(t *testing.T) {
-	rec := NewRecorder(Options{Metrics: true, SampleInterval: timing.Microsecond})
+	rec := NewRecorder(Options{Metrics: true})
 	p := rec.NewTrack("run")
 	p.Counter("acts").Add(12)
 	p.Gauge("depth").Set(4)
 	p.Histogram("lat").Observe(100)
 	p.Histogram("lat").Observe(200)
-	p.Series("rfm").Add(0, 1)
-	p.Series("rfm").Add(2*timing.Microsecond, 3)
 
 	var js strings.Builder
 	if err := rec.Metrics().WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"sample_interval_ps": 1000000`,
 		`"run/acts": 12`,
 		`"run/depth": 4`,
 		`"count": 2`,
 		`"mean": 150`,
-		`"run/rfm": [`,
 	} {
 		if !strings.Contains(js.String(), want) {
 			t.Errorf("JSON dump missing %q:\n%s", want, js.String())
@@ -207,58 +179,6 @@ func TestMetricsDumpJSON(t *testing.T) {
 	js.Reset()
 	if err := nilM.WriteJSON(&js); err != nil || js.String() != "{}\n" {
 		t.Fatalf("nil WriteJSON = %q, %v", js.String(), err)
-	}
-}
-
-func TestHeartbeat(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	var out strings.Builder
-	n := int64(0)
-	h := NewHeartbeat(&out, "sim", 100*timing.Microsecond, clock).
-		WithEvents(func() int64 { return n })
-
-	h.Tick(10 * timing.Microsecond) // first tick always prints
-	if !strings.Contains(out.String(), "10.0%") {
-		t.Fatalf("first tick did not print percentage: %q", out.String())
-	}
-
-	before := out.Len()
-	h.Tick(20 * timing.Microsecond) // same wall instant: rate-limited
-	if out.Len() != before {
-		t.Fatal("heartbeat printed before minGap elapsed")
-	}
-
-	now = now.Add(300 * time.Millisecond) // stepped, but below the 500ms gap
-	h.Tick(30 * timing.Microsecond)
-	if out.Len() != before {
-		t.Fatal("heartbeat printed 300ms after the last print (gap is 500ms)")
-	}
-
-	now = now.Add(700 * time.Millisecond) // 1s past the last print: due
-	n = 500
-	h.Tick(60 * timing.Microsecond)
-	if !strings.Contains(out.String(), "60.0%") || !strings.Contains(out.String(), "500 events/s") {
-		t.Fatalf("second tick output: %q", out.String())
-	}
-	// 50 sim-us advanced over 1 wall second.
-	if !strings.Contains(out.String(), "50.0 sim-us/s") {
-		t.Fatalf("sim rate missing: %q", out.String())
-	}
-
-	h.Done()
-	if !strings.Contains(out.String(), "100.0%") || !strings.HasSuffix(out.String(), "\n") {
-		t.Fatalf("Done output: %q", out.String())
-	}
-
-	// Nil receiver and never-printed Done are silent.
-	var nilH *Heartbeat
-	nilH.Tick(0)
-	nilH.Done()
-	var quiet strings.Builder
-	NewHeartbeat(&quiet, "x", 0, clock).Done()
-	if quiet.Len() != 0 {
-		t.Fatalf("Done printed without any Tick: %q", quiet.String())
 	}
 }
 

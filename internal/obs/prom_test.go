@@ -23,7 +23,7 @@ func promText(t *testing.T, m *Metrics) string {
 }
 
 func TestWritePrometheusGolden(t *testing.T) {
-	m := newMetrics(1000)
+	m := newMetrics()
 	m.Counter("run/mc/acts").Add(42)
 	m.Gauge("run/queue").Set(-3)
 	h := m.Histogram("run/lat")
@@ -57,7 +57,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 }
 
 func TestWritePrometheusParses(t *testing.T) {
-	m := newMetrics(1000)
+	m := newMetrics()
 	m.Counter("a").Inc()
 	m.Gauge("b").Set(7)
 	m.Histogram("c").Observe(100)
@@ -72,7 +72,7 @@ func TestWritePrometheusParses(t *testing.T) {
 }
 
 func TestWritePrometheusEscaping(t *testing.T) {
-	m := newMetrics(1000)
+	m := newMetrics()
 	m.Counter("weird\"name\\with\nnewline").Inc()
 	got := promText(t, m)
 	want := `shadow_counter{name="weird\"name\\with\nnewline"} 1`
@@ -91,7 +91,7 @@ func TestWritePrometheusEscaping(t *testing.T) {
 // clients depend on: cumulative bucket counts never decrease, le edges
 // strictly increase, and the +Inf bucket equals _count.
 func TestWritePrometheusBucketMonotonic(t *testing.T) {
-	m := newMetrics(1000)
+	m := newMetrics()
 	h := m.Histogram("lat")
 	for _, v := range []int64{-5, 0, 1, 1, 2, 7, 8, 100, 5000, 1 << 40} {
 		h.Observe(v)

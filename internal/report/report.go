@@ -152,89 +152,6 @@ func Sparkline(values []float64) string {
 	return b.String()
 }
 
-// StripRow is one named time series of a strip chart.
-type StripRow struct {
-	Label  string
-	Values []float64
-}
-
-// StripChart renders fixed-interval time series (shadowscope's obs.Series
-// values) as terminal strip charts: one sparkline row per series, resampled
-// to Width columns by chunk means, annotated with min/max/sum — the
-// eyeball-grade equivalent of a Perfetto counter track for RFM-rate and
-// stall-time traces.
-type StripChart struct {
-	Title string
-	// Span optionally labels the covered time range (e.g. "0 - 150us").
-	Span  string
-	Width int // columns per row (default 60)
-	Rows  []StripRow
-}
-
-// Add appends one series row.
-func (c *StripChart) Add(label string, values []float64) {
-	c.Rows = append(c.Rows, StripRow{Label: label, Values: values})
-}
-
-// resample reduces vals to at most w points by averaging contiguous chunks,
-// so long runs stay readable without losing bursts entirely.
-func resample(vals []float64, w int) []float64 {
-	if len(vals) <= w {
-		return vals
-	}
-	out := make([]float64, w)
-	for j := 0; j < w; j++ {
-		lo := j * len(vals) / w
-		hi := (j + 1) * len(vals) / w
-		if hi <= lo {
-			hi = lo + 1
-		}
-		sum := 0.0
-		for _, v := range vals[lo:hi] {
-			sum += v
-		}
-		out[j] = sum / float64(hi-lo)
-	}
-	return out
-}
-
-// String renders the chart.
-func (c *StripChart) String() string {
-	width := c.Width
-	if width <= 0 {
-		width = 60
-	}
-	labelW := 0
-	for _, r := range c.Rows {
-		if len(r.Label) > labelW {
-			labelW = len(r.Label)
-		}
-	}
-	var b strings.Builder
-	if c.Title != "" {
-		fmt.Fprintf(&b, "%s", c.Title)
-		if c.Span != "" {
-			fmt.Fprintf(&b, "  [%s]", c.Span)
-		}
-		b.WriteString("\n")
-	}
-	for _, r := range c.Rows {
-		if len(r.Values) == 0 {
-			fmt.Fprintf(&b, "%-*s (no samples)\n", labelW, r.Label)
-			continue
-		}
-		min, max, sum := r.Values[0], r.Values[0], 0.0
-		for _, v := range r.Values {
-			min = math.Min(min, v)
-			max = math.Max(max, v)
-			sum += v
-		}
-		fmt.Fprintf(&b, "%-*s %s min=%g max=%g sum=%g\n",
-			labelW, r.Label, Sparkline(resample(r.Values, width)), min, max, sum)
-	}
-	return b.String()
-}
-
 // Histogram renders value counts as sorted "label: count" bars — used for
 // flip distributions and tracker occupancy dumps.
 func Histogram(title string, counts map[string]int, maxWidth int) string {

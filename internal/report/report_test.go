@@ -103,50 +103,3 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("max bar wrong: %q", lines[1])
 	}
 }
-
-func TestStripChartResample(t *testing.T) {
-	// 8 values into 4 columns: pairwise means.
-	vals := []float64{0, 2, 4, 4, 10, 0, 1, 3}
-	got := resample(vals, 4)
-	want := []float64{1, 4, 5, 2}
-	if len(got) != len(want) {
-		t.Fatalf("resample = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("resample[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	// Short inputs pass through untouched.
-	short := []float64{1, 2}
-	if out := resample(short, 4); len(out) != 2 || out[0] != 1 || out[1] != 2 {
-		t.Fatalf("short resample = %v", out)
-	}
-}
-
-func TestStripChartString(t *testing.T) {
-	c := &StripChart{Title: "rates", Span: "0 - 150us", Width: 10}
-	c.Add("mc/rfms", []float64{0, 0, 5, 5, 0, 0, 20, 0})
-	c.Add("shadow/shuffles", nil)
-	out := c.String()
-	for _, frag := range []string{
-		"rates", "[0 - 150us]", "mc/rfms", "min=0", "max=20", "sum=30",
-		"shadow/shuffles", "(no samples)",
-	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("strip chart missing %q:\n%s", frag, out)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("expected title + 2 rows, got %d lines:\n%s", len(lines), out)
-	}
-	// Labels align: both rows start their sparkline at the same column.
-	if !strings.HasPrefix(lines[1], "mc/rfms         ") {
-		t.Fatalf("row not padded to widest label: %q", lines[1])
-	}
-	// The peak column renders the tallest glyph.
-	if !strings.Contains(lines[1], "█") {
-		t.Fatalf("peak glyph missing: %q", lines[1])
-	}
-}

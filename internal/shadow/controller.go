@@ -69,8 +69,8 @@ type Controller struct {
 	tab Table
 	geo dram.Geometry
 
-	probe         *obs.Probe
-	shuffleSeries *obs.Series
+	probe        *obs.Probe
+	shuffleCount *obs.Counter
 
 	Stats Stats
 }
@@ -97,7 +97,7 @@ func New(opt Options) *Controller {
 // mitigators built before the probe existed. A nil probe detaches.
 func (c *Controller) SetProbe(p *obs.Probe) {
 	c.probe = p
-	c.shuffleSeries = p.Series("shadow/shuffles")
+	c.shuffleCount = p.Counter("shadow/shuffles")
 }
 
 // Name implements dram.Mitigator.
@@ -270,7 +270,7 @@ func (c *Controller) OnRFM(b *dram.Bank, now timing.Tick) {
 			c.probe.Emit(obs.Event{
 				At: now, Kind: obs.KindShuffle, Bank: b.ID(), Row: aggr, Aux: int64(sub),
 			})
-			c.shuffleSeries.Add(now, 1)
+			c.shuffleCount.Inc()
 		}
 
 		// Section VIII hardening: periodically rekey the PRINCE stream.

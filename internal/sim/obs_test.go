@@ -7,6 +7,7 @@ import (
 
 	"shadow/internal/dram"
 	"shadow/internal/hammer"
+	"shadow/internal/mitigate"
 	"shadow/internal/obs"
 	"shadow/internal/obs/flight"
 	"shadow/internal/obs/span"
@@ -192,5 +193,118 @@ func TestObservationDoesNotPerturbStats(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("Chrome trace missing %s", want)
 		}
+	}
+}
+
+// TestCountersMatchStats cross-checks the metrics registry against the
+// statistics the run reports: with Warmup 0 every event counter the
+// simulator registers equals the stats field it mirrors, so the counts a
+// -metrics-out dump or /metrics shows are the ones the figures are read
+// from. The three runs cover SHADOW's shuffles (mix-high), BlockHammer's
+// throttled ACTs (a low H_cnt over a concentrated working set), and RRS's
+// channel-blocking swaps; the last also flips bits under a low H_cnt.
+func TestCountersMatchStats(t *testing.T) {
+	g := smallGeo()
+	profiles := func(rows int) []trace.Profile {
+		ps := trace.MixHigh(2)
+		for i := range ps {
+			ps[i].WorkingSetRows = rows
+		}
+		return ps
+	}
+	sh := shadow.New(shadow.Options{Seed: 7})
+	bh := mitigate.NewBlockHammer(mitigate.BlockHammerConfig{
+		Hammer: hammer.Config{HCnt: 16, BlastRadius: 3},
+		REFW:   40 * timing.Microsecond,
+		Seed:   3,
+	})
+	runs := []struct {
+		name  string
+		cfg   Config
+		want  map[string]func(*Result) int64
+		fired []string // counters that must be non-zero, so the run is not vacuous
+	}{
+		{
+			name: "shadow",
+			cfg: Config{
+				Params: shadowParams(64), DeviceMit: sh,
+				Hammer:   hammer.Config{HCnt: 4096, BlastRadius: 3},
+				Workload: trace.Generators(profiles(1<<10), g, 7),
+			},
+			want:  map[string]func(*Result) int64{"shadow/shuffles": func(*Result) int64 { return sh.Stats.Shuffles }},
+			fired: []string{"shadow/shuffles"},
+		},
+		{
+			name: "blockhammer",
+			cfg: Config{
+				Params: baseParams(), MCSide: bh,
+				Hammer:   hammer.Config{HCnt: 16, BlastRadius: 3},
+				Workload: trace.Generators(profiles(4), g, 3),
+			},
+			want:  map[string]func(*Result) int64{"blockhammer/throttled": func(*Result) int64 { return bh.Blacklisted }},
+			fired: []string{"blockhammer/throttled"},
+		},
+		{
+			name: "rrs",
+			cfg: Config{
+				Params: baseParams(),
+				MCSide: mitigate.NewRRS(mitigate.RRSConfig{
+					SwapThreshold: 8, RowsPerBank: g.PARowsPerBank(), REFW: baseParams().REFW, Seed: 4,
+				}),
+				Hammer:   hammer.Config{HCnt: 8, BlastRadius: 3},
+				Workload: trace.Generators(profiles(4), g, 4),
+			},
+			// H_cnt 8 sits at RRS's swap threshold, so rows flip between
+			// swaps.
+			fired: []string{"mc/blocked_ticks", "dram/flips_total"},
+		},
+	}
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder(obs.Options{Metrics: true})
+			cfg := tc.cfg
+			cfg.Geometry = g
+			cfg.Duration = 80 * timing.Microsecond
+			cfg.Probe = rec.NewTrack("r")
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]func(*Result) int64{
+				"mc/acts":          func(r *Result) int64 { return r.MC.Acts },
+				"mc/rfms":          func(r *Result) int64 { return r.MC.RFMs },
+				"mc/blocked_ticks": func(r *Result) int64 { return int64(r.MC.BlockedTime) },
+				"dram/flips_total": func(r *Result) int64 { return int64(r.Flips) },
+				"sim/insts": func(r *Result) int64 {
+					var n int64
+					for _, v := range r.Insts {
+						n += v
+					}
+					return n
+				},
+			}
+			for name, f := range tc.want {
+				want[name] = f
+			}
+			counters := map[string]int64{}
+			for _, r := range rec.Metrics().Snapshot().Counters {
+				counters[strings.TrimPrefix(r.Name, "r/")] = r.Value
+			}
+			for name, f := range want {
+				got, ok := counters[name]
+				if !ok {
+					t.Errorf("counter %s not registered (have %v)", name, counters)
+					continue
+				}
+				if w := f(res); got != w {
+					t.Errorf("counter %s = %d, stats say %d", name, got, w)
+				}
+			}
+			for _, name := range append([]string{"mc/acts", "sim/insts"}, tc.fired...) {
+				if counters[name] == 0 {
+					t.Errorf("counter %s is 0: the run never exercised it (%v)", name, counters)
+				}
+			}
+		})
 	}
 }

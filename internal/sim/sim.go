@@ -173,10 +173,10 @@ type runner struct {
 	freeReqs []*memctrl.Request
 	reqSlab  []memctrl.Request
 
-	instSeries *obs.Series
-	progEvery  timing.Tick
-	nextProg   timing.Tick
-	now        timing.Tick
+	instCount *obs.Counter
+	progEvery timing.Tick
+	nextProg  timing.Tick
+	now       timing.Tick
 }
 
 // checkBanks rejects a geometry with more banks than one controller
@@ -295,7 +295,10 @@ func newRunner(cfg Config) (*runner, error) {
 		r.lowerCoreAt(i, c.nextIssueAt)
 	}
 
-	r.instSeries = cfg.Probe.Series("sim/insts")
+	r.instCount = cfg.Probe.Counter("sim/insts")
+	for _, c := range cores {
+		r.instCount.Add(c.insts) // each core's first fetch, taken above
+	}
 	r.progEvery = cfg.ProgressEvery
 	if r.progEvery <= 0 {
 		r.progEvery = cfg.Duration / 100
@@ -466,7 +469,7 @@ func (r *runner) replay(id int, now timing.Tick) timing.Tick {
 		}
 		c.outstanding++
 		c.fetch(cfg.InstPerNS, now)
-		r.instSeries.Add(now, float64(c.pending.Gap))
+		r.instCount.Add(int64(c.pending.Gap))
 	}
 	at := timing.Forever
 	if !c.stalled && !parked {
