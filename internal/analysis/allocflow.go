@@ -18,7 +18,7 @@ import (
 // declaring-package name plus receiver and method, restricted to
 // module-local packages, so fixtures can masquerade with a package clause.
 var allocRoots = map[string]string{
-	// The simulator event loop: retire, issue, drain, advance.
+	// The simulator event loop: issue, step, advance.
 	"sim.runner.tick": "the per-tick simulator event loop",
 	// The memory controller's scheduling step, called from tick until quiescent.
 	"memctrl.Controller.Step": "the controller scheduling step",

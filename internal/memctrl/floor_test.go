@@ -157,6 +157,41 @@ func TestFloorBoundsNextCommand(t *testing.T) {
 	})
 }
 
+// TestEnqueueLowersBound checks the channel's bound (NextAt) after every
+// Enqueue on the generated inputs, whose driver steps the controller at
+// every arrival whatever the bound says. The bound must not exceed the next
+// command, and it must not fall into the command-bus or swap-blocking window
+// unless it already lay there: a Step inside them is a no-op.
+func TestEnqueueLowersBound(t *testing.T) {
+	forEachFloorCase(t, func(t *testing.T, d *dram.Device, seed uint64, opt Options) *Controller {
+		armed, bound, checked := false, timing.Tick(0), 0
+		opt.OnCommand = func(cmd Cmd) {
+			if !armed {
+				return
+			}
+			if cmd.At < bound {
+				t.Fatalf("%v on bank %d at %v, before the bound %v its arrival left", cmd.Kind, cmd.Bank, cmd.At, bound)
+			}
+			checked++
+		}
+		c := New(d, opt)
+		before := c.NextAt()
+		driveFloorCheck(c, seed, func(r *Request) {
+			bound = c.NextAt()
+			if gate := max(c.cmdBusFreeAt, c.blockedUntil); bound < min(before, gate) {
+				t.Fatalf("Enqueue at %v lowered the bound from %v to %v, inside the window ending at %v", r.Arrive, before, bound, gate)
+			}
+			armed, before = true, bound
+		}, func(now, next timing.Tick) {
+			armed, before = false, next
+		})
+		if checked == 0 {
+			t.Fatal("no command followed an arrival")
+		}
+		return c
+	})
+}
+
 // TestLiveMaskMatchesKeys checks, after every Enqueue and Step on generated
 // inputs, that bit i of the live mask is set exactly when bank i's key is
 // below Forever: the collection pass and NextReadyAt walk only those banks.

@@ -196,6 +196,10 @@ type Controller struct {
 	nextRefreshAt timing.Tick
 	refreshDrain  bool
 
+	// nextAt is the channel's bound (NextAt): Step's last return, lowered by
+	// every Enqueue since.
+	nextAt timing.Tick
+
 	// shadowscope instruments, resolved once at construction; all are
 	// nil-inert when no probe is attached.
 	probe *obs.Probe
@@ -270,6 +274,18 @@ func New(dev *dram.Device, opt Options) *Controller {
 	return c
 }
 
+// RestartMetrics zeroes the controller's probe instruments, so that from
+// now on they count what Stats gains: sim.Run calls it where it snapshots
+// Stats at the end of a warm-up.
+func (c *Controller) RestartMetrics() {
+	c.actCount.Reset()
+	c.rfmCount.Reset()
+	c.blockCount.Reset()
+	c.latHist.Reset()
+	c.depthHist.Reset()
+	c.localHist.Reset()
+}
+
 // Device returns the attached rank.
 func (c *Controller) Device() *dram.Device { return c.dev }
 
@@ -279,7 +295,9 @@ func bankGroup(bank int) int { return bank / 4 }
 // Enqueue adds a request. It reports false when the bank queue is full (the
 // core must retry later). A bank not yet due is filed no later than its
 // floor at the arrival, taken once the request is queued and its hit
-// recorded, so a Step at the arrival evaluates it only if it can act then.
+// recorded. The channel's bound (NextAt) falls to that key, gated by the
+// command-bus and swap-blocking windows: the new request changes no other
+// bank, and nothing issues inside those windows.
 func (c *Controller) Enqueue(r *Request) bool {
 	if r.Bank < 0 || r.Bank >= len(c.banks) {
 		panic(fmt.Sprintf("memctrl: bank %d out of range", r.Bank))
@@ -301,6 +319,7 @@ func (c *Controller) Enqueue(r *Request) bool {
 		// Any other is filed at its floor.
 		c.setKey(r.Bank, minTick(c.ready[r.Bank], c.floor(r.Bank, r.Arrive)))
 	}
+	c.nextAt = minTick(c.nextAt, maxTick(maxTick(c.ready[r.Bank], c.cmdBusFreeAt), c.blockedUntil))
 	c.depthHist.Observe(int64(len(b.queue)))
 	if c.spans != nil {
 		r.Span = c.spans.Start(r.Core, r.Bank, r.Row, r.Write, r.Arrive)
@@ -322,9 +341,21 @@ func (c *Controller) QueuedRequests() int {
 // now, call Step again (more work is possible at this instant).
 //
 // A return after now is the channel's whole bound: never below
-// NextReadyAt(now), and equal to it after a command. A driver can sleep
-// until it without asking NextReadyAt.
+// NextReadyAt(now), and equal to it after a command. Step also stores it as
+// NextAt, so a driver can sleep until NextAt without asking NextReadyAt.
 func (c *Controller) Step(now timing.Tick) timing.Tick {
+	c.nextAt = c.step(now)
+	return c.nextAt
+}
+
+// NextAt returns the channel's bound: Step's last return, lowered by every
+// Enqueue since to the new request's bank key (gated as Enqueue says). A
+// Step before it is a no-op, so a driver steps the controller while NextAt
+// is at or before now and then sleeps until it. It starts at 0.
+func (c *Controller) NextAt() timing.Tick { return c.nextAt }
+
+// step is Step without storing its return.
+func (c *Controller) step(now timing.Tick) timing.Tick {
 	if now < c.blockedUntil {
 		return c.bound(now, c.blockedUntil)
 	}
@@ -480,21 +511,25 @@ func (c *Controller) recacheBank(i int, now timing.Tick) {
 // in the mask keep were evaluated by every phase, and their computed times
 // stay valid lower bounds across the issued command — a command only adds
 // constraints, so it can raise but never lower another bank's next-action
-// time — so they re-cache at their computed readiness. Banks the evaluation
-// never completed for (the issuing bank and those above it, plus every bank
-// when the issue happened in the RFM phase) need no re-arming at all:
-// they still hold their collected keys (<= now), so the next Step collects
-// and re-evaluates them — their partial minima are never trusted.
+// time — so they re-cache at their computed readiness. Their partial minima
+// are never trusted for the banks the evaluation did not finish (the
+// issuing bank and those above it, plus every bank when the issue happened
+// in the RFM phase): each is re-keyed at its floor taken after the command,
+// a bound from its state alone (with spans attached it stays due, as rekey
+// says). afterCmd re-keys the commanded bank.
 //
 // The return is NextReadyAt(now) without its scan. keys holds the refresh
 // deadline and the keys of every bank outside due, which the command left
-// alone: it re-keys only its own bank, which is due, and its busy window
-// (an RFM's) lifts only that bank; under spans it also re-keys the watched
-// banks, which are due. So folding in the due banks' keys as they now stand
-// gives the minimum over every key.
+// alone: it re-keys only due banks, and its busy window (an RFM's) lifts
+// only its own; under spans it also re-keys the watched banks, which are
+// due. So folding in the due banks' keys as they now stand gives the
+// minimum over every key.
 func (c *Controller) issuedDuringScan(now timing.Tick, due, keep uint64, keys timing.Tick) timing.Tick {
-	for ; keep != 0; keep &= keep - 1 {
-		c.recacheBank(bits.TrailingZeros64(keep), now)
+	for m := keep; m != 0; m &= m - 1 {
+		c.recacheBank(bits.TrailingZeros64(m), now)
+	}
+	for m := due &^ keep &^ (1 << uint(c.cmdBank)); m != 0; m &= m - 1 {
+		c.rekey(bits.TrailingZeros64(m), now)
 	}
 	c.afterCmd(now)
 	for ; due != 0; due &= due - 1 {

@@ -154,6 +154,13 @@ func (c *Counter) Add(d int64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
+// Reset zeroes the counter.
+func (c *Counter) Reset() {
+	if c != nil {
+		c.v = 0
+	}
+}
+
 // Value returns the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -211,6 +218,13 @@ func (h *Histogram) Observe(v int64) {
 		idx = bits.Len64(uint64(v))
 	}
 	h.buckets[idx]++
+}
+
+// Reset drops every sample.
+func (h *Histogram) Reset() {
+	if h != nil {
+		*h = Histogram{}
+	}
 }
 
 // Merge adds every sample of o into h. All histograms share the same

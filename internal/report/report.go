@@ -7,7 +7,6 @@ package report
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -148,41 +147,6 @@ func Sparkline(values []float64) string {
 			idx = int((v - min) / (max - min) * float64(len(glyphs)-1))
 		}
 		b.WriteRune(glyphs[idx])
-	}
-	return b.String()
-}
-
-// Histogram renders value counts as sorted "label: count" bars — used for
-// flip distributions and tracker occupancy dumps.
-func Histogram(title string, counts map[string]int, maxWidth int) string {
-	if maxWidth <= 0 {
-		maxWidth = 40
-	}
-	keys := make([]string, 0, len(counts))
-	max := 0
-	for k, v := range counts {
-		keys = append(keys, k)
-		if v > max {
-			max = v
-		}
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	labelW := 0
-	for _, k := range keys {
-		if len(k) > labelW {
-			labelW = len(k)
-		}
-	}
-	for _, k := range keys {
-		n := 0
-		if max > 0 {
-			n = counts[k] * maxWidth / max
-		}
-		fmt.Fprintf(&b, "%-*s %s %d\n", labelW, k, strings.Repeat("█", n), counts[k])
 	}
 	return b.String()
 }

@@ -86,20 +86,3 @@ func TestSparkline(t *testing.T) {
 		t.Fatalf("flat sparkline = %q", flat)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := Histogram("flips", map[string]int{"bank0": 4, "bank1": 2, "bank2": 0}, 8)
-	for _, frag := range []string{"flips", "bank0", "bank1", "bank2", "4", "2", "0"} {
-		if !strings.Contains(h, frag) {
-			t.Errorf("histogram missing %q:\n%s", frag, h)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(h), "\n")
-	// Sorted by label, max bar 8 cells.
-	if !strings.HasPrefix(lines[1], "bank0") {
-		t.Fatalf("not sorted: %v", lines)
-	}
-	if strings.Count(lines[1], "█") != 8 {
-		t.Fatalf("max bar wrong: %q", lines[1])
-	}
-}

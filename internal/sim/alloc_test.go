@@ -16,7 +16,7 @@ import (
 )
 
 // The perf contract of the event-driven scheduler is a zero-allocation
-// steady state: once the Request slab, completion queue, and per-bank
+// steady state: once the Request slab, per-core returns, and per-bank
 // readiness structures are warm, neither the simulator's issue/retire loop
 // nor Controller.Step may touch the heap. These tests pin that with
 // testing.AllocsPerRun so a regression (a stray append past capacity, a

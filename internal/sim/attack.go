@@ -89,14 +89,9 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 
 	res := &AttackResult{Device: dev}
 	now := timing.Tick(0)
-	// Event-wheel state: ctlNext is the controller's last Step return, a
-	// sound lower bound on its next possible action (already folded with its
-	// cached bound, so it sees past the post-command bus echo); dirty forces a
-	// Step after an enqueue. When the bound proves the controller quiescent
-	// at a wakeup (we woke early only to check cur.Done), the Step call is
-	// skipped entirely.
-	ctlNext := timing.Tick(0)
-	dirty := true
+	// The controller is stepped, as in Run, only while its bound (NextAt)
+	// is at or before now: at a wakeup only to check cur.Done, or at an
+	// arrival whose bank cannot act yet, the Step call is skipped.
 	banks, rows := cfg.Geometry.Banks, cfg.Geometry.PARowsPerBank()
 	for now < cfg.Duration {
 		if cur == nil || cur.Done > 0 {
@@ -120,16 +115,11 @@ func RunAttack(cfg AttackConfig, pat trace.Pattern) (*AttackResult, error) {
 				return nil, fmt.Errorf("sim: attack enqueue failed")
 			}
 			res.Acts++
-			dirty = true
 		}
-		if dirty || ctlNext <= now {
-			ctlNext = mc.Step(now)
-			dirty = false
-			if ctlNext <= now {
-				continue
-			}
+		if mc.NextAt() <= now && mc.Step(now) <= now {
+			continue
 		}
-		next := ctlNext
+		next := mc.NextAt()
 		if cur != nil && cur.Done > 0 && cur.Done < next {
 			next = cur.Done
 		}

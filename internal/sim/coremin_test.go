@@ -11,15 +11,15 @@ import (
 	"shadow/internal/trace"
 )
 
-// TestCoreMinTracksCoreAt checks the wheel's core summaries after every
-// wakeup: coreMin equals min(coreAt), each groupMin entry equals the minimum
-// of its group's coreAt, and the stalled count equals the number of
-// MSHR-stalled cores. The wheel skips the core walk whenever coreMin lies in
-// the future and a group whenever its minimum does, so a summary above the
-// true minimum would skip a due core; and completions wake the wheel only
-// while the stalled count is positive, so an undercount would retire a
-// stalled core's completion late. The inputs cover 1 to 64 cores (a partial
-// last group included), cores stalled on two MSHRs,
+// TestCoreMinTracksCoreAt checks the wheel's core keys after every wakeup:
+// coreMin equals min(coreAt), each groupMin entry equals the minimum of its
+// group's coreAt, and every stalled core's coreAt equals the later of its
+// next issue time and its earliest pending return. The wheel skips the core
+// walk whenever coreMin lies in the future and a group whenever its minimum
+// does, so a summary above the true minimum would skip a due core; and a
+// completion wakes the wheel only through its stalled core's key, so a key
+// above that return would unstall the core late. The inputs cover 1 to 64
+// cores (a partial last group included), cores stalled on two MSHRs,
 // saturated bank queues (cores park and are re-armed by dequeues) and a
 // BlockHammer run with spans attached, which must blacklist ACTs so that
 // throttled banks wait on their epoch release.
@@ -107,16 +107,19 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 						t.Fatalf("at %v: groupMin[%d] %v, min of its coreAt %v", r.now, g, got, want)
 					}
 				}
-				stalled := 0
-				for _, c := range r.cores {
-					if c.stalled {
-						stalled++
+				for id, c := range r.cores {
+					if !c.stalled {
+						continue
+					}
+					stallSeen = true
+					want := timing.Forever
+					for _, at := range c.returns {
+						want = min(want, at)
+					}
+					if want = max(want, c.nextIssueAt); r.coreAt[id] != want {
+						t.Fatalf("at %v: stalled core %d keyed %v, want %v", r.now, id, r.coreAt[id], want)
 					}
 				}
-				if r.stalled != stalled {
-					t.Fatalf("at %v: stalled count %d, %d cores stalled", r.now, r.stalled, stalled)
-				}
-				stallSeen = stallSeen || stalled > 0
 				// A dequeue may re-arm every parked core within the wakeup,
 				// so a core's backoff flag is what shows it met a full queue.
 				for _, c := range r.cores {

@@ -196,6 +196,50 @@ func TestObservationDoesNotPerturbStats(t *testing.T) {
 	}
 }
 
+// TestCountersCoverWarmupWindow holds the counters that mirror Result's
+// windowed statistics to Result under a warm-up: they restart where Run
+// snapshots the statistics, so a -metrics-out dump of a figure run counts
+// what the figure reads.
+func TestCountersCoverWarmupWindow(t *testing.T) {
+	profiles := trace.MixHigh(2)
+	for i := range profiles {
+		profiles[i].WorkingSetRows = 1 << 10
+	}
+	rec := obs.NewRecorder(obs.Options{Metrics: true})
+	res, err := Run(Config{
+		Params: shadowParams(8), Geometry: smallGeo(), DeviceMit: shadow.New(shadow.Options{Seed: 7}),
+		Hammer:   hammer.Config{HCnt: 4096, BlastRadius: 3},
+		Workload: trace.Generators(profiles, smallGeo(), 7),
+		Duration: 80 * timing.Microsecond,
+		Warmup:   40 * timing.Microsecond,
+		Probe:    rec.NewTrack("r"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var insts int64
+	for _, v := range res.Insts {
+		insts += v
+	}
+	want := map[string]int64{"r/mc/acts": res.MC.Acts, "r/mc/rfms": res.MC.RFMs, "r/sim/insts": insts}
+	for _, r := range rec.Metrics().Snapshot().Counters {
+		w, ok := want[r.Name]
+		if !ok {
+			continue
+		}
+		delete(want, r.Name)
+		if r.Value != w {
+			t.Errorf("counter %s = %d, Result says %d", r.Name, r.Value, w)
+		}
+		if w == 0 {
+			t.Errorf("counter %s is 0: the window never exercised it", r.Name)
+		}
+	}
+	for name := range want {
+		t.Errorf("counter %s not registered", name)
+	}
+}
+
 // TestCountersMatchStats cross-checks the metrics registry against the
 // statistics the run reports: with Warmup 0 every event counter the
 // simulator registers equals the stats field it mirrors, so the counts a

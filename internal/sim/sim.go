@@ -52,9 +52,10 @@ type Config struct {
 	// Duration is the simulated time horizon.
 	Duration timing.Tick
 	// Warmup excludes the first Warmup ticks from the reported statistics
-	// (instructions and controller counters), so threshold-based schemes
-	// (tracker tables, Bloom filters) are measured in steady state rather
-	// than while still filling. Must be below Duration.
+	// (instructions and controller counters, and the probe instruments that
+	// mirror them: the controller's and sim/insts), so threshold-based
+	// schemes (tracker tables, Bloom filters) are measured in steady state
+	// rather than while still filling. Must be below Duration.
 	Warmup timing.Tick
 	// InstPerNS is each core's peak retirement rate (instructions per
 	// nanosecond); 4.0 models a ~3 GHz out-of-order core.
@@ -98,6 +99,9 @@ type Result struct {
 	// none: it keeps only the statistics above, which is all a scheme
 	// point normalizes against.
 	Device *dram.Device
+	// Wakeups and Steps count the simulator's own work over the whole run,
+	// warm-up included: event-wheel wakeups and Controller.Step calls.
+	Wakeups, Steps int64
 }
 
 // core is the per-core replay state.
@@ -108,18 +112,14 @@ type core struct {
 	outstanding int
 	insts       int64
 	stalled     bool
+	// returns holds the data-return instants of the core's completed,
+	// unretired requests (at most MSHR); replay retires those due.
+	returns []timing.Tick
 	// backoff marks a pending request rejected by a full bank queue;
 	// backoffAt is the first rejected attempt, reported to the request's
 	// span as queue-full backpressure once it finally enqueues.
 	backoff   bool
 	backoffAt timing.Tick
-}
-
-// completion is one outstanding miss awaiting retirement: the core to
-// credit and the time its data returns.
-type completion struct {
-	core int
-	at   timing.Tick
 }
 
 // coreGroup is the number of cores one runner.groupMin entry summarizes.
@@ -135,22 +135,18 @@ type runner struct {
 	dev   *dram.Device
 
 	// Event-wheel state (see tick).
-	// coreAt holds each core's next issue time, Forever while the core is
-	// stalled (retire restores it when the core unstalls) or parked on a
-	// full queue (rearm restores it); it sits in one contiguous array so the
-	// wheel's per-wakeup scan never touches a core that is not due.
+	// coreAt holds each core's next issue time; for a core stalled on its
+	// MSHRs, the later of that and its earliest pending return (Forever
+	// until one of its requests completes); and Forever for a core parked
+	// on a full queue (rearm restores it). It sits in one contiguous array
+	// so the wheel's per-wakeup scan never touches a core that is not due.
 	// groupMin[g] is exactly the minimum of coreAt over cores
 	// [g*coreGroup, (g+1)*coreGroup), and coreMin exactly min(coreAt), both
 	// kept at every write to coreAt, so a wakeup with no core due skips the
 	// walk altogether and the walk skips every group with no core due.
-	// stalled counts the MSHR-stalled cores. ctlNext holds the controller's
-	// last Step return, its advance bound, lowered to now by an enqueue, so
-	// a quiescent controller is not stepped at all.
 	coreAt   []timing.Tick
 	groupMin []timing.Tick
 	coreMin  timing.Tick
-	stalled  int
-	ctlNext  timing.Tick
 
 	// Queue-full parking (see tick): a core whose request found its
 	// bank queue full waits with coreAt Forever on that bank's list instead
@@ -159,14 +155,9 @@ type runner struct {
 	parkHead []int
 	parkLink []int
 
-	inflight []completion
-	// nextDone is the earliest completion time in inflight (Forever when
-	// empty): maintained by onComplete on insert and recomputed by the retire
-	// pass, so the advance phase never rescans the inflight list.
-	nextDone timing.Tick
 	// freeReqs recycles Request objects. A request is recyclable as soon as
 	// its column command issues (OnComplete): the controller has dequeued it
-	// and the simulator tracks only the (core, done) pair. Live requests are
+	// and the simulator keeps only its return instant. Live requests are
 	// bounded by cores×MSHR, so the pre-filled slab makes the steady-state
 	// issue path allocation-free. Recycled requests are reset by whole-struct
 	// assignment, clearing stale Span pointers before reuse.
@@ -177,6 +168,8 @@ type runner struct {
 	progEvery timing.Tick
 	nextProg  timing.Tick
 	now       timing.Tick
+
+	wakeups, steps int64
 }
 
 // checkBanks rejects a geometry with more banks than one controller
@@ -223,7 +216,7 @@ func newRunner(cfg Config) (*runner, error) {
 
 	cores := make([]*core, len(cfg.Workload))
 	for i, g := range cfg.Workload {
-		cores[i] = &core{gen: g}
+		cores[i] = &core{gen: g, returns: make([]timing.Tick, 0, cfg.MSHR)}
 		cores[i].fetch(cfg.InstPerNS, 0)
 	}
 
@@ -233,8 +226,6 @@ func newRunner(cfg Config) (*runner, error) {
 	for i := range r.reqSlab {
 		r.freeReqs = append(r.freeReqs, &r.reqSlab[i])
 	}
-	r.inflight = make([]completion, 0, len(r.reqSlab))
-	r.nextDone = timing.Forever
 	r.parkHead = make([]int, cfg.Geometry.Banks)
 	for i := range r.parkHead {
 		r.parkHead[i] = -1
@@ -265,13 +256,14 @@ func newRunner(cfg Config) (*runner, error) {
 	if cfg.OnCommand != nil {
 		onCmd = func(c memctrl.Cmd) { cfg.OnCommand(0, c) }
 	}
-	// Completion queue: (coreID, doneAt) pairs, unsorted (small). The
-	// completed request goes straight back on the free list, and its
-	// dequeue frees a slot for the cores parked on its bank.
+	// The completed request's return instant goes to its core, which a
+	// stalled core then wakes at; the request goes straight back on the free
+	// list, and its dequeue frees a slot for the cores parked on its bank.
 	onComplete := func(req *memctrl.Request) {
-		r.inflight = append(r.inflight, completion{core: req.Core, at: req.Done})
-		if req.Done < r.nextDone {
-			r.nextDone = req.Done
+		c := r.cores[req.Core]
+		c.returns = append(c.returns, req.Done)
+		if c.stalled {
+			r.lowerCoreAt(req.Core, max(c.nextIssueAt, req.Done))
 		}
 		r.freeReqs = append(r.freeReqs, req)
 		r.rearm(req.Bank, r.now)
@@ -286,6 +278,9 @@ func newRunner(cfg Config) (*runner, error) {
 		Spans:      spanTr,
 	})
 	r.coreAt = make([]timing.Tick, len(cores))
+	for i := range r.coreAt {
+		r.coreAt[i] = timing.Forever
+	}
 	r.groupMin = make([]timing.Tick, (len(cores)+coreGroup-1)/coreGroup)
 	for g := range r.groupMin {
 		r.groupMin[g] = timing.Forever
@@ -330,6 +325,8 @@ func Run(cfg Config) (*Result, error) {
 				warmInsts[i] = c.insts
 			}
 			warmMC = r.ctl.Stats
+			r.ctl.RestartMetrics()
+			r.instCount.Reset()
 		}
 		r.tick()
 	}
@@ -343,6 +340,8 @@ func Run(cfg Config) (*Result, error) {
 		Dev:      r.dev.TotalStats(),
 		Flips:    r.dev.FlipCount(),
 		Device:   r.dev,
+		Wakeups:  r.wakeups,
+		Steps:    r.steps,
 	}
 	if warmTaken {
 		res.MC = subStats(r.ctl.Stats, warmMC)
@@ -357,47 +356,44 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// tick runs one wakeup of the event wheel: retire due completions, let due
-// cores issue, step the controller if it can act, and jump to the earliest
-// future event. Allocation-free in steady state. It touches only the state
-// that can act at this instant:
+// tick runs one wakeup of the event wheel: let due cores retire their
+// returns and issue, step the controller if it can act, and jump to the
+// earliest future event. Allocation-free in steady state. It touches only
+// the state that can act at this instant:
 //
 //   - cores are walked through their dense next-issue-time array, so only
 //     due cores touch their replay state, only at a wakeup where some core
 //     is due (coreMin), and only in groups of cores where one is due
 //     (groupMin);
-//   - a completion wakes the wheel only while some core is MSHR-stalled:
-//     otherwise retiring it changes only the core's outstanding count, which
-//     only the walk reads, and the walk runs after the retire pass of its own
-//     wakeup (DESIGN.md §10, part 4);
+//   - a completion wakes the wheel only for a core stalled on its MSHRs:
+//     any other core retires its returns in its own replay, the only reader
+//     of its outstanding count (DESIGN.md §10, part 4);
 //   - a core whose request met a full bank queue retries on a 4 tCK grid
 //     from its first rejection, but parks on the bank and wakes only at the
 //     first grid point after a dequeue from it (DESIGN.md §10, part 5);
-//   - the controller is stepped only when it received a request this wakeup
-//     or its bound (its last Step return, ctlNext) has arrived — a skipped
-//     Step is a pure no-op, spans or not (DESIGN.md §10);
+//   - the controller is stepped only when its bound (NextAt: its last Step
+//     return, lowered by each Enqueue to what the new request can change)
+//     has arrived — a skipped Step is a pure no-op, spans or not
+//     (DESIGN.md §10);
 //   - advance() jumps straight to the minimum bound.
 func (r *runner) tick() {
 	now := r.now
+	r.wakeups++
 
-	// 1. Retire completions due by now.
-	r.retire(now)
-
-	// 2. Let the due cores issue. With none due the walk would change
+	// 1. Let the due cores issue. With none due the walk would change
 	// nothing, so it is skipped.
 	if r.coreMin <= now {
 		r.walkCores(now)
 	}
 
-	// 3. Step the controller until its bound passes now: it is due if it was
-	// handed a request this wakeup or its bound has arrived. Each Step
-	// return is its cached bound (NextReadyAt or later).
-	for r.ctlNext <= now {
-		r.ctlNext = r.ctl.Step(now)
+	// 2. Step the controller until its bound passes now.
+	for r.ctl.NextAt() <= now {
+		r.ctl.Step(now)
+		r.steps++
 	}
 
-	// 4. Jump to the wheel's bound. coreMin includes the retries re-armed by
-	// this wakeup's dequeues.
+	// 3. Jump to the wheel's bound. coreMin includes the retries re-armed and
+	// the stalled cores woken by this wakeup's completions.
 	r.advance(now)
 }
 
@@ -425,17 +421,28 @@ func (r *runner) walkCores(now timing.Tick) {
 	r.coreMin = coreMin
 }
 
-// replay issues due core id's requests until it stalls on its MSHRs, parks
-// on a full bank queue or runs ahead of now, and returns its new coreAt
-// (Forever while stalled or parked).
+// replay retires due core id's returns, issues its requests until it
+// stalls on its MSHRs, parks on a full bank queue or runs ahead of now, and
+// returns its new coreAt (see runner.coreAt).
 func (r *runner) replay(id int, now timing.Tick) timing.Tick {
 	cfg := r.cfg
 	c := r.cores[id]
+	earliest := timing.Forever // the earliest return still pending
+	for i := 0; i < len(c.returns); {
+		if at := c.returns[i]; at > now {
+			earliest = min(earliest, at)
+			i++
+			continue
+		}
+		c.outstanding--
+		c.returns[i] = c.returns[len(c.returns)-1]
+		c.returns = c.returns[:len(c.returns)-1]
+	}
+	c.stalled = false
 	parked := false
-	for !c.stalled && c.nextIssueAt <= now {
+	for c.nextIssueAt <= now {
 		if c.outstanding >= cfg.MSHR {
 			c.stalled = true
-			r.stalled++
 			break
 		}
 		// Whole-struct reset: a recycled request must not leak its old
@@ -462,7 +469,6 @@ func (r *runner) replay(id int, now timing.Tick) timing.Tick {
 			parked = true
 			break
 		}
-		r.ctlNext = now // the new request makes the controller due
 		if c.backoff {
 			req.Span.NoteBackpressure(c.backoffAt)
 			c.backoff = false
@@ -471,18 +477,23 @@ func (r *runner) replay(id int, now timing.Tick) timing.Tick {
 		c.fetch(cfg.InstPerNS, now)
 		r.instCount.Add(int64(c.pending.Gap))
 	}
-	at := timing.Forever
-	if !c.stalled && !parked {
-		at = c.nextIssueAt
+	at := c.nextIssueAt
+	switch {
+	case parked:
+		at = timing.Forever
+	case c.stalled:
+		at = max(at, earliest)
 	}
 	r.coreAt[id] = at
 	return at
 }
 
-// lowerCoreAt puts core id back on the wheel at at: coreAt was Forever (the
-// core stalled, parked or not yet armed), so its group's minimum and coreMin
-// can only fall.
+// lowerCoreAt moves core id's wheel key down to at, if at is earlier, and
+// its group's minimum and coreMin with it.
 func (r *runner) lowerCoreAt(id int, at timing.Tick) {
+	if at >= r.coreAt[id] {
+		return
+	}
 	r.coreAt[id] = at
 	if g := id / coreGroup; at < r.groupMin[g] {
 		r.groupMin[g] = at
@@ -519,54 +530,16 @@ func (r *runner) rearm(bank int, now timing.Tick) {
 }
 
 // advance moves simulated time to the wheel's sound lower bound on the next
-// actionable event: the minimum of the controller's bound, the earliest
-// unstalled core's issue time (coreMin) and, while some core is stalled, the
-// earliest outstanding completion. A bound at or before now moves the wheel
-// on by one tCK, so it never spins at an instant.
+// actionable event: the minimum of the controller's bound and the earliest
+// core key (coreMin), which covers the stalled cores' returns. A bound at or
+// before now moves the wheel on by one tCK, so it never spins at an instant.
 func (r *runner) advance(now timing.Tick) {
-	next := min(r.coreMin, r.ctlNext)
-	if r.stalled > 0 && r.nextDone > now && r.nextDone < next {
-		next = r.nextDone
-	}
+	next := min(r.coreMin, r.ctl.NextAt())
 	if next <= now {
 		next = now + r.cfg.Params.TCK
 	}
 	r.now = next
 	r.noteProgress()
-}
-
-// retire retires the completions due by now, recomputing the earliest
-// surviving completion in the same pass (onComplete keeps it current for
-// inserts). A core that unstalls resumes at the later of its issue time and
-// the completion that freed it, which also becomes its wheel key in coreAt.
-func (r *runner) retire(now timing.Tick) {
-	if r.nextDone > now {
-		return
-	}
-	nextDone := timing.Forever
-	for i := 0; i < len(r.inflight); {
-		if r.inflight[i].at <= now {
-			id := r.inflight[i].core
-			c := r.cores[id]
-			c.outstanding--
-			if c.stalled {
-				c.stalled = false
-				r.stalled--
-				if c.nextIssueAt < r.inflight[i].at {
-					c.nextIssueAt = r.inflight[i].at
-				}
-				r.lowerCoreAt(id, c.nextIssueAt)
-			}
-			r.inflight[i] = r.inflight[len(r.inflight)-1]
-			r.inflight = r.inflight[:len(r.inflight)-1]
-		} else {
-			if r.inflight[i].at < nextDone {
-				nextDone = r.inflight[i].at
-			}
-			i++
-		}
-	}
-	r.nextDone = nextDone
 }
 
 // noteProgress fires the optional Progress heartbeat and re-arms it with the
