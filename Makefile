@@ -20,6 +20,7 @@ race-focused:
 
 vet:
 	go vet ./...
+	cd perfbench && go vet ./...
 	go run ./cmd/shadowvet ./...
 
 # shadowvet alone, for fast iteration on analyzer findings; `make vet` runs

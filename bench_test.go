@@ -113,7 +113,7 @@ func benchSimOpts(b *testing.B, o exp.RunOpts, scheme exp.Scheme, profiles []tra
 		if probed {
 			rec := obs.NewRecorder(obs.Options{Metrics: true})
 			cfg.Probe = rec.NewTrack(string(scheme))
-			cfg.Spans = span.NewCollector(0)
+			cfg.Spans = span.NewCollector()
 		}
 		if _, err := sim.Run(cfg); err != nil {
 			b.Fatal(err)

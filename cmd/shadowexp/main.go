@@ -95,7 +95,7 @@ func main() {
 	var spanRuns []spanRun
 	if *blame {
 		o.SpansFor = func(label string) *span.Collector {
-			col := span.NewCollector(0)
+			col := span.NewCollector()
 			spanRuns = append(spanRuns, spanRun{label: label, col: col})
 			if ring != nil {
 				// Each scheme run's attribution is independently conserved.

@@ -166,7 +166,7 @@ func main() {
 	}
 	var spans *span.Collector
 	if *blame || *inspect != "" {
-		spans = span.NewCollector(0)
+		spans = span.NewCollector()
 	}
 	blameRows := func() []report.BlameRow { return []report.BlameRow{{Label: label, Agg: spans.Aggregate()}} }
 

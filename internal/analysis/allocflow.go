@@ -27,13 +27,15 @@ var allocRoots = map[string]string{
 	// zero-alloc contract names them directly and survives refactors of the
 	// tick dispatch.
 	"sim.runner.advance":               "the event-wheel time advance",
-	"sim.runner.stepSelected":          "the event-wheel channel step round",
 	"sim.runner.park":                  "the event-wheel queue-full park",
-	"sim.runner.rearmSlot":             "the event-wheel re-arm on a bank dequeue",
 	"memctrl.Controller.NextReadyAt":   "the channel readiness lower bound",
 	"dram.Device.NextDeadline":         "the device deadline scan",
 	"dram.Bank.NextDeadline":           "the bank deadline probe",
 	"mitigate.BlockHammer.NextEventAt": "the BlockHammer epoch-boundary bound",
+	// The runner's OnComplete closure, which Step reaches only through a
+	// func value the call graph does not follow.
+	"sim.runner.rearm":       "the event-wheel re-arm on a bank dequeue",
+	"sim.runner.lowerCoreAt": "the event-wheel key lowering on a completion",
 	// The flight recorder's ring write, teed from Recorder.emit on every
 	// DRAM command in the always-on telemetry configuration.
 	"flight.Ring.Record": "the flight-ring event write",

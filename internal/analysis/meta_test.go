@@ -1,6 +1,10 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -102,9 +106,18 @@ func TestEveryAnalyzerHasFixture(t *testing.T) {
 
 // TestRegistriesNameLivePackages: every package a registry names by path
 // (the determinism-restricted set, the nil-guard table, the layering DAG)
-// is a package directory in the tree, so moving or renaming a package
-// fails here instead of silently dropping it from the analyzers' scope.
+// is a package directory in the tree, and every allocflow root names a
+// function or method the module's non-test source declares, so moving or
+// renaming either fails here instead of silently dropping it from the
+// analyzers' scope.
 func TestRegistriesNameLivePackages(t *testing.T) {
+	declared := declaredFuncs(t)
+	for root := range allocRoots {
+		if !declared[root] {
+			t.Errorf("allocRoots names %s, which no non-test source declares", root)
+		}
+	}
+
 	var paths []string
 	for path := range restrictedPkgs {
 		paths = append(paths, path)
@@ -126,4 +139,61 @@ func TestRegistriesNameLivePackages(t *testing.T) {
 			t.Errorf("registry names %s, but %s holds no package source", path, dir)
 		}
 	}
+}
+
+// declaredFuncs returns the functions and methods declared in the module's
+// non-test source, fixtures excluded, named as allocRoots names them:
+// package.Func or package.Recv.Method.
+func declaredFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && isModuleBoundary(path, d):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := f.Name.Name + "." + fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = f.Name.Name + "." + id.Name + "." + fd.Name.Name
+				}
+			}
+			names[name] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// isModuleBoundary reports whether the go tool leaves a directory out of
+// the module's packages: testdata, a name starting with "." or "_", or a
+// nested module.
+func isModuleBoundary(path string, d fs.DirEntry) bool {
+	if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		return true
+	}
+	_, err := os.Stat(filepath.Join(path, "go.mod"))
+	return err == nil
 }

@@ -16,8 +16,8 @@ import (
 // Both the tracker and the row table are built on first use. The tracker
 // waits for the first hammer use (an ACT, a refresh or a row copy), so a
 // subarray whose remapping-row SHADOW only reads has none. The row table
-// waits for the first call to Row (a flip, a row copy or swap, an sPPR, a
-// payload read or an integrity check), each row seeded with its power-on
+// waits for the first call to Row (a flip, a row copy or swap, a payload
+// read or an integrity check), each row seeded with its power-on
 // pattern, so a run pays for row payload slots only in the subarrays whose
 // data it touches.
 type Subarray struct {
@@ -75,14 +75,14 @@ type Bank struct {
 
 	refreshPtr int // next DA row (bank-linear) for auto-refresh
 
-	// sppr holds active soft post-package repairs (see sppr.go).
-	sppr map[int]spprEntry
-
 	// RAA is the Rolling Accumulated ACT counter of the RFM interface. The
 	// MC mirrors it; the device keeps the authoritative copy.
 	RAA int
 
 	Stats BankStats
+	// flips counts the bank's bit flips over the whole run (Stats.Flips
+	// restarts with a measurement window) and spreads their bit positions.
+	flips int64
 
 	flipSink func(bankID, sub, da int, f hammer.Flip)
 }
@@ -184,8 +184,9 @@ func (b *Bank) recordACT(sub, da int) {
 	sa := b.Subarray(sub)
 	for _, f := range sa.Hammer().Activate(da) {
 		b.Stats.Flips++
+		b.flips++
 		// Deterministic-but-spread bit position derived from the flip count.
-		bit := int((uint64(f.Row)*2654435761 + uint64(b.Stats.Flips)*40503) % uint64(b.geo.RowBytes*8))
+		bit := int((uint64(f.Row)*2654435761 + uint64(b.flips)*40503) % uint64(b.geo.RowBytes*8))
 		sa.Row(f.Row).FlipBit(bit, b.geo.RowBytes)
 		if b.flipSink != nil {
 			b.flipSink(b.id, sub, f.Row, f) //shadowvet:ignore allocflow -- flip observer hook, nil unless tracing; flips are rare model events outside the steady-state contract

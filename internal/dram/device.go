@@ -218,7 +218,7 @@ func (d *Device) Activate(bank, paRow int, now timing.Tick) error {
 		return fmt.Errorf("dram: PA row %d out of range [0,%d)", paRow, d.geo.PARowsPerBank()) //shadowvet:ignore allocflow -- error path for protocol violations; the controller panics on any device error, so it never runs on a green run
 	}
 	b := d.banks[bank]
-	sub, da := d.translate(b, paRow)
+	sub, da := d.mit.Translate(b, paRow)
 	d.cmdAt = now
 	if err := b.Activate(sub, da, now); err != nil {
 		return err
@@ -315,8 +315,8 @@ func (d *Device) SwapRows(bank, paA, paB int) error {
 		return fmt.Errorf("dram: swap of row %d with itself", paA) //shadowvet:ignore allocflow -- error path for protocol violations; the controller panics on any device error, so it never runs on a green run
 	}
 	b := d.banks[bank]
-	subA, daA := d.translate(b, paA)
-	subB, daB := d.translate(b, paB)
+	subA, daA := d.mit.Translate(b, paA)
+	subB, daB := d.mit.Translate(b, paB)
 	ra, rb := b.Subarray(subA).Row(daA), b.Subarray(subB).Row(daB)
 	var tmp Row
 	tmp.CopyFrom(ra, d.geo.RowBytes)
@@ -337,7 +337,7 @@ func (d *Device) FlipCount() int { return len(d.flips) }
 // path; no timing effects).
 func (d *Device) InspectPA(bank, paRow int) []byte {
 	b := d.banks[bank]
-	sub, da := d.translate(b, paRow)
+	sub, da := d.mit.Translate(b, paRow)
 	return b.Subarray(sub).Row(da).Bytes(d.geo.RowBytes)
 }
 
@@ -375,7 +375,7 @@ func (d *Device) Scrub() ScrubReport {
 // power-on seed, so its rows are checked without building the table.
 func (d *Device) CorruptedBitsPA(bank, paRow int) int {
 	b := d.banks[bank]
-	sub, da := d.translate(b, paRow)
+	sub, da := d.mit.Translate(b, paRow)
 	want := b.InitialSeed(paRow)
 	sa := b.subs[sub]
 	if sa == nil || sa.rows == nil {
@@ -383,6 +383,16 @@ func (d *Device) CorruptedBitsPA(bank, paRow int) int {
 		return held.CorruptedBits(want, d.geo.RowBytes)
 	}
 	return sa.Row(da).CorruptedBits(want, d.geo.RowBytes)
+}
+
+// RestartStats zeroes every bank's Stats and the flip counter, so that from
+// now on they count a new measurement window: sim.Run calls it at the end of
+// a warm-up. Flips and FlipCount keep every flip of the run.
+func (d *Device) RestartStats() {
+	for _, b := range d.banks {
+		b.Stats = BankStats{}
+	}
+	d.flipCount.Reset()
 }
 
 // TotalStats sums the per-bank statistics.

@@ -404,35 +404,6 @@ func TestBadAddressesRejected(t *testing.T) {
 	}
 }
 
-func TestSoftPPR(t *testing.T) {
-	d := testDevice(t)
-	g := d.Geometry()
-	// Corrupt PA row 7's current cell, then repair it to the spare row.
-	before := append([]byte(nil), d.InspectPA(0, 7)...)
-	if err := d.SoftPPR(0, 7, 0, g.DARowsPerSubarray()-1); err != nil {
-		t.Fatal(err)
-	}
-	if d.SPPRCount(0) != 1 {
-		t.Fatalf("SPPRCount = %d", d.SPPRCount(0))
-	}
-	// Data followed the repair.
-	if !bytes.Equal(d.InspectPA(0, 7), before) {
-		t.Fatal("sPPR lost row contents")
-	}
-	// Activation goes to the spare now.
-	if err := d.Activate(0, 7, 0); err != nil {
-		t.Fatal(err)
-	}
-	_, da, ok := d.Bank(0).Open()
-	if !ok || da != g.DARowsPerSubarray()-1 {
-		t.Fatalf("open row = %d, want spare %d", da, g.DARowsPerSubarray()-1)
-	}
-	// Repairing to the same spot is rejected.
-	if err := d.SoftPPR(0, 7, 0, g.DARowsPerSubarray()-1); err == nil {
-		t.Fatal("duplicate sPPR accepted")
-	}
-}
-
 func TestTotalStats(t *testing.T) {
 	d := testDevice(t)
 	p := d.Params()
@@ -464,27 +435,6 @@ func TestNewDeviceValidation(t *testing.T) {
 		t.Error("bad hammer config accepted")
 	}
 }
-
-func TestSoftPPRRejectsActiveRemapper(t *testing.T) {
-	// A non-identity mitigator (anything that remaps) must reject sPPR.
-	d, err := NewDevice(Config{
-		Geometry:  TestGeometry(),
-		Params:    timing.NewParams(timing.DDR4_2666),
-		Hammer:    hammer.Config{HCnt: 1 << 20, BlastRadius: 3},
-		Mitigator: fakeRemapper{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SoftPPR(0, 1, 0, 5); err == nil {
-		t.Fatal("sPPR accepted with a dynamic remapper installed")
-	}
-}
-
-// fakeRemapper is a trivial non-identity mitigator for the sPPR guard test.
-type fakeRemapper struct{ Identity }
-
-func (fakeRemapper) Name() string { return "fake-remapper" }
 
 func TestScrubFindsFlips(t *testing.T) {
 	d, err := NewDevice(Config{
@@ -771,9 +721,9 @@ func TestRowTableBuiltOnFirstUse(t *testing.T) {
 	}
 }
 
-// TestRowDataOpsBuildOnlyTheirTables: a row copy, a swap, an sPPR and a
-// flip each build only the tables of the rows they touch, and move or
-// corrupt data as they did when every table was built up front.
+// TestRowDataOpsBuildOnlyTheirTables: a row copy, a swap and a flip each
+// build only the tables of the rows they touch, and move or corrupt data as
+// they did when every table was built up front.
 func TestRowDataOpsBuildOnlyTheirTables(t *testing.T) {
 	g := TestGeometry()
 	rb := g.RowBytes
@@ -801,17 +751,6 @@ func TestRowDataOpsBuildOnlyTheirTables(t *testing.T) {
 	}
 	if !bytes.Equal(d.InspectPA(2, paA), bb) || !bytes.Equal(d.InspectPA(2, paB), a) {
 		t.Fatal("swap did not exchange contents")
-	}
-
-	d = testDevice(t)
-	if err := d.SoftPPR(3, 7, 1, g.DARowsPerSubarray()-1); err != nil {
-		t.Fatal(err)
-	}
-	if built := builtRowTables(d); len(built) != 2 || built[0] != [2]int{3, 0} || built[1] != [2]int{3, 1} {
-		t.Fatalf("SoftPPR built %v, want [[3 0] [3 1]]", built)
-	}
-	if d.CorruptedBitsPA(3, 7) != 0 {
-		t.Fatal("repaired row lost its data")
 	}
 
 	d, err := NewDevice(Config{

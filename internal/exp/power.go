@@ -46,7 +46,8 @@ func Fig12(o RunOpts) ([]PowerPoint, *Table, error) {
 			Params: bp, Geometry: geo,
 			Hammer:   hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
 			Workload: trace.Generators(profiles, geo, o.Seed),
-			Duration: o.Duration,
+			Duration: o.Duration + o.Warmup,
+			Warmup:   o.Warmup,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -60,7 +61,8 @@ func Fig12(o RunOpts) ([]PowerPoint, *Table, error) {
 				Params: p, Geometry: geo, DeviceMit: dm, MCSide: mc,
 				Hammer:   hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
 				Workload: trace.Generators(profiles, geo, o.Seed),
-				Duration: o.Duration,
+				Duration: o.Duration + o.Warmup,
+				Warmup:   o.Warmup,
 			})
 			if err != nil {
 				return nil, nil, err

@@ -88,7 +88,7 @@ func forEachFloorCase(t *testing.T, fn func(t *testing.T, d *dram.Device, seed u
 				}
 				opt := tc.opt
 				if tc.spans {
-					opt.Spans = span.NewTracker(floorGeo.Banks, 1024, nil)
+					opt.Spans = span.NewTracker(floorGeo.Banks, nil)
 				}
 				d, err := dram.NewDevice(dram.Config{Geometry: floorGeo, Params: p, Hammer: hc, Spans: opt.Spans})
 				if err != nil {

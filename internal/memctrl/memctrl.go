@@ -91,14 +91,15 @@ func (k CmdKind) String() string {
 	return fmt.Sprintf("CmdKind(%d)", int(k))
 }
 
+// queueCap bounds each bank's request queue.
+const queueCap = 64
+
 // Options configures a controller.
 type Options struct {
 	// MCSide is the controller-side mitigation policy (defaults to none).
 	MCSide mitigate.MCSide
 	// RFMFilter optionally gates RFM issue (Section VIII extension).
 	RFMFilter *mitigate.RFMFilter
-	// QueueCap bounds each bank's request queue (0 = 64).
-	QueueCap int
 	// ClosedPage precharges a bank as soon as no hits are queued, so every
 	// access is an activation — the behaviour an attacker induces with
 	// cache-flushing access sequences, used by the attack simulator.
@@ -224,9 +225,6 @@ type Controller struct {
 
 // New builds a controller for the device.
 func New(dev *dram.Device, opt Options) *Controller {
-	if opt.QueueCap == 0 {
-		opt.QueueCap = 64
-	}
 	mc := opt.MCSide
 	if mc == nil {
 		mc = mitigate.NopMCSide{}
@@ -274,10 +272,11 @@ func New(dev *dram.Device, opt Options) *Controller {
 	return c
 }
 
-// RestartMetrics zeroes the controller's probe instruments, so that from
-// now on they count what Stats gains: sim.Run calls it where it snapshots
-// Stats at the end of a warm-up.
-func (c *Controller) RestartMetrics() {
+// RestartStats zeroes Stats and the probe instruments that mirror it, so
+// that from now on they count a new measurement window: sim.Run calls it at
+// the end of a warm-up.
+func (c *Controller) RestartStats() {
+	c.Stats = Stats{}
 	c.actCount.Reset()
 	c.rfmCount.Reset()
 	c.blockCount.Reset()
@@ -303,10 +302,10 @@ func (c *Controller) Enqueue(r *Request) bool {
 		panic(fmt.Sprintf("memctrl: bank %d out of range", r.Bank))
 	}
 	b := &c.banks[r.Bank]
-	if len(b.queue) >= c.opt.QueueCap {
+	if len(b.queue) >= queueCap {
 		return false
 	}
-	b.queue = append(b.queue, r) //shadowvet:ignore allocflow -- bank queue bounded by QueueCap; capacity is retained across request recycling, so growth stops after warmup
+	b.queue = append(b.queue, r) //shadowvet:ignore allocflow -- bank queue bounded by queueCap; capacity is retained across request recycling, so growth stops after warmup
 	if b.open && b.hit == hitNone && c.mc.TranslateRow(r.Bank, r.Row) == b.openRow {
 		b.hit = len(b.queue) - 1
 	}

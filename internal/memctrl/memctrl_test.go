@@ -292,17 +292,19 @@ func TestRRSSwapBlocksChannelAndPreservesData(t *testing.T) {
 }
 
 func TestQueueCapacity(t *testing.T) {
-	c := newCtl(t, Options{QueueCap: 2}, 0)
-	if !c.Enqueue(&Request{Bank: 0, Row: 1}) || !c.Enqueue(&Request{Bank: 0, Row: 2}) {
-		t.Fatal("enqueue under cap failed")
+	c := newCtl(t, Options{}, 0)
+	for i := 0; i < queueCap; i++ {
+		if !c.Enqueue(&Request{Bank: 0, Row: i}) {
+			t.Fatalf("enqueue %d under cap failed", i)
+		}
 	}
-	if c.Enqueue(&Request{Bank: 0, Row: 3}) {
+	if c.Enqueue(&Request{Bank: 0, Row: queueCap}) {
 		t.Fatal("enqueue over cap accepted")
 	}
 	if !c.Enqueue(&Request{Bank: 1, Row: 3}) {
 		t.Fatal("other bank should have space")
 	}
-	if c.QueuedRequests() != 3 {
+	if c.QueuedRequests() != queueCap+1 {
 		t.Fatalf("QueuedRequests = %d", c.QueuedRequests())
 	}
 }

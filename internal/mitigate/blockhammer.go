@@ -51,22 +51,17 @@ type BlockHammerConfig struct {
 	Hammer hammer.Config
 	// REFW is the refresh window; the filter epoch is REFW/2.
 	REFW timing.Tick
-	// Counters and Hashes size each Bloom filter (per bank). The hardware
-	// budget in the paper's comparison is a few KB per bank.
-	Counters, Hashes int
-	Seed             uint64
+	Seed uint64
 }
+
+// bhCounters and bhHashes size each Bloom filter (per bank). The hardware
+// budget in the paper's comparison is a few KB per bank.
+const bhCounters, bhHashes = 1024, 4
 
 var _ MCSide = (*BlockHammer)(nil)
 
 // NewBlockHammer returns the throttling policy.
 func NewBlockHammer(cfg BlockHammerConfig) *BlockHammer {
-	if cfg.Counters == 0 {
-		cfg.Counters = 1024
-	}
-	if cfg.Hashes == 0 {
-		cfg.Hashes = 4
-	}
 	bh := &BlockHammer{cfg: cfg, banks: make(map[int]*bhBank)}
 	bh.blThreshold = bh.computeBlacklistThreshold()
 	bh.thDelay = bh.computeThrottleDelay()
@@ -90,7 +85,7 @@ func (bh *BlockHammer) bank(id int) *bhBank {
 	b, ok := bh.banks[id]
 	if !ok {
 		b = &bhBank{
-			cbf:     NewDualCBF(bh.cfg.Counters, bh.cfg.Hashes, bh.cfg.Seed+uint64(id)*7919),
+			cbf:     NewDualCBF(bhCounters, bhHashes, bh.cfg.Seed+uint64(id)*7919),
 			lastACT: make(map[int]timing.Tick),
 		}
 		bh.banks[id] = b

@@ -28,14 +28,15 @@ type rrsBank struct {
 	lastReset timing.Tick
 }
 
+// rrsTrackerEntries sizes the per-bank Misra-Gries table.
+const rrsTrackerEntries = 1024
+
 // RRSConfig sizes the scheme.
 type RRSConfig struct {
 	// SwapThreshold is the tracked count that triggers a swap (H_cnt/6).
 	SwapThreshold int64
 	// RowsPerBank bounds the random partner choice.
 	RowsPerBank int
-	// TrackerEntries sizes the per-bank Misra-Gries table.
-	TrackerEntries int
 	// SwapLatency is how long one swap blocks the channel (>= 4 us per the
 	// paper's discussion of RRS).
 	SwapLatency timing.Tick
@@ -51,9 +52,6 @@ func NewRRS(cfg RRSConfig) *RRS {
 	if cfg.SwapThreshold <= 0 {
 		panic("mitigate: RRS needs a positive swap threshold")
 	}
-	if cfg.TrackerEntries == 0 {
-		cfg.TrackerEntries = 1024
-	}
 	if cfg.SwapLatency == 0 {
 		cfg.SwapLatency = 4 * timing.Microsecond
 	}
@@ -67,7 +65,7 @@ func (r *RRS) bank(id int) *rrsBank {
 	b, ok := r.banks[id]
 	if !ok {
 		b = &rrsBank{
-			tracker:   NewTracker(r.cfg.TrackerEntries),
+			tracker:   NewTracker(rrsTrackerEntries),
 			toPhys:    make(map[int]int),
 			toLogical: make(map[int]int),
 		}

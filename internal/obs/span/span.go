@@ -273,19 +273,18 @@ type busyNote struct {
 	cause Cause
 }
 
-// defaultMaxSpans bounds per-tracker span retention (~4 MB per tracker at
-// full capacity); the aggregate keeps counting past the cap.
-const defaultMaxSpans = 1 << 16
+// maxSpans bounds per-tracker span retention (~4 MB per tracker at full
+// capacity); the aggregate keeps counting past the cap.
+const maxSpans = 1 << 16
 
 // Tracker traces the requests of one channel. All methods are safe on a nil
 // receiver (inert), so simulation code threads it unconditionally.
 type Tracker struct {
-	maxSpans int
-	probe    *obs.Probe
-	banks    []bankTimeline
-	busy     []busyNote
-	agg      Aggregate
-	spans    []*Span
+	probe *obs.Probe
+	banks []bankTimeline
+	busy  []busyNote
+	agg   Aggregate
+	spans []*Span
 	// free recycles spans dropped past the retention cap: once retention is
 	// full every new span is aggregate-only, so Start can reuse the dropped
 	// object (after a whole-struct reset) instead of allocating — the span
@@ -297,19 +296,15 @@ type Tracker struct {
 	lanes [][]timing.Tick
 }
 
-// NewTracker builds a tracker for one channel of `banks` banks. maxSpans
-// bounds individual span retention (0 = default 65536; the aggregate is
-// unaffected). probe, when non-nil, receives one duration event per
-// completed request on a per-core lane track.
-func NewTracker(banks, maxSpans int, probe *obs.Probe) *Tracker {
-	if maxSpans <= 0 {
-		maxSpans = defaultMaxSpans
-	}
+// NewTracker builds a tracker for one channel of `banks` banks. It retains
+// at most maxSpans individual spans (the aggregate counts every one). probe,
+// when non-nil, receives one duration event per completed request on a
+// per-core lane track.
+func NewTracker(banks int, probe *obs.Probe) *Tracker {
 	return &Tracker{
-		maxSpans: maxSpans,
-		probe:    probe,
-		banks:    make([]bankTimeline, banks),
-		busy:     make([]busyNote, banks),
+		probe: probe,
+		banks: make([]bankTimeline, banks),
+		busy:  make([]busyNote, banks),
 	}
 }
 
@@ -408,7 +403,7 @@ func (t *Tracker) Complete(sp *Span, cas, done timing.Tick) {
 	sp.RowHit = sp.ACT == 0
 	t.agg.add(sp)
 	recycle := false
-	if len(t.spans) < t.maxSpans {
+	if len(t.spans) < maxSpans {
 		t.spans = append(t.spans, sp) //shadowvet:ignore allocflow -- bounded by maxSpans; once full, spans recycle through the free list
 	} else {
 		t.agg.Dropped++
@@ -481,15 +476,11 @@ func (t *Tracker) Spans() []*Span {
 // threads through its controller and device, created on demand. A nil
 // *Collector is valid and hands out a nil tracker.
 type Collector struct {
-	maxSpans int
-	tracker  *Tracker
+	tracker *Tracker
 }
 
-// NewCollector builds a collector. maxSpans bounds span retention
-// (0 = default).
-func NewCollector(maxSpans int) *Collector {
-	return &Collector{maxSpans: maxSpans}
-}
+// NewCollector builds a collector.
+func NewCollector() *Collector { return &Collector{} }
 
 // Tracker creates (or returns) the run's tracker. Safe on a nil receiver
 // (returns a nil, inert tracker).
@@ -498,7 +489,7 @@ func (c *Collector) Tracker(banks int, probe *obs.Probe) *Tracker {
 		return nil
 	}
 	if c.tracker == nil {
-		c.tracker = NewTracker(banks, c.maxSpans, probe)
+		c.tracker = NewTracker(banks, probe)
 	}
 	return c.tracker
 }

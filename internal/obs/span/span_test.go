@@ -11,7 +11,7 @@ import (
 // sequence and checks a span enqueued mid-sequence sees exactly the segments
 // that overlap its residency.
 func TestTimelineFolding(t *testing.T) {
-	tr := NewTracker(1, 0, nil)
+	tr := NewTracker(1, nil)
 
 	tr.SetCause(0, 0, CauseService)
 	tr.SetCause(0, 100, CauseBankBusy)  // [0,100) service
@@ -45,7 +45,7 @@ func TestTimelineFolding(t *testing.T) {
 // TestBackpressureConservation checks queue-full time extends the invariant
 // to [FirstAttempt, CAS).
 func TestBackpressureConservation(t *testing.T) {
-	tr := NewTracker(1, 0, nil)
+	tr := NewTracker(1, nil)
 	tr.SetCause(0, 0, CauseService)
 	sp := tr.Start(0, 0, 3, true, 500)
 	sp.NoteBackpressure(420)
@@ -76,7 +76,7 @@ func TestBackpressureConservation(t *testing.T) {
 // TestBusyWindows checks NoteBusy/BusyCause resolve bank-readiness blame to
 // the open window's cause, falling back to the default once it closes.
 func TestBusyWindows(t *testing.T) {
-	tr := NewTracker(2, 0, nil)
+	tr := NewTracker(2, nil)
 	tr.NoteBusy(1, 100, 400, CauseShuffle)
 	if got := tr.BusyCause(1, 250, CauseBankBusy); got != CauseShuffle {
 		t.Errorf("BusyCause inside window = %s, want shuffle", got)
@@ -93,7 +93,7 @@ func TestBusyWindows(t *testing.T) {
 // and a write on two banks roll up into one conserved aggregate, read
 // through the Collector.
 func TestAggregateMergeAndConserved(t *testing.T) {
-	col := NewCollector(0)
+	col := NewCollector()
 	tr := col.Tracker(2, nil)
 	if col.Tracker(2, nil) != tr {
 		t.Fatal("Collector.Tracker built a second tracker")
@@ -125,18 +125,19 @@ func TestAggregateMergeAndConserved(t *testing.T) {
 // TestRetentionCap checks spans past maxSpans are dropped individually but
 // stay accounted in the aggregate.
 func TestRetentionCap(t *testing.T) {
-	tr := NewTracker(1, 2, nil)
+	tr := NewTracker(1, nil)
 	tr.SetCause(0, 0, CauseService)
-	for i := 0; i < 5; i++ {
+	const n = maxSpans + 3
+	for i := 0; i < n; i++ {
 		sp := tr.Start(0, 0, i, false, timing.Tick(i*100))
 		tr.Complete(sp, timing.Tick(i*100+50), timing.Tick(i*100+60))
 	}
-	if got := len(tr.Spans()); got != 2 {
-		t.Errorf("retained %d spans, want 2", got)
+	if got := len(tr.Spans()); got != maxSpans {
+		t.Errorf("retained %d spans, want %d", got, maxSpans)
 	}
 	agg := tr.Aggregate()
-	if agg.Spans != 5 || agg.Dropped != 3 {
-		t.Errorf("agg = %d spans / %d dropped, want 5/3", agg.Spans, agg.Dropped)
+	if agg.Spans != n || agg.Dropped != 3 {
+		t.Errorf("agg = %d spans / %d dropped, want %d/3", agg.Spans, agg.Dropped, n)
 	}
 	if !agg.Conserved() {
 		t.Error("aggregate not conserved across dropped spans")
@@ -147,7 +148,7 @@ func TestRetentionCap(t *testing.T) {
 // take distinct lanes, a freed lane is reused first-fit, and saturation
 // falls back to the earliest-free lane.
 func TestLaneAssignment(t *testing.T) {
-	tr := NewTracker(1, 0, nil)
+	tr := NewTracker(1, nil)
 	mk := func(enq, done timing.Tick) *Span {
 		return &Span{Core: 0, Enqueue: enq, Done: done}
 	}
@@ -162,7 +163,7 @@ func TestLaneAssignment(t *testing.T) {
 	}
 	// Saturate all lanes with overlapping spans, then confirm the fallback
 	// picks the earliest-free one.
-	tr2 := NewTracker(1, 0, nil)
+	tr2 := NewTracker(1, nil)
 	for i := 0; i < obs.ReqLanes; i++ {
 		tr2.lane(mk(0, timing.Tick(1000+i)))
 	}
@@ -254,7 +255,7 @@ func TestCauseStrings(t *testing.T) {
 func TestProbeEmission(t *testing.T) {
 	rec := obs.NewRecorder(obs.Options{Events: true})
 	probe := rec.NewTrack("spans")
-	tr := NewTracker(1, 0, probe)
+	tr := NewTracker(1, probe)
 	tr.SetCause(0, 0, CauseService)
 	sp := tr.Start(2, 0, 9, false, 100)
 	tr.SetCause(0, 140, CauseRefresh)

@@ -39,9 +39,3 @@ func (c *CSPRNG) Uint64() uint64 {
 	c.ctr++
 	return v
 }
-
-// Reseed rekeys the generator, modelling the periodic key/counter
-// re-initialization strategy of Section VIII.
-func (c *CSPRNG) Reseed(seed uint64) {
-	*c = *NewCSPRNG(seed)
-}

@@ -5,9 +5,7 @@
 // counter mode, matching the paper's choice ("cryptographically secure PRNG
 // based on the PRINCE block cipher is used as default"). PRINCE is
 // implemented from the specification (Borghoff et al., ASIACRYPT 2012) and
-// verified against the published test vectors. A linear-feedback shift
-// register (LFSR) generator with periodic reseeding is provided as the
-// low-area alternative the paper discusses.
+// verified against the published test vectors.
 package rng
 
 import "math/bits"

@@ -11,8 +11,7 @@ type Source interface {
 // SplitMix is a fast non-cryptographic source (SplitMix64) for workload
 // generation and other simulation plumbing where speed matters and
 // unpredictability does not. The SHADOW controller itself must use the
-// PRINCE-based CSPRNG (or the reseeded LFSR): its randomness is
-// security-relevant.
+// PRINCE-based CSPRNG: its randomness is security-relevant.
 type SplitMix struct{ state uint64 }
 
 var _ Source = (*SplitMix)(nil)

@@ -54,7 +54,7 @@ func TestIntnUniform(t *testing.T) {
 }
 
 func TestFloat64Range(t *testing.T) {
-	src := NewLFSR(99)
+	src := NewSplitMix(99)
 	for i := 0; i < 10000; i++ {
 		v := Float64(src)
 		if v < 0 || v >= 1 {
@@ -131,17 +131,6 @@ func TestCSPRNGStreamPinned(t *testing.T) {
 	}
 }
 
-func TestCSPRNGReseedChangesStream(t *testing.T) {
-	a := NewCSPRNG(1)
-	first := a.Uint64()
-	a.Reseed(2)
-	b := NewCSPRNG(2)
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("Reseed(2) stream differs from NewCSPRNG(2)")
-	}
-	_ = first
-}
-
 // TestCSPRNGBitBalance: each of the 64 output bit positions should be set
 // about half the time.
 func TestCSPRNGBitBalance(t *testing.T) {
@@ -164,73 +153,8 @@ func TestCSPRNGBitBalance(t *testing.T) {
 	}
 }
 
-func TestLFSRNonZeroAndDeterministic(t *testing.T) {
-	l := NewLFSR(0) // zero seed must be remapped
-	if l.state == 0 {
-		t.Fatal("zero state accepted")
-	}
-	a, b := NewLFSR(77), NewLFSR(77)
-	for i := 0; i < 50; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("LFSR not deterministic")
-		}
-	}
-}
-
-// TestLFSRPeriodLongEnough: the register must not revisit its initial state
-// within a large number of steps (maximal-length polynomial sanity check).
-func TestLFSRPeriodLongEnough(t *testing.T) {
-	l := NewLFSR(0xDEADBEEF)
-	start := l.state
-	for i := 0; i < 1_000_000; i++ {
-		l.step()
-		if l.state == start {
-			t.Fatalf("LFSR state repeated after %d steps", i+1)
-		}
-	}
-}
-
-func TestReseededLFSR(t *testing.T) {
-	plain := NewLFSR(5)
-	reseeded := NewReseededLFSR(5, NewCSPRNG(9), 4)
-	// First 4 outputs identical, then the reseeded one diverges.
-	for i := 0; i < 4; i++ {
-		if plain.Uint64() != reseeded.Uint64() {
-			t.Fatalf("output %d diverged before reseed", i)
-		}
-	}
-	if plain.Uint64() == reseeded.Uint64() {
-		t.Fatal("reseed did not change the stream")
-	}
-}
-
-func TestLFSRBitBalance(t *testing.T) {
-	src := NewLFSR(31337)
-	const draws = 20000
-	total := 0
-	for i := 0; i < draws; i++ {
-		v := src.Uint64()
-		for d := v; d != 0; d &= d - 1 {
-			total++
-		}
-	}
-	frac := float64(total) / (draws * 64)
-	if math.Abs(frac-0.5) > 0.01 {
-		t.Errorf("LFSR ones fraction %.4f, want ~0.5", frac)
-	}
-}
-
 func BenchmarkCSPRNGUint64(b *testing.B) {
 	src := NewCSPRNG(1)
-	var s uint64
-	for i := 0; i < b.N; i++ {
-		s ^= src.Uint64()
-	}
-	sink = s
-}
-
-func BenchmarkLFSRUint64(b *testing.B) {
-	src := NewLFSR(1)
 	var s uint64
 	for i := 0; i < b.N; i++ {
 		s ^= src.Uint64()

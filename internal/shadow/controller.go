@@ -16,21 +16,12 @@ type Options struct {
 	// subarrays (even/odd); 2 pairs subarrays that sandwich another, the
 	// open-bitline arrangement of Section V-B.
 	PairDistance int
-	// Source provides randomness for Row_aggr sampling and Row_rand
-	// selection; defaults to the PRINCE CSPRNG seeded with Seed.
-	Source rng.Source
-	// Seed seeds the default CSPRNG when Source is nil.
+	// Seed seeds the PRINCE CSPRNG that samples Row_aggr and selects
+	// Row_rand.
 	Seed uint64
 	// DisableIncrementalRefresh turns off the incremental refresh step
 	// (ablation only; the paper's protection analysis assumes it on).
 	DisableIncrementalRefresh bool
-	// DisableShuffle turns off the row-shuffle step (ablation only).
-	DisableShuffle bool
-	// ReseedEvery rekeys the CSPRNG after this many shuffles, modelling the
-	// Section VIII periodic key/counter re-initialization from a CPU-side
-	// true RNG. Zero disables periodic reseeding. Only effective when the
-	// default CSPRNG is used (a custom Source is the caller's business).
-	ReseedEvery int64
 	// Probe, when set, records shuffle and incremental-refresh events plus a
 	// shuffle-rate series (shadowscope).
 	Probe *obs.Probe
@@ -44,7 +35,6 @@ type Stats struct {
 	IdleRFMs     int64 // RFMs with no activation since the previous RFM
 	RemapReads   int64 // remapping-row entry reads (every ACT costs one)
 	RemapWrites  int64 // remapping-row update bursts (one per shuffle)
-	Reseeds      int64 // periodic CSPRNG rekeys (Section VIII)
 }
 
 // bankState is the per-bank part of the controller: the recent-activation
@@ -58,9 +48,8 @@ type bankState struct {
 
 // Controller implements dram.Mitigator with the SHADOW scheme.
 type Controller struct {
-	opt    Options
-	src    rng.Source
-	csprng *rng.CSPRNG // non-nil when the default source is in use
+	opt Options
+	src *rng.CSPRNG
 	// banks holds each bank's state by bank ID; nil until the bank's first
 	// use. Every Translate and OnACT looks its bank up here.
 	banks []*bankState
@@ -82,13 +71,7 @@ func New(opt Options) *Controller {
 	if opt.PairDistance == 0 {
 		opt.PairDistance = 1
 	}
-	c := &Controller{opt: opt}
-	if opt.Source != nil {
-		c.src = opt.Source
-	} else {
-		c.csprng = rng.NewCSPRNG(opt.Seed)
-		c.src = c.csprng
-	}
+	c := &Controller{opt: opt, src: rng.NewCSPRNG(opt.Seed)}
 	c.SetProbe(opt.Probe)
 	return c
 }
@@ -248,36 +231,28 @@ func (c *Controller) OnRFM(b *dram.Bank, now timing.Tick) {
 	}
 
 	// (3) Row-shuffle: two row-copies through Row_empt.
-	if !c.opt.DisableShuffle {
-		randIdx := rng.Intn(c.src, g.RowsPerSubarray-1)
-		if randIdx >= aggrIdx {
-			randIdx++ // uniform over slots != aggrIdx
-		}
-		daAggr := t.Slot(data, aggrIdx)
-		daRand := t.Slot(data, randIdx)
-		daEmpt := t.Slot(data, t.EmptySlot())
+	randIdx := rng.Intn(c.src, g.RowsPerSubarray-1)
+	if randIdx >= aggrIdx {
+		randIdx++ // uniform over slots != aggrIdx
+	}
+	daAggr := t.Slot(data, aggrIdx)
+	daRand := t.Slot(data, randIdx)
+	daEmpt := t.Slot(data, t.EmptySlot())
 
-		mustCopy(b, sub, daRand, daEmpt, now) // Row_rand -> Row_empt
-		mustCopy(b, sub, daAggr, daRand, now) // Row_aggr -> old Row_rand
+	mustCopy(b, sub, daRand, daEmpt, now) // Row_rand -> Row_empt
+	mustCopy(b, sub, daAggr, daRand, now) // Row_aggr -> old Row_rand
 
-		// (4) Remapping-row write: the new mapping.
-		t.SetSlot(data, randIdx, daEmpt)
-		t.SetSlot(data, aggrIdx, daRand)
-		t.SetSlot(data, t.EmptySlot(), daAggr)
-		c.Stats.Shuffles++
-		c.Stats.RemapWrites++
-		if c.probe != nil {
-			c.probe.Emit(obs.Event{
-				At: now, Kind: obs.KindShuffle, Bank: b.ID(), Row: aggr, Aux: int64(sub),
-			})
-			c.shuffleCount.Inc()
-		}
-
-		// Section VIII hardening: periodically rekey the PRINCE stream.
-		if c.opt.ReseedEvery > 0 && c.csprng != nil && c.Stats.Shuffles%c.opt.ReseedEvery == 0 {
-			c.csprng.Reseed(c.opt.Seed ^ uint64(c.Stats.Shuffles)*0x9E3779B97F4A7C15)
-			c.Stats.Reseeds++
-		}
+	// (4) Remapping-row write: the new mapping.
+	t.SetSlot(data, randIdx, daEmpt)
+	t.SetSlot(data, aggrIdx, daRand)
+	t.SetSlot(data, t.EmptySlot(), daAggr)
+	c.Stats.Shuffles++
+	c.Stats.RemapWrites++
+	if c.probe != nil {
+		c.probe.Emit(obs.Event{
+			At: now, Kind: obs.KindShuffle, Bank: b.ID(), Row: aggr, Aux: int64(sub),
+		})
+		c.shuffleCount.Inc()
 	}
 }
 

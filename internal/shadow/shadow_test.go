@@ -305,26 +305,16 @@ func TestIdleRFMDoesNothing(t *testing.T) {
 }
 
 func TestAblationFlags(t *testing.T) {
-	mk := func(opt Options) (*dram.Device, *Controller) {
-		opt.Seed = 9
-		c := New(opt)
-		d, err := dram.NewDevice(dram.Config{
-			Geometry:  dram.TestGeometry(),
-			Params:    timing.NewParams(timing.DDR4_2666).WithRAAIMT(8),
-			Hammer:    hammer.Config{HCnt: 1 << 20, BlastRadius: 1},
-			Mitigator: c,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d, c
+	c := New(Options{Seed: 9, DisableIncrementalRefresh: true})
+	d, err := dram.NewDevice(dram.Config{
+		Geometry:  dram.TestGeometry(),
+		Params:    timing.NewParams(timing.DDR4_2666).WithRAAIMT(8),
+		Hammer:    hammer.Config{HCnt: 1 << 20, BlastRadius: 1},
+		Mitigator: c,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	d, c := mk(Options{DisableShuffle: true})
-	hammerRow(t, d, 0, 1, 64, 0)
-	if c.Stats.Shuffles != 0 || c.Stats.IncRefreshes == 0 {
-		t.Fatalf("shuffle-ablated stats = %+v", c.Stats)
-	}
-	d, c = mk(Options{DisableIncrementalRefresh: true})
 	hammerRow(t, d, 0, 1, 64, 0)
 	if c.Stats.IncRefreshes != 0 || c.Stats.Shuffles == 0 {
 		t.Fatalf("incref-ablated stats = %+v", c.Stats)
@@ -376,44 +366,6 @@ func TestManyShufflesPermutationProperty(t *testing.T) {
 func TestControllerName(t *testing.T) {
 	if New(Options{}).Name() != "shadow" {
 		t.Fatal("unexpected controller name")
-	}
-}
-
-func TestPeriodicReseed(t *testing.T) {
-	c := New(Options{Seed: 3, ReseedEvery: 2})
-	d, err := dram.NewDevice(dram.Config{
-		Geometry:  dram.TestGeometry(),
-		Params:    timing.NewParams(timing.DDR4_2666).WithRAAIMT(8),
-		Hammer:    hammer.Config{HCnt: 1 << 20, BlastRadius: 3},
-		Mitigator: c,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hammerRow(t, d, 0, 3, 64, 0) // 8 RFMs -> 8 shuffles -> 4 reseeds
-	if c.Stats.Shuffles != 8 {
-		t.Fatalf("Shuffles = %d, want 8", c.Stats.Shuffles)
-	}
-	if c.Stats.Reseeds != 4 {
-		t.Fatalf("Reseeds = %d, want 4", c.Stats.Reseeds)
-	}
-	if err := c.CheckInvariants(d.Bank(0)); err != nil {
-		t.Fatal(err)
-	}
-	// A custom source never reseeds.
-	c2 := New(Options{Source: rng.NewLFSR(5), ReseedEvery: 1})
-	d2, err := dram.NewDevice(dram.Config{
-		Geometry:  dram.TestGeometry(),
-		Params:    timing.NewParams(timing.DDR4_2666).WithRAAIMT(8),
-		Hammer:    hammer.Config{HCnt: 1 << 20, BlastRadius: 3},
-		Mitigator: c2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hammerRow(t, d2, 0, 3, 16, 0)
-	if c2.Stats.Reseeds != 0 {
-		t.Fatalf("custom-source controller reseeded %d times", c2.Stats.Reseeds)
 	}
 }
 

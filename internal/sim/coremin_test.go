@@ -76,7 +76,7 @@ func TestCoreMinTracksCoreAt(t *testing.T) {
 					Seed:   3,
 				})
 				cfg.MCSide = bh
-				cfg.Spans = span.NewCollector(4096)
+				cfg.Spans = span.NewCollector()
 			}
 			r, err := newRunner(cfg)
 			if err != nil {

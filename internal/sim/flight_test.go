@@ -75,7 +75,7 @@ func TestFlightDumpDeterministicAcrossRuns(t *testing.T) {
 func TestFlightConservationWatchdogTripsMidRun(t *testing.T) {
 	ring := flight.NewRing(256)
 	rec := obs.NewRecorder(obs.Options{Flight: ring})
-	col := span.NewCollector(0)
+	col := span.NewCollector()
 
 	// The injection: past half the run, report the aggregate with one
 	// resident tick the attribution never claimed.

@@ -206,7 +206,7 @@ func runFuzz(t *testing.T, in fuzzInput, seed uint64) equivView {
 	cfg.Workload = trace.Generators(fuzzMixes[in.workload](in.cores, seed), g, seed)
 	cfg.Duration = fuzzDuration
 	if in.spans {
-		cfg.Spans = span.NewCollector(4096)
+		cfg.Spans = span.NewCollector()
 	}
 	checker := cmdtrace.New(cfg.Params, g.Banks)
 	cfg.OnCommand = func(_ int, cmd memctrl.Cmd) { checker.Observe(cmd) }

@@ -80,11 +80,11 @@ func TestObservationDoesNotPerturbStats(t *testing.T) {
 	// Shadowtap's span tracking sits directly on the controller's scheduling
 	// decisions, so it is held to the same neutrality bar: spans on (with and
 	// without event probing) must not move a single statistic.
-	spanCol := span.NewCollector(0)
+	spanCol := span.NewCollector()
 	spanned := view(run(nil, spanCol))
 
 	spanRec := obs.NewRecorder(obs.Options{Metrics: true, Events: true})
-	spanFullCol := span.NewCollector(0)
+	spanFullCol := span.NewCollector()
 	spanFull := view(run(spanRec.NewTrack("s"), spanFullCol))
 
 	// The always-on telemetry config — metrics plus a flight ring, no
@@ -98,7 +98,7 @@ func TestObservationDoesNotPerturbStats(t *testing.T) {
 	// And flight combined with spans and the event log (everything on).
 	flightFullRing := flight.NewRing(1024)
 	flightFullRec := obs.NewRecorder(obs.Options{Metrics: true, Events: true, Flight: flightFullRing})
-	flightFullCol := span.NewCollector(0)
+	flightFullCol := span.NewCollector()
 	flightFull := view(run(flightFullRec.NewTrack("ff"), flightFullCol))
 
 	if !reflect.DeepEqual(bare, metrics) {
@@ -198,17 +198,18 @@ func TestObservationDoesNotPerturbStats(t *testing.T) {
 
 // TestCountersCoverWarmupWindow holds the counters that mirror Result's
 // windowed statistics to Result under a warm-up: they restart where Run
-// snapshots the statistics, so a -metrics-out dump of a figure run counts
-// what the figure reads.
+// starts the measurement window, so a -metrics-out dump of a figure run
+// counts what the figure reads. A 4-row working set at H_cnt 16 flips bits
+// on both sides of the warm-up.
 func TestCountersCoverWarmupWindow(t *testing.T) {
 	profiles := trace.MixHigh(2)
 	for i := range profiles {
-		profiles[i].WorkingSetRows = 1 << 10
+		profiles[i].WorkingSetRows = 4
 	}
 	rec := obs.NewRecorder(obs.Options{Metrics: true})
 	res, err := Run(Config{
 		Params: shadowParams(8), Geometry: smallGeo(), DeviceMit: shadow.New(shadow.Options{Seed: 7}),
-		Hammer:   hammer.Config{HCnt: 4096, BlastRadius: 3},
+		Hammer:   hammer.Config{HCnt: 16, BlastRadius: 3},
 		Workload: trace.Generators(profiles, smallGeo(), 7),
 		Duration: 80 * timing.Microsecond,
 		Warmup:   40 * timing.Microsecond,
@@ -221,7 +222,10 @@ func TestCountersCoverWarmupWindow(t *testing.T) {
 	for _, v := range res.Insts {
 		insts += v
 	}
-	want := map[string]int64{"r/mc/acts": res.MC.Acts, "r/mc/rfms": res.MC.RFMs, "r/sim/insts": insts}
+	want := map[string]int64{
+		"r/mc/acts": res.MC.Acts, "r/mc/rfms": res.MC.RFMs, "r/sim/insts": insts,
+		"r/dram/flips_total": int64(res.Flips),
+	}
 	for _, r := range rec.Metrics().Snapshot().Counters {
 		w, ok := want[r.Name]
 		if !ok {

@@ -230,7 +230,7 @@ func runEquiv(t *testing.T, sc equivScheme, in equivInput, seed uint64, spans bo
 	}
 	sc.build(&cfg, seed)
 	if spans {
-		cfg.Spans = span.NewCollector(4096)
+		cfg.Spans = span.NewCollector()
 	}
 	v, _ := equivRun(t, sc.name, cfg)
 	if bh, ok := cfg.MCSide.(*mitigate.BlockHammer); ok {

@@ -51,15 +51,13 @@ type Config struct {
 	Workload []trace.Generator
 	// Duration is the simulated time horizon.
 	Duration timing.Tick
-	// Warmup excludes the first Warmup ticks from the reported statistics
-	// (instructions and controller counters, and the probe instruments that
-	// mirror them: the controller's and sim/insts), so threshold-based
-	// schemes (tracker tables, Bloom filters) are measured in steady state
-	// rather than while still filling. Must be below Duration.
+	// Warmup excludes the first Warmup ticks from every count in Result but
+	// Wakeups and Steps (instructions, controller and device statistics,
+	// flips) and from the probe counters that mirror them, so
+	// threshold-based schemes (tracker tables, Bloom filters) are measured
+	// in steady state rather than while still filling. Device.Flips keeps
+	// every flip record. Must be below Duration.
 	Warmup timing.Tick
-	// InstPerNS is each core's peak retirement rate (instructions per
-	// nanosecond); 4.0 models a ~3 GHz out-of-order core.
-	InstPerNS float64
 	// MSHR bounds each core's outstanding misses (default 8, approximating
 	// an out-of-order core with prefetching).
 	MSHR int
@@ -204,9 +202,6 @@ func newRunner(cfg Config) (*runner, error) {
 	if cfg.Hammer.HCnt == 0 {
 		cfg.Hammer = hammer.DefaultConfig()
 	}
-	if cfg.InstPerNS <= 0 {
-		cfg.InstPerNS = 4.0
-	}
 	if cfg.MSHR <= 0 {
 		cfg.MSHR = 8
 	}
@@ -217,7 +212,7 @@ func newRunner(cfg Config) (*runner, error) {
 	cores := make([]*core, len(cfg.Workload))
 	for i, g := range cfg.Workload {
 		cores[i] = &core{gen: g, returns: make([]timing.Tick, 0, cfg.MSHR)}
-		cores[i].fetch(cfg.InstPerNS, 0)
+		cores[i].fetch(0)
 	}
 
 	r := &runner{cfg: &cfg, cores: cores}
@@ -314,43 +309,36 @@ func Run(cfg Config) (*Result, error) {
 	// Defaults were applied to the runner's copy of the config.
 	rcfg := r.cfg
 
-	var warmInsts []int64
-	var warmMC memctrl.Stats
-	warmTaken := false
+	warming := rcfg.Warmup > 0
 	for r.now < rcfg.Duration {
-		if !warmTaken && r.now >= rcfg.Warmup && rcfg.Warmup > 0 {
-			warmTaken = true
-			warmInsts = make([]int64, len(r.cores))
-			for i, c := range r.cores {
-				warmInsts[i] = c.insts
+		if warming && r.now >= rcfg.Warmup {
+			// Start the measurement window: zero every count Result reports.
+			warming = false
+			for _, c := range r.cores {
+				c.insts = 0
 			}
-			warmMC = r.ctl.Stats
-			r.ctl.RestartMetrics()
+			r.ctl.RestartStats()
+			r.dev.RestartStats()
 			r.instCount.Reset()
 		}
 		r.tick()
 	}
 
 	measured := rcfg.Duration - rcfg.Warmup
+	dev := r.dev.TotalStats()
 	res := &Result{
 		Duration: measured,
 		Insts:    make([]int64, len(r.cores)),
 		IPC:      make([]float64, len(r.cores)),
 		MC:       r.ctl.Stats,
-		Dev:      r.dev.TotalStats(),
-		Flips:    r.dev.FlipCount(),
+		Dev:      dev,
+		Flips:    int(dev.Flips),
 		Device:   r.dev,
 		Wakeups:  r.wakeups,
 		Steps:    r.steps,
 	}
-	if warmTaken {
-		res.MC = subStats(r.ctl.Stats, warmMC)
-	}
 	for i, c := range r.cores {
 		res.Insts[i] = c.insts
-		if warmTaken {
-			res.Insts[i] -= warmInsts[i]
-		}
 		res.IPC[i] = float64(res.Insts[i]) / measured.Nanoseconds()
 	}
 	return res, nil
@@ -474,7 +462,7 @@ func (r *runner) replay(id int, now timing.Tick) timing.Tick {
 			c.backoff = false
 		}
 		c.outstanding++
-		c.fetch(cfg.InstPerNS, now)
+		c.fetch(now)
 		r.instCount.Add(int64(c.pending.Gap))
 	}
 	at := c.nextIssueAt
@@ -565,28 +553,13 @@ func (r *runner) getReq() *memctrl.Request {
 	return &memctrl.Request{} //shadowvet:ignore allocflow -- slab refill; the cores-times-MSHR bound keeps this off the steady-state path
 }
 
-// subStats subtracts warmup-phase counters from the final totals.
-func subStats(a, w memctrl.Stats) memctrl.Stats {
-	a.Acts -= w.Acts
-	a.Reads -= w.Reads
-	a.Writes -= w.Writes
-	a.Pres -= w.Pres
-	a.Refs -= w.Refs
-	a.RFMs -= w.RFMs
-	a.SkippedRFMs -= w.SkippedRFMs
-	a.Swaps -= w.Swaps
-	a.RowHits -= w.RowHits
-	a.RowMisses -= w.RowMisses
-	a.ReadLatency -= w.ReadLatency
-	a.CompletedReads -= w.CompletedReads
-	a.CompletedWrites -= w.CompletedWrites
-	a.BlockedTime -= w.BlockedTime
-	return a
-}
+// instPerNS is each core's peak retirement rate (instructions per
+// nanosecond); 4.0 models a ~3 GHz out-of-order core.
+const instPerNS = 4.0
 
 // fetch loads the core's next trace event and schedules its issue time after
 // the event's instruction gap.
-func (c *core) fetch(instPerNS float64, now timing.Tick) {
+func (c *core) fetch(now timing.Tick) {
 	c.pending = c.gen.Next()
 	c.insts += int64(c.pending.Gap)
 	gapTime := timing.Tick(float64(c.pending.Gap) / instPerNS * float64(timing.Nanosecond))

@@ -365,6 +365,37 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 	}
 }
 
+// TestResultSharesOneWindow: under a warm-up the controller's and the
+// device's counts cover the same window, so each command the controller
+// counts is one the device counts, as in a run with no warm-up.
+func TestResultSharesOneWindow(t *testing.T) {
+	g := smallGeo()
+	res, err := Run(Config{
+		Params:    shadowParams(32),
+		Geometry:  g,
+		DeviceMit: shadow.New(shadow.Options{Seed: 5}),
+		Workload:  trace.Generators(trace.MixHigh(2), g, 5),
+		Duration:  80 * timing.Microsecond,
+		Warmup:    40 * timing.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		mc, dev int64
+	}{
+		{"Acts", res.MC.Acts, res.Dev.Acts},
+		{"RFMs", res.MC.RFMs, res.Dev.RFMs},
+		{"Pres", res.MC.Pres, res.Dev.Pres},
+		{"Reads", res.MC.Reads, res.Dev.Reads},
+	} {
+		if c.mc != c.dev || c.mc == 0 {
+			t.Errorf("%s: MC %d, Dev %d; want equal and nonzero", c.name, c.mc, c.dev)
+		}
+	}
+}
+
 // TestRandomWorkloadFuzz drives random profiles through the full stack and
 // relies on the device's internal timing validation (any protocol violation
 // panics): a property-style check that the MC never issues an illegal

@@ -111,7 +111,7 @@ func TestSpanConservationAcrossSchemes(t *testing.T) {
 					profiles[i].RowLocality = 0
 				}
 			}
-			col := span.NewCollector(0)
+			col := span.NewCollector()
 			_, err := Run(Config{
 				Params:    p,
 				Geometry:  g,
@@ -172,7 +172,7 @@ func TestSpanSchemeCauseExclusivity(t *testing.T) {
 	for i := range profiles {
 		profiles[i].WorkingSetRows = 1 << 10
 	}
-	col := span.NewCollector(0)
+	col := span.NewCollector()
 	_, err := Run(Config{
 		Params:   baseParams(),
 		Geometry: g,
@@ -206,7 +206,7 @@ func TestSpanBackpressureObserved(t *testing.T) {
 	for i := range profiles {
 		profiles[i] = prof
 	}
-	col := span.NewCollector(0)
+	col := span.NewCollector()
 	_, err := Run(Config{
 		Params:   baseParams(),
 		Geometry: g,

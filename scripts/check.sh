@@ -21,6 +21,9 @@ fi
 
 echo "==> go vet"
 go vet ./...
+# perfbench is a nested module, which the go tool's `./...` stops at (see
+# the perfbench lane below).
+(cd perfbench && go vet ./...)
 
 echo "==> go build"
 go build ./...
