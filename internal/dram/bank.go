@@ -13,33 +13,67 @@ import (
 // covering the ordinary rows. Disturbance never crosses subarrays (threat
 // model item 3), which is why the tracker lives here.
 //
-// Both the tracker and the row table are built on first use. The tracker
-// waits for the first hammer use (an ACT, a refresh or a row copy), so a
-// subarray whose remapping-row SHADOW only reads has none. The row table
-// waits for the first call to Row (a flip, a row copy or swap, a payload
-// read or an integrity check), each row seeded with its power-on
-// pattern, so a run pays for row payload slots only in the subarrays whose
-// data it touches.
+// Its per-row state costs 12 bytes a row and is built on first use. The
+// hammer tracker (4 bytes a row) waits for the first ACT or row copy: a
+// refresh of a subarray without one has no pressure to clear, and a
+// subarray whose remapping-row SHADOW only reads gets none. The seed table
+// (8 bytes a row) waits for the first write of row data (a flip, a row copy
+// or swap, or a payload read), each row seeded with its power-on pattern.
+// An integrity check reads an unbuilt table's seeds without building it. A
+// row's payload bytes live apart and are allocated only when they
+// materialize (a flip, a payload read, or a copy of a materialized row), so
+// a copy of an unmaterialized row moves 8 bytes.
 type Subarray struct {
-	rows   []Row            // nil until the first Row call
+	seeds  []uint64         // pattern seed per DA row; nil until the first write
+	data   map[int][]byte   // materialized payloads by DA row
 	hammer *hammer.Subarray // nil until the first Hammer call
 	remap  Row
 	bank   *Bank
 	idx    int
 }
 
-// Row returns the row at DA index da within the subarray, building the row
-// table on first use.
-func (s *Subarray) Row(da int) *Row {
-	if s.rows == nil {
-		s.rows = make([]Row, s.bank.geo.DARowsPerSubarray()) //shadowvet:ignore allocflow -- first-touch lazy row table build, once per subarray whose data a run touches
-		// Every ordinary row starts with the deterministic pattern for its
-		// initial (identity-mapped) location.
-		for i := range s.rows {
-			s.rows[i].SetSeed(rowSeed(s.bank.id, s.idx, i))
+// row returns DA row da: its seed and, once materialized, its payload. It
+// builds nothing.
+func (s *Subarray) row(da int) Row {
+	if s.seeds == nil {
+		return Row{seed: rowSeed(s.bank.id, s.idx, da)}
+	}
+	return Row{seed: s.seeds[da], data: s.data[da]}
+}
+
+// setRow stores r as DA row da, building the seed table on first use.
+func (s *Subarray) setRow(da int, r Row) {
+	if s.seeds == nil {
+		s.seeds = make([]uint64, s.bank.geo.DARowsPerSubarray()) //shadowvet:ignore allocflow -- first-touch lazy seed table build, once per subarray whose data a run writes
+		for i := range s.seeds {
+			s.seeds[i] = rowSeed(s.bank.id, s.idx, i)
 		}
 	}
-	return &s.rows[da]
+	s.seeds[da] = r.seed
+	switch {
+	case r.data == nil:
+		delete(s.data, da)
+	case s.data == nil:
+		s.data = map[int][]byte{da: r.data} //shadowvet:ignore allocflow -- the subarray's first materialized payload (a flip or a payload read), a rare model event
+	default:
+		s.data[da] = r.data //shadowvet:ignore allocflow -- a row's payload materializes once; later copies reuse its buffer
+	}
+}
+
+// flipBit inverts one bit of DA row da, materializing its payload.
+func (s *Subarray) flipBit(da, bit int) {
+	r := s.row(da)
+	r.FlipBit(bit, s.bank.geo.RowBytes)
+	s.setRow(da, r)
+}
+
+// bytes materializes and returns DA row da's payload. The returned slice is
+// the row's backing store; mutations persist.
+func (s *Subarray) bytes(da int) []byte {
+	r := s.row(da)
+	b := r.Bytes(s.bank.geo.RowBytes)
+	s.setRow(da, r)
+	return b
 }
 
 // Hammer returns the subarray's hammer tracker, building it on first use.
@@ -126,7 +160,7 @@ func (b *Bank) Params() *timing.Params { return b.p }
 func (b *Bank) Geometry() Geometry { return b.geo }
 
 // Subarray returns subarray s, allocating it on first use (its tracker
-// and row table wait for their own first use).
+// and seed table wait for their own first use).
 func (b *Bank) Subarray(s int) *Subarray {
 	if s < 0 || s >= len(b.subs) {
 		panic(fmt.Sprintf("dram: bank %d subarray %d out of range [0,%d)", b.id, s, len(b.subs)))
@@ -187,7 +221,7 @@ func (b *Bank) recordACT(sub, da int) {
 		b.flips++
 		// Deterministic-but-spread bit position derived from the flip count.
 		bit := int((uint64(f.Row)*2654435761 + uint64(b.flips)*40503) % uint64(b.geo.RowBytes*8))
-		sa.Row(f.Row).FlipBit(bit, b.geo.RowBytes)
+		sa.flipBit(f.Row, bit)
 		if b.flipSink != nil {
 			b.flipSink(b.id, sub, f.Row, f) //shadowvet:ignore allocflow -- flip observer hook, nil unless tracing; flips are rare model events outside the steady-state contract
 		}
@@ -306,8 +340,16 @@ func (b *Bank) AutoRefresh(n int, now timing.Tick, busy timing.Tick) error {
 // RefreshRow fully restores one row's charge (TRR, incremental refresh, and
 // auto-refresh all funnel here).
 func (b *Bank) RefreshRow(sub, da int) {
-	b.Subarray(sub).Hammer().Refresh(da)
+	b.restore(sub, da)
 	b.Stats.RefRows++
+}
+
+// restore clears a row's hammer pressure. A subarray without a tracker holds
+// no pressure, so restore builds neither the subarray nor its tracker.
+func (b *Bank) restore(sub, da int) {
+	if sa := b.subs[sub]; sa != nil && sa.hammer != nil {
+		sa.hammer.Refresh(da)
+	}
 }
 
 // InternalActivate performs a device-internal ACT-PRE of a row, the
@@ -332,10 +374,12 @@ func (b *Bank) RowCopy(sub, srcDA, dstDA int, now timing.Tick) error {
 	}
 	sa := b.Subarray(sub)
 	b.recordACT(sub, srcDA)
+	// The destination's activation restores it: it holds freshly driven
+	// charge.
 	b.recordACT(sub, dstDA)
-	sa.Row(dstDA).CopyFrom(sa.Row(srcDA), b.geo.RowBytes)
-	// The destination holds freshly driven charge.
-	sa.Hammer().Refresh(dstDA)
+	dst, src := sa.row(dstDA), sa.row(srcDA)
+	dst.CopyFrom(&src, b.geo.RowBytes)
+	sa.setRow(dstDA, dst)
 	b.Stats.RowCopies++
 	return nil
 }

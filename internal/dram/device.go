@@ -116,8 +116,8 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Hammer.HCnt <= 0 || cfg.Hammer.BlastRadius <= 0 {
-		return nil, fmt.Errorf("dram: invalid hammer config %+v", cfg.Hammer)
+	if !cfg.Hammer.Valid() {
+		return nil, fmt.Errorf("dram: invalid hammer config %+v: H_cnt must be positive and the blast radius 1 to %d", cfg.Hammer, hammer.MaxBlastRadius)
 	}
 	mit := cfg.Mitigator
 	if mit == nil {
@@ -317,13 +317,12 @@ func (d *Device) SwapRows(bank, paA, paB int) error {
 	b := d.banks[bank]
 	subA, daA := d.mit.Translate(b, paA)
 	subB, daB := d.mit.Translate(b, paB)
-	ra, rb := b.Subarray(subA).Row(daA), b.Subarray(subB).Row(daB)
-	var tmp Row
-	tmp.CopyFrom(ra, d.geo.RowBytes)
-	ra.CopyFrom(rb, d.geo.RowBytes)
-	rb.CopyFrom(&tmp, d.geo.RowBytes)
-	b.Subarray(subA).Hammer().Refresh(daA)
-	b.Subarray(subB).Hammer().Refresh(daB)
+	saA, saB := b.Subarray(subA), b.Subarray(subB)
+	ra, rb := saA.row(daA), saB.row(daB)
+	saA.setRow(daA, rb)
+	saB.setRow(daB, ra)
+	b.restore(subA, daA)
+	b.restore(subB, daB)
 	return nil
 }
 
@@ -338,7 +337,7 @@ func (d *Device) FlipCount() int { return len(d.flips) }
 func (d *Device) InspectPA(bank, paRow int) []byte {
 	b := d.banks[bank]
 	sub, da := d.mit.Translate(b, paRow)
-	return b.Subarray(sub).Row(da).Bytes(d.geo.RowBytes)
+	return b.Subarray(sub).bytes(da)
 }
 
 // ScrubReport summarizes a device-wide integrity scrub.
@@ -371,18 +370,16 @@ func (d *Device) Scrub() ScrubReport {
 }
 
 // CorruptedBitsPA counts bit errors in a PA row relative to its power-on
-// pattern. A subarray whose row table is unbuilt still holds every row's
-// power-on seed, so its rows are checked without building the table.
+// pattern. It builds no subarray and no seed table: an unbuilt one still
+// holds every row's power-on seed.
 func (d *Device) CorruptedBitsPA(bank, paRow int) int {
 	b := d.banks[bank]
 	sub, da := d.mit.Translate(b, paRow)
-	want := b.InitialSeed(paRow)
-	sa := b.subs[sub]
-	if sa == nil || sa.rows == nil {
-		held := Row{seed: rowSeed(b.id, sub, da)}
-		return held.CorruptedBits(want, d.geo.RowBytes)
+	held := Row{seed: rowSeed(b.id, sub, da)}
+	if sa := b.subs[sub]; sa != nil {
+		held = sa.row(da)
 	}
-	return sa.Row(da).CorruptedBits(want, d.geo.RowBytes)
+	return held.CorruptedBits(b.InitialSeed(paRow), d.geo.RowBytes)
 }
 
 // RestartStats zeroes every bank's Stats and the flip counter, so that from

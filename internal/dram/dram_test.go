@@ -3,6 +3,8 @@ package dram
 import (
 	"bytes"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -310,11 +312,11 @@ func TestRowCopyMovesData(t *testing.T) {
 	d := testDevice(t)
 	b := d.Bank(0)
 	sa := b.Subarray(2)
-	want := append([]byte(nil), sa.Row(3).Bytes(d.Geometry().RowBytes)...)
+	want := append([]byte(nil), sa.bytes(3)...)
 	if err := b.RowCopy(2, 3, 9, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(sa.Row(9).Bytes(d.Geometry().RowBytes), want) {
+	if !bytes.Equal(sa.bytes(9), want) {
 		t.Fatal("row copy did not move data")
 	}
 	if b.Stats.RowCopies != 1 {
@@ -489,7 +491,8 @@ func TestBankAccessors(t *testing.T) {
 	}
 	// Remap row accessible and distinct from ordinary rows.
 	sa := b.Subarray(0)
-	if sa.RemapRow() == sa.Row(0) {
+	sa.RemapRow().FlipBit(0, d.Geometry().RowBytes)
+	if r := sa.row(0); r.CorruptedBits(rowSeed(2, 0, 0), d.Geometry().RowBytes) != 0 {
 		t.Fatal("remap row aliases an ordinary row")
 	}
 }
@@ -603,13 +606,13 @@ func TestRowSeedAccessor(t *testing.T) {
 	}
 }
 
-// builtRowTables lists the subarrays, as {bank, sub}, whose row table has
+// builtRowTables lists the subarrays, as {bank, sub}, whose seed table has
 // been built.
 func builtRowTables(d *Device) [][2]int {
 	var out [][2]int
 	for _, b := range d.banks {
 		for s, sa := range b.subs {
-			if sa != nil && sa.rows != nil {
+			if sa != nil && sa.seeds != nil {
 				out = append(out, [2]int{b.id, s})
 			}
 		}
@@ -618,8 +621,8 @@ func builtRowTables(d *Device) [][2]int {
 }
 
 // TestRowTableBuiltOnFirstUse: ACTs and refreshes touch only the hammer
-// trackers, so a run with no copy, swap, repair or flip builds no row
-// table, even though a refresh sweep creates every subarray. A built table
+// trackers, so a run with no copy, swap or flip builds no seed table, even
+// though its ACTs create every subarray. A built table
 // holds every row's power-on seed, and each operation that writes row data
 // builds exactly the tables it touches. An integrity check reads an
 // unbuilt table's seeds without building it, and still finds a flip.
@@ -648,7 +651,7 @@ func TestRowTableBuiltOnFirstUse(t *testing.T) {
 	for _, b := range d.banks {
 		for s, sa := range b.subs {
 			if sa == nil {
-				t.Fatalf("bank %d subarray %d not created by a refresh sweep", b.id, s)
+				t.Fatalf("bank %d subarray %d not created by the ACTs", b.id, s)
 			}
 		}
 	}
@@ -668,19 +671,19 @@ func TestRowTableBuiltOnFirstUse(t *testing.T) {
 
 	// A built table starts at every row's power-on seed, spare rows included.
 	sa := d.Bank(1).Subarray(2)
-	sa.Row(0)
+	sa.setRow(0, sa.row(0))
 	for i := 0; i < g.DARowsPerSubarray(); i++ {
-		r := sa.Row(i)
+		r := sa.row(i)
 		want := rowSeed(1, 2, i)
 		if i < g.RowsPerSubarray && want != d.Bank(1).InitialSeed(g.PARow(2, i)) {
 			t.Fatalf("row %d: rowSeed %x, InitialSeed %x", i, want, d.Bank(1).InitialSeed(g.PARow(2, i)))
 		}
-		if r.Seed() != want || r.Materialized() {
+		if sa.seeds[i] != want || r.Materialized() {
 			t.Fatalf("row %d: seed %x materialized %v, want %x unmaterialized", i, r.Seed(), r.Materialized(), want)
 		}
 	}
 	if built := builtRowTables(d); len(built) != 1 || built[0] != [2]int{1, 2} {
-		t.Fatalf("Row built tables %v, want [[1 2]]", built)
+		t.Fatalf("setRow built tables %v, want [[1 2]]", built)
 	}
 
 	// An integrity check reads built and unbuilt tables alike and builds
@@ -736,7 +739,7 @@ func TestRowDataOpsBuildOnlyTheirTables(t *testing.T) {
 	if built := builtRowTables(d); len(built) != 1 || built[0] != [2]int{0, 2} {
 		t.Fatalf("RowCopy built %v, want [[0 2]]", built)
 	}
-	if got, want := b.Subarray(2).Row(9).Seed(), b.InitialSeed(g.PARow(2, 3)); got != want {
+	if got, want := b.Subarray(2).seeds[9], b.InitialSeed(g.PARow(2, 3)); got != want {
 		t.Fatalf("copied row seed %x, want %x", got, want)
 	}
 
@@ -775,5 +778,151 @@ func TestRowDataOpsBuildOnlyTheirTables(t *testing.T) {
 	if d.FlipCount() != 2 || d.CorruptedBitsPA(1, g.PARow(3, 4)) != 1 || d.CorruptedBitsPA(1, g.PARow(3, 6)) != 1 {
 		t.Fatalf("flips %d; corrupted bits %d/%d, want 2; 1/1",
 			d.FlipCount(), d.CorruptedBitsPA(1, g.PARow(3, 4)), d.CorruptedBitsPA(1, g.PARow(3, 6)))
+	}
+	// A copy of an unmaterialized row over a corrupted one leaves the
+	// source's pattern and no payload; a swap moves a corrupted payload
+	// with its row.
+	d = testDevice(t)
+	b = d.Bank(3)
+	sa1, sa2 := b.Subarray(1), b.Subarray(2)
+	sa1.flipBit(4, 9)
+	if err := b.RowCopy(1, 2, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if r := sa1.row(4); r.Materialized() || r.CorruptedBits(rowSeed(3, 1, 2), rb) != 0 {
+		t.Fatalf("copy over a corrupted row: materialized %v, %d bits off the source", r.Materialized(), r.CorruptedBits(rowSeed(3, 1, 2), rb))
+	}
+	sa1.flipBit(5, 9)
+	if err := d.SwapRows(3, g.PARow(1, 5), g.PARow(2, 6)); err != nil {
+		t.Fatal(err)
+	}
+	moved, back := sa2.row(6), sa1.row(5)
+	if !moved.Materialized() || moved.CorruptedBits(rowSeed(3, 1, 5), rb) != 1 || back.Materialized() || back.CorruptedBits(rowSeed(3, 2, 6), rb) != 0 {
+		t.Fatalf("swap: corrupted row holds %d bits off its seed, clean row materialized %v", moved.CorruptedBits(rowSeed(3, 1, 5), rb), back.Materialized())
+	}
+}
+
+// TestNewDeviceRejectsUnrepresentableBlast: the hammer model represents
+// blast radii 1 to hammer.MaxBlastRadius, and NewDevice rejects the rest
+// with its invalid-config error. Past 63 the old weights went negative and
+// then zero, and a 20 µs shadowsim run at -blast 65 reported 3084 flips.
+func TestNewDeviceRejectsUnrepresentableBlast(t *testing.T) {
+	for _, r := range []int{0, -1, hammer.MaxBlastRadius + 1, 63, 64, 65, 70} {
+		_, err := NewDevice(Config{Geometry: TestGeometry(), Params: timing.NewParams(timing.DDR4_2666), Hammer: hammer.Config{HCnt: 4096, BlastRadius: r}})
+		if err == nil || !strings.Contains(err.Error(), "invalid hammer config") {
+			t.Errorf("blast radius %d: err = %v, want an invalid hammer config error", r, err)
+		}
+	}
+	for r := 1; r <= hammer.MaxBlastRadius; r++ {
+		if _, err := NewDevice(Config{Geometry: TestGeometry(), Params: timing.NewParams(timing.DDR4_2666), Hammer: hammer.Config{HCnt: 4096, BlastRadius: r}}); err != nil {
+			t.Errorf("blast radius %d rejected: %v", r, err)
+		}
+	}
+}
+
+// TestCountBoundOverOneREFW: auto-refresh restores every row once per
+// tREFW, and one ACT adds at most 2^(R−1) units to a neighbor's hammer
+// count. So a bank ACTed back to back for a whole tREFW at MaxBlastRadius
+// keeps its counts below 2^27 units, far below the 32-bit limit, on every
+// timing grade, and reads its pressure back exactly.
+func TestCountBoundOverOneREFW(t *testing.T) {
+	for _, grade := range []timing.Grade{timing.DDR4_2666, timing.DDR5_4800} {
+		p := timing.NewParams(grade)
+		acts := int(p.REFW / p.RC)
+		if units := uint64(acts) << (hammer.MaxBlastRadius - 1); units >= 1<<27 {
+			t.Errorf("%v: %d ACTs per tREFW reach %d units", grade, acts, units)
+		}
+		d, err := NewDevice(Config{Geometry: TestGeometry(), Params: p, Hammer: hammer.Config{HCnt: 1 << 30, BlastRadius: hammer.MaxBlastRadius}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := d.Bank(0)
+		for i := 0; i < acts; i++ {
+			b.InternalActivate(0, 16)
+		}
+		if got := b.Subarray(0).Hammer().Pressure(15); got != float64(acts) {
+			t.Errorf("%v: pressure after %d ACTs = %g", grade, acts, got)
+		}
+	}
+}
+
+// builtTrackers lists the subarrays, as {bank, sub}, whose hammer tracker
+// has been built.
+func builtTrackers(d *Device) [][2]int {
+	var out [][2]int
+	for _, b := range d.banks {
+		for s, sa := range b.subs {
+			if sa != nil && sa.hammer != nil {
+				out = append(out, [2]int{b.id, s})
+			}
+		}
+	}
+	return out
+}
+
+// TestRefreshBuildsNoTracker: a subarray without a tracker holds no
+// pressure, so neither a tREFW of REFs nor a swap of rows no ACT has touched
+// builds one. TestAutoRefreshResetsHammerPressure covers a refresh that
+// finds a tracker.
+func TestRefreshBuildsNoTracker(t *testing.T) {
+	d := testDevice(t)
+	g, p := d.Geometry(), d.Params()
+	now := timing.Tick(0)
+	for i := 0; i <= int(p.REFW/p.REFI); i++ {
+		if err := d.Refresh(now); err != nil {
+			t.Fatal(err)
+		}
+		now += p.RFC
+	}
+	if got, want := d.TotalStats().RefRows, int64(g.Banks*g.DARowsPerBank()); got < want {
+		t.Fatalf("a tREFW of REFs refreshed %d rows, want at least %d", got, want)
+	}
+	if err := d.SwapRows(1, g.PARow(0, 3), g.PARow(2, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if built := builtTrackers(d); len(built) != 0 {
+		t.Fatalf("REFs and a swap built trackers %v", built)
+	}
+}
+
+// TestPerRowFootprint: once every subarray has taken an ACT and a row copy,
+// the device has allocated 12 bytes per DA row (a 4-byte hammer count and an
+// 8-byte seed) plus a fixed overhead per subarray for its structs. A copy of
+// an unmaterialized row allocates no payload. The geometry's 1024 DA rows
+// fill whole allocator size classes; at the default 513 the rounding adds
+// about 2 bytes a row. The least of three fresh devices counts, so a
+// stray allocation elsewhere in the process does not.
+func TestPerRowFootprint(t *testing.T) {
+	g := Geometry{Banks: 2, SubarraysPerBank: 4, RowsPerSubarray: 1023, RowBytes: 1024, ExtraRows: 1}
+	const perRow, perSubarray = 12, 256
+	subs := g.Banks * g.SubarraysPerBank
+	least := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		d, err := NewDevice(Config{Geometry: g, Params: timing.NewParams(timing.DDR4_2666), Hammer: hammer.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for bank := 0; bank < g.Banks; bank++ {
+			b := d.Bank(bank)
+			for sub := 0; sub < g.SubarraysPerBank; sub++ {
+				b.InternalActivate(sub, 7)
+				if err := b.RowCopy(sub, 3, g.RowsPerSubarray, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if built := builtRowTables(d); len(built) != subs {
+			t.Fatalf("built %d seed tables, want %d", len(built), subs)
+		}
+	}
+	perDA := float64(least) / float64(subs*g.DARowsPerSubarray())
+	t.Logf("allocated %d bytes, %.2f per DA row", least, perDA)
+	if limit := uint64(subs * (perRow*g.DARowsPerSubarray() + perSubarray)); least > limit {
+		t.Fatalf("allocated %d bytes over %d subarrays (%.1f bytes per DA row), want at most %d", least, subs, perDA, limit)
 	}
 }

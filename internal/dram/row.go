@@ -1,8 +1,9 @@
 package dram
 
-// Row is one DRAM row's payload. To keep multi-gigabyte ranks cheap to
+// Row is one DRAM row's payload: a remapping-row, or an ordinary row read
+// out of its subarray's seed table. To keep multi-gigabyte ranks cheap to
 // simulate, a row stores a 64-bit pattern seed until something needs the
-// actual bytes (a bit flip, a remapping-row update, an integrity check); the
+// actual bytes (a bit flip, a remapping-row update, a payload read); the
 // byte payload is materialized on demand from the seed and stays
 // authoritative afterwards.
 type Row struct {
@@ -23,11 +24,16 @@ func patternByte(seed uint64, i int) byte {
 // PatternBytes returns the full expected pattern for a seed — what a row
 // initialized with SetSeed(seed) contains before any corruption.
 func PatternBytes(seed uint64, n int) []byte {
-	b := make([]byte, n) //shadowvet:ignore allocflow -- cold materialization of an untouched row's expected pattern; rows keep their buffers thereafter
+	b := payload(n)
 	for i := range b {
 		b[i] = patternByte(seed, i)
 	}
 	return b
+}
+
+// payload allocates a row's byte buffer, the only allocation of row data.
+func payload(n int) []byte {
+	return make([]byte, n) //shadowvet:ignore allocflow -- a row's bytes, allocated once when they first materialize; rows keep their buffers thereafter
 }
 
 // SetSeed resets the row to the deterministic pattern for seed, dropping any
@@ -71,7 +77,7 @@ func (r *Row) CopyFrom(src *Row, n int) {
 		return
 	}
 	if r.data == nil || len(r.data) != len(src.data) {
-		r.data = make([]byte, len(src.data)) //shadowvet:ignore allocflow -- first-touch sizing of the destination row buffer; later copies reuse it
+		r.data = payload(len(src.data))
 	}
 	copy(r.data, src.data)
 }

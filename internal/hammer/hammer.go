@@ -13,9 +13,23 @@
 // activation, or being the destination of a row copy — resets the count.
 // When a victim's count crosses H_cnt the model reports a bit flip: the
 // count only rises between restores, so each crossing is reported once.
+//
+// A count is a 32-bit integer in units of the smallest blast weight: at
+// radius R an aggressor at distance d adds 2^(R−d) units, and H_cnt is
+// H_cnt·2^(R−1) units. Every such sum below 2^53 is exact in float64, so
+// Pressure and Flip.Pressure equal the weighted count summed in float64 bit
+// for bit. A tracker costs 4 bytes per row. It keeps no flip log: the
+// caller receives each flip from Activate.
 package hammer
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// MaxBlastRadius is the largest blast radius the model represents. It covers
+// the paper's observed radius 6 and Fig 10's sweep of 1–5.
+const MaxBlastRadius = 8
 
 // Config describes the vulnerability of a DRAM device.
 type Config struct {
@@ -34,6 +48,12 @@ func DefaultConfig() Config {
 	return Config{HCnt: 4096, BlastRadius: 3}
 }
 
+// Valid reports whether the model represents c: a positive H_cnt and a
+// blast radius from 1 to MaxBlastRadius.
+func (c Config) Valid() bool {
+	return c.HCnt > 0 && c.BlastRadius > 0 && c.BlastRadius <= MaxBlastRadius
+}
+
 // Weight returns the disturbance weight of an aggressor at the given
 // distance from a victim: 1 for adjacent, halved per extra row, zero outside
 // the blast radius.
@@ -41,7 +61,7 @@ func (c Config) Weight(distance int) float64 {
 	if distance < 1 || distance > c.BlastRadius {
 		return 0
 	}
-	return 1.0 / float64(int(1)<<(distance-1))
+	return math.Ldexp(1, 1-distance)
 }
 
 // WSum returns the paper's W_sum: the summed weight of every in-range
@@ -63,16 +83,18 @@ type Flip struct {
 
 // Subarray tracks hammer pressure for every DA row of one subarray. A row
 // flips when an activation lifts its count from below H_cnt to H_cnt or
-// above. Weights are positive and only a restore or Reset lowers a count
-// (to zero), so a row flips at most once between restores.
+// above. Weights are positive and only a restore lowers a count (to zero),
+// so a row flips at most once between restores.
 type Subarray struct {
-	cfg   Config
-	eff   []float64 // effective hammer count per DA row since last restore
-	flips []Flip    // log of every flip since construction or Reset
-
-	// Totals for experiment reporting.
-	acts     int64
-	restores int64
+	cfg    Config
+	flipAt uint64 // H_cnt in units
+	// eff is each DA row's effective hammer count since its last restore, in
+	// units of 2^(1−R). Auto-refresh restores every row at least once per
+	// tREFW, and one ACT adds at most 2^(R−1) units to a row, so a count
+	// stays below tREFW/tRC · 2^(MaxBlastRadius−1): 0.69M · 2^7 < 2^27 at
+	// DDR4-2666, far below 2^32 (dram's TestCountBoundOverOneREFW). A count
+	// that would pass 2^32−1 stays there instead of wrapping.
+	eff []uint32
 }
 
 // NewSubarray returns a tracker for rows DA rows.
@@ -80,12 +102,13 @@ func NewSubarray(rows int, cfg Config) *Subarray {
 	if rows <= 0 {
 		panic(fmt.Sprintf("hammer: non-positive row count %d", rows))
 	}
-	if cfg.HCnt <= 0 || cfg.BlastRadius <= 0 {
+	if !cfg.Valid() {
 		panic(fmt.Sprintf("hammer: invalid config %+v", cfg))
 	}
 	return &Subarray{ //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
-		cfg: cfg,
-		eff: make([]float64, rows), //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
+		cfg:    cfg,
+		flipAt: uint64(cfg.HCnt) << (cfg.BlastRadius - 1),
+		eff:    make([]uint32, rows), //shadowvet:ignore allocflow -- first-touch lazy subarray build, warm before steady state
 	}
 }
 
@@ -101,24 +124,24 @@ func (s *Subarray) Config() Config { return s.cfg }
 // flips triggered by this activation, if any.
 func (s *Subarray) Activate(r int) []Flip {
 	s.mustRow(r)
-	s.acts++
 	// Activation restores the row's own charge.
 	s.eff[r] = 0
 
 	var out []Flip
-	h := float64(s.cfg.HCnt)
 	for d := 1; d <= s.cfg.BlastRadius; d++ {
-		w := s.cfg.Weight(d)
+		w := uint32(1) << (s.cfg.BlastRadius - d)
 		for _, v := range [2]int{r - d, r + d} {
 			if v < 0 || v >= len(s.eff) {
 				continue
 			}
 			before := s.eff[v]
-			s.eff[v] += w
-			if s.eff[v] >= h && before < h {
-				f := Flip{Row: v, Pressure: s.eff[v], ByRow: r}
-				s.flips = append(s.flips, f) //shadowvet:ignore allocflow -- a row enters the flip list once per crossing of H_cnt, at most once between restores
-				out = append(out, f)         //shadowvet:ignore allocflow -- flip result list, non-empty only on rare flip events, not steady-state work
+			after := before + w
+			if after < before {
+				after = math.MaxUint32
+			}
+			s.eff[v] = after
+			if uint64(after) >= s.flipAt && uint64(before) < s.flipAt {
+				out = append(out, Flip{Row: v, Pressure: s.pressure(after), ByRow: r}) //shadowvet:ignore allocflow -- flip result list, non-empty only on rare flip events, not steady-state work
 			}
 		}
 	}
@@ -131,36 +154,18 @@ func (s *Subarray) Activate(r int) []Flip {
 // with correct data from the perspective of future flips.
 func (s *Subarray) Refresh(r int) {
 	s.mustRow(r)
-	s.restores++
 	s.eff[r] = 0
 }
 
 // Pressure returns the current effective hammer count of DA row r.
 func (s *Subarray) Pressure(r int) float64 {
 	s.mustRow(r)
-	return s.eff[r]
+	return s.pressure(s.eff[r])
 }
 
-// Flips returns the log of all flips recorded so far. The returned slice is
-// owned by the tracker; callers must not modify it.
-func (s *Subarray) Flips() []Flip { return s.flips }
-
-// FlipCount returns the number of flips recorded so far.
-func (s *Subarray) FlipCount() int { return len(s.flips) }
-
-// Acts returns the total activations observed.
-func (s *Subarray) Acts() int64 { return s.acts }
-
-// Restores returns the total row restores observed (excluding those implied
-// by activations).
-func (s *Subarray) Restores() int64 { return s.restores }
-
-// Reset clears all state including the flip log.
-func (s *Subarray) Reset() {
-	clear(s.eff)
-	s.flips = nil
-	s.acts = 0
-	s.restores = 0
+// pressure converts a count in units to the weighted ACT count.
+func (s *Subarray) pressure(units uint32) float64 {
+	return math.Ldexp(float64(units), 1-s.cfg.BlastRadius)
 }
 
 func (s *Subarray) mustRow(r int) {

@@ -25,6 +25,28 @@ func TestWeight(t *testing.T) {
 	}
 }
 
+// TestValidateBlastRadius: the model represents blast radii 1 to
+// MaxBlastRadius. Past 63 Weight's old integer divisor went negative and
+// then zero, and such a run reported thousands of flips.
+func TestValidateBlastRadius(t *testing.T) {
+	for r := 1; r <= MaxBlastRadius; r++ {
+		if !(Config{HCnt: 4096, BlastRadius: r}).Valid() {
+			t.Errorf("radius %d rejected", r)
+		}
+	}
+	for _, c := range []Config{
+		{HCnt: 4096, BlastRadius: 0},
+		{HCnt: 4096, BlastRadius: MaxBlastRadius + 1},
+		{HCnt: 4096, BlastRadius: 64},
+		{HCnt: 4096, BlastRadius: 65},
+		{HCnt: 0, BlastRadius: 3},
+	} {
+		if c.Valid() {
+			t.Errorf("%+v accepted", c)
+		}
+	}
+}
+
 // TestWSumDefault: the paper sets W_sum = 3.5 for the default blast radius 3.
 func TestWSumDefault(t *testing.T) {
 	if got := DefaultConfig().WSum(); math.Abs(got-3.5) > 1e-12 {
@@ -89,23 +111,28 @@ func TestDoubleSidedFlipTwiceAsFast(t *testing.T) {
 }
 
 // TestBlastRadiusDistanceHalving: a victim at distance d needs 2^(d-1) times
-// the ACT count (threat model item 2).
+// the ACT count (threat model item 2), up to MaxBlastRadius. Beyond distance
+// 1 the ACT that completes the flip adds a fractional weight.
 func TestBlastRadiusDistanceHalving(t *testing.T) {
-	for d := 1; d <= 3; d++ {
-		s := NewSubarray(32, Config{HCnt: 64, BlastRadius: 3})
-		aggr := 16
-		victim := 16 + d
-		acts := 0
-		for s.Pressure(victim) < 64 {
-			s.Activate(aggr)
-			acts++
-			if acts > 64*8+1 {
-				t.Fatalf("distance %d: no flip after %d ACTs", d, acts)
+	for _, radius := range []int{3, MaxBlastRadius} {
+		for d := 1; d <= radius; d++ {
+			s := NewSubarray(32, Config{HCnt: 64, BlastRadius: radius})
+			aggr, victim := 16, 16+d
+			want := 64 * (1 << (d - 1))
+			for acts := 1; acts <= want; acts++ {
+				var hit []Flip
+				for _, f := range s.Activate(aggr) {
+					if f.Row == victim {
+						hit = append(hit, f)
+					}
+				}
+				if acts < want && len(hit) > 0 {
+					t.Fatalf("radius %d distance %d: flip after %d ACTs, want %d", radius, d, acts, want)
+				}
+				if acts == want && (len(hit) != 1 || hit[0].Pressure != 64 || hit[0].ByRow != aggr) {
+					t.Fatalf("radius %d distance %d: ACT %d flipped %v, want one flip at pressure 64", radius, d, acts, hit)
+				}
 			}
-		}
-		want := 64 * (1 << (d - 1))
-		if acts != want {
-			t.Errorf("distance %d: flip after %d ACTs, want %d", d, acts, want)
 		}
 	}
 }
@@ -161,19 +188,17 @@ func TestFlipReportedOncePerRestoreCycle(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("%d flips reported after refresh cycle, want 3", total)
 	}
-	if s.FlipCount() != 3 {
-		t.Fatalf("FlipCount = %d, want 3", s.FlipCount())
-	}
 }
 
 func TestEdgeRowsClamped(t *testing.T) {
 	s := NewSubarray(4, Config{HCnt: 5, BlastRadius: 3})
 	// Activating row 0 must not panic; victims only on the high side.
+	flips := 0
 	for i := 0; i < 10; i++ {
-		s.Activate(0)
-		s.Activate(3)
+		flips += len(s.Activate(0))
+		flips += len(s.Activate(3))
 	}
-	if s.FlipCount() == 0 {
+	if flips == 0 {
 		t.Fatal("expected flips near array edges")
 	}
 }
@@ -186,22 +211,8 @@ func TestSubarrayBoundaryIsolation(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.Activate(7) // last row of a; in a flat layout rows 8,9 would suffer
 	}
-	if b.FlipCount() != 0 || b.Pressure(0) != 0 {
+	if totalPressure(b) != 0 {
 		t.Fatal("disturbance crossed subarray boundary")
-	}
-}
-
-func TestCountersAndReset(t *testing.T) {
-	s := NewSubarray(8, Config{HCnt: 3, BlastRadius: 1})
-	s.Activate(2)
-	s.Activate(2)
-	s.Refresh(1)
-	if s.Acts() != 2 || s.Restores() != 1 {
-		t.Fatalf("acts/restores = %d/%d, want 2/1", s.Acts(), s.Restores())
-	}
-	s.Reset()
-	if s.Acts() != 0 || s.Restores() != 0 || s.FlipCount() != 0 || s.Pressure(1) != 0 {
-		t.Fatal("Reset did not clear state")
 	}
 }
 
@@ -238,6 +249,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 		func() { s.Refresh(100) },
 		func() { NewSubarray(0, DefaultConfig()) },
 		func() { NewSubarray(8, Config{HCnt: 0, BlastRadius: 1}) },
+		func() { NewSubarray(8, Config{HCnt: 1, BlastRadius: MaxBlastRadius + 1}) },
 	} {
 		func() {
 			defer func() {
@@ -250,15 +262,15 @@ func TestPanicsOnBadInput(t *testing.T) {
 	}
 }
 
-// flaggedOracle is the reference tracker: a per-row flipped flag, set at
-// the first report and cleared by a restore, guards a second report while
-// the row stays at or above H_cnt.
+// flaggedOracle is the reference tracker: float64 pressures summed from
+// Config.Weight, and a per-row flipped flag, set at the first report and
+// cleared by a restore, that guards a second report while the row stays at
+// or above H_cnt.
 type flaggedOracle struct {
-	cfg            Config
-	eff            []float64
-	flipped        []bool
-	flips          []Flip
-	acts, restores int64
+	cfg     Config
+	eff     []float64
+	flipped []bool
+	flips   []Flip
 }
 
 func newFlaggedOracle(rows int, cfg Config) *flaggedOracle {
@@ -266,7 +278,6 @@ func newFlaggedOracle(rows int, cfg Config) *flaggedOracle {
 }
 
 func (s *flaggedOracle) Activate(r int) []Flip {
-	s.acts++
 	s.eff[r], s.flipped[r] = 0, false
 	var out []Flip
 	for d := 1; d <= s.cfg.BlastRadius; d++ {
@@ -288,82 +299,98 @@ func (s *flaggedOracle) Activate(r int) []Flip {
 }
 
 func (s *flaggedOracle) Refresh(r int) {
-	s.restores++
 	s.eff[r], s.flipped[r] = 0, false
 }
 
-func (s *flaggedOracle) Reset() {
-	clear(s.eff)
-	clear(s.flipped)
-	s.flips = nil
-	s.acts, s.restores = 0, 0
-}
-
 // TestSubarrayMatchesFlaggedOracle drives Subarray and the flagged oracle
-// with generated Activate/Refresh/Reset sequences over subarray sizes 1 to
-// 600 and blast radii 1 to 6. H_cnt is small and a sticky aggressor moves
-// within a narrow window, so rows flip, keep being hammered past H_cnt, are
-// restored and flip again. After every operation the two must agree on the
-// flips it reported, the flip log, the pressure of every row it touched,
-// and the counters.
+// with generated Activate/Refresh sequences over subarray sizes 1 to 600 and
+// blast radii 1 to MaxBlastRadius, each at two H_cnt values: a small one,
+// so rows flip, keep being hammered past H_cnt, are restored and flip
+// again, and 1<<30, the value the figures pass to disable flips. A sticky
+// aggressor moves within a narrow window. After every operation the two
+// must agree on the flips it returned and, with ==, on the pressure of
+// every row it touched.
 func TestSubarrayMatchesFlaggedOracle(t *testing.T) {
+	// fractional counts, per blast radius, the flips completed by an
+	// aggressor beyond distance 1, whose weight is a fraction of an ACT.
+	var fractional [MaxBlastRadius + 1]int
 	for _, rows := range []int{1, 2, 3, 5, 8, 13, 64, 129, 513, 600} {
-		for blast := 1; blast <= 6; blast++ {
+		for blast := 1; blast <= MaxBlastRadius; blast++ {
 			t.Run(fmt.Sprintf("rows%d/blast%d", rows, blast), func(t *testing.T) {
-				src := rng.NewCSPRNG(uint64(rows<<3 | blast))
-				cfg := Config{HCnt: 2 + rng.Intn(src, 10), BlastRadius: blast}
-				s, ref := NewSubarray(rows, cfg), newFlaggedOracle(rows, cfg)
-				window := min(rows, 2*blast+3)
-				base := rng.Intn(src, rows-window+1)
-				reflips := 0
-				aggr := base
-				for op := 0; op < 4000; op++ {
-					// The aggressor sticks for runs of ~8 ACTs, long enough
-					// to lift a neighbor past H_cnt on its own.
-					if rng.Intn(src, 8) == 0 {
-						aggr = base + rng.Intn(src, window)
-					}
-					r := aggr
-					if rng.Intn(src, 20) == 0 {
-						r = rng.Intn(src, rows)
-					}
-					var what string
-					switch k := rng.Intn(src, 1000); {
-					case k < 900:
-						what = "Activate"
-						got, want := s.Activate(r), ref.Activate(r)
-						if !slices.Equal(got, want) {
-							t.Fatalf("op %d: Activate(%d) = %v, want %v", op, r, got, want)
+				src := rng.NewCSPRNG(uint64(rows<<4 | blast))
+				for _, hcnt := range []int{2 + rng.Intn(src, 10), 1 << 30} {
+					cfg := Config{HCnt: hcnt, BlastRadius: blast}
+					s, ref := NewSubarray(rows, cfg), newFlaggedOracle(rows, cfg)
+					window := min(rows, 2*blast+3)
+					base := rng.Intn(src, rows-window+1)
+					reflips := 0
+					aggr := base
+					for op := 0; op < 4000; op++ {
+						// The aggressor sticks for runs of ~8 ACTs, long
+						// enough to lift a neighbor past H_cnt on its own.
+						if rng.Intn(src, 8) == 0 {
+							aggr = base + rng.Intn(src, window)
 						}
-						for _, f := range want {
-							if slices.ContainsFunc(ref.flips[:len(ref.flips)-len(want)], func(g Flip) bool { return g.Row == f.Row }) {
-								reflips++
+						r := aggr
+						if rng.Intn(src, 20) == 0 {
+							r = rng.Intn(src, rows)
+						}
+						what := "Activate"
+						if rng.Intn(src, 10) == 0 {
+							what = "Refresh"
+							s.Refresh(r)
+							ref.Refresh(r)
+						} else {
+							got, want := s.Activate(r), ref.Activate(r)
+							if !slices.Equal(got, want) {
+								t.Fatalf("H_cnt %d op %d: Activate(%d) = %v, want %v", hcnt, op, r, got, want)
+							}
+							for _, f := range want {
+								if slices.ContainsFunc(ref.flips[:len(ref.flips)-len(want)], func(g Flip) bool { return g.Row == f.Row }) {
+									reflips++
+								}
+								if f.Row-f.ByRow > 1 || f.ByRow-f.Row > 1 {
+									fractional[blast]++
+								}
 							}
 						}
-					case k < 998:
-						what = "Refresh"
-						s.Refresh(r)
-						ref.Refresh(r)
-					default:
-						what = "Reset"
-						s.Reset()
-						ref.Reset()
-					}
-					for v := max(0, r-blast); v <= min(rows-1, r+blast); v++ {
-						if got, want := s.Pressure(v), ref.eff[v]; got != want {
-							t.Fatalf("op %d (%s %d): Pressure(%d) = %g, want %g", op, what, r, v, got, want)
+						for v := max(0, r-blast); v <= min(rows-1, r+blast); v++ {
+							if got, want := s.Pressure(v), ref.eff[v]; got != want {
+								t.Fatalf("H_cnt %d op %d (%s %d): Pressure(%d) = %g, want %g", hcnt, op, what, r, v, got, want)
+							}
 						}
 					}
-					if !slices.Equal(s.Flips(), ref.flips) || s.FlipCount() != len(ref.flips) ||
-						s.Acts() != ref.acts || s.Restores() != ref.restores {
-						t.Fatalf("op %d (%s %d): flips %d/%d, acts %d/%d, restores %d/%d (tracker/oracle)",
-							op, what, r, s.FlipCount(), len(ref.flips), s.Acts(), ref.acts, s.Restores(), ref.restores)
+					switch {
+					case hcnt == 1<<30 && len(ref.flips) > 0:
+						t.Errorf("%d flips at H_cnt 1<<30", len(ref.flips))
+					case hcnt < 1<<30 && rows > 1 && reflips == 0:
+						t.Errorf("H_cnt %d: no row flipped again after a restore (%d flips): the sequence misses the case", hcnt, len(ref.flips))
 					}
-				}
-				if rows > 1 && reflips == 0 {
-					t.Errorf("no row flipped again after a restore (%d flips): the sequence misses the case", len(ref.flips))
 				}
 			})
 		}
+	}
+	for blast := 2; blast <= MaxBlastRadius; blast++ {
+		if fractional[blast] == 0 {
+			t.Errorf("blast %d: no flip was completed by a fractional weight", blast)
+		}
+	}
+}
+
+// TestCountSaturates: a count that would pass 2^32−1 units stays there, so
+// a row past H_cnt is not reported again, and the crossing below it still
+// is.
+func TestCountSaturates(t *testing.T) {
+	s := NewSubarray(4, Config{HCnt: 1 << 29, BlastRadius: 3})
+	s.eff[1] = math.MaxUint32 - 2
+	if flips := s.Activate(0); len(flips) != 0 {
+		t.Fatalf("saturating count reported %v", flips)
+	}
+	if got, want := s.Pressure(1), math.Ldexp(math.MaxUint32, -2); got != want {
+		t.Fatalf("saturated Pressure = %g, want %g", got, want)
+	}
+	s.eff[1] = 1<<31 - 1
+	if flips := s.Activate(0); len(flips) != 1 || flips[0].Row != 1 || flips[0].Pressure != 1<<29+0.75 {
+		t.Fatalf("crossing H_cnt reported %v, want row 1 at %g", flips, 1<<29+0.75)
 	}
 }
